@@ -25,7 +25,6 @@ import traceback
 import numpy as np
 
 from . import __version__
-from . import blaschke as bp
 from . import limits, specio, sumrule
 from . import measure as ms
 from . import outer as sf
@@ -225,17 +224,7 @@ def _run_blaschke(args, mu, tol):
         np.max(operator_norm(b_ring.conj().transpose(0, 2, 1) @ b_ring - np.eye(mu.dim)))
     )
     det0 = abs(np.linalg.det(product.value_at_zero()))
-    angles = []
-    pole_list = [s.z for s in mu.bound_states]
-    for s in mu.bound_states:
-        ker_w = bp.kernel_frame(s.weight, tol)
-        if ker_w.shape[1] == mu.dim:
-            angles.append(0.0)
-            continue
-        others = [z for z in pole_list if abs(z - s.z) > 1e-300]
-        _, res_ker = bp.residue_kernel(lim.eval_inverse, complex(s.z), others, tol)
-        arr = bp.principal_angles(res_ker, ker_w)
-        angles.append(float(arr.max()) if arr.size else 0.0)
+    angles = lim.kernel_angles
     factors = [
         {"z": complex(f.z), "rank": f.rank, "unitary": f.unitary}
         for f in product.factors
@@ -246,7 +235,7 @@ def _run_blaschke(args, mu, tol):
         "boundary_unitarity_defect": unitarity,
         "det_at_zero": det0,
         "det_at_zero_expected": product.det_at_zero(),
-        "kernel_angles": np.array(angles),
+        "kernel_angles": angles,
     }
     tables = {
         "blaschke_factors": specio.format_real_table(
@@ -267,8 +256,8 @@ def _run_blaschke(args, mu, tol):
         f"{len(factors)} elementary factor(s); boundary unitarity defect {unitarity:.3e}",
         f"|det B(0)| = {det0:.12e} vs prod |z_k|^(s_k) = {product.det_at_zero():.12e}",
     ]
-    if angles:
-        lines.append(f"worst certified kernel angle {max(angles):.3e}")
+    if angles.size:
+        lines.append(f"worst certified kernel angle {angles.max():.3e}")
     return report, tables, lines
 
 
@@ -278,11 +267,7 @@ def _run_limit(args, mu, tol):
     if args.angles < 1:
         raise ParseError(f"--angles must be positive, got {args.angles}")
     lim = limits.build_pipeline(mu, tol=tol)
-    pts = limits.disk_grid(args.radius, args.angles)
-    keep = np.ones(pts.size, dtype=bool)
-    for z_k in lim.product.pole_points:
-        keep &= np.abs(pts - z_k) > 1e-8
-    pts = pts[keep]
+    pts = lim.disk_points(args.radius, args.angles)
     vals = lim.eval(pts)
     columns = [("z_re", pts.real), ("z_im", pts.imag)]
     for i in range(mu.dim):
@@ -482,7 +467,6 @@ def main(argv=None) -> int:
                 command=command,
                 spec_sha256=specio.spec_hash(spec),
                 tolerance_overrides=overrides,
-                seed=None,
                 tool_version=__version__,
             )
             _write_artifacts(args.out, manifest, report, tables)

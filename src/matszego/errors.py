@@ -53,10 +53,6 @@ class DimensionMismatch(NumericalError):
     """Operands have incompatible matrix dimensions."""
 
 
-class PoleProximity(NumericalError):
-    """Evaluation point too close to the support or a point mass."""
-
-
 class LostPositivity(NumericalError):
     """Gram matrix in the recurrence lost positive definiteness."""
 

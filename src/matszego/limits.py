@@ -39,16 +39,30 @@ _SQRT2 = float(np.sqrt(2.0))
 
 @dataclasses.dataclass(frozen=True)
 class LimitFunction:
-    """L(z) = 2^{-1/2} G(z)^{-1} B(z) V with L(0) Hermitian PD."""
+    """L(z) = 2^{-1/2} G(z)^{-1} B(z) V with L(0) Hermitian PD.
+
+    kernel_angles[k] is the certified worst principal angle between the
+    residue kernel of L^{-1} and the mass kernel at the k-th bound state
+    (0.0 for a weightless mass).
+    """
 
     outer: sf.OuterFunction
     product: bp.BlaschkePotapovProduct
     frame: np.ndarray
     value0: np.ndarray
+    kernel_angles: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.frame.shape[0]
+
+    def disk_points(self, radius: float, angle_count: int = 24) -> np.ndarray:
+        """disk_grid(radius, angle_count) without the points at the mass poles."""
+        pts = disk_grid(radius, angle_count)
+        keep = np.ones(pts.size, dtype=bool)
+        for z_k in self.product.pole_points:
+            keep &= np.abs(pts - z_k) > 1e-8
+        return pts[keep]
 
     def eval(self, z) -> np.ndarray:
         """L at interior points (|z| <= 0.99, away from mass points)."""
@@ -78,9 +92,7 @@ class LimitFunction:
         return BoundarySampling(np.linalg.solve(g_b, b_vals) @ self.frame / _SQRT2)
 
 
-def build_pipeline(
-    mu: ms.MatrixMeasure, order: int | None = None, tol: Tolerances = DEFAULT
-) -> LimitFunction:
+def build_pipeline(mu: ms.MatrixMeasure, tol: Tolerances = DEFAULT) -> LimitFunction:
     """Factor the weight, pin the product to the masses, fix the frame.
 
     Raises RadiusExceeded for masses so close to the band that the
@@ -88,7 +100,7 @@ def build_pipeline(
     if the certified residue kernels disagree with the mass kernels.
     """
     w = ms.szego_weight(mu)
-    g = sf.spectral_factorize(w, order=order, tol=tol)
+    g = sf.spectral_factorize(w, tol=tol)
 
     states = []
     kernels = []
@@ -115,10 +127,13 @@ def build_pipeline(
     value0 = u_hat @ p_hat @ u_hat.conj().T
     value0 = 0.5 * (value0 + value0.conj().T)
 
-    lim = LimitFunction(outer=g, product=product, frame=frame, value0=value0)
+    kernel_angles = np.zeros(len(mu.bound_states))
+    lim = LimitFunction(
+        outer=g, product=product, frame=frame, value0=value0, kernel_angles=kernel_angles
+    )
 
     pole_list = [s.z for s in mu.bound_states]
-    for state, ker in zip(mu.bound_states, kernels):
+    for k, (state, ker) in enumerate(zip(mu.bound_states, kernels)):
         if ker is None:
             continue
         others = [z for z in pole_list if abs(z - state.z) > 1e-300]
@@ -132,6 +147,8 @@ def build_pipeline(
                 f"residue kernel at E = {state.energy:.6g} misses the mass kernel "
                 f"(angle {worst:.3e}, dims {res_ker.shape[1]} vs {ker.shape[1]})"
             )
+        kernel_angles[k] = worst
+    kernel_angles.setflags(write=False)
     return lim
 
 
@@ -151,7 +168,6 @@ def verify_pointwise(
     jacobi2: poly.BlockJacobi,
     n_values: Sequence[int],
     radius: float = 0.8,
-    tol: Tolerances = DEFAULT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sup gap per n, origin gap per n) of q_n against L on a disk grid.
 
@@ -161,11 +177,7 @@ def verify_pointwise(
     """
     if radius > 0.99:
         raise RadiusExceeded("pointwise verification restricted to radius <= 0.99")
-    pts = disk_grid(radius)
-    keep = np.ones(pts.size, dtype=bool)
-    for z_k in lim.product.pole_points:
-        keep &= np.abs(pts - z_k) > 1e-8
-    pts = pts[keep]
+    pts = lim.disk_points(radius)
     q_vals = poly.eval_scaled_many(jacobi2, list(n_values), pts)
     l_vals = lim.eval(pts)
     sup_gap = np.array(
@@ -238,7 +250,6 @@ class PolarDiagnostic:
     eta_max: np.ndarray
     logdet_abs: np.ndarray
     frame_defect: np.ndarray
-    origin_gap: np.ndarray
 
 
 def h_diagnostic(
@@ -256,7 +267,7 @@ def h_diagnostic(
     kappas = poly.leading_coeffs(jacobi2, max(n_values))
     b0_inv = np.linalg.inv(lim.product.value_at_zero())
     g0 = lim.outer.value_at_zero()
-    eta_min, eta_max, logdet, defect, gap = [], [], [], [], []
+    eta_min, eta_max, logdet, defect = [], [], [], []
     for n in n_values:
         raw = _SQRT2 * b0_inv @ g0 @ kappas[n]
         w_hat, p_hat = left_polar(raw, tol)
@@ -265,14 +276,12 @@ def h_diagnostic(
         eta_max.append(float(eta.max()))
         logdet.append(abs(float(np.sum(np.log(eta)))))
         defect.append(float(operator_norm(w_hat - lim.frame)))
-        gap.append(float(operator_norm(kappas[n] - lim.value0)))
     return PolarDiagnostic(
         n_values=tuple(int(n) for n in n_values),
         eta_min=np.array(eta_min),
         eta_max=np.array(eta_max),
         logdet_abs=np.array(logdet),
         frame_defect=np.array(defect),
-        origin_gap=np.array(gap),
     )
 
 
@@ -295,16 +304,15 @@ def asymptotics_report(
     mu: ms.MatrixMeasure,
     n_values: Sequence[int],
     radius: float = 0.8,
-    order: int | None = None,
     tol: Tolerances = DEFAULT,
 ) -> AsymptoticsReport:
     """Build the pipeline once and run every convergence check on it."""
     n_values = sorted(int(n) for n in n_values)
-    lim = build_pipeline(mu, order=order, tol=tol)
+    lim = build_pipeline(mu, tol=tol)
     seq = poly.stieltjes(mu, max(n_values) + 1, tol)
     jac2, transform = poly.to_type(seq.jacobi, "type2", tol)
     pseq2 = poly.apply_transform(seq, jac2, transform)
-    sup_gap, origin_gap = verify_pointwise(lim, jac2, n_values, radius, tol)
+    sup_gap, origin_gap = verify_pointwise(lim, jac2, n_values, radius)
     l2_res = verify_l2(lim, pseq2, n_values, tol)
     mass_norm, mass_worst = verify_masses(pseq2, n_values)
     polar = h_diagnostic(lim, jac2, n_values, tol)

@@ -129,17 +129,6 @@ def left_polar(a: np.ndarray, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np
     return u, p
 
 
-def matrix_abs(a: np.ndarray, side: str = "right") -> np.ndarray:
-    """Matrix absolute value: sqrt(a* a) for side="right", sqrt(a a*) for "left"."""
-    a = np.asarray(a, dtype=complex)
-    w, s, vh = np.linalg.svd(a)
-    if side == "right":
-        return (vh.conj().T * s) @ vh
-    if side == "left":
-        return (w * s) @ w.conj().T
-    raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-
-
 def norm_l2_1(f: BoundarySampling) -> float:
     """sqrt of the grid mean of the squared operator norm."""
     return float(np.sqrt(np.mean(operator_norm(f.values) ** 2)))
@@ -156,6 +145,15 @@ def gram_mean(f: BoundarySampling, g: BoundarySampling) -> np.ndarray:
         raise DimensionMismatch("samplings live on different grids")
     fv, gv = f.values, g.values
     return np.einsum("mji,mjk->ik", fv.conj(), gv) / f.node_count
+
+
+def two_grid_richardson(coarse: float, fine: float) -> tuple[float, float]:
+    """(extrapolated value, estimate) from grid means on M and 2M nodes.
+
+    Removes an exact a/M first-order term: value 2 fine - coarse, with
+    the coarse/fine difference as the error estimate.
+    """
+    return 2.0 * fine - coarse, abs(fine - coarse)
 
 
 def _phase(n: np.ndarray, node_count: int) -> np.ndarray:

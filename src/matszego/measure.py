@@ -19,13 +19,7 @@ import dataclasses
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DimensionMismatch,
-    MassOnSupport,
-    PoleProximity,
-    RadiusExceeded,
-    ValidationError,
-)
+from .errors import DimensionMismatch, MassOnSupport, ValidationError
 from .linalg import BoundarySampling, midpoint_nodes, operator_norm, principal_sqrt
 from .tolerances import DEFAULT, Tolerances
 
@@ -233,11 +227,6 @@ def disk_coordinate(energy: float) -> complex:
     return complex(z)
 
 
-def bound_state_coords(measure: "MatrixMeasure") -> tuple[BoundState, ...]:
-    """Bound states sorted by |z| ascending, ties by ascending arg(z)."""
-    return measure.bound_states
-
-
 def mass_condition_sums(measure: "MatrixMeasure") -> tuple[float, float]:
     """(sum m_k (1 - |z_k|), sum m_k sqrt(|E_k| - 2)), multiplicity-weighted."""
     blaschke = sum(s.multiplicity * (1.0 - abs(s.z)) for s in measure.bound_states)
@@ -402,53 +391,14 @@ def szego_weight(measure: MatrixMeasure, refine: int = 1) -> BoundarySampling:
     return BoundarySampling(w)
 
 
-def inner_product(f, g, measure: MatrixMeasure) -> np.ndarray:
-    """<<f, g>> = integral f(x)* dmu(x) g(x).
+def inner_product(measure: MatrixMeasure, fv, fe, gv, ge) -> np.ndarray:
+    """<<f, g>> = integral f(x)* dmu(x) g(x) from sampled values.
 
-    f and g are callables mapping an x-array of shape (n,) to values of
-    shape (n, l, l); they are evaluated on the quadrature abscissae and
-    at the mass energies.
+    fv, gv hold f and g at the quadrature abscissae x_nodes, shape
+    (M, l, l); fe, ge hold them at the mass energies, shape (K, l, l).
     """
-    fv = np.asarray(f(measure.x_nodes), dtype=complex)
-    gv = np.asarray(g(measure.x_nodes), dtype=complex)
     out = np.einsum("mji,mjk,mkl->il", fv.conj(), measure.weight.values, gv)
     out /= measure.quad_order
     if measure.bound_states:
-        e = measure.mass_energies
-        fe = np.asarray(f(e), dtype=complex)
-        ge = np.asarray(g(e), dtype=complex)
         out = out + np.einsum("mji,mjk,mkl->il", fe.conj(), measure.mass_weights, ge)
     return out
-
-
-def _support_distance(zeta: complex) -> float:
-    dx = max(abs(zeta.real) - 2.0, 0.0)
-    return float(np.hypot(dx, zeta.imag))
-
-
-def m_function(measure: MatrixMeasure, zeta: complex, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Matrix Cauchy transform m(zeta) = integral dmu(x) / (x - zeta)."""
-    zeta = complex(zeta)
-    if _support_distance(zeta) <= tol.pole_proximity:
-        raise PoleProximity(f"zeta = {zeta} within {tol.pole_proximity:.1e} of [-2, 2]")
-    for s in measure.bound_states:
-        if abs(zeta - s.energy) <= tol.pole_proximity:
-            raise PoleProximity(f"zeta = {zeta} within {tol.pole_proximity:.1e} of mass {s.energy}")
-    denom = 1.0 / (measure.x_nodes - zeta)
-    out = np.einsum("m,mij->ij", denom, measure.weight.values) / measure.quad_order
-    for s in measure.bound_states:
-        out = out + s.weight / (s.energy - zeta)
-    return out
-
-
-def disk_m_function(measure: MatrixMeasure, z: complex, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """M(z) = -m(z + 1/z) on the unit disk; z = 0 maps to m at infinity."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise RadiusExceeded(f"|z| = {abs(z):.6f} >= 1")
-    for s in measure.bound_states:
-        if abs(z - s.z) <= tol.pole_proximity:
-            raise PoleProximity(f"z = {z} within {tol.pole_proximity:.1e} of pole {s.z}")
-    if abs(z) < 1e-12:
-        return np.zeros((measure.dim, measure.dim), dtype=complex)
-    return -m_function(measure, z + 1.0 / z, tol)

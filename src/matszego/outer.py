@@ -42,6 +42,8 @@ from .errors import (
 from .linalg import BoundarySampling, left_polar, operator_norm
 from .tolerances import DEFAULT, Tolerances
 
+_MAX_SWEEPS = 60  # cap on Wilson sweeps
+
 
 @dataclasses.dataclass(frozen=True)
 class OuterFunction:
@@ -96,7 +98,7 @@ class OuterFunction:
 # exact path for commuting weights
 
 
-def _scalar_outer_coeffs(samples: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _scalar_outer_coeffs(samples: np.ndarray) -> np.ndarray:
     """Outer factor of a nonnegative scalar trig polynomial, from its roots.
 
     samples are the (real, positive) values on the midpoint grid.
@@ -186,7 +188,7 @@ def _joint_basis(values: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _commuting_factor(values: np.ndarray, tol: Tolerances) -> np.ndarray | None:
+def _commuting_factor(values: np.ndarray) -> np.ndarray | None:
     """Exact coefficients when all boundary values share an eigenbasis.
 
     Returns the (K+1, l, l) coefficient stack of a (not yet normalized)
@@ -210,7 +212,7 @@ def _commuting_factor(values: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     channel_coeffs = []
     top = 0
     for i in range(diag.shape[1]):
-        g = _scalar_outer_coeffs(diag[:, i], tol)
+        g = _scalar_outer_coeffs(diag[:, i])
         channel_coeffs.append(g)
         top = max(top, g.size - 1)
     if top > m_grid // 2 - 1:
@@ -270,7 +272,7 @@ def _significant_band(n_values: np.ndarray, coeffs: np.ndarray) -> int:
 
 
 def _wilson_factor(
-    values: np.ndarray, order: int, target: float, max_sweeps: int
+    values: np.ndarray, order: int, target: float
 ) -> tuple[np.ndarray, np.ndarray, float, float, int]:
     """Grid factorization; returns (coeffs, boundary, leak, trunc, sweeps)."""
     m_grid, dim = values.shape[0], values.shape[1]
@@ -292,7 +294,7 @@ def _wilson_factor(
     best = np.inf
     stall = 0
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         try:
             inv_psi = np.linalg.inv(psi)
         except np.linalg.LinAlgError:
@@ -329,7 +331,6 @@ def spectral_factorize(
     w: BoundarySampling,
     order: int | None = None,
     tol: Tolerances = DEFAULT,
-    max_sweeps: int = 60,
 ) -> OuterFunction:
     """Factor w = G* G with G outer and G(0) Hermitian PD.
 
@@ -356,7 +357,7 @@ def spectral_factorize(
     order = min(order, m_grid // 2 - 1)
     target = tol.fact_rel * scale
 
-    coeffs = _commuting_factor(values, tol)
+    coeffs = _commuting_factor(values)
     if coeffs is not None:
         boundary = linalg.synthesize_on_grid(
             np.arange(coeffs.shape[0]), coeffs, m_grid
@@ -369,9 +370,7 @@ def spectral_factorize(
         else:
             coeffs = None
     if coeffs is None:
-        coeffs, boundary, leak, trunc, sweeps = _wilson_factor(
-            values, order, target, max_sweeps
-        )
+        coeffs, boundary, leak, trunc, sweeps = _wilson_factor(values, order, target)
 
     u, _ = left_polar(coeffs[0], tol)
     omega = u.conj().T
@@ -390,11 +389,11 @@ def spectral_factorize(
         truncation_defect=trunc,
         sweeps=sweeps,
     )
-    _check_zero_free(out, tol)
+    _check_zero_free(out)
     return out
 
 
-def _check_zero_free(g: OuterFunction, tol: Tolerances) -> None:
+def _check_zero_free(g: OuterFunction) -> None:
     radii = np.linspace(0.1, 0.95, 8)
     angles = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False))
     z = (radii[:, None] * angles[None, :]).ravel()
@@ -424,7 +423,7 @@ def boundary_logdet_mean(g: OuterFunction) -> tuple[float, float]:
         if dets.min() <= 0.0:
             raise SingularBoundary("det G vanishes at a boundary node")
         means.append(float(np.mean(np.log(dets))))
-    return 2.0 * means[1] - means[0], abs(means[1] - means[0])
+    return linalg.two_grid_richardson(*means)
 
 
 def det_szego_check(g: OuterFunction) -> tuple[float, float]:

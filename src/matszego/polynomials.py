@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import left_polar, operator_norm, principal_sqrt
-from .measure import MatrixMeasure
+from .measure import MatrixMeasure, inner_product
 from .tolerances import DEFAULT, Tolerances
 
 NORM_TYPES = ("type1", "type2", "type3")
@@ -46,7 +46,7 @@ class BlockJacobi:
         b = np.asarray(self.b, dtype=complex)
         if a.shape != b.shape or a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise DimensionMismatch(f"incompatible block shapes {a.shape}, {b.shape}")
-        if self.norm_type not in NORM_TYPES + ("other",):
+        if self.norm_type not in NORM_TYPES:
             raise ValidationError(f"unknown norm_type {self.norm_type!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -87,14 +87,6 @@ class PolySequence:
     @property
     def degree(self) -> int:
         return self.grid_values.shape[0] - 1
-
-
-def _gram(measure: MatrixMeasure, fv, fe, gv, ge) -> np.ndarray:
-    out = np.einsum("mji,mjk,mkl->il", fv.conj(), measure.weight.values, gv)
-    out /= measure.quad_order
-    if measure.bound_states:
-        out = out + np.einsum("mji,mjk,mkl->il", fe.conj(), measure.mass_weights, ge)
-    return out
 
 
 def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> PolySequence:
@@ -142,7 +134,7 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
         any_live = bool(n_mass) and bool(live.any())
         xp = xg * p[n]
         xpe = xe * pe[n]
-        b_next = _gram(measure, p[n], pe[n], xp, xpe)
+        b_next = inner_product(measure, p[n], pe[n], xp, xpe)
         herm = float(operator_norm(b_next - b_next.conj().T))
         if herm > 1e-8 * max(1.0, float(operator_norm(b_next))):
             raise NotHermitian(f"step {n + 1}: B block defect {herm:.2e}")
@@ -158,11 +150,11 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
         # any remain the drift sweep must run every step
         if (n + 1) % 10 == 0 or any_live:
             for k in range(n + 1):
-                c = _gram(measure, p[k], pe[k], q, qe)
+                c = inner_product(measure, p[k], pe[k], q, qe)
                 q -= p[k] @ c
                 qe -= pe[k] @ c
 
-        gram = _gram(measure, q, qe, q, qe)
+        gram = inner_product(measure, q, qe, q, qe)
         gram = 0.5 * (gram + gram.conj().T)
         lam = np.linalg.eigvalsh(gram)
         if lam[0] < tol.pos:
@@ -196,8 +188,8 @@ def orthonormality_defect(seq: PolySequence, max_degree: int | None = None) -> f
     eye = np.eye(measure.dim)
     for i in range(n + 1):
         for j in range(i, n + 1):
-            g = _gram(measure, seq.grid_values[i], seq.mass_values[i],
-                      seq.grid_values[j], seq.mass_values[j])
+            g = inner_product(measure, seq.grid_values[i], seq.mass_values[i],
+                              seq.grid_values[j], seq.mass_values[j])
             if i == j:
                 g = g - eye
             worst = max(worst, float(operator_norm(g)))
@@ -282,16 +274,14 @@ def type_defect(jacobi: BlockJacobi) -> float:
             cum = cum @ m
             worst = max(worst, float(operator_norm(cum - cum.conj().T)))
         return worst
-    if jacobi.norm_type == "type3":
-        worst = 0.0
-        for m in a:
-            upper = np.triu(m, 1)
-            worst = max(worst, float(np.max(np.abs(upper))))
-            diag = np.diagonal(m)
-            worst = max(worst, float(np.max(np.abs(diag.imag))))
-            worst = max(worst, float(max(0.0, -np.min(diag.real))))
-        return worst
-    return float("nan")
+    worst = 0.0  # type3
+    for m in a:
+        upper = np.triu(m, 1)
+        worst = max(worst, float(np.max(np.abs(upper))))
+        diag = np.diagonal(m)
+        worst = max(worst, float(np.max(np.abs(diag.imag))))
+        worst = max(worst, float(max(0.0, -np.min(diag.real))))
+    return worst
 
 
 def apply_transform(seq: PolySequence, jacobi: BlockJacobi, transform: EquivalenceTransform) -> PolySequence:
@@ -319,32 +309,6 @@ def leading_coeffs(jacobi: BlockJacobi, n_max: int | None = None) -> np.ndarray:
     for k in range(n):
         out[k + 1] = np.linalg.solve(jacobi.a[k].conj(), out[k].T).T
     return out
-
-
-def leading_coeff(jacobi: BlockJacobi, n: int) -> np.ndarray:
-    return leading_coeffs(jacobi, n)[n]
-
-
-def eval_poly(jacobi: BlockJacobi, n: int, zeta: complex) -> np.ndarray:
-    """p_n at a complex point by the recurrence, with overflow-guarded iterates."""
-    if n > jacobi.block_count:
-        raise DimensionMismatch(f"degree {n} needs {n} blocks, have {jacobi.block_count}")
-    l = jacobi.dim
-    prev = np.zeros((l, l), dtype=complex)
-    cur = np.eye(l, dtype=complex)
-    log_scale = 0.0
-    for k in range(n):
-        nxt = zeta * cur - cur @ jacobi.b[k]
-        if k > 0:
-            nxt -= prev @ jacobi.a[k - 1]
-        nxt = np.linalg.solve(jacobi.a[k].conj(), nxt.T).T
-        prev, cur = cur, nxt
-        peak = float(np.max(np.abs(cur)))
-        if peak > 1e120:
-            prev /= peak
-            cur /= peak
-            log_scale += np.log(peak)
-    return cur * np.exp(log_scale)
 
 
 def eval_scaled(jacobi: BlockJacobi, n: int, z) -> np.ndarray:

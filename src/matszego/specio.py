@@ -297,15 +297,15 @@ def build_measure(spec: MeasureSpec, tol: Tolerances = DEFAULT) -> ms.MatrixMeas
 class RunManifest:
     """Reproducibility record written next to every artifact set.
 
-    No timestamps: equal manifests must mean bitwise-equal outputs.
-    seed stays None for the deterministic commands and records the
-    generator seed when a command draws random probes.
+    No timestamps and no seed: every command is deterministic, so the
+    command line, the document hash, the tolerance overrides and the
+    tool version fix the outputs, and equal manifests mean
+    bitwise-equal artifacts.
     """
 
     command: str
     spec_sha256: str
     tolerance_overrides: dict
-    seed: int | None
     tool_version: str
 
     def to_json(self) -> str:

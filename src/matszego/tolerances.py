@@ -17,13 +17,11 @@ from .errors import ParseError
 @dataclasses.dataclass(frozen=True)
 class Tolerances:
     herm: float = 1e-10          # Hermiticity defect, absolute
-    lin_rel: float = 1e-10       # linear-solve residual, relative to 1 + ||A||
     sing_rel: float = 1e-12      # singularity cutoff, relative to ||A||
     norm: float = 1e-8           # normalization defect ||mu(R) - I||
     orth: float = 1e-7           # orthonormality defect of a polynomial block
     fact_rel: float = 1e-8       # factorization residual, relative to max ||w||
     pos: float = 1e-10           # Gram positivity floor in the recurrence
-    pole_proximity: float = 1e-6 # exclusion radius around support and masses
     rank_rel: float = 1e-10      # rank cutoff for mass weights, relative
     residue_rank_rel: float = 1e-8  # kernel cutoff in residue extraction
     pd_floor: float = 1e-13      # det floor for factorizable weights

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from matszego import blaschke
 from matszego.cli import main
 
 from conftest import SPECS_DIR
@@ -77,10 +78,12 @@ class TestExitCodes:
         assert "numerical error" in err
 
     def test_bad_tolerance_override_is_parse_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("MATSZEGO_TOLERANCES", '{"nope": 1}')
-        code, _, err = run(capsys, "check-measure", FREE)
-        assert code == 2
-        assert "MATSZEGO_TOLERANCES" in err
+        for key in ("nope", "lin_rel", "pole_proximity"):
+            monkeypatch.setenv("MATSZEGO_TOLERANCES", json.dumps({key: 1e-6}))
+            code, _, err = run(capsys, "check-measure", FREE)
+            assert code == 2
+            assert "MATSZEGO_TOLERANCES" in err
+            assert key in err
 
     def test_tolerance_override_applies(self, capsys, monkeypatch):
         monkeypatch.setenv("MATSZEGO_TOLERANCES", '{"norm": 1e-6}')
@@ -117,6 +120,22 @@ class TestCommands:
         code, out, _ = run(capsys, "blaschke", MATRIX_MASS)
         assert code == 0
         assert "unitarity" in out
+
+    def test_blaschke_extracts_each_residue_kernel_once(self, capsys, monkeypatch):
+        # the report reuses the angles build_pipeline certified
+        calls = []
+        original = blaschke.residue_kernel
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(blaschke, "residue_kernel", counting)
+        code, _, _ = run(capsys, "blaschke", MATRIX_MASS)
+        assert code == 0
+        with open(MATRIX_MASS) as fh:
+            masses = json.load(fh)["masses"]
+        assert len(calls) == len(masses) == 1
 
     def test_limit_evaluates_grid(self, capsys, small_spec):
         spec = small_spec("free")
@@ -162,7 +181,7 @@ class TestArtifacts:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == "sumrule --n 10"
         assert len(manifest["spec_sha256"]) == 64
-        assert manifest["seed"] is None
+        assert "seed" not in manifest
         assert manifest["tolerance_overrides"] == {}
 
     def test_report_json_is_plain_data(self, capsys, tmp_path, small_spec):

@@ -1,14 +1,9 @@
-"""Measure construction, normalization, bound states, Cauchy transforms."""
+"""Measure construction, normalization, bound states, weight sampling."""
 
 import numpy as np
 import pytest
 
-from matszego.errors import (
-    MassOnSupport,
-    PoleProximity,
-    RadiusExceeded,
-    ValidationError,
-)
+from matszego.errors import MassOnSupport, ValidationError
 from matszego.linalg import BoundarySampling, midpoint_nodes, operator_norm
 from matszego.measure import (
     ArcsineDensity,
@@ -17,9 +12,7 @@ from matszego.measure import (
     SemicircleDensity,
     TableDensity,
     disk_coordinate,
-    disk_m_function,
     inner_product,
-    m_function,
     make_measure,
     mass_condition_sums,
     szego_weight,
@@ -29,30 +22,26 @@ ID = lambda x: np.broadcast_to(np.eye(1), (np.asarray(x).size, 1, 1))
 X = lambda x: np.asarray(x)[:, None, None] * np.eye(1)
 
 
-def semicircle_m_oracle(zeta: complex) -> complex:
-    """Cauchy transform of the semicircle on [-2,2]: (-zeta + sqrt(zeta^2-4))/2.
-
-    Writing the root as zeta * sqrt(1 - 4/zeta^2) with the principal
-    square root keeps it continuous off the band and ~ zeta at infinity,
-    so m ~ -1/zeta there."""
-    root = zeta * np.sqrt(1.0 - 4.0 / (zeta * zeta) + 0j)
-    return (-zeta + root) / 2.0
+def integrate(f, g, mu):
+    """<<f, g>> for callables, sampled at the nodes and masses of mu."""
+    x, e = mu.x_nodes, mu.mass_energies
+    return inner_product(mu, f(x), f(e), g(x), g(e))
 
 
 class TestConstruction:
     def test_semicircle_total_mass(self, semicircle_measure):
-        total = inner_product(ID, ID, semicircle_measure)
+        total = integrate(ID, ID, semicircle_measure)
         assert float(operator_norm(total - np.eye(1))) < 1e-12
 
     def test_semicircle_moments(self, semicircle_measure):
-        first = inner_product(ID, X, semicircle_measure)
-        second = inner_product(X, X, semicircle_measure)
+        first = integrate(ID, X, semicircle_measure)
+        second = integrate(X, X, semicircle_measure)
         assert abs(complex(first[0, 0])) < 1e-12
         assert complex(second[0, 0]).real == pytest.approx(1.0, abs=1e-12)
 
     def test_arcsine_second_moment(self):
         mu = make_measure(ArcsineDensity(1), quad_order=1024, normalize="strict")
-        second = inner_product(X, X, mu)
+        second = integrate(X, X, mu)
         assert complex(second[0, 0]).real == pytest.approx(2.0, abs=1e-10)
 
     def test_strict_mode_rejects_unnormalized(self):
@@ -73,7 +62,7 @@ class TestConstruction:
         )
         assert mu.normalization_defect < 1e-10
         assert mu.correction is not None
-        total = inner_product(ID, ID, mu)
+        total = integrate(ID, ID, mu)
         assert float(operator_norm(total - np.eye(1))) < 1e-10
         # scalar case rescales by total mass 1.2; the point keeps its site
         assert mu.bound_states[0].weight[0, 0] == pytest.approx(0.2 / 1.2, abs=1e-12)
@@ -232,57 +221,6 @@ class TestBoundStates:
         blaschke, root = mass_condition_sums(mass_measure)
         assert blaschke == pytest.approx(0.5, abs=1e-12)
         assert root == pytest.approx(np.sqrt(0.5), abs=1e-12)
-
-
-class TestCauchyTransforms:
-    def test_semicircle_against_closed_form(self, semicircle_measure):
-        for zeta in (3.0, -2.7, 1.0 + 1.5j, -0.3 + 0.8j, 4.0 - 2.0j):
-            got = complex(m_function(semicircle_measure, zeta)[0, 0])
-            assert abs(got - semicircle_m_oracle(zeta)) < 1e-10
-
-    def test_herglotz_sign(self, semicircle_measure):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            zeta = complex(rng.uniform(-3, 3), rng.uniform(0.3, 2.0))
-            m = m_function(semicircle_measure, zeta)
-            assert np.imag(complex(m[0, 0])) > 0.0
-
-    def test_mass_pole_contribution(self, mass_measure):
-        # closed form: rescaled semicircle + point term w/(E - zeta)
-        zeta = 4.0
-        w = mass_measure.bound_states[0].weight[0, 0].real
-        expected = semicircle_m_oracle(zeta) / 1.2 + w / (2.5 - zeta)
-        got = complex(m_function(mass_measure, zeta)[0, 0])
-        assert abs(got - expected) < 1e-10
-
-    def test_pole_proximity_guard(self, mass_measure):
-        with pytest.raises(PoleProximity):
-            m_function(mass_measure, 2.5 + 1e-9)
-        with pytest.raises(PoleProximity):
-            m_function(mass_measure, 1.0 + 1e-9j)
-
-    def test_disk_transform_matches_line(self, semicircle_measure):
-        z = 0.4 + 0.1j
-        zeta = z + 1.0 / z
-        got = disk_m_function(semicircle_measure, z)
-        assert abs(complex(got[0, 0]) + semicircle_m_oracle(zeta)) < 1e-10
-
-    def test_disk_transform_origin_and_radius(self, semicircle_measure):
-        assert float(operator_norm(disk_m_function(semicircle_measure, 0.0))) == 0.0
-        with pytest.raises(RadiusExceeded):
-            disk_m_function(semicircle_measure, 1.2)
-
-    def test_boundary_identity(self, semicircle_measure):
-        # Im m(x + i eps) approaches pi f(x) inside the band
-        x0 = 0.6
-        eps = 0.4
-        f = SemicircleDensity(1).evaluate(np.array([x0]))[0, 0, 0].real
-        exact = semicircle_m_oracle(x0 + 1j * eps)
-        got = complex(m_function(semicircle_measure, x0 + 1j * eps)[0, 0])
-        assert abs(got - exact) < 1e-8
-        # the eps -> 0 limit of the oracle itself is pi f
-        tiny = semicircle_m_oracle(x0 + 1e-9j)
-        assert tiny.imag == pytest.approx(np.pi * f, abs=1e-6)
 
 
 class TestSzegoWeight:

@@ -14,10 +14,8 @@ from matszego.measure import (
 from matszego.polynomials import (
     BlockJacobi,
     apply_transform,
-    eval_poly,
     eval_scaled,
     eval_scaled_many,
-    leading_coeff,
     leading_coeffs,
     orthonormality_defect,
     recurrence_residual,
@@ -183,13 +181,7 @@ class TestEvaluation:
             assert complex(kappas[n][0, 0]).real == pytest.approx(
                 1.0 / np.sqrt(2.0), abs=1e-10
             )
-        assert np.allclose(leading_coeff(jac, 4), kappas[4])
-
-    def test_eval_poly_matches_grid(self, semicircle_seq):
-        x = semicircle_seq.measure.x_nodes[37]
-        for n in (0, 4, 11):
-            got = eval_poly(semicircle_seq.jacobi, n, complex(x))
-            assert np.allclose(got, semicircle_seq.grid_values[n][37], atol=1e-9)
+        assert np.allclose(leading_coeffs(jac, 4)[4], kappas[4])
 
     def test_eval_scaled_closed_form(self, semicircle_seq):
         # z^n U_n(cos) telescopes to (1 - z^{2n+2}) / (1 - z^2)
@@ -203,7 +195,7 @@ class TestEvaluation:
         jac = arcsine_seq.jacobi
         for n in (0, 1, 6):
             got = eval_scaled(jac, n, 0.0)
-            assert np.allclose(got, leading_coeff(jac, n), atol=1e-12)
+            assert np.allclose(got, leading_coeffs(jac, n)[n], atol=1e-12)
 
     def test_eval_scaled_many_batches(self, semicircle_seq):
         zs = np.array([0.1, 0.5j, -0.3 + 0.2j])
@@ -220,10 +212,12 @@ class TestEvaluation:
 
     def test_eval_needs_enough_blocks(self, semicircle_seq):
         with pytest.raises(DimensionMismatch):
-            eval_poly(semicircle_seq.jacobi, N_SMALL + 1, 0.3 + 0.1j)
+            eval_scaled_many(semicircle_seq.jacobi, [2, N_SMALL + 1], np.array([0.3 + 0.1j]))
 
     def test_jacobi_shape_validation(self):
         with pytest.raises(DimensionMismatch):
             BlockJacobi(a=np.zeros((3, 2, 2)), b=np.zeros((2, 2, 2)), norm_type="type1")
         with pytest.raises(ValidationError):
             BlockJacobi(a=np.zeros((2, 1, 1)), b=np.zeros((2, 1, 1)), norm_type="weird")
+        with pytest.raises(ValidationError):
+            BlockJacobi(a=np.zeros((2, 1, 1)), b=np.zeros((2, 1, 1)), norm_type="other")

@@ -146,13 +146,14 @@ class TestManifestAndTables:
             command="limit --n 5",
             spec_sha256="ab" * 32,
             tolerance_overrides={},
-            seed=None,
             tool_version="0.1.0",
         )
         assert m.to_json() == m.to_json()
         data = json.loads(m.to_json())
         assert data["command"] == "limit --n 5"
-        assert data["seed"] is None
+        assert sorted(data) == [
+            "command", "spec_sha256", "tolerance_overrides", "tool_version"
+        ]
 
     def test_real_table_layout(self):
         text = format_real_table([("n", [1, 2]), ("value", [0.5, 0.25])])

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from matszego import outer
 from matszego.measure import ArcsineDensity, make_measure
 from matszego.polynomials import to_type
 from matszego.sumrule import (
     a0_partials,
-    a0_quantity,
     check_sum_rule,
     e0_quantity,
     weight_logdet_mean,
@@ -69,7 +69,7 @@ class TestPartialSums:
         p1 = a0_partials(jac1, n_values)
         p3 = a0_partials(jac3, n_values)
         assert np.allclose(p1, p3, atol=1e-10)
-        assert a0_quantity(jac1, 25) == pytest.approx(p1[-1])
+        assert a0_partials(jac1, [25])[0] == pytest.approx(p1[-1])
 
     def test_mass_case_residuals_decrease(self, mass_measure, mass_sequence):
         ledger = check_sum_rule(
@@ -112,3 +112,18 @@ class TestBridge:
         assert ledger.residuals.shape == (3,)
         expected = np.abs(ledger.z_value - ledger.e0_value - ledger.a0_values)
         assert np.allclose(ledger.residuals, expected, atol=1e-15)
+
+    def test_biased_factor_is_flagged(self, mass_measure, mass_sequence, monkeypatch):
+        # a factor whose log |det G| mean is off by 1e-2 must not agree: the
+        # estimate may not contain the gap it is judging
+        original = outer.boundary_logdet_mean
+
+        def biased(g):
+            mean, est = original(g)
+            return mean + 1e-2, est
+
+        monkeypatch.setattr(outer, "boundary_logdet_mean", biased)
+        ledger = check_sum_rule(mass_measure, [10, 20], jacobi=mass_sequence.jacobi)
+        assert ledger.bridge_gap == pytest.approx(1e-2, rel=1e-3)
+        assert ledger.bridge_estimate < 1e-3
+        assert not ledger.agreement
