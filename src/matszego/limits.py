@@ -84,13 +84,6 @@ class LimitFunction:
             return out[0]
         return out
 
-    def boundary(self) -> BoundarySampling:
-        """L on the weight's boundary grid."""
-        g_b = self.outer.boundary.values
-        theta = self.outer.boundary.theta
-        b_vals = self.product.eval(np.exp(1j * theta))
-        return BoundarySampling(np.linalg.solve(g_b, b_vals) @ self.frame / _SQRT2)
-
 
 def build_pipeline(mu: ms.MatrixMeasure, tol: Tolerances = DEFAULT) -> LimitFunction:
     """Factor the weight, pin the product to the masses, fix the frame.

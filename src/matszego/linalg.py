@@ -34,8 +34,13 @@ def midpoint_nodes(count: int) -> np.ndarray:
     return -np.pi + (2 * m + 1) * np.pi / count
 
 
+def is_node_count(count: int) -> bool:
+    """Whether a grid may have count nodes: a power of two >= 4."""
+    return count >= 4 and count & (count - 1) == 0
+
+
 def _check_node_count(count: int) -> None:
-    if count < 4 or count & (count - 1) != 0:
+    if not is_node_count(count):
         raise DimensionMismatch(f"node count must be a power of two >= 4, got {count}")
 
 
@@ -68,17 +73,6 @@ class BoundarySampling:
     @property
     def theta(self) -> np.ndarray:
         return midpoint_nodes(self.node_count)
-
-    @classmethod
-    def from_function(cls, fn, node_count: int, dim: int) -> "BoundarySampling":
-        """Sample fn(theta) -> (M, l, l) or per-node (l, l) on the grid."""
-        theta = midpoint_nodes(node_count)
-        vals = np.asarray(fn(theta), dtype=complex)
-        if vals.shape != (node_count, dim, dim):
-            raise DimensionMismatch(
-                f"sampled values have shape {vals.shape}, expected {(node_count, dim, dim)}"
-            )
-        return cls(vals)
 
     def reflect(self) -> "BoundarySampling":
         """Sampling of theta -> f(-theta); index reversal on this grid."""
@@ -203,13 +197,6 @@ def synthesize_on_grid(
     )
     values = np.fft.ifft(spectrum, axis=0) * node_count
     return BoundarySampling(values)
-
-
-def synthesize_at(n_values: np.ndarray, coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Evaluate sum_n coeffs[n] exp(i n theta) at arbitrary angles."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    basis = np.exp(1j * np.outer(theta, np.asarray(n_values)))
-    return np.einsum("tn,nij->tij", basis, coeffs)
 
 
 def analytic_part(f: BoundarySampling) -> BoundarySampling:

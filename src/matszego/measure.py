@@ -7,9 +7,11 @@ The a.c. part is discretized on the midpoint grid through x = 2 cos t:
     integral h dmu_ac  ~  (1/M) sum_m h(x_m) w(t_m),
     w(t) = 2 pi |sin t| f(2 cos t),   x_m = 2 cos t_m,
 
-exact for polynomial integrands of low trigonometric degree. All
-measures are normalized to mu(R) = identity, either verified ("strict")
-or enforced by a congruence ("auto").
+exact for polynomial integrands of low trigonometric degree. Densities
+are only ever sampled on such grids (Density.sample), once per grid.
+All measures are normalized to mu(R) = identity, either verified
+("strict") or enforced by a congruence c applied to the samples
+("auto").
 """
 
 from __future__ import annotations
@@ -29,31 +31,27 @@ from .tolerances import DEFAULT, Tolerances
 
 
 class Density:
-    """Matrix density f(x) on (-2, 2); subclasses implement evaluate."""
+    """Matrix density f(x) on (-2, 2); subclasses implement sample."""
 
-    kind = "abstract"
     dim = 0
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
+    def sample(self, order: int) -> np.ndarray:
+        """f(2 cos t_m) on the midpoint grid of order nodes, shape (order, l, l)."""
         raise NotImplementedError
 
-    def _check_domain(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(np.abs(x) >= 2.0):
-            raise ValidationError("density evaluated at |x| >= 2")
-        return x
+
+def _grid_x(order: int) -> np.ndarray:
+    return 2.0 * np.cos(midpoint_nodes(order))
 
 
 class SemicircleDensity(Density):
     """f(x) = sqrt(4 - x^2) / (2 pi) * identity; unit total mass."""
 
-    kind = "semicircle"
-
     def __init__(self, dim: int = 1):
         self.dim = int(dim)
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_domain(x)
+    def sample(self, order: int) -> np.ndarray:
+        x = _grid_x(order)
         scalar = np.sqrt(4.0 - x * x) / (2.0 * np.pi)
         return scalar[:, None, None] * np.eye(self.dim)[None]
 
@@ -61,13 +59,11 @@ class SemicircleDensity(Density):
 class ArcsineDensity(Density):
     """f(x) = 1 / (pi sqrt(4 - x^2)) * identity; unit total mass."""
 
-    kind = "arcsine"
-
     def __init__(self, dim: int = 1):
         self.dim = int(dim)
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_domain(x)
+    def sample(self, order: int) -> np.ndarray:
+        x = _grid_x(order)
         scalar = 1.0 / (np.pi * np.sqrt(4.0 - x * x))
         return scalar[:, None, None] * np.eye(self.dim)[None]
 
@@ -78,8 +74,6 @@ class PolySemicircleDensity(Density):
     q is rescaled at construction so the density has unit total mass;
     the stored coefficients are the rescaled ones.
     """
-
-    kind = "poly_semicircle"
 
     def __init__(self, coeffs, dim: int = 1):
         self.dim = int(dim)
@@ -99,8 +93,8 @@ class PolySemicircleDensity(Density):
         total = float(np.mean(qx * 2.0 * np.sin(t) ** 2))
         self.coeffs = coeffs / total
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_domain(x)
+    def sample(self, order: int) -> np.ndarray:
+        x = _grid_x(order)
         scalar = (
             np.polynomial.polynomial.polyval(x, self.coeffs)
             * np.sqrt(4.0 - x * x)
@@ -111,8 +105,6 @@ class PolySemicircleDensity(Density):
 
 class ConjugatedDiagonalDensity(Density):
     """u* diag(f_1, ..., f_l) u for scalar member densities and unitary u."""
-
-    kind = "conjugated_diagonal"
 
     def __init__(self, entries, unitary=None):
         entries = list(entries)
@@ -133,11 +125,10 @@ class ConjugatedDiagonalDensity(Density):
             raise ValidationError(f"conjugated_diagonal: non-unitary (defect {defect:.2e})")
         self.unitary = u
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_domain(x)
-        diag = np.zeros((x.size, self.dim, self.dim), dtype=complex)
+    def sample(self, order: int) -> np.ndarray:
+        diag = np.zeros((order, self.dim, self.dim), dtype=complex)
         for i, e in enumerate(self.entries):
-            diag[:, i, i] = e.evaluate(x)[:, 0, 0]
+            diag[:, i, i] = e.sample(order)[:, 0, 0]
         u = self.unitary
         return np.einsum("ji,mjk,kl->mil", u.conj(), diag, u)
 
@@ -146,11 +137,10 @@ class TableDensity(Density):
     """Density given by samples of f(2 cos t) on a midpoint t-grid.
 
     Values must be Hermitian PSD and symmetric under t -> -t (the map
-    x = 2 cos t cannot see an asymmetric part). Off-grid evaluation uses
-    the trigonometric interpolant, so a smooth table refines spectrally.
+    x = 2 cos t cannot see an asymmetric part). On its own grid the table
+    is its own sample; other power-of-two grids get the trigonometric
+    interpolant by FFT, so a smooth table refines spectrally.
     """
-
-    kind = "table"
 
     def __init__(self, samples):
         sampling = BoundarySampling(np.asarray(samples, dtype=complex))
@@ -166,29 +156,30 @@ class TableDensity(Density):
         v = 0.5 * (v + v.conj().transpose(0, 2, 1))
         if float(np.min(np.linalg.eigvalsh(v))) < -1e-10 * scale:
             raise ValidationError("table: samples not positive semi-definite")
-        self.dim = sampling.dim
-        self.samples = v
-        self._n, self._coeffs = linalg.fourier_coefficients(BoundarySampling(v))
+        grid = BoundarySampling(v)
+        self.dim = grid.dim
+        self.samples = grid.values  # read-only
+        self._n, self._coeffs = linalg.fourier_coefficients(grid)
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_domain(x)
-        theta = np.arccos(x / 2.0)
-        vals = linalg.synthesize_at(self._n, self._coeffs, theta)
-        return 0.5 * (vals + vals.conj().transpose(0, 2, 1))
+    def sample(self, order: int) -> np.ndarray:
+        """The stored samples on the table's grid; else the interpolant.
 
-
-class _CongruenceDensity(Density):
-    """c f(x) c for Hermitian c; used by auto-normalization."""
-
-    def __init__(self, base: Density, c: np.ndarray):
-        self.base = base
-        self.c = np.asarray(c, dtype=complex)
-        self.dim = base.dim
-        self.kind = f"normalized({base.kind})"
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        f = self.base.evaluate(x)
-        return np.einsum("ij,mjk,kl->mil", self.c, f, self.c)
+        A larger grid zero-pads the coefficients. A smaller one folds them
+        first: on a midpoint grid of order nodes, exp(i (n + k order) t)
+        equals (-1)^k exp(i n t). The result is made exactly symmetric
+        under t -> -t.
+        """
+        if order == self.samples.shape[0]:
+            return self.samples
+        n, coeffs = self._n, self._coeffs
+        if order < n.size:
+            folded = (n + order // 2) % order - order // 2
+            sign = np.where((n - folded) // order % 2, -1.0, 1.0)
+            c = np.zeros((order,) + coeffs.shape[1:], dtype=complex)
+            np.add.at(c, folded + order // 2, sign[:, None, None] * coeffs)
+            n, coeffs = np.arange(-order // 2, order // 2), c
+        v = linalg.synthesize_on_grid(n, coeffs, order).values
+        return 0.5 * (v + v[::-1])
 
 
 DENSITY_FAMILIES = {
@@ -240,6 +231,13 @@ def mass_condition_sums(measure: "MatrixMeasure") -> tuple[float, float]:
 
 @dataclasses.dataclass(frozen=True)
 class MatrixMeasure:
+    """A validated, normalized measure sampled on its quadrature grid.
+
+    density is the document's density as given; with auto-normalization
+    the measure is c (density) c with c = correction, and every weight
+    sampling (szego_weight) applies c to the samples.
+    """
+
     dim: int
     density: Density
     bound_states: tuple[BoundState, ...]
@@ -267,12 +265,12 @@ def _mass_rank(w: np.ndarray, tol: Tolerances) -> int:
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
 
 
-def _szego_samples(density: Density, order: int) -> tuple[np.ndarray, np.ndarray]:
-    theta = midpoint_nodes(order)
-    x = 2.0 * np.cos(theta)
-    f = density.evaluate(x)
-    w = (2.0 * np.pi * np.abs(np.sin(theta)))[:, None, None] * f
-    return x, w
+def _szego_samples(f: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+    """w(t_m) = 2 pi |sin t_m| c f(2 cos t_m) c from density samples f."""
+    if c is not None:
+        f = np.einsum("ij,mjk,kl->mil", c, f, c)
+    theta = midpoint_nodes(f.shape[0])
+    return (2.0 * np.pi * np.abs(np.sin(theta)))[:, None, None] * f
 
 
 def make_measure(
@@ -316,7 +314,9 @@ def make_measure(
             raise ValidationError(f"mass {k}: weight has eigenvalue {lam[0]:.3e}")
         clean_masses.append((e, w))
 
-    x, w_ac = _szego_samples(density, quad_order)
+    x = _grid_x(quad_order)
+    f = density.sample(quad_order)
+    w_ac = _szego_samples(f)
     total = np.mean(w_ac, axis=0) + sum(w for _, w in clean_masses)
     defect = float(operator_norm(total - np.eye(dim)))
 
@@ -332,9 +332,8 @@ def make_measure(
         xh = principal_sqrt(x_total, tol)
         c = np.sqrt(scale) * np.linalg.inv(xh)
         c = 0.5 * (c + c.conj().T)
-        density = _CongruenceDensity(density, c)
         clean_masses = [(e, c @ w @ c) for e, w in clean_masses]
-        x, w_ac = _szego_samples(density, quad_order)
+        w_ac = _szego_samples(f, c)
         total = np.mean(w_ac, axis=0) + sum(w for _, w in clean_masses)
         defect = float(operator_norm(total - np.eye(dim)))
         correction = c
@@ -381,12 +380,14 @@ def make_measure(
 def szego_weight(measure: MatrixMeasure, refine: int = 1) -> BoundarySampling:
     """The mapped weight w(t) = 2 pi |sin t| f(2 cos t) on the grid.
 
-    refine > 1 resamples the density on a grid of refine * quad_order
-    nodes (families evaluate exactly; tables interpolate spectrally).
+    refine > 1 samples the density on a grid of refine * quad_order
+    nodes (families exactly; tables by their trigonometric interpolant)
+    and applies the normalizing congruence.
     """
     if refine == 1:
         return measure.weight
-    _, w = _szego_samples(measure.density, refine * measure.quad_order)
+    f = measure.density.sample(refine * measure.quad_order)
+    w = _szego_samples(f, measure.correction)
     w = 0.5 * (w + w.conj().transpose(0, 2, 1))
     return BoundarySampling(w)
 

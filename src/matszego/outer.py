@@ -85,14 +85,6 @@ class OuterFunction:
             return out[0]
         return out
 
-    def truncation_bound(self, z) -> float:
-        """Geometric tail bound ||c_K|| |z|^K / (1 - |z|) for the series cut."""
-        r = float(np.max(np.abs(z)))
-        if r >= 1.0:
-            raise RadiusExceeded("tail bound needs |z| < 1")
-        top = float(operator_norm(self.coeffs[-1]))
-        return top * r ** self.order / (1.0 - r)
-
 
 # ---------------------------------------------------------------------------
 # exact path for commuting weights

@@ -311,19 +311,6 @@ def leading_coeffs(jacobi: BlockJacobi, n_max: int | None = None) -> np.ndarray:
     return out
 
 
-def eval_scaled(jacobi: BlockJacobi, n: int, z) -> np.ndarray:
-    """q_n(z) = z^n p_n(z + 1/z), evaluated without forming z + 1/z.
-
-    Defined and stable on the closed unit disk; q_n(0) = kappa_n. Accepts
-    a scalar or an array of points; returns (l, l) or (len(z), l, l).
-    """
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = eval_scaled_many(jacobi, [n], z_arr)[0]
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return out[0]
-    return out
-
-
 def eval_scaled_many(jacobi: BlockJacobi, n_list, z_arr: np.ndarray) -> np.ndarray:
     """q_n(z) for each n in n_list on a common set of points.
 

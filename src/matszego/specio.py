@@ -16,8 +16,10 @@ Matrices are {"re": rows, "im": rows} with "im" optional; density
 families are semicircle, arcsine, poly_semicircle (adds
 "coefficients"), conjugated_diagonal (adds "channels", a list of scalar
 density specs, and "unitary"), and table (adds "values", one matrix per
-midpoint node). Unknown keys anywhere are rejected so that typos fail
-loudly, with the offending path in the message.
+node of a midpoint grid). Both grid sizes, quad_order and the number of
+table values, must be powers of two >= 4. Unknown keys anywhere are
+rejected so that typos fail loudly, with the offending path in the
+message.
 
 Serialization is canonical (sorted keys, fixed indentation, shortest
 round-trip floats), so equal specs serialize identically and the
@@ -35,6 +37,7 @@ import numpy as np
 
 from . import measure as ms
 from .errors import ParseError
+from .linalg import is_node_count
 from .tolerances import DEFAULT, Tolerances
 
 SPEC_VERSION = 1
@@ -153,6 +156,8 @@ def _density_canonical(obj, dim: int, path: str) -> dict:
         values = obj.get("values")
         if not isinstance(values, list) or not values:
             raise _fail(f"{path}.values", "expected a non-empty list of matrices")
+        if not is_node_count(len(values)):
+            raise _fail(f"{path}.values", f"{len(values)} matrices; expected a power of two >= 4")
         parsed_vals = []
         for i, v in enumerate(values):
             m = matrix_from_json(v, f"{path}.values[{i}]")
@@ -166,6 +171,11 @@ def _density_canonical(obj, dim: int, path: str) -> dict:
     return out
 
 
+def _matrices(objs: list) -> np.ndarray:
+    """Stack of canonical {"re", "im"} matrices, already validated."""
+    return np.array([m["re"] for m in objs]) + 1j * np.array([m["im"] for m in objs])
+
+
 def _density_build(spec: dict, dim: int) -> ms.Density:
     family = spec["family"]
     if family == "semicircle":
@@ -176,14 +186,9 @@ def _density_build(spec: dict, dim: int) -> ms.Density:
         return ms.PolySemicircleDensity(spec["coefficients"], dim)
     if family == "conjugated_diagonal":
         entries = [_density_build(ch, 1) for ch in spec["channels"]]
-        unitary = None
-        if "unitary" in spec:
-            unitary = matrix_from_json(spec["unitary"], "density.unitary")
+        unitary = _matrices([spec["unitary"]])[0] if "unitary" in spec else None
         return ms.ConjugatedDiagonalDensity(entries, unitary)
-    samples = np.stack(
-        [matrix_from_json(v, "density.values") for v in spec["values"]]
-    )
-    return ms.TableDensity(samples)
+    return ms.TableDensity(_matrices(spec["values"]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -213,6 +218,8 @@ def measure_spec_from_data(obj) -> MeasureSpec:
     if dim < 1:
         raise _fail("spec.dim", f"dim must be positive, got {dim}")
     quad_order = _as_int(obj.get("quad_order", 4096), "spec.quad_order")
+    if not is_node_count(quad_order):
+        raise _fail("spec.quad_order", f"expected a power of two >= 4, got {quad_order}")
     normalize = obj.get("normalize", "auto")
     if normalize not in ("auto", "strict"):
         raise _fail("spec.normalize", f"expected 'auto' or 'strict', got {normalize!r}")

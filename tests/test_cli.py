@@ -77,6 +77,21 @@ class TestExitCodes:
         assert code == 4
         assert "numerical error" in err
 
+    @pytest.mark.parametrize(
+        "extra, path",
+        [
+            ({"quad_order": 1000}, "spec.quad_order"),
+            ({"quad_order": 2}, "spec.quad_order"),
+            ({"density": {"family": "table", "values": [{"re": [[0.3]]}] * 3}},
+             "spec.density.values"),
+        ],
+    )
+    def test_bad_grid_size_is_parse_error(self, capsys, small_spec, extra, path):
+        code, _, err = run(capsys, "check-measure", small_spec("grid", **extra))
+        assert code == 2
+        assert "parse error" in err
+        assert path in err
+
     def test_bad_tolerance_override_is_parse_error(self, capsys, monkeypatch):
         for key in ("nope", "lin_rel", "pole_proximity"):
             monkeypatch.setenv("MATSZEGO_TOLERANCES", json.dumps({key: 1e-6}))

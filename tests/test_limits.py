@@ -68,11 +68,6 @@ class TestFreeCase:
         assert sup[-1] < 1e-6
         assert origin[-1] < 1e-8
 
-    def test_boundary_sampling_shape(self, free_limit, semicircle_measure):
-        b = free_limit.boundary()
-        assert b.node_count == semicircle_measure.quad_order
-        assert b.dim == 1
-
 
 class TestMassCase:
     def test_pipeline_certifies_kernel(self, mass_limit, mass_measure):

@@ -23,7 +23,6 @@ from matszego.linalg import (
     norm_l2_2,
     operator_norm,
     principal_sqrt,
-    synthesize_at,
     synthesize_on_grid,
 )
 
@@ -33,6 +32,11 @@ def random_sampling(rng, node_count=32, dim=2):
         (node_count, dim, dim)
     )
     return BoundarySampling(v)
+
+
+def sampled(fn, node_count):
+    """fn(theta) -> (M, l, l) on the midpoint grid of node_count nodes."""
+    return BoundarySampling(fn(midpoint_nodes(node_count)))
 
 
 class TestGrid:
@@ -63,9 +67,7 @@ class TestGrid:
             BoundarySampling(np.zeros((6, 2, 2)))
 
     def test_reflect_matches_angle_negation(self):
-        f = BoundarySampling.from_function(
-            lambda t: np.exp(1j * t)[:, None, None] * np.eye(1), 32, 1
-        )
+        f = sampled(lambda t: np.exp(1j * t)[:, None, None] * np.eye(1), 32)
         g = f.reflect()
         assert np.allclose(g.values[:, 0, 0], np.exp(-1j * f.theta), atol=1e-14)
 
@@ -173,9 +175,7 @@ class TestFourier:
         assert float(operator_norm(matrix_fourier_coeff(f, 3))) < 1e-14
 
     def test_single_mode(self):
-        f = BoundarySampling.from_function(
-            lambda t: np.exp(2j * t)[:, None, None] * np.eye(2), 32, 2
-        )
+        f = sampled(lambda t: np.exp(2j * t)[:, None, None] * np.eye(2), 32)
         assert np.allclose(matrix_fourier_coeff(f, 2), np.eye(2), atol=1e-13)
         assert float(operator_norm(matrix_fourier_coeff(f, 1))) < 1e-13
 
@@ -202,27 +202,17 @@ class TestFourier:
         assert float(np.max(np.abs(g.values - f.values))) < 1e-12
 
     def test_refined_synthesis_keeps_smooth_values(self):
-        f = BoundarySampling.from_function(
-            lambda t: (1.0 + 0.5 * np.cos(3 * t))[:, None, None] * np.eye(1), 32, 1
-        )
+        f = sampled(lambda t: (1.0 + 0.5 * np.cos(3 * t))[:, None, None] * np.eye(1), 32)
         n_vals, coeffs = fourier_coefficients(f)
         g = synthesize_on_grid(n_vals, coeffs, 128)
         expected = 1.0 + 0.5 * np.cos(3 * g.theta)
         assert np.allclose(g.values[:, 0, 0], expected, atol=1e-12)
 
-    def test_synthesize_at_matches_grid(self):
-        rng = np.random.default_rng(29)
-        f = random_sampling(rng, 32, 2)
-        n_vals, coeffs = fourier_coefficients(f)
-        vals = synthesize_at(n_vals, coeffs, f.theta)
-        assert float(np.max(np.abs(vals - f.values))) < 1e-12
-
     def test_analytic_part_splits_modes(self):
-        f = BoundarySampling.from_function(
+        f = sampled(
             lambda t: (2.0 + np.exp(3j * t) + np.exp(-2j * t))[:, None, None]
             * np.eye(1),
             64,
-            1,
         )
         g = analytic_part(f)
         expected = 1.0 + np.exp(3j * f.theta)

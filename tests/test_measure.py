@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matszego.errors import MassOnSupport, ValidationError
-from matszego.linalg import BoundarySampling, midpoint_nodes, operator_norm
+from matszego.linalg import midpoint_nodes, operator_norm
 from matszego.measure import (
     ArcsineDensity,
     ConjugatedDiagonalDensity,
@@ -131,11 +131,10 @@ class TestDensities:
         d = ConjugatedDiagonalDensity(
             [SemicircleDensity(1), ArcsineDensity(1)], unitary=u
         )
-        x = np.array([0.3, -1.1])
-        vals = d.evaluate(x)
-        s = SemicircleDensity(1).evaluate(x)[:, 0, 0]
-        a = ArcsineDensity(1).evaluate(x)[:, 0, 0]
-        diag = np.zeros((2, 2, 2), dtype=complex)
+        vals = d.sample(16)
+        s = SemicircleDensity(1).sample(16)[:, 0, 0]
+        a = ArcsineDensity(1).sample(16)[:, 0, 0]
+        diag = np.zeros((16, 2, 2), dtype=complex)
         diag[:, 0, 0] = s
         diag[:, 1, 1] = a
         expected = np.einsum("ji,mjk,kl->mil", u.conj(), diag, u)
@@ -153,11 +152,10 @@ class TestDensities:
         theta = midpoint_nodes(m)
         samples = (2.0 / (2 * np.pi) * np.abs(np.sin(theta)))[:, None, None] * np.eye(1)
         d = TableDensity(samples)
-        x = np.array([0.0, 0.7, -1.3])
-        expected = SemicircleDensity(1).evaluate(x)
-        # |sin t| has a kink at t = 0, pi: trig interpolation converges
-        # slowly there, so compare where the interpolant is accurate
-        assert float(np.max(np.abs(d.evaluate(x) - expected))) < 1e-2
+        expected = SemicircleDensity(1).sample(4 * m)
+        # |sin t| has a kink at t = 0, pi, where trig interpolation
+        # converges only like 1/M
+        assert float(np.max(np.abs(d.sample(4 * m) - expected))) < 1e-2
 
     def test_table_rejects_asymmetric(self):
         m = 64
@@ -171,14 +169,75 @@ class TestDensities:
         theta = midpoint_nodes(m)
         samples = (1.0 + 0.5 * np.cos(2 * theta))[:, None, None] * np.eye(1)
         d = TableDensity(samples)
-        x = np.array([0.2, 1.4])
-        t = np.arccos(x / 2.0)
-        expected = 1.0 + 0.5 * np.cos(2 * t)
-        assert np.allclose(d.evaluate(x)[:, 0, 0].real, expected, atol=1e-12)
+        for order in (16, 256):
+            t = midpoint_nodes(order)
+            expected = 1.0 + 0.5 * np.cos(2 * t)
+            assert np.allclose(d.sample(order)[:, 0, 0].real, expected, atol=1e-12)
 
-    def test_density_rejects_points_off_band(self):
-        with pytest.raises(ValidationError):
-            SemicircleDensity(1).evaluate(np.array([2.5]))
+
+def smooth_table(m: int) -> np.ndarray:
+    """Hermitian 2x2 samples of a symmetric, non-band-limited f(2 cos t)."""
+    theta = midpoint_nodes(m)
+    a = np.array([[2.0, 0.3 - 0.4j], [0.3 + 0.4j, 1.5]])
+    b = np.array([[0.5, 0.2j], [-0.2j, -0.3]])
+    bump = 1.0 / (1.3 - np.cos(theta))
+    return a[None] + bump[:, None, None] * b[None]
+
+
+def dense_interpolant(samples: np.ndarray, order: int) -> np.ndarray:
+    """sum_{-M/2 <= n < M/2} c_n exp(i n t) on the order-node grid, by direct sums."""
+    m = samples.shape[0]
+    n = np.arange(-m // 2, m // 2)
+    coeffs = np.einsum("nm,mij->nij", np.exp(-1j * np.outer(n, midpoint_nodes(m))), samples) / m
+    return np.einsum("tn,nij->tij", np.exp(1j * np.outer(midpoint_nodes(order), n)), coeffs)
+
+
+class TestTableSampling:
+    def test_own_grid_returns_stored_samples(self):
+        samples = smooth_table(64)
+        d = TableDensity(samples)
+        got = d.sample(64)
+        assert got is d.samples
+        assert not got.flags.writeable
+        assert float(np.max(np.abs(got - samples))) < 1e-15
+
+    @pytest.mark.parametrize("order", [32, 128, 256])
+    def test_other_grids_match_dense_interpolant(self, order):
+        samples = smooth_table(64)
+        got = TableDensity(samples).sample(order)
+        assert got.shape == (order, 2, 2)
+        assert float(np.max(np.abs(got - dense_interpolant(samples, order)))) <= 1e-13
+
+    @pytest.mark.parametrize("order", [16, 32, 64, 128])
+    def test_samples_are_reflection_symmetric(self, order):
+        got = TableDensity(smooth_table(64)).sample(order)
+        assert np.array_equal(got, got[::-1])
+
+
+class CountingDensity(SemicircleDensity):
+    def __init__(self):
+        super().__init__(1)
+        self.orders = []
+
+    def sample(self, order):
+        self.orders.append(order)
+        return super().sample(order)
+
+
+class TestComputeOnce:
+    def test_each_grid_is_sampled_once(self):
+        d = CountingDensity()
+        mu = make_measure(
+            d, masses=[(2.5, np.array([[0.2]]))], quad_order=256, normalize="auto"
+        )
+        assert mu.correction is not None
+        assert mu.density is d
+        assert d.orders == [256]
+        w2 = szego_weight(mu, refine=2)
+        assert d.orders == [256, 512]
+        # the refined weight carries the same normalizing congruence
+        expected = 2.0 * np.sin(w2.theta) ** 2 / 1.2
+        assert np.max(np.abs(w2.values[:, 0, 0] - expected)) < 1e-12
 
 
 class TestBoundStates:

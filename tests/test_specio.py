@@ -110,6 +110,18 @@ class TestParsing:
                 '"channels": [{"family": "semicircle"}]}}'
             )
 
+    @pytest.mark.parametrize("order", [1000, 2, 0])
+    def test_quad_order_must_be_grid_size(self, order):
+        with pytest.raises(ParseError, match=r"spec\.quad_order: .*power of two"):
+            parse_measure_spec(
+                json.dumps({"dim": 1, "density": {"family": "semicircle"}, "quad_order": order})
+            )
+
+    def test_table_length_must_be_grid_size(self):
+        doc = {"dim": 1, "density": {"family": "table", "values": [{"re": [[0.3]]}] * 3}}
+        with pytest.raises(ParseError, match=r"spec\.density\.values: .*power of two"):
+            parse_measure_spec(json.dumps(doc))
+
 
 class TestCanonicalForm:
     def test_serialize_parse_round_trip(self):
@@ -138,6 +150,17 @@ class TestCanonicalForm:
     def test_build_uses_declared_order(self):
         mu = build_measure(parse_measure_spec(FULL))
         assert mu.quad_order == 512
+
+    def test_table_builds_from_canonical_values(self):
+        values = [
+            matrix_to_json(np.array([[1.0, 0.2j * c], [-0.2j * c, 1.5]]))
+            for c in (0.1, 0.4, 0.7, 0.9, 0.9, 0.7, 0.4, 0.1)
+        ]
+        doc = {"dim": 2, "density": {"family": "table", "values": values}, "quad_order": 8}
+        spec = parse_measure_spec(json.dumps(doc))
+        samples = build_measure(spec).density.samples
+        expected = np.stack([matrix_from_json(v, "v") for v in values])
+        assert np.array_equal(samples, expected)
 
 
 class TestManifestAndTables:
