@@ -165,15 +165,12 @@ def construct_product(
     states: Sequence[tuple[complex, np.ndarray]],
     dim: int,
     tol: Tolerances = DEFAULT,
-    randomize_frames: np.random.Generator | None = None,
 ) -> BlaschkePotapovProduct:
     """Product with prescribed ranges: range B(z_k) = span of the k-th frame.
 
     states holds (z_k, frame) pairs with 0 < |z_k| < 1 and frame an
     (l, d_k) column set, 0 <= d_k <= l. Points are processed sorted by
-    (|z|, arg z). randomize_frames, when given, right-multiplies each
-    frame by a Haar-random unitary first; the span, hence the product,
-    is unchanged, which makes the hook a basis-invariance probe.
+    (|z|, arg z).
     """
     order = sorted(
         range(len(states)),
@@ -194,11 +191,6 @@ def construct_product(
         v = np.asarray(states[i][1], dtype=complex).reshape(dim, -1)
         if v.shape[1] > dim:
             raise ValidationError(f"frame at {z_k:.6g} has {v.shape[1]} > {dim} columns")
-        if randomize_frames is not None and v.shape[1] > 0:
-            g = randomize_frames.standard_normal(
-                (v.shape[1], v.shape[1])
-            ) + 1j * randomize_frames.standard_normal((v.shape[1], v.shape[1]))
-            v = v @ np.linalg.qr(g)[0]
         if v.shape[1] == dim:
             orthonormal_frame(v, tol)  # still reject degenerate input
             continue

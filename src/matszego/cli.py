@@ -180,6 +180,8 @@ def _run_recurrence(args, mu, tol):
 
 
 def _run_factorize(args, mu, tol):
+    if args.order is not None and args.order < 0:
+        raise ParseError(f"--order must be nonnegative, got {args.order}")
     w = ms.szego_weight(mu)
     g = sf.spectral_factorize(w, order=args.order, tol=tol)
     det_res, det_est = sf.det_szego_check(g)

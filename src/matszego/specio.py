@@ -17,13 +17,18 @@ families are semicircle, arcsine, poly_semicircle (adds
 "coefficients"), conjugated_diagonal (adds "channels", a list of scalar
 density specs, and "unitary"), and table (adds "values", one matrix per
 node of a midpoint grid). Both grid sizes, quad_order and the number of
-table values, must be powers of two >= 4. Unknown keys anywhere are
-rejected so that typos fail loudly, with the offending path in the
-message.
+table values, must be powers of two >= 4. Energies, coefficients and
+matrix entries must be finite numbers that fit a float. Unknown keys
+anywhere are rejected so that typos fail loudly, with the offending
+path in the message.
 
-Serialization is canonical (sorted keys, fixed indentation, shortest
-round-trip floats), so equal specs serialize identically and the
-document hash is stable; parse and serialize are mutually inverse.
+A document has one representation after parsing, its canonical plain
+form (MeasureSpec): numbers become floats and every matrix becomes
+{"re", "im"} float rows with "im" filled in, read in a single pass.
+build_measure turns each matrix into an array once. Serialization is
+canonical (sorted keys, fixed indentation, shortest round-trip floats),
+so equal specs serialize identically and the document hash is stable;
+parse and serialize are mutually inverse.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -50,8 +57,11 @@ def _fail(path: str, message: str) -> ParseError:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected a number, got {type(value).__name__}")
-    out = float(value)
-    if not np.isfinite(out):
+    try:
+        out = float(value)
+    except OverflowError:
+        raise _fail(path, "number too large for a float") from None
+    if not math.isfinite(out):
         raise _fail(path, "number not finite")
     return out
 
@@ -73,7 +83,16 @@ def _check_keys(obj: dict, path: str, required: set, optional: set = frozenset()
         raise _fail(path, f"unknown key {sorted(unknown)[0]!r}")
 
 
-def _rows_from_json(rows, path: str) -> tuple[tuple[float, ...], ...]:
+_NUMBER_TYPES = {int, float}
+
+
+def _rows(rows, path: str) -> list[list[float]]:
+    """Finite float rows of a non-empty rectangular list of number lists.
+
+    A row of plain ints and floats with a finite sum is converted as a
+    whole; any other row is checked entry by entry, which names the
+    offending entry.
+    """
     if not isinstance(rows, list) or not rows:
         raise _fail(path, "expected a non-empty list of rows")
     out = []
@@ -85,29 +104,42 @@ def _rows_from_json(rows, path: str) -> tuple[tuple[float, ...], ...]:
             width = len(row)
         elif len(row) != width:
             raise _fail(f"{path}[{i}]", f"row length {len(row)} != {width}")
-        out.append(tuple(_as_number(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)))
-    return tuple(out)
+        if set(map(type, row)) <= _NUMBER_TYPES:
+            try:
+                floats = list(map(float, row))
+                if math.isfinite(sum(floats)):
+                    out.append(floats)
+                    continue
+            except OverflowError:
+                pass
+        out.append([_as_number(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
+    return out
 
 
-def matrix_from_json(obj, path: str) -> np.ndarray:
-    """Complex matrix from {"re": rows, "im": rows}; "im" may be absent."""
+def _matrix(obj, path: str, dim: int) -> dict:
+    """Canonical {"re", "im"} float rows of a dim x dim matrix.
+
+    "im" defaults to zeros. Signed zeros follow complex arithmetic
+    re + 1j * im: an imaginary -0.0 becomes 0.0, and so does a real -0.0
+    unless its imaginary part is negative or -0.0.
+    """
     _check_keys(obj, path, {"re"}, {"im"})
-    re = np.array(_rows_from_json(obj["re"], f"{path}.re"))
+    re = _rows(obj["re"], f"{path}.re")
+    shape = (len(re), len(re[0]))
     if "im" in obj:
-        im = np.array(_rows_from_json(obj["im"], f"{path}.im"))
-        if im.shape != re.shape:
-            raise _fail(path, f"im shape {im.shape} != re shape {re.shape}")
+        im = _rows(obj["im"], f"{path}.im")
+        if (len(im), len(im[0])) != shape:
+            raise _fail(path, f"im shape {(len(im), len(im[0]))} != re shape {shape}")
     else:
-        im = np.zeros_like(re)
-    return re + 1j * im
-
-
-def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {
-        "re": [[float(v.real) for v in row] for row in m],
-        "im": [[float(v.imag) for v in row] for row in m],
-    }
+        im = [[0.0] * shape[1] for _ in re]
+    if shape != (dim, dim):
+        raise _fail(path, f"shape {shape} != ({dim}, {dim})")
+    for re_row, im_row in zip(re, im):
+        if 0.0 in re_row:
+            re_row[:] = [r + 0.0 * m for r, m in zip(re_row, im_row)]
+        if 0.0 in im_row:
+            im_row[:] = [m + 0.0 for m in im_row]
+    return {"re": re, "im": im}
 
 
 _SCALAR_FAMILIES = {"semicircle", "arcsine", "poly_semicircle"}
@@ -147,10 +179,7 @@ def _density_canonical(obj, dim: int, path: str) -> dict:
             parsed.append(sub)
         out["channels"] = parsed
         if "unitary" in obj:
-            u = matrix_from_json(obj["unitary"], f"{path}.unitary")
-            if u.shape != (dim, dim):
-                raise _fail(f"{path}.unitary", f"shape {u.shape} != ({dim}, {dim})")
-            out["unitary"] = matrix_to_json(u)
+            out["unitary"] = _matrix(obj["unitary"], f"{path}.unitary", dim)
     elif family == "table":
         allowed.add("values")
         values = obj.get("values")
@@ -158,61 +187,40 @@ def _density_canonical(obj, dim: int, path: str) -> dict:
             raise _fail(f"{path}.values", "expected a non-empty list of matrices")
         if not is_node_count(len(values)):
             raise _fail(f"{path}.values", f"{len(values)} matrices; expected a power of two >= 4")
-        parsed_vals = []
-        for i, v in enumerate(values):
-            m = matrix_from_json(v, f"{path}.values[{i}]")
-            if m.shape != (dim, dim):
-                raise _fail(f"{path}.values[{i}]", f"shape {m.shape} != ({dim}, {dim})")
-            parsed_vals.append(matrix_to_json(m))
-        out["values"] = parsed_vals
+        out["values"] = [
+            _matrix(v, f"{path}.values[{i}]", dim) for i, v in enumerate(values)
+        ]
     extra = obj.keys() - allowed
     if extra:
         raise _fail(path, f"key {sorted(extra)[0]!r} not valid for family {family!r}")
     return out
 
 
-def _matrices(objs: list) -> np.ndarray:
-    """Stack of canonical {"re", "im"} matrices, already validated."""
-    return np.array([m["re"] for m in objs]) + 1j * np.array([m["im"] for m in objs])
-
-
-def _density_build(spec: dict, dim: int) -> ms.Density:
-    family = spec["family"]
-    if family == "semicircle":
-        return ms.SemicircleDensity(dim)
-    if family == "arcsine":
-        return ms.ArcsineDensity(dim)
-    if family == "poly_semicircle":
-        return ms.PolySemicircleDensity(spec["coefficients"], dim)
-    if family == "conjugated_diagonal":
-        entries = [_density_build(ch, 1) for ch in spec["channels"]]
-        unitary = _matrices([spec["unitary"]])[0] if "unitary" in spec else None
-        return ms.ConjugatedDiagonalDensity(entries, unitary)
-    return ms.TableDensity(_matrices(spec["values"]))
-
-
-@dataclasses.dataclass(frozen=True)
-class MassSpec:
-    energy: float
-    weight_re: tuple[tuple[float, ...], ...]
-    weight_im: tuple[tuple[float, ...], ...]
-
-    def weight(self) -> np.ndarray:
-        return np.array(self.weight_re) + 1j * np.array(self.weight_im)
-
-
 @dataclasses.dataclass(frozen=True)
 class MeasureSpec:
-    """Validated, canonicalized measure document."""
+    """Validated measure document in canonical plain form.
+
+    density and each mass {"energy", "weight"} hold floats and canonical
+    matrices only, exactly as serialized and hashed.
+    """
 
     dim: int
     density: dict
-    masses: tuple[MassSpec, ...]
+    masses: tuple[dict, ...]
     quad_order: int
     normalize: str
 
 
-def measure_spec_from_data(obj) -> MeasureSpec:
+def parse_measure_spec(text: str) -> MeasureSpec:
+    """Parse and validate a JSON document; malformed input fails with its path."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError:  # an integer literal beyond the int-from-string limit
+        raise ParseError(
+            f"integer literal longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
     _check_keys(obj, "spec", {"dim", "density"}, {"masses", "quad_order", "normalize"})
     dim = _as_int(obj["dim"], "spec.dim")
     if dim < 1:
@@ -231,17 +239,10 @@ def measure_spec_from_data(obj) -> MeasureSpec:
     for i, entry in enumerate(raw_masses):
         path = f"spec.masses[{i}]"
         _check_keys(entry, path, {"energy", "weight"})
-        energy = _as_number(entry["energy"], f"{path}.energy")
-        w = matrix_from_json(entry["weight"], f"{path}.weight")
-        if w.shape != (dim, dim):
-            raise _fail(f"{path}.weight", f"shape {w.shape} != ({dim}, {dim})")
-        masses.append(
-            MassSpec(
-                energy=energy,
-                weight_re=tuple(tuple(float(v) for v in row) for row in w.real),
-                weight_im=tuple(tuple(float(v) for v in row) for row in w.imag),
-            )
-        )
+        masses.append({
+            "energy": _as_number(entry["energy"], f"{path}.energy"),
+            "weight": _matrix(entry["weight"], f"{path}.weight", dim),
+        })
     return MeasureSpec(
         dim=dim,
         density=density,
@@ -251,36 +252,8 @@ def measure_spec_from_data(obj) -> MeasureSpec:
     )
 
 
-def parse_measure_spec(text: str) -> MeasureSpec:
-    """Parse a JSON document; malformed input fails with line and column."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return measure_spec_from_data(obj)
-
-
-def spec_to_data(spec: MeasureSpec) -> dict:
-    return {
-        "dim": spec.dim,
-        "density": spec.density,
-        "masses": [
-            {
-                "energy": m.energy,
-                "weight": {
-                    "re": [list(row) for row in m.weight_re],
-                    "im": [list(row) for row in m.weight_im],
-                },
-            }
-            for m in spec.masses
-        ],
-        "quad_order": spec.quad_order,
-        "normalize": spec.normalize,
-    }
-
-
 def serialize_measure_spec(spec: MeasureSpec) -> str:
-    return json.dumps(spec_to_data(spec), sort_keys=True, indent=2) + "\n"
+    return json.dumps(vars(spec), sort_keys=True, indent=2) + "\n"
 
 
 def spec_hash(spec: MeasureSpec) -> str:
@@ -288,9 +261,30 @@ def spec_hash(spec: MeasureSpec) -> str:
     return hashlib.sha256(serialize_measure_spec(spec).encode()).hexdigest()
 
 
+def _matrices(objs: list) -> np.ndarray:
+    """Stack of canonical {"re", "im"} matrices."""
+    return np.array([m["re"] for m in objs]) + 1j * np.array([m["im"] for m in objs])
+
+
+def _density_build(spec: dict, dim: int) -> ms.Density:
+    family = spec["family"]
+    if family == "semicircle":
+        return ms.SemicircleDensity(dim)
+    if family == "arcsine":
+        return ms.ArcsineDensity(dim)
+    if family == "poly_semicircle":
+        return ms.PolySemicircleDensity(spec["coefficients"], dim)
+    if family == "conjugated_diagonal":
+        entries = [_density_build(ch, 1) for ch in spec["channels"]]
+        unitary = _matrices([spec["unitary"]])[0] if "unitary" in spec else None
+        return ms.ConjugatedDiagonalDensity(entries, unitary)
+    return ms.TableDensity(_matrices(spec["values"]))
+
+
 def build_measure(spec: MeasureSpec, tol: Tolerances = DEFAULT) -> ms.MatrixMeasure:
+    """The measure of a parsed document; the one place its matrices become arrays."""
     density = _density_build(spec.density, spec.dim)
-    masses = [(m.energy, m.weight()) for m in spec.masses]
+    masses = [(m["energy"], _matrices([m["weight"]])[0]) for m in spec.masses]
     return ms.make_measure(
         density,
         masses,

@@ -62,3 +62,17 @@ def random_smooth_weight(rng: np.random.Generator, dim: int, node_count: int,
     lam_min = float(np.min(np.linalg.eigvalsh(w)))
     shift = max(0.0, -lam_min) + floor
     return w + shift * np.eye(dim)[None]
+
+
+def haar_frames(states, rng: np.random.Generator):
+    """The (z, frame) states with each frame right-multiplied by a
+    Haar-random unitary: same spans, different bases."""
+    out = []
+    for z, v in states:
+        v = np.asarray(v, dtype=complex)
+        d = v.shape[1]
+        if d > 0:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            v = v @ np.linalg.qr(g)[0]
+        out.append((z, v))
+    return out

@@ -9,7 +9,6 @@ as written; slack beyond double-precision rounding is never added.
 import time
 
 import numpy as np
-import pytest
 
 from matszego.linalg import (
     BoundarySampling,
@@ -34,7 +33,7 @@ from matszego.blaschke import (
 from matszego.limits import build_pipeline, disk_grid, h_diagnostic, verify_masses
 from matszego.sumrule import check_sum_rule
 
-from conftest import SHIPPED, load_shipped, random_smooth_weight
+from conftest import SHIPPED, haar_frames, random_smooth_weight
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:
@@ -141,9 +140,7 @@ def test_criterion_3_product_suite():
             val = prod.eval(complex(z))
             u = np.linalg.svd(val)[0][:, :d]
             worst_angle = max(worst_angle, float(np.max(principal_angles(u, target))))
-        scrambled = construct_product(
-            states, dim, randomize_frames=np.random.default_rng(trial)
-        )
+        scrambled = construct_product(haar_frames(states, np.random.default_rng(trial)), dim)
         pts = probes[np.abs(probes[:, None] - np.array(poles)[None, :]).min(axis=1) > 0.05]
         worst_invariance = max(
             worst_invariance,

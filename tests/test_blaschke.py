@@ -12,7 +12,6 @@ from matszego.errors import (
 )
 from matszego.linalg import operator_norm
 from matszego.blaschke import (
-    BlaschkePotapovProduct,
     ElementaryFactor,
     complement_frame,
     construct_product,
@@ -21,6 +20,8 @@ from matszego.blaschke import (
     principal_angles,
     residue_kernel,
 )
+
+from conftest import haar_frames
 
 E1 = np.array([[1.0], [0.0]], dtype=complex)
 E2 = np.array([[0.0], [1.0]], dtype=complex)
@@ -173,9 +174,7 @@ class TestProductConstruction:
         v2 = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
         states = [(0.45, v1), (-0.3j, v2)]
         base = construct_product(states, dim=3)
-        scrambled = construct_product(
-            states, dim=3, randomize_frames=np.random.default_rng(99)
-        )
+        scrambled = construct_product(haar_frames(states, np.random.default_rng(99)), dim=3)
         zs = np.array([0.0, 0.2 + 0.1j, -0.5, 0.7j])
         gap = float(np.max(operator_norm(base.eval(zs) - scrambled.eval(zs))))
         assert gap < 1e-10

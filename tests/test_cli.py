@@ -92,6 +92,41 @@ class TestExitCodes:
         assert "parse error" in err
         assert path in err
 
+    @pytest.mark.parametrize(
+        "extra, path",
+        [
+            ({"masses": [{"energy": 10**400, "weight": {"re": [[0.1]]}}]},
+             "spec.masses[0].energy"),
+            ({"density": {"family": "poly_semicircle", "coefficients": [1.0, -(10**400)]}},
+             "spec.density.coefficients[1]"),
+            ({"density": {"family": "table", "values": [{"re": [[0.3]]}] * 3
+                          + [{"re": [[0.3]], "im": [[10**400]]}]}},
+             "spec.density.values[3].im[0][0]"),
+        ],
+    )
+    def test_oversized_number_is_parse_error(self, capsys, small_spec, extra, path):
+        code, _, err = run(capsys, "check-measure", small_spec("huge", **extra))
+        assert code == 2
+        assert f"{path}: number too large" in err
+
+    def test_overlong_integer_literal_is_parse_error(self, capsys, tmp_path):
+        p = tmp_path / "long.json"
+        p.write_text('{"dim": 1, "density": {"family": "semicircle"}, "quad_order": '
+                     + "1" * 5000 + "}")
+        code, _, err = run(capsys, "check-measure", str(p))
+        assert code == 2
+        assert "parse error: integer literal longer than" in err
+
+    def test_negative_order_is_parse_error(self, capsys, small_spec):
+        spec = small_spec("noncommuting", density={
+            "family": "table",
+            "values": [{"re": [[2.0, c], [c, 1.0]], "im": [[0.0, c], [-c, 0.0]]}
+                       for c in (0.1, 0.3, 0.5, 0.6, 0.6, 0.5, 0.3, 0.1)],
+        }, dim=2)
+        code, _, err = run(capsys, "factorize", spec, "--order", "-1")
+        assert code == 2
+        assert "--order must be nonnegative" in err
+
     def test_bad_tolerance_override_is_parse_error(self, capsys, monkeypatch):
         for key in ("nope", "lin_rel", "pole_proximity"):
             monkeypatch.setenv("MATSZEGO_TOLERANCES", json.dumps({key: 1e-6}))
