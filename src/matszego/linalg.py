@@ -87,6 +87,25 @@ def operator_norm(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
+def max_operator_norm(a: np.ndarray) -> float:
+    """np.max(operator_norm(a)), with SVDs only on blocks that can hold it.
+
+    A block's operator norm is at least its Frobenius norm over
+    sqrt(min(m, n)), so blocks whose Frobenius norm falls below that bound
+    for the largest one are skipped; the margin covers rounding in both
+    norms. Same float as the full batch; an empty batch raises likewise.
+    """
+    a = np.asarray(a)
+    if a.ndim < 2:
+        raise DimensionMismatch("max_operator_norm needs a matrix")
+    fro = np.linalg.norm(a, axis=(-2, -1))
+    top = np.max(fro)
+    if not np.isfinite(top):
+        return float(np.max(operator_norm(a)))
+    floor = (1.0 - 1e-8) * top / np.sqrt(min(a.shape[-2:]))
+    return float(np.max(operator_norm(a[fro >= floor])))
+
+
 def hermitian_defect(a: np.ndarray) -> float:
     return float(operator_norm(a - a.conj().swapaxes(-1, -2)))
 

@@ -17,6 +17,7 @@ All measures are normalized to mu(R) = identity, either verified
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -199,14 +200,18 @@ DENSITY_FAMILIES = {
 class BoundState:
     """Point mass of the measure in disk coordinates.
 
-    z solves z + 1/z = energy with |z| < 1; multiplicity is the rank of
-    the weight.
+    z solves z + 1/z = energy with |z| < 1. root is the rank-truncated
+    square root Lambda^{1/2} U* of the weight, over its eigenvalues above
+    tol.rank_rel times the largest, so root* root is the weight with its
+    rounding-level kernel removed; multiplicity is its number of rows,
+    the rank of the weight.
     """
 
     energy: float
     weight: np.ndarray
     z: complex
     multiplicity: int
+    root: np.ndarray
 
 
 def disk_coordinate(energy: float) -> complex:
@@ -257,12 +262,37 @@ class MatrixMeasure:
             return np.zeros((0, self.dim, self.dim), dtype=complex)
         return np.stack([s.weight for s in self.bound_states])
 
+    @functools.cached_property
+    def weight_root(self) -> np.ndarray:
+        """The whitening c_m = Lambda^{1/2} U* / sqrt(M) of each node's weight.
 
-def _mass_rank(w: np.ndarray, tol: Tolerances) -> int:
-    s = np.linalg.svd(w, compute_uv=False)
-    if s[0] <= 0.0:
+        c_m* c_m = w(t_m) / M, so the grid part of the inner product is a
+        plain sum of (c_m f(x_m))* (c_m g(x_m)). Computed once, on first
+        use by the recurrence, so commands that never run it skip the
+        eigendecompositions. A node whose weight has an eigenvalue <= 0
+        raises rather than being clipped.
+        """
+        lam, vec = np.linalg.eigh(self.weight.values)
+        if lam[:, 0].min() <= 0.0:
+            raise ValidationError(
+                f"Szego condition fails: w(t) has eigenvalue {lam[:, 0].min():.3e} at a node"
+            )
+        root = np.sqrt(lam / self.quad_order)[:, :, None] * vec.conj().transpose(0, 2, 1)
+        root.setflags(write=False)
+        return root
+
+
+def _mass_root(w: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Lambda^{1/2} U* over the eigenvalues of w above tol.rank_rel times the largest.
+
+    Not the Hermitian square root: that keeps entries of rounding size on
+    the kernel, a ghost mass the recurrence would eventually resolve.
+    """
+    lam, vec = np.linalg.eigh(w)
+    if lam[-1] <= 0.0:
         raise ValidationError("mass weight is zero")
-    return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    keep = lam > tol.rank_rel * lam[-1]
+    return np.sqrt(lam[keep])[:, None] * vec[:, keep].conj().T
 
 
 def _szego_samples(f: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
@@ -350,12 +380,14 @@ def make_measure(
 
     states = []
     for e, w in clean_masses:
+        root_k = _mass_root(w, tol)
         states.append(
             BoundState(
                 energy=e,
                 weight=w,
                 z=disk_coordinate(e),
-                multiplicity=_mass_rank(w, tol),
+                multiplicity=root_k.shape[0],
+                root=root_k,
             )
         )
     states.sort(key=lambda s: (abs(s.z), np.angle(s.z)))
@@ -364,6 +396,7 @@ def make_measure(
     x.setflags(write=False)
     for s in states:
         s.weight.setflags(write=False)
+        s.root.setflags(write=False)
 
     return MatrixMeasure(
         dim=dim,
@@ -395,11 +428,18 @@ def szego_weight(measure: MatrixMeasure, refine: int = 1) -> BoundarySampling:
 def inner_product(measure: MatrixMeasure, fv, fe, gv, ge) -> np.ndarray:
     """<<f, g>> = integral f(x)* dmu(x) g(x) from sampled values.
 
-    fv, gv hold f and g at the quadrature abscissae x_nodes, shape
-    (M, l, l); fe, ge hold them at the mass energies, shape (K, l, l).
+    fv, gv hold f and g at the quadrature abscissae x_nodes, shapes
+    (M, l, k) and (M, l, k'); fe, ge hold them at the mass energies,
+    shapes (K, l, k) and (K, l, k'). The result is (k, k'). Each part is
+    one GEMM: the weights are applied node by node to g, and the sum over
+    nodes and rows is a single product of (M l, k) and (M l, k') matrices.
     """
-    out = np.einsum("mji,mjk,mkl->il", fv.conj(), measure.weight.values, gv)
-    out /= measure.quad_order
+    out = _row_sum(fv, measure.weight.values @ gv) / measure.quad_order
     if measure.bound_states:
-        out = out + np.einsum("mji,mjk,mkl->il", fe.conj(), measure.mass_weights, ge)
+        out += _row_sum(fe, measure.mass_weights @ ge)
     return out
+
+
+def _row_sum(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_m f_m* g_m over the leading axis, as one GEMM."""
+    return f.reshape(-1, f.shape[-1]).conj().T @ g.reshape(-1, g.shape[-1])

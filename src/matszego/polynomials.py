@@ -26,7 +26,7 @@ from .errors import (
     Singular,
     ValidationError,
 )
-from .linalg import left_polar, operator_norm, principal_sqrt
+from .linalg import left_polar, max_operator_norm, operator_norm, principal_sqrt
 from .measure import MatrixMeasure, inner_product
 from .tolerances import DEFAULT, Tolerances
 
@@ -92,69 +92,78 @@ class PolySequence:
 def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> PolySequence:
     """Run the Stieltjes procedure to degree n_max (type1 output).
 
-    A full re-orthogonalization sweep against all earlier polynomials is
-    applied every 10 steps to arrest drift. LostPositivity is raised when
-    the Gram matrix of the recurrence remainder drops below tol.pos.
+    The recurrence runs as a block Lanczos on whitened rows. Each grid
+    node contributes the l rows c_m p_n(x_m), with c_m* c_m = w(t_m)/M
+    (measure.weight_root), and each mass the rank_k rows R_k p_n(E_k),
+    with R_k the rank-truncated root of its weight (BoundState.root).
+    The inner product is then the plain sum over rows, and since the
+    recurrence multiplies by blocks on the right and scales each row by
+    its abscissa, it runs on one tall buffer of M l + sum rank_k rows
+    and (n_max + 1) l columns: every B block, Gram matrix and
+    re-orthogonalization Q (Q* q) is a GEMM.
+
+    A full re-orthogonalization pass against all earlier polynomials is
+    applied every 10 steps to arrest drift, and every step while a mass
+    is live. NotHermitian is raised when a B block is not Hermitian,
+    LostPositivity when the Gram matrix of the recurrence remainder
+    drops below tol.pos.
 
     Evaluations at a mass point ride the recurrence's growing solution:
-    components in the kernel of the mass weight grow like |z_k|^{-n}
-    exactly, and rounding noise in the range components amplifies at the
-    same rate while their true part decays like |z_k|^n. Both only ever
-    enter inner products through a w_k sandwich, so the stored point
-    values are projected onto range(w_k) each step, and a state is
-    frozen to zero once its amplitude ||w_k^{1/2} p_n(E_k)|| falls below
-    1e-10; the discarded true Gram contribution is below 1e-20.
+    rounding noise amplifies like |z_k|^{-n} while the true values decay
+    like |z_k|^n. The rows R_k p_n(E_k) see only the range of the weight,
+    so components in its kernel never arise; R_k must be truncated at
+    tol.rank_rel, because a Hermitian square root keeps rounding-size
+    kernel entries, a ghost mass that full re-orthogonalization would
+    eventually resolve. A mass is frozen to zero once its amplitude
+    ||R_k p_n(E_k)||_F falls below 1e-10; the discarded true Gram
+    contribution is below 1e-20.
+
+    At the end the grid rows are unwhitened in place, so grid_values is
+    a view of the buffer; mass_values holds pinv(R_k) R_k p_n(E_k), the
+    values projected onto the range of the weight.
     """
     l = measure.dim
     m_grid = measure.quad_order
-    x = measure.x_nodes
-    energies = measure.mass_energies
-    n_mass = energies.size
+    states = measure.bound_states
+    ranks = [s.root.shape[0] for s in states]
+    offsets = np.cumsum([m_grid * l] + ranks)
+    spans = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+    width = (n_max + 1) * l
 
-    p = np.empty((n_max + 1, m_grid, l, l), dtype=complex)
-    pe = np.empty((n_max + 1, n_mass, l, l), dtype=complex)
-    p[0] = np.eye(l)
-    pe[0] = np.eye(l)
-    if n_mass:
-        root_w = np.stack([principal_sqrt(s.weight, tol) for s in measure.bound_states])
-        live = np.ones(n_mass, dtype=bool)
-        proj = np.empty_like(root_w)
-        for k, state in enumerate(measure.bound_states):
-            lam, vec = np.linalg.eigh(state.weight)
-            ran = vec[:, lam > tol.rank_rel * max(lam.max(), 1e-300)]
-            proj[k] = ran @ ran.conj().T
-        pe[0] = proj
+    y = np.empty((offsets[-1], width), dtype=complex, order="F")
+    grid = y[: m_grid * l].reshape(m_grid, l, width)
+    grid[:, :, :l] = measure.weight_root
+    for s, rows in zip(states, spans):
+        y[rows, :l] = s.root
+    x_rows = np.concatenate(
+        [np.repeat(measure.x_nodes, l)] + [np.full(r, s.energy) for s, r in zip(states, ranks)]
+    )[:, None]
+    live = np.ones(len(states), dtype=bool)
 
     a_blocks = np.empty((n_max, l, l), dtype=complex)
     b_blocks = np.empty((n_max, l, l), dtype=complex)
-    xg = x[:, None, None]
-    xe = energies[:, None, None]
 
     for n in range(n_max):
-        any_live = bool(n_mass) and bool(live.any())
-        xp = xg * p[n]
-        xpe = xe * pe[n]
-        b_next = inner_product(measure, p[n], pe[n], xp, xpe)
+        any_live = bool(live.any())
+        cur = y[:, n * l : (n + 1) * l]
+        q = x_rows * cur
+        b_next = cur.conj().T @ q
         herm = float(operator_norm(b_next - b_next.conj().T))
         if herm > 1e-8 * max(1.0, float(operator_norm(b_next))):
             raise NotHermitian(f"step {n + 1}: B block defect {herm:.2e}")
         b_next = 0.5 * (b_next + b_next.conj().T)
 
-        q = xp - p[n] @ b_next
-        qe = xpe - pe[n] @ b_next
+        q -= cur @ b_next
         if n > 0:
-            q -= p[n - 1] @ a_blocks[n - 1]
-            qe -= pe[n - 1] @ a_blocks[n - 1]
+            q -= y[:, (n - 1) * l : n * l] @ a_blocks[n - 1]
 
-        # live mass evaluations regrow noise at 1/|z| per step, so while
-        # any remain the drift sweep must run every step
+        # live mass rows regrow noise at 1/|z| per step, so while any
+        # remain the drift pass must run every step
         if (n + 1) % 10 == 0 or any_live:
-            for k in range(n + 1):
-                c = inner_product(measure, p[k], pe[k], q, qe)
-                q -= p[k] @ c
-                qe -= pe[k] @ c
+            basis = y[:, : (n + 1) * l]
+            q -= basis @ (q.conj().T @ basis).conj().T
 
-        gram = inner_product(measure, q, qe, q, qe)
+        gram = q.conj().T @ q
         gram = 0.5 * (gram + gram.conj().T)
         lam = np.linalg.eigvalsh(gram)
         if lam[0] < tol.pos:
@@ -162,22 +171,30 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
                 f"step {n + 1}: Gram eigenvalue {lam[0]:.3e} below {tol.pos:.1e}"
             )
         a_next = principal_sqrt(gram, tol)
-        a_inv = np.linalg.inv(a_next)
-        p[n + 1] = q @ a_inv
-        pe[n + 1] = qe @ a_inv
-        if n_mass:
-            pe[n + 1] = proj @ pe[n + 1]
-            pe[n + 1, ~live] = 0.0
-            amp = np.linalg.norm(root_w @ pe[n + 1], axis=(1, 2))
-            faded = live & (amp < 1e-10)
-            if faded.any():
-                pe[n + 1, faded] = 0.0
-                live &= ~faded
+        nxt = y[:, (n + 1) * l : (n + 2) * l]
+        nxt[...] = q @ np.linalg.inv(a_next)
+        for k, rows in enumerate(spans):
+            if live[k] and np.linalg.norm(nxt[rows]) < 1e-10:
+                live[k] = False
+            if not live[k]:
+                nxt[rows] = 0.0
         a_blocks[n] = a_next
         b_blocks[n] = b_next
 
+    # unwhiten the grid rows in place, a chunk of about 1 MB at a time
+    step = max(1, (1 << 16) // (l * width))
+    for a in range(0, m_grid, step):
+        grid[a : a + step] = np.linalg.solve(measure.weight_root[a : a + step], grid[a : a + step])
+    grid_values = grid.reshape(m_grid, l, n_max + 1, l).transpose(2, 0, 1, 3)
+    mass_values = np.empty((n_max + 1, len(states), l, l), dtype=complex)
+    for k, (s, rows) in enumerate(zip(states, spans)):
+        values = np.linalg.pinv(s.root) @ y[rows]
+        mass_values[:, k] = values.reshape(l, n_max + 1, l).transpose(1, 0, 2)
+
     jac = BlockJacobi(a=a_blocks, b=b_blocks, norm_type="type1")
-    return PolySequence(measure=measure, jacobi=jac, grid_values=p, mass_values=pe)
+    return PolySequence(
+        measure=measure, jacobi=jac, grid_values=grid_values, mass_values=mass_values
+    )
 
 
 def orthonormality_defect(seq: PolySequence, max_degree: int | None = None) -> float:
@@ -199,14 +216,19 @@ def orthonormality_defect(seq: PolySequence, max_degree: int | None = None) -> f
 def recurrence_residual(seq: PolySequence) -> float:
     """sup-norm over grid nodes and degrees of the three-term recurrence defect."""
     a, b = seq.jacobi.a, seq.jacobi.b
+    p = seq.grid_values
     x = seq.measure.x_nodes[:, None, None]
+
+    def times(v, m):  # v_m m for every node, as one GEMM
+        return (v.reshape(-1, m.shape[0]) @ m).reshape(v.shape)
+
     worst = 0.0
     for n in range(seq.degree):
-        res = x * seq.grid_values[n] - seq.grid_values[n + 1] @ a[n].conj().T
-        res -= seq.grid_values[n] @ b[n]
+        res = x * p[n] - times(p[n + 1], a[n].conj().T)
+        res -= times(p[n], b[n])
         if n > 0:
-            res -= seq.grid_values[n - 1] @ a[n - 1]
-        worst = max(worst, float(np.max(operator_norm(res))))
+            res -= times(p[n - 1], a[n - 1])
+        worst = max(worst, max_operator_norm(res))
     return worst
 
 

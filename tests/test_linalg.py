@@ -18,6 +18,7 @@ from matszego.linalg import (
     hermitian_defect,
     left_polar,
     matrix_fourier_coeff,
+    max_operator_norm,
     midpoint_nodes,
     norm_l2_1,
     norm_l2_2,
@@ -135,6 +136,34 @@ class TestMatrixKernels:
     def test_polar_rejects_singular(self):
         with pytest.raises(Singular):
             left_polar(np.diag([1.0, 0.0]))
+
+
+class TestMaxOperatorNorm:
+    def batches(self):
+        rng = np.random.default_rng(11)
+        for l, k in ((1, 1), (2, 2), (3, 5), (4, 4)):
+            a = rng.standard_normal((200, l, k)) + 1j * rng.standard_normal((200, l, k))
+            a *= np.exp(rng.uniform(-8.0, 2.0, (200, 1, 1)))
+            yield a
+            tied = a.copy()
+            tied[::7] = a[3]  # the same block, maximal or not, many times
+            yield tied
+            tied[np.argmax(np.linalg.norm(a, axis=(1, 2)))] *= 0.0
+            yield tied
+            yield np.zeros((5, l, k))
+            rank_one = np.einsum("i,j->ij", rng.standard_normal(l), rng.standard_normal(k))
+            yield rng.standard_normal((50, 1, 1)) * rank_one
+
+    def test_equals_the_full_batch_maximum_bitwise(self):
+        for a in self.batches():
+            assert max_operator_norm(a) == np.max(operator_norm(a))
+
+    def test_empty_batch_raises_like_the_full_maximum(self):
+        a = np.zeros((0, 3, 3))
+        with pytest.raises(ValueError):
+            np.max(operator_norm(a))
+        with pytest.raises(ValueError):
+            max_operator_norm(a)
 
 
 class TestNorms:

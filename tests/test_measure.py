@@ -18,6 +18,8 @@ from matszego.measure import (
     szego_weight,
 )
 
+from conftest import random_smooth_weight
+
 ID = lambda x: np.broadcast_to(np.eye(1), (np.asarray(x).size, 1, 1))
 X = lambda x: np.asarray(x)[:, None, None] * np.eye(1)
 
@@ -280,6 +282,39 @@ class TestBoundStates:
         blaschke, root = mass_condition_sums(mass_measure)
         assert blaschke == pytest.approx(0.5, abs=1e-12)
         assert root == pytest.approx(np.sqrt(0.5), abs=1e-12)
+
+
+class TestInnerProduct:
+    @pytest.fixture(scope="class")
+    def table_measure(self):
+        rng = np.random.default_rng(21)
+        samples = random_smooth_weight(rng, 3, 64)
+        v = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        masses = [(2.4, 0.05 * np.outer(v[:, 0], v[:, 0].conj())), (-3.1, 0.02 * v @ v.conj().T)]
+        return make_measure(TableDensity(samples), masses, quad_order=64)
+
+    def test_rectangular_blocks_match_a_node_sum(self, table_measure):
+        mu = table_measure
+        rng = np.random.default_rng(22)
+        shape = lambda n, k: rng.standard_normal((n, 3, k)) + 1j * rng.standard_normal((n, 3, k))
+        fv, gv = shape(64, 2), shape(64, 4)
+        fe, ge = shape(2, 2), shape(2, 4)
+        expected = sum(fv[m].conj().T @ mu.weight.values[m] @ gv[m] for m in range(64)) / 64
+        expected = expected + sum(
+            fe[k].conj().T @ s.weight @ ge[k] for k, s in enumerate(mu.bound_states)
+        )
+        got = inner_product(mu, fv, fe, gv, ge)
+        assert got.shape == (2, 4)
+        assert float(np.max(np.abs(got - expected))) < 1e-13
+
+    def test_whitening_roots_rebuild_the_weights(self, table_measure):
+        mu = table_measure
+        c = mu.weight_root
+        gram = c.conj().transpose(0, 2, 1) @ c
+        assert float(np.max(np.abs(gram * mu.quad_order - mu.weight.values))) < 1e-13
+        for s in mu.bound_states:
+            assert s.root.shape == (s.multiplicity, 3)
+            assert float(np.max(np.abs(s.root.conj().T @ s.root - s.weight))) < 1e-15
 
 
 class TestSzegoWeight:

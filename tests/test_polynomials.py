@@ -1,14 +1,18 @@
 """Recurrence construction, normalization types, and evaluation."""
 
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
 from matszego.errors import DimensionMismatch, RadiusExceeded, ValidationError
-from matszego.linalg import operator_norm
+from matszego.linalg import midpoint_nodes, operator_norm
 from matszego.measure import (
     ArcsineDensity,
     ConjugatedDiagonalDensity,
     SemicircleDensity,
+    TableDensity,
     make_measure,
 )
 from matszego.polynomials import (
@@ -75,6 +79,94 @@ class TestScalarOracles:
         root = np.sqrt(w[0, 0].real)
         amps = root * np.abs(mass_sequence.mass_values[:, 0, 0, 0])
         assert float(amps.max()) <= 1.0 + 1e-8
+
+
+def _mp_matrix(a):
+    return mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in a])
+
+
+def _mp_sqrt2(g):
+    """Hermitian PD square root of a 2x2 matrix: (G + sqrt(det G) I) / sqrt(tr G + 2 sqrt(det G))."""
+    s = mpmath.sqrt(mpmath.re(mpmath.det(g)))
+    return (g + s * mpmath.eye(2)) / mpmath.sqrt(mpmath.re(g[0, 0] + g[1, 1]) + 2 * s)
+
+
+def _gram_schmidt_blocks(mu, n):
+    """Type-1 A and B blocks of mu's discrete inner product, by block
+    Gram-Schmidt at 50 digits.
+
+    The nodes are the grid abscissae with weights w(t_m) / M and the mass
+    energies with their weights, taken as exact data. Each x p_k is
+    orthogonalized against every earlier p_j, and normalized by the
+    Hermitian square root of its Gram matrix (the type-1 choice).
+    """
+    with mpmath.workdps(50):
+        m = mu.quad_order
+        nodes = [(mpmath.mpf(float(x)), _mp_matrix(w) / m)
+                 for x, w in zip(mu.x_nodes, mu.weight.values)]
+        nodes += [(mpmath.mpf(s.energy), _mp_matrix(s.weight)) for s in mu.bound_states]
+
+        def inner(f, g):
+            out = mpmath.zeros(2, 2)
+            for (_, w), fv, gv in zip(nodes, f, g):
+                out += fv.H * w * gv
+            return out
+
+        basis = [[mpmath.eye(2) for _ in nodes]]
+        a_blocks, b_blocks = [], []
+        for _ in range(n):
+            xp = [x * v for (x, _), v in zip(nodes, basis[-1])]
+            b_blocks.append(inner(basis[-1], xp))
+            q = xp
+            for p in basis:
+                c = inner(p, q)
+                q = [qv - pv * c for qv, pv in zip(q, p)]
+            a = _mp_sqrt2(inner(q, q))
+            basis.append([qv * a**-1 for qv in q])
+            a_blocks.append(a)
+        to_np = lambda blocks: np.array([[[complex(v) for v in (b[i, 0], b[i, 1])]
+                                         for i in range(2)] for b in blocks])
+        return to_np(a_blocks), to_np(b_blocks)
+
+
+class TestMultiprecisionOracle:
+    def test_blocks_match_gram_schmidt_at_50_digits(self):
+        # 2x2 non-commuting table on 16 nodes (8 distinct abscissae) with a
+        # rank-one mass: a 17-dimensional space, so degree 6 is well inside it
+        t = midpoint_nodes(16)
+        b0 = np.array([[2.0, 0.3 - 0.4j], [0.3 + 0.4j, 1.5]])
+        b1 = np.array([[0.5, 0.2j], [-0.2j, -0.3]])
+        b2 = np.array([[0.1, 0.25], [0.25, 0.2]])
+        samples = b0 + np.cos(t)[:, None, None] * b1 + np.cos(2 * t)[:, None, None] * b2
+        v = np.array([1.0, 0.5 - 0.5j])
+        mu = make_measure(TableDensity(samples), [(3.0, 0.3 * np.outer(v, v.conj()))],
+                          quad_order=16)
+        assert [s.multiplicity for s in mu.bound_states] == [1]
+        n = 6
+        a_ref, b_ref = _gram_schmidt_blocks(mu, n)
+        jac = stieltjes(mu, n).jacobi
+        assert float(np.max(np.abs(jac.a - a_ref))) < 1e-12
+        assert float(np.max(np.abs(jac.b - b_ref))) < 1e-12
+
+
+class TestMemory:
+    def test_peak_stays_near_the_returned_values(self):
+        # l = 4, M = 512, n = 100 with a slowly decaying mass that forces a
+        # full re-orthogonalization pass nearly every step: the buffer is
+        # the output, so a copy of the basis or of a window would show
+        u = np.linalg.qr(np.arange(16.0).reshape(4, 4) ** 0.5 + np.eye(4))[0]
+        density = ConjugatedDiagonalDensity(
+            [SemicircleDensity(1), ArcsineDensity(1)] * 2, unitary=u
+        )
+        masses = [(2.08, 0.1 * np.outer(u[0], u[0])), (-2.6, 0.1 * np.outer(u[3], u[3]))]
+        mu = make_measure(density, masses, quad_order=512)
+        tracemalloc.start()
+        try:
+            seq = stieltjes(mu, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * seq.grid_values.nbytes
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from matszego import outer
-from matszego.measure import ArcsineDensity, make_measure
-from matszego.polynomials import to_type
+from matszego.measure import ArcsineDensity, SemicircleDensity, make_measure
+from matszego.polynomials import stieltjes, to_type
 from matszego.sumrule import (
     a0_partials,
     check_sum_rule,
@@ -79,6 +79,23 @@ class TestPartialSums:
         assert np.all(np.diff(ledger.residuals) < 1e-12)
         assert ledger.residuals[0] > 1e-7  # still converging at n = 10
         assert ledger.residuals[-1] < 1e-2
+
+
+class TestRankDeficientMass:
+    def test_rank_one_mass_leaves_no_ghost(self):
+        # the shipped rank-one 2x2 mass at M = 512: a full-rank root of its
+        # weight keeps rounding-size entries on the kernel, a ghost mass that
+        # re-orthogonalization resolves, and the residual jumps to log 2
+        w = np.array([[0.072, -0.096j], [0.096j, 0.128]])
+        mu = make_measure(SemicircleDensity(2), [(2.5, w)], quad_order=512)
+        seq = stieltjes(mu, 100)
+        root = mu.bound_states[0].root
+        amps = np.linalg.norm(root @ seq.mass_values[:, 0], axis=(1, 2))
+        frozen = int(np.argmax(amps < 1e-10))
+        assert 0 < frozen < 100
+        assert np.all(amps[frozen:] == 0.0)
+        ledger = check_sum_rule(mu, [100], jacobi=seq.jacobi)
+        assert ledger.residuals[-1] <= 1e-10
 
 
 class TestBridge:
