@@ -103,18 +103,18 @@ class ElementaryFactor:
             )
         return (abs(self.z) / self.z) * (self.z - z_arr) / denom
 
-    def _assemble(self, b: np.ndarray) -> np.ndarray:
-        l, s = self.dim, self.rank
-        d = np.ones(b.shape + (l,), dtype=complex)
-        d[..., :s] = b[..., None]
-        u = self.unitary
-        return np.einsum("ji,...j,jk->...ik", u.conj(), d, u)
-
     def eval(self, z) -> np.ndarray:
-        return self._assemble(np.atleast_1d(self.scalar(z)))
+        return elementary_matrix(self.unitary, self.rank, np.atleast_1d(self.scalar(z)))
 
     def eval_inverse(self, z) -> np.ndarray:
-        return self._assemble(1.0 / np.atleast_1d(self.scalar(z)))
+        return elementary_matrix(self.unitary, self.rank, 1.0 / np.atleast_1d(self.scalar(z)))
+
+
+def elementary_matrix(unitary: np.ndarray, rank: int, b: np.ndarray) -> np.ndarray:
+    """U* diag(b, ..., b, 1, ..., 1) U per entry of b, with b in the leading rank slots."""
+    d = np.ones(b.shape + (unitary.shape[0],), dtype=complex)
+    d[..., :rank] = b[..., None]
+    return np.einsum("ji,...j,jk->...ik", unitary.conj(), d, unitary)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -5,15 +5,21 @@ so G(0) is Hermitian positive definite. Two construction paths:
 
 * commuting weights (all boundary values share one constant eigenbasis,
   which covers scalar weights and the conjugated-diagonal family): each
-  eigenvalue channel is a nonnegative scalar trigonometric polynomial
-  and is factored exactly by root splitting, with explicit deflation of
-  zeros at z = +-1. Exact to rounding even when the weight vanishes on
-  the circle.
-* general weights: Bauer-type banded block-Toeplitz Cholesky
-  initialization followed by Wilson's Newton iteration on the boundary
-  grid (Wilson, SIAM J. Appl. Math. 23 (1972)). Spectrally accurate for
-  weights bounded away from zero; weights vanishing between grid nodes
-  keep a genuine O(1/M) gap to the continuum factor.
+  eigenvalue channel that is a resolved nonnegative scalar trigonometric
+  polynomial is factored exactly by root splitting, with explicit
+  deflation of zeros at z = +-1. Exact to rounding even when the weight
+  vanishes on the circle.
+* general weights: deflated Wilson iteration. While w(1) or w(-1),
+  summed from the Fourier series of w, has a kernel with projector P,
+  the boundary Potapov factor E(z) = I -+ z P is peeled off,
+  w <- E^{-*} w E^{-1}, which also catches zeros of higher order
+  (Potapov 1955; Janashia, Lagvilava & Ephremidze, IEEE Trans. Inf.
+  Theory 57 (2011)). Wilson's Newton iteration (SIAM J. Appl. Math. 23
+  (1972)), started from the Cholesky factor of the mean, factors the
+  smooth remainder on the grid, and G = G~ E_k ... E_1 puts the edge
+  zeros back. Spectrally accurate for weights whose zeros on the circle
+  are even-order zeros at z = +-1; a zero of non-integer order keeps an
+  O(M^-p) gap to the continuum factor.
 
 Left-factor algorithms produce psi with psi psi* = v; the right factor
 comes from the transpose trick: run them on v = w^T (entrywise
@@ -30,19 +36,19 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
-from . import linalg
+from . import blaschke, linalg
 from .errors import (
     NoConvergence,
     NotPD,
     RadiusExceeded,
     SingularBoundary,
 )
-from .linalg import BoundarySampling, left_polar, operator_norm
+from .linalg import BoundarySampling, left_polar, max_operator_norm
 from .tolerances import DEFAULT, Tolerances
 
 _MAX_SWEEPS = 60  # cap on Wilson sweeps
+_MAX_PEELS = 16  # cap on boundary factors peeled off one weight
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,12 +96,15 @@ class OuterFunction:
 # exact path for commuting weights
 
 
-def _scalar_outer_coeffs(samples: np.ndarray) -> np.ndarray:
+def _scalar_outer_coeffs(samples: np.ndarray) -> np.ndarray | None:
     """Outer factor of a nonnegative scalar trig polynomial, from its roots.
 
     samples are the (real, positive) values on the midpoint grid.
     Returns ascending power-series coefficients g_0..g_d with
-    |g(e^{it})|^2 = the trig polynomial and g(0) > 0.
+    |g(e^{it})|^2 = the trig polynomial and g(0) > 0, or None when the
+    significant degree d reaches M/4: the samples are then not a
+    resolved trig polynomial, and root splitting would be O(M^3) work
+    whose result is rejected.
     """
     m_grid = samples.shape[0]
     sampling = BoundarySampling(samples[:, None, None].astype(complex))
@@ -104,6 +113,8 @@ def _scalar_outer_coeffs(samples: np.ndarray) -> np.ndarray:
     scale = float(np.abs(c).max())
     sig = np.abs(n_vals)[np.abs(c) > 1e-13 * scale]
     deg = int(sig.max()) if sig.size else 0
+    if deg >= m_grid // 4:
+        return None
     if deg == 0:
         return np.array([np.sqrt(float(np.real(c[n_vals == 0][0])))], dtype=complex)
 
@@ -186,7 +197,7 @@ def _commuting_factor(values: np.ndarray) -> np.ndarray | None:
     Returns the (K+1, l, l) coefficient stack of a (not yet normalized)
     factor, or None when the weight family does not commute.
     """
-    m_grid, dim = values.shape[0], values.shape[1]
+    dim = values.shape[1]
     scale = float(np.max(np.abs(values)))
     if dim == 1:
         basis = np.eye(1, dtype=complex)
@@ -201,14 +212,10 @@ def _commuting_factor(values: np.ndarray) -> np.ndarray | None:
             return None
         diag = rotated[:, idx, idx].real
 
-    channel_coeffs = []
-    top = 0
-    for i in range(diag.shape[1]):
-        g = _scalar_outer_coeffs(diag[:, i])
-        channel_coeffs.append(g)
-        top = max(top, g.size - 1)
-    if top > m_grid // 2 - 1:
+    channel_coeffs = [_scalar_outer_coeffs(diag[:, i]) for i in range(diag.shape[1])]
+    if any(g is None for g in channel_coeffs):
         return None
+    top = max(g.size - 1 for g in channel_coeffs)
     out = np.zeros((top + 1, dim, dim), dtype=complex)
     for i, g in enumerate(channel_coeffs):
         out[: g.size, i, i] = g
@@ -217,71 +224,46 @@ def _commuting_factor(values: np.ndarray) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# Bauer initialization and Wilson sweeps for general weights
+# edge deflation and Wilson sweeps for general weights
 
 
-def _bauer_init(v_coeffs_n, v_coeffs, dim: int, band: int, blocks: int) -> np.ndarray:
-    """Last block row of the banded Cholesky factor of the Toeplitz section.
+def _peel_edges(
+    values: np.ndarray, z: np.ndarray, floor: float
+) -> tuple[np.ndarray, list[tuple[float, np.ndarray, int]]]:
+    """Divide boundary Potapov factors E(z) = I -+ z P out of w.
 
-    Returns the coefficient stack Phi_0..Phi_band of the left-factor
-    estimate; blocks is the Toeplitz section size in blocks.
+    w(+-1) is summed from the Fourier series (sum of c_n, resp. of
+    (-1)^n c_n), which is spectrally accurate. While it has eigenvalues
+    at or below floor, P projects onto their span and w <- E^{-*} w E^{-1}.
+    Returns the remainder and (root, unitary, rank) per factor in peel
+    order; E = blaschke.elementary_matrix(unitary, rank, 1 - root z) on
+    the grid points z.
     """
-    lookup = np.zeros((band + 2, dim, dim), dtype=complex)
-    for i, n in enumerate(v_coeffs_n):
-        if 0 <= n <= band:
-            lookup[n] = v_coeffs[i]
-    n_scalar = blocks * dim
-    bw = (band + 1) * dim - 1
-    ab = np.zeros((bw + 1, n_scalar), dtype=complex)
-    cols = np.arange(n_scalar)
-    for off in range(bw + 1):
-        rows = cols + off
-        ok = rows < n_scalar
-        r, c = rows[ok], cols[ok]
-        d_blk = r // dim - c // dim
-        ab[off, ok] = lookup[np.minimum(d_blk, band + 1), r % dim, c % dim]
-    try:
-        chol = scipy.linalg.cholesky_banded(ab, lower=True)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NotPD(f"Toeplitz section not positive definite: {exc}") from None
-    phi = np.zeros((band + 1, dim, dim), dtype=complex)
-    base = (blocks - 1) * dim
-    for k in range(band + 1):
-        col0 = (blocks - 1 - k) * dim
-        for r in range(dim):
-            for c in range(dim):
-                off = base + r - (col0 + c)
-                if 0 <= off <= bw:
-                    phi[k, r, c] = chol[off, col0 + c]
-    return phi
+    peeled = []
+    while len(peeled) < _MAX_PEELS:
+        n_vals, c = linalg.fourier_coefficients(BoundarySampling(values))
+        for root in (1.0, -1.0):
+            lam, vec = np.linalg.eigh(np.einsum("n,nij->ij", root**n_vals, c))
+            rank = int(np.sum(lam <= floor))
+            if rank:
+                break
+        else:
+            break
+        unitary = vec.conj().T
+        e_inv = blaschke.elementary_matrix(unitary, rank, 1.0 / (1.0 - root * z))
+        values = e_inv.conj().transpose(0, 2, 1) @ values @ e_inv
+        peeled.append((root, unitary, rank))
+    return values, peeled
 
 
-def _significant_band(n_values: np.ndarray, coeffs: np.ndarray) -> int:
-    norms = np.max(np.abs(coeffs), axis=(1, 2))
-    floor = 1e-14 * max(norms.max(), 1e-300)
-    sig = np.abs(n_values)[norms > floor]
-    return int(sig.max()) if sig.size else 0
+def _wilson(v: np.ndarray, target: float) -> tuple[np.ndarray, int]:
+    """Left factor psi psi* = v on the grid; returns (psi, sweeps).
 
-
-def _wilson_factor(
-    values: np.ndarray, order: int, target: float
-) -> tuple[np.ndarray, np.ndarray, float, float, int]:
-    """Grid factorization; returns (coeffs, boundary, leak, trunc, sweeps)."""
-    m_grid, dim = values.shape[0], values.shape[1]
-    v = values.transpose(0, 2, 1)
-    n_vals, v_coeffs = linalg.fourier_coefficients(BoundarySampling(v))
-    band = _significant_band(n_vals, v_coeffs)
-
-    psi = None
-    if 0 < band and (band + 1) * dim <= 600:
-        blocks = min(max(4 * (band + 1), 32), 1024)
-        phi = _bauer_init(n_vals, v_coeffs, dim, band, blocks)
-        psi = linalg.synthesize_on_grid(np.arange(band + 1), phi, m_grid).values
-        if np.min(np.abs(np.linalg.det(psi))) < 1e-250:
-            psi = None
-    if psi is None:
-        psi = np.linalg.cholesky(np.mean(v, axis=0))[None].repeat(m_grid, axis=0)
-
+    Starts from the Cholesky factor of the mean of v and stops at target
+    or after four sweeps without a 30% gain; the caller checks the result.
+    """
+    m_grid, dim = v.shape[0], v.shape[1]
+    psi = np.linalg.cholesky(np.mean(v, axis=0))[None].repeat(m_grid, axis=0)
     eye = np.eye(dim)
     best = np.inf
     stall = 0
@@ -291,32 +273,17 @@ def _wilson_factor(
             inv_psi = np.linalg.inv(psi)
         except np.linalg.LinAlgError:
             raise NoConvergence(
-                f"iterate became singular at sweep {sweeps}; best residual {best:.3e}"
+                f"factorize: iterate singular, residual {best:.1e} above target "
+                f"{target:.1e} after {sweeps - 1} sweeps"
             ) from None
         ratio = inv_psi @ v @ inv_psi.conj().transpose(0, 2, 1) + eye
         psi = psi @ linalg.analytic_part(BoundarySampling(ratio)).values
-        res = float(np.max(operator_norm(psi @ psi.conj().transpose(0, 2, 1) - v)))
-        if res < best * 0.7:
-            stall = 0
-        else:
-            stall += 1
+        res = max_operator_norm(psi @ psi.conj().transpose(0, 2, 1) - v)
+        stall = 0 if res < best * 0.7 else stall + 1
         best = min(best, res)
         if res <= target or stall >= 4:
             break
-    if best > target:
-        raise NoConvergence(
-            f"residual {best:.3e} above target {target:.3e} after {sweeps} sweeps"
-        )
-
-    g_boundary = psi.transpose(0, 2, 1)
-    n_vals, g_coeffs = linalg.fourier_coefficients(BoundarySampling(g_boundary))
-    neg = n_vals < 0
-    leak = float(np.max(operator_norm(g_coeffs[neg]))) if neg.any() else 0.0
-    keep = (n_vals >= 0) & (n_vals <= order)
-    coeffs = g_coeffs[keep][np.argsort(n_vals[keep])]
-    synth = linalg.synthesize_on_grid(np.arange(coeffs.shape[0]), coeffs, m_grid).values
-    trunc = float(np.max(operator_norm(synth - g_boundary)))
-    return coeffs, g_boundary, leak, trunc, sweeps
+    return psi, sweeps
 
 
 def spectral_factorize(
@@ -328,21 +295,26 @@ def spectral_factorize(
 
     order is the series truncation K (default M/8, capped at M/2 - 1;
     the exact commuting path keeps its full polynomial degree even when
-    smaller). Raises NotPD for weights singular at a node (det below
-    tol.pd_floor) and NoConvergence if the boundary residual cannot be
-    driven below tol.fact_rel * max ||w||.
+    smaller). Weights the exact path does not take go to the deflated
+    Wilson path: boundary Potapov factors E at z = +-1 are peeled off
+    while w(+-1) has eigenvalues at or below tol.rank_rel * max ||w||,
+    Wilson factors the remainder, and G = G~ E_k ... E_1, whose series is
+    trimmed to order. E(0) = I, so G(0) is the remainder's. Raises NotPD
+    for weights singular at a node (det below tol.pd_floor) and
+    NoConvergence when the final residual max ||G* G - w|| is above
+    tol.fact_rel * max ||w||; both messages start with "factorize:".
     """
     m_grid = w.node_count
     values = 0.5 * (w.values + w.values.conj().transpose(0, 2, 1))
-    scale = float(np.max(operator_norm(values)))
+    scale = max_operator_norm(values)
     if scale <= 0.0:
-        raise NotPD("weight vanishes identically")
+        raise NotPD("factorize: weight vanishes identically")
     lam_min = float(np.min(np.linalg.eigvalsh(values)))
     dets = np.linalg.det(values).real
     if lam_min <= 0.0 or dets.min() < tol.pd_floor:
         raise NotPD(
-            f"weight not safely positive definite: min eig {lam_min:.3e}, "
-            f"min det {dets.min():.3e} (floor {tol.pd_floor:.1e})"
+            f"factorize: weight not safely positive definite: min eig {lam_min:.1e}, "
+            f"min det {dets.min():.1e} below floor {tol.pd_floor:.1e}"
         )
     if order is None:
         order = m_grid // 8
@@ -354,24 +326,35 @@ def spectral_factorize(
         boundary = linalg.synthesize_on_grid(
             np.arange(coeffs.shape[0]), coeffs, m_grid
         ).values
-        res = float(
-            np.max(operator_norm(boundary.conj().transpose(0, 2, 1) @ boundary - values))
-        )
-        if res <= target:
+        if max_operator_norm(boundary.conj().transpose(0, 2, 1) @ boundary - values) <= target:
             leak, trunc, sweeps = 0.0, 0.0, 0
         else:
             coeffs = None
     if coeffs is None:
-        coeffs, boundary, leak, trunc, sweeps = _wilson_factor(values, order, target)
+        z = np.exp(1j * w.theta)
+        remainder, peeled = _peel_edges(values, z, tol.rank_rel * scale)
+        # |E| <= 2 on the circle, so each factor can scale the residual by 4
+        psi, sweeps = _wilson(remainder.transpose(0, 2, 1), target / 4 ** len(peeled))
+        boundary = psi.transpose(0, 2, 1)
+        for root, unitary, rank in reversed(peeled):
+            boundary = boundary @ blaschke.elementary_matrix(unitary, rank, 1.0 - root * z)
+        n_vals, g_coeffs = linalg.fourier_coefficients(BoundarySampling(boundary))
+        leak = max_operator_norm(g_coeffs[n_vals < 0])
+        coeffs = g_coeffs[(n_vals >= 0) & (n_vals <= order)]
+        synth = linalg.synthesize_on_grid(np.arange(coeffs.shape[0]), coeffs, m_grid)
+        trunc = max_operator_norm(synth.values - boundary)
 
     u, _ = left_polar(coeffs[0], tol)
     omega = u.conj().T
     coeffs = np.einsum("ij,kjl->kil", omega, coeffs)
     coeffs[0] = 0.5 * (coeffs[0] + coeffs[0].conj().T)
     boundary = np.einsum("ij,mjl->mil", omega, boundary)
-    residual = float(
-        np.max(operator_norm(boundary.conj().transpose(0, 2, 1) @ boundary - values))
-    )
+    residual = max_operator_norm(boundary.conj().transpose(0, 2, 1) @ boundary - values)
+    if residual > target:
+        raise NoConvergence(
+            f"factorize: residual {residual:.1e} above target {target:.1e} "
+            f"after {sweeps} sweeps"
+        )
 
     out = OuterFunction(
         coeffs=coeffs,
@@ -391,10 +374,11 @@ def _check_zero_free(g: OuterFunction) -> None:
     z = (radii[:, None] * angles[None, :]).ravel()
     vals = g.eval_interior(z)
     dets = np.abs(np.linalg.det(vals))
-    det0 = abs(np.linalg.det(g.value_at_zero()))
-    if dets.min() < 1e-12 * det0:
+    floor = 1e-12 * abs(np.linalg.det(g.value_at_zero()))
+    if dets.min() < floor:
         raise NoConvergence(
-            f"factor has an interior zero (|det| = {dets.min():.3e}); not outer"
+            f"factorize: interior |det G| {dets.min():.1e} below target {floor:.1e} "
+            f"after {g.sweeps} sweeps; not outer"
         )
 
 
@@ -424,9 +408,11 @@ def det_szego_check(g: OuterFunction) -> tuple[float, float]:
     residual = |log |det G(0)| - boundary mean of log |det G||; an inner
     factor hiding in G shows up as a strictly positive residual (each
     Blaschke-type zero z0 contributes -log |z0|). estimate is the
-    quadrature coarse/fine difference. Wilson-path factors of weights
-    vanishing between nodes keep an O(1/M) gap to the continuum factor,
-    so their residual floor sits near 1e-5 rather than rounding level.
+    quadrature coarse/fine difference. Even-order zeros at z = +-1 are
+    peeled off exactly, so such weights reach rounding level. Only a zero
+    of non-integer order keeps an O(M^-p) gap to the continuum factor;
+    then the residual floor sits near the estimate (1.6e-5 for
+    |2 sin t|^{3/2} at M = 2048).
     """
     mean, est = boundary_logdet_mean(g)
     det0 = abs(np.linalg.det(g.value_at_zero()))

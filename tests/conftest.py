@@ -76,3 +76,52 @@ def haar_frames(states, rng: np.random.Generator):
             v = v @ np.linalg.qr(g)[0]
         out.append((z, v))
     return out
+
+
+def _matrix_json(m) -> dict:
+    m = np.asarray(m, dtype=complex)
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def noncommuting_document(dim: int, order: int) -> dict:
+    """Semicircle and arcsine channels under a fixed Givens frame, plus a
+    mass at -2.7 off the channel basis, auto-normalized. The normalizing
+    congruence mixes the channels, so the weight does not commute and
+    loses rank one at z = +-1."""
+    frame = np.eye(dim)
+    for i in range(dim - 1):
+        c, s = np.cos(0.5 + 0.3 * i), np.sin(0.5 + 0.3 * i)
+        g = np.eye(dim)
+        g[i : i + 2, i : i + 2] = [[c, -s], [s, c]]
+        frame = g @ frame
+    overlaps = np.full(dim, np.sqrt(0.5 / (dim - 1)))
+    overlaps[0] = np.sqrt(0.5)
+    v = frame.T @ overlaps
+    return {
+        "dim": dim,
+        "density": {
+            "family": "conjugated_diagonal",
+            "channels": [{"family": "semicircle"}] + [{"family": "arcsine"}] * (dim - 1),
+            "unitary": _matrix_json(frame),
+        },
+        "masses": [{"energy": -2.7, "weight": _matrix_json(0.2 * np.outer(v, v))}],
+        "quad_order": order,
+        "normalize": "auto",
+    }
+
+
+def edge_table_document(order: int) -> dict:
+    """Table of sqrt(4 - x^2) (A0 + x A1) / (2 pi) with A0, A1 not commuting
+    and A0 +- 2 A1 positive definite: a common zero at both band edges."""
+    from matszego.linalg import midpoint_nodes
+
+    a0 = np.array([[2.0, 0.5j], [-0.5j, 1.5]])
+    a1 = np.array([[0.3, 0.2], [0.2, -0.4]])
+    x = 2.0 * np.cos(midpoint_nodes(order))
+    f = np.sqrt(4.0 - x * x)[:, None, None] / (2.0 * np.pi) * (a0 + x[:, None, None] * a1)
+    return {
+        "dim": 2,
+        "density": {"family": "table", "values": [_matrix_json(s) for s in f]},
+        "quad_order": order,
+        "normalize": "auto",
+    }

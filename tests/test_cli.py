@@ -8,7 +8,7 @@ import pytest
 from matszego import blaschke
 from matszego.cli import main
 
-from conftest import SPECS_DIR
+from conftest import SPECS_DIR, noncommuting_document
 
 FREE = str(SPECS_DIR / "free_semicircle.json")
 MASS = str(SPECS_DIR / "semicircle_mass.json")
@@ -139,6 +139,58 @@ class TestExitCodes:
         monkeypatch.setenv("MATSZEGO_TOLERANCES", '{"norm": 1e-6}')
         code, _, _ = run(capsys, "check-measure", FREE)
         assert code == 0
+
+    def test_factor_failure_names_its_stage(self, capsys, monkeypatch, tmp_path):
+        spec = tmp_path / "noncommuting.json"
+        spec.write_text(json.dumps(noncommuting_document(2, 256)))
+        monkeypatch.setenv("MATSZEGO_TOLERANCES", '{"fact_rel": 1e-18}')
+        code, _, err = run(capsys, "factorize", str(spec))
+        assert code == 4
+        assert err.startswith("numerical error: factorize: residual ")
+        assert "above target" in err and "sweeps" in err
+
+
+# Report bounds of the benchmark's checks: the factor residual target is
+# fact_rel times max |w|, below 10 on a normalized measure.
+FACTOR_RESIDUAL = 10.0 * 1e-8
+UNITARITY_DEFECT = 1e-10
+KERNEL_ANGLE = 1e-6
+
+
+class TestNonCommutingEndToEnd:
+    @pytest.fixture(scope="class")
+    def reports(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("noncommuting")
+        spec = root / "noncommuting_2_m1024.json"
+        spec.write_text(json.dumps(noncommuting_document(2, 1024)))
+        out = {}
+        for command, *args in (("factorize",), ("blaschke",),
+                               ("limit", "--radius", "0.8", "--angles", "24")):
+            target = root / command
+            code = main([command, str(spec), *args, "--out", str(target)])
+            report = target / "report.json"
+            out[command] = (code, json.loads(report.read_text()) if code == 0 else None)
+        return out
+
+    def test_factorize(self, reports):
+        code, r = reports["factorize"]
+        assert code == 0
+        assert r["residual"] <= FACTOR_RESIDUAL
+        assert r["det_szego_residual"] <= max(2.0 * r["det_szego_estimate"], 1e-8)
+        assert min(r["value_at_zero_eigenvalues"]) > 0.0
+
+    def test_blaschke(self, reports):
+        code, r = reports["blaschke"]
+        assert code == 0
+        assert r["boundary_unitarity_defect"] <= UNITARITY_DEFECT
+        assert max(r["kernel_angles"], default=0.0) <= KERNEL_ANGLE
+        assert r["det_at_zero"] == pytest.approx(r["det_at_zero_expected"], rel=1e-10)
+
+    def test_limit(self, reports):
+        code, r = reports["limit"]
+        assert code == 0
+        assert r["factor_residual"] <= FACTOR_RESIDUAL
+        assert min(r["value_at_zero_eigenvalues"]) > 0.0
 
 
 class TestCommands:

@@ -1,10 +1,14 @@
 """Spectral factorization of boundary weights and its diagnostics."""
 
+import json
+
 import numpy as np
 import pytest
 
+from matszego import specio
+from matszego.blaschke import elementary_matrix
 from matszego.errors import NotPD, RadiusExceeded
-from matszego.linalg import BoundarySampling, operator_norm
+from matszego.linalg import BoundarySampling, max_operator_norm, midpoint_nodes, operator_norm
 from matszego.measure import szego_weight
 from matszego.outer import (
     boundary_logdet_mean,
@@ -12,8 +16,14 @@ from matszego.outer import (
     s_function,
     spectral_factorize,
 )
+from matszego.tolerances import DEFAULT
 
-from conftest import random_smooth_weight
+from conftest import (
+    SHIPPED,
+    edge_table_document,
+    noncommuting_document,
+    random_smooth_weight,
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +73,23 @@ class TestClosedForms:
         assert eigs[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-10)
         assert eigs[1] == pytest.approx(1.0, abs=1e-10)
 
+    def test_shipped_weights_use_exact_path(self, shipped_measures):
+        for name in SHIPPED:
+            assert spectral_factorize(szego_weight(shipped_measures[name])).sweeps == 0, name
+
+    def test_unresolved_channel_skips_root_splitting(self, monkeypatch):
+        # |2 sin t|^{3/2} is no trig polynomial: its significant degree
+        # reaches M/4, so the exact path gives up before root splitting
+        def refuse(poly):
+            raise AssertionError("polyroots called on an unresolved channel")
+
+        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", refuse)
+        theta = midpoint_nodes(2048)
+        w = BoundarySampling(np.abs(2.0 * np.sin(theta))[:, None, None] ** 1.5)
+        g = spectral_factorize(w)
+        assert g.sweeps > 0
+        assert g.residual <= DEFAULT.fact_rel * max_operator_norm(w.values)
+
     def test_order_does_not_change_exact_factors(self, semicircle_measure):
         w = szego_weight(semicircle_measure)
         g1 = spectral_factorize(w, order=8)
@@ -96,6 +123,45 @@ class TestRandomWeights:
 
     def test_truncation_bound_controls_gap(self, semicircle_factor):
         assert semicircle_factor.truncation_defect < 1e-10
+
+
+EDGE_DOCUMENTS = {
+    "noncommuting_2_m256": noncommuting_document(2, 256),
+    "noncommuting_2_m1024": noncommuting_document(2, 1024),
+    "edge_table_m256": edge_table_document(256),
+}
+
+
+class TestEdgeDeflation:
+    @pytest.mark.parametrize("name", sorted(EDGE_DOCUMENTS))
+    def test_edge_zero_families_factor_to_rounding(self, name):
+        text = json.dumps(EDGE_DOCUMENTS[name])
+        w = szego_weight(specio.build_measure(specio.parse_measure_spec(text)))
+        g = spectral_factorize(w)
+        assert g.sweeps > 0  # non-commuting: the Wilson path ran
+        assert g.residual <= DEFAULT.fact_rel * max_operator_norm(w.values)
+        residual, _ = det_szego_check(g)
+        assert residual <= 1e-12
+        assert g.truncation_defect <= 1e-9
+        g0 = g.value_at_zero()
+        assert float(operator_norm(g0 - g0.conj().T)) < 1e-12
+        assert float(np.min(np.linalg.eigvalsh(g0))) > 0.0
+
+    @pytest.mark.parametrize("root", [1.0, -1.0])
+    def test_edge_factor(self, root):
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        unitary, rank = q.conj().T, 2
+        proj = unitary[:rank].conj().T @ unitary[:rank]
+        z = np.exp(1j * midpoint_nodes(64))
+        b = 1.0 - root * z
+        e = elementary_matrix(unitary, rank, b)
+        gram = e.conj().transpose(0, 2, 1) @ e
+        expected = (np.eye(3) - proj)[None] + (np.abs(b) ** 2)[:, None, None] * proj[None]
+        assert float(np.max(np.abs(gram - expected))) < 1e-13
+        assert np.allclose(np.linalg.det(e), b**rank, rtol=0.0, atol=1e-13)
+        e0 = elementary_matrix(unitary, rank, np.ones(1))
+        assert float(np.max(np.abs(e0[0] - np.eye(3)))) < 1e-14
 
 
 class TestPositivityGuards:
