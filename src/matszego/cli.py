@@ -180,10 +180,10 @@ def _run_recurrence(args, mu, tol):
 
 
 def _run_factorize(args, mu, tol):
-    if args.order is not None and args.order < 0:
-        raise ParseError(f"--order must be nonnegative, got {args.order}")
+    if args.order is not None:
+        print("note: --order is ignored; the factor sets its series length", file=sys.stderr)
     w = ms.szego_weight(mu)
-    g = sf.spectral_factorize(w, order=args.order, tol=tol)
+    g = sf.spectral_factorize(w, tol=tol)
     det_res, det_est = sf.det_szego_check(g)
     s_vals = sf.s_function(g, tol).values
     s_defect = float(
@@ -391,8 +391,6 @@ def _canonical_command(args) -> str:
     parts = [args.command]
     if args.command == "recurrence":
         parts += ["--n", str(args.n), "--type", args.norm_type]
-    elif args.command == "factorize" and args.order is not None:
-        parts += ["--order", str(args.order)]
     elif args.command == "limit":
         parts += ["--radius", repr(args.radius), "--angles", str(args.angles)]
     elif args.command == "verify":
@@ -428,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", dest="norm_type", default="type1",
                    choices=("type1", "type2", "type3"), help="normalization type")
     p = add("factorize", "outer spectral factor of the boundary weight")
-    p.add_argument("--order", type=int, default=None, help="series truncation order")
+    p.add_argument("--order", help=argparse.SUPPRESS)  # legacy, ignored
     add("blaschke", "mass-pinned product with kernel certification")
     p = add("limit", "evaluate the limit function on a disk grid")
     p.add_argument("--radius", type=float, default=0.8, help="outer grid radius")

@@ -8,7 +8,7 @@ so G(0) is Hermitian positive definite. Two construction paths:
   eigenvalue channel that is a resolved nonnegative scalar trigonometric
   polynomial is factored exactly by root splitting, with explicit
   deflation of zeros at z = +-1. Exact to rounding even when the weight
-  vanishes on the circle.
+  vanishes on the circle; the series is the polynomial.
 * general weights: deflated Wilson iteration. While w(1) or w(-1),
   summed from the Fourier series of w, has a kernel with projector P,
   the boundary Potapov factor E(z) = I -+ z P is peeled off,
@@ -19,7 +19,8 @@ so G(0) is Hermitian positive definite. Two construction paths:
   smooth remainder on the grid, and G = G~ E_k ... E_1 puts the edge
   zeros back. Spectrally accurate for weights whose zeros on the circle
   are even-order zeros at z = +-1; a zero of non-integer order keeps an
-  O(M^-p) gap to the continuum factor.
+  O(M^-p) gap to the continuum factor. The series is cut after G's
+  significant Fourier band, at most M/8.
 
 Left-factor algorithms produce psi with psi psi* = v; the right factor
 comes from the transpose trick: run them on v = w^T (entrywise
@@ -92,6 +93,13 @@ class OuterFunction:
         return out
 
 
+def _band_degree(n_vals: np.ndarray, coeffs: np.ndarray) -> int:
+    """Largest |n| whose (l, l) coefficient has norm above 1e-13 times the largest."""
+    norms = np.linalg.norm(coeffs, axis=(1, 2))
+    sig = np.abs(n_vals)[norms > 1e-13 * norms.max()]
+    return int(sig.max()) if sig.size else 0
+
+
 # ---------------------------------------------------------------------------
 # exact path for commuting weights
 
@@ -111,8 +119,7 @@ def _scalar_outer_coeffs(samples: np.ndarray) -> np.ndarray | None:
     n_vals, coeffs = linalg.fourier_coefficients(sampling)
     c = coeffs[:, 0, 0]
     scale = float(np.abs(c).max())
-    sig = np.abs(n_vals)[np.abs(c) > 1e-13 * scale]
-    deg = int(sig.max()) if sig.size else 0
+    deg = _band_degree(n_vals, coeffs)
     if deg >= m_grid // 4:
         return None
     if deg == 0:
@@ -286,39 +293,34 @@ def _wilson(v: np.ndarray, target: float) -> tuple[np.ndarray, int]:
     return psi, sweeps
 
 
-def spectral_factorize(
-    w: BoundarySampling,
-    order: int | None = None,
-    tol: Tolerances = DEFAULT,
-) -> OuterFunction:
+def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterFunction:
     """Factor w = G* G with G outer and G(0) Hermitian PD.
 
-    order is the series truncation K (default M/8, capped at M/2 - 1;
-    the exact commuting path keeps its full polynomial degree even when
-    smaller). Weights the exact path does not take go to the deflated
-    Wilson path: boundary Potapov factors E at z = +-1 are peeled off
-    while w(+-1) has eigenvalues at or below tol.rank_rel * max ||w||,
-    Wilson factors the remainder, and G = G~ E_k ... E_1, whose series is
-    trimmed to order. E(0) = I, so G(0) is the remainder's. Raises NotPD
-    for weights singular at a node (det below tol.pd_floor) and
-    NoConvergence when the final residual max ||G* G - w|| is above
-    tol.fact_rel * max ||w||; both messages start with "factorize:".
+    Weights the exact path does not take go to the deflated Wilson path:
+    boundary Potapov factors E at z = +-1 are peeled off while w(+-1) has
+    eigenvalues at or below tol.rank_rel * max ||w||, Wilson factors the
+    remainder, and G = G~ E_k ... E_1. E(0) = I, so G(0) is the
+    remainder's. The factor sets its series length: the exact path keeps
+    its polynomial, and Wilson's series is cut after its last coefficient
+    k <= M/8 of norm above 1e-13 times the largest (_band_degree), so an
+    unresolved weight stops at M/8. Raises NotPD for weights singular at
+    a node (det below tol.pd_floor) and NoConvergence when the final
+    residual max ||G* G - w|| is above tol.fact_rel * max ||w||; both
+    messages start with "factorize:".
     """
     m_grid = w.node_count
     values = 0.5 * (w.values + w.values.conj().transpose(0, 2, 1))
-    scale = max_operator_norm(values)
+    eigs = np.linalg.eigvalsh(values)
+    scale = float(np.max(np.abs(eigs)))  # Hermitian: the operator norm
     if scale <= 0.0:
         raise NotPD("factorize: weight vanishes identically")
-    lam_min = float(np.min(np.linalg.eigvalsh(values)))
+    lam_min = float(np.min(eigs))
     dets = np.linalg.det(values).real
     if lam_min <= 0.0 or dets.min() < tol.pd_floor:
         raise NotPD(
             f"factorize: weight not safely positive definite: min eig {lam_min:.1e}, "
             f"min det {dets.min():.1e} below floor {tol.pd_floor:.1e}"
         )
-    if order is None:
-        order = m_grid // 8
-    order = min(order, m_grid // 2 - 1)
     target = tol.fact_rel * scale
 
     coeffs = _commuting_factor(values)
@@ -340,7 +342,8 @@ def spectral_factorize(
             boundary = boundary @ blaschke.elementary_matrix(unitary, rank, 1.0 - root * z)
         n_vals, g_coeffs = linalg.fourier_coefficients(BoundarySampling(boundary))
         leak = max_operator_norm(g_coeffs[n_vals < 0])
-        coeffs = g_coeffs[(n_vals >= 0) & (n_vals <= order)]
+        head = g_coeffs[(n_vals >= 0) & (n_vals <= m_grid // 8)]
+        coeffs = head[: _band_degree(np.arange(head.shape[0]), head) + 1]
         synth = linalg.synthesize_on_grid(np.arange(coeffs.shape[0]), coeffs, m_grid)
         trunc = max_operator_norm(synth.values - boundary)
 

@@ -47,8 +47,6 @@ from .errors import ParseError
 from .linalg import is_node_count
 from .tolerances import DEFAULT, Tolerances
 
-SPEC_VERSION = 1
-
 
 def _fail(path: str, message: str) -> ParseError:
     return ParseError(f"{path}: {message}")

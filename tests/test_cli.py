@@ -117,16 +117,6 @@ class TestExitCodes:
         assert code == 2
         assert "parse error: integer literal longer than" in err
 
-    def test_negative_order_is_parse_error(self, capsys, small_spec):
-        spec = small_spec("noncommuting", density={
-            "family": "table",
-            "values": [{"re": [[2.0, c], [c, 1.0]], "im": [[0.0, c], [-c, 0.0]]}
-                       for c in (0.1, 0.3, 0.5, 0.6, 0.6, 0.5, 0.3, 0.1)],
-        }, dim=2)
-        code, _, err = run(capsys, "factorize", spec, "--order", "-1")
-        assert code == 2
-        assert "--order must be nonnegative" in err
-
     def test_bad_tolerance_override_is_parse_error(self, capsys, monkeypatch):
         for key in ("nope", "lin_rel", "pole_proximity"):
             monkeypatch.setenv("MATSZEGO_TOLERANCES", json.dumps({key: 1e-6}))
@@ -285,6 +275,22 @@ class TestArtifacts:
         assert len(manifest["spec_sha256"]) == 64
         assert "seed" not in manifest
         assert manifest["tolerance_overrides"] == {}
+
+    def test_legacy_order_flag_has_no_effect(self, capsys, tmp_path, small_spec):
+        spec = small_spec("noncommuting", density={
+            "family": "table",
+            "values": [{"re": [[2.0, c], [c, 1.0]], "im": [[0.0, c], [-c, 0.0]]}
+                       for c in (0.1, 0.3, 0.5, 0.6, 0.6, 0.5, 0.3, 0.1)],
+        }, dim=2)
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        code, _, _ = run(capsys, "factorize", spec, "--out", str(d1))
+        assert code == 0
+        code, _, err = run(capsys, "factorize", spec, "--order", "0", "--out", str(d2))
+        assert code == 0
+        assert "--order is ignored" in err
+        for name in sorted(p.name for p in d1.iterdir()):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+        assert json.loads((d2 / "manifest.json").read_text())["command"] == "factorize"
 
     def test_report_json_is_plain_data(self, capsys, tmp_path, small_spec):
         spec = small_spec("free")

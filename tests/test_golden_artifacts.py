@@ -34,7 +34,7 @@ SCALAR_JOBS = (
 )
 MATRIX_JOBS = (
     ("check-measure",),
-    ("factorize", "--order", "512"),
+    ("factorize",),
     ("blaschke",),
     ("limit", "--radius", "0.8", "--angles", "24"),
 )
