@@ -430,11 +430,20 @@ def inner_product(measure: MatrixMeasure, fv, fe, gv, ge) -> np.ndarray:
 
     fv, gv hold f and g at the quadrature abscissae x_nodes, shapes
     (M, l, k) and (M, l, k'); fe, ge hold them at the mass energies,
-    shapes (K, l, k) and (K, l, k'). The result is (k, k'). Each part is
-    one GEMM: the weights are applied node by node to g, and the sum over
-    nodes and rows is a single product of (M l, k) and (M l, k') matrices.
+    shapes (K, l, k) and (K, l, k'). The result is (k, k'). The grid
+    part runs over chunks of (1 << 14) // (l (k + k')) nodes, about
+    256 KB of f and g values: in each the weights are applied node by
+    node to g, and the sum over nodes and rows is one product of
+    (chunk l, k) and (chunk l, k') matrices. So a wide column stack
+    never allocates an (M, l, k') temporary. The mass part is one GEMM.
     """
-    out = _row_sum(fv, measure.weight.values @ gv) / measure.quad_order
+    m_grid = measure.quad_order
+    w = measure.weight.values
+    step = max(1, (1 << 14) // (measure.dim * (fv.shape[-1] + gv.shape[-1])))
+    out = sum(
+        _row_sum(fv[a : a + step], w[a : a + step] @ gv[a : a + step])
+        for a in range(0, m_grid, step)
+    ) / m_grid
     if measure.bound_states:
         out += _row_sum(fe, measure.mass_weights @ ge)
     return out

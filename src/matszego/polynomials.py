@@ -198,19 +198,32 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
 
 
 def orthonormality_defect(seq: PolySequence, max_degree: int | None = None) -> float:
-    """max over 0 <= i <= j <= n of ||<<p_i, p_j>> - delta_ij I||."""
+    """max over 0 <= i <= j <= n of ||<<p_i, p_j>> - delta_ij I||.
+
+    The whole window Gram matrix [<<p_i, p_j>>] is one inner_product of
+    the column-stacked values [p_0 ... p_n] with themselves; for the
+    stieltjes output the stack is a view of its buffer. A window below
+    degree 0 raises ValidationError rather than certify nothing.
+    """
     n = seq.degree if max_degree is None else min(max_degree, seq.degree)
-    measure = seq.measure
-    worst = 0.0
-    eye = np.eye(measure.dim)
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            g = inner_product(measure, seq.grid_values[i], seq.mass_values[i],
-                              seq.grid_values[j], seq.mass_values[j])
-            if i == j:
-                g = g - eye
-            worst = max(worst, float(operator_norm(g)))
-    return worst
+    if n < 0:
+        raise ValidationError(f"max_degree must be >= 0, got {max_degree}")
+    l = seq.measure.dim
+
+    def stack(v):  # (n + 1, N, l, l) -> (N, l, (n + 1) l): p_0 .. p_n side by side
+        return v[: n + 1].transpose(1, 2, 0, 3).reshape(v.shape[1], l, (n + 1) * l)
+
+    fv, fe = stack(seq.grid_values), stack(seq.mass_values)
+    gram = inner_product(seq.measure, fv, fe, fv, fe)
+    i, j = np.triu_indices(n + 1)
+    blocks = gram.reshape(n + 1, l, n + 1, l).transpose(0, 2, 1, 3)[i, j]
+    blocks[i == j] -= np.eye(l)
+    return max_operator_norm(blocks)
+
+
+def _times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v_k m for every leading index k, as one (N l, l) x (l, l) GEMM."""
+    return (v.reshape(-1, m.shape[0]) @ m).reshape(v.shape)
 
 
 def recurrence_residual(seq: PolySequence) -> float:
@@ -218,16 +231,12 @@ def recurrence_residual(seq: PolySequence) -> float:
     a, b = seq.jacobi.a, seq.jacobi.b
     p = seq.grid_values
     x = seq.measure.x_nodes[:, None, None]
-
-    def times(v, m):  # v_m m for every node, as one GEMM
-        return (v.reshape(-1, m.shape[0]) @ m).reshape(v.shape)
-
     worst = 0.0
     for n in range(seq.degree):
-        res = x * p[n] - times(p[n + 1], a[n].conj().T)
-        res -= times(p[n], b[n])
+        res = x * p[n] - _times(p[n + 1], a[n].conj().T)
+        res -= _times(p[n], b[n])
         if n > 0:
-            res -= times(p[n - 1], a[n - 1])
+            res -= _times(p[n - 1], a[n - 1])
         worst = max(worst, max_operator_norm(res))
     return worst
 
@@ -341,7 +350,8 @@ def eval_scaled_many(jacobi: BlockJacobi, n_list, z_arr: np.ndarray) -> np.ndarr
 
         q_{k+1} = ((1 + z^2) q_k - z q_k B_{k+1} - z^2 q_{k-1} A_k) (A_{k+1}^*)^{-1}
 
-    serves all requested degrees.
+    serves all requested degrees. Each right multiplication by a block
+    is one panel GEMM, (len(z_arr) l, l) x (l, l), over all points.
     """
     n_list = list(n_list)
     n_top = max(n_list)
@@ -362,10 +372,10 @@ def eval_scaled_many(jacobi: BlockJacobi, n_list, z_arr: np.ndarray) -> np.ndarr
             out[slot] = cur
     inv_adj = np.linalg.inv(jacobi.a.conj().transpose(0, 2, 1))
     for k in range(n_top):
-        nxt = (1.0 + z2) * cur - z1 * (cur @ jacobi.b[k])
+        nxt = (1.0 + z2) * cur - z1 * _times(cur, jacobi.b[k])
         if k > 0:
-            nxt -= z2 * (prev @ jacobi.a[k - 1])
-        nxt = nxt @ inv_adj[k]
+            nxt -= z2 * _times(prev, jacobi.a[k - 1])
+        nxt = _times(nxt, inv_adj[k])
         prev, cur = cur, nxt
         for slot, n in enumerate(n_list):
             if n == k + 1:

@@ -307,6 +307,22 @@ class TestInnerProduct:
         assert got.shape == (2, 4)
         assert float(np.max(np.abs(got - expected))) < 1e-13
 
+    @pytest.mark.parametrize("k, k2", [(150, 90), (7, 400), (300, 300)])
+    def test_wide_stacks_match_an_einsum(self, table_measure, k, k2):
+        # node chunks of (1 << 14) // (l (k + k')) nodes: 2 to 8 chunks
+        # over the 64 nodes, the last one short
+        mu = table_measure
+        assert 64 % ((1 << 14) // (3 * (k + k2))) != 0
+        rng = np.random.default_rng(k + k2)
+        shape = lambda n, c: rng.standard_normal((n, 3, c)) + 1j * rng.standard_normal((n, 3, c))
+        fv, gv = shape(64, k), shape(64, k2)
+        fe, ge = shape(2, k), shape(2, k2)
+        expected = np.einsum("mik,mij,mjc->kc", fv.conj(), mu.weight.values, gv) / 64
+        expected += np.einsum("mik,mij,mjc->kc", fe.conj(), mu.mass_weights, ge)
+        got = inner_product(mu, fv, fe, gv, ge)
+        assert got.shape == (k, k2)
+        assert float(np.max(np.abs(got - expected))) < 1e-13 * float(np.max(np.abs(expected)))
+
     def test_whitening_roots_rebuild_the_weights(self, table_measure):
         mu = table_measure
         c = mu.weight_root

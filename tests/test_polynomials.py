@@ -13,6 +13,7 @@ from matszego.measure import (
     ConjugatedDiagonalDensity,
     SemicircleDensity,
     TableDensity,
+    inner_product,
     make_measure,
 )
 from matszego.polynomials import (
@@ -26,6 +27,8 @@ from matszego.polynomials import (
     to_type,
     type_defect,
 )
+
+from conftest import random_smooth_weight
 
 N_SMALL = 24
 
@@ -79,6 +82,55 @@ class TestScalarOracles:
         root = np.sqrt(w[0, 0].real)
         amps = root * np.abs(mass_sequence.mass_values[:, 0, 0, 0])
         assert float(amps.max()) <= 1.0 + 1e-8
+
+
+def _random_measure(l, m_grid, seed):
+    """Table weight with a far rank-deficient mass and a near-band mass."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(l) + 1j * rng.standard_normal(l)
+    far = 0.05 * np.outer(v, v.conj())  # rank one (full rank only when l = 1)
+    near = 0.05 * np.eye(l, dtype=complex)
+    if l > 1:  # rank l - 1: the complement of v
+        near -= 0.05 * np.outer(v, v.conj()) / (v.conj() @ v)
+    samples = random_smooth_weight(rng, l, m_grid)
+    return make_measure(TableDensity(samples), [(-2.7, far), (2.03, near)], quad_order=m_grid)
+
+
+class TestGramDefect:
+    # (l, M, n, window): the defect's node chunks, (1 << 14) // (2 l (w + 1) l)
+    # nodes, never divide M, and there are at least two of them
+    CASES = [(1, 512, 40, 40), (2, 256, 30, 20), (3, 128, 24, 24), (4, 128, 20, 12)]
+
+    @pytest.mark.parametrize("l, m_grid, n, window", CASES)
+    def test_matches_pairwise_inner_products(self, l, m_grid, n, window):
+        mu = _random_measure(l, m_grid, seed=100 + l)
+        step = (1 << 14) // (2 * l * l * (window + 1))
+        assert step < m_grid and m_grid % step != 0
+        seq = stieltjes(mu, n)
+        assert [s.multiplicity for s in mu.bound_states] == [1, max(1, l - 1)]
+        assert np.any(seq.mass_values[-1, 1] != 0)  # the near-band mass is still live
+
+        gv, mv = seq.grid_values, seq.mass_values
+        pairs = {
+            (i, j): inner_product(mu, gv[i], mv[i], gv[j], mv[j]) - (i == j) * np.eye(l)
+            for i in range(window + 1) for j in range(i, window + 1)
+        }
+        cols = (window + 1) * l
+        fv = gv[: window + 1].transpose(1, 2, 0, 3).reshape(m_grid, l, cols)
+        fe = mv[: window + 1].transpose(1, 2, 0, 3).reshape(2, l, cols)
+        gram = inner_product(mu, fv, fe, fv, fe) - np.eye(cols)
+        for (i, j), ref in pairs.items():
+            block = gram[i * l : (i + 1) * l, j * l : (j + 1) * l]
+            assert float(np.max(np.abs(block - ref))) < 1e-14
+
+        for w in sorted({0, 1, window // 2, window}):
+            ref = max(float(operator_norm(g)) for (i, j), g in pairs.items() if j <= w)
+            assert abs(orthonormality_defect(seq, w) - ref) < 1e-14
+        assert orthonormality_defect(seq, n + 5) == orthonormality_defect(seq)
+
+    def test_negative_window_raises(self, semicircle_seq):
+        with pytest.raises(ValidationError):
+            orthonormality_defect(semicircle_seq, -1)
 
 
 def _mp_matrix(a):
@@ -149,24 +201,41 @@ class TestMultiprecisionOracle:
         assert float(np.max(np.abs(jac.b - b_ref))) < 1e-12
 
 
+@pytest.fixture(scope="module")
+def deep_measure():
+    # l = 4, M = 512 with a slowly decaying mass that forces a full
+    # re-orthogonalization pass nearly every step up to n = 100
+    u = np.linalg.qr(np.arange(16.0).reshape(4, 4) ** 0.5 + np.eye(4))[0]
+    density = ConjugatedDiagonalDensity(
+        [SemicircleDensity(1), ArcsineDensity(1)] * 2, unitary=u
+    )
+    masses = [(2.08, 0.1 * np.outer(u[0], u[0])), (-2.6, 0.1 * np.outer(u[3], u[3]))]
+    return make_measure(density, masses, quad_order=512)
+
+
 class TestMemory:
-    def test_peak_stays_near_the_returned_values(self):
-        # l = 4, M = 512, n = 100 with a slowly decaying mass that forces a
-        # full re-orthogonalization pass nearly every step: the buffer is
-        # the output, so a copy of the basis or of a window would show
-        u = np.linalg.qr(np.arange(16.0).reshape(4, 4) ** 0.5 + np.eye(4))[0]
-        density = ConjugatedDiagonalDensity(
-            [SemicircleDensity(1), ArcsineDensity(1)] * 2, unitary=u
-        )
-        masses = [(2.08, 0.1 * np.outer(u[0], u[0])), (-2.6, 0.1 * np.outer(u[3], u[3]))]
-        mu = make_measure(density, masses, quad_order=512)
+    def test_peak_stays_near_the_returned_values(self, deep_measure):
+        # the buffer is the output, so a copy of the basis or of a window would show
         tracemalloc.start()
         try:
-            seq = stieltjes(mu, 100)
+            seq = stieltjes(deep_measure, 100)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * seq.grid_values.nbytes
+
+    def test_defect_never_stacks_the_whole_grid(self, deep_measure):
+        # grid_values is 13 MB and the window's weighted stack (M, l, 31 l)
+        # would be 4 MB; the node chunks keep the peak at the Gram matrix
+        seq = stieltjes(deep_measure, 100)
+        assert seq.grid_values.nbytes > 13e6
+        tracemalloc.start()
+        try:
+            orthonormality_defect(seq, 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +332,12 @@ class TestCovariance:
             assert float(operator_norm(jac_u.b[k] - u.conj().T @ jac.b[k] @ u)) < 1e-8
 
 
+@pytest.fixture(scope="module")
+def matrix4_seq():
+    samples = random_smooth_weight(np.random.default_rng(44), 4, 256)
+    return stieltjes(make_measure(TableDensity(samples), quad_order=256), N_SMALL)
+
+
 class TestEvaluation:
     def test_leading_coeffs_inverse_products(self, arcsine_seq):
         jac = arcsine_seq.jacobi
@@ -288,14 +363,16 @@ class TestEvaluation:
             got = eval_scaled_many(jac, [n], np.zeros(1))[0, 0]
             assert np.allclose(got, leading_coeffs(jac, n)[n], atol=1e-12)
 
-    def test_eval_scaled_many_batches(self, semicircle_seq):
-        zs = np.array([0.1, 0.5j, -0.3 + 0.2j])
-        batch = eval_scaled_many(semicircle_seq.jacobi, [2, 7], zs)
-        assert batch.shape == (2, 3, 1, 1)
-        for i, n in enumerate((2, 7)):
-            for j, z in enumerate(zs):
-                single = eval_scaled_many(semicircle_seq.jacobi, [n], zs[j : j + 1])[0, 0]
-                assert np.allclose(batch[i, j], single, atol=1e-13)
+    def test_eval_scaled_many_batches(self, semicircle_seq, matrix4_seq):
+        zs = np.array([0.1, 0.5j, -0.3 + 0.2j, 0.7 - 0.6j])
+        degrees = (0, 2, 7, N_SMALL)
+        for jac in (semicircle_seq.jacobi, matrix4_seq.jacobi):
+            batch = eval_scaled_many(jac, degrees, zs)
+            assert batch.shape == (4, 4, jac.dim, jac.dim)
+            for i, n in enumerate(degrees):
+                for j in range(len(zs)):
+                    single = eval_scaled_many(jac, [n], zs[j : j + 1])[0, 0]
+                    assert float(np.max(np.abs(batch[i, j] - single))) < 1e-13
 
     def test_eval_scaled_rejects_outside_disk(self, semicircle_seq):
         with pytest.raises(RadiusExceeded):
