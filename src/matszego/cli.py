@@ -17,7 +17,6 @@ overriding tolerance fields; overrides are echoed into the manifest.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import traceback
@@ -31,7 +30,7 @@ from . import outer as sf
 from . import polynomials as poly
 from . import tolerances
 from .errors import NumericalError, ParseError, ValidationError
-from .linalg import operator_norm
+from .linalg import max_operator_norm, operator_norm
 
 
 def _plain(value):
@@ -94,9 +93,7 @@ def _run_check_measure(args, mu, tol):
     reflect_defect = float(
         np.max(np.abs(w.values - w.values[::-1].conj().transpose(0, 2, 1)))
     )
-    herm_defect = float(
-        np.max(operator_norm(w.values - w.values.conj().transpose(0, 2, 1)))
-    )
+    herm_defect = max_operator_norm(w.values - w.values.conj().transpose(0, 2, 1))
     tail_sum, edge_sum = ms.mass_condition_sums(mu)
     states = [
         {
@@ -186,9 +183,7 @@ def _run_factorize(args, mu, tol):
     g = sf.spectral_factorize(w, tol=tol)
     det_res, det_est = sf.det_szego_check(g)
     s_vals = sf.s_function(g, tol).values
-    s_defect = float(
-        np.max(operator_norm(s_vals @ s_vals.conj().transpose(0, 2, 1) - np.eye(mu.dim)))
-    )
+    s_defect = max_operator_norm(s_vals @ s_vals.conj().transpose(0, 2, 1) - np.eye(mu.dim))
     report = {
         "order": g.order,
         "sweeps": g.sweeps,
@@ -222,9 +217,7 @@ def _run_blaschke(args, mu, tol):
     product = lim.product
     ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 257)[:-1])
     b_ring = product.eval(ring)
-    unitarity = float(
-        np.max(operator_norm(b_ring.conj().transpose(0, 2, 1) @ b_ring - np.eye(mu.dim)))
-    )
+    unitarity = max_operator_norm(b_ring.conj().transpose(0, 2, 1) @ b_ring - np.eye(mu.dim))
     det0 = abs(np.linalg.det(product.value_at_zero()))
     angles = lim.kernel_angles
     factors = [
@@ -443,8 +436,7 @@ def _write_artifacts(out_dir: str, manifest: specio.RunManifest, report, tables)
     path = pathlib.Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     (path / "manifest.json").write_text(manifest.to_json())
-    doc = json.dumps(_plain(report), sort_keys=True, indent=2) + "\n"
-    (path / "report.json").write_text(doc)
+    (path / "report.json").write_text(specio._dumps(_plain(report)))
     for name, text in tables.items():
         (path / f"{name}.csv").write_text(text)
 

@@ -31,7 +31,7 @@ from . import measure as ms
 from . import outer as sf
 from . import polynomials as poly
 from .errors import KernelMismatch, RadiusExceeded
-from .linalg import BoundarySampling, left_polar, norm_l2_2, operator_norm
+from .linalg import BoundarySampling, left_polar, max_operator_norm, norm_l2_2, operator_norm
 from .tolerances import DEFAULT, Tolerances
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -173,9 +173,7 @@ def verify_pointwise(
     pts = lim.disk_points(radius)
     q_vals = poly.eval_scaled_many(jacobi2, list(n_values), pts)
     l_vals = lim.eval(pts)
-    sup_gap = np.array(
-        [float(np.max(operator_norm(q_vals[i] - l_vals))) for i in range(len(n_values))]
-    )
+    sup_gap = np.array([max_operator_norm(q_vals[i] - l_vals) for i in range(len(n_values))])
     kappa = poly.eval_scaled_many(jacobi2, list(n_values), np.array([0.0 + 0.0j]))
     origin_gap = np.array(
         [float(operator_norm(kappa[i, 0] - lim.value0)) for i in range(len(n_values))]

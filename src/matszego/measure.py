@@ -147,7 +147,7 @@ class TableDensity(Density):
         sampling = BoundarySampling(np.asarray(samples, dtype=complex))
         v = sampling.values
         scale = max(float(np.max(np.abs(v))), 1e-300)
-        herm = float(np.max(operator_norm(v - v.conj().transpose(0, 2, 1))))
+        herm = linalg.max_operator_norm(v - v.conj().transpose(0, 2, 1))
         if herm > 1e-8 * scale:
             raise ValidationError(f"table: samples not Hermitian (defect {herm:.2e})")
         sym = float(np.max(np.abs(v - v[::-1])))

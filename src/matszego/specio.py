@@ -24,11 +24,14 @@ path in the message.
 
 A document has one representation after parsing, its canonical plain
 form (MeasureSpec): numbers become floats and every matrix becomes
-{"re", "im"} float rows with "im" filled in, read in a single pass.
-build_measure turns each matrix into an array once. Serialization is
-canonical (sorted keys, fixed indentation, shortest round-trip floats),
-so equal specs serialize identically and the document hash is stable;
-parse and serialize are mutually inverse.
+{"re", "im"} float rows with "im" filled in, read in a single pass (a
+table's stacks are checked whole). build_measure turns each matrix into
+an array once. Serialization is canonical (sorted keys, fixed
+indentation, shortest round-trip floats), so equal specs serialize
+identically and the document hash is stable; parse and serialize are
+mutually inverse. One writer, _dumps, writes documents, manifests and
+reports; its text is json.dumps(obj, sort_keys=True, indent=2) + "\\n"
+byte for byte, with each float matrix formatted in one join.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ import hashlib
 import json
 import math
 import sys
+from itertools import chain, cycle, islice
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -140,6 +145,25 @@ def _matrix(obj, path: str, dim: int) -> dict:
     return {"re": re, "im": im}
 
 
+def _table(values: list, path: str, dim: int) -> list[dict]:
+    """Canonical matrices of a table: _rows' whole-row test lifted to the
+    table, with each value read by _matrix unless every value has exactly
+    "re" and "im" and both stacks are (N, dim, dim) of finite ints and floats."""
+    complete = {frozenset(("re", "im"))}
+    if set(map(type, values)) == {dict} and set(map(frozenset, values)) == complete:
+        parts = [list(map(itemgetter(k), values)) for k in ("re", "im")]
+        try:
+            stacks = np.array(parts, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            stacks = None
+        entries = chain.from_iterable(chain.from_iterable(chain.from_iterable(parts)))
+        if (stacks is not None and stacks.shape == (2, len(values), dim, dim)
+                and np.isfinite(stacks).all() and set(map(type, entries)) <= _NUMBER_TYPES):
+            re, im = (stacks[0] + 0.0 * stacks[1]).tolist(), (stacks[1] + 0.0).tolist()
+            return [{"re": r, "im": m} for r, m in zip(re, im)]
+    return [_matrix(v, f"{path}[{i}]", dim) for i, v in enumerate(values)]
+
+
 _SCALAR_FAMILIES = {"semicircle", "arcsine", "poly_semicircle"}
 
 
@@ -185,9 +209,7 @@ def _density_canonical(obj, dim: int, path: str) -> dict:
             raise _fail(f"{path}.values", "expected a non-empty list of matrices")
         if not is_node_count(len(values)):
             raise _fail(f"{path}.values", f"{len(values)} matrices; expected a power of two >= 4")
-        out["values"] = [
-            _matrix(v, f"{path}.values[{i}]", dim) for i, v in enumerate(values)
-        ]
+        out["values"] = _table(values, f"{path}.values", dim)
     extra = obj.keys() - allowed
     if extra:
         raise _fail(path, f"key {sorted(extra)[0]!r} not valid for family {family!r}")
@@ -250,8 +272,52 @@ def parse_measure_spec(text: str) -> MeasureSpec:
     )
 
 
+def _float_rows(rows, level: int) -> str | None:
+    """Text of equal-length rows of finite floats at a nesting level, else None."""
+    if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
+        return None
+    flat = list(chain.from_iterable(rows))
+    if not flat or set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
+        return None
+    outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    seps = ["," + inner] * (len(rows[0]) - 1) + [outer + "]," + outer + "[" + inner]
+    texts = zip(map(float.__repr__, flat), cycle(seps))
+    body = "".join(islice(chain.from_iterable(texts), 2 * len(flat) - 1))
+    return "[" + outer + "[" + inner + body + outer + "]" + outer[:-2] + "]"
+
+
+def _pieces(obj, level: int = 0):
+    """The text json.dumps(sort_keys=True, indent=2) writes for obj at a nesting
+    level, in pieces that _dumps joins once (nested joins would copy the text at
+    every level); scalars and empty containers, alike under any indent, go to json."""
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(obj, (list, tuple)) and obj:
+        rows = _float_rows(obj, level)
+        if rows is not None:
+            yield rows
+            return
+        for i, value in enumerate(obj):
+            yield ("," if i else "[") + pad
+            yield from _pieces(value, level + 1)
+        yield pad[:-2] + "]"
+    elif isinstance(obj, dict) and obj:
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("object keys must be strings")
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            yield ("," if i else "{") + pad + json.dumps(key) + ": "
+            yield from _pieces(value, level + 1)
+        yield pad[:-2] + "}"
+    else:
+        yield json.dumps(obj)
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) + "\\n", byte for byte."""
+    return "".join(_pieces(obj)) + "\n"
+
+
 def serialize_measure_spec(spec: MeasureSpec) -> str:
-    return json.dumps(vars(spec), sort_keys=True, indent=2) + "\n"
+    return _dumps(vars(spec))
 
 
 def spec_hash(spec: MeasureSpec) -> str:
@@ -308,7 +374,7 @@ class RunManifest:
     tool_version: str
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
+        return _dumps(dataclasses.asdict(self))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """JSON measure documents: parsing, canonical serialization, tables."""
 
+import hashlib
 import json
+import json.encoder
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from matszego import specio
 from matszego.errors import ParseError
+from matszego.measure import DENSITY_FAMILIES
 from matszego.specio import (
     RunManifest,
     build_measure,
@@ -16,7 +22,7 @@ from matszego.specio import (
     spec_hash,
 )
 
-from conftest import SHIPPED, SPECS_DIR
+from conftest import SHIPPED, SPECS_DIR, edge_table_document
 
 MINIMAL = '{"dim": 1, "density": {"family": "semicircle"}}'
 
@@ -243,6 +249,203 @@ class TestCanonicalForm:
         zeros = [[0.0, 0.0], [0.0, 0.0]]
         assert [repr(v) for row in with_im["im"] for v in row] == ["0.0"] * 4
         assert with_im["im"] == without_im["im"] == zeros
+
+
+def reference_text(obj) -> str:
+    """The canonical text as json writes it, through its pure-Python encoder."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# Entries that stress float formatting and the signed-zero rule: the
+# smallest subnormal, repr's switch to exponent form (1e-05, 1e16), the
+# largest exact power of ten (1e22) and a row [1e308, 1e308] whose sum
+# overflows although every entry is valid.
+SPECIAL_ENTRIES = [0, -0.0, 0.0, 3, -2**70, 2**64 + 1, 5e-324, -5e-324, 1e-05, 1e16,
+                   1e22, 1e308, -1e308, 0.1]
+entries = st.one_of(
+    st.sampled_from(SPECIAL_ENTRIES),
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def matrices(draw, dim):
+    def rows():
+        return draw(st.lists(st.lists(entries, min_size=dim, max_size=dim),
+                             min_size=dim, max_size=dim))
+    matrix = {"re": rows()}
+    if draw(st.booleans()):
+        matrix["im"] = rows()
+    return matrix
+
+
+polys = st.fixed_dictionaries({"family": st.just("poly_semicircle"),
+                               "coefficients": st.lists(entries, min_size=1, max_size=3)})
+scalar_densities = st.one_of(st.sampled_from([{"family": "semicircle"}, {"family": "arcsine"}]),
+                             polys)
+
+
+@st.composite
+def documents(draw):
+    """Valid measure documents of every family, dim <= 4."""
+    dim = draw(st.integers(1, 4))
+    family = draw(st.sampled_from(sorted(DENSITY_FAMILIES)))
+    density = {"family": family}
+    if family == "poly_semicircle":
+        density = draw(polys)
+    elif family == "conjugated_diagonal":
+        density["channels"] = [draw(scalar_densities) for _ in range(dim)]
+        if draw(st.booleans()):
+            density["unitary"] = draw(matrices(dim))
+    elif family == "table":
+        # whole stacks, a value without "im" among complete ones, or neither
+        values = [draw(matrices(dim)) for _ in range(draw(st.sampled_from([4, 8])))]
+        if draw(st.booleans()):
+            values = [dict(v, im=v.get("im", v["re"])) for v in values]
+        density["values"] = values
+    masses = [{"energy": draw(entries), "weight": draw(matrices(dim))}
+              for _ in range(draw(st.integers(0, 2)))]
+    return {"dim": dim, "density": density, "masses": masses,
+            "quad_order": draw(st.sampled_from([4, 512, 4096])),
+            "normalize": draw(st.sampled_from(["auto", "strict"]))}
+
+
+# every sign combination of a zero real part with a zero, negative or
+# positive imaginary part in a table read as whole stacks; a mass with
+# the overflowing row and no "im"
+SIGNED_ZEROS = {"dim": 2, "density": {"family": "table", "values": [
+    {"re": [[0.0, -0.0], [0.0, -0.0]], "im": [[0.0, 0.0], [-0.0, -0.0]]},
+    {"re": [[0.0, -0.0], [0.0, -0.0]], "im": [[-1.0, -1.0], [1.0, 1.0]]},
+    {"re": [[-0.0, 0], [1e308, 1e308]], "im": [[-0.0, -0.0], [-0.0, 0]]},
+    {"re": [[-0.0, -0.0], [0.0, -0.0]], "im": [[-2.0, 2.0], [-2.0, 2.0]]}]},
+    "masses": [{"energy": -0.0, "weight": {"re": [[-0.0, 0.0], [1e308, 1e308]]}}]}
+
+float_rows = st.lists(st.lists(st.one_of(st.floats(), st.integers(-5, 5)), max_size=3),
+                      max_size=3)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+              float_rows),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+class TestCanonicalWriter:
+    """The one writer is json.dumps(sort_keys=True, indent=2) byte for byte."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(documents())
+    @example(SIGNED_ZEROS)
+    def test_spec_text_equals_json(self, doc):
+        spec = parse_measure_spec(json.dumps(doc))
+        assert serialize_measure_spec(spec) == reference_text(vars(spec))
+        assert parse_measure_spec(serialize_measure_spec(spec)) == spec
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(json_values)
+    def test_report_text_equals_json(self, obj):
+        assert specio._dumps(obj) == reference_text(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], [[]], [[], []], {"a": {}, "b": [], "c": [[]]},
+        {"flags": [True, False, None], "n": 3, "nested": {"z": [1.5, {"y": [[2.0]]}]}},
+        [[float("nan"), 1.0], [float("inf"), -float("inf")]],
+        [[1, 2.0], [3.0, 4]], [[1.0, 2.0], [3.0]], [[1e308, 1e308]], [(0.5, -0.0)],
+        ({"t": (1.0, 2.0)}, [[0.25]]),
+        {"Szegő": "Σ m_k (1 - |z_k|) \u2028 😀", "ascii": "tab\tquote\"slash\\"},
+        [{"re": [[1.0, -0.0], [5e-324, 1e22]], "im": [[0.0, 1e-05], [1e16, -1e308]]}],
+    ], ids=lambda obj: type(obj).__name__)
+    def test_report_like_objects_equal_json(self, obj):
+        assert specio._dumps(obj) == reference_text(obj)
+
+    def test_manifest_equals_json(self):
+        m = RunManifest(command="sumrule --n 100", spec_sha256="ab" * 32,
+                        tolerance_overrides={"herm": 1e-9}, tool_version="0.1.0")
+        assert m.to_json() == reference_text(vars(m))
+
+
+class TestTableFastPath:
+    """Guards without timing: a table document is read as whole stacks and
+    hashed without json's pure-Python encoder."""
+
+    def test_table_document_stays_on_the_fast_paths(self, monkeypatch):
+        text = json.dumps(edge_table_document(1024))
+        reads = []
+        matrix = specio._matrix
+        monkeypatch.setattr(specio, "_matrix",
+                            lambda *args: reads.append(args[1]) or matrix(*args))
+        spec = parse_measure_spec(text)
+        assert len(reads) <= 4
+        expected = hashlib.sha256(reference_text(vars(spec)).encode()).hexdigest()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder was entered")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError):
+            reference_text(vars(spec))  # the guard is live
+        assert spec_hash(spec) == expected
+
+    def test_fast_path_equals_per_value_reader(self):
+        doc = json.loads(TABLE)
+        doc["density"]["values"][2]["im"] = [[0, -0.0], [-0.0, -0.0]]
+        spec = parse_measure_spec(json.dumps(doc))
+        dim = doc["dim"]
+        per_value = [specio._matrix(v, "v", dim) for v in doc["density"]["values"]]
+        assert specio._table(doc["density"]["values"], "v", dim) == per_value
+        assert reference_text(spec.density["values"]) == reference_text(per_value)
+
+
+def table_document(values):
+    return json.dumps({"dim": 2, "density": {"family": "table", "values": values}})
+
+
+def identity_values(count):
+    return [{"re": [[1.0, 0.25], [0.25, 1.0]], "im": [[0.0, 0.5], [-0.5, 0.0]]}
+            for _ in range(count)]
+
+
+class TestTableTraps:
+    """Documents the whole-stack check must not accept or mangle: each gives
+    the canonical bytes or the ParseError of the per-value reader."""
+
+    def test_integer_beyond_int64_in_a_float_row(self):
+        values = identity_values(8)
+        values[3]["re"] = [[1.5, 2**64 + 1], [2**64 + 1, 2.5]]
+        spec = parse_measure_spec(table_document(values))
+        row = spec.density["values"][3]["re"][0]
+        assert row == [1.5, float(2**64 + 1)] and type(row[1]) is float
+        assert serialize_measure_spec(spec).count("1.8446744073709552e+19") == 2
+
+    def test_oversized_integer_deep_in_table(self):
+        values = identity_values(1024)
+        values[700]["re"] = [[1.0, 10**400], [0.25, 1.0]]
+        with pytest.raises(ParseError) as info:
+            parse_measure_spec(table_document(values))
+        assert str(info.value) == "spec.density.values[700].re[0][1]: number too large for a float"
+
+    def test_one_value_without_im_is_zero_filled(self):
+        values = identity_values(8)
+        del values[5]["im"]
+        spec = parse_measure_spec(table_document(values))
+        assert spec.density["values"][5]["im"] == [[0.0, 0.0], [0.0, 0.0]]
+        assert spec.density["values"][4]["im"] == [[0.0, 0.5], [-0.5, 0.0]]
+
+    def test_extra_key_names_its_value(self):
+        values = identity_values(8)
+        values[6]["extra"] = 1
+        with pytest.raises(ParseError) as info:
+            parse_measure_spec(table_document(values))
+        assert str(info.value) == "spec.density.values[6]: unknown key 'extra'"
+
+    def test_wrong_shape_after_index_1000(self):
+        values = identity_values(2048)
+        values[1500] = {"re": [[1.0, 0.0, 0.0]] * 3, "im": [[0.0, 0.0, 0.0]] * 3}
+        with pytest.raises(ParseError) as info:
+            parse_measure_spec(table_document(values))
+        assert str(info.value) == "spec.density.values[1500]: shape (3, 3) != (2, 2)"
 
 
 class TestManifestAndTables:

@@ -1,9 +1,11 @@
 """Spectral balance identity: closed forms and the two evaluation routes."""
 
+import json
+
 import numpy as np
 import pytest
 
-from matszego import outer
+from matszego import outer, specio
 from matszego.measure import ArcsineDensity, SemicircleDensity, make_measure
 from matszego.polynomials import stieltjes, to_type
 from matszego.sumrule import (
@@ -13,6 +15,8 @@ from matszego.sumrule import (
     weight_logdet_mean,
     z_quantity,
 )
+
+from conftest import edge_table_document, noncommuting_document
 
 LOG2 = float(np.log(2.0))
 
@@ -144,3 +148,23 @@ class TestBridge:
         assert ledger.bridge_gap == pytest.approx(1e-2, rel=1e-3)
         assert ledger.bridge_estimate < 1e-3
         assert not ledger.agreement
+
+
+# non-commuting weights with zeros at the band edges, factored on the
+# deflated Wilson path
+EDGE_DOCUMENTS = {
+    "noncommuting_2_m256": noncommuting_document(2, 256),
+    "noncommuting_2_m1024": noncommuting_document(2, 1024),
+    "edge_table_m256": edge_table_document(256),
+}
+
+
+class TestEdgeFamilies:
+    @pytest.mark.parametrize("name", sorted(EDGE_DOCUMENTS))
+    def test_sum_rule_holds_on_edge_zero_families(self, name):
+        text = json.dumps(EDGE_DOCUMENTS[name])
+        mu = specio.build_measure(specio.parse_measure_spec(text))
+        ledger = check_sum_rule(mu, [20, 60, 100])
+        assert ledger.agreement
+        # the acceptance gate's bound on the balance residual
+        assert float(np.max(ledger.residuals)) < 1e-2
