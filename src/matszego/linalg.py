@@ -87,23 +87,83 @@ def operator_norm(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
+# Relative margin of the Frobenius brackets. A Frobenius norm (squares,
+# one sum, one square root) and LAPACK's largest singular value are each
+# within a small multiple of l * 2^-53 of the exact norm, about 1e-14 for
+# the block sizes used here; 1e-8 covers both with room to spare.
+_BRACKET_MARGIN = 1e-8
+# Below this the squares in a Frobenius norm may underflow and lose digits.
+_FRO_TINY = 1e-150
+
+
+def _frobenius_top(a: np.ndarray) -> tuple[np.ndarray, float | None]:
+    """(Frobenius norm per block, largest one or None when it brackets nothing).
+
+    The largest is None when squares overflow or underflow (or entries
+    are not finite): the Frobenius norms then say nothing reliable about
+    the operator norms. It is 0.0 only when every entry is exactly zero.
+    """
+    fro = np.linalg.norm(a, axis=(-2, -1))
+    top = float(np.max(fro))
+    if top == 0.0 and not a.any():
+        return fro, 0.0
+    if not _FRO_TINY <= top < np.inf:
+        return fro, None
+    return fro, top
+
+
 def max_operator_norm(a: np.ndarray) -> float:
     """np.max(operator_norm(a)), with SVDs only on blocks that can hold it.
 
     A block's operator norm is at least its Frobenius norm over
     sqrt(min(m, n)), so blocks whose Frobenius norm falls below that bound
     for the largest one are skipped; the margin covers rounding in both
-    norms. Same float as the full batch; an empty batch raises likewise.
+    norms. A stack of exact zeros returns 0.0, the float its SVD gives,
+    without one. Where the Frobenius norms are unreliable (non-finite
+    entries, overflowing or underflowing squares) every block is
+    decomposed. Same float as the full batch; an empty batch raises
+    likewise.
     """
     a = np.asarray(a)
     if a.ndim < 2:
         raise DimensionMismatch("max_operator_norm needs a matrix")
-    fro = np.linalg.norm(a, axis=(-2, -1))
-    top = np.max(fro)
-    if not np.isfinite(top):
+    fro, top = _frobenius_top(a)
+    if top == 0.0:
+        return 0.0
+    if top is None:
         return float(np.max(operator_norm(a)))
-    floor = (1.0 - 1e-8) * top / np.sqrt(min(a.shape[-2:]))
+    floor = (1.0 - _BRACKET_MARGIN) * top / np.sqrt(min(a.shape[-2:]))
     return float(np.max(operator_norm(a[fro >= floor])))
+
+
+def operator_norm_bracket(a: np.ndarray) -> tuple[float, float]:
+    """(lo, hi) with lo <= max_operator_norm(a) <= hi, from Frobenius norms.
+
+    For an m x n block, ||A||_F / sqrt(min(m, n)) <= ||A||_2 <= ||A||_F,
+    so with F the largest Frobenius norm of the stack
+
+        F / sqrt(min(m, n)) * (1 - 1e-8)  <=  max ||A||_2  <=  F * (1 + 1e-8),
+
+    where the margin covers the rounding of F and of the SVD; the bracket
+    holds the very float max_operator_norm returns. A test value <= t is
+    decided without any SVD when hi <= t or lo > t; only a bracket that
+    straddles t needs the exact value, and a caller that settles it then
+    reaches the same decision as the exact value would. A stack of exact
+    zeros gives (0.0, 0.0). Where the Frobenius norms are unreliable
+    (non-finite entries, overflowing or underflowing squares) both ends
+    are NaN, so every comparison fails and callers fall through to the
+    exact value, errors included.
+    """
+    a = np.asarray(a)
+    if a.ndim < 2:
+        raise DimensionMismatch("operator_norm_bracket needs a matrix")
+    _, top = _frobenius_top(a)
+    if top is None:
+        return np.nan, np.nan
+    return (
+        (1.0 - _BRACKET_MARGIN) * top / np.sqrt(min(a.shape[-2:])),
+        (1.0 + _BRACKET_MARGIN) * top,
+    )
 
 
 def hermitian_defect(a: np.ndarray) -> float:

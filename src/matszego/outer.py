@@ -168,12 +168,13 @@ def _scalar_outer_coeffs(samples: np.ndarray) -> np.ndarray | None:
     return g
 
 
-def _joint_basis(values: np.ndarray) -> np.ndarray:
-    """Candidate common eigenbasis from two fixed even-harmonic mixtures.
+def _probes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two fixed even-harmonic mixtures p_k = (1/M) sum_m mix_k(t_m) w(t_m).
 
     Normalized channels all average to one and reflection symmetry kills
-    odd moments, so the probes weight even harmonics; eigenvalue
-    clusters of the first probe are split against the second.
+    odd moments, so the probes weight even harmonics. The mixes are
+    bounded by 1 + 1/3 + 1/7 + 1/13 + 1/29 < 1.588 and
+    1 + 1/5 + 1/3 + 1/23 + 1/11 < 1.668.
     """
     m_grid = values.shape[0]
     theta = linalg.midpoint_nodes(m_grid)
@@ -184,6 +185,12 @@ def _joint_basis(values: np.ndarray) -> np.ndarray:
     )
     p1 = np.einsum("m,mij->ij", mixes[0], values) / m_grid
     p2 = np.einsum("m,mij->ij", mixes[1], values) / m_grid
+    return p1, p2
+
+
+def _joint_basis(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Candidate common eigenbasis of the probes: eigenvalue clusters of
+    the first are split against the second."""
     lam, basis = np.linalg.eigh(p1)
     gap = 1e-8 * max(float(np.abs(lam).max()), 1e-300)
     start = 0
@@ -198,19 +205,49 @@ def _joint_basis(values: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _commutator_bound(dim: int, m_grid: int) -> float:
+    """Largest ||[p1, p2]||_F / s^2 of a weight that passes the acceptance test."""
+    return dim**2 * (1e-10 + 64 * (m_grid + dim**2) * 2.0**-53)
+
+
 def _commuting_factor(values: np.ndarray) -> np.ndarray | None:
     """Exact coefficients when all boundary values share an eigenbasis.
 
     Returns the (K+1, l, l) coefficient stack of a (not yet normalized)
-    factor, or None when the weight family does not commute.
+    factor, or None when the weight family does not commute: when some
+    value rotated into the probes' joint basis B has an off-diagonal
+    entry above eps s, eps = 1e-12 and s = max |w| entrywise (the
+    acceptance test), or a channel is no resolved trig polynomial.
+
+    Before the O(M l^4) rotation, None is returned when the probes
+    themselves fail to commute, which no accepted weight can do. Let
+    B* w B = D + O on every node, D diagonal and |O_ij| <= eps s. Then
+    B* p_k B = Delta_k + E_k with Delta_k diagonal, |Delta_k,ii| <= c_k l s
+    (||w||_2 <= l s) and |E_k,ij| <= c_k eps s, where c_1 < 1.588 and
+    c_2 < 1.668 bound the mixes (_probes). Diagonal matrices commute, so
+    B* [p1, p2] B = [Delta_1, E_2] + [E_1, Delta_2] + [E_1, E_2] has
+    entries of modulus at most 2 c_1 c_2 l eps (2 + eps) s^2, and as the
+    Frobenius norm is unitarily invariant,
+    ||[p1, p2]||_F <= 2 c_1 c_2 l^2 eps (2 + eps) s^2 < 1.1e-11 l^2 s^2.
+    Rounding (u = 2^-53) adds at most 4 c_1 c_2 (M + 1) u l^2 s^2 from the
+    M-term node sums, and O(l^2 u) l^2 s^2 from the products, the
+    rotation and eigh's departure from unitarity; together below
+    64 (M + l^2) u l^2 s^2. So every accepted weight has
+    ||[p1, p2]||_F <= l^2 s^2 (1e-10 + 64 (M + l^2) u) (_commutator_bound),
+    and refusing weights above it changes no result. The probes are
+    divided by s first, so no square overflows or underflows.
     """
-    dim = values.shape[1]
+    m_grid, dim = values.shape[0], values.shape[1]
     scale = float(np.max(np.abs(values)))
     if dim == 1:
         basis = np.eye(1, dtype=complex)
         diag = values[:, 0, 0].real[:, None]
     else:
-        basis = _joint_basis(values)
+        p1, p2 = _probes(values)
+        a, b = p1 / scale, p2 / scale
+        if float(np.linalg.norm(a @ b - b @ a)) > _commutator_bound(dim, m_grid):
+            return None
+        basis = _joint_basis(p1, p2)
         rotated = np.einsum("ji,mjk,kl->mil", basis.conj(), values, basis)
         off = rotated.copy()
         idx = np.arange(dim)
@@ -263,16 +300,63 @@ def _peel_edges(
     return values, peeled
 
 
+class _Norm:
+    """max_operator_norm of a stack: bracketed from its Frobenius norms
+    (linalg.operator_norm_bracket), computed exactly only when asked.
+
+    Each test below decides from the brackets when they settle it and
+    from the exact values otherwise, so it returns what the same test on
+    the exact values returns. The stack is dropped once the value is known.
+    """
+
+    def __init__(self, stack: np.ndarray | None = None, value: float = np.nan):
+        self._stack = stack
+        if stack is None:
+            self.lo = self.hi = value
+        else:
+            self.lo, self.hi = linalg.operator_norm_bracket(stack)
+
+    def exact(self) -> float:
+        if self._stack is not None:
+            self.lo = self.hi = max_operator_norm(self._stack)
+            self._stack = None
+        return self.lo
+
+    def at_most(self, t: float) -> bool:
+        """value <= t."""
+        if self.hi <= t:
+            return True
+        if self.lo > t:
+            return False
+        return self.exact() <= t
+
+    def below(self, other: "_Norm", factor: float = 1.0) -> bool:
+        """value < factor * other.value, for factor >= 0."""
+        if self.hi < other.lo * factor:
+            return True
+        if self.lo >= other.hi * factor:
+            return False
+        return self.exact() < other.exact() * factor
+
+
 def _wilson(v: np.ndarray, target: float) -> tuple[np.ndarray, int]:
     """Left factor psi psi* = v on the grid; returns (psi, sweeps).
 
-    Starts from the Cholesky factor of the mean of v and stops at target
-    or after four sweeps without a 30% gain; the caller checks the result.
+    Starts from the Cholesky factor of the mean of v and stops once the
+    residual max ||psi psi* - v|| is at most target, or after four sweeps
+    without a 30% gain on the best residual; the caller checks the result.
+    The stop and stall tests read the residuals' Frobenius brackets
+    (_Norm) and settle exactly only where a bracket straddles the
+    threshold: Newton residuals are rank one of nearly equal norm at every
+    node, so the exact value would need an SVD of every block, and it
+    mostly is far from the threshold. Only the residual stack of the best
+    sweep is kept for that. The sweeps run, and so psi, are those of the
+    exact tests.
     """
     m_grid, dim = v.shape[0], v.shape[1]
     psi = np.linalg.cholesky(np.mean(v, axis=0))[None].repeat(m_grid, axis=0)
     eye = np.eye(dim)
-    best = np.inf
+    best = _Norm(value=np.inf)
     stall = 0
     sweeps = 0
     for sweeps in range(1, _MAX_SWEEPS + 1):
@@ -280,16 +364,26 @@ def _wilson(v: np.ndarray, target: float) -> tuple[np.ndarray, int]:
             inv_psi = np.linalg.inv(psi)
         except np.linalg.LinAlgError:
             raise NoConvergence(
-                f"factorize: iterate singular, residual {best:.1e} above target "
+                f"factorize: iterate singular, residual {best.exact():.1e} above target "
                 f"{target:.1e} after {sweeps - 1} sweeps"
             ) from None
+        # inv_psi and ratio are freed once used, to make room for best's stack
         ratio = inv_psi @ v @ inv_psi.conj().transpose(0, 2, 1) + eye
+        del inv_psi
         psi = psi @ linalg.analytic_part(BoundarySampling(ratio)).values
-        res = max_operator_norm(psi @ psi.conj().transpose(0, 2, 1) - v)
-        stall = 0 if res < best * 0.7 else stall + 1
-        best = min(best, res)
-        if res <= target or stall >= 4:
+        del ratio
+        res = _Norm(psi @ psi.conj().transpose(0, 2, 1) - v)
+        if res.at_most(target):
             break
+        # res < 0.7 best implies res < best, the new minimum
+        if res.below(best, 0.7):
+            stall, best = 0, res
+        else:
+            stall += 1
+            if res.below(best):
+                best = res
+            if stall >= 4:
+                break
     return psi, sweeps
 
 
@@ -328,7 +422,7 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
         boundary = linalg.synthesize_on_grid(
             np.arange(coeffs.shape[0]), coeffs, m_grid
         ).values
-        if max_operator_norm(boundary.conj().transpose(0, 2, 1) @ boundary - values) <= target:
+        if _Norm(boundary.conj().transpose(0, 2, 1) @ boundary - values).at_most(target):
             leak, trunc, sweeps = 0.0, 0.0, 0
         else:
             coeffs = None
@@ -400,7 +494,13 @@ def boundary_logdet_mean(g: OuterFunction) -> tuple[float, float]:
         vals = linalg.synthesize_on_grid(n_vals, g.coeffs, targets).values
         dets = np.abs(np.linalg.det(vals))
         if dets.min() <= 0.0:
-            raise SingularBoundary("det G vanishes at a boundary node")
+            node = int(np.argmin(dets))
+            smin = float(np.linalg.svd(vals[node], compute_uv=False)[-1])
+            raise SingularBoundary(
+                f"boundary_logdet_mean: det G vanishes at node t = "
+                f"{linalg.midpoint_nodes(targets)[node]:.6f} of the {targets}-node grid: "
+                f"|det G| = {dets[node]:.1e}, smallest singular value {smin:.1e}"
+            )
         means.append(float(np.mean(np.log(dets))))
     return linalg.two_grid_richardson(*means)
 
@@ -422,17 +522,58 @@ def det_szego_check(g: OuterFunction) -> tuple[float, float]:
     return abs(float(np.log(det0)) - mean), est
 
 
+# s_function skips its SVDs while max ||A||_F max ||A^-1||_F stays below this
+_INVERSE_BOUND_CAP = 1e8
+
+
+def _surely_invertible(reflected: np.ndarray, inv: np.ndarray, sing_rel: float) -> bool:
+    """Whether the singularity test of s_function passes, read from norms.
+
+    With F = max ||A||_F over the blocks A and Y = max ||X||_F over their
+    computed inverses X: the largest singular value is at most F, and each
+    smallest one is 1 / ||A^-1||_2 >= 1 / ||A^-1||_F. Once q = F Y <= 1e8,
+    the inverse's forward error (at most a modest multiple of
+    l * growth * u * kappa, u = 2^-53) and the SVD's backward error (a
+    modest multiple of u ||A||) shift these bounds by less than 1e-3
+    relative, so the computed smallest singular value exceeds
+    sing_rel times the computed largest whenever sing_rel * q <= 0.5. A
+    False answer decides nothing: the caller then runs the exact test.
+    """
+    q = float(np.max(np.linalg.norm(reflected, axis=(1, 2)))) * float(
+        np.max(np.linalg.norm(inv, axis=(1, 2)))
+    )
+    return q <= _INVERSE_BOUND_CAP and sing_rel * q <= 0.5
+
+
 def s_function(g: OuterFunction, tol: Tolerances = DEFAULT) -> BoundarySampling:
     """s(t) = G(e^{it}) G(e^{-it})^{-1} on the grid.
 
     For weights symmetric under t -> -t (every Szego-mapped weight is)
-    the values are unitary; SingularBoundary if a reflected value cannot
-    be inverted.
+    the values are unitary. SingularBoundary if a reflected value is
+    numerically singular: its smallest singular value at or below
+    tol.sing_rel times the largest over the grid. That test is decided
+    from the bracket sigma_max in [max ||A||_F / sqrt(l), max ||A||_F] and
+    sigma_min in [1 / max ||A^-1||_F, sqrt(l) / max ||A^-1||_F], from the
+    inverses s needs anyway (_surely_invertible); the singular values are
+    computed only where that does not certify a pass, so the outcome is
+    that of the exact test.
     """
     vals = g.boundary.values
     reflected = vals[::-1]
-    sing = np.linalg.svd(reflected, compute_uv=False)
-    if np.min(sing[:, -1]) <= tol.sing_rel * np.max(sing[:, 0]):
-        raise SingularBoundary("G(e^{-it}) numerically singular at a node")
-    s_vals = vals @ np.linalg.inv(reflected)
-    return BoundarySampling(s_vals)
+    try:
+        inv = np.linalg.inv(reflected)
+    except np.linalg.LinAlgError:
+        inv = None
+    if inv is None or not _surely_invertible(reflected, inv, tol.sing_rel):
+        sing = np.linalg.svd(reflected, compute_uv=False)
+        smin, smax = np.min(sing[:, -1]), np.max(sing[:, 0])
+        if smin <= tol.sing_rel * smax:
+            node = int(np.argmin(sing[:, -1]))
+            raise SingularBoundary(
+                f"s_function: G(e^{{-it}}) numerically singular at node t = "
+                f"{g.boundary.theta[node]:.6f}: smallest singular value {smin:.1e} "
+                f"at or below {tol.sing_rel:.1e} x largest {smax:.1e}"
+            )
+        if inv is None:
+            inv = np.linalg.inv(reflected)
+    return BoundarySampling(vals @ inv)

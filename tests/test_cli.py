@@ -139,6 +139,15 @@ class TestExitCodes:
         assert err.startswith("numerical error: factorize: residual ")
         assert "above target" in err and "sweeps" in err
 
+    def test_singular_boundary_names_its_stage(self, capsys, monkeypatch, small_spec):
+        # the semicircle factor vanishes at t = 0 and pi, so its smallest
+        # boundary singular value is far below half the largest
+        monkeypatch.setenv("MATSZEGO_TOLERANCES", '{"sing_rel": 0.5}')
+        code, _, err = run(capsys, "factorize", small_spec("semicircle"))
+        assert code == 4
+        assert err.startswith("numerical error: s_function: G(e^{-it}) numerically singular ")
+        assert "smallest singular value" in err and "at or below 5.0e-01 x largest" in err
+
 
 # Report bounds of the benchmark's checks: the factor residual target is
 # fact_rel times max |w|, below 10 on a normalized measure.

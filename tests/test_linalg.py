@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matszego.errors import (
     AliasedIndex,
@@ -23,9 +25,11 @@ from matszego.linalg import (
     norm_l2_1,
     norm_l2_2,
     operator_norm,
+    operator_norm_bracket,
     principal_sqrt,
     synthesize_on_grid,
 )
+from matszego.outer import _Norm
 
 
 def random_sampling(rng, node_count=32, dim=2):
@@ -164,6 +168,99 @@ class TestMaxOperatorNorm:
             np.max(operator_norm(a))
         with pytest.raises(ValueError):
             max_operator_norm(a)
+
+    def test_zero_stack_needs_no_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SVD of an all-zero stack")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for shape in ((64, 1, 1), (64, 4, 4), (3, 2, 5)):
+            value = max_operator_norm(np.zeros(shape, dtype=complex))
+            assert value == 0.0 and not np.signbit(value)
+            assert operator_norm_bracket(np.zeros(shape)) == (0.0, 0.0)
+
+    def test_underflowing_stack_is_not_taken_for_zero(self):
+        # squares of 1e-170 underflow, so every Frobenius norm reads 0
+        a = np.full((4, 2, 2), 1e-170)
+        assert max_operator_norm(a) == np.max(operator_norm(a)) == 2e-170
+        assert all(np.isnan(operator_norm_bracket(a)))
+
+
+STACK_KINDS = ("rank_one", "full_rank", "spike", "zero", "nonfinite", "tiny", "huge", "mixed")
+
+
+@st.composite
+def stacks(draw):
+    """(M, l, l) stacks, l = 1..8: flat rank one (the shape of a Wilson
+    residual), flat full rank, one spike, all zero, non-finite entries,
+    and magnitudes near 1e-300, 1e300 or spread over many decades."""
+    kind = draw(st.sampled_from(STACK_KINDS))
+    dim = draw(st.integers(1, 8))
+    count = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cnormal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind == "rank_one":
+        u, v = cnormal(dim), cnormal(dim)
+        phases = np.exp(2j * np.pi * rng.random(count))
+        return phases[:, None, None] * np.outer(u, v.conj())[None] / np.linalg.norm(u)
+    if kind == "full_rank":
+        return np.stack([np.linalg.qr(cnormal(dim, dim))[0] for _ in range(count)]) * 3.7
+    if kind == "zero":
+        return np.zeros((count, dim, dim), dtype=complex)
+    a = cnormal(count, dim, dim)
+    if kind == "spike":
+        a *= 1e-3
+        a[rng.integers(count)] *= 1e4
+    elif kind == "nonfinite":
+        a[rng.integers(count), rng.integers(dim), rng.integers(dim)] = draw(
+            st.sampled_from([np.inf, -np.inf, np.nan, complex(np.inf, 1.0)])
+        )
+    elif kind == "tiny":
+        a *= 10.0 ** rng.uniform(-310.0, -290.0, (count, 1, 1))
+    elif kind == "huge":
+        a *= 10.0 ** rng.uniform(290.0, 307.0, (count, 1, 1))
+    else:
+        a *= 10.0 ** rng.uniform(-200.0, 200.0, (count, 1, 1))
+    return a
+
+
+def thresholds(values):
+    """Each finite value and its neighbouring floats."""
+    out = []
+    for x in values:
+        if np.isfinite(x):
+            out += [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
+    return out + [0.0, np.inf, np.nan]
+
+
+class TestOperatorNormBracket:
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(stacks(), stacks())
+    def test_bracket_decisions_equal_exact_decisions(self, a, b):
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = operator_norm_bracket(a)
+            try:
+                exact = max_operator_norm(a)
+            except np.linalg.LinAlgError:
+                # NaN entries: the decision raises like the exact value
+                assert np.isnan(lo) and np.isnan(hi)
+                with pytest.raises(np.linalg.LinAlgError):
+                    _Norm(a).at_most(1.0)
+                return
+            if not np.isnan(lo):
+                assert lo <= exact <= hi
+            for t in thresholds([exact, lo, hi]):
+                assert _Norm(a).at_most(t) == (exact <= t), t
+            try:
+                other = max_operator_norm(b)
+            except np.linalg.LinAlgError:
+                return
+            for factor in (0.7, 1.0):
+                for c, c_exact in ((b, other), (a / factor, max_operator_norm(a / factor))):
+                    assert _Norm(a).below(_Norm(c), factor) == (exact < c_exact * factor)
 
 
 class TestNorms:

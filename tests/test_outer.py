@@ -1,16 +1,18 @@
 """Spectral factorization of boundary weights and its diagnostics."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from matszego import specio
+from matszego import linalg, outer, specio
 from matszego.blaschke import elementary_matrix
-from matszego.errors import NotPD, RadiusExceeded
+from matszego.errors import NoConvergence, NotPD, RadiusExceeded, SingularBoundary
 from matszego.linalg import BoundarySampling, max_operator_norm, midpoint_nodes, operator_norm
 from matszego.measure import szego_weight
 from matszego.outer import (
+    OuterFunction,
     boundary_logdet_mean,
     det_szego_check,
     s_function,
@@ -242,3 +244,182 @@ class TestPhaseFunction:
         s = s_function(semicircle_factor)
         prod = s.values @ s.reflect().values
         assert float(np.max(operator_norm(prod - np.eye(1)))) < 1e-10
+
+
+def document_weight(doc: dict) -> BoundarySampling:
+    return szego_weight(specio.build_measure(specio.parse_measure_spec(json.dumps(doc))))
+
+
+def fractional_edge_weight() -> BoundarySampling:
+    """|2 sin t|^{3/2} at M = 2048: 9-10 Wilson sweeps ending in a stall."""
+    return BoundarySampling(np.abs(2.0 * np.sin(midpoint_nodes(2048)))[:, None, None] ** 1.5)
+
+
+def factor_outcome(w: BoundarySampling, tol=DEFAULT):
+    """Everything spectral_factorize decides, as bytes, or its error message."""
+    try:
+        g = spectral_factorize(w, tol)
+    except NoConvergence as exc:
+        return str(exc)
+    floats = np.array([g.residual, g.neg_leakage, g.truncation_defect])
+    return g.sweeps, g.coeffs.tobytes(), g.boundary.values.tobytes(), floats.tobytes()
+
+
+def exact_wilson(v: np.ndarray, target: float) -> tuple[np.ndarray, int]:
+    """outer._wilson with its stop and stall tests on exact residuals."""
+    m_grid, dim = v.shape[0], v.shape[1]
+    psi = np.linalg.cholesky(np.mean(v, axis=0))[None].repeat(m_grid, axis=0)
+    best, stall = np.inf, 0
+    for sweeps in range(1, 61):
+        inv_psi = np.linalg.inv(psi)
+        ratio = inv_psi @ v @ inv_psi.conj().transpose(0, 2, 1) + np.eye(dim)
+        psi = psi @ linalg.analytic_part(BoundarySampling(ratio)).values
+        res = max_operator_norm(psi @ psi.conj().transpose(0, 2, 1) - v)
+        stall = 0 if res < best * 0.7 else stall + 1
+        best = min(best, res)
+        if res <= target or stall >= 4:
+            break
+    return psi, sweeps
+
+
+class TestBracketedDecisions:
+    WEIGHTS = {
+        "noncommuting_2_m256": lambda: document_weight(noncommuting_document(2, 256)),
+        "noncommuting_2_m1024": lambda: document_weight(noncommuting_document(2, 1024)),
+        "noncommuting_4_m1024": lambda: document_weight(noncommuting_document(4, 1024)),
+        "edge_table_m256": lambda: document_weight(edge_table_document(256)),
+        "fractional_edge_m2048": fractional_edge_weight,
+    }
+
+    @pytest.mark.parametrize("fact_rel", [DEFAULT.fact_rel, 1e-18])
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_brackets_change_no_decision(self, monkeypatch, name, fact_rel):
+        # every tolerance test settled exactly, by an uninformative bracket
+        # or by the exact-residual Wilson loop, must give the same sweeps,
+        # factor and report floats bit for bit; fact_rel = 1e-18 runs each
+        # weight into its rounding plateau, where residuals rise and stall
+        w = self.WEIGHTS[name]()
+        tol = dataclasses.replace(DEFAULT, fact_rel=fact_rel)
+        fast = factor_outcome(w, tol)
+        calls = []
+
+        def uninformative(a):
+            calls.append(a.shape)
+            return 0.0, np.inf
+
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "operator_norm_bracket", uninformative)
+            assert factor_outcome(w, tol) == fast
+        assert calls
+        monkeypatch.setattr(outer, "_wilson", exact_wilson)
+        assert factor_outcome(w, tol) == fast
+        if fact_rel != DEFAULT.fact_rel:
+            assert fast.startswith("factorize: residual ")
+
+    def test_fractional_edge_ends_in_a_stall(self):
+        g = spectral_factorize(fractional_edge_weight())
+        assert 9 <= g.sweeps <= 10
+
+    @pytest.mark.parametrize("name", ["noncommuting_2_m256", "noncommuting_4_m1024"])
+    def test_few_full_stack_svds(self, monkeypatch, name):
+        # at most the last sweep's stop test and the reported residual need
+        # an SVD of every node's block; exact tests at every sweep need four
+        w = self.WEIGHTS[name]()
+        full = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.ndim == 3 and a.shape[0] == w.node_count:
+                full.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        g = spectral_factorize(w)
+        assert g.sweeps == 3
+        assert len(full) <= 2
+
+    def test_s_function_certificate_changes_nothing(self, monkeypatch):
+        g = spectral_factorize(document_weight(noncommuting_document(4, 1024)))
+        fast = s_function(g).values
+        monkeypatch.setattr(outer, "_surely_invertible", lambda *args: False)
+        assert s_function(g).values.tobytes() == fast.tobytes()
+
+
+def singular_node_factor(block: np.ndarray) -> OuterFunction:
+    """A hand-built 2x2 factor whose boundary is the identity except at one node."""
+    vals = np.broadcast_to(np.eye(2, dtype=complex), (64, 2, 2)).copy()
+    vals[9] = block
+    coeffs = np.array([np.eye(2), np.diag([0.5, 0.0])], dtype=complex)
+    return OuterFunction(coeffs=coeffs, boundary=BoundarySampling(vals), residual=0.0,
+                         neg_leakage=0.0, truncation_defect=0.0, sweeps=0)
+
+
+class TestSingularBoundary:
+    @pytest.mark.parametrize("block", [np.diag([1.0, 0.0]), np.diag([1.0, 1e-14])])
+    def test_s_function_names_its_stage(self, block):
+        with pytest.raises(SingularBoundary, match=r"^s_function: G\(e\^\{-it\}\) numerically "
+                           r"singular at node t = .*: smallest singular value .* at or below "):
+            s_function(singular_node_factor(block))
+
+    def test_s_function_threshold_is_relative(self):
+        # 1e-11 clears 1e-12 times the largest singular value, 1: no error
+        s = s_function(singular_node_factor(np.diag([1.0, 1e-11])))
+        assert s.values[54, 1, 1] == pytest.approx(1e11)
+
+    def test_logdet_mean_names_its_stage(self):
+        # the second column of G vanishes, so det G = 0 at every node
+        g = singular_node_factor(np.eye(2))
+        g = dataclasses.replace(g, coeffs=np.array([np.diag([1.0, 0.0]), np.diag([0.5, 0.0])],
+                                                   dtype=complex))
+        with pytest.raises(SingularBoundary, match=r"^boundary_logdet_mean: det G vanishes at "
+                           r"node t = .* of the 64-node grid: \|det G\| = 0\.0e\+00"):
+            boundary_logdet_mean(g)
+
+
+class TestCommutatorExit:
+    def commuting_weight(self, rng, dim, level):
+        """A Haar frame times random positive channels, with an off-diagonal
+        perturbation cos(2t) N in the channel basis whose entries reach
+        level * 1e-12 * scale; being coherent over the grid, it gives the
+        probes the largest commutator the acceptance test lets through."""
+        theta = midpoint_nodes(512)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        harmonics = np.cos(np.arange(1, 5)[:, None] * theta[None, :])
+        channels = 1.0 + rng.uniform(-0.2, 0.2, (dim, 4)) @ harmonics
+        channels *= rng.uniform(0.5, 2.0, (dim, 1)) * 10.0 ** rng.uniform(-6.0, 6.0)
+        rotated = np.zeros((theta.size, dim, dim), dtype=complex)
+        idx = np.arange(dim)
+        rotated[:, idx, idx] = channels.T
+        n = np.triu(np.exp(2j * np.pi * rng.random((dim, dim))), 1)
+        n = level * 1e-12 * float(np.max(channels)) * (n + n.conj().T)
+        rotated += np.cos(2.0 * theta)[:, None, None] * n
+        return q @ rotated @ q.conj().T
+
+    def test_exit_keeps_every_commuting_result(self, monkeypatch):
+        rng = np.random.default_rng(4242)
+        accepted = 0
+        for trial in range(24):
+            dim = 2 + trial % 3
+            values = self.commuting_weight(rng, dim, (0.0, 0.3, 0.6, 0.9)[trial % 4])
+            fast = outer._commuting_factor(values)
+            with monkeypatch.context() as m:
+                m.setattr(outer, "_commutator_bound", lambda dim, m_grid: np.inf)
+                slow = outer._commuting_factor(values)
+            assert (fast is None) == (slow is None), trial
+            if fast is not None:
+                accepted += 1
+                assert fast.tobytes() == slow.tobytes(), trial
+        assert accepted >= 10
+
+    def test_noncommuting_weights_exit_before_rotation(self, monkeypatch):
+        values = document_weight(noncommuting_document(4, 1024)).values
+        values = 0.5 * (values + values.conj().transpose(0, 2, 1))
+        einsum = np.einsum
+
+        def no_rotation(spec, *operands, **kwargs):
+            assert spec != "ji,mjk,kl->mil", "rotated a non-commuting weight"
+            return einsum(spec, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", no_rotation)
+        assert outer._commuting_factor(values) is None
