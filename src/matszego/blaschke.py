@@ -15,6 +15,9 @@ on the orthogonal complement of W = B_{k-1}(z_k)^{-1} V_k, which makes
 B_k(z_k) = B_{k-1}(z_k) P_W have range exactly V_k. Full-dimensional
 targets impose nothing and are skipped; empty targets give a scalar
 factor b_k(z) I.
+
+Every error raised here starts with "blaschke:" and gives the offending
+value against its threshold.
 """
 
 from __future__ import annotations
@@ -23,40 +26,77 @@ import dataclasses
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateFrame,
     DuplicatePole,
     NotSimplePole,
+    NumericalError,
     PoleAtReflection,
     ValidationError,
 )
 from .tolerances import DEFAULT, Tolerances
 
 
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    """a as an array; NumericalError if it holds a NaN or an inf."""
+    a = np.asarray(a)
+    if not np.isfinite(a).all():
+        raise NumericalError(f"blaschke: {name} has non-finite entries")
+    return a
+
+
 def orthonormal_frame(vectors: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Orthonormal basis with the span of the given columns.
 
-    Raises DegenerateFrame when the columns are numerically dependent.
+    Raises DegenerateFrame when the columns are numerically dependent,
+    NumericalError when they hold a NaN or an inf.
     """
-    v = np.atleast_2d(np.asarray(vectors, dtype=complex))
+    v = np.atleast_2d(_finite(np.asarray(vectors, dtype=complex), "orthonormal_frame input"))
     if v.shape[1] == 0:
         return v
     if v.shape[1] > v.shape[0]:
-        raise DegenerateFrame(f"{v.shape[1]} columns cannot be independent in dim {v.shape[0]}")
+        raise DegenerateFrame(
+            f"blaschke: {v.shape[1]} columns cannot be independent in dimension {v.shape[0]}"
+        )
     q, r = np.linalg.qr(v)
     diag = np.abs(np.diag(r))
-    if diag.min() <= tol.rank_rel * max(diag.max(), np.abs(v).max(), 1e-300):
-        raise DegenerateFrame(f"column set numerically rank deficient (min pivot {diag.min():.3e})")
+    floor = tol.rank_rel * max(diag.max(), np.abs(v).max(), 1e-300)
+    if diag.min() <= floor:
+        raise DegenerateFrame(
+            f"blaschke: column set numerically rank deficient: min pivot {diag.min():.3e} "
+            f"at or below {tol.rank_rel:.1e} x scale = {floor:.3e}"
+        )
     return q
 
 
+def _numerical_rank(sing: np.ndarray, shape: tuple[int, ...]) -> int:
+    """How many singular values of a matrix of this shape exceed the
+    cutoff eps * max(shape) * s_max, numpy's matrix_rank default."""
+    cutoff = np.finfo(float).eps * max(shape) * np.amax(sing, initial=0.0)
+    return int(np.count_nonzero(sing > cutoff))
+
+
+def _range_frame(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span: the leading left singular
+    vectors, as many as the numerical rank."""
+    u, sing, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, : _numerical_rank(sing, a.shape)]
+
+
 def complement_frame(frame: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the columns."""
-    if frame.shape[1] == 0:
-        return np.eye(frame.shape[0], dtype=complex)
-    return scipy.linalg.null_space(frame.conj().T).astype(complex)
+    """Orthonormal basis of the orthogonal complement of the columns.
+
+    The complement is the null space of frame^H: the trailing right
+    singular vectors of its full SVD, past the numerical rank at the
+    cutoff eps * max(l, d) * s_max. Columns that are dependent to that
+    cutoff count once. Non-finite input raises NumericalError.
+    """
+    a = _finite(frame, "complement_frame input")
+    if a.shape[1] == 0:
+        return np.eye(a.shape[0], dtype=complex)
+    _, sing, vh = np.linalg.svd(a.conj().T, full_matrices=True)
+    return vh[_numerical_rank(sing, a.shape) :].conj().T.astype(complex, copy=False)
 
 
 def kernel_frame(w: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -73,12 +113,39 @@ def kernel_frame(w: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
 
 
 def principal_angles(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spans, largest first."""
-    if f1.shape[1] == 0 or f2.shape[1] == 0:
-        if f1.shape[1] == f2.shape[1]:
+    """Principal angles between the column spans, largest first.
+
+    Both frames are first orthonormalized by SVD under the cutoff
+    eps * max(shape) * s_max, so dependent columns drop out and there
+    are min(rank 1, rank 2) angles. Following Knyazev and Argentati
+    (SIAM J. Sci. Comput. 23, 2002), the cosines are the singular values
+    of Q1^H Q2 and the sines those of the narrower basis's residual off
+    the wider one. An angle at most pi/4 (cos^2 >= 1/2) is taken as the
+    arcsin of its sine, a larger one as the arccos of its cosine: each
+    function is used where it is well conditioned, so an angle of 1e-9
+    keeps its relative accuracy. The branch is chosen by each angle's
+    own cosine, so a 1e-9 angle beside one of 1.5 is not lost to an
+    arccos near 1. Non-finite input raises NumericalError.
+    """
+    a = _finite(f1, "principal_angles first frame")
+    b = _finite(f2, "principal_angles second frame")
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        if a.shape[1] == b.shape[1]:
             return np.zeros(0)
         return np.array([np.pi / 2])
-    return scipy.linalg.subspace_angles(f1, f2)
+    qa, qb = _range_frame(a), _range_frame(b)
+    cross = qa.conj().T @ qb
+    cosines = np.linalg.svd(cross, compute_uv=False)[::-1]  # largest angle first
+    if qa.shape[1] >= qb.shape[1]:
+        residual = qb - qa @ cross
+    else:
+        residual = qa - qb @ cross.conj().T
+    sines = np.linalg.svd(residual, compute_uv=False)
+    return np.where(
+        cosines**2 >= 0.5,
+        np.arcsin(np.clip(sines, -1.0, 1.0)),
+        np.arccos(np.clip(cosines, -1.0, 1.0)),
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,9 +164,11 @@ class ElementaryFactor:
         """The scalar Blaschke function b(z), positive at the origin."""
         z_arr = np.asarray(z, dtype=complex)
         denom = 1.0 - np.conj(self.z) * z_arr
-        if np.any(np.abs(denom) < 1e-14):
+        gap = float(np.min(np.abs(denom), initial=np.inf))
+        if gap < 1e-14:
             raise PoleAtReflection(
-                f"evaluation at the reflected point 1/conj({self.z:.6g})"
+                f"blaschke: evaluation at the reflected point 1/conj({self.z:.6g}): "
+                f"|1 - conj(z_k) z| = {gap:.3e} below 1.0e-14"
             )
         return (abs(self.z) / self.z) * (self.z - z_arr) / denom
 
@@ -179,10 +248,16 @@ def construct_product(
     pts = [complex(states[i][0]) for i in order]
     for i, z in enumerate(pts):
         if not 0.0 < abs(z) < 1.0:
-            raise ValidationError(f"pole {z:.6g} outside the punctured open disk")
+            raise ValidationError(
+                f"blaschke: pole {z:.6g} outside the punctured open disk: |z| = {abs(z):.6g} "
+                "not in (0, 1)"
+            )
         for z_prev in pts[:i]:
             if abs(z - z_prev) < 1e-12:
-                raise DuplicatePole(f"poles {z_prev:.6g} and {z:.6g} coincide")
+                raise DuplicatePole(
+                    f"blaschke: poles {z_prev:.6g} and {z:.6g} coincide: "
+                    f"gap {abs(z - z_prev):.3e} below 1.0e-12"
+                )
 
     factors: list[ElementaryFactor] = []
     partial = BlaschkePotapovProduct(factors=(), dim=dim)
@@ -190,7 +265,9 @@ def construct_product(
         z_k = complex(states[i][0])
         v = np.asarray(states[i][1], dtype=complex).reshape(dim, -1)
         if v.shape[1] > dim:
-            raise ValidationError(f"frame at {z_k:.6g} has {v.shape[1]} > {dim} columns")
+            raise ValidationError(
+                f"blaschke: frame at {z_k:.6g} has {v.shape[1]} columns, above dimension {dim}"
+            )
         if v.shape[1] == dim:
             orthonormal_frame(v, tol)  # still reject degenerate input
             continue
@@ -233,7 +310,10 @@ def residue_kernel(
         if gap > 1e-300:
             clearance = min(clearance, gap)
     if clearance <= 0.0:
-        raise ValidationError(f"pole {pole:.6g} not strictly inside the disk")
+        raise ValidationError(
+            f"blaschke: pole {pole:.6g} not strictly inside the disk: "
+            f"clearance {clearance:.3e} not above 0"
+        )
     eps = 1e-4 * clearance
     phi = 2.0 * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS
     ring = np.exp(1j * phi)
@@ -262,7 +342,8 @@ def residue_kernel(
     floor = 1e-6 * max(scale, 1e-300)
     if min(second.values()) > floor:
         raise NotSimplePole(
-            f"second-order Laurent content {max(second.values()):.3e} at {pole:.6g}"
+            f"blaschke: second-order Laurent content {min(second.values()):.3e} at {pole:.6g} "
+            f"above 1e-6 x scale = {floor:.3e} at both radii"
         )
 
     sing_top = float(np.linalg.svd(residue, compute_uv=False)[0])

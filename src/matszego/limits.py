@@ -90,7 +90,9 @@ def build_pipeline(mu: ms.MatrixMeasure, tol: Tolerances = DEFAULT) -> LimitFunc
 
     Raises RadiusExceeded for masses so close to the band that the
     factor's series cannot reach their disk coordinate, KernelMismatch
-    if the certified residue kernels disagree with the mass kernels.
+    if the certified residue kernels disagree with the mass kernels. The
+    kernel certificate belongs to the Blaschke-Potapov step, so its
+    message starts with "blaschke:".
     """
     w = ms.szego_weight(mu)
     g = sf.spectral_factorize(w, tol=tol)
@@ -137,8 +139,9 @@ def build_pipeline(mu: ms.MatrixMeasure, tol: Tolerances = DEFAULT) -> LimitFunc
         worst = float(angles.max()) if angles.size else 0.0
         if res_ker.shape[1] != ker.shape[1] or worst > tol.kernel_angle:
             raise KernelMismatch(
-                f"residue kernel at E = {state.energy:.6g} misses the mass kernel "
-                f"(angle {worst:.3e}, dims {res_ker.shape[1]} vs {ker.shape[1]})"
+                f"blaschke: residue kernel at E = {state.energy:.6g} misses the mass kernel: "
+                f"angle {worst:.3e} against kernel_angle {tol.kernel_angle:.1e}, "
+                f"dims {res_ker.shape[1]} vs {ker.shape[1]}"
             )
         kernel_angles[k] = worst
     kernel_angles.setflags(write=False)

@@ -106,7 +106,9 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     applied every 10 steps to arrest drift, and every step while a mass
     is live. NotHermitian is raised when a B block is not Hermitian,
     LostPositivity when the Gram matrix of the recurrence remainder
-    drops below tol.pos.
+    drops below tol.pos; their messages start with "stieltjes:", and
+    LostPositivity's names the discrete measure's resolution M/2 +
+    sum rank_k (M/2 distinct nodes plus the mass ranks).
 
     Evaluations at a mass point ride the recurrence's growing solution:
     rounding noise amplifies like |z_k|^{-n} while the true values decay
@@ -149,8 +151,12 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
         q = x_rows * cur
         b_next = cur.conj().T @ q
         herm = float(operator_norm(b_next - b_next.conj().T))
-        if herm > 1e-8 * max(1.0, float(operator_norm(b_next))):
-            raise NotHermitian(f"step {n + 1}: B block defect {herm:.2e}")
+        herm_floor = 1e-8 * max(1.0, float(operator_norm(b_next)))
+        if herm > herm_floor:
+            raise NotHermitian(
+                f"stieltjes: step {n + 1}: B block defect {herm:.2e} above "
+                f"1e-8 x max(1, ||B||) = {herm_floor:.2e}"
+            )
         b_next = 0.5 * (b_next + b_next.conj().T)
 
         q -= cur @ b_next
@@ -168,7 +174,9 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
         lam = np.linalg.eigvalsh(gram)
         if lam[0] < tol.pos:
             raise LostPositivity(
-                f"step {n + 1}: Gram eigenvalue {lam[0]:.3e} below {tol.pos:.1e}"
+                f"stieltjes: step {n + 1}: Gram eigenvalue {lam[0]:.3e} below {tol.pos:.1e}; "
+                f"the discrete measure's resolution is M/2 + sum rank_k = "
+                f"{m_grid // 2} + {sum(ranks)} = {m_grid // 2 + sum(ranks)}"
             )
         a_next = principal_sqrt(gram, tol)
         nxt = y[:, (n + 1) * l : (n + 2) * l]

@@ -7,6 +7,7 @@ from matszego.errors import (
     DegenerateFrame,
     DuplicatePole,
     NotSimplePole,
+    NumericalError,
     PoleAtReflection,
     ValidationError,
 )
@@ -80,6 +81,158 @@ class TestFrames:
         assert np.max(principal_angles(E1, E2)) == pytest.approx(np.pi / 2)
         # dimension mismatch between empty and nonempty spans is maximal
         assert np.max(principal_angles(np.zeros((2, 0)), E1)) == pytest.approx(np.pi / 2)
+
+
+def rotated_pair(angles, rng):
+    """Orthonormal frames of two spans in C^4 with the given principal
+    angles, turned by one Haar unitary so no coordinate is special."""
+    e = np.eye(4, dtype=complex)
+    f1 = e[:, : len(angles)]
+    f2 = np.stack(
+        [np.cos(t) * e[:, k] + np.exp(0.7j) * np.sin(t) * e[:, len(angles) + k]
+         for k, t in enumerate(angles)],
+        axis=1,
+    )
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    return u @ f1, u @ f2
+
+
+def assert_complement(frame, c, dim):
+    """c is an orthonormal basis of dimension dim orthogonal to frame."""
+    assert c.shape == (frame.shape[0], dim)
+    assert float(operator_norm(c.conj().T @ c - np.eye(dim))) < 1e-14
+    assert float(np.max(np.abs(frame.conj().T @ c), initial=0.0)) < 1e-14
+
+
+class TestSubspacePorts:
+    """Closed forms for the SVD null space and the principal angles."""
+
+    @pytest.fixture(autouse=True)
+    def _invalid_values_raise(self):
+        # a sine that rounds above 1 must not reach arcsin as a NaN
+        with np.errstate(invalid="raise"):
+            yield
+
+    @pytest.mark.parametrize(
+        "angles", [(1.2, 0.3), (0.9, 0.6), (np.pi / 2, 0.0), (np.pi / 2 - 1e-9, 0.2), (1.5, 1e-9)]
+    )
+    def test_rotated_spans_largest_first(self, angles):
+        f1, f2 = rotated_pair(angles, np.random.default_rng(41))
+        got = principal_angles(f1, f2)
+        want = np.sort(angles)[::-1]
+        assert got.shape == (2,)
+        assert np.all(np.diff(got) <= 0.0)
+        # pi/2 - 1e-9 must come from its cosine: its sine rounds to 1
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-14)
+        # the smaller angle of (1.5, 1e-9) must come from its own sine,
+        # not from the arccos of a cosine that rounds to 1
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-6, atol=1e-14)
+
+    def test_small_angle_through_the_sine(self):
+        theta = 1e-9
+        f1, f2 = rotated_pair([theta], np.random.default_rng(43))
+        got = principal_angles(f1, f2)
+        assert got.shape == (1,)
+        assert abs(got[0] - theta) <= 1e-6 * theta
+        # the arccos of the cosine cannot resolve it: cos(1e-9) rounds to 1
+        assert np.arccos(np.cos(theta)) == 0.0
+
+    def test_unequal_column_counts_both_ways(self):
+        theta = 0.4
+        e = np.eye(4, dtype=complex)
+        wide = e[:, :3]
+        narrow = (np.cos(theta) * e[:, 1] + np.sin(theta) * e[:, 3])[:, None]
+        for f1, f2 in ((wide, narrow), (narrow, wide)):
+            got = principal_angles(f1, f2)
+            assert got.shape == (1,)
+            assert got[0] == pytest.approx(theta, abs=1e-15)
+        # a plane against a line inside it, and the other way round
+        assert principal_angles(wide, e[:, [0]]) == pytest.approx([0.0], abs=1e-15)
+        assert principal_angles(e[:, [0]], e[:, 1:]) == pytest.approx([np.pi / 2])
+
+    def test_rank_deficient_frames_drop_dependent_columns(self):
+        rng = np.random.default_rng(47)
+        f1, f2 = rotated_pair((1.0, 0.25), rng)
+        # a third column in the span of the first two, and a repeated one
+        mix = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        loose1 = np.hstack([f1, f1 @ mix[:, None]])
+        loose2 = np.hstack([3.0 * f2, f2[:, [0]], f2[:, [1]]])
+        got = principal_angles(loose1, loose2)
+        np.testing.assert_allclose(got, [1.0, 0.25], atol=1e-14)
+        # a rank-one frame of two parallel columns against a line
+        line = f2[:, [1]]
+        assert principal_angles(np.hstack([line, -2j * line]), f1) == pytest.approx(
+            [0.25], abs=1e-14
+        )
+
+    def test_complement_of_full_frame_is_empty(self):
+        rng = np.random.default_rng(53)
+        q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        c = complement_frame(q)
+        assert c.shape == (4, 0) and c.dtype == complex
+
+    def test_complement_of_rank_one_frames(self):
+        rng = np.random.default_rng(59)
+        v = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
+        assert_complement(v / np.linalg.norm(v), complement_frame(v), 3)
+        # dependent columns count once at the rank cutoff
+        c = complement_frame(np.hstack([v, 2.5j * v, -v]))
+        assert_complement(v / np.linalg.norm(v), c, 3)
+
+    def test_complement_of_a_plane(self):
+        f1, _ = rotated_pair((0.3, 0.2), np.random.default_rng(61))
+        c = complement_frame(f1)
+        assert_complement(f1, c, 2)
+        assert principal_angles(c, f1) == pytest.approx([np.pi / 2] * 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_frames_raise_a_stage_named_error(self, bad):
+        frame = np.eye(4, 2, dtype=complex)
+        frame[2, 1] = bad
+        with pytest.raises(NumericalError, match=r"^blaschke: complement_frame input "):
+            complement_frame(frame)
+        with pytest.raises(NumericalError, match=r"^blaschke: principal_angles first frame "):
+            principal_angles(frame, np.eye(4, 1))
+        with pytest.raises(NumericalError, match=r"^blaschke: principal_angles second frame "):
+            principal_angles(np.eye(4, 1), frame)
+        with pytest.raises(NumericalError, match=r"^blaschke: orthonormal_frame input "):
+            orthonormal_frame(frame)
+        # a full-dimensional target goes through orthonormal_frame alone
+        square = np.eye(4, dtype=complex)
+        square[0, 3] = bad
+        with pytest.raises(NumericalError, match=r"^blaschke: orthonormal_frame input "):
+            construct_product([(0.5, square)], dim=4)
+
+
+class TestStageNamedErrors:
+    def test_frame_errors(self):
+        with pytest.raises(DegenerateFrame, match=r"^blaschke: 3 columns .* dimension 2$"):
+            orthonormal_frame(np.ones((2, 3)))
+        with pytest.raises(DegenerateFrame, match=r"^blaschke: .*min pivot 0\.000e\+00 at or below "):
+            orthonormal_frame(np.zeros((3, 1)))
+        with pytest.raises(ValidationError, match=r"^blaschke: frame at .* 3 columns, above dimension 2$"):
+            construct_product([(0.5, np.ones((2, 3)))], dim=2)
+
+    def test_pole_errors(self):
+        with pytest.raises(ValidationError, match=r"^blaschke: pole 1\.2.*\|z\| = 1\.2 not in \(0, 1\)$"):
+            construct_product([(1.2, E1)], dim=2)
+        with pytest.raises(DuplicatePole, match=r"^blaschke: .*gap 0\.000e\+00 below 1\.0e-12$"):
+            construct_product([(0.5, E1), (0.5, E2)], dim=2)
+        f = ElementaryFactor(z=0.5, rank=1, unitary=np.eye(1, dtype=complex))
+        with pytest.raises(PoleAtReflection, match=r"^blaschke: .*= 0\.000e\+00 below 1\.0e-14$"):
+            f.scalar(2.0)
+
+    def test_residue_errors(self):
+        prod = construct_product([(0.5, E1)], dim=2)
+        with pytest.raises(ValidationError, match=r"^blaschke: pole 1 .*clearance 0\.000e\+00"):
+            residue_kernel(prod.eval_inverse, 1.0)
+
+        def double(z):
+            z = np.atleast_1d(np.asarray(z, dtype=complex))
+            return ((z - 0.5) ** -2)[:, None, None] * np.eye(1)
+
+        with pytest.raises(NotSimplePole, match=r"^blaschke: second-order .* above 1e-6 x scale"):
+            residue_kernel(double, 0.5)
 
 
 class TestElementaryFactor:

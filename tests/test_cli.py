@@ -148,6 +148,16 @@ class TestExitCodes:
         assert err.startswith("numerical error: s_function: G(e^{-it}) numerically singular ")
         assert "smallest singular value" in err and "at or below 5.0e-01 x largest" in err
 
+    def test_kernel_mismatch_names_its_stage(self, capsys, monkeypatch):
+        # a cutoff above the top singular value takes the whole space as
+        # the kernel of the rank-one residue, against a one-dimensional
+        # mass kernel
+        monkeypatch.setenv("MATSZEGO_TOLERANCES", '{"residue_rank_rel": 2.0}')
+        code, _, err = run(capsys, "blaschke", MATRIX_MASS)
+        assert code == 4
+        assert err.startswith("numerical error: blaschke: residue kernel at E = 2.5 misses ")
+        assert "against kernel_angle 1.0e-06, dims 2 vs 1" in err
+
 
 # Report bounds of the benchmark's checks: the factor residual target is
 # fact_rel times max |w|, below 10 on a normalized measure.

@@ -1,8 +1,17 @@
-"""Every import in the package and its tests is used, and every
-module-level name of the package is referenced (stdlib ast scans)."""
+"""Every import in the package and its tests is used, every
+module-level name of the package is referenced (stdlib ast scans), and
+the package imports nothing beyond the standard library and its declared
+dependencies."""
 
 import ast
+import json
+import os
 import pathlib
+import re
+import subprocess
+import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "matszego").glob("*.py"))
@@ -113,3 +122,65 @@ def test_no_unreferenced_names():
     assert sorted(set(found) - UNREFERENCED_ALLOWED) == []
     # an allowlisted name that is referenced again, or deleted, leaves the list
     assert sorted(UNREFERENCED_ALLOWED - set(found)) == []
+
+
+def foreign_imports(source: str, allowed: set[str]) -> list[str]:
+    """Absolute imports whose top-level package is neither in the
+    standard library nor in allowed."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top not in allowed:
+                found.append(f"line {node.lineno}: {top}")
+    return found
+
+
+def declared_dependencies() -> set[str]:
+    """Import names of the pyproject.toml [project] dependencies."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {
+        re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower().replace("-", "_")
+        for dep in project["dependencies"]
+    }
+
+
+def test_scan_finds_a_foreign_import():
+    source = "import os.path\nimport scipy.linalg\nfrom numpy import fft\nfrom . import errors\n"
+    assert foreign_imports(source, {"numpy"}) == ["line 2: scipy"]
+    assert foreign_imports("from scipy import linalg\n", set()) == ["line 1: scipy"]
+
+
+def test_package_imports_only_declared_dependencies():
+    allowed = declared_dependencies()
+    assert allowed == {"numpy"}
+    found = {
+        path.name: names for path in PACKAGE if (names := foreign_imports(path.read_text(), allowed))
+    }
+    assert found == {}
+
+
+def test_cli_run_loads_no_scipy():
+    # a fresh interpreter: this test process may have loaded scipy itself
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import matszego.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = matszego.cli.main(['blaschke', 'specs/semicircle_mass.json'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == []

@@ -1,12 +1,19 @@
 """Recurrence construction, normalization types, and evaluation."""
 
+import dataclasses
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from matszego.errors import DimensionMismatch, RadiusExceeded, ValidationError
+from matszego.errors import (
+    DimensionMismatch,
+    LostPositivity,
+    NotHermitian,
+    RadiusExceeded,
+    ValidationError,
+)
 from matszego.linalg import midpoint_nodes, operator_norm
 from matszego.measure import (
     ArcsineDensity,
@@ -27,6 +34,7 @@ from matszego.polynomials import (
     to_type,
     type_defect,
 )
+from matszego.tolerances import Tolerances
 
 from conftest import random_smooth_weight
 
@@ -82,6 +90,26 @@ class TestScalarOracles:
         root = np.sqrt(w[0, 0].real)
         amps = root * np.abs(mass_sequence.mass_values[:, 0, 0, 0])
         assert float(amps.max()) <= 1.0 + 1e-8
+
+
+class TestStageNamedErrors:
+    def test_lost_positivity_names_the_resolution(self, mass_measure):
+        # the shipped mass spec: M = 4096 nodes and one rank-one mass
+        with pytest.raises(
+            LostPositivity,
+            match=r"^stieltjes: step 1: Gram eigenvalue .* below 1\.0e\+01; the discrete "
+            r"measure's resolution is M/2 \+ sum rank_k = 2048 \+ 1 = 2049$",
+        ):
+            stieltjes(mass_measure, 3, Tolerances(pos=10.0))
+
+    def test_not_hermitian_names_its_threshold(self, semicircle_measure):
+        # complex abscissae make the first B block non-Hermitian
+        tilted = dataclasses.replace(semicircle_measure, x_nodes=semicircle_measure.x_nodes + 0.1j)
+        with pytest.raises(
+            NotHermitian,
+            match=r"^stieltjes: step 1: B block defect .* above 1e-8 x max\(1, \|\|B\|\|\) = ",
+        ):
+            stieltjes(tilted, 3)
 
 
 def _random_measure(l, m_grid, seed):
