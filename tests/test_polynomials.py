@@ -1,6 +1,7 @@
 """Recurrence construction, normalization types, and evaluation."""
 
 import dataclasses
+import mmap
 import tracemalloc
 
 import mpmath
@@ -25,6 +26,7 @@ from matszego.measure import (
 )
 from matszego.polynomials import (
     BlockJacobi,
+    _mapped_buffer,
     apply_transform,
     eval_scaled_many,
     leading_coeffs,
@@ -243,14 +245,31 @@ def deep_measure():
 
 class TestMemory:
     def test_peak_stays_near_the_returned_values(self, deep_measure):
-        # the buffer is the output, so a copy of the basis or of a window would show
+        # the buffer is the output and is mapped outside malloc, where
+        # tracemalloc does not see it, so a copy of the basis (13 MB) or of
+        # a window (4 MB) would show
         tracemalloc.start()
         try:
             seq = stieltjes(deep_measure, 100)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * seq.grid_values.nbytes
+        assert peak <= 0.25 * seq.grid_values.nbytes
+
+    def test_values_live_in_their_own_mapping(self, deep_measure):
+        # a heap block would stay resident after the sequence is dropped
+        seq = stieltjes(deep_measure, 100)
+        base = seq.grid_values
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
+        assert seq.grid_values.flags.writeable
+
+    def test_mapped_buffer_is_zeroed_fortran_order(self):
+        y = _mapped_buffer(7, 3)
+        assert y.shape == (7, 3) and y.dtype == complex
+        assert y.flags.f_contiguous and y.flags.writeable
+        assert not np.any(y)
 
     def test_defect_never_stacks_the_whole_grid(self, deep_measure):
         # grid_values is 13 MB and the window's weighted stack (M, l, 31 l)
