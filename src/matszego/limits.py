@@ -204,7 +204,7 @@ def verify_l2(
     b_reflected = b_vals[::-1]
     out = np.empty(len(n_values))
     for i, n in enumerate(n_values):
-        p_vals = pseq2.grid_values[n]
+        p_vals = pseq2.grid_at(n)
         lhs = g_b @ p_vals
         waves = (
             np.exp(-1j * n * theta)[:, None, None] * b_vals

@@ -14,6 +14,7 @@ exact for trigonometric polynomials of degree < M/2 (indices with
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -104,7 +105,7 @@ def _frobenius_top(a: np.ndarray) -> tuple[np.ndarray, float | None]:
     the operator norms. It is 0.0 only when every entry is exactly zero.
     """
     fro = np.linalg.norm(a, axis=(-2, -1))
-    top = float(np.max(fro))
+    top = float(fro.max())
     if top == 0.0 and not a.any():
         return fro, 0.0
     if not _FRO_TINY <= top < np.inf:
@@ -132,7 +133,7 @@ def max_operator_norm(a: np.ndarray) -> float:
         return 0.0
     if top is None:
         return float(np.max(operator_norm(a)))
-    floor = (1.0 - _BRACKET_MARGIN) * top / np.sqrt(min(a.shape[-2:]))
+    floor = (1.0 - _BRACKET_MARGIN) * top / math.sqrt(min(a.shape[-2:]))
     return float(np.max(operator_norm(a[fro >= floor])))
 
 
@@ -161,7 +162,7 @@ def operator_norm_bracket(a: np.ndarray) -> tuple[float, float]:
     if top is None:
         return np.nan, np.nan
     return (
-        (1.0 - _BRACKET_MARGIN) * top / np.sqrt(min(a.shape[-2:])),
+        (1.0 - _BRACKET_MARGIN) * top / math.sqrt(min(a.shape[-2:])),
         (1.0 + _BRACKET_MARGIN) * top,
     )
 
@@ -180,7 +181,15 @@ def principal_sqrt(a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     defect = hermitian_defect(a)
     if defect > tol.herm:
         raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {tol.herm:.1e}")
-    lam, q = np.linalg.eigh(a)
+    return sqrt_from_eigh(*np.linalg.eigh(a), tol)
+
+
+def sqrt_from_eigh(lam: np.ndarray, q: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """q diag(sqrt(lam)) q* from the ascending output of np.linalg.eigh.
+
+    Eigenvalues in [-tol.herm, 0) are treated as rounded zeros; below
+    that raises NegativeEigenvalue.
+    """
     if lam[0] < -tol.herm:
         raise NegativeEigenvalue(f"eigenvalue {lam[0]:.3e} below -{tol.herm:.1e}")
     lam = np.clip(lam, 0.0, None)

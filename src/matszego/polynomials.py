@@ -27,7 +27,13 @@ from .errors import (
     Singular,
     ValidationError,
 )
-from .linalg import left_polar, max_operator_norm, operator_norm, principal_sqrt
+from .linalg import (
+    left_polar,
+    max_operator_norm,
+    operator_norm,
+    operator_norm_bracket,
+    sqrt_from_eigh,
+)
 from .measure import MatrixMeasure, inner_product
 from .tolerances import DEFAULT, Tolerances
 
@@ -94,29 +100,135 @@ class BlockJacobi:
 class EquivalenceTransform:
     """Unitaries sigma_1..sigma_{n+1} with sigma[k] = sigma_{k+1}, sigma[0] = I.
 
-    Transformed data: A~_k = sigma_{k-1+1}^* ... i.e. a~[k] = sigma[k]* a[k] sigma[k+1],
-    b~[k] = sigma[k]* b[k] sigma[k], p~_k = p_k sigma[k].
+    Transformed data: A~_k = sigma_k^* A_k sigma_{k+1}, B~_k = sigma_k^* B_k
+    sigma_k and p~_k = p_k sigma_{k+1}; in array indices a~[k] = sigma[k]*
+    a[k] sigma[k+1], b~[k] = sigma[k]* b[k] sigma[k] and p~_k = p_k sigma[k].
     """
 
     sigma: np.ndarray
 
 
-@dataclasses.dataclass(frozen=True)
-class PolySequence:
-    """Orthonormal polynomials cached on the quadrature grid.
+def _unwhiten(root: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[m] = root[m]^{-1} rows[m] for every node, about 1 MB of rows at a time.
 
-    grid_values[k] holds p_k at the x-nodes, mass_values[k] holds p_k at
-    the mass energies.
+    out may be rows itself. Each node's solve is one LAPACK call whatever
+    the chunk, so a degree's l columns come out bitwise equal to the same
+    columns of the full-width solve (TestLazyValues checks this).
+    """
+    step = max(1, (1 << 16) // rows[0].size)
+    for a in range(0, rows.shape[0], step):
+        out[a : a + step] = np.linalg.solve(root[a : a + step], rows[a : a + step])
+    return out
+
+
+class _WhitenedValues:
+    """p_0..p_n held as the whitened rows of one stieltjes buffer.
+
+    The grid rows c_m p_k(x_m) become p_k(x_m) only when read. A full read
+    unwhitens them in place, once, so grid_values is a view of the buffer;
+    before that, one degree is solved from its own l columns. Every
+    sequence that shares the buffer reads through this one object, so
+    no row is ever unwhitened twice.
     """
 
-    measure: MatrixMeasure
-    jacobi: BlockJacobi
-    grid_values: np.ndarray
-    mass_values: np.ndarray
+    def __init__(self, measure: MatrixMeasure, y: np.ndarray, spans: list, degree: int):
+        self.measure = measure
+        self.degree = degree
+        self._y = y
+        self._spans = spans
+        self._grid = None
+        self._mass = None
+
+    def _rows(self) -> np.ndarray:
+        m_grid, l = self.measure.quad_order, self.measure.dim
+        return self._y[: m_grid * l].reshape(m_grid, l, self._y.shape[1])
+
+    def grid_values(self) -> np.ndarray:
+        if self._grid is None:
+            rows = self._rows()
+            _unwhiten(self.measure.weight_root, rows, rows)
+            m_grid, l = self.measure.quad_order, self.measure.dim
+            self._grid = rows.reshape(m_grid, l, self.degree + 1, l).transpose(2, 0, 1, 3)
+        return self._grid
+
+    def grid_at(self, n: int) -> np.ndarray:
+        if self._grid is not None:
+            return self._grid[n]
+        l = self.measure.dim
+        cols = self._rows()[:, :, n * l : (n + 1) * l]
+        return _unwhiten(self.measure.weight_root, cols, np.empty(cols.shape, dtype=complex))
+
+    def mass_values(self) -> np.ndarray:
+        # a few KB per mass, so every degree is computed at the first read
+        if self._mass is None:
+            states, l, width = self.measure.bound_states, self.measure.dim, self._y.shape[1]
+            self._mass = np.empty((self.degree + 1, len(states), l, l), dtype=complex)
+            for k, (s, rows) in enumerate(zip(states, self._spans)):
+                values = np.linalg.pinv(s.root) @ self._y[rows]
+                self._mass[:, k] = values.reshape(l, width // l, l).transpose(1, 0, 2)
+        return self._mass
+
+
+class _RotatedValues:
+    """p_k sigma[k] for the values of another sequence, rotated on read."""
+
+    def __init__(self, base, sigma: np.ndarray):
+        self.degree = base.degree
+        self._base = base
+        self._sigma = sigma
+        self._grid = None
+        self._mass = None
+
+    def grid_values(self) -> np.ndarray:
+        if self._grid is None:
+            self._grid = np.einsum("kmij,kjl->kmil", self._base.grid_values(), self._sigma)
+        return self._grid
+
+    def grid_at(self, n: int) -> np.ndarray:
+        if self._grid is not None:
+            return self._grid[n]
+        one = self._base.grid_at(n)[None]
+        return np.einsum("kmij,kjl->kmil", one, self._sigma[n : n + 1])[0]
+
+    def mass_values(self) -> np.ndarray:
+        if self._mass is None:
+            self._mass = np.einsum("kmij,kjl->kmil", self._base.mass_values(), self._sigma)
+        return self._mass
+
+
+class PolySequence:
+    """Orthonormal polynomials p_0..p_n on the quadrature grid and at the masses.
+
+    grid_values[k] holds p_k at the x-nodes and mass_values[k] at the mass
+    energies; grid_at(k) is grid_values[k] alone. Values are computed when
+    first read, and only for what is read: a sequence that is only asked
+    for its jacobi never computes one. A full read of grid_values is
+    computed once and kept; grid_at(k) before it costs one degree and
+    keeps nothing. Either read gives the same floats.
+    """
+
+    def __init__(self, measure: MatrixMeasure, jacobi: BlockJacobi, values):
+        self.measure = measure
+        self.jacobi = jacobi
+        self._values = values
 
     @property
     def degree(self) -> int:
-        return self.grid_values.shape[0] - 1
+        return self._values.degree
+
+    @property
+    def grid_values(self) -> np.ndarray:
+        return self._values.grid_values()
+
+    @property
+    def mass_values(self) -> np.ndarray:
+        return self._values.mass_values()
+
+    def grid_at(self, n: int) -> np.ndarray:
+        """p_n at the x-nodes, shape (M, l, l)."""
+        if not 0 <= n <= self.degree:
+            raise DimensionMismatch(f"degree {n} outside 0..{self.degree}")
+        return self._values.grid_at(n)
 
 
 def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> PolySequence:
@@ -150,11 +262,24 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     ||R_k p_n(E_k)||_F falls below 1e-10; the discarded true Gram
     contribution is below 1e-20.
 
+    Each step's two tests cost one eigendecomposition and no SVD in the
+    usual case. The B block's Hermitian test is decided from Frobenius
+    brackets of both norms (linalg.operator_norm_bracket) and takes the
+    SVDs only when they cannot settle it, so it decides as the exact
+    norms would. One eigh of the Gram matrix gives the LostPositivity
+    test its smallest eigenvalue and A_{n+1} its square root
+    (linalg.sqrt_from_eigh, whose NegativeEigenvalue guard still holds
+    under a tol.pos <= 0 override).
+
     The buffer is an anonymous mapping of its own (_mapped_buffer), so
-    its pages are returned when the sequence is dropped. At the end the
-    grid rows are unwhitened in place, so grid_values is a view of the
-    buffer; mass_values holds pinv(R_k) R_k p_n(E_k), the values
-    projected onto the range of the weight.
+    its pages are returned when the sequence is dropped. The sequence
+    keeps the buffer whitened and computes values only when they are
+    read (PolySequence): a caller that wants only the blocks, such as
+    the sum rule, never unwhitens a row. A full read of grid_values
+    unwhitens the grid rows in place, so it is a view of the buffer;
+    grid_at(n) before that solves only degree n's l columns.
+    mass_values holds pinv(R_k) R_k p_n(E_k), the values projected onto
+    the range of the weight.
     """
     l = measure.dim
     m_grid = measure.quad_order
@@ -182,13 +307,7 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
         cur = y[:, n * l : (n + 1) * l]
         q = x_rows * cur
         b_next = cur.conj().T @ q
-        herm = float(operator_norm(b_next - b_next.conj().T))
-        herm_floor = 1e-8 * max(1.0, float(operator_norm(b_next)))
-        if herm > herm_floor:
-            raise NotHermitian(
-                f"stieltjes: step {n + 1}: B block defect {herm:.2e} above "
-                f"1e-8 x max(1, ||B||) = {herm_floor:.2e}"
-            )
+        _check_hermitian(b_next, n + 1)
         b_next = 0.5 * (b_next + b_next.conj().T)
 
         q -= cur @ b_next
@@ -202,15 +321,16 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
             q -= basis @ (q.conj().T @ basis).conj().T
 
         gram = q.conj().T @ q
+        # exactly Hermitian, so eigh needs no Hermitian test first
         gram = 0.5 * (gram + gram.conj().T)
-        lam = np.linalg.eigvalsh(gram)
+        lam, vec = np.linalg.eigh(gram)
         if lam[0] < tol.pos:
             raise LostPositivity(
                 f"stieltjes: step {n + 1}: Gram eigenvalue {lam[0]:.3e} below {tol.pos:.1e}; "
                 f"the discrete measure's resolution is M/2 + sum rank_k = "
                 f"{m_grid // 2} + {sum(ranks)} = {m_grid // 2 + sum(ranks)}"
             )
-        a_next = principal_sqrt(gram, tol)
+        a_next = sqrt_from_eigh(lam, vec, tol)
         nxt = y[:, (n + 1) * l : (n + 2) * l]
         nxt[...] = q @ np.linalg.inv(a_next)
         for k, rows in enumerate(spans):
@@ -221,20 +341,30 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
         a_blocks[n] = a_next
         b_blocks[n] = b_next
 
-    # unwhiten the grid rows in place, a chunk of about 1 MB at a time
-    step = max(1, (1 << 16) // (l * width))
-    for a in range(0, m_grid, step):
-        grid[a : a + step] = np.linalg.solve(measure.weight_root[a : a + step], grid[a : a + step])
-    grid_values = grid.reshape(m_grid, l, n_max + 1, l).transpose(2, 0, 1, 3)
-    mass_values = np.empty((n_max + 1, len(states), l, l), dtype=complex)
-    for k, (s, rows) in enumerate(zip(states, spans)):
-        values = np.linalg.pinv(s.root) @ y[rows]
-        mass_values[:, k] = values.reshape(l, n_max + 1, l).transpose(1, 0, 2)
-
     jac = BlockJacobi(a=a_blocks, b=b_blocks, norm_type="type1")
-    return PolySequence(
-        measure=measure, jacobi=jac, grid_values=grid_values, mass_values=mass_values
-    )
+    return PolySequence(measure, jac, _WhitenedValues(measure, y, spans, n_max))
+
+
+def _check_hermitian(b: np.ndarray, step: int) -> None:
+    """Raise NotHermitian when ||B - B*|| > 1e-8 max(1, ||B||).
+
+    The test passes without an SVD when the upper end of the defect's
+    Frobenius bracket is at most a lower bound of the threshold: 1e-8,
+    or else 1e-8 times the lower end of B's bracket. Otherwise, a NaN
+    bracket included, the exact norms decide and fill the message, so
+    the decision is always the one the exact norms give.
+    """
+    defect = b - b.conj().T
+    _, defect_hi = operator_norm_bracket(defect)
+    if defect_hi <= 1e-8 or defect_hi <= 1e-8 * operator_norm_bracket(b)[0]:
+        return
+    herm = float(operator_norm(defect))
+    floor = 1e-8 * max(1.0, float(operator_norm(b)))
+    if herm > floor:
+        raise NotHermitian(
+            f"stieltjes: step {step}: B block defect {herm:.2e} above "
+            f"1e-8 x max(1, ||B||) = {floor:.2e}"
+        )
 
 
 def orthonormality_defect(seq: PolySequence, max_degree: int | None = None) -> float:
@@ -356,13 +486,16 @@ def type_defect(jacobi: BlockJacobi) -> float:
 
 
 def apply_transform(seq: PolySequence, jacobi: BlockJacobi, transform: EquivalenceTransform) -> PolySequence:
-    """Carry cached polynomial values to an equivalent normalization."""
+    """Carry polynomial values to an equivalent normalization, p_k -> p_k sigma[k].
+
+    Nothing is computed here: each degree is rotated when it is read,
+    and a full read rotates every degree once. Both read seq's values,
+    so they share its buffer.
+    """
     sigma = transform.sigma
     if sigma.shape[0] != seq.degree + 1:
         raise DimensionMismatch("transform length does not match sequence degree")
-    grid = np.einsum("kmij,kjl->kmil", seq.grid_values, sigma)
-    mass = np.einsum("kmij,kjl->kmil", seq.mass_values, sigma)
-    return PolySequence(measure=seq.measure, jacobi=jacobi, grid_values=grid, mass_values=mass)
+    return PolySequence(seq.measure, jacobi, _RotatedValues(seq._values, sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from matszego.errors import (
     RadiusExceeded,
     ValidationError,
 )
-from matszego.linalg import midpoint_nodes, operator_norm
+from matszego import polynomials
+from matszego.limits import asymptotics_report
+from matszego.linalg import midpoint_nodes, operator_norm, operator_norm_bracket
 from matszego.measure import (
     ArcsineDensity,
     ConjugatedDiagonalDensity,
@@ -29,6 +31,7 @@ from matszego.polynomials import (
     _mapped_buffer,
     apply_transform,
     eval_scaled_many,
+    _WhitenedValues,
     leading_coeffs,
     orthonormality_defect,
     recurrence_residual,
@@ -36,6 +39,7 @@ from matszego.polynomials import (
     to_type,
     type_defect,
 )
+from matszego.sumrule import check_sum_rule
 from matszego.tolerances import Tolerances
 
 from conftest import random_smooth_weight
@@ -112,6 +116,51 @@ class TestStageNamedErrors:
             match=r"^stieltjes: step 1: B block defect .* above 1e-8 x max\(1, \|\|B\|\|\) = ",
         ):
             stieltjes(tilted, 3)
+
+
+class TestHermitianDecision:
+    # Tilting the abscissae by i eps adds i eps W_grid to B_1, W_grid the
+    # grid part of the shipped 2x2 mass measure's total mass, whose
+    # eigenvalues differ; so the defect's Frobenius bracket is wide, and
+    # each tilt puts it in one zone relative to the 1e-8 x max(1, ||B||)
+    # floor: wholly below, across with the exact defect below or above,
+    # and wholly above.
+    CASES = [
+        (2.0e-9, "below", False),
+        (4.4e-9, "across", False),
+        (5.2e-9, "across", True),
+        (1.1e-8, "above", True),
+    ]
+
+    @pytest.mark.parametrize("eps, zone, raised", CASES)
+    def test_matches_the_exact_svd_test(self, shipped_measures, monkeypatch, eps, zone, raised):
+        mu = shipped_measures["matrix_semicircle_mass"]
+        blocks, svds = [], []
+        check, norm = polynomials._check_hermitian, polynomials.operator_norm
+
+        def spy_check(b, step):
+            blocks.append(b.copy())
+            return check(b, step)
+
+        def spy_norm(a):
+            svds.append(a)
+            return norm(a)
+
+        monkeypatch.setattr(polynomials, "_check_hermitian", spy_check)
+        monkeypatch.setattr(polynomials, "operator_norm", spy_norm)
+        tilted = dataclasses.replace(mu, x_nodes=mu.x_nodes + 1j * eps)
+        try:
+            stieltjes(tilted, 1)
+            got = False
+        except NotHermitian:
+            got = True
+        (b,) = blocks
+        defect = b - b.conj().T
+        floor = 1e-8 * max(1.0, float(norm(b)))
+        lo, hi = operator_norm_bracket(defect)
+        assert zone == ("below" if hi <= floor else "above" if lo > floor else "across")
+        assert got == raised == (float(norm(defect)) > floor)
+        assert len(svds) == (0 if zone == "below" else 2)
 
 
 def _random_measure(l, m_grid, seed):
@@ -271,6 +320,18 @@ class TestMemory:
         assert y.flags.f_contiguous and y.flags.writeable
         assert not np.any(y)
 
+    def test_full_read_unwhitens_in_place(self, deep_measure):
+        # the first full read solves about 1 MB of rows at a time into the
+        # buffer itself; a second copy of the values would be 13 MB
+        seq = stieltjes(deep_measure, 100)
+        tracemalloc.start()
+        try:
+            values = seq.grid_values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * values.nbytes
+
     def test_defect_never_stacks_the_whole_grid(self, deep_measure):
         # grid_values is 13 MB and the window's weighted stack (M, l, 31 l)
         # would be 4 MB; the node chunks keep the peak at the Gram matrix
@@ -283,6 +344,112 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _lazy_measure(l, live):
+    """Table weight on 64 nodes with a far mass, frozen by degree 16, and
+    with live=True a near-band mass still live at degree 16."""
+    rng = np.random.default_rng(200 + l)
+    v = rng.standard_normal(l) + 1j * rng.standard_normal(l)
+    masses = [(-6.0, 0.05 * np.outer(v, v.conj()))]
+    if live:
+        masses.append((2.03, 0.05 * np.eye(l, dtype=complex)))
+    samples = random_smooth_weight(rng, l, 64)
+    return make_measure(TableDensity(samples), masses, quad_order=64)
+
+
+LAZY_DEGREE = 16
+
+# read plans: (sequence, read) in order; "full" reads grid_values and
+# mass_values, "each" reads grid_at(n) for every degree, downward
+READ_PLANS = {
+    "degrees_first": [("type1", "each"), ("type2", "each"), ("type3", "each"),
+                      ("type2", "full"), ("type1", "full"), ("type3", "full"),
+                      ("type3", "each"), ("type1", "each")],
+    "base_full_first": [("type1", "full"), ("type2", "each"), ("type3", "full"),
+                        ("type2", "full"), ("type3", "each"), ("type1", "each")],
+    "transform_full_first": [("type2", "full"), ("type1", "each"), ("type1", "full"),
+                             ("type3", "each"), ("type3", "full"), ("type2", "each")],
+}
+
+
+class TestLazyValues:
+    @pytest.fixture(scope="class", params=[(l, live) for l in (1, 2, 4, 8) for live in (False, True)],
+                    ids=lambda p: f"l{p[0]}-{'live' if p[1] else 'frozen'}")
+    def case(self, request):
+        """(measure, eager values per type, transforms): the values as the
+        sequence used to hold them, every grid row unwhitened right after
+        the recurrence and each transform rotating every degree at once."""
+        l, live = request.param
+        mu = _lazy_measure(l, live)
+        seq = stieltjes(mu, LAZY_DEGREE)
+        grid, mass = seq.grid_values, seq.mass_values
+        assert np.any(mass[-1, -1] != 0) == live and not np.any(mass[-1, 0])
+        eager = {"type1": (grid, mass)}
+        transforms = {}
+        for target in ("type2", "type3"):
+            transforms[target] = to_type(seq.jacobi, target)
+            sigma = transforms[target][1].sigma
+            eager[target] = (np.einsum("kmij,kjl->kmil", grid, sigma),
+                             np.einsum("kmij,kjl->kmil", mass, sigma))
+        return mu, eager, transforms
+
+    @pytest.mark.parametrize("plan", sorted(READ_PLANS))
+    def test_reads_equal_the_eager_values(self, case, plan):
+        mu, eager, transforms = case
+        base = stieltjes(mu, LAZY_DEGREE)
+        seqs = {"type1": base}
+        for target, (jac, tr) in transforms.items():
+            seqs[target] = apply_transform(base, jac, tr)
+        for target, read in READ_PLANS[plan]:
+            seq, (grid, mass) = seqs[target], eager[target]
+            if read == "full":
+                assert np.array_equal(seq.grid_values, grid)
+                assert np.array_equal(seq.mass_values, mass)
+            else:
+                for n in range(LAZY_DEGREE, -1, -1):
+                    assert np.array_equal(seq.grid_at(n), grid[n])
+
+    def test_transform_full_read_unwhitens_the_shared_buffer_once(self, case):
+        mu, eager, transforms = case
+        base = stieltjes(mu, LAZY_DEGREE)
+        seq2 = apply_transform(base, *transforms["type2"])
+        assert np.array_equal(base.grid_values, eager["type1"][0])
+        assert np.array_equal(seq2.grid_values, eager["type2"][0])
+        assert np.array_equal(base.grid_values, eager["type1"][0])
+
+    def test_grid_at_rejects_degrees_outside_the_sequence(self, semicircle_seq):
+        for n in (-1, N_SMALL + 1):
+            with pytest.raises(DimensionMismatch):
+                semicircle_seq.grid_at(n)
+
+
+class TestUnwhitenedOnlyWhenRead:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """(degrees read from a whitened buffer, column count of each chunked solve)."""
+        degrees, widths = [], []
+        unwhiten, grid_at = polynomials._unwhiten, _WhitenedValues.grid_at
+
+        def spy_unwhiten(root, rows, out):
+            widths.append(rows.shape[-1])
+            return unwhiten(root, rows, out)
+
+        def spy_grid_at(self, n):
+            degrees.append(n)
+            return grid_at(self, n)
+
+        monkeypatch.setattr(polynomials, "_unwhiten", spy_unwhiten)
+        monkeypatch.setattr(_WhitenedValues, "grid_at", spy_grid_at)
+        return degrees, widths
+
+    def test_sum_rule_never_unwhitens(self, mass_measure, solves):
+        check_sum_rule(mass_measure, [10, 20])
+        assert solves == ([], [])
+
+    def test_verify_unwhitens_only_its_degrees(self, mass_measure, solves):
+        asymptotics_report(mass_measure, [5, 15, 30])
+        assert solves == ([5, 15, 30], [1, 1, 1])
 
 
 @pytest.fixture(scope="module")
