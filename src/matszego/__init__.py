@@ -22,7 +22,7 @@ from .outer import OuterFunction, det_szego_check, spectral_factorize
 from .blaschke import BlaschkePotapovProduct, construct_product, residue_kernel
 from .limits import LimitFunction, asymptotics_report, build_pipeline
 from .sumrule import SumRuleLedger, check_sum_rule
-from .specio import build_measure, parse_measure_spec
+from .specio import build_measure, parse_measure_spec, serialize_measure_spec
 
 __all__ = [
     "ArcsineDensity",
@@ -51,6 +51,7 @@ __all__ = [
     "midpoint_nodes",
     "parse_measure_spec",
     "residue_kernel",
+    "serialize_measure_spec",
     "spectral_factorize",
     "stieltjes",
     "szego_weight",

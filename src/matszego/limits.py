@@ -102,8 +102,8 @@ def build_pipeline(mu: ms.MatrixMeasure, tol: Tolerances = DEFAULT) -> LimitFunc
     for state in mu.bound_states:
         if abs(state.z) > 0.99:
             raise RadiusExceeded(
-                f"mass at {state.energy:.6g} maps to |z| = {abs(state.z):.6f} > 0.99, "
-                "beyond the factor's series radius"
+                f"limits: mass at {state.energy:.6g} maps to |z| = {abs(state.z):.6f} "
+                "above 0.99, beyond the factor's series radius"
             )
         ker = bp.kernel_frame(state.weight, tol)
         if ker.shape[1] == mu.dim:
@@ -172,7 +172,9 @@ def verify_pointwise(
     finite for the inverse picture, and q_n is entire anyway).
     """
     if radius > 0.99:
-        raise RadiusExceeded("pointwise verification restricted to radius <= 0.99")
+        raise RadiusExceeded(
+            f"limits: pointwise verification radius {radius:.6g} above 0.99"
+        )
     pts = lim.disk_points(radius)
     q_vals = poly.eval_scaled_many(jacobi2, list(n_values), pts)
     l_vals = lim.eval(pts)

@@ -85,7 +85,9 @@ class OuterFunction:
         """Evaluate the truncated series at points with |z| <= 0.99."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
         if np.any(np.abs(z_arr) > 0.99):
-            raise RadiusExceeded("interior evaluation restricted to |z| <= 0.99")
+            raise RadiusExceeded(
+                f"factorize: interior evaluation at |z| = {np.abs(z_arr).max():.6g} above 0.99"
+            )
         powers = z_arr[:, None] ** np.arange(self.order + 1)[None, :]
         out = np.einsum("tk,kij->tij", powers, self.coeffs)
         if np.isscalar(z) or np.asarray(z).ndim == 0:

@@ -532,7 +532,10 @@ def eval_scaled_many(jacobi: BlockJacobi, n_list, z_arr: np.ndarray) -> np.ndarr
         raise DimensionMismatch(f"degree {n_top} needs {n_top} blocks, have {jacobi.block_count}")
     z_arr = np.asarray(z_arr, dtype=complex)
     if np.any(np.abs(z_arr) > 1.0 + 1e-9):
-        raise RadiusExceeded("scaled evaluation is restricted to the closed unit disk")
+        raise RadiusExceeded(
+            f"polynomials: scaled evaluation at |z| = {np.abs(z_arr).max():.6g} "
+            "above 1 + 1e-9, outside the closed unit disk"
+        )
     l = jacobi.dim
     nz = z_arr.size
     z1 = z_arr[:, None, None]

@@ -24,14 +24,20 @@ path in the message.
 
 A document has one representation after parsing, its canonical plain
 form (MeasureSpec): numbers become floats and every matrix becomes
-{"re", "im"} float rows with "im" filled in, read in a single pass (a
-table's stacks are checked whole). build_measure turns each matrix into
-an array once. Serialization is canonical (sorted keys, fixed
-indentation, shortest round-trip floats), so equal specs serialize
-identically and the document hash is stable; parse and serialize are
-mutually inverse. One writer, _dumps, writes documents, manifests and
-reports; its text is json.dumps(obj, sort_keys=True, indent=2) + "\\n"
-byte for byte, with each float matrix formatted in one join.
+{"re", "im"} float rows with "im" filled in, read in a single pass. A
+table's stacks are checked whole, and the parsed table keeps its
+(2, N, dim, dim) re/im float stack beside its matrices. build_measure
+and the hash both read that stack, so no table becomes an array twice.
+Serialization is canonical (sorted keys, fixed indentation,
+shortest round-trip floats), so equal specs serialize identically and
+the document hash is stable; parse and serialize are mutually inverse.
+One writer, _dumps, writes documents, manifests and reports; its text is
+json.dumps(obj, sort_keys=True, indent=2) + "\\n" byte for byte, with
+each float matrix formatted in one join. A table is formatted from its
+stack in one pass, with one float.__repr__ per distinct magnitude.
+spec_hash feeds the text to sha256 piece by piece, at most 128 matrices
+at a time, so the whole text is never held; the bytes it hashes are the
+ones serialize_measure_spec returns.
 """
 
 from __future__ import annotations
@@ -145,7 +151,20 @@ def _matrix(obj, path: str, dim: int) -> dict:
     return {"re": re, "im": im}
 
 
-def _table(values: list, path: str, dim: int) -> list[dict]:
+class _TableValues(list):
+    """A table's canonical matrices with the float stack they were read
+    from: stack[0] the real parts and stack[1] the imaginary parts, shape
+    (2, N, dim, dim), bit for bit the floats of the matrices. The writer
+    formats and build_measure reads the stack; as a list it is the
+    document, so equality, vars() and json see only the matrices."""
+
+    def __init__(self, matrices: list, stack: np.ndarray):
+        super().__init__(matrices)
+        stack.flags.writeable = False
+        self.stack = stack
+
+
+def _table(values: list, path: str, dim: int) -> _TableValues:
     """Canonical matrices of a table: _rows' whole-row test lifted to the
     table, with each value read by _matrix unless every value has exactly
     "re" and "im" and both stacks are (N, dim, dim) of finite ints and floats."""
@@ -159,9 +178,13 @@ def _table(values: list, path: str, dim: int) -> list[dict]:
         entries = chain.from_iterable(chain.from_iterable(chain.from_iterable(parts)))
         if (stacks is not None and stacks.shape == (2, len(values), dim, dim)
                 and np.isfinite(stacks).all() and set(map(type, entries)) <= _NUMBER_TYPES):
-            re, im = (stacks[0] + 0.0 * stacks[1]).tolist(), (stacks[1] + 0.0).tolist()
-            return [{"re": r, "im": m} for r, m in zip(re, im)]
-    return [_matrix(v, f"{path}[{i}]", dim) for i, v in enumerate(values)]
+            stacks[0] += 0.0 * stacks[1]
+            stacks[1] += 0.0
+            re, im = stacks.tolist()
+            return _TableValues([{"re": r, "im": m} for r, m in zip(re, im)], stacks)
+    matrices = [_matrix(v, f"{path}[{i}]", dim) for i, v in enumerate(values)]
+    stacks = np.array([[m[k] for m in matrices] for k in ("re", "im")])
+    return _TableValues(matrices, stacks)
 
 
 _SCALAR_FAMILIES = {"semicircle", "arcsine", "poly_semicircle"}
@@ -286,12 +309,62 @@ def _float_rows(rows, level: int) -> str | None:
     return "[" + outer + "[" + inner + body + outer + "]" + outer[:-2] + "]"
 
 
+# Matrices per piece of a table's text: a piece, not the whole text, is
+# what the hash holds at a time.
+_TABLE_CHUNK = 128
+
+
+def _table_pieces(stack: np.ndarray, level: int):
+    """The text _pieces writes for a table's matrices at a nesting level,
+    from their (2, N, dim, dim) re/im stack, in pieces of _TABLE_CHUNK
+    matrices.
+
+    float.__repr__ runs once per distinct magnitude |x|, the float's bits
+    with the sign bit cleared: a Hermitian table that is symmetric in t
+    repeats most magnitudes, and x and -x share a text. The sign bit then
+    picks one of two prefixes per place in a matrix, the separator the
+    place calls for with or without "-", so 0.0 and -0.0 stay distinct
+    (a dict keyed by float would merge them). A matrix is written "im"
+    first, then "re", as sort_keys orders them.
+    """
+    _, count, dim, _ = stack.shape
+    pad = ["\n" + "  " * (level + k) for k in range(5)]
+    close = pad[3] + "]" + pad[2] + "]"
+    joint = close + pad[1] + "}," + pad[1]
+    first = pad[3] + "[" + pad[4]
+    row = ["," + pad[4]] * (dim - 1)
+    part = (row + [pad[3] + "]," + first]) * (dim - 1) + row
+    # seps[p] goes before the p-th float of a matrix, "im" then "re" row by
+    # row; seps[0] also closes the matrix before, which the first piece drops
+    seps = ([joint + "{" + pad[2] + '"im": [' + first] + part
+            + [close + "," + pad[2] + '"re": [' + first] + part)
+    prefixes = [sep + sign for sep in seps for sign in ("", "-")]
+    places = np.arange(0, len(prefixes), 2)
+    magnitudes = np.unique(np.abs(stack))
+    texts = list(map(float.__repr__, magnitudes.tolist()))
+    yield "[" + pad[1]
+    for start in range(0, count, _TABLE_CHUNK):
+        block = stack[::-1, start:start + _TABLE_CHUNK].transpose(1, 0, 2, 3)
+        block = block.reshape(-1, len(seps))
+        codes = (np.signbit(block) + places).ravel().tolist()
+        index = np.searchsorted(magnitudes, np.abs(block)).ravel().tolist()
+        piece = [None] * (2 * block.size)
+        piece[0::2] = map(prefixes.__getitem__, codes)
+        piece[1::2] = map(texts.__getitem__, index)
+        if start == 0:
+            piece[0] = piece[0][len(joint):]
+        yield "".join(piece)
+    yield close + pad[1] + "}" + pad[0] + "]"
+
+
 def _pieces(obj, level: int = 0):
     """The text json.dumps(sort_keys=True, indent=2) writes for obj at a nesting
     level, in pieces that _dumps joins once (nested joins would copy the text at
     every level); scalars and empty containers, alike under any indent, go to json."""
     pad = "\n" + "  " * (level + 1)
-    if isinstance(obj, (list, tuple)) and obj:
+    if isinstance(obj, _TableValues):
+        yield from _table_pieces(obj.stack, level)
+    elif isinstance(obj, (list, tuple)) and obj:
         rows = _float_rows(obj, level)
         if rows is not None:
             yield rows
@@ -317,17 +390,23 @@ def _dumps(obj) -> str:
 
 
 def serialize_measure_spec(spec: MeasureSpec) -> str:
+    """The canonical text of a document, the inverse of parse_measure_spec."""
     return _dumps(vars(spec))
 
 
 def spec_hash(spec: MeasureSpec) -> str:
-    """SHA-256 of the canonical serialization; whitespace-insensitive."""
-    return hashlib.sha256(serialize_measure_spec(spec).encode()).hexdigest()
+    """SHA-256 of the canonical serialization; whitespace-insensitive. The
+    text is fed to the hash piece by piece and never held whole."""
+    digest = hashlib.sha256()
+    for piece in _pieces(vars(spec)):
+        digest.update(piece.encode())
+    digest.update(b"\n")
+    return digest.hexdigest()
 
 
-def _matrices(objs: list) -> np.ndarray:
-    """Stack of canonical {"re", "im"} matrices."""
-    return np.array([m["re"] for m in objs]) + 1j * np.array([m["im"] for m in objs])
+def _array(matrix: dict) -> np.ndarray:
+    """A canonical {"re", "im"} matrix as a complex array."""
+    return np.array(matrix["re"]) + 1j * np.array(matrix["im"])
 
 
 def _density_build(spec: dict, dim: int) -> ms.Density:
@@ -340,15 +419,17 @@ def _density_build(spec: dict, dim: int) -> ms.Density:
         return ms.PolySemicircleDensity(spec["coefficients"], dim)
     if family == "conjugated_diagonal":
         entries = [_density_build(ch, 1) for ch in spec["channels"]]
-        unitary = _matrices([spec["unitary"]])[0] if "unitary" in spec else None
+        unitary = _array(spec["unitary"]) if "unitary" in spec else None
         return ms.ConjugatedDiagonalDensity(entries, unitary)
-    return ms.TableDensity(_matrices(spec["values"]))
+    stack = spec["values"].stack
+    return ms.TableDensity(stack[0] + 1j * stack[1])
 
 
 def build_measure(spec: MeasureSpec, tol: Tolerances = DEFAULT) -> ms.MatrixMeasure:
-    """The measure of a parsed document; the one place its matrices become arrays."""
+    """The measure of a parsed document; the one place its matrices become
+    complex arrays, a table's from the float stack it was parsed into."""
     density = _density_build(spec.density, spec.dim)
-    masses = [(m["energy"], _matrices([m["weight"]])[0]) for m in spec.masses]
+    masses = [(m["energy"], _array(m["weight"])) for m in spec.masses]
     return ms.make_measure(
         density,
         masses,

@@ -146,3 +146,18 @@ class TestReport:
     def test_report_radius_guard(self, mass_measure):
         with pytest.raises(RadiusExceeded):
             asymptotics_report(mass_measure, [5], radius=1.1)
+
+
+class TestStageNamedErrors:
+    def test_near_band_mass_names_its_radius(self):
+        mu = make_measure(SemicircleDensity(1), masses=[(2.00005, np.array([[0.05]]))],
+                          quad_order=256, normalize="auto")
+        with pytest.raises(RadiusExceeded, match=r"^limits: mass at 2\.00005 maps to "
+                           r"\|z\| = 0\.99\d+ above 0\.99, beyond the factor's series radius$"):
+            build_pipeline(mu)
+
+    def test_pointwise_radius_names_its_bound(self, free_limit, semicircle_measure):
+        jac2, _ = to_type(stieltjes(semicircle_measure, 4).jacobi, "type2")
+        with pytest.raises(RadiusExceeded,
+                           match=r"^limits: pointwise verification radius 1\.1 above 0\.99$"):
+            verify_pointwise(free_limit, jac2, [3], radius=1.1)

@@ -137,6 +137,11 @@ class TestRandomWeights:
         with pytest.raises(RadiusExceeded):
             semicircle_factor.eval_interior(0.995)
 
+    def test_interior_radius_names_its_stage(self, semicircle_factor):
+        with pytest.raises(RadiusExceeded, match=r"^factorize: interior evaluation at "
+                           r"\|z\| = 0\.995 above 0\.99$"):
+            semicircle_factor.eval_interior(np.array([0.5, -0.995j]))
+
     def test_interior_matches_series(self, semicircle_factor):
         z = 0.3 - 0.2j
         got = complex(semicircle_factor.eval_interior(z)[0, 0])

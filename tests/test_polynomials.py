@@ -592,6 +592,11 @@ class TestEvaluation:
         with pytest.raises(RadiusExceeded):
             eval_scaled_many(semicircle_seq.jacobi, [3], np.array([1.5]))
 
+    def test_eval_scaled_radius_names_its_stage(self, semicircle_seq):
+        with pytest.raises(RadiusExceeded, match=r"^polynomials: scaled evaluation at "
+                           r"\|z\| = 1\.5 above 1 \+ 1e-9, outside the closed unit disk$"):
+            eval_scaled_many(semicircle_seq.jacobi, [3], np.array([0.5, 1.5j]))
+
     def test_eval_needs_enough_blocks(self, semicircle_seq):
         with pytest.raises(DimensionMismatch):
             eval_scaled_many(semicircle_seq.jacobi, [2, N_SMALL + 1], np.array([0.3 + 0.1j]))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import json.encoder
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,27 @@ class TestTableFastPath:
             reference_text(vars(spec))  # the guard is live
         assert spec_hash(spec) == expected
 
+    def test_table_hash_streams(self):
+        spec = parse_measure_spec(json.dumps(edge_table_document(1024)))
+        size = len(serialize_measure_spec(spec).encode())
+        tracemalloc.start()
+        try:
+            spec_hash(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size
+
+    def test_table_hash_formats_no_matrix_alone(self, monkeypatch):
+        spec = parse_measure_spec(json.dumps(edge_table_document(1024)))
+        expected = hashlib.sha256(reference_text(vars(spec)).encode()).hexdigest()
+        calls = []
+        float_rows = specio._float_rows
+        monkeypatch.setattr(specio, "_float_rows",
+                            lambda *args: calls.append(args) or float_rows(*args))
+        assert spec_hash(spec) == expected
+        assert calls == []
+
     def test_fast_path_equals_per_value_reader(self):
         doc = json.loads(TABLE)
         doc["density"]["values"][2]["im"] = [[0, -0.0], [-0.0, -0.0]]
@@ -396,6 +418,60 @@ class TestTableFastPath:
         per_value = [specio._matrix(v, "v", dim) for v in doc["density"]["values"]]
         assert specio._table(doc["density"]["values"], "v", dim) == per_value
         assert reference_text(spec.density["values"]) == reference_text(per_value)
+
+
+# Entries for table hashing: the signed zeros, the smallest subnormal,
+# repr's switch points on both sides (1e16 and the float below it, 1e-05
+# and 0.0001), an integer beyond int64 and small integers.
+TABLE_ENTRIES = [-0.0, 0.0, 5e-324, 1e16, 9999999999999998.0, 1e-05, 0.0001,
+                 2**64 + 1, 0, 3, -7]
+TABLE_SIZES = [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]
+
+
+@st.composite
+def hashed_tables(draw):
+    """Table documents with dim 1-4 and N = 4 ... 2048 matrices, on both
+    sides of the hashing chunk, filled from a small pool of entries with
+    random signs, so values repeat and x / -x pairs are common. Every
+    value has "im", none has, or some have: the whole-stack reader and the
+    per-value reader."""
+    dim = draw(st.integers(1, 4))
+    count = draw(st.sampled_from([n for n in TABLE_SIZES if n * dim * dim <= 2**13]))
+    pool = TABLE_ENTRIES + draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rows():
+        picks = rng.integers(len(pool), size=(dim, dim)).tolist()
+        signs = rng.integers(2, size=(dim, dim)).tolist()
+        return [[-pool[k] if s else pool[k] for k, s in zip(kr, sr)]
+                for kr, sr in zip(picks, signs)]
+
+    im = draw(st.sampled_from(["all", "none", "some"]))
+    values = []
+    for i in range(count):
+        value = {"re": rows()}
+        if im == "all" or (im == "some" and i % 3):
+            value["im"] = rows()
+        values.append(value)
+    return {"dim": dim, "density": {"family": "table", "values": values},
+            "quad_order": count}
+
+
+class TestTableHashing:
+    """The table's text and hash equal json's, whatever the table holds."""
+
+    def test_chunk_sides_are_covered(self):
+        assert min(TABLE_SIZES) < specio._TABLE_CHUNK < max(TABLE_SIZES)
+        assert specio._TABLE_CHUNK in TABLE_SIZES
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(hashed_tables())
+    def test_hash_and_text_equal_json(self, doc):
+        spec = parse_measure_spec(json.dumps(doc))
+        text = reference_text(vars(spec))
+        assert spec_hash(spec) == hashlib.sha256(text.encode()).hexdigest()
+        assert serialize_measure_spec(spec) == text
 
 
 def table_document(values):
