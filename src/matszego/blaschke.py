@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import linalg
 from .errors import (
     DegenerateFrame,
     DuplicatePole,
@@ -180,10 +181,14 @@ class ElementaryFactor:
 
 
 def elementary_matrix(unitary: np.ndarray, rank: int, b: np.ndarray) -> np.ndarray:
-    """U* diag(b, ..., b, 1, ..., 1) U per entry of b, with b in the leading rank slots."""
+    """U* diag(b, ..., b, 1, ..., 1) U per entry of b, with b in the leading rank slots.
+
+    b is an array of any shape, () included; the result has shape
+    b.shape + (l, l), and all of it is one GEMM (linalg.diagonal_congruence).
+    """
     d = np.ones(b.shape + (unitary.shape[0],), dtype=complex)
     d[..., :rank] = b[..., None]
-    return np.einsum("ji,...j,jk->...ik", unitary.conj(), d, unitary)
+    return linalg.diagonal_congruence(unitary, d)
 
 
 @dataclasses.dataclass(frozen=True)

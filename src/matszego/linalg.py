@@ -113,28 +113,63 @@ def _frobenius_top(a: np.ndarray) -> tuple[np.ndarray, float | None]:
     return fro, top
 
 
-def max_operator_norm(a: np.ndarray) -> float:
-    """np.max(operator_norm(a)), with SVDs only on blocks that can hold it.
+def _norm_candidates(a: np.ndarray) -> np.ndarray | None:
+    """The blocks of a stack that can hold its largest operator norm (a
+    copy), a itself when they cannot be told, or None when every entry is
+    exactly zero.
 
     A block's operator norm is at least its Frobenius norm over
     sqrt(min(m, n)), so blocks whose Frobenius norm falls below that bound
-    for the largest one are skipped; the margin covers rounding in both
-    norms. A stack of exact zeros returns 0.0, the float its SVD gives,
-    without one. Where the Frobenius norms are unreliable (non-finite
-    entries, overflowing or underflowing squares) every block is
-    decomposed. Same float as the full batch; an empty batch raises
-    likewise.
+    for the largest one are dropped; the margin covers rounding in both
+    norms. Where the Frobenius norms are unreliable (non-finite entries,
+    overflowing or underflowing squares) every block is kept.
+    """
+    fro, top = _frobenius_top(a)
+    if top == 0.0:
+        return None
+    if top is None:
+        return a
+    floor = (1.0 - _BRACKET_MARGIN) * top / math.sqrt(min(a.shape[-2:]))
+    return a[fro >= floor]
+
+
+def max_operator_norm(a: np.ndarray) -> float:
+    """np.max(operator_norm(a)), with SVDs only on blocks that can hold it
+    (_norm_candidates).
+
+    A stack of exact zeros returns 0.0, the float its SVD gives, without
+    one. Same float as the full batch; an empty batch raises likewise.
     """
     a = np.asarray(a)
     if a.ndim < 2:
         raise DimensionMismatch("max_operator_norm needs a matrix")
-    fro, top = _frobenius_top(a)
-    if top == 0.0:
+    blocks = _norm_candidates(a)
+    return 0.0 if blocks is None else float(np.max(operator_norm(blocks)))
+
+
+def max_hermitian_norm(a: np.ndarray) -> float:
+    """Largest operator norm in a stack of Hermitian blocks: the largest
+    |eigenvalue| over the blocks that can hold it (_norm_candidates).
+
+    eigvalsh reads the lower triangle only, and costs about half an SVD;
+    for blocks Hermitian to rounding the float agrees with
+    max_operator_norm to the last few bits. A stack of exact zeros
+    returns 0.0; an empty batch raises. Non-finite entries raise
+    LinAlgError: eigvalsh may return finite eigenvalues for a block with
+    a NaN, and never reads the upper triangle.
+    """
+    a = np.asarray(a)
+    if a.ndim < 2:
+        raise DimensionMismatch("max_hermitian_norm needs a matrix")
+    blocks = _norm_candidates(a)
+    if blocks is None:
         return 0.0
-    if top is None:
-        return float(np.max(operator_norm(a)))
-    floor = (1.0 - _BRACKET_MARGIN) * top / math.sqrt(min(a.shape[-2:]))
-    return float(np.max(operator_norm(a[fro >= floor])))
+    # finite Frobenius norms, the filtered case, imply finite entries: only
+    # the unfiltered stack needs the check
+    if blocks is a and not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("max_hermitian_norm: non-finite entries")
+    lam = np.linalg.eigvalsh(blocks)  # ascending: the largest |lam| is at an end
+    return float(max(lam[..., -1].max(), -lam[..., 0].min()))
 
 
 def operator_norm_bracket(a: np.ndarray) -> tuple[float, float]:
@@ -165,6 +200,45 @@ def operator_norm_bracket(a: np.ndarray) -> tuple[float, float]:
         (1.0 - _BRACKET_MARGIN) * top / math.sqrt(min(a.shape[-2:])),
         (1.0 + _BRACKET_MARGIN) * top,
     )
+
+
+def diagonal_congruence(u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """u* diag(d_m) u for every row d_m of d: shape (..., l) to (..., l, l).
+
+    One GEMM of the rows with the (l, l^2) matrix
+    W[j, i l + k] = conj(u_ji) u_jk: O(M l^3) for M rows, and no diagonal
+    matrices are built. The sums run in another order than a loop over
+    entries would, so results may differ from it in the last bits.
+    """
+    l = u.shape[0]
+    w = (u.conj()[:, :, None] * u[:, None, :]).reshape(l, l * l)
+    return (d.reshape(-1, l) @ w).reshape(d.shape + (l,))
+
+
+# Entries per panel of frame_product's output: 64 KB of complex numbers.
+_PANEL_ENTRIES = 1 << 12
+
+
+def frame_product(a: np.ndarray, f: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a f_m b for every block f_m of a stack f of shape (M, l, l); complex.
+
+    Per panel of nodes, two GEMMs: the blocks as rows, shape (P l, l),
+    times b, then the left factor on the same blocks flattened to
+    (P, l^2), times the Kronecker matrix K[j l + n, i l + k] = a_ij delta_nk.
+    The left GEMM does O(l^4) multiply-adds per node where O(l^3) would
+    do, but it needs no copy of the stack transposed to (l, M l) and back;
+    panels of about 64 KB keep every temporary that small, so the result
+    is the only stack-sized allocation. For l = 1 the rounding is that of
+    a (f b). Otherwise the sums run in another order than a loop over
+    entries would, so results may differ from it in the last bits.
+    """
+    l = f.shape[-1]
+    k = np.kron(np.transpose(a), np.eye(l))
+    out = np.empty((f.shape[0], l * l), dtype=complex)
+    step = max(1, _PANEL_ENTRIES // (l * l))
+    for s in range(0, f.shape[0], step):
+        out[s : s + step] = (f[s : s + step].reshape(-1, l) @ b).reshape(-1, l * l) @ k
+    return out.reshape(f.shape)
 
 
 def hermitian_defect(a: np.ndarray) -> float:

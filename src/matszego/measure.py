@@ -11,7 +11,9 @@ exact for polynomial integrands of low trigonometric degree. Densities
 are only ever sampled on such grids (Density.sample), once per grid.
 All measures are normalized to mu(R) = identity, either verified
 ("strict") or enforced by a congruence c applied to the samples
-("auto").
+("auto"). Both constant-frame products of a sample stack, u* diag(f) u
+for conjugated-diagonal densities and c f c, are GEMMs
+(linalg.diagonal_congruence, linalg.frame_product).
 """
 
 from __future__ import annotations
@@ -127,11 +129,9 @@ class ConjugatedDiagonalDensity(Density):
         self.unitary = u
 
     def sample(self, order: int) -> np.ndarray:
-        diag = np.zeros((order, self.dim, self.dim), dtype=complex)
-        for i, e in enumerate(self.entries):
-            diag[:, i, i] = e.sample(order)[:, 0, 0]
-        u = self.unitary
-        return np.einsum("ji,mjk,kl->mil", u.conj(), diag, u)
+        """u* diag(f_1, ..., f_l) u at each node, as one GEMM (linalg.diagonal_congruence)."""
+        channels = np.stack([e.sample(order)[:, 0, 0] for e in self.entries], axis=1)
+        return linalg.diagonal_congruence(self.unitary, channels)
 
 
 class TableDensity(Density):
@@ -296,9 +296,10 @@ def _mass_root(w: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def _szego_samples(f: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """w(t_m) = 2 pi |sin t_m| c f(2 cos t_m) c from density samples f."""
+    """w(t_m) = 2 pi |sin t_m| c f(2 cos t_m) c from density samples f; the
+    congruence by c is one GEMM (linalg.frame_product)."""
     if c is not None:
-        f = np.einsum("ij,mjk,kl->mil", c, f, c)
+        f = linalg.frame_product(c, f, c)
     theta = midpoint_nodes(f.shape[0])
     return (2.0 * np.pi * np.abs(np.sin(theta)))[:, None, None] * f
 

@@ -30,6 +30,13 @@ transpose, no conjugation) and transpose the coefficients back, since
 Restriction: the weight must be positive definite at every node with
 det w above a floor (node-level strictness in place of an a.e.
 integrability hypothesis); weights failing it are rejected.
+
+Products of a grid stack with constant matrices (the rotation into the
+probes' joint eigenbasis, the edge factors E, the phase Omega that makes
+G(0) Hermitian) are GEMMs: linalg.frame_product and, for E,
+blaschke.elementary_matrix. The probes, the edge sums w(+-1) and interior
+evaluation are single GEMMs. The reported residual of the Hermitian
+G* G - w is its largest |eigenvalue| (linalg.max_hermitian_norm).
 """
 
 from __future__ import annotations
@@ -89,7 +96,7 @@ class OuterFunction:
                 f"factorize: interior evaluation at |z| = {np.abs(z_arr).max():.6g} above 0.99"
             )
         powers = z_arr[:, None] ** np.arange(self.order + 1)[None, :]
-        out = np.einsum("tk,kij->tij", powers, self.coeffs)
+        out = (powers @ self.coeffs.reshape(self.order + 1, -1)).reshape(-1, self.dim, self.dim)
         if np.isscalar(z) or np.asarray(z).ndim == 0:
             return out[0]
         return out
@@ -170,8 +177,9 @@ def _scalar_outer_coeffs(samples: np.ndarray) -> np.ndarray | None:
     return g
 
 
-def _probes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two fixed even-harmonic mixtures p_k = (1/M) sum_m mix_k(t_m) w(t_m).
+def _probes(values: np.ndarray) -> np.ndarray:
+    """Two fixed even-harmonic mixtures p_k = (1/M) sum_m mix_k(t_m) w(t_m),
+    stacked as (2, l, l) and summed by one GEMM.
 
     Normalized channels all average to one and reflection symmetry kills
     odd moments, so the probes weight even harmonics. The mixes are
@@ -181,13 +189,9 @@ def _probes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m_grid = values.shape[0]
     theta = linalg.midpoint_nodes(m_grid)
     harmonics = np.cos(np.arange(2, 10, 2)[:, None] * theta[None, :])
-    mixes = (
-        1.0 + harmonics.T @ np.array([1 / 3, 1 / 7, 1 / 13, 1 / 29]),
-        1.0 + harmonics.T @ np.array([-1 / 5, 1 / 3, -1 / 23, 1 / 11]),
-    )
-    p1 = np.einsum("m,mij->ij", mixes[0], values) / m_grid
-    p2 = np.einsum("m,mij->ij", mixes[1], values) / m_grid
-    return p1, p2
+    weights = np.array([[1 / 3, 1 / 7, 1 / 13, 1 / 29], [-1 / 5, 1 / 3, -1 / 23, 1 / 11]])
+    mixes = 1.0 + weights @ harmonics
+    return (mixes @ values.reshape(m_grid, -1)).reshape(2, *values.shape[1:]) / m_grid
 
 
 def _joint_basis(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
@@ -221,8 +225,8 @@ def _commuting_factor(values: np.ndarray) -> np.ndarray | None:
     entry above eps s, eps = 1e-12 and s = max |w| entrywise (the
     acceptance test), or a channel is no resolved trig polynomial.
 
-    Before the O(M l^4) rotation, None is returned when the probes
-    themselves fail to commute, which no accepted weight can do. Let
+    Before the rotation (linalg.frame_product), None is returned when the
+    probes themselves fail to commute, which no accepted weight can do. Let
     B* w B = D + O on every node, D diagonal and |O_ij| <= eps s. Then
     B* p_k B = Delta_k + E_k with Delta_k diagonal, |Delta_k,ii| <= c_k l s
     (||w||_2 <= l s) and |E_k,ij| <= c_k eps s, where c_1 < 1.588 and
@@ -250,7 +254,7 @@ def _commuting_factor(values: np.ndarray) -> np.ndarray | None:
         if float(np.linalg.norm(a @ b - b @ a)) > _commutator_bound(dim, m_grid):
             return None
         basis = _joint_basis(p1, p2)
-        rotated = np.einsum("ji,mjk,kl->mil", basis.conj(), values, basis)
+        rotated = linalg.frame_product(basis.conj().T, values, basis)
         off = rotated.copy()
         idx = np.arange(dim)
         off[:, idx, idx] = 0.0
@@ -262,11 +266,12 @@ def _commuting_factor(values: np.ndarray) -> np.ndarray | None:
     if any(g is None for g in channel_coeffs):
         return None
     top = max(g.size - 1 for g in channel_coeffs)
-    out = np.zeros((top + 1, dim, dim), dtype=complex)
+    delta = np.zeros((top + 1, dim), dtype=complex)
     for i, g in enumerate(channel_coeffs):
-        out[: g.size, i, i] = g
-    # G = Delta(z) basis*, so G* G = basis Delta* Delta basis* = w
-    return np.einsum("kij,lj->kil", out, basis.conj())
+        delta[: g.size, i] = g
+    # G = Delta(z) basis*, so G* G = basis Delta* Delta basis* = w; Delta is
+    # diagonal, so each coefficient is basis* with its rows scaled
+    return delta[:, :, None] * basis.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +294,8 @@ def _peel_edges(
     while len(peeled) < _MAX_PEELS:
         n_vals, c = linalg.fourier_coefficients(BoundarySampling(values))
         for root in (1.0, -1.0):
-            lam, vec = np.linalg.eigh(np.einsum("n,nij->ij", root**n_vals, c))
+            edge = (root**n_vals) @ c.reshape(n_vals.size, -1)
+            lam, vec = np.linalg.eigh(edge.reshape(c.shape[1:]))
             rank = int(np.sum(lam <= floor))
             if rank:
                 break
@@ -445,10 +451,12 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
 
     u, _ = left_polar(coeffs[0], tol)
     omega = u.conj().T
-    coeffs = np.einsum("ij,kjl->kil", omega, coeffs)
+    eye = np.eye(w.dim)
+    coeffs = linalg.frame_product(omega, coeffs, eye)
     coeffs[0] = 0.5 * (coeffs[0] + coeffs[0].conj().T)
-    boundary = np.einsum("ij,mjl->mil", omega, boundary)
-    residual = max_operator_norm(boundary.conj().transpose(0, 2, 1) @ boundary - values)
+    boundary = linalg.frame_product(omega, boundary, eye)
+    # G* G - w is Hermitian: its norm is the largest |eigenvalue|
+    residual = linalg.max_hermitian_norm(boundary.conj().transpose(0, 2, 1) @ boundary - values)
     if residual > target:
         raise NoConvergence(
             f"factorize: residual {residual:.1e} above target {target:.1e} "

@@ -125,3 +125,29 @@ def edge_table_document(order: int) -> dict:
         "quad_order": order,
         "normalize": "auto",
     }
+
+
+def table_document(dim: int, order: int) -> dict:
+    """Table of H(x) / (pi sqrt(4 - x^2)), H(x) = B0 + x B1 with B0, B1
+    Hermitian in fixed random frames that do not commute (B0 with spectrum
+    in [2, 3], |B1| <= 1/2), plus a rank-one mass at 2.6, auto-normalized:
+    a strictly positive non-commuting table weight."""
+    from matszego.linalg import midpoint_nodes
+
+    rng = np.random.default_rng(1000 + dim)
+    u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    v = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    b0 = u @ np.diag(2.0 + rng.random(dim)) @ u.conj().T
+    b1 = v @ np.diag(rng.uniform(-0.5, 0.5, dim)) @ v.conj().T
+    x = 2.0 * np.cos(midpoint_nodes(order))
+    f = (b0[None] + x[:, None, None] * b1[None]) / (np.pi * np.sqrt(4.0 - x * x))[:, None, None]
+    f = 0.5 * (f + f.conj().transpose(0, 2, 1))
+    m = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    m /= np.linalg.norm(m)
+    return {
+        "dim": dim,
+        "density": {"family": "table", "values": [_matrix_json(s) for s in f]},
+        "masses": [{"energy": 2.6, "weight": _matrix_json(0.2 * np.outer(m, m.conj()))}],
+        "quad_order": order,
+        "normalize": "auto",
+    }

@@ -1,7 +1,8 @@
 """Every import in the package and its tests is used, every
-module-level name of the package is referenced (stdlib ast scans), and
-the package imports nothing beyond the standard library and its declared
-dependencies."""
+module-level name of the package is referenced (stdlib ast scans), the
+package imports nothing beyond the standard library and its declared
+dependencies, and it holds no three-operand einsum outside an
+allowlist."""
 
 import ast
 import json
@@ -184,3 +185,64 @@ def test_cli_run_loads_no_scipy():
     code, loaded = json.loads(done.stdout.splitlines()[-1])
     assert code == 0
     assert loaded == []
+
+
+# Three-operand np.einsum calls the package may hold, by enclosing function,
+# with how many each holds. numpy contracts them in its own loops, without
+# BLAS; a stack times constant frames belongs on linalg.frame_product or
+# linalg.diagonal_congruence instead.
+THREE_OPERAND_EINSUMS_ALLOWED = {
+    # the type transform's sigma_k* A_k sigma_{k+1} and sigma_k* B_k sigma_k:
+    # other frames for each of the n blocks, so no constant matrix for a GEMM
+    "polynomials.to_type": 2,
+    # sum_j p_n(E_j)* w_j p_n(E_j) over the mass stack: one term per mass
+    "limits.verify_masses": 1,
+}
+
+
+def three_operand_einsums(module: str, source: str) -> list[str]:
+    """module.function of each np.einsum (or numpy.einsum) call with a
+    subscripts argument and three operands, once per call."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "einsum"
+                and isinstance(child.func.value, ast.Name)
+                and child.func.value.id in ("np", "numpy")
+                and len(child.args) == 4
+            ):
+                found.append(f"{module}.{owner}")
+            visit(child, name)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_finds_a_three_operand_einsum():
+    source = (
+        "import numpy as np\n"
+        "x = np.einsum('ij,jk,kl->il', a, b, c)\n"
+        "def f(a, f, b):\n"
+        "    g = np.einsum('ij,mjk->mik', a, f)\n"
+        "    return np.einsum('ij,mjk,kl->mil', a, f, b)\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return numpy.einsum('i,i,i->', a, b, c)\n"
+    )
+    assert three_operand_einsums("a", source) == ["a.<module>", "a.f", "a.m"]
+
+
+def test_three_operand_einsums_only_where_allowed():
+    found = {}
+    for path in PACKAGE:
+        for name in three_operand_einsums(path.stem, path.read_text()):
+            found[name] = found.get(name, 0) + 1
+    # exact: a new call fails, and one that is removed leaves the list
+    assert found == THREE_OPERAND_EINSUMS_ALLOWED

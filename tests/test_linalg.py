@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matszego.blaschke import elementary_matrix
 from matszego.errors import (
     AliasedIndex,
     DimensionMismatch,
@@ -15,11 +16,14 @@ from matszego.errors import (
 from matszego.linalg import (
     BoundarySampling,
     analytic_part,
+    diagonal_congruence,
     fourier_coefficients,
+    frame_product,
     gram_mean,
     hermitian_defect,
     left_polar,
     matrix_fourier_coeff,
+    max_hermitian_norm,
     max_operator_norm,
     midpoint_nodes,
     norm_l2_1,
@@ -261,6 +265,143 @@ class TestOperatorNormBracket:
             for factor in (0.7, 1.0):
                 for c, c_exact in ((b, other), (a / factor, max_operator_norm(a / factor))):
                     assert _Norm(a).below(_Norm(c), factor) == (exact < c_exact * factor)
+
+
+class TestMaxHermitianNorm:
+    def test_equals_the_full_batch_maximum_bitwise(self):
+        for a in TestMaxOperatorNorm().batches():
+            if a.shape[1] != a.shape[2]:
+                continue
+            h = a + a.conj().transpose(0, 2, 1)
+            assert max_hermitian_norm(h) == np.max(np.abs(np.linalg.eigvalsh(h)))
+            assert max_hermitian_norm(h) == pytest.approx(max_operator_norm(h), rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, 1.0)])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0)])
+    def test_non_finite_entries_raise(self, bad, entry):
+        # eigvalsh may answer a NaN on the diagonal with eigenvalues 0 and
+        # never reads the upper triangle, so the stack is checked first
+        h = np.broadcast_to(np.eye(2, dtype=complex), (8, 2, 2)).copy()
+        h[5][entry] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            max_hermitian_norm(h)
+
+    def test_zero_stack_needs_no_decomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh of an all-zero stack")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        value = max_hermitian_norm(np.zeros((64, 4, 4), dtype=complex))
+        assert value == 0.0 and not np.signbit(value)
+
+
+# The einsum forms the GEMM helpers replaced, kept as their reference.
+def einsum_diagonal_congruence(u, d):
+    return np.einsum("ji,...j,jk->...ik", u.conj(), d, u)
+
+
+def einsum_frame_product(a, f, b):
+    return np.einsum("ij,mjk,kl->mil", a, f, b)
+
+
+def cnormal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def unitary(rng, dim):
+    return np.linalg.qr(cnormal(rng, dim, dim))[0]
+
+
+# Each result may differ from its reference by the rounding of either: a
+# few ulps times l of the sum of |terms|, entry by entry.
+ULPS = 4 * np.finfo(float).eps
+
+
+@st.composite
+def diagonal_cases(draw):
+    """(u, d): a unitary or general frame of size l = 1, 2, 4, 8 and rows d
+    for M = 4 ... 4096 nodes, real (density channels) or complex, some
+    with zero entries (rank deficient)."""
+    dim = draw(st.sampled_from([1, 2, 4, 8]))
+    count = 2 ** draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = unitary(rng, dim) if draw(st.booleans()) else cnormal(rng, dim, dim)
+    d = cnormal(rng, count, dim) if draw(st.booleans()) else rng.random((count, dim))
+    if draw(st.booleans()):
+        d[:, rng.random(dim) < 0.5] = 0.0
+    return u, d
+
+
+@st.composite
+def frame_cases(draw):
+    """(a, f, b) with f a Hermitian or general stack, l = 1, 2, 4, 8 and
+    M = 4 ... 4096, and (a, b) shaped as the package uses them: a
+    Hermitian congruence (c, c), a rotation (B*, B), a left factor
+    (Omega, I), or general."""
+    dim = draw(st.sampled_from([1, 2, 4, 8]))
+    count = 2 ** draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = cnormal(rng, count, dim, dim)
+    if draw(st.booleans()):
+        f = f + f.conj().transpose(0, 2, 1)
+    kind = draw(st.sampled_from(["congruence", "rotation", "left", "general"]))
+    if kind == "congruence":
+        c = cnormal(rng, dim, dim)
+        a = b = c + c.conj().T
+    elif kind == "rotation":
+        b = unitary(rng, dim)
+        a = b.conj().T
+    elif kind == "left":
+        a, b = unitary(rng, dim), np.eye(dim)
+    else:
+        a, b = cnormal(rng, dim, dim), cnormal(rng, dim, dim)
+    return a, f, b
+
+
+class TestFrameProducts:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(diagonal_cases())
+    def test_diagonal_congruence_matches_einsum(self, case):
+        u, d = case
+        got = diagonal_congruence(u, d)
+        bound = einsum_diagonal_congruence(np.abs(u), np.abs(d)).real
+        assert got.shape == d.shape + (u.shape[0],)
+        err = np.abs(got - einsum_diagonal_congruence(u, d))
+        assert np.all(err <= ULPS * u.shape[0] * bound)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(frame_cases())
+    def test_frame_product_matches_einsum(self, case):
+        a, f, b = case
+        got = frame_product(a, f, b)
+        bound = einsum_frame_product(np.abs(a), np.abs(f), np.abs(b)).real
+        assert got.shape == f.shape
+        err = np.abs(got - einsum_frame_product(a, f, b))
+        assert np.all(err <= ULPS * f.shape[-1] * bound)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.sampled_from([1, 2, 4, 8]), st.integers(0, 8), st.integers(0, 12),
+           st.integers(0, 2**32 - 1))
+    def test_elementary_matrix_matches_einsum(self, dim, rank, log_count, seed):
+        # b as ElementaryFactor.eval passes it, (T,), and as a 0-d array
+        rng = np.random.default_rng(seed)
+        u, rank = unitary(rng, dim), min(rank, dim)
+        for b in (cnormal(rng, 2**log_count), cnormal(rng)):
+            d = np.ones(b.shape + (dim,), dtype=complex)
+            d[..., :rank] = b[..., None]
+            got = elementary_matrix(u, rank, b)
+            assert got.shape == b.shape + (dim, dim)
+            bound = einsum_diagonal_congruence(np.abs(u), np.abs(d)).real
+            err = np.abs(got - einsum_diagonal_congruence(u, d))
+            assert np.all(err <= ULPS * dim * bound)
+
+    def test_scalar_products_round_as_before(self):
+        # at l = 1 both helpers do the reference's products in its order
+        rng = np.random.default_rng(5)
+        f, c = rng.random((64, 1, 1)) + 0j, np.array([[1.7 + 0j]])
+        assert frame_product(c, f, c).tobytes() == einsum_frame_product(c, f, c).tobytes()
+        u, d = np.array([[1.0 + 0j]]), rng.random((64, 1))
+        assert diagonal_congruence(u, d).tobytes() == einsum_diagonal_congruence(u, d).tobytes()
 
 
 class TestNorms:

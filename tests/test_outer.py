@@ -25,6 +25,7 @@ from conftest import (
     edge_table_document,
     noncommuting_document,
     random_smooth_weight,
+    table_document,
 )
 
 
@@ -327,8 +328,9 @@ class TestBracketedDecisions:
 
     @pytest.mark.parametrize("name", ["noncommuting_2_m256", "noncommuting_4_m1024"])
     def test_few_full_stack_svds(self, monkeypatch, name):
-        # at most the last sweep's stop test and the reported residual need
-        # an SVD of every node's block; exact tests at every sweep need four
+        # at most the last sweep's stop test needs an SVD of every node's
+        # block (the reported residual takes eigenvalues); exact tests at
+        # every sweep need four
         w = self.WEIGHTS[name]()
         full = []
         svd = np.linalg.svd
@@ -342,13 +344,59 @@ class TestBracketedDecisions:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         g = spectral_factorize(w)
         assert g.sweeps == 3
-        assert len(full) <= 2
+        assert len(full) <= 1
 
     def test_s_function_certificate_changes_nothing(self, monkeypatch):
         g = spectral_factorize(document_weight(noncommuting_document(4, 1024)))
         fast = s_function(g).values
         monkeypatch.setattr(outer, "_surely_invertible", lambda *args: False)
         assert s_function(g).values.tobytes() == fast.tobytes()
+
+
+# (path, sweeps, order, (root, rank) of each peeled edge factor) of each
+# weight's factorization, as the einsum frame products decided them
+DECISIONS = {
+    "free_semicircle": ("exact", 0, 2, ()),
+    "arcsine": ("exact", 0, 0, ()),
+    "semicircle_mass": ("exact", 0, 2, ()),
+    "matrix_semicircle_mass": ("exact", 0, 2, ()),
+    "matrix_conjugated": ("exact", 0, 2, ()),
+    "noncommuting_2_m256": ("wilson", 3, 2, ((1.0, 1), (-1.0, 1))),
+    "noncommuting_2_m1024": ("wilson", 3, 2, ((1.0, 1), (-1.0, 1))),
+    "noncommuting_4_m1024": ("wilson", 3, 2, ((1.0, 1), (-1.0, 1))),
+    "table_4_m512": ("wilson", 4, 1, ()),
+    "table_8_m256": ("wilson", 4, 1, ()),
+    "edge_table_m256": ("wilson", 4, 3, ((1.0, 2), (-1.0, 2))),
+}
+DOCUMENTS = {
+    "noncommuting_2_m256": lambda: noncommuting_document(2, 256),
+    "noncommuting_2_m1024": lambda: noncommuting_document(2, 1024),
+    "noncommuting_4_m1024": lambda: noncommuting_document(4, 1024),
+    "table_4_m512": lambda: table_document(4, 512),
+    "table_8_m256": lambda: table_document(8, 256),
+    "edge_table_m256": lambda: edge_table_document(256),
+}
+
+
+class TestDecisionIdentity:
+    @pytest.mark.parametrize("name", sorted(DECISIONS))
+    def test_frame_products_keep_every_decision(self, monkeypatch, shipped_measures, name):
+        if name in DOCUMENTS:
+            w = document_weight(DOCUMENTS[name]())
+        else:
+            w = szego_weight(shipped_measures[name])
+        peels = []
+        peel_edges = outer._peel_edges
+
+        def recording(values, z, floor):
+            remainder, peeled = peel_edges(values, z, floor)
+            peels.extend((root, rank) for root, _, rank in peeled)
+            return remainder, peeled
+
+        monkeypatch.setattr(outer, "_peel_edges", recording)
+        g = spectral_factorize(w)
+        path = "wilson" if g.sweeps else "exact"
+        assert (path, g.sweeps, g.order, tuple(peels)) == DECISIONS[name]
 
 
 def singular_node_factor(block: np.ndarray) -> OuterFunction:
@@ -420,11 +468,9 @@ class TestCommutatorExit:
     def test_noncommuting_weights_exit_before_rotation(self, monkeypatch):
         values = document_weight(noncommuting_document(4, 1024)).values
         values = 0.5 * (values + values.conj().transpose(0, 2, 1))
-        einsum = np.einsum
 
-        def no_rotation(spec, *operands, **kwargs):
-            assert spec != "ji,mjk,kl->mil", "rotated a non-commuting weight"
-            return einsum(spec, *operands, **kwargs)
+        def no_rotation(a, f, b):
+            raise AssertionError("rotated a non-commuting weight")
 
-        monkeypatch.setattr(np, "einsum", no_rotation)
+        monkeypatch.setattr(linalg, "frame_product", no_rotation)
         assert outer._commuting_factor(values) is None
