@@ -30,7 +30,7 @@ from . import outer as sf
 from . import polynomials as poly
 from . import tolerances
 from .errors import NumericalError, ParseError, ValidationError
-from .linalg import max_operator_norm, operator_norm
+from .linalg import hermitian_defect, max_operator_norm, operator_norm
 
 
 def _plain(value):
@@ -93,7 +93,7 @@ def _run_check_measure(args, mu, tol):
     reflect_defect = float(
         np.max(np.abs(w.values - w.values[::-1].conj().transpose(0, 2, 1)))
     )
-    herm_defect = max_operator_norm(w.values - w.values.conj().transpose(0, 2, 1))
+    herm_defect = hermitian_defect(w.values)
     tail_sum, edge_sum = ms.mass_condition_sums(mu)
     states = [
         {

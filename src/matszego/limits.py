@@ -305,9 +305,9 @@ def asymptotics_report(
     """Build the pipeline once and run every convergence check on it."""
     n_values = sorted(int(n) for n in n_values)
     lim = build_pipeline(mu, tol=tol)
-    seq = poly.stieltjes(mu, max(n_values) + 1, tol)
-    jac2, transform = poly.to_type(seq.jacobi, "type2", tol)
-    pseq2 = poly.apply_transform(seq, jac2, transform)
+    seq = poly.stieltjes(mu, max(n_values), tol)
+    jac2, sigma = poly.to_type(seq.jacobi, "type2", tol)
+    pseq2 = poly.apply_transform(seq, jac2, sigma)
     sup_gap, origin_gap = verify_pointwise(lim, jac2, n_values, radius)
     l2_res = verify_l2(lim, pseq2, n_values, tol)
     mass_norm, mass_worst = verify_masses(pseq2, n_values)

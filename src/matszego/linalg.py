@@ -75,10 +75,6 @@ class BoundarySampling:
     def theta(self) -> np.ndarray:
         return midpoint_nodes(self.node_count)
 
-    def reflect(self) -> "BoundarySampling":
-        """Sampling of theta -> f(-theta); index reversal on this grid."""
-        return BoundarySampling(self.values[::-1])
-
 
 def operator_norm(a: np.ndarray) -> np.ndarray:
     """Largest singular value; batched over leading axes."""
@@ -138,11 +134,14 @@ def max_operator_norm(a: np.ndarray) -> float:
     (_norm_candidates).
 
     A stack of exact zeros returns 0.0, the float its SVD gives, without
-    one. Same float as the full batch; an empty batch raises likewise.
+    one. Same float as the full batch; an empty batch raises likewise. A
+    single matrix is its own only candidate and goes to its SVD directly.
     """
     a = np.asarray(a)
     if a.ndim < 2:
         raise DimensionMismatch("max_operator_norm needs a matrix")
+    if a.ndim == 2:
+        return float(operator_norm(a))
     blocks = _norm_candidates(a)
     return 0.0 if blocks is None else float(np.max(operator_norm(blocks)))
 
@@ -172,34 +171,58 @@ def max_hermitian_norm(a: np.ndarray) -> float:
     return float(max(lam[..., -1].max(), -lam[..., 0].min()))
 
 
-def operator_norm_bracket(a: np.ndarray) -> tuple[float, float]:
-    """(lo, hi) with lo <= max_operator_norm(a) <= hi, from Frobenius norms.
+class BracketedNorm:
+    """max_operator_norm of a stack, bracketed from its Frobenius norms and
+    computed exactly only when a test needs it.
 
     For an m x n block, ||A||_F / sqrt(min(m, n)) <= ||A||_2 <= ||A||_F,
     so with F the largest Frobenius norm of the stack
 
-        F / sqrt(min(m, n)) * (1 - 1e-8)  <=  max ||A||_2  <=  F * (1 + 1e-8),
+        lo = F / sqrt(min(m, n)) * (1 - 1e-8)  <=  max ||A||_2  <=  F * (1 + 1e-8) = hi,
 
     where the margin covers the rounding of F and of the SVD; the bracket
-    holds the very float max_operator_norm returns. A test value <= t is
-    decided without any SVD when hi <= t or lo > t; only a bracket that
-    straddles t needs the exact value, and a caller that settles it then
-    reaches the same decision as the exact value would. A stack of exact
-    zeros gives (0.0, 0.0). Where the Frobenius norms are unreliable
-    (non-finite entries, overflowing or underflowing squares) both ends
-    are NaN, so every comparison fails and callers fall through to the
-    exact value, errors included.
+    holds the very float max_operator_norm returns. A stack of exact zeros
+    gives (0.0, 0.0). Where the Frobenius norms are unreliable
+    (_frobenius_top) both ends are NaN, so every comparison fails and the
+    exact value decides, errors included. Each test decides from the
+    brackets when they settle it and from the exact values otherwise, so
+    it returns what the same test on the exact values returns. The stack
+    is dropped once the value is known.
     """
-    a = np.asarray(a)
-    if a.ndim < 2:
-        raise DimensionMismatch("operator_norm_bracket needs a matrix")
-    _, top = _frobenius_top(a)
-    if top is None:
-        return np.nan, np.nan
-    return (
-        (1.0 - _BRACKET_MARGIN) * top / math.sqrt(min(a.shape[-2:])),
-        (1.0 + _BRACKET_MARGIN) * top,
-    )
+
+    def __init__(self, stack: np.ndarray | None = None, value: float = np.nan):
+        self._stack = stack
+        if stack is None:
+            self.lo = self.hi = value
+            return
+        _, top = _frobenius_top(stack)
+        if top is None:
+            self.lo = self.hi = np.nan
+        else:
+            self.lo = (1.0 - _BRACKET_MARGIN) * top / math.sqrt(min(stack.shape[-2:]))
+            self.hi = (1.0 + _BRACKET_MARGIN) * top
+
+    def exact(self) -> float:
+        if self._stack is not None:
+            self.lo = self.hi = max_operator_norm(self._stack)
+            self._stack = None
+        return self.lo
+
+    def at_most(self, t: float) -> bool:
+        """value <= t."""
+        if self.hi <= t:
+            return True
+        if self.lo > t:
+            return False
+        return self.exact() <= t
+
+    def below(self, other: "BracketedNorm", factor: float = 1.0) -> bool:
+        """value < factor * other.value, for factor >= 0."""
+        if self.hi < other.lo * factor:
+            return True
+        if self.lo >= other.hi * factor:
+            return False
+        return self.exact() < other.exact() * factor
 
 
 def diagonal_congruence(u: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -242,7 +265,8 @@ def frame_product(a: np.ndarray, f: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hermitian_defect(a: np.ndarray) -> float:
-    return float(operator_norm(a - a.conj().swapaxes(-1, -2)))
+    """max ||A - A*|| over a matrix or a stack (max_operator_norm)."""
+    return max_operator_norm(a - a.conj().swapaxes(-1, -2))
 
 
 def principal_sqrt(a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:

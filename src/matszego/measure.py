@@ -147,7 +147,7 @@ class TableDensity(Density):
         sampling = BoundarySampling(np.asarray(samples, dtype=complex))
         v = sampling.values
         scale = max(float(np.max(np.abs(v))), 1e-300)
-        herm = linalg.max_operator_norm(v - v.conj().transpose(0, 2, 1))
+        herm = linalg.hermitian_defect(v)
         if herm > 1e-8 * scale:
             raise ValidationError(f"table: samples not Hermitian (defect {herm:.2e})")
         sym = float(np.max(np.abs(v - v[::-1])))
@@ -253,10 +253,6 @@ class MatrixMeasure:
     correction: np.ndarray | None     # Hermitian c with mu = c mu_raw c, if auto
 
     @property
-    def mass_energies(self) -> np.ndarray:
-        return np.array([s.energy for s in self.bound_states])
-
-    @property
     def mass_weights(self) -> np.ndarray:
         if not self.bound_states:
             return np.zeros((0, self.dim, self.dim), dtype=complex)
@@ -336,7 +332,7 @@ def make_measure(
         w = np.asarray(w, dtype=complex)
         if w.shape != (dim, dim):
             raise DimensionMismatch(f"mass {k}: weight shape {w.shape}, expected {(dim, dim)}")
-        herm = float(operator_norm(w - w.conj().T))
+        herm = linalg.hermitian_defect(w)
         if herm > tol.herm * max(1.0, float(operator_norm(w))):
             raise ValidationError(f"mass {k}: weight not Hermitian (defect {herm:.2e})")
         w = 0.5 * (w + w.conj().T)

@@ -52,7 +52,7 @@ from .errors import (
     RadiusExceeded,
     SingularBoundary,
 )
-from .linalg import BoundarySampling, left_polar, max_operator_norm
+from .linalg import BoundarySampling, BracketedNorm, left_polar, max_operator_norm
 from .tolerances import DEFAULT, Tolerances
 
 _MAX_SWEEPS = 60  # cap on Wilson sweeps
@@ -308,45 +308,6 @@ def _peel_edges(
     return values, peeled
 
 
-class _Norm:
-    """max_operator_norm of a stack: bracketed from its Frobenius norms
-    (linalg.operator_norm_bracket), computed exactly only when asked.
-
-    Each test below decides from the brackets when they settle it and
-    from the exact values otherwise, so it returns what the same test on
-    the exact values returns. The stack is dropped once the value is known.
-    """
-
-    def __init__(self, stack: np.ndarray | None = None, value: float = np.nan):
-        self._stack = stack
-        if stack is None:
-            self.lo = self.hi = value
-        else:
-            self.lo, self.hi = linalg.operator_norm_bracket(stack)
-
-    def exact(self) -> float:
-        if self._stack is not None:
-            self.lo = self.hi = max_operator_norm(self._stack)
-            self._stack = None
-        return self.lo
-
-    def at_most(self, t: float) -> bool:
-        """value <= t."""
-        if self.hi <= t:
-            return True
-        if self.lo > t:
-            return False
-        return self.exact() <= t
-
-    def below(self, other: "_Norm", factor: float = 1.0) -> bool:
-        """value < factor * other.value, for factor >= 0."""
-        if self.hi < other.lo * factor:
-            return True
-        if self.lo >= other.hi * factor:
-            return False
-        return self.exact() < other.exact() * factor
-
-
 def _wilson(v: np.ndarray, target: float) -> tuple[np.ndarray, int]:
     """Left factor psi psi* = v on the grid; returns (psi, sweeps).
 
@@ -354,17 +315,17 @@ def _wilson(v: np.ndarray, target: float) -> tuple[np.ndarray, int]:
     residual max ||psi psi* - v|| is at most target, or after four sweeps
     without a 30% gain on the best residual; the caller checks the result.
     The stop and stall tests read the residuals' Frobenius brackets
-    (_Norm) and settle exactly only where a bracket straddles the
-    threshold: Newton residuals are rank one of nearly equal norm at every
-    node, so the exact value would need an SVD of every block, and it
-    mostly is far from the threshold. Only the residual stack of the best
-    sweep is kept for that. The sweeps run, and so psi, are those of the
-    exact tests.
+    (linalg.BracketedNorm) and settle exactly only where a bracket
+    straddles the threshold: Newton residuals are rank one of nearly
+    equal norm at every node, so the exact value would need an SVD of
+    every block, and it mostly is far from the threshold. Only the
+    residual stack of the best sweep is kept for that. The sweeps run,
+    and so psi, are those of the exact tests.
     """
     m_grid, dim = v.shape[0], v.shape[1]
     psi = np.linalg.cholesky(np.mean(v, axis=0))[None].repeat(m_grid, axis=0)
     eye = np.eye(dim)
-    best = _Norm(value=np.inf)
+    best = BracketedNorm(value=np.inf)
     stall = 0
     sweeps = 0
     for sweeps in range(1, _MAX_SWEEPS + 1):
@@ -380,7 +341,7 @@ def _wilson(v: np.ndarray, target: float) -> tuple[np.ndarray, int]:
         del inv_psi
         psi = psi @ linalg.analytic_part(BoundarySampling(ratio)).values
         del ratio
-        res = _Norm(psi @ psi.conj().transpose(0, 2, 1) - v)
+        res = BracketedNorm(psi @ psi.conj().transpose(0, 2, 1) - v)
         if res.at_most(target):
             break
         # res < 0.7 best implies res < best, the new minimum
@@ -430,7 +391,7 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
         boundary = linalg.synthesize_on_grid(
             np.arange(coeffs.shape[0]), coeffs, m_grid
         ).values
-        if _Norm(boundary.conj().transpose(0, 2, 1) @ boundary - values).at_most(target):
+        if BracketedNorm(boundary.conj().transpose(0, 2, 1) @ boundary - values).at_most(target):
             leak, trunc, sweeps = 0.0, 0.0, 0
         else:
             coeffs = None

@@ -28,10 +28,10 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    hermitian_defect,
     left_polar,
     max_operator_norm,
     operator_norm,
-    operator_norm_bracket,
     sqrt_from_eigh,
 )
 from .measure import MatrixMeasure, inner_product
@@ -94,18 +94,6 @@ class BlockJacobi:
     @property
     def dim(self) -> int:
         return self.a.shape[1]
-
-
-@dataclasses.dataclass(frozen=True)
-class EquivalenceTransform:
-    """Unitaries sigma_1..sigma_{n+1} with sigma[k] = sigma_{k+1}, sigma[0] = I.
-
-    Transformed data: A~_k = sigma_k^* A_k sigma_{k+1}, B~_k = sigma_k^* B_k
-    sigma_k and p~_k = p_k sigma_{k+1}; in array indices a~[k] = sigma[k]*
-    a[k] sigma[k+1], b~[k] = sigma[k]* b[k] sigma[k] and p~_k = p_k sigma[k].
-    """
-
-    sigma: np.ndarray
 
 
 def _unwhiten(root: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -262,14 +250,11 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     ||R_k p_n(E_k)||_F falls below 1e-10; the discarded true Gram
     contribution is below 1e-20.
 
-    Each step's two tests cost one eigendecomposition and no SVD in the
-    usual case. The B block's Hermitian test is decided from Frobenius
-    brackets of both norms (linalg.operator_norm_bracket) and takes the
-    SVDs only when they cannot settle it, so it decides as the exact
-    norms would. One eigh of the Gram matrix gives the LostPositivity
-    test its smallest eigenvalue and A_{n+1} its square root
-    (linalg.sqrt_from_eigh, whose NegativeEigenvalue guard still holds
-    under a tol.pos <= 0 override).
+    The B block's Hermitian test takes the exact norms of its one l x l
+    block (_check_hermitian). One eigh of the Gram matrix gives the
+    LostPositivity test its smallest eigenvalue and A_{n+1} its square
+    root (linalg.sqrt_from_eigh, whose NegativeEigenvalue guard still
+    holds under a tol.pos <= 0 override).
 
     The buffer is an anonymous mapping of its own (_mapped_buffer), so
     its pages are returned when the sequence is dropped. The sequence
@@ -346,19 +331,12 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
 
 
 def _check_hermitian(b: np.ndarray, step: int) -> None:
-    """Raise NotHermitian when ||B - B*|| > 1e-8 max(1, ||B||).
-
-    The test passes without an SVD when the upper end of the defect's
-    Frobenius bracket is at most a lower bound of the threshold: 1e-8,
-    or else 1e-8 times the lower end of B's bracket. Otherwise, a NaN
-    bracket included, the exact norms decide and fill the message, so
-    the decision is always the one the exact norms give.
-    """
-    defect = b - b.conj().T
-    _, defect_hi = operator_norm_bracket(defect)
-    if defect_hi <= 1e-8 or defect_hi <= 1e-8 * operator_norm_bracket(b)[0]:
+    """Raise NotHermitian when ||B - B*|| > 1e-8 max(1, ||B||), from the
+    exact norms of the one l x l block; ||B|| is needed only when the
+    defect exceeds 1e-8, the least the threshold can be."""
+    herm = hermitian_defect(b)
+    if herm <= 1e-8:
         return
-    herm = float(operator_norm(defect))
     floor = 1e-8 * max(1.0, float(operator_norm(b)))
     if herm > floor:
         raise NotHermitian(
@@ -429,11 +407,15 @@ def _positive_lq(m: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray
 
 def to_type(
     jacobi: BlockJacobi, target: str, tol: Tolerances = DEFAULT
-) -> tuple[BlockJacobi, EquivalenceTransform]:
+) -> tuple[BlockJacobi, np.ndarray]:
     """Transform to the requested normalization type.
 
-    Returns the transformed blocks and the unitaries sigma_1..sigma_{n+1}
-    realizing them; sigma_1 = I always, so p_0 is untouched.
+    Returns the transformed blocks and the (n + 1, l, l) stack of
+    unitaries sigma_1..sigma_{n+1} realizing them, sigma[k] = sigma_{k+1}
+    and sigma[0] = I, so p_0 is untouched. The transformed data are
+    A~_k = sigma_k^* A_k sigma_{k+1}, B~_k = sigma_k^* B_k sigma_k and
+    p~_k = p_k sigma_{k+1}; in array indices a~[k] = sigma[k]* a[k]
+    sigma[k+1], b~[k] = sigma[k]* b[k] sigma[k] and p~_k = p_k sigma[k].
     """
     if target not in NORM_TYPES:
         raise ValidationError(f"target must be one of {NORM_TYPES}, got {target!r}")
@@ -460,20 +442,20 @@ def to_type(
     a_new = np.einsum("kji,kjl,klm->kim", sigma[:-1].conj(), jacobi.a, sigma[1:])
     b_new = np.einsum("kji,kjl,klm->kim", sigma[:-1].conj(), jacobi.b, sigma[:-1])
     out = BlockJacobi(a=a_new, b=b_new, norm_type=target)
-    return out, EquivalenceTransform(sigma=sigma)
+    return out, sigma
 
 
 def type_defect(jacobi: BlockJacobi) -> float:
     """How far the blocks are from their declared normalization type."""
     a = jacobi.a
     if jacobi.norm_type == "type1":
-        return float(max(operator_norm(m - m.conj().T) for m in a))
+        return hermitian_defect(a)
     if jacobi.norm_type == "type2":
         worst = 0.0
         cum = np.eye(jacobi.dim, dtype=complex)
         for m in a:
             cum = cum @ m
-            worst = max(worst, float(operator_norm(cum - cum.conj().T)))
+            worst = max(worst, hermitian_defect(cum))
         return worst
     worst = 0.0  # type3
     for m in a:
@@ -485,14 +467,14 @@ def type_defect(jacobi: BlockJacobi) -> float:
     return worst
 
 
-def apply_transform(seq: PolySequence, jacobi: BlockJacobi, transform: EquivalenceTransform) -> PolySequence:
-    """Carry polynomial values to an equivalent normalization, p_k -> p_k sigma[k].
+def apply_transform(seq: PolySequence, jacobi: BlockJacobi, sigma: np.ndarray) -> PolySequence:
+    """Carry polynomial values to an equivalent normalization, p_k -> p_k sigma[k],
+    with sigma the unitary stack to_type returns.
 
     Nothing is computed here: each degree is rotated when it is read,
     and a full read rotates every degree once. Both read seq's values,
     so they share its buffer.
     """
-    sigma = transform.sigma
     if sigma.shape[0] != seq.degree + 1:
         raise DimensionMismatch("transform length does not match sequence degree")
     return PolySequence(seq.measure, jacobi, _RotatedValues(seq._values, sigma))

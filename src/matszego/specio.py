@@ -25,9 +25,10 @@ path in the message.
 A document has one representation after parsing, its canonical plain
 form (MeasureSpec): numbers become floats and every matrix becomes
 {"re", "im"} float rows with "im" filled in, read in a single pass. A
-table's stacks are checked whole, and the parsed table keeps its
-(2, N, dim, dim) re/im float stack beside its matrices. build_measure
-and the hash both read that stack, so no table becomes an array twice.
+table's stacks are checked whole, and the parsed table keeps only its
+(2, N, dim, dim) re/im float stack, no matrix of Python floats.
+build_measure and the hash both read that stack, so no table becomes an
+array twice.
 Serialization is canonical (sorted keys, fixed indentation,
 shortest round-trip floats), so equal specs serialize identically and
 the document hash is stable; parse and serialize are mutually inverse.
@@ -151,23 +152,25 @@ def _matrix(obj, path: str, dim: int) -> dict:
     return {"re": re, "im": im}
 
 
-class _TableValues(list):
-    """A table's canonical matrices with the float stack they were read
-    from: stack[0] the real parts and stack[1] the imaginary parts, shape
-    (2, N, dim, dim), bit for bit the floats of the matrices. The writer
-    formats and build_measure reads the stack; as a list it is the
-    document, so equality, vars() and json see only the matrices."""
+class _TableValues:
+    """A table's canonical values as one read-only float stack: stack[0]
+    the real parts and stack[1] the imaginary parts, shape
+    (2, N, dim, dim). The writer formats it and build_measure reads it.
+    Two tables are equal when their stacks have equal shapes and entries,
+    compared as floats like the document's other numbers (0.0 == -0.0)."""
 
-    def __init__(self, matrices: list, stack: np.ndarray):
-        super().__init__(matrices)
+    def __init__(self, stack: np.ndarray):
         stack.flags.writeable = False
         self.stack = stack
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _TableValues) and np.array_equal(self.stack, other.stack)
 
 def _table(values: list, path: str, dim: int) -> _TableValues:
-    """Canonical matrices of a table: _rows' whole-row test lifted to the
-    table, with each value read by _matrix unless every value has exactly
-    "re" and "im" and both stacks are (N, dim, dim) of finite ints and floats."""
+    """The canonical float stack of a table: _rows' whole-row test lifted
+    to the table, with each value read by _matrix unless every value has
+    exactly "re" and "im" and both stacks are (N, dim, dim) of finite ints
+    and floats."""
     complete = {frozenset(("re", "im"))}
     if set(map(type, values)) == {dict} and set(map(frozenset, values)) == complete:
         parts = [list(map(itemgetter(k), values)) for k in ("re", "im")]
@@ -180,11 +183,9 @@ def _table(values: list, path: str, dim: int) -> _TableValues:
                 and np.isfinite(stacks).all() and set(map(type, entries)) <= _NUMBER_TYPES):
             stacks[0] += 0.0 * stacks[1]
             stacks[1] += 0.0
-            re, im = stacks.tolist()
-            return _TableValues([{"re": r, "im": m} for r, m in zip(re, im)], stacks)
+            return _TableValues(stacks)
     matrices = [_matrix(v, f"{path}[{i}]", dim) for i, v in enumerate(values)]
-    stacks = np.array([[m[k] for m in matrices] for k in ("re", "im")])
-    return _TableValues(matrices, stacks)
+    return _TableValues(np.array([[m[k] for m in matrices] for k in ("re", "im")]))
 
 
 _SCALAR_FAMILIES = {"semicircle", "arcsine", "poly_semicircle"}
@@ -244,7 +245,8 @@ class MeasureSpec:
     """Validated measure document in canonical plain form.
 
     density and each mass {"energy", "weight"} hold floats and canonical
-    matrices only, exactly as serialized and hashed.
+    matrices only, and a table its float stack (_TableValues), exactly as
+    serialized and hashed.
     """
 
     dim: int

@@ -260,6 +260,13 @@ class TestCommands:
         code, out, _ = run(capsys, "verify", spec, "--n-list", "5,15")
         assert code == 0
 
+    def test_verify_degree_zero_alone(self, capsys, small_spec):
+        spec = small_spec(
+            "mass", masses=[{"energy": 2.5, "weight": {"re": [[0.2]]}}]
+        )
+        code, _, err = run(capsys, "verify", spec, "--n-list", "0")
+        assert code == 0, err
+
     def test_sumrule_balance_line(self, capsys, small_spec):
         spec = small_spec("free")
         code, out, _ = run(capsys, "sumrule", spec, "--n", "20")

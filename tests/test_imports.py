@@ -55,8 +55,10 @@ def exported(tree: ast.Module) -> list[str]:
 
 
 def unreferenced_names(sources: dict[str, str]) -> list[str]:
-    """module.name of each module-level function, class or constant that
-    no other line of the given modules reads, imports or lists in __all__.
+    """module.name of each module-level function, class or constant, and
+    module.Class.name of each method or property of a module-level class,
+    that no other line of the given modules reads, imports or lists in
+    __all__.
 
     References are matched by name, as a bare name or an attribute;
     lines inside the definition itself (recursion) do not count.
@@ -79,7 +81,15 @@ def unreferenced_names(sources: dict[str, str]) -> list[str]:
             refs.setdefault(name, set()).add((module, 0))
     found = []
     for module, tree in trees.items():
-        for node in tree.body:
+        # (qualified prefix, definition) of module-level statements and of
+        # the methods and properties of module-level classes
+        defs = [(module, node) for node in tree.body]
+        defs += [
+            (f"{module}.{node.name}", item)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for prefix, node in defs:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -92,7 +102,7 @@ def unreferenced_names(sources: dict[str, str]) -> list[str]:
                 if name.startswith("__") and name.endswith("__"):
                     continue
                 if not any(m != module or line not in span for m, line in refs.get(name, ())):
-                    found.append(f"{module}.{name}")
+                    found.append(f"{prefix}.{name}")
     return found
 
 
@@ -114,8 +124,16 @@ def test_scan_finds_an_unreferenced_name():
     sources = {
         "a": "X = 1\nY = 2\ndef f(n):\n    return f(n - 1)\nclass C:\n    pass\n",
         "b": "from .a import Y\n__all__ = ['C']\nprint(Y)\n",
+        "c": (
+            "class D:\n"
+            "    def __init__(self):\n        self.used()\n"
+            "    def used(self):\n        return 1\n"
+            "    def loop(self):\n        return self.loop()\n"
+            "    @property\n    def size(self):\n        return 0\n"
+            "print(D)\n"
+        ),
     }
-    assert unreferenced_names(sources) == ["a.X", "a.f"]
+    assert unreferenced_names(sources) == ["a.X", "a.f", "c.D.loop", "c.D.size"]
 
 
 def test_no_unreferenced_names():

@@ -15,6 +15,7 @@ from matszego.errors import (
 )
 from matszego.linalg import (
     BoundarySampling,
+    BracketedNorm,
     analytic_part,
     diagonal_congruence,
     fourier_coefficients,
@@ -29,11 +30,9 @@ from matszego.linalg import (
     norm_l2_1,
     norm_l2_2,
     operator_norm,
-    operator_norm_bracket,
     principal_sqrt,
     synthesize_on_grid,
 )
-from matszego.outer import _Norm
 
 
 def random_sampling(rng, node_count=32, dim=2):
@@ -75,11 +74,6 @@ class TestGrid:
         with pytest.raises(DimensionMismatch):
             BoundarySampling(np.zeros((6, 2, 2)))
 
-    def test_reflect_matches_angle_negation(self):
-        f = sampled(lambda t: np.exp(1j * t)[:, None, None] * np.eye(1), 32)
-        g = f.reflect()
-        assert np.allclose(g.values[:, 0, 0], np.exp(-1j * f.theta), atol=1e-14)
-
 
 class TestMatrixKernels:
     def test_operator_norm_is_largest_singular_value(self):
@@ -89,6 +83,16 @@ class TestMatrixKernels:
     def test_hermitian_defect_zero_for_hermitian(self):
         a = np.array([[2.0, 1j], [-1j, 5.0]])
         assert hermitian_defect(a) < 1e-15
+
+    def test_hermitian_defect_is_the_per_block_maximum_bitwise(self):
+        rng = np.random.default_rng(17)
+        for dim in range(1, 9):
+            stack = rng.standard_normal((20, dim, dim)) + 1j * rng.standard_normal((20, dim, dim))
+            stack[3] = stack[3] + stack[3].conj().T  # one exactly Hermitian block
+            per_block = [float(operator_norm(m - m.conj().T)) for m in stack]
+            assert hermitian_defect(stack) == max(per_block)
+            assert hermitian_defect(stack[0]) == per_block[0]
+            assert hermitian_defect(stack[3]) == 0.0
 
     def test_sqrt_identity(self):
         assert np.allclose(principal_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
@@ -181,13 +185,15 @@ class TestMaxOperatorNorm:
         for shape in ((64, 1, 1), (64, 4, 4), (3, 2, 5)):
             value = max_operator_norm(np.zeros(shape, dtype=complex))
             assert value == 0.0 and not np.signbit(value)
-            assert operator_norm_bracket(np.zeros(shape)) == (0.0, 0.0)
+            bracket = BracketedNorm(np.zeros(shape))
+            assert (bracket.lo, bracket.hi) == (0.0, 0.0)
 
     def test_underflowing_stack_is_not_taken_for_zero(self):
         # squares of 1e-170 underflow, so every Frobenius norm reads 0
         a = np.full((4, 2, 2), 1e-170)
         assert max_operator_norm(a) == np.max(operator_norm(a)) == 2e-170
-        assert all(np.isnan(operator_norm_bracket(a)))
+        bracket = BracketedNorm(a)
+        assert np.isnan(bracket.lo) and np.isnan(bracket.hi)
 
 
 STACK_KINDS = ("rank_one", "full_rank", "spike", "zero", "nonfinite", "tiny", "huge", "mixed")
@@ -240,31 +246,33 @@ def thresholds(values):
     return out + [0.0, np.inf, np.nan]
 
 
-class TestOperatorNormBracket:
+class TestBracketedNorm:
     @settings(max_examples=250, derandomize=True, deadline=None)
     @given(stacks(), stacks())
     def test_bracket_decisions_equal_exact_decisions(self, a, b):
         with np.errstate(over="ignore", invalid="ignore"):
-            lo, hi = operator_norm_bracket(a)
+            bracket = BracketedNorm(a)
+            lo, hi = bracket.lo, bracket.hi
             try:
                 exact = max_operator_norm(a)
             except np.linalg.LinAlgError:
                 # NaN entries: the decision raises like the exact value
                 assert np.isnan(lo) and np.isnan(hi)
                 with pytest.raises(np.linalg.LinAlgError):
-                    _Norm(a).at_most(1.0)
+                    BracketedNorm(a).at_most(1.0)
                 return
             if not np.isnan(lo):
                 assert lo <= exact <= hi
             for t in thresholds([exact, lo, hi]):
-                assert _Norm(a).at_most(t) == (exact <= t), t
+                assert BracketedNorm(a).at_most(t) == (exact <= t), t
             try:
                 other = max_operator_norm(b)
             except np.linalg.LinAlgError:
                 return
             for factor in (0.7, 1.0):
                 for c, c_exact in ((b, other), (a / factor, max_operator_norm(a / factor))):
-                    assert _Norm(a).below(_Norm(c), factor) == (exact < c_exact * factor)
+                    below = BracketedNorm(a).below(BracketedNorm(c), factor)
+                    assert below == (exact < c_exact * factor)
 
 
 class TestMaxHermitianNorm:

@@ -26,7 +26,7 @@ X = lambda x: np.asarray(x)[:, None, None] * np.eye(1)
 
 def integrate(f, g, mu):
     """<<f, g>> for callables, sampled at the nodes and masses of mu."""
-    x, e = mu.x_nodes, mu.mass_energies
+    x, e = mu.x_nodes, np.array([s.energy for s in mu.bound_states])
     return inner_product(mu, f(x), f(e), g(x), g(e))
 
 

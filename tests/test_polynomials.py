@@ -17,7 +17,7 @@ from matszego.errors import (
 )
 from matszego import polynomials
 from matszego.limits import asymptotics_report
-from matszego.linalg import midpoint_nodes, operator_norm, operator_norm_bracket
+from matszego.linalg import BracketedNorm, midpoint_nodes, operator_norm
 from matszego.measure import (
     ArcsineDensity,
     ConjugatedDiagonalDensity,
@@ -124,7 +124,7 @@ class TestHermitianDecision:
     # eigenvalues differ; so the defect's Frobenius bracket is wide, and
     # each tilt puts it in one zone relative to the 1e-8 x max(1, ||B||)
     # floor: wholly below, across with the exact defect below or above,
-    # and wholly above.
+    # and wholly above. The test reads the exact norms in every zone.
     CASES = [
         (2.0e-9, "below", False),
         (4.4e-9, "across", False),
@@ -135,19 +135,14 @@ class TestHermitianDecision:
     @pytest.mark.parametrize("eps, zone, raised", CASES)
     def test_matches_the_exact_svd_test(self, shipped_measures, monkeypatch, eps, zone, raised):
         mu = shipped_measures["matrix_semicircle_mass"]
-        blocks, svds = [], []
-        check, norm = polynomials._check_hermitian, polynomials.operator_norm
+        blocks = []
+        check = polynomials._check_hermitian
 
         def spy_check(b, step):
             blocks.append(b.copy())
             return check(b, step)
 
-        def spy_norm(a):
-            svds.append(a)
-            return norm(a)
-
         monkeypatch.setattr(polynomials, "_check_hermitian", spy_check)
-        monkeypatch.setattr(polynomials, "operator_norm", spy_norm)
         tilted = dataclasses.replace(mu, x_nodes=mu.x_nodes + 1j * eps)
         try:
             stieltjes(tilted, 1)
@@ -156,11 +151,11 @@ class TestHermitianDecision:
             got = True
         (b,) = blocks
         defect = b - b.conj().T
-        floor = 1e-8 * max(1.0, float(norm(b)))
-        lo, hi = operator_norm_bracket(defect)
-        assert zone == ("below" if hi <= floor else "above" if lo > floor else "across")
-        assert got == raised == (float(norm(defect)) > floor)
-        assert len(svds) == (0 if zone == "below" else 2)
+        floor = 1e-8 * max(1.0, float(operator_norm(b)))
+        bracket = BracketedNorm(defect)
+        where = "below" if bracket.hi <= floor else "above" if bracket.lo > floor else "across"
+        assert zone == where
+        assert got == raised == (float(operator_norm(defect)) > floor)
 
 
 def _random_measure(l, m_grid, seed):
@@ -389,7 +384,7 @@ class TestLazyValues:
         transforms = {}
         for target in ("type2", "type3"):
             transforms[target] = to_type(seq.jacobi, target)
-            sigma = transforms[target][1].sigma
+            sigma = transforms[target][1]
             eager[target] = (np.einsum("kmij,kjl->kmil", grid, sigma),
                              np.einsum("kmij,kjl->kmil", mass, sigma))
         return mu, eager, transforms
@@ -451,6 +446,21 @@ class TestUnwhitenedOnlyWhenRead:
         asymptotics_report(mass_measure, [5, 15, 30])
         assert solves == ([5, 15, 30], [1, 1, 1])
 
+    @pytest.mark.parametrize("n_values", [[15, 5, 30], [0]])
+    def test_verify_runs_the_recurrence_to_its_top_degree(self, mass_measure, monkeypatch,
+                                                          n_values):
+        degrees = []
+        run = polynomials.stieltjes
+
+        def spy_stieltjes(mu, n_max, tol):
+            degrees.append(n_max)
+            return run(mu, n_max, tol)
+
+        monkeypatch.setattr(polynomials, "stieltjes", spy_stieltjes)
+        report = asymptotics_report(mass_measure, n_values)
+        assert degrees == [max(n_values)]
+        assert report.n_values == tuple(sorted(n_values))
+
 
 @pytest.fixture(scope="module")
 def matrix_seq(shipped_measures):
@@ -464,10 +474,9 @@ class TestNormalizationTypes:
 
     @pytest.mark.parametrize("target", ["type1", "type2", "type3"])
     def test_conversion_reaches_target(self, matrix_seq, target):
-        jac, transform = to_type(matrix_seq.jacobi, target)
+        jac, sig = to_type(matrix_seq.jacobi, target)
         assert jac.norm_type == target
         assert type_defect(jac) < 1e-9
-        sig = transform.sigma
         eye = np.eye(jac.dim)
         defect = max(
             float(operator_norm(s.conj().T @ s - eye)) for s in sig
@@ -476,8 +485,8 @@ class TestNormalizationTypes:
         assert float(operator_norm(sig[0] - eye)) == 0.0
 
     def test_transforms_preserve_orthonormality(self, matrix_seq):
-        jac2, tr = to_type(matrix_seq.jacobi, "type2")
-        seq2 = apply_transform(matrix_seq, jac2, tr)
+        jac2, sigma = to_type(matrix_seq.jacobi, "type2")
+        seq2 = apply_transform(matrix_seq, jac2, sigma)
         assert orthonormality_defect(seq2, 10) < 1e-9
         assert recurrence_residual(seq2) < 1e-8
 
@@ -490,10 +499,10 @@ class TestNormalizationTypes:
         assert float(np.max(operator_norm(jac1.b - matrix_seq.jacobi.b))) < 1e-8
 
     def test_pointwise_covariance(self, matrix_seq):
-        jac3, tr = to_type(matrix_seq.jacobi, "type3")
-        seq3 = apply_transform(matrix_seq, jac3, tr)
+        jac3, sigma = to_type(matrix_seq.jacobi, "type3")
+        seq3 = apply_transform(matrix_seq, jac3, sigma)
         for n in (0, 3, 7):
-            expected = matrix_seq.grid_values[n] @ tr.sigma[n]
+            expected = matrix_seq.grid_values[n] @ sigma[n]
             assert float(np.max(operator_norm(seq3.grid_values[n] - expected))) < 1e-10
 
     def test_rejects_unknown_target(self, matrix_seq):

@@ -243,7 +243,8 @@ class TestCanonicalForm:
     def test_table_digest_is_pinned(self):
         spec = parse_measure_spec(TABLE)
         assert spec_hash(spec) == TABLE_DIGEST
-        with_im, without_im = spec.density["values"][1:3]
+        re, im = spec.density["values"].stack.tolist()
+        with_im, without_im = ({"re": re[k], "im": im[k]} for k in (1, 2))
         # complex arithmetic re + 1j * im decides the sign of a zero
         assert repr(with_im["re"][1][0]) == "-0.0" and repr(with_im["re"][0][1]) == "0.0"
         assert repr(without_im["re"][1][0]) == "0.0"
@@ -252,9 +253,16 @@ class TestCanonicalForm:
         assert with_im["im"] == without_im["im"] == zeros
 
 
+def table_lists(table) -> list:
+    """A parsed table's values as {"re", "im"} float rows, from its stack."""
+    re, im = table.stack.tolist()
+    return [{"re": r, "im": m} for r, m in zip(re, im)]
+
+
 def reference_text(obj) -> str:
-    """The canonical text as json writes it, through its pure-Python encoder."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The canonical text as json writes it, through its pure-Python
+    encoder; a table is written as the nested lists of its stack."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=table_lists) + "\n"
 
 
 # Entries that stress float formatting and the signed-zero rule: the
@@ -416,8 +424,21 @@ class TestTableFastPath:
         spec = parse_measure_spec(json.dumps(doc))
         dim = doc["dim"]
         per_value = [specio._matrix(v, "v", dim) for v in doc["density"]["values"]]
-        assert specio._table(doc["density"]["values"], "v", dim) == per_value
+        stack = np.array([[m[k] for m in per_value] for k in ("re", "im")])
+        assert specio._table(doc["density"]["values"], "v", dim) == specio._TableValues(stack)
         assert reference_text(spec.density["values"]) == reference_text(per_value)
+
+    def test_parsed_table_keeps_only_its_stack(self):
+        spec = parse_measure_spec(json.dumps(edge_table_document(256)))
+        table = spec.density["values"]
+        assert list(vars(table)) == ["stack"] and not table.stack.flags.writeable
+        assert table.stack.shape[:2] == (2, 256) and table.stack.dtype == float
+        # equal entry by entry, as the document's other floats compare
+        changed = table.stack.copy()
+        changed[0, 7, 0, 0] = np.nextafter(changed[0, 7, 0, 0], np.inf)
+        assert table == specio._TableValues(table.stack.copy())
+        assert table != specio._TableValues(changed)
+        assert table != specio._TableValues(table.stack[:, :128].copy())
 
 
 # Entries for table hashing: the signed zeros, the smallest subnormal,
@@ -491,7 +512,7 @@ class TestTableTraps:
         values = identity_values(8)
         values[3]["re"] = [[1.5, 2**64 + 1], [2**64 + 1, 2.5]]
         spec = parse_measure_spec(table_document(values))
-        row = spec.density["values"][3]["re"][0]
+        row = spec.density["values"].stack[0, 3, 0].tolist()
         assert row == [1.5, float(2**64 + 1)] and type(row[1]) is float
         assert serialize_measure_spec(spec).count("1.8446744073709552e+19") == 2
 
@@ -506,8 +527,9 @@ class TestTableTraps:
         values = identity_values(8)
         del values[5]["im"]
         spec = parse_measure_spec(table_document(values))
-        assert spec.density["values"][5]["im"] == [[0.0, 0.0], [0.0, 0.0]]
-        assert spec.density["values"][4]["im"] == [[0.0, 0.5], [-0.5, 0.0]]
+        im = spec.density["values"].stack[1]
+        assert im[5].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert im[4].tolist() == [[0.0, 0.5], [-0.5, 0.0]]
 
     def test_extra_key_names_its_value(self):
         values = identity_values(8)
