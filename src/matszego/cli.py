@@ -29,7 +29,7 @@ from . import measure as ms
 from . import outer as sf
 from . import polynomials as poly
 from . import tolerances
-from .errors import NumericalError, ParseError, ValidationError
+from .errors import LostOrthogonality, NumericalError, ParseError, ValidationError
 from .linalg import hermitian_defect, max_operator_norm, operator_norm
 
 
@@ -148,16 +148,23 @@ def _run_recurrence(args, mu, tol):
     jac = seq.jacobi
     if args.norm_type != "type1":
         jac, _ = poly.to_type(jac, args.norm_type, tol)
-    window = min(args.n, 30)
-    orth = poly.orthonormality_defect(seq, window)
+    # the defect reads the whitened buffer, before the residual unwhitens it
+    orth = poly.orthonormality_defect(seq)
     rec_res = poly.recurrence_residual(seq)
+    for name, value in (("orthonormality defect", orth), ("recurrence residual", rec_res)):
+        if not value <= tol.orth:
+            raise LostOrthogonality(
+                f"stieltjes: {name} {value:.3e} over degrees 0..{args.n} "
+                f"above tol.orth {tol.orth:.1e}"
+            )
     report = {
         "n": args.n,
         "norm_type": args.norm_type,
         "type_defect": poly.type_defect(jac),
         "orthonormality_defect": orth,
-        "orthonormality_window": window,
+        "orthonormality_window": args.n,
         "recurrence_residual": rec_res,
+        "reorthogonalization_passes": seq.reorthogonalization_passes,
         "a_blocks": jac.a,
         "b_blocks": jac.b,
     }
@@ -167,8 +174,9 @@ def _run_recurrence(args, mu, tol):
         "jacobi_b": specio.format_matrix_table("j", idx, jac.b),
     }
     lines = [
-        f"computed {args.n} recurrence blocks ({args.norm_type})",
-        f"orthonormality defect {orth:.3e} (degrees 0..{window}), "
+        f"computed {args.n} recurrence blocks ({args.norm_type}), "
+        f"{seq.reorthogonalization_passes} re-orthogonalization pass(es)",
+        f"orthonormality defect {orth:.3e} (degrees 0..{args.n}), "
         f"recurrence residual {rec_res:.3e}",
         f"|A_{args.n} - I| = {float(operator_norm(jac.a[-1] - np.eye(mu.dim))):.3e}, "
         f"|B_{args.n}| = {float(operator_norm(jac.b[-1])):.3e}",

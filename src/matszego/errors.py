@@ -57,6 +57,10 @@ class LostPositivity(NumericalError):
     """Gram matrix in the recurrence lost positive definiteness."""
 
 
+class LostOrthogonality(NumericalError):
+    """Recurrence output fails its orthonormality or three-term certificate."""
+
+
 class NoConvergence(NumericalError):
     """Iteration failed to reach its tolerance; message carries the best residual."""
 

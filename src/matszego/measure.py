@@ -259,14 +259,15 @@ class MatrixMeasure:
         return np.stack([s.weight for s in self.bound_states])
 
     @functools.cached_property
-    def weight_root(self) -> np.ndarray:
-        """The whitening c_m = Lambda^{1/2} U* / sqrt(M) of each node's weight.
+    def weight_roots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The whitening c_m = Lambda^{1/2} U* / sqrt(M) of each node's
+        weight, and its inverse c_m^{-1} = U Lambda^{-1/2} sqrt(M).
 
         c_m* c_m = w(t_m) / M, so the grid part of the inner product is a
-        plain sum of (c_m f(x_m))* (c_m g(x_m)). Computed once, on first
-        use by the recurrence, so commands that never run it skip the
-        eigendecompositions. A node whose weight has an eigenvalue <= 0
-        raises rather than being clipped.
+        plain sum of (c_m f(x_m))* (c_m g(x_m)). Both come from one
+        eigendecomposition per node, computed once, on first use by the
+        recurrence, so commands that never run it skip them. A node whose
+        weight has an eigenvalue <= 0 raises rather than being clipped.
         """
         lam, vec = np.linalg.eigh(self.weight.values)
         if lam[:, 0].min() <= 0.0:
@@ -274,8 +275,15 @@ class MatrixMeasure:
                 f"Szego condition fails: w(t) has eigenvalue {lam[:, 0].min():.3e} at a node"
             )
         root = np.sqrt(lam / self.quad_order)[:, :, None] * vec.conj().transpose(0, 2, 1)
+        inverse = vec * np.sqrt(self.quad_order / lam)[:, None, :]
         root.setflags(write=False)
-        return root
+        inverse.setflags(write=False)
+        return root, inverse
+
+    @property
+    def weight_root(self) -> np.ndarray:
+        """c_m of weight_roots."""
+        return self.weight_roots[0]
 
 
 def _mass_root(w: np.ndarray, tol: Tolerances) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    LostOrthogonality,
     LostPositivity,
     NotHermitian,
     RadiusExceeded,
@@ -34,7 +35,7 @@ from .linalg import (
     operator_norm,
     sqrt_from_eigh,
 )
-from .measure import MatrixMeasure, inner_product
+from .measure import MatrixMeasure
 from .tolerances import DEFAULT, Tolerances
 
 NORM_TYPES = ("type1", "type2", "type3")
@@ -96,16 +97,23 @@ class BlockJacobi:
         return self.a.shape[1]
 
 
-def _unwhiten(root: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[m] = root[m]^{-1} rows[m] for every node, about 1 MB of rows at a time.
+def _node_product(f: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[m] = f[m] rows[m] for every node, about 256 KB of rows at a time.
 
-    out may be rows itself. Each node's solve is one LAPACK call whatever
-    the chunk, so a degree's l columns come out bitwise equal to the same
-    columns of the full-width solve (TestLazyValues checks this).
+    Each chunk is l broadcast multiply-adds of one column of f[m] by one
+    row of rows[m], so each output column is computed from the same
+    column of rows by the same operations in the same order whatever the
+    chunk: a degree's l columns come out bitwise equal to the same
+    columns of a full-width product (TestLazyValues checks this). Each
+    chunk is summed in a temporary, so out may be rows itself.
     """
-    step = max(1, (1 << 16) // rows[0].size)
+    step = max(1, (1 << 14) // rows[0].size)
     for a in range(0, rows.shape[0], step):
-        out[a : a + step] = np.linalg.solve(root[a : a + step], rows[a : a + step])
+        fa, ra = f[a : a + step], rows[a : a + step]
+        acc = fa[:, :, :1] * ra[:, None, 0]
+        for j in range(1, f.shape[-1]):
+            acc += fa[:, :, j : j + 1] * ra[:, None, j]
+        out[a : a + step] = acc
     return out
 
 
@@ -114,7 +122,7 @@ class _WhitenedValues:
 
     The grid rows c_m p_k(x_m) become p_k(x_m) only when read. A full read
     unwhitens them in place, once, so grid_values is a view of the buffer;
-    before that, one degree is solved from its own l columns. Every
+    before that, one degree is unwhitened from its own l columns. Every
     sequence that shares the buffer reads through this one object, so
     no row is ever unwhitened twice.
     """
@@ -134,7 +142,7 @@ class _WhitenedValues:
     def grid_values(self) -> np.ndarray:
         if self._grid is None:
             rows = self._rows()
-            _unwhiten(self.measure.weight_root, rows, rows)
+            _node_product(self.measure.weight_roots[1], rows, rows)
             m_grid, l = self.measure.quad_order, self.measure.dim
             self._grid = rows.reshape(m_grid, l, self.degree + 1, l).transpose(2, 0, 1, 3)
         return self._grid
@@ -144,7 +152,8 @@ class _WhitenedValues:
             return self._grid[n]
         l = self.measure.dim
         cols = self._rows()[:, :, n * l : (n + 1) * l]
-        return _unwhiten(self.measure.weight_root, cols, np.empty(cols.shape, dtype=complex))
+        out = np.empty(cols.shape, dtype=complex)
+        return _node_product(self.measure.weight_roots[1], cols, out)
 
     def mass_values(self) -> np.ndarray:
         # a few KB per mass, so every degree is computed at the first read
@@ -155,6 +164,59 @@ class _WhitenedValues:
                 values = np.linalg.pinv(s.root) @ self._y[rows]
                 self._mass[:, k] = values.reshape(l, width // l, l).transpose(1, 0, 2)
         return self._mass
+
+    def _whitened(self, start: int, stop: int, cols: slice) -> np.ndarray:
+        """Whitened rows start:stop of the columns cols. After a full read
+        has unwhitened the grid rows in place, grid rows are whitened again
+        into a new array (start and stop are then whole nodes)."""
+        rows = self._y[start:stop, cols]
+        l = self.measure.dim
+        if self._grid is None or start >= self.measure.quad_order * l:
+            return rows
+        nodes = rows.reshape(-1, l, rows.shape[1])
+        root = self.measure.weight_roots[0][start // l : stop // l]
+        out = _node_product(root, nodes, np.empty(nodes.shape, dtype=complex))
+        return out.reshape(rows.shape)
+
+    def _gram_tile(self, left: slice, right: slice, bounds: list) -> np.ndarray:
+        """Q[:, left]* Q[:, right] for the whitened rows Q, summed over the
+        row chunks between consecutive bounds."""
+        parts = (
+            self._whitened(start, stop, left).conj().T @ self._whitened(start, stop, right)
+            for start, stop in zip(bounds[:-1], bounds[1:])
+        )
+        tile = next(parts)
+        for part in parts:
+            tile += part
+        return tile
+
+    def orthonormality_defect(self, n: int) -> float:
+        """max over 0 <= i <= j <= n of ||Q_i* Q_j - delta_ij I||, Q_k the
+        whitened rows of degree k, whose row sum is <<p_i, p_j>>.
+
+        Only the upper block triangle is formed, in tiles of at most 64
+        columns, each summed over chunks of whole nodes of rows, so that a
+        tile and a chunk's conjugated rows take at most 64 KB each.
+        """
+        l = self.measure.dim
+        cols = (n + 1) * l
+        width = max(1, 64 // l) * l
+        grid_rows, total = self.measure.quad_order * l, self._y.shape[0]
+        step = max(1, (1 << 12) // (width * l)) * l
+        bounds = list(range(0, grid_rows, step)) + list(range(grid_rows, total, step)) + [total]
+        worst = 0.0
+        for a in range(0, cols, width):
+            for b in range(a, cols, width):
+                tile = self._gram_tile(slice(a, min(a + width, cols)),
+                                       slice(b, min(b + width, cols)), bounds)
+                ni, nj = tile.shape[0] // l, tile.shape[1] // l
+                blocks = tile.reshape(ni, l, nj, l).transpose(0, 2, 1, 3)
+                if a == b:
+                    i, j = np.triu_indices(ni)
+                    blocks = blocks[i, j]
+                    blocks[i == j] -= np.eye(l)
+                worst = max(worst, max_operator_norm(blocks.reshape(-1, l, l)))
+        return worst
 
 
 class _RotatedValues:
@@ -183,6 +245,10 @@ class _RotatedValues:
             self._mass = np.einsum("kmij,kjl->kmil", self._base.mass_values(), self._sigma)
         return self._mass
 
+    def orthonormality_defect(self, n: int) -> float:
+        # a unitary sigma_k leaves every block norm of the Gram matrix as it is
+        return self._base.orthonormality_defect(n)
+
 
 class PolySequence:
     """Orthonormal polynomials p_0..p_n on the quadrature grid and at the masses.
@@ -193,11 +259,15 @@ class PolySequence:
     for its jacobi never computes one. A full read of grid_values is
     computed once and kept; grid_at(k) before it costs one degree and
     keeps nothing. Either read gives the same floats.
+    reorthogonalization_passes counts the polynomials the recurrence
+    re-orthogonalized against all earlier ones.
     """
 
-    def __init__(self, measure: MatrixMeasure, jacobi: BlockJacobi, values):
+    def __init__(self, measure: MatrixMeasure, jacobi: BlockJacobi, values,
+                 reorthogonalization_passes: int = 0):
         self.measure = measure
         self.jacobi = jacobi
+        self.reorthogonalization_passes = reorthogonalization_passes
         self._values = values
 
     @property
@@ -219,12 +289,76 @@ class PolySequence:
         return self._values.grid_at(n)
 
 
+# Re-orthogonalize when the estimated loss of orthogonality passes this.
+# Components of size w along earlier polynomials move the Gram matrix of
+# the next remainder, and so A_{n+1} and B_{n+2}, by O(w^2), which stays
+# at rounding level below sqrt(eps); 0.0 would re-orthogonalize every step.
+_EPS = 2.0**-52  # machine epsilon of float64, np.finfo(float).eps
+_REORTH_THRESHOLD = _EPS**0.5
+
+
+class _LossEstimate:
+    """Simon's omega-recurrence in norms: estimates of ||Q_k* Q_j - delta_kj I||
+    for the newest two blocks j of the recurrence, over all k <= j.
+
+    Applying Q_k* to the computed relation
+    Q_{n+1} A_{n+1} = X Q_n - Q_n B_{n+1} - Q_{n-1} A_n + F_n and using
+    the relation for X Q_k gives, for k < n,
+
+        W_{k,n+1} A_{n+1} = A_{k+1} W_{k+1,n} + B_{k+1} W_{k,n} - W_{k,n} B_{n+1}
+                            + A_k W_{k-1,n} - W_{k,n-1} A_n + rounding,
+
+    W_{k,j} = Q_k* Q_j - delta_kj I (the identities cancel for k = n - 1).
+    Taking norms, with ||A_j|| and sigma_min(A_{n+1}) from each step's
+    eigh and the Frobenius norm for ||B_j||, turns it into O(n) vector
+    arithmetic on preallocated arrays. The k = n entry is the local
+    defect (||B_{n+1}|| eps + ||A_n|| w_{n-1,n}) / sigma_min, every entry
+    carries rounding noise eps ||X|| / sigma_min (Simon's model of one
+    step's rounding), and a diagonal block starts at eps. The estimate is
+    pessimistic: on a free Jacobi matrix it grows like (1 + sqrt 2)^n
+    where the true loss grows about linearly.
+
+    Slot k + 1 of each array holds degree k; slot 0 is a zero pad for k = -1.
+    """
+
+    def __init__(self, n_max: int, x_norm: float):
+        self.noise = _EPS * x_norm
+        self.a = np.zeros(n_max + 2)  # a[j] = ||A_j||, a[0] = 0
+        self.b = np.zeros(n_max + 2)  # b[j] = ||B_j||_F
+        self.prev, self.cur, self.new = (np.zeros(n_max + 3) for _ in range(3))
+        self.cur[1] = _EPS
+
+    def step(self, n: int, s: float) -> float:
+        """Estimates for Q_{n+1} against Q_0..Q_n when sigma_min(A_{n+1}) = s,
+        with b[n + 1] set; returns their largest."""
+        a, b, cur, prev = self.a, self.b, self.cur, self.prev
+        t = self.new[1 : n + 2]
+        np.multiply(a[1 : n + 1], cur[2 : n + 2], out=t[:n])
+        t[:n] += (b[1 : n + 1] + b[n + 1]) * cur[1 : n + 1]
+        t[:n] += a[:n] * cur[:n]
+        t[:n] += a[n] * prev[1 : n + 1]
+        t[n] = _EPS * b[n + 1] + a[n] * cur[n]
+        t += self.noise
+        t /= s
+        return float(t.max())
+
+    def reset(self, n: int, s: float) -> None:
+        """Q_{n+1} was re-orthogonalized against Q_0..Q_n."""
+        self.new[1 : n + 2] = self.noise / s
+
+    def advance(self, n: int, a_norm: float) -> None:
+        """Q_{n+1} is final, with ||A_{n+1}|| = a_norm."""
+        self.a[n + 1] = a_norm
+        self.new[n + 2] = _EPS
+        self.prev, self.cur, self.new = self.cur, self.new, self.prev
+
+
 def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> PolySequence:
     """Run the Stieltjes procedure to degree n_max (type1 output).
 
     The recurrence runs as a block Lanczos on whitened rows. Each grid
     node contributes the l rows c_m p_n(x_m), with c_m* c_m = w(t_m)/M
-    (measure.weight_root), and each mass the rank_k rows R_k p_n(E_k),
+    (measure.weight_roots), and each mass the rank_k rows R_k p_n(E_k),
     with R_k the rank-truncated root of its weight (BoundState.root).
     The inner product is then the plain sum over rows, and since the
     recurrence multiplies by blocks on the right and scales each row by
@@ -232,29 +366,44 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     and (n_max + 1) l columns: every B block, Gram matrix and
     re-orthogonalization Q (Q* q) is a GEMM.
 
-    A full re-orthogonalization pass against all earlier polynomials is
-    applied every 10 steps to arrest drift, and every step while a mass
-    is live. NotHermitian is raised when a B block is not Hermitian,
-    LostPositivity when the Gram matrix of the recurrence remainder
-    drops below tol.pos; their messages start with "stieltjes:", and
-    LostPositivity's names the discrete measure's resolution M/2 +
-    sum rank_k (M/2 distinct nodes plus the mass ranks).
+    Orthogonality against earlier polynomials is kept by partial
+    re-orthogonalization (Simon, Math. Comp. 42, 1984). Each step
+    updates an estimate of the loss of orthogonality of the new block
+    against every earlier one (_LossEstimate). When it passes sqrt(eps)
+    (_REORTH_THRESHOLD), the new block is re-orthogonalized against all
+    earlier ones, and so is the next block, since the recurrence builds
+    it from the last two; the estimate then restarts at rounding level.
+    reorthogonalization_passes counts the blocks treated. The run ends
+    with one measured check of the last block against all earlier ones;
+    a defect above tol.orth raises LostOrthogonality.
+
+    A degree the discrete measure cannot resolve is refused before the
+    loop: p_0..p_n need (n + 1) l dimensions, and the measure carries
+    M/2 l + sum rank_k. NotHermitian is raised when a B block is not
+    Hermitian, LostPositivity when the Gram matrix of the recurrence
+    remainder drops below tol.pos. Every message starts with
+    "stieltjes:", and those of the resolution and positivity failures
+    name the resolution M/2 + sum rank_k.
 
     Evaluations at a mass point ride the recurrence's growing solution:
     rounding noise amplifies like |z_k|^{-n} while the true values decay
     like |z_k|^n. The rows R_k p_n(E_k) see only the range of the weight,
     so components in its kernel never arise; R_k must be truncated at
     tol.rank_rel, because a Hermitian square root keeps rounding-size
-    kernel entries, a ghost mass that full re-orthogonalization would
+    kernel entries, a ghost mass that re-orthogonalization would
     eventually resolve. A mass is frozen to zero once its amplitude
     ||R_k p_n(E_k)||_F falls below 1e-10; the discarded true Gram
-    contribution is below 1e-20.
+    contribution is below 1e-20, and the orthogonality it perturbs, at
+    most 1e-10 per mass, is left to the final check, since no pass can
+    restore it.
 
     The B block's Hermitian test takes the exact norms of its one l x l
     block (_check_hermitian). One eigh of the Gram matrix gives the
-    LostPositivity test its smallest eigenvalue and A_{n+1} its square
-    root (linalg.sqrt_from_eigh, whose NegativeEigenvalue guard still
-    holds under a tol.pos <= 0 override).
+    LostPositivity test its smallest eigenvalue, the loss estimate the
+    norms of A_{n+1}, and A_{n+1} its square root
+    (linalg.sqrt_from_eigh, whose NegativeEigenvalue guard still holds
+    under a tol.pos <= 0 override); a re-orthogonalized step takes a
+    second eigh.
 
     The buffer is an anonymous mapping of its own (_mapped_buffer), so
     its pages are returned when the sequence is dropped. The sequence
@@ -262,7 +411,7 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     read (PolySequence): a caller that wants only the blocks, such as
     the sum rule, never unwhitens a row. A full read of grid_values
     unwhitens the grid rows in place, so it is a view of the buffer;
-    grid_at(n) before that solves only degree n's l columns.
+    grid_at(n) before that unwhitens only degree n's l columns.
     mass_values holds pinv(R_k) R_k p_n(E_k), the values projected onto
     the range of the weight.
     """
@@ -270,6 +419,13 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     m_grid = measure.quad_order
     states = measure.bound_states
     ranks = [s.root.shape[0] for s in states]
+    dims = m_grid // 2 * l + sum(ranks)
+    if (n_max + 1) * l > dims:
+        raise LostPositivity(
+            f"stieltjes: degree {n_max} needs (n + 1) l = {(n_max + 1) * l} dimensions; the "
+            f"discrete measure has (M/2) l + sum rank_k = {m_grid // 2} x {l} + {sum(ranks)} "
+            f"= {dims}, so degrees 0..{dims // l - 1}"
+        )
     offsets = np.cumsum([m_grid * l] + ranks)
     spans = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
     width = (n_max + 1) * l
@@ -282,52 +438,90 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     x_rows = np.concatenate(
         [np.repeat(measure.x_nodes, l)] + [np.full(r, s.energy) for s, r in zip(states, ranks)]
     )[:, None]
+    # the mass rows follow the grid rows; starts[k] is mass k's first one
+    starts = offsets[:-1] - m_grid * l
     live = np.ones(len(states), dtype=bool)
+    dead = np.zeros(sum(ranks), dtype=bool)
 
     a_blocks = np.empty((n_max, l, l), dtype=complex)
     b_blocks = np.empty((n_max, l, l), dtype=complex)
+    loss = _LossEstimate(n_max, float(np.max(np.abs(x_rows))))
+    passes = 0
+    pending = False
 
     for n in range(n_max):
-        any_live = bool(live.any())
         cur = y[:, n * l : (n + 1) * l]
         q = x_rows * cur
         b_next = cur.conj().T @ q
         _check_hermitian(b_next, n + 1)
         b_next = 0.5 * (b_next + b_next.conj().T)
+        loss.b[n + 1] = np.sqrt(np.vdot(b_next, b_next).real)
 
-        q -= cur @ b_next
+        q -= _column_major(cur, b_next)
         if n > 0:
-            q -= y[:, (n - 1) * l : n * l] @ a_blocks[n - 1]
+            q -= _column_major(y[:, (n - 1) * l : n * l], a_blocks[n - 1])
 
-        # live mass rows regrow noise at 1/|z| per step, so while any
-        # remain the drift pass must run every step
-        if (n + 1) % 10 == 0 or any_live:
+        # a pass treats the block whose estimate crosses the threshold and
+        # the next one, which the recurrence builds from it and its predecessor
+        second, pending = pending, False
+        if not second:
+            lam, vec = _gram_eigh(q)
+            pending = not (lam[0] > 0.0 and loss.step(n, np.sqrt(lam[0])) <= _REORTH_THRESHOLD)
+        treat = second or pending
+        if treat:
             basis = y[:, : (n + 1) * l]
-            q -= basis @ (q.conj().T @ basis).conj().T
-
-        gram = q.conj().T @ q
-        # exactly Hermitian, so eigh needs no Hermitian test first
-        gram = 0.5 * (gram + gram.conj().T)
-        lam, vec = np.linalg.eigh(gram)
+            q -= _column_major(basis, (q.conj().T @ basis).conj().T)
+            lam, vec = _gram_eigh(q)
+            passes += 1
         if lam[0] < tol.pos:
             raise LostPositivity(
                 f"stieltjes: step {n + 1}: Gram eigenvalue {lam[0]:.3e} below {tol.pos:.1e}; "
                 f"the discrete measure's resolution is M/2 + sum rank_k = "
                 f"{m_grid // 2} + {sum(ranks)} = {m_grid // 2 + sum(ranks)}"
             )
+        if treat:
+            loss.reset(n, np.sqrt(lam[0]))
+        loss.advance(n, np.sqrt(lam[-1]))
         a_next = sqrt_from_eigh(lam, vec, tol)
         nxt = y[:, (n + 1) * l : (n + 2) * l]
-        nxt[...] = q @ np.linalg.inv(a_next)
-        for k, rows in enumerate(spans):
-            if live[k] and np.linalg.norm(nxt[rows]) < 1e-10:
-                live[k] = False
-            if not live[k]:
-                nxt[rows] = 0.0
+        nxt[...] = _column_major(q, (vec / np.sqrt(lam)) @ vec.conj().T)
+        if live.any():
+            mass = nxt[m_grid * l :]
+            amp = np.add.reduceat((mass.real**2 + mass.imag**2).sum(axis=1), starts)
+            frozen = live & (amp < 1e-20)
+            if frozen.any():
+                live &= ~frozen
+                dead = np.repeat(~live, ranks)
+        if dead.any():
+            nxt[m_grid * l :][dead] = 0.0
         a_blocks[n] = a_next
         b_blocks[n] = b_next
 
+    last = y[:, n_max * l : width].conj().T @ y[:, :width]
+    cross = last.reshape(l, n_max + 1, l).transpose(1, 0, 2)
+    cross[-1] -= np.eye(l)
+    defect = max_operator_norm(cross)
+    if not defect <= tol.orth:
+        raise LostOrthogonality(
+            f"stieltjes: degree {n_max}: orthonormality defect {defect:.3e} against "
+            f"degrees 0..{n_max} above tol.orth {tol.orth:.1e}"
+        )
     jac = BlockJacobi(a=a_blocks, b=b_blocks, norm_type="type1")
-    return PolySequence(measure, jac, _WhitenedValues(measure, y, spans, n_max))
+    values = _WhitenedValues(measure, y, spans, n_max)
+    return PolySequence(measure, jac, values, passes)
+
+
+def _column_major(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v m for a column-major block v of the buffer, computed as (m^T v^T)^T
+    so that the product is column-major too: an update of a buffer block
+    by it then runs over both in one memory order, about twice as fast."""
+    return (m.T @ v.T).T
+
+
+def _gram_eigh(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of q* q, made exactly Hermitian so eigh needs no test first."""
+    gram = q.conj().T @ q
+    return np.linalg.eigh(0.5 * (gram + gram.conj().T))
 
 
 def _check_hermitian(b: np.ndarray, step: int) -> None:
@@ -346,27 +540,19 @@ def _check_hermitian(b: np.ndarray, step: int) -> None:
 
 
 def orthonormality_defect(seq: PolySequence, max_degree: int | None = None) -> float:
-    """max over 0 <= i <= j <= n of ||<<p_i, p_j>> - delta_ij I||.
+    """max over 0 <= i <= j <= n of ||<<p_i, p_j>> - delta_ij I||, n the
+    sequence's degree or max_degree if lower.
 
-    The whole window Gram matrix [<<p_i, p_j>>] is one inner_product of
-    the column-stacked values [p_0 ... p_n] with themselves; for the
-    stieltjes output the stack is a view of its buffer. A window below
-    degree 0 raises ValidationError rather than certify nothing.
+    Read from the whitened rows of the stieltjes buffer the sequence
+    holds, whose row sum is the inner product; a rotated sequence reads
+    its base, since unitary sigma_k leave every block norm unchanged. A
+    window below degree 0 raises ValidationError rather than certify
+    nothing.
     """
     n = seq.degree if max_degree is None else min(max_degree, seq.degree)
     if n < 0:
         raise ValidationError(f"max_degree must be >= 0, got {max_degree}")
-    l = seq.measure.dim
-
-    def stack(v):  # (n + 1, N, l, l) -> (N, l, (n + 1) l): p_0 .. p_n side by side
-        return v[: n + 1].transpose(1, 2, 0, 3).reshape(v.shape[1], l, (n + 1) * l)
-
-    fv, fe = stack(seq.grid_values), stack(seq.mass_values)
-    gram = inner_product(seq.measure, fv, fe, fv, fe)
-    i, j = np.triu_indices(n + 1)
-    blocks = gram.reshape(n + 1, l, n + 1, l).transpose(0, 2, 1, 3)[i, j]
-    blocks[i == j] -= np.eye(l)
-    return max_operator_norm(blocks)
+    return seq._values.orthonormality_defect(n)
 
 
 def _times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -439,8 +625,9 @@ def to_type(
                 _, qu = _positive_lq(m, tol)
                 sigma[k + 1] = qu.conj().T
 
-    a_new = np.einsum("kji,kjl,klm->kim", sigma[:-1].conj(), jacobi.a, sigma[1:])
-    b_new = np.einsum("kji,kjl,klm->kim", sigma[:-1].conj(), jacobi.b, sigma[:-1])
+    left = sigma[:-1].conj().transpose(0, 2, 1)
+    a_new = left @ jacobi.a @ sigma[1:]
+    b_new = left @ jacobi.b @ sigma[:-1]
     out = BlockJacobi(a=a_new, b=b_new, norm_type=target)
     return out, sigma
 
@@ -477,7 +664,8 @@ def apply_transform(seq: PolySequence, jacobi: BlockJacobi, sigma: np.ndarray) -
     """
     if sigma.shape[0] != seq.degree + 1:
         raise DimensionMismatch("transform length does not match sequence degree")
-    return PolySequence(seq.measure, jacobi, _RotatedValues(seq._values, sigma))
+    return PolySequence(seq.measure, jacobi, _RotatedValues(seq._values, sigma),
+                        seq.reorthogonalization_passes)
 
 
 # ---------------------------------------------------------------------------

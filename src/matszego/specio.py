@@ -130,8 +130,8 @@ def _matrix(obj, path: str, dim: int) -> dict:
     """Canonical {"re", "im"} float rows of a dim x dim matrix.
 
     "im" defaults to zeros. Signed zeros follow complex arithmetic
-    re + 1j * im: an imaginary -0.0 becomes 0.0, and so does a real -0.0
-    unless its imaginary part is negative or -0.0.
+    re + 1j * (im + 0.0), one idempotent step: an imaginary -0.0 becomes
+    0.0, and so does a real -0.0 unless its imaginary part is negative.
     """
     _check_keys(obj, path, {"re"}, {"im"})
     re = _rows(obj["re"], f"{path}.re")
@@ -145,10 +145,10 @@ def _matrix(obj, path: str, dim: int) -> dict:
     if shape != (dim, dim):
         raise _fail(path, f"shape {shape} != ({dim}, {dim})")
     for re_row, im_row in zip(re, im):
-        if 0.0 in re_row:
-            re_row[:] = [r + 0.0 * m for r, m in zip(re_row, im_row)]
         if 0.0 in im_row:
             im_row[:] = [m + 0.0 for m in im_row]
+        if 0.0 in re_row:
+            re_row[:] = [r + 0.0 * m for r, m in zip(re_row, im_row)]
     return {"re": re, "im": im}
 
 
@@ -181,8 +181,8 @@ def _table(values: list, path: str, dim: int) -> _TableValues:
         entries = chain.from_iterable(chain.from_iterable(chain.from_iterable(parts)))
         if (stacks is not None and stacks.shape == (2, len(values), dim, dim)
                 and np.isfinite(stacks).all() and set(map(type, entries)) <= _NUMBER_TYPES):
-            stacks[0] += 0.0 * stacks[1]
             stacks[1] += 0.0
+            stacks[0] += 0.0 * stacks[1]
             return _TableValues(stacks)
     matrices = [_matrix(v, f"{path}[{i}]", dim) for i, v in enumerate(values)]
     return _TableValues(np.array([[m[k] for m in matrices] for k in ("re", "im")]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from matszego import blaschke
+from matszego import polynomials as poly
 from matszego.cli import main
 
 from conftest import SPECS_DIR, noncommuting_document
@@ -157,6 +158,51 @@ class TestExitCodes:
         assert code == 4
         assert err.startswith("numerical error: blaschke: residue kernel at E = 2.5 misses ")
         assert "against kernel_angle 1.0e-06, dims 2 vs 1" in err
+
+
+class TestRecurrenceCertificates:
+    """Degrees the measure cannot resolve are refused before the loop, and
+    no command exits 0 with a certificate above tol.orth."""
+
+    # M = 64 and one rank-one mass: 32 + 1 dimensions, degrees 0..32
+    MASS = {"masses": [{"energy": 2.5, "weight": {"re": [[0.2]]}}], "quad_order": 64}
+    REFUSED = ("numerical error: stieltjes: degree 33 needs (n + 1) l = 34 dimensions; the "
+               "discrete measure has (M/2) l + sum rank_k = 32 x 1 + 1 = 33, so degrees 0..32\n")
+
+    @pytest.mark.parametrize("command, allowed, refused", [
+        ("recurrence", ["--n", "32"], ["--n", "33"]),
+        ("verify", ["--n-list", "5,32"], ["--n-list", "5,33"]),
+        ("sumrule", ["--n", "32"], ["--n", "33"]),
+    ])
+    def test_refused_above_the_resolution(self, capsys, small_spec, command, allowed, refused):
+        spec = small_spec("mass", **self.MASS)
+        code, _, err = run(capsys, command, spec, *allowed)
+        assert code == 0, err
+        code, _, err = run(capsys, command, spec, *refused)
+        assert code == 4
+        assert err == self.REFUSED
+
+    @pytest.mark.parametrize("name, message", [
+        ("orthonormality_defect", "orthonormality defect"),
+        ("recurrence_residual", "recurrence residual"),
+    ])
+    def test_broken_certificate_exits_4(self, capsys, monkeypatch, small_spec, name, message):
+        monkeypatch.setattr(poly, name, lambda seq: 2.0e-7)
+        code, out, err = run(capsys, "recurrence", small_spec("free"), "--n", "6")
+        assert code == 4 and out == ""
+        assert err == (f"numerical error: stieltjes: {message} 2.000e-07 over degrees 0..6 "
+                       "above tol.orth 1.0e-07\n")
+
+    def test_free_semicircle_at_degree_400(self, capsys, tmp_path):
+        code, _, err = run(capsys, "recurrence", FREE, "--n", "400", "--out", str(tmp_path))
+        assert code == 0, err
+        r = json.loads((tmp_path / "report.json").read_text())
+        a = np.array(r["a_blocks"]["re"]) + 1j * np.array(r["a_blocks"]["im"])
+        assert float(np.max(np.abs(a - 1.0))) <= 1e-12
+        assert r["orthonormality_window"] == 400
+        assert r["orthonormality_defect"] <= 1e-12 and r["recurrence_residual"] <= 1e-10
+        assert isinstance(r["reorthogonalization_passes"], int)
+        assert 0 < r["reorthogonalization_passes"] < 100
 
 
 # Report bounds of the benchmark's checks: the factor residual target is

@@ -10,6 +10,7 @@ import pytest
 
 from matszego.errors import (
     DimensionMismatch,
+    LostOrthogonality,
     LostPositivity,
     NotHermitian,
     RadiusExceeded,
@@ -341,6 +342,123 @@ class TestMemory:
         assert peak < 1 << 20
 
 
+class TestHighDegree:
+    """The loop at degrees where re-orthogonalization has to act."""
+
+    N = 400
+
+    def test_free_semicircle_stays_free(self, shipped_measures):
+        seq = stieltjes(shipped_measures["free_semicircle"], self.N)
+        assert float(np.max(np.abs(seq.jacobi.a - 1.0))) <= 1e-12
+        assert float(np.max(np.abs(seq.jacobi.b))) <= 1e-12
+
+    def test_arcsine_closed_form(self, shipped_measures):
+        jac = stieltjes(shipped_measures["arcsine"], self.N).jacobi
+        ref = np.ones(self.N)
+        ref[0] = np.sqrt(2.0)
+        assert float(np.max(np.abs(jac.a[:, 0, 0] - ref))) <= 1e-12
+        assert float(np.max(np.abs(jac.b))) <= 1e-12
+
+    def test_conjugated_channels_closed_form(self, shipped_measures):
+        # u A_k u* = diag(semicircle, arcsine) channel by channel
+        mu = shipped_measures["matrix_conjugated"]
+        u = mu.density.unitary
+        jac = stieltjes(mu, self.N).jacobi
+        ref = np.zeros((self.N, 2, 2))
+        ref[:, 0, 0] = ref[:, 1, 1] = 1.0
+        ref[0, 1, 1] = np.sqrt(2.0)
+        assert float(np.max(np.abs(u @ jac.a @ u.conj().T - ref))) <= 1e-12
+        assert float(np.max(np.abs(jac.b))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [400, 800])
+    def test_shipped_mass_sum_rule(self, mass_measure, n):
+        assert check_sum_rule(mass_measure, [n]).residuals[-1] <= 1e-10
+
+    def test_certificates_hold_over_every_degree(self, shipped_measures):
+        seq = stieltjes(shipped_measures["semicircle_mass"], self.N)
+        assert orthonormality_defect(seq) <= 1e-9
+        assert recurrence_residual(seq) <= 1e-10
+
+
+def _many_masses(l, seed, count=20, order=1024):
+    """Random table weight with count masses, half above 2 and half below
+    -2, at distances 1e-3..1 from the band, of random rank-one weights."""
+    rng = np.random.default_rng(seed)
+    masses = []
+    for k in range(count):
+        v = rng.standard_normal(l) + 1j * rng.standard_normal(l)
+        energy = (1 if k % 2 else -1) * (2.0 + 10.0 ** rng.uniform(-3.0, 0.0))
+        masses.append((energy, rng.uniform(0.002, 0.02) * np.outer(v, v.conj()) / (v.conj() @ v)))
+    samples = random_smooth_weight(rng, l, order)
+    return make_measure(TableDensity(samples), masses, quad_order=order)
+
+
+def _every_step(monkeypatch, mu, n):
+    """The reference run: a zero threshold re-orthogonalizes every block."""
+    with monkeypatch.context() as m:
+        m.setattr(polynomials, "_REORTH_THRESHOLD", 0.0)
+        return stieltjes(mu, n)
+
+
+class TestPartialReorthogonalization:
+    # the A and B blocks of the partial run stay within this of the
+    # every-step reference run
+    BLOCK_GAP = 1e-13
+
+    def _compare(self, monkeypatch, mu, n):
+        seq = stieltjes(mu, n)
+        ref = _every_step(monkeypatch, mu, n)
+        assert ref.reorthogonalization_passes == n
+        assert seq.reorthogonalization_passes < n // 4
+        assert float(np.max(np.abs(seq.jacobi.a - ref.jacobi.a))) <= self.BLOCK_GAP
+        assert float(np.max(np.abs(seq.jacobi.b - ref.jacobi.b))) <= self.BLOCK_GAP
+        assert orthonormality_defect(seq) <= 1e-9
+        return seq
+
+    def test_matches_every_step_on_live_masses(self, monkeypatch, deep_measure):
+        self._compare(monkeypatch, deep_measure, 100)
+
+    @pytest.mark.parametrize("l, seed", [(1, 301), (1, 302), (2, 303)])
+    def test_matches_every_step_on_many_masses(self, monkeypatch, l, seed):
+        mu = _many_masses(l, seed)
+        assert sorted(np.sign([s.energy for s in mu.bound_states])) == [-1] * 10 + [1] * 10
+        self._compare(monkeypatch, mu, 400)
+
+    def test_passes_are_deterministic(self, deep_measure):
+        counts = {stieltjes(deep_measure, 100).reorthogonalization_passes for _ in range(2)}
+        assert len(counts) == 1 and counts.pop() > 0
+
+    def test_pass_count_on_the_mass_ledger(self):
+        # 80 masses at +-(2 + 0.5 / k^2) with weights 0.05 / k^2; the near-band
+        # ones stay live for over a thousand steps
+        masses = [(sign * (2.0 + 0.5 / k**2), [[0.05 / k**2]])
+                  for k in range(1, 41) for sign in (1, -1)]
+        mu = make_measure(SemicircleDensity(1), masses, quad_order=4096)
+        seq = stieltjes(mu, 1800)
+        assert seq.reorthogonalization_passes <= 250
+
+    def test_lost_orthogonality_is_refused(self, monkeypatch, deep_measure):
+        # without any pass the live masses' rounding noise swamps the basis
+        monkeypatch.setattr(polynomials, "_REORTH_THRESHOLD", np.inf)
+        with pytest.raises(LostOrthogonality, match=r"^stieltjes: degree 100: orthonormality "
+                           r"defect .* against degrees 0\.\.100 above tol\.orth 1\.0e-07$"):
+            stieltjes(deep_measure, 100)
+
+
+class TestResolution:
+    # M = 64: 32 distinct abscissae of l dimensions each, and a rank-one
+    # mass adds one dimension, a whole block only when l = 1
+    @pytest.mark.parametrize("l, masses, top", [
+        (1, [], 31), (1, [(3.0, [[0.1]])], 32), (2, [], 31), (2, [(3.0, [[0.1, 0], [0, 0]])], 31),
+    ])
+    def test_degrees_up_to_the_resolution(self, l, masses, top):
+        mu = make_measure(SemicircleDensity(l), masses, quad_order=64)
+        assert stieltjes(mu, top).degree == top
+        with pytest.raises(LostPositivity, match=r"^stieltjes: degree .* dimensions; the discrete "
+                           r"measure has \(M/2\) l \+ sum rank_k = 32 x "):
+            stieltjes(mu, top + 1)
+
+
 def _lazy_measure(l, live):
     """Table weight on 64 nodes with a far mass, frozen by degree 16, and
     with live=True a near-band mass still live at degree 16."""
@@ -422,19 +540,19 @@ class TestLazyValues:
 class TestUnwhitenedOnlyWhenRead:
     @pytest.fixture
     def solves(self, monkeypatch):
-        """(degrees read from a whitened buffer, column count of each chunked solve)."""
+        """(degrees read from a whitened buffer, column count of each node product)."""
         degrees, widths = [], []
-        unwhiten, grid_at = polynomials._unwhiten, _WhitenedValues.grid_at
+        unwhiten, grid_at = polynomials._node_product, _WhitenedValues.grid_at
 
-        def spy_unwhiten(root, rows, out):
+        def spy_unwhiten(f, rows, out):
             widths.append(rows.shape[-1])
-            return unwhiten(root, rows, out)
+            return unwhiten(f, rows, out)
 
         def spy_grid_at(self, n):
             degrees.append(n)
             return grid_at(self, n)
 
-        monkeypatch.setattr(polynomials, "_unwhiten", spy_unwhiten)
+        monkeypatch.setattr(polynomials, "_node_product", spy_unwhiten)
         monkeypatch.setattr(_WhitenedValues, "grid_at", spy_grid_at)
         return degrees, widths
 
