@@ -148,7 +148,6 @@ def _run_recurrence(args, mu, tol):
     jac = seq.jacobi
     if args.norm_type != "type1":
         jac, _ = poly.to_type(jac, args.norm_type, tol)
-    # the defect reads the whitened buffer, before the residual unwhitens it
     orth = poly.orthonormality_defect(seq)
     rec_res = poly.recurrence_residual(seq)
     for name, value in (("orthonormality defect", orth), ("recurrence residual", rec_res)):

@@ -203,14 +203,14 @@ def verify_l2(
     theta = lim.outer.boundary.theta
     s_vals = sf.s_function(lim.outer, tol).values
     b_vals = lim.product.eval(np.exp(1j * theta))
-    b_reflected = b_vals[::-1]
+    s_b_reflected = s_vals @ b_vals[::-1]
     out = np.empty(len(n_values))
     for i, n in enumerate(n_values):
         p_vals = pseq2.grid_at(n)
         lhs = g_b @ p_vals
         waves = (
             np.exp(-1j * n * theta)[:, None, None] * b_vals
-            + np.exp(1j * n * theta)[:, None, None] * (s_vals @ b_reflected)
+            + np.exp(1j * n * theta)[:, None, None] * s_b_reflected
         )
         rhs = waves @ lim.frame / _SQRT2
         out[i] = norm_l2_2(BoundarySampling(lhs - rhs))

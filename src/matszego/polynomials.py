@@ -117,176 +117,53 @@ def _node_product(f: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
-class _WhitenedValues:
-    """p_0..p_n held as the whitened rows of one stieltjes buffer.
-
-    The grid rows c_m p_k(x_m) become p_k(x_m) only when read. A full read
-    unwhitens them in place, once, so grid_values is a view of the buffer;
-    before that, one degree is unwhitened from its own l columns. Every
-    sequence that shares the buffer reads through this one object, so
-    no row is ever unwhitened twice.
-    """
-
-    def __init__(self, measure: MatrixMeasure, y: np.ndarray, spans: list, degree: int):
-        self.measure = measure
-        self.degree = degree
-        self._y = y
-        self._spans = spans
-        self._grid = None
-        self._mass = None
-
-    def _rows(self) -> np.ndarray:
-        m_grid, l = self.measure.quad_order, self.measure.dim
-        return self._y[: m_grid * l].reshape(m_grid, l, self._y.shape[1])
-
-    def grid_values(self) -> np.ndarray:
-        if self._grid is None:
-            rows = self._rows()
-            _node_product(self.measure.weight_roots[1], rows, rows)
-            m_grid, l = self.measure.quad_order, self.measure.dim
-            self._grid = rows.reshape(m_grid, l, self.degree + 1, l).transpose(2, 0, 1, 3)
-        return self._grid
-
-    def grid_at(self, n: int) -> np.ndarray:
-        if self._grid is not None:
-            return self._grid[n]
-        l = self.measure.dim
-        cols = self._rows()[:, :, n * l : (n + 1) * l]
-        out = np.empty(cols.shape, dtype=complex)
-        return _node_product(self.measure.weight_roots[1], cols, out)
-
-    def mass_values(self) -> np.ndarray:
-        # a few KB per mass, so every degree is computed at the first read
-        if self._mass is None:
-            states, l, width = self.measure.bound_states, self.measure.dim, self._y.shape[1]
-            self._mass = np.empty((self.degree + 1, len(states), l, l), dtype=complex)
-            for k, (s, rows) in enumerate(zip(states, self._spans)):
-                values = np.linalg.pinv(s.root) @ self._y[rows]
-                self._mass[:, k] = values.reshape(l, width // l, l).transpose(1, 0, 2)
-        return self._mass
-
-    def _whitened(self, start: int, stop: int, cols: slice) -> np.ndarray:
-        """Whitened rows start:stop of the columns cols. After a full read
-        has unwhitened the grid rows in place, grid rows are whitened again
-        into a new array (start and stop are then whole nodes)."""
-        rows = self._y[start:stop, cols]
-        l = self.measure.dim
-        if self._grid is None or start >= self.measure.quad_order * l:
-            return rows
-        nodes = rows.reshape(-1, l, rows.shape[1])
-        root = self.measure.weight_roots[0][start // l : stop // l]
-        out = _node_product(root, nodes, np.empty(nodes.shape, dtype=complex))
-        return out.reshape(rows.shape)
-
-    def _gram_tile(self, left: slice, right: slice, bounds: list) -> np.ndarray:
-        """Q[:, left]* Q[:, right] for the whitened rows Q, summed over the
-        row chunks between consecutive bounds."""
-        parts = (
-            self._whitened(start, stop, left).conj().T @ self._whitened(start, stop, right)
-            for start, stop in zip(bounds[:-1], bounds[1:])
-        )
-        tile = next(parts)
-        for part in parts:
-            tile += part
-        return tile
-
-    def orthonormality_defect(self, n: int) -> float:
-        """max over 0 <= i <= j <= n of ||Q_i* Q_j - delta_ij I||, Q_k the
-        whitened rows of degree k, whose row sum is <<p_i, p_j>>.
-
-        Only the upper block triangle is formed, in tiles of at most 64
-        columns, each summed over chunks of whole nodes of rows, so that a
-        tile and a chunk's conjugated rows take at most 64 KB each.
-        """
-        l = self.measure.dim
-        cols = (n + 1) * l
-        width = max(1, 64 // l) * l
-        grid_rows, total = self.measure.quad_order * l, self._y.shape[0]
-        step = max(1, (1 << 12) // (width * l)) * l
-        bounds = list(range(0, grid_rows, step)) + list(range(grid_rows, total, step)) + [total]
-        worst = 0.0
-        for a in range(0, cols, width):
-            for b in range(a, cols, width):
-                tile = self._gram_tile(slice(a, min(a + width, cols)),
-                                       slice(b, min(b + width, cols)), bounds)
-                ni, nj = tile.shape[0] // l, tile.shape[1] // l
-                blocks = tile.reshape(ni, l, nj, l).transpose(0, 2, 1, 3)
-                if a == b:
-                    i, j = np.triu_indices(ni)
-                    blocks = blocks[i, j]
-                    blocks[i == j] -= np.eye(l)
-                worst = max(worst, max_operator_norm(blocks.reshape(-1, l, l)))
-        return worst
-
-
-class _RotatedValues:
-    """p_k sigma[k] for the values of another sequence, rotated on read."""
-
-    def __init__(self, base, sigma: np.ndarray):
-        self.degree = base.degree
-        self._base = base
-        self._sigma = sigma
-        self._grid = None
-        self._mass = None
-
-    def grid_values(self) -> np.ndarray:
-        if self._grid is None:
-            self._grid = np.einsum("kmij,kjl->kmil", self._base.grid_values(), self._sigma)
-        return self._grid
-
-    def grid_at(self, n: int) -> np.ndarray:
-        if self._grid is not None:
-            return self._grid[n]
-        one = self._base.grid_at(n)[None]
-        return np.einsum("kmij,kjl->kmil", one, self._sigma[n : n + 1])[0]
-
-    def mass_values(self) -> np.ndarray:
-        if self._mass is None:
-            self._mass = np.einsum("kmij,kjl->kmil", self._base.mass_values(), self._sigma)
-        return self._mass
-
-    def orthonormality_defect(self, n: int) -> float:
-        # a unitary sigma_k leaves every block norm of the Gram matrix as it is
-        return self._base.orthonormality_defect(n)
-
-
 class PolySequence:
-    """Orthonormal polynomials p_0..p_n on the quadrature grid and at the masses.
+    """Orthonormal polynomials p_0..p_n, read from one whitened stieltjes buffer.
 
-    grid_values[k] holds p_k at the x-nodes and mass_values[k] at the mass
-    energies; grid_at(k) is grid_values[k] alone. Values are computed when
-    first read, and only for what is read: a sequence that is only asked
-    for its jacobi never computes one. A full read of grid_values is
-    computed once and kept; grid_at(k) before it costs one degree and
-    keeps nothing. Either read gives the same floats.
+    The buffer's rows c_m p_k(x_m) and R_k p_k(E_k) (see stieltjes) stay
+    whitened and read-only; values are computed only when read, into new
+    arrays. grid_at(k), p_k at the x-nodes, unwhitens degree k's l
+    columns on each call; mass_values[k], p_k at the masses, is computed
+    for every degree at the first read (a few KB per mass) and kept.
+    With sigma set (apply_transform), both read p_k sigma[k].
     reorthogonalization_passes counts the polynomials the recurrence
     re-orthogonalized against all earlier ones.
     """
 
-    def __init__(self, measure: MatrixMeasure, jacobi: BlockJacobi, values,
-                 reorthogonalization_passes: int = 0):
+    def __init__(self, measure: MatrixMeasure, jacobi: BlockJacobi, y: np.ndarray, spans: list,
+                 degree: int, reorthogonalization_passes: int = 0, sigma: np.ndarray | None = None):
         self.measure = measure
         self.jacobi = jacobi
+        self.degree = degree
         self.reorthogonalization_passes = reorthogonalization_passes
-        self._values = values
-
-    @property
-    def degree(self) -> int:
-        return self._values.degree
-
-    @property
-    def grid_values(self) -> np.ndarray:
-        return self._values.grid_values()
-
-    @property
-    def mass_values(self) -> np.ndarray:
-        return self._values.mass_values()
+        self.sigma = sigma
+        self._y = y
+        self._spans = spans
+        self._mass = None
 
     def grid_at(self, n: int) -> np.ndarray:
         """p_n at the x-nodes, shape (M, l, l)."""
         if not 0 <= n <= self.degree:
             raise DimensionMismatch(f"degree {n} outside 0..{self.degree}")
-        return self._values.grid_at(n)
+        m_grid, l = self.measure.quad_order, self.measure.dim
+        cols = self._y[: m_grid * l].reshape(m_grid, l, self._y.shape[1])[:, :, n * l : (n + 1) * l]
+        out = _node_product(self.measure.weight_roots[1], cols, np.empty(cols.shape, dtype=complex))
+        if self.sigma is None:
+            return out
+        return np.einsum("kmij,kjl->kmil", out[None], self.sigma[n : n + 1])[0]
+
+    @property
+    def mass_values(self) -> np.ndarray:
+        if self._mass is None:
+            states, l, width = self.measure.bound_states, self.measure.dim, self._y.shape[1]
+            mass = np.empty((self.degree + 1, len(states), l, l), dtype=complex)
+            for k, (s, rows) in enumerate(zip(states, self._spans)):
+                values = np.linalg.pinv(s.root) @ self._y[rows]
+                mass[:, k] = values.reshape(l, width // l, l).transpose(1, 0, 2)
+            if self.sigma is not None:
+                mass = np.einsum("kmij,kjl->kmil", mass, self.sigma)
+            self._mass = mass
+        return self._mass
 
 
 # Re-orthogonalize when the estimated loss of orthogonality passes this.
@@ -406,14 +283,12 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     second eigh.
 
     The buffer is an anonymous mapping of its own (_mapped_buffer), so
-    its pages are returned when the sequence is dropped. The sequence
-    keeps the buffer whitened and computes values only when they are
-    read (PolySequence): a caller that wants only the blocks, such as
-    the sum rule, never unwhitens a row. A full read of grid_values
-    unwhitens the grid rows in place, so it is a view of the buffer;
-    grid_at(n) before that unwhitens only degree n's l columns.
-    mass_values holds pinv(R_k) R_k p_n(E_k), the values projected onto
-    the range of the weight.
+    its pages are returned when the sequence is dropped, and it is
+    read-only once returned: values are computed only when read, into
+    new arrays (PolySequence), so a caller that wants only the blocks,
+    such as the sum rule, never unwhitens a row. mass_values holds
+    pinv(R_k) R_k p_n(E_k), the values projected onto the range of the
+    weight.
     """
     l = measure.dim
     m_grid = measure.quad_order
@@ -507,8 +382,8 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
             f"degrees 0..{n_max} above tol.orth {tol.orth:.1e}"
         )
     jac = BlockJacobi(a=a_blocks, b=b_blocks, norm_type="type1")
-    values = _WhitenedValues(measure, y, spans, n_max)
-    return PolySequence(measure, jac, values, passes)
+    y.flags.writeable = False
+    return PolySequence(measure, jac, y, spans, n_max, passes)
 
 
 def _column_major(v: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -541,18 +416,40 @@ def _check_hermitian(b: np.ndarray, step: int) -> None:
 
 def orthonormality_defect(seq: PolySequence, max_degree: int | None = None) -> float:
     """max over 0 <= i <= j <= n of ||<<p_i, p_j>> - delta_ij I||, n the
-    sequence's degree or max_degree if lower.
+    sequence's degree or max_degree if lower; below 0 raises ValidationError.
 
-    Read from the whitened rows of the stieltjes buffer the sequence
-    holds, whose row sum is the inner product; a rotated sequence reads
-    its base, since unitary sigma_k leave every block norm unchanged. A
-    window below degree 0 raises ValidationError rather than certify
-    nothing.
+    A plain Gram matrix of the whitened rows Q, whose Q_i* Q_j is
+    <<p_i, p_j>>; unitary sigma_k leave every block norm unchanged, so a
+    transformed sequence reads the same rows. Only the upper block
+    triangle is formed, in tiles of at most 64 columns summed over
+    chunks of whole nodes of rows: a tile and a chunk's conjugated rows
+    take at most 64 KB each.
     """
     n = seq.degree if max_degree is None else min(max_degree, seq.degree)
     if n < 0:
         raise ValidationError(f"max_degree must be >= 0, got {max_degree}")
-    return seq._values.orthonormality_defect(n)
+    y, l = seq._y, seq.measure.dim
+    cols = (n + 1) * l
+    width = max(1, 64 // l) * l
+    grid_rows, total = seq.measure.quad_order * l, y.shape[0]
+    step = max(1, (1 << 12) // (width * l)) * l
+    bounds = list(range(0, grid_rows, step)) + list(range(grid_rows, total, step)) + [total]
+    worst = 0.0
+    for a in range(0, cols, width):
+        left = y[:, a : min(a + width, cols)]
+        for b in range(a, cols, width):
+            right = y[:, b : min(b + width, cols)]
+            tile = left[: bounds[1]].conj().T @ right[: bounds[1]]
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                tile += left[start:stop].conj().T @ right[start:stop]
+            ni, nj = tile.shape[0] // l, tile.shape[1] // l
+            blocks = tile.reshape(ni, l, nj, l).transpose(0, 2, 1, 3)
+            if a == b:
+                i, j = np.triu_indices(ni)
+                blocks = blocks[i, j]
+                blocks[i == j] -= np.eye(l)
+            worst = max(worst, max_operator_norm(blocks.reshape(-1, l, l)))
+    return worst
 
 
 def _times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -561,17 +458,33 @@ def _times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def recurrence_residual(seq: PolySequence) -> float:
-    """sup-norm over grid nodes and degrees of the three-term recurrence defect."""
-    a, b = seq.jacobi.a, seq.jacobi.b
-    p = seq.grid_values
-    x = seq.measure.x_nodes[:, None, None]
+    """sup-norm over grid nodes and degrees of the recurrence defect
+    x p_n - p_{n+1} A_{n+1}^* - p_n B_{n+1} - p_{n-1} A_n.
+
+    c_m acts on the left and the blocks on the right, so the defect of
+    p_n is c_m^{-1} times the same defect of the whitened rows c_m p_n:
+    each degree's defect is formed on the rows and unwhitened once, and
+    no stack of values is held. A transformed sequence's blocks are
+    carried back to the buffer's frame (to_type inverted); its defect is
+    then the frame's times the unitary sigma_{n+1}, of the same norm.
+    """
+    a, b, s = seq.jacobi.a, seq.jacobi.b, seq.sigma
+    if s is not None:
+        s_adj = s.conj().transpose(0, 2, 1)
+        a, b = s[:-1] @ a @ s_adj[1:], s[:-1] @ b @ s_adj[:-1]
+    m_grid, l = seq.measure.quad_order, seq.measure.dim
+    rows, inv_root = seq._y[: m_grid * l], seq.measure.weight_roots[1]
+    x_rows = np.repeat(seq.measure.x_nodes, l)[:, None]
     worst = 0.0
     for n in range(seq.degree):
-        res = x * p[n] - _times(p[n + 1], a[n].conj().T)
-        res -= _times(p[n], b[n])
+        q = rows[:, n * l : (n + 1) * l]
+        res = x_rows * q
+        res -= _column_major(rows[:, (n + 1) * l : (n + 2) * l], a[n].conj().T)
+        res -= _column_major(q, b[n])
         if n > 0:
-            res -= _times(p[n - 1], a[n - 1])
-        worst = max(worst, max_operator_norm(res))
+            res -= _column_major(rows[:, (n - 1) * l : n * l], a[n - 1])
+        nodes = res.reshape(m_grid, l, l)
+        worst = max(worst, max_operator_norm(_node_product(inv_root, nodes, nodes)))
     return worst
 
 
@@ -579,12 +492,14 @@ def recurrence_residual(seq: PolySequence) -> float:
 # normalization types
 
 
-def _positive_lq(m: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """m = L Q with L lower triangular, positive real diagonal, Q unitary."""
+def _positive_lq(m: np.ndarray, tol: Tolerances, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """m = L Q, L lower triangular with positive real diagonal, Q unitary; m is from A_degree."""
     q0, r0 = np.linalg.qr(m.conj().T)
     d = np.diagonal(r0)
-    if np.min(np.abs(d)) <= tol.sing_rel * max(1.0, float(np.max(np.abs(d)))):
-        raise Singular("LQ factor has a vanishing diagonal entry")
+    d_min, floor = np.min(np.abs(d)), tol.sing_rel * max(1.0, float(np.max(np.abs(d))))
+    if d_min <= floor:
+        raise Singular(f"to_type: degree {degree}: LQ factor diagonal min |d| {d_min:.3e} at or "
+                       f"below tol.sing_rel x max(1, max |d|) = {floor:.3e}")
     phases = d / np.abs(d)
     q1 = q0 * phases[None, :]
     r1 = np.conj(phases)[:, None] * r0
@@ -622,7 +537,7 @@ def to_type(
                 u, _ = left_polar(m, tol)
                 sigma[k + 1] = u.conj().T
             else:  # type3
-                _, qu = _positive_lq(m, tol)
+                _, qu = _positive_lq(m, tol, k + 1)
                 sigma[k + 1] = qu.conj().T
 
     left = sigma[:-1].conj().transpose(0, 2, 1)
@@ -658,14 +573,15 @@ def apply_transform(seq: PolySequence, jacobi: BlockJacobi, sigma: np.ndarray) -
     """Carry polynomial values to an equivalent normalization, p_k -> p_k sigma[k],
     with sigma the unitary stack to_type returns.
 
-    Nothing is computed here: each degree is rotated when it is read,
-    and a full read rotates every degree once. Both read seq's values,
-    so they share its buffer.
+    Nothing is computed here: the new sequence shares seq's buffer and
+    rotates each degree when it is read.
     """
     if sigma.shape[0] != seq.degree + 1:
         raise DimensionMismatch("transform length does not match sequence degree")
-    return PolySequence(seq.measure, jacobi, _RotatedValues(seq._values, sigma),
-                        seq.reorthogonalization_passes)
+    if seq.sigma is not None:
+        sigma = np.einsum("kij,kjl->kil", seq.sigma, sigma)
+    return PolySequence(seq.measure, jacobi, seq._y, seq._spans, seq.degree,
+                        seq.reorthogonalization_passes, sigma)
 
 
 # ---------------------------------------------------------------------------

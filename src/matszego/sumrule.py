@@ -30,17 +30,20 @@ import numpy as np
 from . import measure as ms
 from . import outer as sf
 from . import polynomials as poly
-from .errors import NotPD
-from .linalg import two_grid_richardson
+from .errors import NotPD, ValidationError
+from .linalg import BoundarySampling, two_grid_richardson
 from .tolerances import DEFAULT, Tolerances
 
 _LOG2 = float(np.log(2.0))
 
 
-def _logdet_nodes(values: np.ndarray) -> np.ndarray:
-    dets = np.linalg.det(values).real
-    if dets.min() <= 0.0:
-        raise NotPD(f"det w non-positive at a node (min {dets.min():.3e})")
+def _logdet_nodes(w: BoundarySampling, stage: str) -> np.ndarray:
+    """log det w at every node of w's grid; NotPD names the stage and the node."""
+    dets = np.linalg.det(w.values).real
+    node = int(np.argmin(dets))
+    if dets[node] <= 0.0:
+        raise NotPD(f"{stage}: det w = {dets[node]:.3e} at or below 0 at node t = "
+                    f"{w.theta[node]:.6f} of the {len(dets)}-node grid")
     return np.log(dets)
 
 
@@ -49,7 +52,7 @@ def weight_logdet_mean(mu: ms.MatrixMeasure) -> tuple[float, float]:
     means = []
     for refine in (1, 2):
         w = ms.szego_weight(mu, refine=refine)
-        means.append(float(np.mean(_logdet_nodes(w.values))))
+        means.append(float(np.mean(_logdet_nodes(w, "weight_logdet_mean"))))
     return two_grid_richardson(*means)
 
 
@@ -58,7 +61,7 @@ def z_quantity(mu: ms.MatrixMeasure) -> tuple[float, float]:
     vals = []
     for refine in (1, 2):
         w = ms.szego_weight(mu, refine=refine)
-        integrand = _logdet_nodes(w.values) - mu.dim * np.log(
+        integrand = _logdet_nodes(w, "z_quantity") - mu.dim * np.log(
             2.0 * np.sin(w.theta) ** 2
         )
         vals.append(-0.5 * float(np.mean(integrand)))
@@ -80,13 +83,15 @@ def a0_partials(jacobi: poly.BlockJacobi, n_values: Sequence[int]) -> np.ndarray
     normalization of the same measure gives the same values.
     """
     dets = np.abs(np.linalg.det(jacobi.a))
-    if dets.min() <= 0.0:
-        raise NotPD("recurrence block with vanishing determinant")
+    j = int(np.argmin(dets))
+    if dets[j] <= 0.0:
+        raise NotPD(f"a0_partials: |det A_{j + 1}| = {dets[j]:.3e} at or below 0")
     cumulative = -np.cumsum(np.log(dets))
     out = np.empty(len(n_values))
     for i, n in enumerate(n_values):
         if not 1 <= n <= jacobi.block_count:
-            raise ValueError(f"partial sum needs 1 <= n <= {jacobi.block_count}, got {n}")
+            raise ValidationError(f"a0_partials: partial sum needs 1 <= n <= "
+                                  f"{jacobi.block_count}, got {n}")
         out[i] = cumulative[n - 1]
     return out
 

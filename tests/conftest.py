@@ -46,6 +46,11 @@ def mass_sequence(mass_measure) -> PolySequence:
     return stieltjes(mass_measure, 101)
 
 
+def grid_values(seq: PolySequence) -> np.ndarray:
+    """p_0..p_n at the x-nodes, (n + 1, M, l, l), one grid_at read per degree."""
+    return np.stack([seq.grid_at(n) for n in range(seq.degree + 1)])
+
+
 def random_smooth_weight(rng: np.random.Generator, dim: int, node_count: int,
                          harmonics: int = 3, floor: float = 0.4) -> np.ndarray:
     """Hermitian PD trig-polynomial samples on the midpoint grid, symmetric

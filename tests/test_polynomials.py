@@ -1,5 +1,6 @@
 """Recurrence construction, normalization types, and evaluation."""
 
+import copy
 import dataclasses
 import mmap
 import tracemalloc
@@ -14,11 +15,12 @@ from matszego.errors import (
     LostPositivity,
     NotHermitian,
     RadiusExceeded,
+    Singular,
     ValidationError,
 )
 from matszego import polynomials
 from matszego.limits import asymptotics_report
-from matszego.linalg import BracketedNorm, midpoint_nodes, operator_norm
+from matszego.linalg import BracketedNorm, max_operator_norm, midpoint_nodes, operator_norm
 from matszego.measure import (
     ArcsineDensity,
     ConjugatedDiagonalDensity,
@@ -29,10 +31,10 @@ from matszego.measure import (
 )
 from matszego.polynomials import (
     BlockJacobi,
+    PolySequence,
     _mapped_buffer,
     apply_transform,
     eval_scaled_many,
-    _WhitenedValues,
     leading_coeffs,
     orthonormality_defect,
     recurrence_residual,
@@ -43,7 +45,7 @@ from matszego.polynomials import (
 from matszego.sumrule import check_sum_rule
 from matszego.tolerances import Tolerances
 
-from conftest import random_smooth_weight
+from conftest import SHIPPED, grid_values, random_smooth_weight
 
 N_SMALL = 24
 
@@ -69,7 +71,7 @@ class TestScalarOracles:
         theta = semicircle_seq.measure.weight.theta
         for n in (1, 5, 12):
             oracle = np.sin((n + 1) * theta) / np.sin(theta)
-            got = semicircle_seq.grid_values[n][:, 0, 0].real
+            got = semicircle_seq.grid_at(n)[:, 0, 0].real
             assert np.max(np.abs(got - oracle)) < 1e-9
 
     def test_arcsine_coefficients(self, arcsine_seq):
@@ -82,7 +84,7 @@ class TestScalarOracles:
         theta = arcsine_seq.measure.weight.theta
         for n in (1, 4, 9):
             oracle = np.sqrt(2.0) * np.cos(n * theta)
-            got = arcsine_seq.grid_values[n][:, 0, 0].real
+            got = arcsine_seq.grid_at(n)[:, 0, 0].real
             assert np.max(np.abs(got - oracle)) < 1e-9
 
     def test_orthonormality_and_recurrence(self, semicircle_seq):
@@ -117,6 +119,16 @@ class TestStageNamedErrors:
             match=r"^stieltjes: step 1: B block defect .* above 1e-8 x max\(1, \|\|B\|\|\) = ",
         ):
             stieltjes(tilted, 3)
+
+    def test_type3_names_the_singular_degree(self):
+        a = np.array([np.eye(2), np.diag([1.0, 0.0])], dtype=complex)
+        jac = BlockJacobi(a=a, b=np.zeros_like(a), norm_type="type1")
+        with pytest.raises(
+            Singular,
+            match=r"^to_type: degree 2: LQ factor diagonal min \|d\| 0\.000e\+00 at or below "
+            r"tol\.sing_rel x max\(1, max \|d\|\) = 1\.000e-12$",
+        ):
+            to_type(jac, "type3")
 
 
 class TestHermitianDecision:
@@ -185,7 +197,7 @@ class TestGramDefect:
         assert [s.multiplicity for s in mu.bound_states] == [1, max(1, l - 1)]
         assert np.any(seq.mass_values[-1, 1] != 0)  # the near-band mass is still live
 
-        gv, mv = seq.grid_values, seq.mass_values
+        gv, mv = grid_values(seq), seq.mass_values
         pairs = {
             (i, j): inner_product(mu, gv[i], mv[i], gv[j], mv[j]) - (i == j) * np.eye(l)
             for i in range(window + 1) for j in range(i, window + 1)
@@ -299,16 +311,21 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 0.25 * seq.grid_values.nbytes
+        assert peak <= 0.25 * grid_values(seq).nbytes
 
     def test_values_live_in_their_own_mapping(self, deep_measure):
         # a heap block would stay resident after the sequence is dropped
         seq = stieltjes(deep_measure, 100)
-        base = seq.grid_values
+        base = seq._y
         while isinstance(base, np.ndarray):
             base = base.base
         assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
-        assert seq.grid_values.flags.writeable
+
+    def test_buffer_is_read_only(self, deep_measure):
+        # no reader can unwhiten the rows in place
+        seq = stieltjes(deep_measure, 100)
+        with pytest.raises(ValueError, match="read-only"):
+            seq._y[0, 0] = 1.0
 
     def test_mapped_buffer_is_zeroed_fortran_order(self):
         y = _mapped_buffer(7, 3)
@@ -316,23 +333,11 @@ class TestMemory:
         assert y.flags.f_contiguous and y.flags.writeable
         assert not np.any(y)
 
-    def test_full_read_unwhitens_in_place(self, deep_measure):
-        # the first full read solves about 1 MB of rows at a time into the
-        # buffer itself; a second copy of the values would be 13 MB
-        seq = stieltjes(deep_measure, 100)
-        tracemalloc.start()
-        try:
-            values = seq.grid_values
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.25 * values.nbytes
-
     def test_defect_never_stacks_the_whole_grid(self, deep_measure):
-        # grid_values is 13 MB and the window's weighted stack (M, l, 31 l)
+        # the values are 13 MB and the window's weighted stack (M, l, 31 l)
         # would be 4 MB; the node chunks keep the peak at the Gram matrix
         seq = stieltjes(deep_measure, 100)
-        assert seq.grid_values.nbytes > 13e6
+        assert grid_values(seq).nbytes > 13e6
         tracemalloc.start()
         try:
             orthonormality_defect(seq, 30)
@@ -340,6 +345,19 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_residual_holds_no_stack_of_values(self, deep_measure):
+        # one degree's (M l, l) defect is 131 KB and the residual peaks
+        # near 670 KB; three unwhitened degrees reach about 1 MB and the
+        # in-place full read of the values about 760 KB
+        seq = stieltjes(deep_measure, 100)
+        tracemalloc.start()
+        try:
+            recurrence_residual(seq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 720e3
 
 
 class TestHighDegree:
@@ -459,6 +477,63 @@ class TestResolution:
             stieltjes(mu, top + 1)
 
 
+def _residual_reference(seq):
+    """The recurrence defect on a stack of every degree's unwhitened values."""
+    a, b = seq.jacobi.a, seq.jacobi.b
+    p = grid_values(seq)
+    x = seq.measure.x_nodes[:, None, None]
+    worst = 0.0
+    for n in range(seq.degree):
+        res = x * p[n] - polynomials._times(p[n + 1], a[n].conj().T)
+        res -= polynomials._times(p[n], b[n])
+        if n > 0:
+            res -= polynomials._times(p[n - 1], a[n - 1])
+        worst = max(worst, max_operator_norm(res))
+    return worst
+
+
+@pytest.fixture(scope="module")
+def residual_cases(shipped_measures, deep_measure):
+    """Sequences at n = 100: the shipped specs, and the recurrence benchmark's
+    shapes, the 4x4 deep_measure and the 2x2 rank-one mass at M = 512,
+    each also in type 2."""
+    w = np.array([[0.072, -0.096j], [0.096j, 0.128]])
+    measures = dict(shipped_measures, deep_measure=deep_measure,
+                    mass_2_m512=make_measure(SemicircleDensity(2), [(2.5, w)], quad_order=512))
+    out = {}
+    for name, mu in measures.items():
+        seq = stieltjes(mu, 100)
+        out[name] = seq
+        if name not in SHIPPED:
+            out[name + "-type2"] = apply_transform(seq, *to_type(seq.jacobi, "type2"))
+    return out
+
+
+class TestRecurrenceResidual:
+    def test_matches_the_unwhitened_formula(self, residual_cases):
+        for name, seq in residual_cases.items():
+            got, ref = recurrence_residual(seq), _residual_reference(seq)
+            assert got <= 1e-11 and abs(got - ref) <= 1e-12, name
+
+    @pytest.mark.parametrize("name", ["matrix_conjugated", "deep_measure", "deep_measure-type2"])
+    def test_a_perturbed_block_shows(self, residual_cases, name):
+        seq = copy.copy(residual_cases[name])
+        a = seq.jacobi.a.copy()
+        a[40] += 1e-6 * np.eye(seq.measure.dim)
+        seq.jacobi = dataclasses.replace(seq.jacobi, a=a)
+        assert recurrence_residual(seq) > 1e-7
+        assert _residual_reference(seq) > 1e-7
+
+
+class TestReadsLeaveTheBuffer:
+    def test_defect_is_the_same_after_every_degree_is_read(self, residual_cases):
+        seqs = [residual_cases["deep_measure"], residual_cases["deep_measure-type2"]]
+        before = [orthonormality_defect(seq) for seq in seqs]
+        for seq in seqs:
+            grid_values(seq)
+        assert [orthonormality_defect(seq) for seq in seqs] == before
+
+
 def _lazy_measure(l, live):
     """Table weight on 64 nodes with a far mass, frozen by degree 16, and
     with live=True a near-band mass still live at degree 16."""
@@ -473,8 +548,8 @@ def _lazy_measure(l, live):
 
 LAZY_DEGREE = 16
 
-# read plans: (sequence, read) in order; "full" reads grid_values and
-# mass_values, "each" reads grid_at(n) for every degree, downward
+# read plans: (sequence, read) in order; "full" reads every degree upward
+# and mass_values, "each" reads grid_at(n) for every degree, downward
 READ_PLANS = {
     "degrees_first": [("type1", "each"), ("type2", "each"), ("type3", "each"),
                       ("type2", "full"), ("type1", "full"), ("type3", "full"),
@@ -490,13 +565,16 @@ class TestLazyValues:
     @pytest.fixture(scope="class", params=[(l, live) for l in (1, 2, 4, 8) for live in (False, True)],
                     ids=lambda p: f"l{p[0]}-{'live' if p[1] else 'frozen'}")
     def case(self, request):
-        """(measure, eager values per type, transforms): the values as the
-        sequence used to hold them, every grid row unwhitened right after
-        the recurrence and each transform rotating every degree at once."""
+        """(measure, eager values per type, transforms): every grid row
+        unwhitened by one full-width node product right after the
+        recurrence, and each transform rotating every degree at once."""
         l, live = request.param
         mu = _lazy_measure(l, live)
         seq = stieltjes(mu, LAZY_DEGREE)
-        grid, mass = seq.grid_values, seq.mass_values
+        rows = seq._y[: mu.quad_order * l].reshape(mu.quad_order, l, -1)
+        full = polynomials._node_product(mu.weight_roots[1], rows, np.empty(rows.shape, complex))
+        grid = full.reshape(mu.quad_order, l, LAZY_DEGREE + 1, l).transpose(2, 0, 1, 3)
+        mass = seq.mass_values
         assert np.any(mass[-1, -1] != 0) == live and not np.any(mass[-1, 0])
         eager = {"type1": (grid, mass)}
         transforms = {}
@@ -517,19 +595,11 @@ class TestLazyValues:
         for target, read in READ_PLANS[plan]:
             seq, (grid, mass) = seqs[target], eager[target]
             if read == "full":
-                assert np.array_equal(seq.grid_values, grid)
+                assert np.array_equal(grid_values(seq), grid)
                 assert np.array_equal(seq.mass_values, mass)
             else:
                 for n in range(LAZY_DEGREE, -1, -1):
                     assert np.array_equal(seq.grid_at(n), grid[n])
-
-    def test_transform_full_read_unwhitens_the_shared_buffer_once(self, case):
-        mu, eager, transforms = case
-        base = stieltjes(mu, LAZY_DEGREE)
-        seq2 = apply_transform(base, *transforms["type2"])
-        assert np.array_equal(base.grid_values, eager["type1"][0])
-        assert np.array_equal(seq2.grid_values, eager["type2"][0])
-        assert np.array_equal(base.grid_values, eager["type1"][0])
 
     def test_grid_at_rejects_degrees_outside_the_sequence(self, semicircle_seq):
         for n in (-1, N_SMALL + 1):
@@ -542,7 +612,7 @@ class TestUnwhitenedOnlyWhenRead:
     def solves(self, monkeypatch):
         """(degrees read from a whitened buffer, column count of each node product)."""
         degrees, widths = [], []
-        unwhiten, grid_at = polynomials._node_product, _WhitenedValues.grid_at
+        unwhiten, grid_at = polynomials._node_product, PolySequence.grid_at
 
         def spy_unwhiten(f, rows, out):
             widths.append(rows.shape[-1])
@@ -553,7 +623,7 @@ class TestUnwhitenedOnlyWhenRead:
             return grid_at(self, n)
 
         monkeypatch.setattr(polynomials, "_node_product", spy_unwhiten)
-        monkeypatch.setattr(_WhitenedValues, "grid_at", spy_grid_at)
+        monkeypatch.setattr(PolySequence, "grid_at", spy_grid_at)
         return degrees, widths
 
     def test_sum_rule_never_unwhitens(self, mass_measure, solves):
@@ -620,8 +690,17 @@ class TestNormalizationTypes:
         jac3, sigma = to_type(matrix_seq.jacobi, "type3")
         seq3 = apply_transform(matrix_seq, jac3, sigma)
         for n in (0, 3, 7):
-            expected = matrix_seq.grid_values[n] @ sigma[n]
-            assert float(np.max(operator_norm(seq3.grid_values[n] - expected))) < 1e-10
+            expected = matrix_seq.grid_at(n) @ sigma[n]
+            assert float(np.max(operator_norm(seq3.grid_at(n) - expected))) < 1e-10
+
+    def test_transform_of_a_transform_composes(self, matrix_seq):
+        jac2, sigma2 = to_type(matrix_seq.jacobi, "type2")
+        seq2 = apply_transform(matrix_seq, jac2, sigma2)
+        seq3 = apply_transform(seq2, *to_type(jac2, "type3"))
+        direct = apply_transform(matrix_seq, *to_type(matrix_seq.jacobi, "type3"))
+        for n in (0, 3, 7, N_SMALL):
+            assert float(np.max(operator_norm(seq3.grid_at(n) - direct.grid_at(n)))) < 1e-10
+        assert recurrence_residual(seq3) < 1e-8
 
     def test_rejects_unknown_target(self, matrix_seq):
         with pytest.raises(ValidationError):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from matszego import outer, specio
-from matszego.measure import ArcsineDensity, SemicircleDensity, make_measure
-from matszego.polynomials import stieltjes, to_type
+from matszego.errors import NotPD, ValidationError
+from matszego.measure import ArcsineDensity, SemicircleDensity, TableDensity, make_measure
+from matszego.polynomials import BlockJacobi, stieltjes, to_type
 from matszego.sumrule import (
     a0_partials,
     check_sum_rule,
@@ -83,6 +84,33 @@ class TestPartialSums:
         assert np.all(np.diff(ledger.residuals) < 1e-12)
         assert ledger.residuals[0] > 1e-7  # still converging at n = 10
         assert ledger.residuals[-1] < 1e-2
+
+
+class TestStageNamedErrors:
+    @pytest.fixture(scope="class")
+    def ringing_measure(self):
+        # positive samples with a symmetric pair of spikes: the doubled
+        # grid's trigonometric interpolant rings below zero between nodes
+        samples = np.full((64, 1, 1), 1e-3, dtype=complex)
+        samples[10] = samples[53] = 1.0
+        return make_measure(TableDensity(samples), quad_order=64)
+
+    @pytest.mark.parametrize("stage", [z_quantity, weight_logdet_mean])
+    def test_logdet_names_the_grid_and_the_node(self, ringing_measure, stage):
+        with pytest.raises(NotPD, match=rf"^{stage.__name__}: det w = -.* at or below 0 at "
+                           r"node t = -?\d\.\d{6} of the 128-node grid$"):
+            stage(ringing_measure)
+
+    def test_a0_names_the_singular_block(self):
+        a = np.array([np.eye(2), np.diag([1.0, 0.0])], dtype=complex)
+        jac = BlockJacobi(a=a, b=np.zeros_like(a), norm_type="type1")
+        with pytest.raises(NotPD, match=r"^a0_partials: \|det A_2\| = 0\.000e\+00 at or below 0$"):
+            a0_partials(jac, [1])
+
+    def test_a0_degree_outside_the_blocks_is_a_validation_error(self, mass_sequence):
+        with pytest.raises(ValidationError, match=r"^a0_partials: partial sum needs "
+                           r"1 <= n <= 101, got 102$"):
+            a0_partials(mass_sequence.jacobi, [5, 102])
 
 
 class TestRankDeficientMass:
