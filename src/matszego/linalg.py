@@ -129,21 +129,56 @@ def _norm_candidates(a: np.ndarray) -> np.ndarray | None:
     return a[fro >= floor]
 
 
-def max_operator_norm(a: np.ndarray) -> float:
-    """np.max(operator_norm(a)), with SVDs only on blocks that can hold it
-    (_norm_candidates).
+# Stacks at most this long go to their SVD without a search for repeats.
+_DISTINCT_MIN = 8
 
-    A stack of exact zeros returns 0.0, the float its SVD gives, without
-    one. Same float as the full batch; an empty batch raises likewise. A
-    single matrix is its own only candidate and goes to its SVD directly.
+
+def _distinct(blocks: np.ndarray) -> np.ndarray:
+    """One copy of each bitwise-distinct block of an (N, m, n) stack.
+
+    LAPACK returns the same floats for the same input, so equal blocks
+    need one SVD between them. Rounding-level residuals are quantized and
+    repeat many times; a short stack is returned as it is, since sorting
+    it costs more than its SVDs.
+    """
+    if blocks.shape[0] <= _DISTINCT_MIN:
+        return blocks
+    rows = np.ascontiguousarray(blocks).reshape(blocks.shape[0], -1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
+    return blocks[np.unique(keys, return_index=True)[1]]
+
+
+def max_operator_norm(a: np.ndarray) -> float:
+    """np.max(operator_norm(a)), with SVDs only on blocks that can hold it.
+
+    The block of largest Frobenius norm is decomposed first, giving s.
+    Since ||A||_2 <= ||A||_F, only blocks whose Frobenius norm is at least
+    s (1 - margin) can exceed it, the margin covering rounding in both
+    norms, and of those one copy of each distinct block (_distinct) is
+    decomposed. Same float as the full batch. A stack of exact zeros
+    returns 0.0, the float its SVD gives, without one, and a stack whose
+    Frobenius norms are unreliable (_frobenius_top) is decomposed whole;
+    an empty batch raises like the full batch. A single matrix goes to its
+    SVD directly.
     """
     a = np.asarray(a)
     if a.ndim < 2:
         raise DimensionMismatch("max_operator_norm needs a matrix")
     if a.ndim == 2:
         return float(operator_norm(a))
-    blocks = _norm_candidates(a)
-    return 0.0 if blocks is None else float(np.max(operator_norm(blocks)))
+    fro, top = _frobenius_top(a)
+    if top == 0.0:
+        return 0.0
+    if top is None:
+        return float(np.max(operator_norm(a)))
+    blocks, fro = a.reshape((-1,) + a.shape[-2:]), fro.reshape(-1)
+    first = int(np.argmax(fro))
+    s = float(operator_norm(blocks[first]))
+    rest = fro >= (1.0 - _BRACKET_MARGIN) * s
+    rest[first] = False
+    if rest.any():
+        s = max(s, float(np.max(operator_norm(_distinct(blocks[rest])))))
+    return s
 
 
 def max_hermitian_norm(a: np.ndarray) -> float:
@@ -303,7 +338,8 @@ def left_polar(a: np.ndarray, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np
     a = np.asarray(a, dtype=complex)
     w, s, vh = np.linalg.svd(a)
     if s[0] == 0.0 or s[-1] <= tol.sing_rel * s[0]:
-        raise Singular(f"singular values span [{s[-1]:.3e}, {s[0]:.3e}]")
+        raise Singular(f"smallest singular value {s[-1]:.3e} at or below "
+                       f"tol.sing_rel x largest = {tol.sing_rel * s[0]:.3e}")
     u = w @ vh
     p = (vh.conj().T * s) @ vh
     return u, p

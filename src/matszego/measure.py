@@ -260,30 +260,34 @@ class MatrixMeasure:
 
     @functools.cached_property
     def weight_roots(self) -> tuple[np.ndarray, np.ndarray]:
-        """The whitening c_m = Lambda^{1/2} U* / sqrt(M) of each node's
-        weight, and its inverse c_m^{-1} = U Lambda^{-1/2} sqrt(M).
+        """The whitening c_m = Lambda^{1/2} U* / sqrt(M) of the M/2
+        distinct abscissae x_m, m < M/2, and its inverse
+        c_m^{-1} = U Lambda^{-1/2} sqrt(M), shapes (M/2, l, l).
 
-        c_m* c_m = w(t_m) / M, so the grid part of the inner product is a
-        plain sum of (c_m f(x_m))* (c_m g(x_m)). Both come from one
-        eigendecomposition per node, computed once, on first use by the
-        recurrence, so commands that never run it skip them. A node whose
-        weight has an eigenvalue <= 0 raises rather than being clipped.
+        The grid pairs t_m with t_{M-1-m} = -t_m, where x and w are equal,
+        so x_m for m < M/2 (t_m < 0) are the distinct abscissae, and each
+        carries the pair's weight: U Lambda U* = w(t_m) + w(t_{M-1-m}) and
+        c_m* c_m = (w(t_m) + w(t_{M-1-m})) / M. The grid part of the inner
+        product is then a plain sum of (c_m f(x_m))* (c_m g(x_m)) over
+        m < M/2. Both come from one eigendecomposition per pair, computed
+        once, on first use by the recurrence, so commands that never run
+        it skip them. Every one of the M nodes is tested, not only the pair
+        sums: a node whose weight has an eigenvalue <= 0 raises rather than
+        being clipped.
         """
-        lam, vec = np.linalg.eigh(self.weight.values)
-        if lam[:, 0].min() <= 0.0:
+        w = self.weight.values
+        lam_min = np.linalg.eigvalsh(w)[:, 0].min()
+        if lam_min <= 0.0:
             raise ValidationError(
-                f"Szego condition fails: w(t) has eigenvalue {lam[:, 0].min():.3e} at a node"
+                f"Szego condition fails: w(t) has eigenvalue {lam_min:.3e} at a node"
             )
+        half = self.quad_order // 2
+        lam, vec = np.linalg.eigh(w[:half] + w[: half - 1 : -1])
         root = np.sqrt(lam / self.quad_order)[:, :, None] * vec.conj().transpose(0, 2, 1)
         inverse = vec * np.sqrt(self.quad_order / lam)[:, None, :]
         root.setflags(write=False)
         inverse.setflags(write=False)
         return root, inverse
-
-    @property
-    def weight_root(self) -> np.ndarray:
-        """c_m of weight_roots."""
-        return self.weight_roots[0]
 
 
 def _mass_root(w: np.ndarray, tol: Tolerances) -> np.ndarray:

@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     LostOrthogonality,
     LostPositivity,
+    NegativeEigenvalue,
     NotHermitian,
     RadiusExceeded,
     Singular,
@@ -120,10 +121,11 @@ def _node_product(f: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarra
 class PolySequence:
     """Orthonormal polynomials p_0..p_n, read from one whitened stieltjes buffer.
 
-    The buffer's rows c_m p_k(x_m) and R_k p_k(E_k) (see stieltjes) stay
-    whitened and read-only; values are computed only when read, into new
-    arrays. grid_at(k), p_k at the x-nodes, unwhitens degree k's l
-    columns on each call; mass_values[k], p_k at the masses, is computed
+    The buffer's rows c_m p_k(x_m), one node per distinct abscissa, and
+    R_k p_k(E_k) (see stieltjes) stay whitened and read-only; values are
+    computed only when read, into new arrays. grid_at(k), p_k at all M
+    x-nodes, unwhitens degree k's l columns of the M/2 node rows on each
+    call and mirrors them; mass_values[k], p_k at the masses, is computed
     for every degree at the first read (a few KB per mass) and kept.
     With sigma set (apply_transform), both read p_k sigma[k].
     reorthogonalization_passes counts the polynomials the recurrence
@@ -142,15 +144,22 @@ class PolySequence:
         self._mass = None
 
     def grid_at(self, n: int) -> np.ndarray:
-        """p_n at the x-nodes, shape (M, l, l)."""
+        """p_n at the x-nodes, shape (M, l, l).
+
+        The M/2 node rows are unwhitened (and rotated) into the first half,
+        which is then mirrored: out[M-1-m] is out[m] bitwise, since x is
+        even in t.
+        """
         if not 0 <= n <= self.degree:
             raise DimensionMismatch(f"degree {n} outside 0..{self.degree}")
-        m_grid, l = self.measure.quad_order, self.measure.dim
-        cols = self._y[: m_grid * l].reshape(m_grid, l, self._y.shape[1])[:, :, n * l : (n + 1) * l]
-        out = _node_product(self.measure.weight_roots[1], cols, np.empty(cols.shape, dtype=complex))
-        if self.sigma is None:
-            return out
-        return np.einsum("kmij,kjl->kmil", out[None], self.sigma[n : n + 1])[0]
+        half, l = self.measure.quad_order // 2, self.measure.dim
+        cols = self._y[: half * l].reshape(half, l, self._y.shape[1])[:, :, n * l : (n + 1) * l]
+        out = np.empty((2 * half, l, l), dtype=complex)
+        vals = _node_product(self.measure.weight_roots[1], cols, out[:half])
+        if self.sigma is not None:
+            vals[...] = np.einsum("kmij,kjl->kmil", vals[None], self.sigma[n : n + 1])[0]
+        out[half:] = vals[::-1]
+        return out
 
     @property
     def mass_values(self) -> np.ndarray:
@@ -233,14 +242,17 @@ class _LossEstimate:
 def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> PolySequence:
     """Run the Stieltjes procedure to degree n_max (type1 output).
 
-    The recurrence runs as a block Lanczos on whitened rows. Each grid
-    node contributes the l rows c_m p_n(x_m), with c_m* c_m = w(t_m)/M
-    (measure.weight_roots), and each mass the rank_k rows R_k p_n(E_k),
-    with R_k the rank-truncated root of its weight (BoundState.root).
-    The inner product is then the plain sum over rows, and since the
-    recurrence multiplies by blocks on the right and scales each row by
-    its abscissa, it runs on one tall buffer of M l + sum rank_k rows
-    and (n_max + 1) l columns: every B block, Gram matrix and
+    The recurrence runs as a block Lanczos on whitened rows. The
+    midpoint grid's M nodes come in mirror pairs t, -t with the same
+    abscissa and weight (to rounding), so the discrete measure has M/2
+    distinct abscissae x_m, m < M/2. Each contributes the l rows c_m p_n(x_m),
+    with c_m* c_m = (w(t_m) + w(t_{M-1-m}))/M (measure.weight_roots), and
+    each mass the rank_k rows R_k p_n(E_k), with R_k the rank-truncated
+    root of its weight (BoundState.root). The inner product is then the
+    plain sum over rows, and since the recurrence multiplies by blocks on
+    the right and scales each row by its abscissa, it runs on one tall
+    buffer of (M/2) l + sum rank_k rows, the measure's resolution, and
+    (n_max + 1) l columns: every B block, Gram matrix and
     re-orthogonalization Q (Q* q) is a GEMM.
 
     Orthogonality against earlier polynomials is kept by partial
@@ -256,11 +268,13 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
 
     A degree the discrete measure cannot resolve is refused before the
     loop: p_0..p_n need (n + 1) l dimensions, and the measure carries
-    M/2 l + sum rank_k. NotHermitian is raised when a B block is not
-    Hermitian, LostPositivity when the Gram matrix of the recurrence
-    remainder drops below tol.pos. Every message starts with
-    "stieltjes:", and those of the resolution and positivity failures
-    name the resolution M/2 + sum rank_k.
+    (M/2) l + sum rank_k, the buffer's row count. NotHermitian is raised
+    when a B block is not Hermitian, LostPositivity when the Gram matrix
+    of the recurrence remainder drops below tol.pos, NegativeEigenvalue
+    when it has an eigenvalue below -tol.herm (reachable only under a
+    tol.pos <= 0 override). Every message starts with "stieltjes:", and
+    those of the resolution and positivity failures name the resolution
+    M/2 + sum rank_k.
 
     Evaluations at a mass point ride the recurrence's growing solution:
     rounding noise amplifies like |z_k|^{-n} while the true values decay
@@ -278,9 +292,7 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     block (_check_hermitian). One eigh of the Gram matrix gives the
     LostPositivity test its smallest eigenvalue, the loss estimate the
     norms of A_{n+1}, and A_{n+1} its square root
-    (linalg.sqrt_from_eigh, whose NegativeEigenvalue guard still holds
-    under a tol.pos <= 0 override); a re-orthogonalized step takes a
-    second eigh.
+    (linalg.sqrt_from_eigh); a re-orthogonalized step takes a second eigh.
 
     The buffer is an anonymous mapping of its own (_mapped_buffer), so
     its pages are returned when the sequence is dropped, and it is
@@ -291,30 +303,31 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     weight.
     """
     l = measure.dim
-    m_grid = measure.quad_order
+    half = measure.quad_order // 2
     states = measure.bound_states
     ranks = [s.root.shape[0] for s in states]
-    dims = m_grid // 2 * l + sum(ranks)
+    dims = half * l + sum(ranks)
     if (n_max + 1) * l > dims:
         raise LostPositivity(
             f"stieltjes: degree {n_max} needs (n + 1) l = {(n_max + 1) * l} dimensions; the "
-            f"discrete measure has (M/2) l + sum rank_k = {m_grid // 2} x {l} + {sum(ranks)} "
+            f"discrete measure has (M/2) l + sum rank_k = {half} x {l} + {sum(ranks)} "
             f"= {dims}, so degrees 0..{dims // l - 1}"
         )
-    offsets = np.cumsum([m_grid * l] + ranks)
+    offsets = np.cumsum([half * l] + ranks)
     spans = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
     width = (n_max + 1) * l
 
-    y = _mapped_buffer(int(offsets[-1]), width)
-    grid = y[: m_grid * l].reshape(m_grid, l, width)
-    grid[:, :, :l] = measure.weight_root
+    y = _mapped_buffer(dims, width)
+    grid = y[: half * l].reshape(half, l, width)
+    grid[:, :, :l] = measure.weight_roots[0]
     for s, rows in zip(states, spans):
         y[rows, :l] = s.root
     x_rows = np.concatenate(
-        [np.repeat(measure.x_nodes, l)] + [np.full(r, s.energy) for s, r in zip(states, ranks)]
+        [np.repeat(measure.x_nodes[:half], l)]
+        + [np.full(r, s.energy) for s, r in zip(states, ranks)]
     )[:, None]
     # the mass rows follow the grid rows; starts[k] is mass k's first one
-    starts = offsets[:-1] - m_grid * l
+    starts = offsets[:-1] - half * l
     live = np.ones(len(states), dtype=bool)
     dead = np.zeros(sum(ranks), dtype=bool)
 
@@ -352,23 +365,26 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
             raise LostPositivity(
                 f"stieltjes: step {n + 1}: Gram eigenvalue {lam[0]:.3e} below {tol.pos:.1e}; "
                 f"the discrete measure's resolution is M/2 + sum rank_k = "
-                f"{m_grid // 2} + {sum(ranks)} = {m_grid // 2 + sum(ranks)}"
+                f"{half} + {sum(ranks)} = {half + sum(ranks)}"
             )
+        try:
+            a_next = sqrt_from_eigh(lam, vec, tol)
+        except NegativeEigenvalue as err:
+            raise NegativeEigenvalue(f"stieltjes: step {n + 1}: Gram {err}") from None
         if treat:
             loss.reset(n, np.sqrt(lam[0]))
         loss.advance(n, np.sqrt(lam[-1]))
-        a_next = sqrt_from_eigh(lam, vec, tol)
         nxt = y[:, (n + 1) * l : (n + 2) * l]
         nxt[...] = _column_major(q, (vec / np.sqrt(lam)) @ vec.conj().T)
         if live.any():
-            mass = nxt[m_grid * l :]
+            mass = nxt[half * l :]
             amp = np.add.reduceat((mass.real**2 + mass.imag**2).sum(axis=1), starts)
             frozen = live & (amp < 1e-20)
             if frozen.any():
                 live &= ~frozen
                 dead = np.repeat(~live, ranks)
         if dead.any():
-            nxt[m_grid * l :][dead] = 0.0
+            nxt[half * l :][dead] = 0.0
         a_blocks[n] = a_next
         b_blocks[n] = b_next
 
@@ -418,12 +434,12 @@ def orthonormality_defect(seq: PolySequence, max_degree: int | None = None) -> f
     """max over 0 <= i <= j <= n of ||<<p_i, p_j>> - delta_ij I||, n the
     sequence's degree or max_degree if lower; below 0 raises ValidationError.
 
-    A plain Gram matrix of the whitened rows Q, whose Q_i* Q_j is
-    <<p_i, p_j>>; unitary sigma_k leave every block norm unchanged, so a
-    transformed sequence reads the same rows. Only the upper block
-    triangle is formed, in tiles of at most 64 columns summed over
-    chunks of whole nodes of rows: a tile and a chunk's conjugated rows
-    take at most 64 KB each.
+    A plain Gram matrix of the whitened rows Q, one node per distinct
+    abscissa (stieltjes), whose Q_i* Q_j is <<p_i, p_j>>; unitary sigma_k
+    leave every block norm unchanged, so a transformed sequence reads the
+    same rows. Only the upper block triangle is formed, in tiles of at
+    most 64 columns summed over chunks of whole nodes of rows: a tile and
+    a chunk's conjugated rows take at most 64 KB each.
     """
     n = seq.degree if max_degree is None else min(max_degree, seq.degree)
     if n < 0:
@@ -431,7 +447,7 @@ def orthonormality_defect(seq: PolySequence, max_degree: int | None = None) -> f
     y, l = seq._y, seq.measure.dim
     cols = (n + 1) * l
     width = max(1, 64 // l) * l
-    grid_rows, total = seq.measure.quad_order * l, y.shape[0]
+    grid_rows, total = seq.measure.quad_order // 2 * l, y.shape[0]
     step = max(1, (1 << 12) // (width * l)) * l
     bounds = list(range(0, grid_rows, step)) + list(range(grid_rows, total, step)) + [total]
     worst = 0.0
@@ -461,20 +477,22 @@ def recurrence_residual(seq: PolySequence) -> float:
     """sup-norm over grid nodes and degrees of the recurrence defect
     x p_n - p_{n+1} A_{n+1}^* - p_n B_{n+1} - p_{n-1} A_n.
 
-    c_m acts on the left and the blocks on the right, so the defect of
-    p_n is c_m^{-1} times the same defect of the whitened rows c_m p_n:
-    each degree's defect is formed on the rows and unwhitened once, and
-    no stack of values is held. A transformed sequence's blocks are
-    carried back to the buffer's frame (to_type inverted); its defect is
-    then the frame's times the unitary sigma_{n+1}, of the same norm.
+    The grid values are even in t, so the sup runs over the M/2 distinct
+    abscissae. c_m acts on the left and the blocks on the right, so the
+    defect of p_n is c_m^{-1} times the same defect of the whitened rows
+    c_m p_n: each degree's defect is formed on the rows and unwhitened
+    once, and no stack of values is held. A transformed sequence's
+    blocks are carried back to the buffer's frame (to_type inverted); its
+    defect is then the frame's times the unitary sigma_{n+1}, of the same
+    norm.
     """
     a, b, s = seq.jacobi.a, seq.jacobi.b, seq.sigma
     if s is not None:
         s_adj = s.conj().transpose(0, 2, 1)
         a, b = s[:-1] @ a @ s_adj[1:], s[:-1] @ b @ s_adj[:-1]
-    m_grid, l = seq.measure.quad_order, seq.measure.dim
-    rows, inv_root = seq._y[: m_grid * l], seq.measure.weight_roots[1]
-    x_rows = np.repeat(seq.measure.x_nodes, l)[:, None]
+    half, l = seq.measure.quad_order // 2, seq.measure.dim
+    rows, inv_root = seq._y[: half * l], seq.measure.weight_roots[1]
+    x_rows = np.repeat(seq.measure.x_nodes[:half], l)[:, None]
     worst = 0.0
     for n in range(seq.degree):
         q = rows[:, n * l : (n + 1) * l]
@@ -483,7 +501,7 @@ def recurrence_residual(seq: PolySequence) -> float:
         res -= _column_major(q, b[n])
         if n > 0:
             res -= _column_major(rows[:, (n - 1) * l : n * l], a[n - 1])
-        nodes = res.reshape(m_grid, l, l)
+        nodes = res.reshape(half, l, l)
         worst = max(worst, max_operator_norm(_node_product(inv_root, nodes, nodes)))
     return worst
 
@@ -504,6 +522,14 @@ def _positive_lq(m: np.ndarray, tol: Tolerances, degree: int) -> tuple[np.ndarra
     q1 = q0 * phases[None, :]
     r1 = np.conj(phases)[:, None] * r0
     return r1.conj().T, q1.conj().T
+
+
+def _polar_factor(m: np.ndarray, tol: Tolerances, degree: int) -> np.ndarray:
+    """The unitary U of m = U P (linalg.left_polar); m is from A_degree."""
+    try:
+        return left_polar(m, tol)[0]
+    except Singular as err:
+        raise Singular(f"to_type: degree {degree}: {err}") from None
 
 
 def to_type(
@@ -528,14 +554,12 @@ def to_type(
         cum = np.eye(l, dtype=complex)
         for k in range(n):
             cum = cum @ jacobi.a[k]
-            u, _ = left_polar(cum, tol)
-            sigma[k + 1] = u.conj().T
+            sigma[k + 1] = _polar_factor(cum, tol, k + 1).conj().T
     else:
         for k in range(n):
             m = sigma[k].conj().T @ jacobi.a[k]
             if target == "type1":
-                u, _ = left_polar(m, tol)
-                sigma[k + 1] = u.conj().T
+                sigma[k + 1] = _polar_factor(m, tol, k + 1).conj().T
             else:  # type3
                 _, qu = _positive_lq(m, tol, k + 1)
                 sigma[k + 1] = qu.conj().T

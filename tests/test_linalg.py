@@ -246,6 +246,38 @@ def thresholds(values):
     return out + [0.0, np.inf, np.nan]
 
 
+def tie(a, how, rng):
+    """a with its blocks tied in Frobenius norm: "phases" puts the top block
+    everywhere under random unit phases (equal norms, distinct bytes),
+    "repeat" copies a few blocks over the others (equal bytes), and
+    "quantize" rounds every entry to an eighth of the largest one."""
+    if how == "phases":
+        top = a[np.argmax(np.abs(a).reshape(len(a), -1).max(axis=1))]
+        return np.exp(2j * np.pi * rng.random(len(a)))[:, None, None] * top
+    if how == "repeat":
+        return a[rng.integers(0, min(3, len(a)), len(a))]
+    q = np.max(np.abs(a)) / 8.0
+    return np.round(a.real / q) * q + 1j * np.round(a.imag / q) * q
+
+
+class TestMaxOperatorNormProperty:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(stacks(), st.sampled_from(["as_drawn", "phases", "repeat", "quantize"]),
+           st.integers(0, 2**32 - 1))
+    def test_equals_the_full_batch_maximum(self, a, how, seed):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if how != "as_drawn":
+                a = tie(np.concatenate([a] * 4), how, np.random.default_rng(seed))
+            try:
+                full = np.max(operator_norm(a))
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    max_operator_norm(a)
+                return
+            got = max_operator_norm(a)
+        assert got == full or (np.isnan(got) and np.isnan(full))
+
+
 class TestBracketedNorm:
     @settings(max_examples=250, derandomize=True, deadline=None)
     @given(stacks(), stacks())

@@ -325,9 +325,14 @@ class TestInnerProduct:
 
     def test_whitening_roots_rebuild_the_weights(self, table_measure):
         mu = table_measure
-        c = mu.weight_root
+        # one root per mirror pair t_m, t_{M-1-m} = -t_m, of the pair's weight
+        c, inverse = mu.weight_roots
+        half = mu.quad_order // 2
+        assert c.shape == inverse.shape == (half, 3, 3)
+        w = mu.weight.values
         gram = c.conj().transpose(0, 2, 1) @ c
-        assert float(np.max(np.abs(gram * mu.quad_order - mu.weight.values))) < 1e-13
+        assert float(np.max(np.abs(gram * mu.quad_order - (w[:half] + w[::-1][:half])))) < 1e-13
+        assert float(np.max(np.abs(inverse @ c - np.eye(3)))) < 1e-13
         for s in mu.bound_states:
             assert s.root.shape == (s.multiplicity, 3)
             assert float(np.max(np.abs(s.root.conj().T @ s.root - s.weight))) < 1e-15

@@ -13,6 +13,7 @@ from matszego.errors import (
     DimensionMismatch,
     LostOrthogonality,
     LostPositivity,
+    NegativeEigenvalue,
     NotHermitian,
     RadiusExceeded,
     Singular,
@@ -119,6 +120,33 @@ class TestStageNamedErrors:
             match=r"^stieltjes: step 1: B block defect .* above 1e-8 x max\(1, \|\|B\|\|\) = ",
         ):
             stieltjes(tilted, 3)
+
+    def test_negative_gram_eigenvalue_names_its_step(self, semicircle_measure, monkeypatch):
+        # only reachable when tol.pos <= 0 lets a negative Gram eigenvalue
+        # past the positivity test; shift every eigenvalue down by 2
+        gram_eigh = polynomials._gram_eigh
+
+        def shifted(q):
+            lam, vec = gram_eigh(q)
+            return lam - 2.0, vec
+
+        monkeypatch.setattr(polynomials, "_gram_eigh", shifted)
+        with pytest.raises(
+            NegativeEigenvalue,
+            match=r"^stieltjes: step 1: Gram eigenvalue -1\.000e\+00 below -1\.0e-10$",
+        ):
+            stieltjes(semicircle_measure, 3, Tolerances(pos=-np.inf))
+
+    @pytest.mark.parametrize("target", ["type1", "type2"])
+    def test_polar_names_the_singular_degree(self, target):
+        a = np.array([np.eye(2), np.diag([1.0, 0.0])], dtype=complex)
+        jac = BlockJacobi(a=a, b=np.zeros_like(a), norm_type="type1")
+        with pytest.raises(
+            Singular,
+            match=r"^to_type: degree 2: smallest singular value 0\.000e\+00 at or below "
+            r"tol\.sing_rel x largest = 1\.000e-12$",
+        ):
+            to_type(jac, target)
 
     def test_type3_names_the_singular_degree(self):
         a = np.array([np.eye(2), np.diag([1.0, 0.0])], dtype=complex)
@@ -303,15 +331,17 @@ def deep_measure():
 class TestMemory:
     def test_peak_stays_near_the_returned_values(self, deep_measure):
         # the buffer is the output and is mapped outside malloc, where
-        # tracemalloc does not see it, so a copy of the basis (13 MB) or of
-        # a window (4 MB) would show
+        # tracemalloc does not see it, so a copy of the basis (6.6 MB) or of
+        # a window (2 MB) would show; the peak is about 400 KB, 3% of the
+        # 13 MB of values, and a buffer with a row per grid node peaks near
+        # 700 KB
         tracemalloc.start()
         try:
             seq = stieltjes(deep_measure, 100)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 0.25 * grid_values(seq).nbytes
+        assert peak <= 0.04 * grid_values(seq).nbytes
 
     def test_values_live_in_their_own_mapping(self, deep_measure):
         # a heap block would stay resident after the sequence is dropped
@@ -335,7 +365,8 @@ class TestMemory:
 
     def test_defect_never_stacks_the_whole_grid(self, deep_measure):
         # the values are 13 MB and the window's weighted stack (M, l, 31 l)
-        # would be 4 MB; the node chunks keep the peak at the Gram matrix
+        # would be 4 MB; the node chunks keep the peak at the Gram tiles,
+        # about 250 KB whatever the number of rows
         seq = stieltjes(deep_measure, 100)
         assert grid_values(seq).nbytes > 13e6
         tracemalloc.start()
@@ -344,12 +375,12 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
+        assert peak < 320e3
 
     def test_residual_holds_no_stack_of_values(self, deep_measure):
-        # one degree's (M l, l) defect is 131 KB and the residual peaks
-        # near 670 KB; three unwhitened degrees reach about 1 MB and the
-        # in-place full read of the values about 760 KB
+        # one degree's (M/2 l, l) defect is 66 KB and the residual peaks
+        # near 340 KB; with a row per grid node it peaks near 675 KB, and
+        # three unwhitened degrees of all M nodes reach about 1 MB
         seq = stieltjes(deep_measure, 100)
         tracemalloc.start()
         try:
@@ -357,7 +388,7 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 720e3
+        assert peak < 500e3
 
 
 class TestHighDegree:
@@ -493,13 +524,25 @@ def _residual_reference(seq):
 
 
 @pytest.fixture(scope="module")
-def residual_cases(shipped_measures, deep_measure):
-    """Sequences at n = 100: the shipped specs, and the recurrence benchmark's
-    shapes, the 4x4 deep_measure and the 2x2 rank-one mass at M = 512,
-    each also in type 2."""
+def deep_shapes(deep_measure):
+    """The recurrence benchmark's three shapes at M = 512: the 4x4
+    deep_measure, the 2x2 semicircle with a rank-one mass and the 2x2
+    conjugated semicircle-arcsine pair."""
     w = np.array([[0.072, -0.096j], [0.096j, 0.128]])
-    measures = dict(shipped_measures, deep_measure=deep_measure,
-                    mass_2_m512=make_measure(SemicircleDensity(2), [(2.5, w)], quad_order=512))
+    pair = ConjugatedDiagonalDensity([SemicircleDensity(1), ArcsineDensity(1)],
+                                     unitary=np.array([[0.6, 0.8j], [0.8j, 0.6]]))
+    return {
+        "deep_measure": deep_measure,
+        "mass_2_m512": make_measure(SemicircleDensity(2), [(2.5, w)], quad_order=512),
+        "conjugated_2_m512": make_measure(pair, quad_order=512, normalize="strict"),
+    }
+
+
+@pytest.fixture(scope="module")
+def residual_cases(shipped_measures, deep_shapes):
+    """Sequences at n = 100: the shipped specs and the recurrence
+    benchmark's shapes (deep_shapes), each of these also in type 2."""
+    measures = dict(shipped_measures, **deep_shapes)
     out = {}
     for name, mu in measures.items():
         seq = stieltjes(mu, 100)
@@ -534,6 +577,102 @@ class TestReadsLeaveTheBuffer:
         assert [orthonormality_defect(seq) for seq in seqs] == before
 
 
+def _unfolded_lanczos(mu, n):
+    """Type-1 blocks A_1..A_n, B_1..B_n of mu's discrete inner product by a
+    block Lanczos on the full grid, re-orthogonalized at every step.
+
+    Each of the M nodes is its own l rows c_m p(x_m), with
+    c_m* c_m = w(t_m) / M from that node's eigendecomposition, and each
+    mass its rank_k rows R_k p(E_k). Each new block is orthogonalized
+    twice against all earlier ones and normalized by the Hermitian square
+    root of its Gram matrix (the type-1 choice).
+    """
+    l, m = mu.dim, mu.quad_order
+    lam, vec = np.linalg.eigh(mu.weight.values)
+    roots = [(np.sqrt(lam / m)[:, :, None] * vec.conj().transpose(0, 2, 1)).reshape(m * l, l)]
+    roots += [s.root for s in mu.bound_states]
+    x = np.concatenate([np.repeat(mu.x_nodes, l)]
+                       + [np.full(s.root.shape[0], s.energy) for s in mu.bound_states])[:, None]
+    q = np.zeros((x.shape[0], (n + 1) * l), dtype=complex)
+    q[:, :l] = np.concatenate(roots)
+    a, b = np.empty((n, l, l), complex), np.empty((n, l, l), complex)
+    for k in range(n):
+        cur = q[:, k * l : (k + 1) * l]
+        r = x * cur
+        g = cur.conj().T @ r
+        b[k] = 0.5 * (g + g.conj().T)
+        r -= cur @ b[k]
+        if k > 0:
+            r -= q[:, (k - 1) * l : k * l] @ a[k - 1]
+        basis = q[:, : (k + 1) * l]
+        for _ in range(2):
+            r -= basis @ (r.conj().T @ basis).conj().T
+        g = r.conj().T @ r
+        lam, vec = np.linalg.eigh(0.5 * (g + g.conj().T))
+        a[k] = (vec * np.sqrt(lam)) @ vec.conj().T
+        q[:, (k + 1) * l : (k + 2) * l] = r @ ((vec / np.sqrt(lam)) @ vec.conj().T)
+    return a, b
+
+
+def _gram_reference(seq):
+    """max over i <= j of ||<<p_i, p_j>> - delta_ij I|| from every degree's
+    values at all M nodes, each weighted by w(t_m) / M (inner_product)."""
+    mu, l, n = seq.measure, seq.measure.dim, seq.degree
+    cols = (n + 1) * l
+    fv = grid_values(seq).transpose(1, 2, 0, 3).reshape(mu.quad_order, l, cols)
+    fe = seq.mass_values.transpose(1, 2, 0, 3).reshape(len(mu.bound_states), l, cols)
+    gram = inner_product(mu, fv, fe, fv, fe) - np.eye(cols)
+    blocks = gram.reshape(n + 1, l, n + 1, l).transpose(0, 2, 1, 3)
+    i, j = np.triu_indices(n + 1)
+    return max_operator_norm(blocks[i, j])
+
+
+class TestFoldedGrid:
+    """The recurrence runs on the M/2 distinct abscissae of the midpoint grid."""
+
+    def test_buffer_rows_are_the_resolution(self, shipped_measures, deep_shapes):
+        for name, mu in dict(shipped_measures, **deep_shapes).items():
+            ranks = sum(s.root.shape[0] for s in mu.bound_states)
+            seq = stieltjes(mu, 3)
+            assert seq._y.shape == (mu.quad_order // 2 * mu.dim + ranks, 4 * mu.dim), name
+
+    def test_blocks_match_an_unfolded_lanczos(self, residual_cases):
+        for name, seq in residual_cases.items():
+            if name.endswith("-type2"):
+                continue
+            a, b = _unfolded_lanczos(seq.measure, seq.degree)
+            assert float(np.max(np.abs(seq.jacobi.a - a))) <= 1e-12, name
+            assert float(np.max(np.abs(seq.jacobi.b - b))) <= 1e-12, name
+
+    def test_values_are_mirror_equal_bitwise(self, residual_cases):
+        for name in ("matrix_semicircle_mass", "deep_measure", "deep_measure-type2",
+                     "mass_2_m512-type2"):
+            seq = residual_cases[name]
+            for n in (0, 1, 37, seq.degree):
+                v = seq.grid_at(n)
+                assert v.tobytes() == v[::-1].tobytes(), (name, n)
+
+    def test_gram_defect_matches_the_unfolded_formula(self, residual_cases):
+        for name, seq in residual_cases.items():
+            got, ref = orthonormality_defect(seq), _gram_reference(seq)
+            assert got <= 1e-9 and abs(got - ref) <= 1e-12, name
+
+    def test_tied_residual_takes_few_svds(self, shipped_measures, monkeypatch):
+        # the degree-0 defect of the free semicircle is at rounding level,
+        # and 3,072 of its 4,096 blocks tie at the top Frobenius norm
+        seq = stieltjes(shipped_measures["free_semicircle"], 1)
+        blocks = []
+        svd = np.linalg.svd
+
+        def spy_svd(a, *args, **kwargs):
+            blocks.append(int(np.prod(np.shape(a)[:-2])))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy_svd)
+        assert recurrence_residual(seq) <= 1e-14
+        assert sum(blocks) <= 4
+
+
 def _lazy_measure(l, live):
     """Table weight on 64 nodes with a far mass, frozen by degree 16, and
     with live=True a near-band mass still live at degree 16."""
@@ -565,14 +704,17 @@ class TestLazyValues:
     @pytest.fixture(scope="class", params=[(l, live) for l in (1, 2, 4, 8) for live in (False, True)],
                     ids=lambda p: f"l{p[0]}-{'live' if p[1] else 'frozen'}")
     def case(self, request):
-        """(measure, eager values per type, transforms): every grid row
+        """(measure, eager values per type, transforms): every node row
         unwhitened by one full-width node product right after the
-        recurrence, and each transform rotating every degree at once."""
+        recurrence and mirrored onto the other half of the grid, and each
+        transform rotating every degree at once."""
         l, live = request.param
         mu = _lazy_measure(l, live)
         seq = stieltjes(mu, LAZY_DEGREE)
-        rows = seq._y[: mu.quad_order * l].reshape(mu.quad_order, l, -1)
+        half = mu.quad_order // 2
+        rows = seq._y[: half * l].reshape(half, l, -1)
         full = polynomials._node_product(mu.weight_roots[1], rows, np.empty(rows.shape, complex))
+        full = np.concatenate([full, full[::-1]])
         grid = full.reshape(mu.quad_order, l, LAZY_DEGREE + 1, l).transpose(2, 0, 1, 3)
         mass = seq.mass_values
         assert np.any(mass[-1, -1] != 0) == live and not np.any(mass[-1, 0])
