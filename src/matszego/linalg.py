@@ -129,20 +129,13 @@ def _norm_candidates(a: np.ndarray) -> np.ndarray | None:
     return a[fro >= floor]
 
 
-# Stacks at most this long go to their SVD without a search for repeats.
-_DISTINCT_MIN = 8
-
-
 def _distinct(blocks: np.ndarray) -> np.ndarray:
     """One copy of each bitwise-distinct block of an (N, m, n) stack.
 
     LAPACK returns the same floats for the same input, so equal blocks
     need one SVD between them. Rounding-level residuals are quantized and
-    repeat many times; a short stack is returned as it is, since sorting
-    it costs more than its SVDs.
+    repeat many times.
     """
-    if blocks.shape[0] <= _DISTINCT_MIN:
-        return blocks
     rows = np.ascontiguousarray(blocks).reshape(blocks.shape[0], -1)
     keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
     return blocks[np.unique(keys, return_index=True)[1]]

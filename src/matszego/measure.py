@@ -235,6 +235,32 @@ def mass_condition_sums(measure: "MatrixMeasure") -> tuple[float, float]:
 
 
 @dataclasses.dataclass(frozen=True)
+class GridFold:
+    """The midpoint grid folded onto its M/2 distinct abscissae.
+
+    The grid pairs t_m with t_{M-1-m} = -t_m, where x = 2 cos t and
+    w(t) are equal, so x holds x_m for m < M/2 (t_m < 0), the grid's
+    first M/2 nodes, and each carries the pair's weight: root is the
+    whitening c_m = Lambda^{1/2} U* / sqrt(M) with U Lambda U* =
+    w(t_m) + w(t_{M-1-m}), so c_m* c_m is the pair's weight over M, and
+    inverse is c_m^{-1} = U Lambda^{-1/2} sqrt(M). The grid part of the
+    inner product is then a plain sum of (c_m f(x_m))* (c_m g(x_m)) over
+    m < M/2. Shapes (M/2,) and (M/2, l, l).
+    """
+
+    x: np.ndarray
+    root: np.ndarray
+    inverse: np.ndarray
+
+    def unfold(self, nodes: np.ndarray) -> np.ndarray:
+        """nodes, an (M, ...) stack with its first M/2 entries set at x,
+        with each copied in place to its mirror node M-1-m."""
+        half = self.x.shape[0]
+        nodes[half:] = nodes[:half][::-1]
+        return nodes
+
+
+@dataclasses.dataclass(frozen=True)
 class MatrixMeasure:
     """A validated, normalized measure sampled on its quadrature grid.
 
@@ -259,35 +285,29 @@ class MatrixMeasure:
         return np.stack([s.weight for s in self.bound_states])
 
     @functools.cached_property
-    def weight_roots(self) -> tuple[np.ndarray, np.ndarray]:
-        """The whitening c_m = Lambda^{1/2} U* / sqrt(M) of the M/2
-        distinct abscissae x_m, m < M/2, and its inverse
-        c_m^{-1} = U Lambda^{-1/2} sqrt(M), shapes (M/2, l, l).
+    def grid_fold(self) -> GridFold:
+        """The grid folded onto its M/2 distinct abscissae (GridFold).
 
-        The grid pairs t_m with t_{M-1-m} = -t_m, where x and w are equal,
-        so x_m for m < M/2 (t_m < 0) are the distinct abscissae, and each
-        carries the pair's weight: U Lambda U* = w(t_m) + w(t_{M-1-m}) and
-        c_m* c_m = (w(t_m) + w(t_{M-1-m})) / M. The grid part of the inner
-        product is then a plain sum of (c_m f(x_m))* (c_m g(x_m)) over
-        m < M/2. Both come from one eigendecomposition per pair, computed
-        once, on first use by the recurrence, so commands that never run
-        it skip them. Every one of the M nodes is tested, not only the pair
-        sums: a node whose weight has an eigenvalue <= 0 raises rather than
-        being clipped.
+        One eigendecomposition per mirror pair, computed once, on first
+        use by the recurrence, so commands that never run it skip them.
+        make_measure has checked every node's weight positive definite; a
+        pair sum that still loses an eigenvalue to rounding raises rather
+        than being clipped.
         """
-        w = self.weight.values
-        lam_min = np.linalg.eigvalsh(w)[:, 0].min()
-        if lam_min <= 0.0:
-            raise ValidationError(
-                f"Szego condition fails: w(t) has eigenvalue {lam_min:.3e} at a node"
-            )
-        half = self.quad_order // 2
+        w, half = self.weight.values, self.quad_order // 2
         lam, vec = np.linalg.eigh(w[:half] + w[: half - 1 : -1])
+        if lam[:, 0].min() <= 0.0:
+            raise _szego_failure(lam[:, 0].min())
         root = np.sqrt(lam / self.quad_order)[:, :, None] * vec.conj().transpose(0, 2, 1)
         inverse = vec * np.sqrt(self.quad_order / lam)[:, None, :]
-        root.setflags(write=False)
-        inverse.setflags(write=False)
-        return root, inverse
+        x = self.x_nodes[:half].copy()
+        for a in (x, root, inverse):
+            a.setflags(write=False)
+        return GridFold(x=x, root=root, inverse=inverse)
+
+
+def _szego_failure(lam_min: float) -> ValidationError:
+    return ValidationError(f"Szego condition fails: w(t) has eigenvalue {lam_min:.3e} at a node")
 
 
 def _mass_root(w: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -379,13 +399,15 @@ def make_measure(
         if defect > tol.norm:
             raise ValidationError(f"auto-normalization left defect {defect:.3e}")
 
-    # Hermitize the grid weight and check the Szego condition node-wise
+    # Hermitize the grid weight and check the Szego condition node-wise:
+    # a node's Cholesky factor exists exactly when its weight is positive
+    # definite, at a fraction of eigvalsh's cost, which runs only to
+    # report a failure
     w_ac = 0.5 * (w_ac + w_ac.conj().transpose(0, 2, 1))
-    dets = np.linalg.det(w_ac).real
-    if dets.min() <= 0.0:
-        raise ValidationError(
-            f"Szego condition fails: det w(t) = {dets.min():.3e} at a node"
-        )
+    try:
+        np.linalg.cholesky(w_ac)
+    except np.linalg.LinAlgError:
+        raise _szego_failure(np.linalg.eigvalsh(w_ac)[:, 0].min()) from None
 
     states = []
     for e, w in clean_masses:

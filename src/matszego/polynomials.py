@@ -146,20 +146,20 @@ class PolySequence:
     def grid_at(self, n: int) -> np.ndarray:
         """p_n at the x-nodes, shape (M, l, l).
 
-        The M/2 node rows are unwhitened (and rotated) into the first half,
-        which is then mirrored: out[M-1-m] is out[m] bitwise, since x is
-        even in t.
+        The rows of the M/2 distinct abscissae are unwhitened (and
+        rotated) and unfolded onto the grid (measure.GridFold.unfold), so
+        out[M-1-m] is out[m] bitwise, since x is even in t.
         """
         if not 0 <= n <= self.degree:
             raise DimensionMismatch(f"degree {n} outside 0..{self.degree}")
-        half, l = self.measure.quad_order // 2, self.measure.dim
+        fold, l = self.measure.grid_fold, self.measure.dim
+        half = fold.x.shape[0]
         cols = self._y[: half * l].reshape(half, l, self._y.shape[1])[:, :, n * l : (n + 1) * l]
         out = np.empty((2 * half, l, l), dtype=complex)
-        vals = _node_product(self.measure.weight_roots[1], cols, out[:half])
+        vals = _node_product(fold.inverse, cols, out[:half])
         if self.sigma is not None:
             vals[...] = np.einsum("kmij,kjl->kmil", vals[None], self.sigma[n : n + 1])[0]
-        out[half:] = vals[::-1]
-        return out
+        return fold.unfold(out)
 
     @property
     def mass_values(self) -> np.ndarray:
@@ -246,7 +246,7 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     midpoint grid's M nodes come in mirror pairs t, -t with the same
     abscissa and weight (to rounding), so the discrete measure has M/2
     distinct abscissae x_m, m < M/2. Each contributes the l rows c_m p_n(x_m),
-    with c_m* c_m = (w(t_m) + w(t_{M-1-m}))/M (measure.weight_roots), and
+    with c_m* c_m = (w(t_m) + w(t_{M-1-m}))/M (measure.GridFold), and
     each mass the rank_k rows R_k p_n(E_k), with R_k the rank-truncated
     root of its weight (BoundState.root). The inner product is then the
     plain sum over rows, and since the recurrence multiplies by blocks on
@@ -302,8 +302,8 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     pinv(R_k) R_k p_n(E_k), the values projected onto the range of the
     weight.
     """
-    l = measure.dim
-    half = measure.quad_order // 2
+    l, fold = measure.dim, measure.grid_fold
+    half = fold.x.shape[0]
     states = measure.bound_states
     ranks = [s.root.shape[0] for s in states]
     dims = half * l + sum(ranks)
@@ -319,11 +319,11 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
 
     y = _mapped_buffer(dims, width)
     grid = y[: half * l].reshape(half, l, width)
-    grid[:, :, :l] = measure.weight_roots[0]
+    grid[:, :, :l] = fold.root
     for s, rows in zip(states, spans):
         y[rows, :l] = s.root
     x_rows = np.concatenate(
-        [np.repeat(measure.x_nodes[:half], l)]
+        [np.repeat(fold.x, l)]
         + [np.full(r, s.energy) for s, r in zip(states, ranks)]
     )[:, None]
     # the mass rows follow the grid rows; starts[k] is mass k's first one
@@ -447,7 +447,7 @@ def orthonormality_defect(seq: PolySequence, max_degree: int | None = None) -> f
     y, l = seq._y, seq.measure.dim
     cols = (n + 1) * l
     width = max(1, 64 // l) * l
-    grid_rows, total = seq.measure.quad_order // 2 * l, y.shape[0]
+    grid_rows, total = seq.measure.grid_fold.x.shape[0] * l, y.shape[0]
     step = max(1, (1 << 12) // (width * l)) * l
     bounds = list(range(0, grid_rows, step)) + list(range(grid_rows, total, step)) + [total]
     worst = 0.0
@@ -490,9 +490,10 @@ def recurrence_residual(seq: PolySequence) -> float:
     if s is not None:
         s_adj = s.conj().transpose(0, 2, 1)
         a, b = s[:-1] @ a @ s_adj[1:], s[:-1] @ b @ s_adj[:-1]
-    half, l = seq.measure.quad_order // 2, seq.measure.dim
-    rows, inv_root = seq._y[: half * l], seq.measure.weight_roots[1]
-    x_rows = np.repeat(seq.measure.x_nodes[:half], l)[:, None]
+    fold, l = seq.measure.grid_fold, seq.measure.dim
+    half = fold.x.shape[0]
+    rows, inv_root = seq._y[: half * l], fold.inverse
+    x_rows = np.repeat(fold.x, l)[:, None]
     worst = 0.0
     for n in range(seq.degree):
         q = rows[:, n * l : (n + 1) * l]

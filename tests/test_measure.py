@@ -30,6 +30,15 @@ def integrate(f, g, mu):
     return inner_product(mu, f(x), f(e), g(x), g(e))
 
 
+class FlippedDensity(SemicircleDensity):
+    """The semicircle with its sign flipped at one mirror pair of nodes."""
+
+    def sample(self, order):
+        f = super().sample(order)
+        f[[order // 4, order - 1 - order // 4]] *= -1.0
+        return f
+
+
 class TestConstruction:
     def test_semicircle_total_mass(self, semicircle_measure):
         total = integrate(ID, ID, semicircle_measure)
@@ -101,6 +110,12 @@ class TestConstruction:
                 masses=[(2.5, np.array([[-0.1]]))],
                 quad_order=256,
             )
+
+    def test_weight_with_two_negative_eigenvalues_rejected(self):
+        # det w > 0 at the flipped nodes, so only a test of definiteness sees them
+        with pytest.raises(ValidationError,
+                           match=r"^Szego condition fails: w\(t\) has eigenvalue -\d"):
+            make_measure(FlippedDensity(2), quad_order=256, normalize="auto")
 
     def test_weight_grid_is_symmetric_hermitian(self, shipped_measures):
         for mu in shipped_measures.values():
@@ -326,13 +341,19 @@ class TestInnerProduct:
     def test_whitening_roots_rebuild_the_weights(self, table_measure):
         mu = table_measure
         # one root per mirror pair t_m, t_{M-1-m} = -t_m, of the pair's weight
-        c, inverse = mu.weight_roots
+        fold = mu.grid_fold
+        c, inverse = fold.root, fold.inverse
         half = mu.quad_order // 2
         assert c.shape == inverse.shape == (half, 3, 3)
+        assert np.array_equal(fold.x, mu.x_nodes[:half])
+        assert float(np.max(np.abs(fold.x - mu.x_nodes[::-1][:half]))) < 1e-13
         w = mu.weight.values
         gram = c.conj().transpose(0, 2, 1) @ c
         assert float(np.max(np.abs(gram * mu.quad_order - (w[:half] + w[::-1][:half])))) < 1e-13
         assert float(np.max(np.abs(inverse @ c - np.eye(3)))) < 1e-13
+        nodes = np.zeros((mu.quad_order, 2))
+        nodes[:half] = np.arange(2 * half).reshape(half, 2)
+        assert np.array_equal(fold.unfold(nodes), np.concatenate([nodes[:half], nodes[:half][::-1]]))
         for s in mu.bound_states:
             assert s.root.shape == (s.multiplicity, 3)
             assert float(np.max(np.abs(s.root.conj().T @ s.root - s.weight))) < 1e-15

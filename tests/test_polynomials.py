@@ -713,7 +713,7 @@ class TestLazyValues:
         seq = stieltjes(mu, LAZY_DEGREE)
         half = mu.quad_order // 2
         rows = seq._y[: half * l].reshape(half, l, -1)
-        full = polynomials._node_product(mu.weight_roots[1], rows, np.empty(rows.shape, complex))
+        full = polynomials._node_product(mu.grid_fold.inverse, rows, np.empty(rows.shape, complex))
         full = np.concatenate([full, full[::-1]])
         grid = full.reshape(mu.quad_order, l, LAZY_DEGREE + 1, l).transpose(2, 0, 1, 3)
         mass = seq.mass_values
