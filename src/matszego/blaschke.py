@@ -157,10 +157,6 @@ class ElementaryFactor:
     rank: int
     unitary: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.unitary.shape[0]
-
     def scalar(self, z) -> np.ndarray:
         """The scalar Blaschke function b(z), positive at the origin."""
         z_arr = np.asarray(z, dtype=complex)

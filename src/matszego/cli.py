@@ -452,7 +452,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        tol, overrides = tolerances.from_environment(tolerances.DEFAULT)
+        tol, overrides = tolerances.from_environment()
         try:
             text = pathlib.Path(args.spec).read_text()
         except OSError as exc:

@@ -52,10 +52,6 @@ class LimitFunction:
     value0: np.ndarray
     kernel_angles: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.frame.shape[0]
-
     def disk_points(self, radius: float, angle_count: int = 24) -> np.ndarray:
         """disk_grid(radius, angle_count) without the points at the mass poles."""
         pts = disk_grid(radius, angle_count)
@@ -229,7 +225,7 @@ def verify_masses(
     out = np.zeros(len(n_values))
     if not mu.bound_states:
         return out, 0.0
-    weights = np.stack([s.weight for s in mu.bound_states])
+    weights = mu.mass_weights
     for i, n in enumerate(n_values):
         vals = pseq2.mass_values[n]
         total = np.einsum("jki,jkl,jlm->im", vals.conj(), weights, vals)

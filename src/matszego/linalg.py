@@ -109,26 +109,6 @@ def _frobenius_top(a: np.ndarray) -> tuple[np.ndarray, float | None]:
     return fro, top
 
 
-def _norm_candidates(a: np.ndarray) -> np.ndarray | None:
-    """The blocks of a stack that can hold its largest operator norm (a
-    copy), a itself when they cannot be told, or None when every entry is
-    exactly zero.
-
-    A block's operator norm is at least its Frobenius norm over
-    sqrt(min(m, n)), so blocks whose Frobenius norm falls below that bound
-    for the largest one are dropped; the margin covers rounding in both
-    norms. Where the Frobenius norms are unreliable (non-finite entries,
-    overflowing or underflowing squares) every block is kept.
-    """
-    fro, top = _frobenius_top(a)
-    if top == 0.0:
-        return None
-    if top is None:
-        return a
-    floor = (1.0 - _BRACKET_MARGIN) * top / math.sqrt(min(a.shape[-2:]))
-    return a[fro >= floor]
-
-
 def _distinct(blocks: np.ndarray) -> np.ndarray:
     """One copy of each bitwise-distinct block of an (N, m, n) stack.
 
@@ -141,62 +121,68 @@ def _distinct(blocks: np.ndarray) -> np.ndarray:
     return blocks[np.unique(keys, return_index=True)[1]]
 
 
-def max_operator_norm(a: np.ndarray) -> float:
-    """np.max(operator_norm(a)), with SVDs only on blocks that can hold it.
+def _max_norm(a: np.ndarray, norms) -> float:
+    """np.max(norms(a)) for a matrix or a stack, with norms run only on the
+    blocks that can hold the maximum; norms maps a block or a stack to
+    operator norms.
 
     The block of largest Frobenius norm is decomposed first, giving s.
     Since ||A||_2 <= ||A||_F, only blocks whose Frobenius norm is at least
     s (1 - margin) can exceed it, the margin covering rounding in both
     norms, and of those one copy of each distinct block (_distinct) is
     decomposed. Same float as the full batch. A stack of exact zeros
-    returns 0.0, the float its SVD gives, without one, and a stack whose
-    Frobenius norms are unreliable (_frobenius_top) is decomposed whole;
-    an empty batch raises like the full batch. A single matrix goes to its
-    SVD directly.
+    returns 0.0, the float its decomposition gives, without one, and a
+    stack whose Frobenius norms are unreliable (_frobenius_top) is
+    decomposed whole; an empty batch raises ValueError. A single matrix
+    goes to norms directly.
     """
     a = np.asarray(a)
     if a.ndim < 2:
-        raise DimensionMismatch("max_operator_norm needs a matrix")
+        raise DimensionMismatch(f"expected a matrix or a stack, got shape {a.shape}")
     if a.ndim == 2:
-        return float(operator_norm(a))
+        return float(norms(a))
     fro, top = _frobenius_top(a)
     if top == 0.0:
         return 0.0
     if top is None:
-        return float(np.max(operator_norm(a)))
+        return float(np.max(norms(a)))
     blocks, fro = a.reshape((-1,) + a.shape[-2:]), fro.reshape(-1)
     first = int(np.argmax(fro))
-    s = float(operator_norm(blocks[first]))
+    s = float(norms(blocks[first]))
     rest = fro >= (1.0 - _BRACKET_MARGIN) * s
     rest[first] = False
     if rest.any():
-        s = max(s, float(np.max(operator_norm(_distinct(blocks[rest])))))
+        s = max(s, float(np.max(norms(_distinct(blocks[rest])))))
     return s
+
+
+def max_operator_norm(a: np.ndarray) -> float:
+    """np.max(operator_norm(a)) over a matrix or a stack, with SVDs only on
+    the blocks that can hold it (_max_norm)."""
+    return _max_norm(a, operator_norm)
+
+
+def _hermitian_norms(a: np.ndarray) -> np.ndarray:
+    """Largest |eigenvalue| per Hermitian block; LinAlgError on non-finite
+    entries, which eigvalsh may answer with finite eigenvalues (it never
+    reads the upper triangle)."""
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("max_hermitian_norm: non-finite entries")
+    lam = np.linalg.eigvalsh(a)  # ascending: the largest |lam| is at an end
+    return np.maximum(lam[..., -1], -lam[..., 0])
 
 
 def max_hermitian_norm(a: np.ndarray) -> float:
     """Largest operator norm in a stack of Hermitian blocks: the largest
-    |eigenvalue| over the blocks that can hold it (_norm_candidates).
+    |eigenvalue|, over the blocks that can hold it (_max_norm).
 
     eigvalsh reads the lower triangle only, and costs about half an SVD;
     for blocks Hermitian to rounding the float agrees with
     max_operator_norm to the last few bits. A stack of exact zeros
-    returns 0.0; an empty batch raises. Non-finite entries raise
-    LinAlgError: eigvalsh may return finite eigenvalues for a block with
-    a NaN, and never reads the upper triangle.
+    returns 0.0; an empty batch raises; non-finite entries raise
+    LinAlgError.
     """
-    a = np.asarray(a)
-    if a.ndim < 2:
-        raise DimensionMismatch("max_hermitian_norm needs a matrix")
-    blocks = _norm_candidates(a)
-    if blocks is None:
-        return 0.0
-    # finite Frobenius norms, the filtered case, imply finite entries: only
-    # the unfiltered stack needs the check
-    if blocks is a and not np.isfinite(a).all():
-        raise np.linalg.LinAlgError("max_hermitian_norm: non-finite entries")
-    lam = np.linalg.eigvalsh(blocks)  # ascending: the largest |lam| is at an end
-    return float(max(lam[..., -1].max(), -lam[..., 0].min()))
+    return _max_norm(a, _hermitian_norms)
 
 
 class BracketedNorm:

@@ -27,9 +27,11 @@ comes from the transpose trick: run them on v = w^T (entrywise
 transpose, no conjugation) and transpose the coefficients back, since
 (psi^T)* (psi^T) = (psi psi*)^T = v^T = w.
 
-Restriction: the weight must be positive definite at every node with
-det w above a floor (node-level strictness in place of an a.e.
-integrability hypothesis); weights failing it are rejected.
+Restriction: the weight must be positive definite at every node
+(node-level strictness in place of an a.e. integrability hypothesis);
+weights failing it are rejected. det w itself may be tiny: at the edge
+nodes of a weight vanishing at t = 0 and pi it is of order (2 sin^2(pi/M))^k
+for k vanishing channels, and such weights factor to rounding.
 
 Products of a grid stack with constant matrices (the rotation into the
 probes' joint eigenbasis, the edge factors E, the phase Omega that makes
@@ -182,9 +184,7 @@ def _probes(values: np.ndarray) -> np.ndarray:
     stacked as (2, l, l) and summed by one GEMM.
 
     Normalized channels all average to one and reflection symmetry kills
-    odd moments, so the probes weight even harmonics. The mixes are
-    bounded by 1 + 1/3 + 1/7 + 1/13 + 1/29 < 1.588 and
-    1 + 1/5 + 1/3 + 1/23 + 1/11 < 1.668.
+    odd moments, so the probes weight even harmonics.
     """
     m_grid = values.shape[0]
     theta = linalg.midpoint_nodes(m_grid)
@@ -211,49 +211,23 @@ def _joint_basis(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _commutator_bound(dim: int, m_grid: int) -> float:
-    """Largest ||[p1, p2]||_F / s^2 of a weight that passes the acceptance test."""
-    return dim**2 * (1e-10 + 64 * (m_grid + dim**2) * 2.0**-53)
-
-
 def _commuting_factor(values: np.ndarray) -> np.ndarray | None:
     """Exact coefficients when all boundary values share an eigenbasis.
 
     Returns the (K+1, l, l) coefficient stack of a (not yet normalized)
-    factor, or None when the weight family does not commute: when some
-    value rotated into the probes' joint basis B has an off-diagonal
-    entry above eps s, eps = 1e-12 and s = max |w| entrywise (the
-    acceptance test), or a channel is no resolved trig polynomial.
-
-    Before the rotation (linalg.frame_product), None is returned when the
-    probes themselves fail to commute, which no accepted weight can do. Let
-    B* w B = D + O on every node, D diagonal and |O_ij| <= eps s. Then
-    B* p_k B = Delta_k + E_k with Delta_k diagonal, |Delta_k,ii| <= c_k l s
-    (||w||_2 <= l s) and |E_k,ij| <= c_k eps s, where c_1 < 1.588 and
-    c_2 < 1.668 bound the mixes (_probes). Diagonal matrices commute, so
-    B* [p1, p2] B = [Delta_1, E_2] + [E_1, Delta_2] + [E_1, E_2] has
-    entries of modulus at most 2 c_1 c_2 l eps (2 + eps) s^2, and as the
-    Frobenius norm is unitarily invariant,
-    ||[p1, p2]||_F <= 2 c_1 c_2 l^2 eps (2 + eps) s^2 < 1.1e-11 l^2 s^2.
-    Rounding (u = 2^-53) adds at most 4 c_1 c_2 (M + 1) u l^2 s^2 from the
-    M-term node sums, and O(l^2 u) l^2 s^2 from the products, the
-    rotation and eigh's departure from unitarity; together below
-    64 (M + l^2) u l^2 s^2. So every accepted weight has
-    ||[p1, p2]||_F <= l^2 s^2 (1e-10 + 64 (M + l^2) u) (_commutator_bound),
-    and refusing weights above it changes no result. The probes are
-    divided by s first, so no square overflows or underflows.
+    factor, or None when the weight family does not commute or a channel
+    is no resolved trig polynomial. Commutation has one test: every value
+    rotated into the probes' joint basis B (linalg.frame_product) must
+    have no off-diagonal entry above eps s, eps = 1e-12 and s = max |w|
+    entrywise.
     """
-    m_grid, dim = values.shape[0], values.shape[1]
+    dim = values.shape[1]
     scale = float(np.max(np.abs(values)))
     if dim == 1:
         basis = np.eye(1, dtype=complex)
         diag = values[:, 0, 0].real[:, None]
     else:
-        p1, p2 = _probes(values)
-        a, b = p1 / scale, p2 / scale
-        if float(np.linalg.norm(a @ b - b @ a)) > _commutator_bound(dim, m_grid):
-            return None
-        basis = _joint_basis(p1, p2)
+        basis = _joint_basis(*_probes(values))
         rotated = linalg.frame_product(basis.conj().T, values, basis)
         off = rotated.copy()
         idx = np.arange(dim)
@@ -366,8 +340,8 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
     remainder's. The factor sets its series length: the exact path keeps
     its polynomial, and Wilson's series is cut after its last coefficient
     k <= M/8 of norm above 1e-13 times the largest (_band_degree), so an
-    unresolved weight stops at M/8. Raises NotPD for weights singular at
-    a node (det below tol.pd_floor) and NoConvergence when the final
+    unresolved weight stops at M/8. Raises NotPD for weights with an
+    eigenvalue at or below 0 at a node and NoConvergence when the final
     residual max ||G* G - w|| is above tol.fact_rel * max ||w||; both
     messages start with "factorize:".
     """
@@ -378,11 +352,9 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
     if scale <= 0.0:
         raise NotPD("factorize: weight vanishes identically")
     lam_min = float(np.min(eigs))
-    dets = np.linalg.det(values).real
-    if lam_min <= 0.0 or dets.min() < tol.pd_floor:
+    if lam_min <= 0.0:
         raise NotPD(
-            f"factorize: weight not safely positive definite: min eig {lam_min:.1e}, "
-            f"min det {dets.min():.1e} below floor {tol.pd_floor:.1e}"
+            f"factorize: weight not positive definite: min eig {lam_min:.1e} at or below 0"
         )
     target = tol.fact_rel * scale
 

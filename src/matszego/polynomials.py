@@ -430,9 +430,9 @@ def _check_hermitian(b: np.ndarray, step: int) -> None:
         )
 
 
-def orthonormality_defect(seq: PolySequence, max_degree: int | None = None) -> float:
+def orthonormality_defect(seq: PolySequence) -> float:
     """max over 0 <= i <= j <= n of ||<<p_i, p_j>> - delta_ij I||, n the
-    sequence's degree or max_degree if lower; below 0 raises ValidationError.
+    sequence's degree.
 
     A plain Gram matrix of the whitened rows Q, one node per distinct
     abscissa (stieltjes), whose Q_i* Q_j is <<p_i, p_j>>; unitary sigma_k
@@ -441,11 +441,8 @@ def orthonormality_defect(seq: PolySequence, max_degree: int | None = None) -> f
     most 64 columns summed over chunks of whole nodes of rows: a tile and
     a chunk's conjugated rows take at most 64 KB each.
     """
-    n = seq.degree if max_degree is None else min(max_degree, seq.degree)
-    if n < 0:
-        raise ValidationError(f"max_degree must be >= 0, got {max_degree}")
     y, l = seq._y, seq.measure.dim
-    cols = (n + 1) * l
+    cols = (seq.degree + 1) * l
     width = max(1, 64 // l) * l
     grid_rows, total = seq.measure.grid_fold.x.shape[0] * l, y.shape[0]
     step = max(1, (1 << 12) // (width * l)) * l
@@ -613,15 +610,14 @@ def apply_transform(seq: PolySequence, jacobi: BlockJacobi, sigma: np.ndarray) -
 # evaluation away from the grid
 
 
-def leading_coeffs(jacobi: BlockJacobi, n_max: int | None = None) -> np.ndarray:
-    """kappa_0..kappa_n with kappa_n = (A_1^*)^{-1} ... (A_n^*)^{-1}."""
-    n = jacobi.block_count if n_max is None else n_max
-    if n > jacobi.block_count:
-        raise DimensionMismatch(f"need {n} blocks, have {jacobi.block_count}")
+def leading_coeffs(jacobi: BlockJacobi, n_max: int) -> np.ndarray:
+    """kappa_0..kappa_n_max with kappa_n = (A_1^*)^{-1} ... (A_n^*)^{-1}."""
+    if n_max > jacobi.block_count:
+        raise DimensionMismatch(f"need {n_max} blocks, have {jacobi.block_count}")
     l = jacobi.dim
-    out = np.empty((n + 1, l, l), dtype=complex)
+    out = np.empty((n_max + 1, l, l), dtype=complex)
     out[0] = np.eye(l)
-    for k in range(n):
+    for k in range(n_max):
         out[k + 1] = np.linalg.solve(jacobi.a[k].conj(), out[k].T).T
     return out
 

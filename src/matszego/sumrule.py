@@ -128,7 +128,6 @@ def check_sum_rule(
     mu: ms.MatrixMeasure,
     n_values: Sequence[int],
     tol: Tolerances = DEFAULT,
-    jacobi: poly.BlockJacobi | None = None,
 ) -> SumRuleLedger:
     """Evaluate the balance at each n and cross-check Z through the factor.
 
@@ -141,9 +140,7 @@ def check_sum_rule(
     n_values = sorted(int(n) for n in n_values)
     z_val, z_est = z_quantity(mu)
     e0 = e0_quantity(mu)
-    if jacobi is None:
-        jacobi = poly.stieltjes(mu, max(n_values), tol).jacobi
-    a0 = a0_partials(jacobi, n_values)
+    a0 = a0_partials(poly.stieltjes(mu, max(n_values), tol).jacobi, n_values)
     residuals = np.abs(z_val - e0 - a0)
 
     g = sf.spectral_factorize(ms.szego_weight(mu), tol=tol)

@@ -24,7 +24,6 @@ class Tolerances:
     pos: float = 1e-10           # Gram positivity floor in the recurrence
     rank_rel: float = 1e-10      # rank cutoff for mass weights, relative
     residue_rank_rel: float = 1e-8  # kernel cutoff in residue extraction
-    pd_floor: float = 1e-13      # det floor for factorizable weights
     kernel_angle: float = 1e-6   # residue-kernel fidelity angle
 
 
@@ -33,15 +32,16 @@ DEFAULT = Tolerances()
 _ENV_VAR = "MATSZEGO_TOLERANCES"
 
 
-def from_environment(base: Tolerances = DEFAULT) -> tuple[Tolerances, dict]:
-    """Return (profile, overrides) with overrides read from the environment.
+def from_environment() -> tuple[Tolerances, dict]:
+    """Return (profile, overrides): DEFAULT with the overrides read from
+    the environment.
 
     Unknown keys or non-numeric values raise ParseError: a typo silently
     reverting to defaults would defeat the point of an override.
     """
     raw = os.environ.get(_ENV_VAR, "")
     if not raw.strip():
-        return base, {}
+        return DEFAULT, {}
     try:
         overrides = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -54,4 +54,4 @@ def from_environment(base: Tolerances = DEFAULT) -> tuple[Tolerances, dict]:
             raise ParseError(f"{_ENV_VAR}: unknown tolerance {key!r}")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ParseError(f"{_ENV_VAR}: {key} must be a number")
-    return dataclasses.replace(base, **overrides), dict(overrides)
+    return dataclasses.replace(DEFAULT, **overrides), dict(overrides)

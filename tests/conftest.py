@@ -88,11 +88,12 @@ def _matrix_json(m) -> dict:
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
-def noncommuting_document(dim: int, order: int) -> dict:
-    """Semicircle and arcsine channels under a fixed Givens frame, plus a
-    mass at -2.7 off the channel basis, auto-normalized. The normalizing
-    congruence mixes the channels, so the weight does not commute and
-    loses rank one at z = +-1."""
+def noncommuting_document(dim: int, order: int, semicircles: int = 1) -> dict:
+    """Semicircle channels (the first semicircles of them) and arcsine
+    channels under a fixed Givens frame, plus a mass at -2.7 off the
+    channel basis, auto-normalized. The normalizing congruence mixes the
+    channels, so the weight does not commute and loses rank one at
+    z = +-1."""
     frame = np.eye(dim)
     for i in range(dim - 1):
         c, s = np.cos(0.5 + 0.3 * i), np.sin(0.5 + 0.3 * i)
@@ -106,13 +107,21 @@ def noncommuting_document(dim: int, order: int) -> dict:
         "dim": dim,
         "density": {
             "family": "conjugated_diagonal",
-            "channels": [{"family": "semicircle"}] + [{"family": "arcsine"}] * (dim - 1),
+            "channels": [{"family": "semicircle"}] * semicircles
+            + [{"family": "arcsine"}] * (dim - semicircles),
             "unitary": _matrix_json(frame),
         },
         "masses": [{"energy": -2.7, "weight": _matrix_json(0.2 * np.outer(v, v))}],
         "quad_order": order,
         "normalize": "auto",
     }
+
+
+def semicircle_document(dim: int, order: int) -> dict:
+    """The semicircle times I_dim: every channel vanishes at both band
+    edges, so det w at the edge nodes is of order (2 sin^2(pi/M))^dim."""
+    return {"dim": dim, "density": {"family": "semicircle"}, "quad_order": order,
+            "normalize": "strict"}
 
 
 def edge_table_document(order: int) -> dict:

@@ -9,7 +9,7 @@ from matszego import blaschke
 from matszego import polynomials as poly
 from matszego.cli import main
 
-from conftest import SPECS_DIR, noncommuting_document
+from conftest import SPECS_DIR, noncommuting_document, semicircle_document
 
 FREE = str(SPECS_DIR / "free_semicircle.json")
 MASS = str(SPECS_DIR / "semicircle_mass.json")
@@ -119,7 +119,7 @@ class TestExitCodes:
         assert "parse error: integer literal longer than" in err
 
     def test_bad_tolerance_override_is_parse_error(self, capsys, monkeypatch):
-        for key in ("nope", "lin_rel", "pole_proximity"):
+        for key in ("nope", "lin_rel", "pole_proximity", "pd_floor"):
             monkeypatch.setenv("MATSZEGO_TOLERANCES", json.dumps({key: 1e-6}))
             code, _, err = run(capsys, "check-measure", FREE)
             assert code == 2
@@ -318,6 +318,16 @@ class TestCommands:
         code, out, _ = run(capsys, "sumrule", spec, "--n", "20")
         assert code == 0
         assert "agree" in out.lower()
+
+
+    def test_sumrule_runs_on_a_tiny_determinant(self, capsys, tmp_path):
+        # det w reaches 7e-15 at the edge nodes of the semicircle times I_3
+        spec = tmp_path / "semicircle3.json"
+        spec.write_text(json.dumps(semicircle_document(3, 1024)))
+        out_dir = tmp_path / "art"
+        code, _, err = run(capsys, "sumrule", str(spec), "--n", "20", "--out", str(out_dir))
+        assert code == 0, err
+        assert json.loads((out_dir / "report.json").read_text())["agreement"] is True
 
 
 class TestArtifacts:

@@ -1,8 +1,9 @@
 """Every import in the package and its tests is used, every
-module-level name of the package is referenced (stdlib ast scans), the
-package imports nothing beyond the standard library and its declared
-dependencies, and it holds no three-operand einsum outside an
-allowlist."""
+module-level name of the package is referenced, every tolerance field
+is read and every optional parameter is passed somewhere in the package
+(stdlib ast scans), the package imports nothing beyond the standard
+library and its declared dependencies, and it holds no three-operand
+einsum outside an allowlist."""
 
 import ast
 import json
@@ -144,6 +145,108 @@ def test_no_unreferenced_names():
     assert sorted(set(found) - UNREFERENCED_ALLOWED) == []
     # an allowlisted name that is referenced again, or deleted, leaves the list
     assert sorted(UNREFERENCED_ALLOWED - set(found)) == []
+
+
+def unread_tolerances(sources: dict[str, str]) -> list[str]:
+    """Fields of tolerances.Tolerances that no module reads as tol.<field>."""
+    tree = ast.parse(sources["tolerances"])
+    fields = [
+        item.target.id
+        for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Tolerances"
+        for item in node.body if isinstance(item, ast.AnnAssign)
+    ]
+    read = {
+        node.attr
+        for text in sources.values()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "tol"
+    }
+    return [name for name in fields if name not in read]
+
+
+def test_every_tolerance_is_read():
+    assert unread_tolerances({path.stem: path.read_text() for path in PACKAGE}) == []
+
+
+def unpassed_options(sources: dict[str, str]) -> list[str]:
+    """module.function(param), or module.Class.method(param), of each
+    parameter with a default that no call in the given modules passes,
+    by keyword or by position.
+
+    Calls are matched by name, as a bare name or an attribute, and a
+    class's __init__ by the class name; *args in a call passes every
+    positional parameter, and **kwargs every parameter.
+    """
+    calls: dict[str, list[tuple[float, set[str | None]]]] = {}
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                count = float("inf") if starred else len(node.args)
+                calls.setdefault(name, []).append((count, {k.arg for k in node.keywords}))
+    found = []
+    for module, tree in trees.items():
+        # (qualified prefix, called as, definition, 1 for a method's self)
+        defs = [(module, node.name, node, 0) for node in tree.body
+                if isinstance(node, ast.FunctionDef)]
+        defs += [
+            (f"{module}.{node.name}", node.name if item.name == "__init__" else item.name, item, 1)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.FunctionDef)
+        ]
+        for prefix, called, fn, skip in defs:
+            params = fn.args.posonlyargs + fn.args.args
+            first = len(params) - len(fn.args.defaults)
+            options = [(i - skip, p.arg) for i, p in enumerate(params) if i >= first]
+            options += [(None, p.arg) for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                        if d is not None]
+            for index, param in options:
+                if not any(
+                    param in keywords or None in keywords
+                    or (index is not None and count > index)
+                    for count, keywords in calls.get(called, ())
+                ):
+                    found.append(f"{prefix}.{fn.name}({param})")
+    return found
+
+
+# Optional parameters no call in the package passes, and why they stay.
+UNPASSED_OPTIONS_ALLOWED = {
+    # the console script calls main() with no arguments; tests pass argv
+    "cli.main(argv)",
+}
+# Parameter names exempt wherever they appear, and why.
+UNPASSED_NAMES_ALLOWED = {
+    # the tolerance profile: a library caller may run any stage under its own
+    "tol",
+}
+
+
+def test_scan_finds_an_unpassed_option():
+    sources = {
+        "a": (
+            "def f(x, y=1, *, z=2, tol=None):\n    return x\n"
+            "def g(x, y=1):\n    return x\n"
+            "class C:\n"
+            "    def __init__(self, n=0):\n        self.n = n\n"
+            "    def m(self, k=1):\n        return k\n"
+        ),
+        "b": "f(1, 2)\ng(1, y=3)\nC().m(4)\nh = f(*args, **kw)\n",
+    }
+    assert unpassed_options(sources) == ["a.C.__init__(n)"]
+    sources["b"] = "f(1)\ng(*args)\nC(**kw).m()\n"
+    assert unpassed_options(sources) == ["a.f(y)", "a.f(z)", "a.f(tol)", "a.C.m(k)"]
+
+
+def test_every_option_is_passed_somewhere():
+    found = unpassed_options({path.stem: path.read_text() for path in PACKAGE})
+    left = [f for f in found if f.split("(")[1][:-1] not in UNPASSED_NAMES_ALLOWED]
+    assert sorted(set(left) - UNPASSED_OPTIONS_ALLOWED) == []
+    # an allowlisted option that is passed again, or deleted, leaves the list
+    assert sorted(UNPASSED_OPTIONS_ALLOWED - set(found)) == []
 
 
 def foreign_imports(source: str, allowed: set[str]) -> list[str]:

@@ -326,6 +326,39 @@ class TestMaxHermitianNorm:
         with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
             max_hermitian_norm(h)
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(stacks(), st.sampled_from(["as_drawn", "phases", "repeat", "quantize"]),
+           st.integers(0, 2**32 - 1))
+    def test_equals_the_full_batch_maximum(self, a, how, seed):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if how != "as_drawn":
+                a = tie(np.concatenate([a] * 4), how, np.random.default_rng(seed))
+            h = a + a.conj().transpose(0, 2, 1)
+            if not np.isfinite(h).all():
+                with pytest.raises(np.linalg.LinAlgError):
+                    max_hermitian_norm(h)
+                return
+            assert max_hermitian_norm(h) == np.max(np.abs(np.linalg.eigvalsh(h)))
+
+    def test_flat_rank_one_stack_takes_one_decomposition(self, monkeypatch):
+        # the shape of a Wilson residual: rank one with nearly equal norms
+        # at every node, so the top block's norm rules out all the others
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        h = (1.0 - 1e-3 * rng.random(4096))[:, None, None] * np.outer(u, u.conj())[None]
+        blocks = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            blocks.append(int(np.prod(np.shape(a)[:-2])))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        value = max_hermitian_norm(h)
+        assert blocks == [1]
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert value == np.max(np.abs(np.linalg.eigvalsh(h)))
+
     def test_zero_stack_needs_no_decomposition(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("eigvalsh of an all-zero stack")

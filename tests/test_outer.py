@@ -25,6 +25,7 @@ from conftest import (
     edge_table_document,
     noncommuting_document,
     random_smooth_weight,
+    semicircle_document,
     table_document,
 )
 
@@ -202,6 +203,36 @@ class TestPositivityGuards:
     def test_rejects_singular_weight(self):
         vals = np.broadcast_to(np.diag([1.0, 0.0]), (64, 2, 2)).copy()
         with pytest.raises(NotPD):
+            spectral_factorize(BoundarySampling(vals))
+
+
+class TestTinyDeterminant:
+    """Admissible weights whose det w at the edge nodes lies far below any
+    fixed floor, (2 sin^2(pi/M))^k for k channels vanishing at t = 0, pi,
+    yet which factor to rounding."""
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_semicircle_blocks_factor_exactly(self, dim):
+        w = document_weight(semicircle_document(dim, 1024))
+        assert float(np.min(np.linalg.det(w.values).real)) < 1e-14
+        g = spectral_factorize(w)
+        assert g.sweeps == 0
+        assert g.residual <= DEFAULT.fact_rel * max_operator_norm(w.values)
+        residual, estimate = det_szego_check(g)
+        assert residual <= 2.0 * estimate
+        assert np.max(np.abs(g.value_at_zero() - np.eye(dim) / np.sqrt(2.0))) < 1e-12
+
+    def test_noncommuting_semicircle_blocks_factor_by_wilson(self):
+        w = document_weight(noncommuting_document(4, 1024, semicircles=3))
+        assert float(np.min(np.linalg.det(w.values).real)) < 1e-14
+        g = spectral_factorize(w)
+        assert g.sweeps > 0
+        assert g.residual <= DEFAULT.fact_rel * max_operator_norm(w.values)
+
+    def test_not_positive_definite_message(self):
+        vals = np.broadcast_to(np.diag([1.0, -0.5]), (64, 2, 2)).copy()
+        with pytest.raises(NotPD, match=r"^factorize: weight not positive definite: "
+                           r"min eig -5\.0e-01 at or below 0$"):
             spectral_factorize(BoundarySampling(vals))
 
 
@@ -429,49 +460,3 @@ class TestSingularBoundary:
         with pytest.raises(SingularBoundary, match=r"^boundary_logdet_mean: det G vanishes at "
                            r"node t = .* of the 64-node grid: \|det G\| = 0\.0e\+00"):
             boundary_logdet_mean(g)
-
-
-class TestCommutatorExit:
-    def commuting_weight(self, rng, dim, level):
-        """A Haar frame times random positive channels, with an off-diagonal
-        perturbation cos(2t) N in the channel basis whose entries reach
-        level * 1e-12 * scale; being coherent over the grid, it gives the
-        probes the largest commutator the acceptance test lets through."""
-        theta = midpoint_nodes(512)
-        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        harmonics = np.cos(np.arange(1, 5)[:, None] * theta[None, :])
-        channels = 1.0 + rng.uniform(-0.2, 0.2, (dim, 4)) @ harmonics
-        channels *= rng.uniform(0.5, 2.0, (dim, 1)) * 10.0 ** rng.uniform(-6.0, 6.0)
-        rotated = np.zeros((theta.size, dim, dim), dtype=complex)
-        idx = np.arange(dim)
-        rotated[:, idx, idx] = channels.T
-        n = np.triu(np.exp(2j * np.pi * rng.random((dim, dim))), 1)
-        n = level * 1e-12 * float(np.max(channels)) * (n + n.conj().T)
-        rotated += np.cos(2.0 * theta)[:, None, None] * n
-        return q @ rotated @ q.conj().T
-
-    def test_exit_keeps_every_commuting_result(self, monkeypatch):
-        rng = np.random.default_rng(4242)
-        accepted = 0
-        for trial in range(24):
-            dim = 2 + trial % 3
-            values = self.commuting_weight(rng, dim, (0.0, 0.3, 0.6, 0.9)[trial % 4])
-            fast = outer._commuting_factor(values)
-            with monkeypatch.context() as m:
-                m.setattr(outer, "_commutator_bound", lambda dim, m_grid: np.inf)
-                slow = outer._commuting_factor(values)
-            assert (fast is None) == (slow is None), trial
-            if fast is not None:
-                accepted += 1
-                assert fast.tobytes() == slow.tobytes(), trial
-        assert accepted >= 10
-
-    def test_noncommuting_weights_exit_before_rotation(self, monkeypatch):
-        values = document_weight(noncommuting_document(4, 1024)).values
-        values = 0.5 * (values + values.conj().transpose(0, 2, 1))
-
-        def no_rotation(a, f, b):
-            raise AssertionError("rotated a non-commuting weight")
-
-        monkeypatch.setattr(linalg, "frame_product", no_rotation)
-        assert outer._commuting_factor(values) is None

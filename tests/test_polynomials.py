@@ -89,11 +89,11 @@ class TestScalarOracles:
             assert np.max(np.abs(got - oracle)) < 1e-9
 
     def test_orthonormality_and_recurrence(self, semicircle_seq):
-        assert orthonormality_defect(semicircle_seq, 12) < 1e-10
+        assert orthonormality_defect(semicircle_seq) < 1e-10
         assert recurrence_residual(semicircle_seq) < 1e-9
 
     def test_mass_case_orthonormal(self, mass_sequence):
-        assert orthonormality_defect(mass_sequence, 30) < 1e-8
+        assert orthonormality_defect(mass_sequence) < 1e-8
 
     def test_mass_values_stay_bounded(self, mass_sequence):
         w = mass_sequence.measure.bound_states[0].weight
@@ -228,24 +228,20 @@ class TestGramDefect:
         gv, mv = grid_values(seq), seq.mass_values
         pairs = {
             (i, j): inner_product(mu, gv[i], mv[i], gv[j], mv[j]) - (i == j) * np.eye(l)
-            for i in range(window + 1) for j in range(i, window + 1)
+            for i in range(n + 1) for j in range(i, n + 1)
         }
-        cols = (window + 1) * l
-        fv = gv[: window + 1].transpose(1, 2, 0, 3).reshape(m_grid, l, cols)
-        fe = mv[: window + 1].transpose(1, 2, 0, 3).reshape(2, l, cols)
+        cols = (n + 1) * l
+        fv = gv.transpose(1, 2, 0, 3).reshape(m_grid, l, cols)
+        fe = mv.transpose(1, 2, 0, 3).reshape(2, l, cols)
         gram = inner_product(mu, fv, fe, fv, fe) - np.eye(cols)
         for (i, j), ref in pairs.items():
             block = gram[i * l : (i + 1) * l, j * l : (j + 1) * l]
             assert float(np.max(np.abs(block - ref))) < 1e-14
 
-        for w in sorted({0, 1, window // 2, window}):
-            ref = max(float(operator_norm(g)) for (i, j), g in pairs.items() if j <= w)
-            assert abs(orthonormality_defect(seq, w) - ref) < 1e-14
-        assert orthonormality_defect(seq, n + 5) == orthonormality_defect(seq)
-
-    def test_negative_window_raises(self, semicircle_seq):
-        with pytest.raises(ValidationError):
-            orthonormality_defect(semicircle_seq, -1)
+        # a sequence of degree window runs the same first steps
+        for degree, part in ((n, seq), (window, stieltjes(mu, window))):
+            ref = max(float(operator_norm(g)) for (i, j), g in pairs.items() if j <= degree)
+            assert abs(orthonormality_defect(part) - ref) < 1e-14
 
 
 def _mp_matrix(a):
@@ -364,14 +360,14 @@ class TestMemory:
         assert not np.any(y)
 
     def test_defect_never_stacks_the_whole_grid(self, deep_measure):
-        # the values are 13 MB and the window's weighted stack (M, l, 31 l)
-        # would be 4 MB; the node chunks keep the peak at the Gram tiles,
-        # about 250 KB whatever the number of rows
+        # the values are 13 MB and so would be a weighted copy of them; the
+        # node chunks keep the peak at the Gram tiles, about 250 KB whatever
+        # the number of rows
         seq = stieltjes(deep_measure, 100)
         assert grid_values(seq).nbytes > 13e6
         tracemalloc.start()
         try:
-            orthonormality_defect(seq, 30)
+            orthonormality_defect(seq)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -817,7 +813,7 @@ class TestNormalizationTypes:
     def test_transforms_preserve_orthonormality(self, matrix_seq):
         jac2, sigma = to_type(matrix_seq.jacobi, "type2")
         seq2 = apply_transform(matrix_seq, jac2, sigma)
-        assert orthonormality_defect(seq2, 10) < 1e-9
+        assert orthonormality_defect(seq2) < 1e-9
         assert recurrence_residual(seq2) < 1e-8
 
     def test_round_trip_returns_same_blocks(self, matrix_seq):

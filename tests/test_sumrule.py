@@ -76,10 +76,8 @@ class TestPartialSums:
         assert np.allclose(p1, p3, atol=1e-10)
         assert a0_partials(jac1, [25])[0] == pytest.approx(p1[-1])
 
-    def test_mass_case_residuals_decrease(self, mass_measure, mass_sequence):
-        ledger = check_sum_rule(
-            mass_measure, [10, 25, 50, 100], jacobi=mass_sequence.jacobi
-        )
+    def test_mass_case_residuals_decrease(self, mass_measure):
+        ledger = check_sum_rule(mass_measure, [10, 25, 50, 100])
         # decreasing until the quadrature floor (~2e-13), jitter after
         assert np.all(np.diff(ledger.residuals) < 1e-12)
         assert ledger.residuals[0] > 1e-7  # still converging at n = 10
@@ -126,7 +124,7 @@ class TestRankDeficientMass:
         frozen = int(np.argmax(amps < 1e-10))
         assert 0 < frozen < 100
         assert np.all(amps[frozen:] == 0.0)
-        ledger = check_sum_rule(mu, [100], jacobi=seq.jacobi)
+        ledger = check_sum_rule(mu, [100])
         assert ledger.residuals[-1] <= 1e-10
 
 
@@ -142,10 +140,8 @@ class TestBridge:
         assert ledger.bridge_value == pytest.approx(0.0, abs=1e-10)
         assert ledger.agreement
 
-    def test_mass_case_routes_agree(self, mass_measure, mass_sequence):
-        ledger = check_sum_rule(
-            mass_measure, [20, 60, 100], jacobi=mass_sequence.jacobi
-        )
+    def test_mass_case_routes_agree(self, mass_measure):
+        ledger = check_sum_rule(mass_measure, [20, 60, 100])
         assert ledger.agreement
         assert ledger.bridge_gap <= max(
             2.0 * max(ledger.z_estimate, ledger.bridge_estimate), 1e-12
@@ -153,16 +149,16 @@ class TestBridge:
         # the two balances track each other degree by degree
         assert np.allclose(ledger.bridge_values, ledger.residuals, atol=1e-9)
 
-    def test_ledger_field_consistency(self, mass_measure, mass_sequence):
+    def test_ledger_field_consistency(self, mass_measure):
         n_values = [4, 8, 16]
-        ledger = check_sum_rule(mass_measure, n_values, jacobi=mass_sequence.jacobi)
+        ledger = check_sum_rule(mass_measure, n_values)
         assert ledger.n_values == (4, 8, 16)
         assert ledger.a0_values.shape == (3,)
         assert ledger.residuals.shape == (3,)
         expected = np.abs(ledger.z_value - ledger.e0_value - ledger.a0_values)
         assert np.allclose(ledger.residuals, expected, atol=1e-15)
 
-    def test_biased_factor_is_flagged(self, mass_measure, mass_sequence, monkeypatch):
+    def test_biased_factor_is_flagged(self, mass_measure, monkeypatch):
         # a factor whose log |det G| mean is off by 1e-2 must not agree: the
         # estimate may not contain the gap it is judging
         original = outer.boundary_logdet_mean
@@ -172,7 +168,7 @@ class TestBridge:
             return mean + 1e-2, est
 
         monkeypatch.setattr(outer, "boundary_logdet_mean", biased)
-        ledger = check_sum_rule(mass_measure, [10, 20], jacobi=mass_sequence.jacobi)
+        ledger = check_sum_rule(mass_measure, [10, 20])
         assert ledger.bridge_gap == pytest.approx(1e-2, rel=1e-3)
         assert ledger.bridge_estimate < 1e-3
         assert not ledger.agreement
