@@ -208,8 +208,9 @@ def _run_factorize(args, mu, tol):
             "k", np.arange(g.order + 1), g.coeffs
         )
     }
+    grid = f" on {g.wilson_nodes} of {w.node_count} nodes" if g.wilson_nodes else ""
     lines = [
-        f"factor of order {g.order} in {g.sweeps} sweep(s); "
+        f"factor of order {g.order} in {g.sweeps} sweep(s){grid}; "
         f"boundary residual {g.residual:.3e}, negative leakage {g.neg_leakage:.3e}",
         f"det mean-value residual {det_res:.3e} (estimate {det_est:.3e}), "
         f"phase unitarity defect {s_defect:.3e}",

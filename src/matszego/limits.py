@@ -30,7 +30,7 @@ from . import blaschke as bp
 from . import measure as ms
 from . import outer as sf
 from . import polynomials as poly
-from .errors import KernelMismatch, RadiusExceeded
+from .errors import KernelMismatch, RadiusExceeded, Singular
 from .linalg import BoundarySampling, left_polar, max_operator_norm, norm_l2_2, operator_norm
 from .tolerances import DEFAULT, Tolerances
 
@@ -113,7 +113,10 @@ def build_pipeline(mu: ms.MatrixMeasure, tol: Tolerances = DEFAULT) -> LimitFunc
     product = bp.construct_product(states, mu.dim, tol=tol)
 
     c = np.linalg.solve(g.value_at_zero(), product.value_at_zero()) / _SQRT2
-    u_hat, p_hat = left_polar(c, tol)
+    try:
+        u_hat, p_hat = left_polar(c, tol)
+    except Singular as err:
+        raise Singular(f"limits: frame from G(0)^-1 B(0) / sqrt 2: {err}") from None
     frame = u_hat.conj().T
     value0 = u_hat @ p_hat @ u_hat.conj().T
     value0 = 0.5 * (value0 + value0.conj().T)
@@ -262,7 +265,10 @@ def h_diagnostic(
     eta_min, eta_max, logdet, defect = [], [], [], []
     for n in n_values:
         raw = _SQRT2 * b0_inv @ g0 @ kappas[n]
-        w_hat, p_hat = left_polar(raw, tol)
+        try:
+            w_hat, p_hat = left_polar(raw, tol)
+        except Singular as err:
+            raise Singular(f"limits: polar diagnostic at n = {n}: {err}") from None
         eta = np.linalg.eigvalsh(p_hat)
         eta_min.append(float(eta.min()))
         eta_max.append(float(eta.max()))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, MassOnSupport, ValidationError
-from .linalg import BoundarySampling, midpoint_nodes, operator_norm, principal_sqrt
+from .linalg import BoundarySampling, midpoint_nodes, operator_norm
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -344,7 +344,9 @@ def make_measure(
     masses is a sequence of (energy, weight) with real energy, |energy| > 2,
     Hermitian PSD weight. normalize="strict" demands mu(R) = I within
     tol.norm; "auto" conjugates by the inverse square root of the total
-    mass (after a scalar rescale) to enforce it.
+    mass (after a scalar rescale) to enforce it, and raises
+    ValidationError when the total mass has no such root: its smallest
+    eigenvalue at or below tol.sing_rel times its largest.
     """
     dim = density.dim
     if dim < 1:
@@ -387,9 +389,15 @@ def make_measure(
             )
     elif defect > tol.norm:
         scale = dim / float(np.real(np.trace(total)))
-        x_total = scale * 0.5 * (total + total.conj().T)
-        xh = principal_sqrt(x_total, tol)
-        c = np.sqrt(scale) * np.linalg.inv(xh)
+        x_total = scale * 0.5 * (total + total.conj().T)  # exactly Hermitian: no defect check
+        lam, vec = np.linalg.eigh(x_total)
+        if lam[0] <= tol.sing_rel * lam[-1]:
+            raise ValidationError(
+                f"auto-normalization: total mass mu(R) is singular: smallest eigenvalue "
+                f"{lam[0] / scale:.3e} at or below tol.sing_rel x largest = "
+                f"{tol.sing_rel * lam[-1] / scale:.3e}"
+            )
+        c = np.sqrt(scale) * np.linalg.inv(linalg.sqrt_from_eigh(lam, vec, tol))
         c = 0.5 * (c + c.conj().T)
         clean_masses = [(e, c @ w @ c) for e, w in clean_masses]
         w_ac = _szego_samples(f, c)

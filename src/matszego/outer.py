@@ -20,7 +20,17 @@ so G(0) is Hermitian positive definite. Two construction paths:
   zeros back. Spectrally accurate for weights whose zeros on the circle
   are even-order zeros at z = +-1; a zero of non-integer order keeps an
   O(M^-p) gap to the continuum factor. The series is cut after G's
-  significant Fourier band, at most M/8.
+  significant Fourier band, at most an eighth of Wilson's grid.
+
+  Wilson runs on the weight's resolution grid, not on all M nodes: a
+  weight of Fourier band d (a matrix trigonometric polynomial of degree
+  d, whose outer factor is a polynomial of degree d by matrix
+  Fejer-Riesz) is resampled exactly from its coefficients |n| <= d onto
+  M' nodes, the smallest power of two at or above max(64, 16 (d + 1)),
+  capped at M. The cut series, synthesized on the M nodes, is then held
+  to the same certificate as every factor. If the coarse run fails it or
+  stalls, Wilson runs once more on the M nodes themselves; an unresolved
+  weight (d near M/2) goes there at once.
 
 Left-factor algorithms produce psi with psi psi* = v; the right factor
 comes from the transpose trick: run them on v = w^T (entrywise
@@ -52,6 +62,7 @@ from .errors import (
     NoConvergence,
     NotPD,
     RadiusExceeded,
+    Singular,
     SingularBoundary,
 )
 from .linalg import BoundarySampling, BracketedNorm, left_polar, max_operator_norm
@@ -67,9 +78,13 @@ class OuterFunction:
 
     coeffs[k] is the z^k coefficient, k = 0..order. boundary holds the
     factor on the weight's grid; residual is the node-level certificate
-    max ||G* G - w||, truncation_defect the sup gap between boundary and
-    the truncated series, neg_leakage the largest negative-index Fourier
-    coefficient of the boundary values.
+    max ||G* G - w|| over that grid. wilson_nodes is the size of the grid
+    Wilson's factor was kept from (0 on the exact path). When it is
+    below the weight's node count, boundary is the truncated series, and
+    truncation_defect (the sup gap between Wilson's iterate and the
+    truncated series) and neg_leakage (the largest negative-index Fourier
+    coefficient of the iterate) are read on Wilson's grid; otherwise
+    boundary is the iterate itself.
     """
 
     coeffs: np.ndarray
@@ -78,6 +93,7 @@ class OuterFunction:
     neg_leakage: float
     truncation_defect: float
     sweeps: int
+    wilson_nodes: int = 0
 
     @property
     def order(self) -> int:
@@ -330,6 +346,48 @@ def _wilson(v: np.ndarray, target: float) -> tuple[np.ndarray, int]:
     return psi, sweeps
 
 
+# Wilson's grid: at least this many nodes, and this many per coefficient of w's band
+_MIN_WILSON_NODES = 64
+_NODES_PER_COEFF = 16
+
+
+def _resolution_grid(band: int, m_grid: int) -> int:
+    """Node count of Wilson's first attempt for a weight of Fourier band
+    `band` sampled on m_grid nodes: the smallest power of two at or above
+    max(64, 16 (band + 1)), capped at m_grid."""
+    need = max(_MIN_WILSON_NODES, _NODES_PER_COEFF * (band + 1))
+    return min(m_grid, 1 << (need - 1).bit_length())
+
+
+def _wilson_factor(samples: np.ndarray, m_grid: int, floor: float, target: float):
+    """Deflated Wilson factor of the weight samples on their own grid.
+
+    Peels the edge factors (_peel_edges, eigenvalue floor), runs _wilson
+    to target / 4^k for k peeled factors (|E| <= 2 on the circle, so each
+    can scale the residual by 4) and cuts the series after its band, at
+    most a grid's eighth. Returns (coeffs, boundary, neg_leakage,
+    truncation_defect, sweeps, nodes), the two floats read on the
+    samples' grid of `nodes` nodes. boundary is on the m_grid-node grid:
+    the iterate itself when nodes == m_grid, else the cut series.
+    """
+    nodes = samples.shape[0]
+    z = np.exp(1j * linalg.midpoint_nodes(nodes))
+    remainder, peeled = _peel_edges(samples, z, floor)
+    psi, sweeps = _wilson(remainder.transpose(0, 2, 1), target / 4 ** len(peeled))
+    boundary = psi.transpose(0, 2, 1)
+    for root, unitary, rank in reversed(peeled):
+        boundary = boundary @ blaschke.elementary_matrix(unitary, rank, 1.0 - root * z)
+    n_vals, g_coeffs = linalg.fourier_coefficients(BoundarySampling(boundary))
+    leak = max_operator_norm(g_coeffs[n_vals < 0])
+    head = g_coeffs[(n_vals >= 0) & (n_vals <= nodes // 8)]
+    coeffs = head[: _band_degree(np.arange(head.shape[0]), head) + 1]
+    powers = np.arange(coeffs.shape[0])
+    trunc = max_operator_norm(linalg.synthesize_on_grid(powers, coeffs, nodes).values - boundary)
+    if nodes < m_grid:
+        boundary = linalg.synthesize_on_grid(powers, coeffs, m_grid).values
+    return coeffs, boundary, leak, trunc, sweeps, nodes
+
+
 def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterFunction:
     """Factor w = G* G with G outer and G(0) Hermitian PD.
 
@@ -339,11 +397,23 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
     remainder, and G = G~ E_k ... E_1. E(0) = I, so G(0) is the
     remainder's. The factor sets its series length: the exact path keeps
     its polynomial, and Wilson's series is cut after its last coefficient
-    k <= M/8 of norm above 1e-13 times the largest (_band_degree), so an
-    unresolved weight stops at M/8. Raises NotPD for weights with an
-    eigenvalue at or below 0 at a node and NoConvergence when the final
-    residual max ||G* G - w|| is above tol.fact_rel * max ||w||; both
-    messages start with "factorize:".
+    k <= M'/8 of norm above 1e-13 times the largest (_band_degree), so an
+    unresolved weight stops at M/8.
+
+    Wilson first runs on the weight's resolution grid: with d the band
+    of w (_band_degree of its M-node FFT), M' is the smallest power of two
+    at or above max(64, 16 (d + 1)), capped at M, and w is resampled
+    there from its coefficients |n| <= d. When M' < M, boundary is the
+    cut series on the M nodes, so residual includes the truncation, while
+    truncation_defect and neg_leakage are read on the M' nodes. If that
+    run raises NoConvergence or fails the certificate below, it runs once
+    more with M' = M on w's own samples, where boundary is the iterate.
+    wilson_nodes records the M' that was kept.
+
+    Raises NotPD for weights with an eigenvalue at or below 0 at a node,
+    NoConvergence when the residual max ||G* G - w|| over the M nodes is
+    above tol.fact_rel * max ||w|| or the series has a zero in the disk,
+    and Singular when G(0) is; every message starts with "factorize:".
     """
     m_grid = w.node_count
     values = 0.5 * (w.values + w.values.conj().transpose(0, 2, 1))
@@ -364,27 +434,35 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
             np.arange(coeffs.shape[0]), coeffs, m_grid
         ).values
         if BracketedNorm(boundary.conj().transpose(0, 2, 1) @ boundary - values).at_most(target):
-            leak, trunc, sweeps = 0.0, 0.0, 0
-        else:
-            coeffs = None
-    if coeffs is None:
-        z = np.exp(1j * w.theta)
-        remainder, peeled = _peel_edges(values, z, tol.rank_rel * scale)
-        # |E| <= 2 on the circle, so each factor can scale the residual by 4
-        psi, sweeps = _wilson(remainder.transpose(0, 2, 1), target / 4 ** len(peeled))
-        boundary = psi.transpose(0, 2, 1)
-        for root, unitary, rank in reversed(peeled):
-            boundary = boundary @ blaschke.elementary_matrix(unitary, rank, 1.0 - root * z)
-        n_vals, g_coeffs = linalg.fourier_coefficients(BoundarySampling(boundary))
-        leak = max_operator_norm(g_coeffs[n_vals < 0])
-        head = g_coeffs[(n_vals >= 0) & (n_vals <= m_grid // 8)]
-        coeffs = head[: _band_degree(np.arange(head.shape[0]), head) + 1]
-        synth = linalg.synthesize_on_grid(np.arange(coeffs.shape[0]), coeffs, m_grid)
-        trunc = max_operator_norm(synth.values - boundary)
+            return _certified((coeffs, boundary, 0.0, 0.0, 0, 0), values, target, tol)
 
-    u, _ = left_polar(coeffs[0], tol)
+    floor = tol.rank_rel * scale
+    n_vals, c = linalg.fourier_coefficients(BoundarySampling(values))
+    band = _band_degree(n_vals, c)
+    nodes = _resolution_grid(band, m_grid)
+    if nodes < m_grid:
+        keep = np.abs(n_vals) <= band
+        samples = linalg.synthesize_on_grid(n_vals[keep], c[keep], nodes).values
+        samples = 0.5 * (samples + samples.conj().transpose(0, 2, 1))
+        try:
+            return _certified(_wilson_factor(samples, m_grid, floor, target), values, target, tol)
+        except NoConvergence:
+            pass
+    return _certified(_wilson_factor(values, m_grid, floor, target), values, target, tol)
+
+
+def _certified(factor, values: np.ndarray, target: float, tol: Tolerances) -> OuterFunction:
+    """The OuterFunction of factor = (coeffs, boundary, neg_leakage,
+    truncation_defect, sweeps, wilson_nodes), its G(0) turned Hermitian PD
+    by a constant unitary, once max ||G* G - w|| <= target over the grid
+    and the series is zero-free in the disk (_check_zero_free)."""
+    coeffs, boundary, leak, trunc, sweeps, nodes = factor
+    try:
+        u, _ = left_polar(coeffs[0], tol)
+    except Singular as err:
+        raise Singular(f"factorize: G(0): {err}") from None
     omega = u.conj().T
-    eye = np.eye(w.dim)
+    eye = np.eye(values.shape[1])
     coeffs = linalg.frame_product(omega, coeffs, eye)
     coeffs[0] = 0.5 * (coeffs[0] + coeffs[0].conj().T)
     boundary = linalg.frame_product(omega, boundary, eye)
@@ -403,6 +481,7 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
         neg_leakage=leak,
         truncation_defect=trunc,
         sweeps=sweeps,
+        wilson_nodes=nodes,
     )
     _check_zero_free(out)
     return out

@@ -117,6 +117,18 @@ def noncommuting_document(dim: int, order: int, semicircles: int = 1) -> dict:
     }
 
 
+def near_zero_document(eps: float, order: int) -> dict:
+    """noncommuting_document(2, order) with the semicircle channel times
+    (x - 0.5)^2 + eps: the weight nearly vanishes inside the band, at
+    x = 0.5, so its factor's inverse is sharply peaked there."""
+    doc = noncommuting_document(2, order)
+    doc["density"]["channels"] = [
+        {"family": "poly_semicircle", "coefficients": [0.25 + eps, -1.0, 1.0]},
+        {"family": "arcsine"},
+    ]
+    return doc
+
+
 def semicircle_document(dim: int, order: int) -> dict:
     """The semicircle times I_dim: every channel vanishes at both band
     edges, so det w at the edge nodes is of order (2 sin^2(pi/M))^dim."""

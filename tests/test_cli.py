@@ -68,6 +68,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "check-measure", str(p))
         assert code == 3
 
+    def test_singular_total_mass_is_validation_error(self, capsys, tmp_path):
+        # auto-normalization needs mu(R)^(-1/2), and diag(1, 0) has none
+        doc = {"dim": 2, "quad_order": 8,
+               "density": {"family": "table", "values": [{"re": [[1.0, 0.0], [0.0, 0.0]]}] * 8}}
+        p = tmp_path / "singular.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "factorize", str(p))
+        assert code == 3
+        assert err.startswith("validation error: auto-normalization: total mass mu(R) is "
+                              "singular: smallest eigenvalue 0.000e+00 at or below ")
+
     def test_near_band_mass_is_numerical_error(self, capsys, tmp_path):
         doc = {"dim": 1, "density": {"family": "semicircle"},
                "quad_order": 256, "normalize": "auto",
@@ -272,6 +283,13 @@ class TestCommands:
         code, out, _ = run(capsys, "factorize", spec)
         assert code == 0
         assert "residual" in out
+
+    def test_factorize_reports_the_wilson_grid(self, capsys, tmp_path):
+        spec = tmp_path / "noncommuting.json"
+        spec.write_text(json.dumps(noncommuting_document(2, 1024)))
+        code, out, _ = run(capsys, "factorize", str(spec))
+        assert code == 0
+        assert "factor of order 2 in 3 sweep(s) on 64 of 1024 nodes; " in out
 
     def test_blaschke_reports_kernel_angles(self, capsys):
         code, out, _ = run(capsys, "blaschke", MATRIX_MASS)

@@ -25,6 +25,8 @@ UNREFERENCED_ALLOWED = {
     "linalg.matrix_fourier_coeff",
     # the L^2 operator 1-norm of the acceptance gate's norm-equivalence criterion
     "linalg.norm_l2_1",
+    # the mass roots of the acceptance gate's mass-decay criterion
+    "linalg.principal_sqrt",
     # <<f, g>> from sampled values, the definition the recurrence's whitened
     # row sums (its Gram certificate included) are tested against
     "measure.inner_product",

@@ -1,10 +1,13 @@
 """End-to-end limit pipeline and its convergence verifiers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from matszego.errors import RadiusExceeded
-from matszego.linalg import operator_norm
+from matszego import outer
+from matszego.errors import RadiusExceeded, Singular
+from matszego.linalg import BoundarySampling, operator_norm
 from matszego.measure import SemicircleDensity, make_measure
 from matszego.polynomials import apply_transform, stieltjes, to_type
 from matszego.blaschke import principal_angles, residue_kernel
@@ -161,3 +164,25 @@ class TestStageNamedErrors:
         with pytest.raises(RadiusExceeded,
                            match=r"^limits: pointwise verification radius 1\.1 above 0\.99$"):
             verify_pointwise(free_limit, jac2, [3], radius=1.1)
+
+    def test_singular_frame_names_its_stage(self, monkeypatch):
+        # with no masses B = I, so G(0)^-1 B(0) / sqrt 2 = diag(1, 1e14) / sqrt 2
+        g0 = np.diag([1.0, 1e-14]).astype(complex)
+        g = outer.OuterFunction(coeffs=g0[None], boundary=BoundarySampling(np.tile(g0, (64, 1, 1))),
+                                residual=0.0, neg_leakage=0.0, truncation_defect=0.0, sweeps=0)
+        monkeypatch.setattr(outer, "spectral_factorize", lambda w, tol: g)
+        mu = make_measure(SemicircleDensity(2), quad_order=64, normalize="strict")
+        with pytest.raises(Singular, match=r"^limits: frame from G\(0\)\^-1 B\(0\) / sqrt 2: "
+                           r"smallest singular value 7\.071e-01 at or below tol\.sing_rel x "
+                           r"largest = 7\.071e\+01$"):
+            build_pipeline(mu)
+
+    def test_singular_polar_diagnostic_names_its_stage(self):
+        mu = make_measure(SemicircleDensity(2), quad_order=64, normalize="strict")
+        lim = build_pipeline(mu)
+        singular = np.diag([1.0, 0.0]).astype(complex)[None]
+        lim = dataclasses.replace(lim, outer=dataclasses.replace(lim.outer, coeffs=singular))
+        jac2, _ = to_type(stieltjes(mu, 2).jacobi, "type2")
+        with pytest.raises(Singular, match=r"^limits: polar diagnostic at n = 1: smallest "
+                           r"singular value 0\.000e\+00 at or below tol\.sing_rel x largest = "):
+            h_diagnostic(lim, jac2, [1])

@@ -1,6 +1,8 @@
 """Spectral factorization of boundary weights and its diagnostics."""
 
+import contextlib
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 
 from matszego import linalg, outer, specio
 from matszego.blaschke import elementary_matrix
-from matszego.errors import NoConvergence, NotPD, RadiusExceeded, SingularBoundary
+from matszego.cli import main
+from matszego.errors import NoConvergence, NotPD, RadiusExceeded, Singular, SingularBoundary
 from matszego.linalg import BoundarySampling, max_operator_norm, midpoint_nodes, operator_norm
 from matszego.measure import szego_weight
 from matszego.outer import (
@@ -23,6 +26,7 @@ from matszego.tolerances import DEFAULT
 from conftest import (
     SHIPPED,
     edge_table_document,
+    near_zero_document,
     noncommuting_document,
     random_smooth_weight,
     semicircle_document,
@@ -431,6 +435,88 @@ class TestDecisionIdentity:
         assert (path, g.sweeps, g.order, tuple(peels)) == DECISIONS[name]
 
 
+def full_grid(monkeypatch) -> None:
+    """Make Wilson's first attempt run on the weight's own grid."""
+    monkeypatch.setattr(outer, "_resolution_grid", lambda band, m_grid: m_grid)
+
+
+def wilson_grids(monkeypatch) -> list[int]:
+    """The node count of every _wilson call from now on, in call order."""
+    nodes = []
+    wilson = outer._wilson
+
+    def recording(v, target):
+        nodes.append(v.shape[0])
+        return wilson(v, target)
+
+    monkeypatch.setattr(outer, "_wilson", recording)
+    return nodes
+
+
+class TestResolutionGrid:
+    @pytest.mark.parametrize("band, m_grid, nodes", [
+        (1, 4096, 64), (3, 4096, 64), (4, 4096, 128), (7, 1024, 128), (8, 1024, 256),
+        (2, 32, 32), (300, 2048, 2048),
+    ])
+    def test_grid_rule(self, band, m_grid, nodes):
+        assert outer._resolution_grid(band, m_grid) == nodes
+
+    @pytest.mark.parametrize("name", sorted(DOCUMENTS))
+    def test_wilson_runs_on_the_resolution_grid(self, monkeypatch, name):
+        w = document_weight(DOCUMENTS[name]())
+        nodes = wilson_grids(monkeypatch)
+        g = spectral_factorize(w)
+        assert nodes == [64]
+        assert g.wilson_nodes == 64 and g.boundary.node_count == w.node_count
+        assert (g.sweeps, g.order) == DECISIONS[name][1:3]
+
+    @pytest.mark.parametrize("name", sorted(DOCUMENTS))
+    def test_coefficients_match_the_full_grid(self, monkeypatch, name):
+        w = document_weight(DOCUMENTS[name]())
+        g = spectral_factorize(w)
+        full_grid(monkeypatch)
+        ref = spectral_factorize(w)
+        assert ref.wilson_nodes == w.node_count
+        assert g.coeffs.shape == ref.coeffs.shape
+        assert np.max(np.abs(g.coeffs - ref.coeffs)) <= 1e-12 * np.max(np.abs(ref.coeffs))
+        assert g.residual <= DEFAULT.fact_rel * max_operator_norm(w.values)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    def test_near_zero_weight_falls_back_to_the_full_grid(self, monkeypatch, tmp_path, eps):
+        # the coarse factor misses the sharp peak of the inverse at x = 0.5
+        # and fails the full-grid certificate; the second run is the
+        # full-grid one, bit for bit
+        doc = near_zero_document(eps, 1024)
+        spec = tmp_path / "near_zero.json"
+        spec.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["factorize", str(spec)]) == 0
+        w = document_weight(doc)
+        with monkeypatch.context() as m:
+            nodes = wilson_grids(m)
+            outcome = factor_outcome(w)
+        assert nodes == [128, 1024]
+        full_grid(monkeypatch)
+        assert outcome == factor_outcome(w)
+
+    def test_unresolved_weight_runs_once_on_its_own_grid(self, monkeypatch):
+        w = fractional_edge_weight()
+        with monkeypatch.context() as m:
+            nodes = wilson_grids(m)
+            outcome = factor_outcome(w)
+        assert nodes == [2048]
+        full_grid(monkeypatch)
+        assert outcome == factor_outcome(w)
+
+    @pytest.mark.parametrize("name", sorted(TestBracketedDecisions.WEIGHTS))
+    def test_failure_message_is_the_full_grid_one(self, monkeypatch, name):
+        w = TestBracketedDecisions.WEIGHTS[name]()
+        tol = dataclasses.replace(DEFAULT, fact_rel=1e-18)
+        message = factor_outcome(w, tol)
+        full_grid(monkeypatch)
+        assert message.startswith("factorize: residual ") and message == factor_outcome(w, tol)
+
+
 def singular_node_factor(block: np.ndarray) -> OuterFunction:
     """A hand-built 2x2 factor whose boundary is the identity except at one node."""
     vals = np.broadcast_to(np.eye(2, dtype=complex), (64, 2, 2)).copy()
@@ -460,3 +546,12 @@ class TestSingularBoundary:
         with pytest.raises(SingularBoundary, match=r"^boundary_logdet_mean: det G vanishes at "
                            r"node t = .* of the 64-node grid: \|det G\| = 0\.0e\+00"):
             boundary_logdet_mean(g)
+
+    def test_singular_value_at_zero_names_its_stage(self, monkeypatch):
+        # G(z) = diag(1, z) has G* G = I on the circle but G(0) singular
+        factor = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+        monkeypatch.setattr(outer, "_commuting_factor", lambda values: factor)
+        w = BoundarySampling(np.tile(np.eye(2, dtype=complex), (64, 1, 1)))
+        with pytest.raises(Singular, match=r"^factorize: G\(0\): smallest singular value "
+                           r"0\.000e\+00 at or below tol\.sing_rel x largest = 1\.000e-12$"):
+            spectral_factorize(w)

@@ -211,16 +211,31 @@ def _random_measure(l, m_grid, seed):
     return make_measure(TableDensity(samples), [(-2.7, far), (2.03, near)], quad_order=m_grid)
 
 
+def _defect_tiling(mu, n):
+    """(row chunk lengths, row step, column tiles) of orthonormality_defect
+    on a degree-n sequence of mu, by its rule: tiles of
+    width = max(1, 64 // l) l columns, and chunks of
+    max(1, 4096 // (width l)) l rows, first over the M/2 node rows, then
+    over the mass rows (one per unit of each mass's multiplicity)."""
+    l = mu.dim
+    width = max(1, 64 // l) * l
+    step = max(1, (1 << 12) // (width * l)) * l
+    grid_rows = mu.quad_order // 2 * l
+    total = grid_rows + sum(s.multiplicity for s in mu.bound_states)
+    bounds = list(range(0, grid_rows, step)) + list(range(grid_rows, total, step)) + [total]
+    return np.diff(bounds), step, -(-(n + 1) * l // width)
+
+
 class TestGramDefect:
-    # (l, M, n, window): the defect's node chunks, (1 << 14) // (2 l (w + 1) l)
-    # nodes, never divide M, and there are at least two of them
-    CASES = [(1, 512, 40, 40), (2, 256, 30, 20), (3, 128, 24, 24), (4, 128, 20, 12)]
+    # (l, M, n, window): the defect of the degree-n sequence sums at least
+    # two row chunks, one of them partial, over more than one column tile
+    CASES = [(1, 512, 64, 40), (2, 256, 32, 20), (3, 128, 24, 24), (4, 128, 20, 12)]
 
     @pytest.mark.parametrize("l, m_grid, n, window", CASES)
     def test_matches_pairwise_inner_products(self, l, m_grid, n, window):
         mu = _random_measure(l, m_grid, seed=100 + l)
-        step = (1 << 14) // (2 * l * l * (window + 1))
-        assert step < m_grid and m_grid % step != 0
+        chunks, step, tiles = _defect_tiling(mu, n)
+        assert chunks.size >= 2 and chunks.min() < step and tiles > 1
         seq = stieltjes(mu, n)
         assert [s.multiplicity for s in mu.bound_states] == [1, max(1, l - 1)]
         assert np.any(seq.mass_values[-1, 1] != 0)  # the near-band mass is still live
