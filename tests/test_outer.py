@@ -464,16 +464,12 @@ class TestResolutionGrid:
     @pytest.mark.parametrize("name", sorted(DOCUMENTS))
     def test_wilson_runs_on_the_resolution_grid(self, monkeypatch, name):
         w = document_weight(DOCUMENTS[name]())
-        nodes = wilson_grids(monkeypatch)
-        g = spectral_factorize(w)
+        with monkeypatch.context() as m:
+            nodes = wilson_grids(m)
+            g = spectral_factorize(w)
         assert nodes == [64]
         assert g.wilson_nodes == 64 and g.boundary.node_count == w.node_count
         assert (g.sweeps, g.order) == DECISIONS[name][1:3]
-
-    @pytest.mark.parametrize("name", sorted(DOCUMENTS))
-    def test_coefficients_match_the_full_grid(self, monkeypatch, name):
-        w = document_weight(DOCUMENTS[name]())
-        g = spectral_factorize(w)
         full_grid(monkeypatch)
         ref = spectral_factorize(w)
         assert ref.wilson_nodes == w.node_count
