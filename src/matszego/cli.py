@@ -208,9 +208,14 @@ def _run_factorize(args, mu, tol):
             "k", np.arange(g.order + 1), g.coeffs
         )
     }
-    grid = f" on {g.wilson_nodes} of {w.node_count} nodes" if g.wilson_nodes else ""
+    factor = {
+        "exact": f"exact factor of order {g.order}",
+        "reduction": f"factor of order {g.order} by cyclic reduction in {g.sweeps} step(s)",
+        "wilson": f"factor of order {g.order} by Wilson iteration in {g.sweeps} sweep(s) "
+                  f"on {w.node_count} nodes",
+    }[g.path]
     lines = [
-        f"factor of order {g.order} in {g.sweeps} sweep(s){grid}; "
+        f"{factor}; "
         f"boundary residual {g.residual:.3e}, negative leakage {g.neg_leakage:.3e}",
         f"det mean-value residual {det_res:.3e} (estimate {det_est:.3e}), "
         f"phase unitarity defect {s_defect:.3e}",
@@ -402,7 +407,41 @@ def _canonical_command(args) -> str:
     return " ".join(parts)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# subcommand name, help line, and its options beyond spec and --out
+_SUBCOMMANDS = (
+    ("check-measure", "validate a measure document and report its invariants", ()),
+    ("recurrence", "compute block Jacobi recurrence coefficients", (
+        (("--n",), dict(type=int, required=True, help="number of blocks")),
+        (("--type",), dict(dest="norm_type", default="type1",
+                           choices=("type1", "type2", "type3"), help="normalization type")),
+    )),
+    ("factorize", "outer spectral factor of the boundary weight", (
+        (("--order",), dict(help=argparse.SUPPRESS)),  # legacy, ignored
+    )),
+    ("blaschke", "mass-pinned product with kernel certification", ()),
+    ("limit", "evaluate the limit function on a disk grid", (
+        (("--radius",), dict(type=float, default=0.8, help="outer grid radius")),
+        (("--angles",), dict(type=int, default=24, help="angles per circle")),
+    )),
+    ("verify", "convergence of scaled polynomials to the limit", (
+        (("--n-list",), dict(required=True, help="comma-separated degrees")),
+        (("--radius",), dict(type=float, default=0.8, help="disk grid radius")),
+    )),
+    ("sumrule", "entropy balance of weight, masses, and recurrence", (
+        (("--n",), dict(type=int, default=100, help="deepest partial sum")),
+    )),
+)
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, or with a command name the same parser
+    holding only that subcommand.
+
+    A subcommand's help and its errors come from its own parser, and an
+    unrecognized argument is reported with the top-level usage, which
+    names no subcommand; so for arguments that start with the command's
+    name both parsers print the same bytes and exit with the same code.
+    """
     parser = argparse.ArgumentParser(
         prog="matszego",
         description=(
@@ -413,30 +452,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, help_text, options in _SUBCOMMANDS:
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("spec", help="path to a measure document (JSON)")
         p.add_argument("--out", metavar="DIR", default=None,
                        help="directory for report.json, tables, manifest.json")
-        return p
-
-    add("check-measure", "validate a measure document and report its invariants")
-    p = add("recurrence", "compute block Jacobi recurrence coefficients")
-    p.add_argument("--n", type=int, required=True, help="number of blocks")
-    p.add_argument("--type", dest="norm_type", default="type1",
-                   choices=("type1", "type2", "type3"), help="normalization type")
-    p = add("factorize", "outer spectral factor of the boundary weight")
-    p.add_argument("--order", help=argparse.SUPPRESS)  # legacy, ignored
-    add("blaschke", "mass-pinned product with kernel certification")
-    p = add("limit", "evaluate the limit function on a disk grid")
-    p.add_argument("--radius", type=float, default=0.8, help="outer grid radius")
-    p.add_argument("--angles", type=int, default=24, help="angles per circle")
-    p = add("verify", "convergence of scaled polynomials to the limit")
-    p.add_argument("--n-list", required=True, help="comma-separated degrees")
-    p.add_argument("--radius", type=float, default=0.8, help="disk grid radius")
-    p = add("sumrule", "entropy balance of weight, masses, and recurrence")
-    p.add_argument("--n", type=int, default=100, help="deepest partial sum")
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -450,8 +474,12 @@ def _write_artifacts(out_dir: str, manifest: specio.RunManifest, report, tables)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse's message lookups cost about 1 ms per parser, so only the
+    # named subcommand's parser is built; --help, --version, no argument
+    # and an unknown command get the full one
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         tol, overrides = tolerances.from_environment()
         try:

@@ -93,6 +93,17 @@ _BRACKET_MARGIN = 1e-8
 _FRO_TINY = 1e-150
 
 
+def frobenius_norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each block of a matrix or a stack: the squares of
+    the real view of each block summed by one einsum, which, unlike
+    np.linalg.norm, makes no stack-sized temporary."""
+    flat = np.ascontiguousarray(a)
+    if np.iscomplexobj(flat):
+        flat = flat.view(flat.real.dtype)
+    flat = flat.reshape(a.shape[:-2] + (-1,))
+    return np.sqrt(np.einsum("...i,...i->...", flat, flat))
+
+
 def _frobenius_top(a: np.ndarray) -> tuple[np.ndarray, float | None]:
     """(Frobenius norm per block, largest one or None when it brackets nothing).
 
@@ -100,7 +111,7 @@ def _frobenius_top(a: np.ndarray) -> tuple[np.ndarray, float | None]:
     are not finite): the Frobenius norms then say nothing reliable about
     the operator norms. It is 0.0 only when every entry is exactly zero.
     """
-    fro = np.linalg.norm(a, axis=(-2, -1))
+    fro = frobenius_norms(a)
     top = float(fro.max())
     if top == 0.0 and not a.any():
         return fro, 0.0
@@ -201,11 +212,15 @@ class BracketedNorm:
     exact value decides, errors included. Each test decides from the
     brackets when they settle it and from the exact values otherwise, so
     it returns what the same test on the exact values returns. The stack
-    is dropped once the value is known.
+    is dropped once the value is known. norm computes the exact value:
+    max_hermitian_norm for a stack of Hermitian blocks, whose largest
+    |eigenvalue| the same bracket holds.
     """
 
-    def __init__(self, stack: np.ndarray | None = None, value: float = np.nan):
+    def __init__(self, stack: np.ndarray | None = None, value: float = np.nan,
+                 norm=None):
         self._stack = stack
+        self._norm = norm or max_operator_norm
         if stack is None:
             self.lo = self.hi = value
             return
@@ -218,17 +233,21 @@ class BracketedNorm:
 
     def exact(self) -> float:
         if self._stack is not None:
-            self.lo = self.hi = max_operator_norm(self._stack)
+            self.lo = self.hi = self._norm(self._stack)
             self._stack = None
         return self.lo
 
+    def decide(self, test):
+        """test(value) for a test monotone in the value, read at the two
+        ends of the bracket and at the exact value only where they differ."""
+        lo, hi = test(self.lo), test(self.hi)
+        if lo == hi and not math.isnan(self.lo):
+            return lo
+        return test(self.exact())
+
     def at_most(self, t: float) -> bool:
         """value <= t."""
-        if self.hi <= t:
-            return True
-        if self.lo > t:
-            return False
-        return self.exact() <= t
+        return self.decide(lambda value: value <= t)
 
     def below(self, other: "BracketedNorm", factor: float = 1.0) -> bool:
         """value < factor * other.value, for factor >= 0."""
@@ -276,6 +295,19 @@ def frame_product(a: np.ndarray, f: np.ndarray, b: np.ndarray) -> np.ndarray:
     for s in range(0, f.shape[0], step):
         out[s : s + step] = (f[s : s + step].reshape(-1, l) @ b).reshape(-1, l * l) @ k
     return out.reshape(f.shape)
+
+
+def positive_definite(a: np.ndarray) -> bool:
+    """Whether every block of a Hermitian stack has a Cholesky factor, the
+    node-level test of positive definiteness, decided in panels of about
+    64 KB so that no factor of the whole stack is held."""
+    step = max(1, _PANEL_ENTRIES // (a.shape[-1] * a.shape[-1]))
+    try:
+        for s in range(0, a.shape[0], step):
+            np.linalg.cholesky(a[s : s + step])
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def hermitian_defect(a: np.ndarray) -> float:
@@ -363,9 +395,12 @@ def fourier_coefficients(f: BoundarySampling) -> tuple[np.ndarray, np.ndarray]:
     and coeffs[k] = c_{n_values[k]} of shape (l, l).
     """
     m = f.node_count
-    base = np.fft.fft(f.values, axis=0) / m
+    base = np.fft.fft(f.values, axis=0)
+    base /= m
     n_values = np.arange(-m // 2, m // 2)
-    coeffs = _phase(n_values, m)[:, None, None] * base[n_values % m]
+    coeffs = base[n_values % m]
+    del base
+    coeffs *= _phase(n_values, m)[:, None, None]
     return n_values, coeffs
 
 
@@ -396,7 +431,9 @@ def synthesize_on_grid(
     spectrum[n_values % node_count] = (
         np.conj(_phase(n_values, node_count))[:, None, None] * coeffs
     )
-    values = np.fft.ifft(spectrum, axis=0) * node_count
+    values = np.fft.ifft(spectrum, axis=0)
+    del spectrum
+    values *= node_count
     return BoundarySampling(values)
 
 

@@ -412,10 +412,8 @@ def make_measure(
     # definite, at a fraction of eigvalsh's cost, which runs only to
     # report a failure
     w_ac = 0.5 * (w_ac + w_ac.conj().transpose(0, 2, 1))
-    try:
-        np.linalg.cholesky(w_ac)
-    except np.linalg.LinAlgError:
-        raise _szego_failure(np.linalg.eigvalsh(w_ac)[:, 0].min()) from None
+    if not linalg.positive_definite(w_ac):
+        raise _szego_failure(np.linalg.eigvalsh(w_ac)[:, 0].min())
 
     states = []
     for e, w in clean_masses:

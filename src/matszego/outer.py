@@ -1,54 +1,33 @@
 """Right spectral factorization w = G* G on the unit circle.
 
 G is the outer (minimum-phase) factor, analytic in the disk, normalized
-so G(0) is Hermitian positive definite. Two construction paths:
+so G(0) is Hermitian positive definite. Three construction paths:
 
-* commuting weights (all boundary values share one constant eigenbasis,
-  which covers scalar weights and the conjugated-diagonal family): each
-  eigenvalue channel that is a resolved nonnegative scalar trigonometric
-  polynomial is factored exactly by root splitting, with explicit
-  deflation of zeros at z = +-1. Exact to rounding even when the weight
-  vanishes on the circle; the series is the polynomial.
-* general weights: deflated Wilson iteration. While w(1) or w(-1),
-  summed from the Fourier series of w, has a kernel with projector P,
-  the boundary Potapov factor E(z) = I -+ z P is peeled off,
-  w <- E^{-*} w E^{-1}, which also catches zeros of higher order
-  (Potapov 1955; Janashia, Lagvilava & Ephremidze, IEEE Trans. Inf.
-  Theory 57 (2011)). Wilson's Newton iteration (SIAM J. Appl. Math. 23
-  (1972)), started from the Cholesky factor of the mean, factors the
-  smooth remainder on the grid, and G = G~ E_k ... E_1 puts the edge
-  zeros back. Spectrally accurate for weights whose zeros on the circle
-  are even-order zeros at z = +-1; a zero of non-integer order keeps an
-  O(M^-p) gap to the continuum factor. The series is cut after G's
-  significant Fourier band, at most an eighth of Wilson's grid.
+* exact, for commuting weights (one constant eigenbasis: scalar weights
+  and the conjugated-diagonal family): each eigenvalue channel that is
+  a resolved nonnegative trigonometric polynomial is factored by root
+  splitting, with explicit deflation of zeros at z = +-1.
+* cyclic reduction, for every other resolved weight, of Fourier band
+  d < M/4. Its outer factor is a matrix polynomial of degree d (matrix
+  Fejer-Riesz, Rosenblatt 1958). While w(1) or w(-1), summed from the
+  Fourier series, has a kernel with projector P, the boundary Potapov
+  factor E(z) = I -+ z P is peeled off, w <- E^{-*} w E^{-1} (Potapov
+  1955; Janashia, Lagvilava & Ephremidze, IEEE Trans. Inf. Theory 57
+  (2011)). Meini's cyclic reduction (Math. Comp. 71 (2002)) factors the
+  strictly positive remainder from its coefficients, and
+  G = G~ E_k ... E_1 is multiplied out in coefficient space.
+* Wilson's Newton iteration (SIAM J. Appl. Math. 23 (1972)), only for
+  unresolved weights (d >= M/4: tables that are no trigonometric
+  polynomial, fractional edge exponents), on the M nodes after the same
+  peeling; the series is cut after G's significant band, at most M/8.
+  It runs on v = w^T, as (psi^T)* (psi^T) = (psi psi*)^T = w.
 
-  Wilson runs on the weight's resolution grid, not on all M nodes: a
-  weight of Fourier band d (a matrix trigonometric polynomial of degree
-  d, whose outer factor is a polynomial of degree d by matrix
-  Fejer-Riesz) is resampled exactly from its coefficients |n| <= d onto
-  M' nodes, the smallest power of two at or above max(64, 16 (d + 1)),
-  capped at M. The cut series, synthesized on the M nodes, is then held
-  to the same certificate as every factor. If the coarse run fails it or
-  stalls, Wilson runs once more on the M nodes themselves; an unresolved
-  weight (d near M/2) goes there at once.
-
-Left-factor algorithms produce psi with psi psi* = v; the right factor
-comes from the transpose trick: run them on v = w^T (entrywise
-transpose, no conjugation) and transpose the coefficients back, since
-(psi^T)* (psi^T) = (psi psi*)^T = v^T = w.
-
-Restriction: the weight must be positive definite at every node
-(node-level strictness in place of an a.e. integrability hypothesis);
-weights failing it are rejected. det w itself may be tiny: at the edge
-nodes of a weight vanishing at t = 0 and pi it is of order (2 sin^2(pi/M))^k
-for k vanishing channels, and such weights factor to rounding.
-
-Products of a grid stack with constant matrices (the rotation into the
-probes' joint eigenbasis, the edge factors E, the phase Omega that makes
-G(0) Hermitian) are GEMMs: linalg.frame_product and, for E,
-blaschke.elementary_matrix. The probes, the edge sums w(+-1) and interior
-evaluation are single GEMMs. The reported residual of the Hermitian
-G* G - w is its largest |eigenvalue| (linalg.max_hermitian_norm).
+Every factor passes one certificate on the M nodes: the largest
+|eigenvalue| of G* G - w (linalg.max_hermitian_norm) at most
+tol.fact_rel max ||w||, then a zero-free interior. The weight must be
+positive definite at every node; det w may be tiny, (2 sin^2(pi/M))^k
+at the edge nodes of k channels vanishing at t = 0 and pi, and such
+weights factor to rounding.
 """
 
 from __future__ import annotations
@@ -58,17 +37,11 @@ import dataclasses
 import numpy as np
 
 from . import blaschke, linalg
-from .errors import (
-    NoConvergence,
-    NotPD,
-    RadiusExceeded,
-    Singular,
-    SingularBoundary,
-)
+from .errors import NoConvergence, NotPD, RadiusExceeded, Singular, SingularBoundary
 from .linalg import BoundarySampling, BracketedNorm, left_polar, max_operator_norm
 from .tolerances import DEFAULT, Tolerances
 
-_MAX_SWEEPS = 60  # cap on Wilson sweeps
+_MAX_SWEEPS = 60  # cap on Wilson sweeps and reduction steps
 _MAX_PEELS = 16  # cap on boundary factors peeled off one weight
 
 
@@ -78,13 +51,11 @@ class OuterFunction:
 
     coeffs[k] is the z^k coefficient, k = 0..order. boundary holds the
     factor on the weight's grid; residual is the node-level certificate
-    max ||G* G - w|| over that grid. wilson_nodes is the size of the grid
-    Wilson's factor was kept from (0 on the exact path). When it is
-    below the weight's node count, boundary is the truncated series, and
-    truncation_defect (the sup gap between Wilson's iterate and the
-    truncated series) and neg_leakage (the largest negative-index Fourier
-    coefficient of the iterate) are read on Wilson's grid; otherwise
-    boundary is the iterate itself.
+    max ||G* G - w|| over that grid. path is "exact", "reduction" or
+    "wilson"; sweeps counts reduction steps or Newton sweeps. On the
+    Wilson path boundary is the iterate, truncation_defect its sup gap to
+    the cut series and neg_leakage its largest negative-index Fourier
+    coefficient; a polynomial path reports both as 0.0.
     """
 
     coeffs: np.ndarray
@@ -93,7 +64,7 @@ class OuterFunction:
     neg_leakage: float
     truncation_defect: float
     sweeps: int
-    wilson_nodes: int = 0
+    path: str = "exact"
 
     @property
     def order(self) -> int:
@@ -134,12 +105,10 @@ def _band_degree(n_vals: np.ndarray, coeffs: np.ndarray) -> int:
 def _scalar_outer_coeffs(samples: np.ndarray) -> np.ndarray | None:
     """Outer factor of a nonnegative scalar trig polynomial, from its roots.
 
-    samples are the (real, positive) values on the midpoint grid.
-    Returns ascending power-series coefficients g_0..g_d with
-    |g(e^{it})|^2 = the trig polynomial and g(0) > 0, or None when the
-    significant degree d reaches M/4: the samples are then not a
-    resolved trig polynomial, and root splitting would be O(M^3) work
-    whose result is rejected.
+    samples are the (real, positive) values on the midpoint grid. Returns
+    ascending coefficients g_0..g_d with |g(e^{it})|^2 = the polynomial
+    and g(0) > 0, or None when the significant degree d reaches M/4: the
+    samples are then no resolved trig polynomial.
     """
     m_grid = samples.shape[0]
     sampling = BoundarySampling(samples[:, None, None].astype(complex))
@@ -235,7 +204,8 @@ def _commuting_factor(values: np.ndarray) -> np.ndarray | None:
     is no resolved trig polynomial. Commutation has one test: every value
     rotated into the probes' joint basis B (linalg.frame_product) must
     have no off-diagonal entry above eps s, eps = 1e-12 and s = max |w|
-    entrywise.
+    entrywise. About 64 evenly spaced nodes are tested first, and a
+    failure there is the whole test's.
     """
     dim = values.shape[1]
     scale = float(np.max(np.abs(values)))
@@ -244,13 +214,13 @@ def _commuting_factor(values: np.ndarray) -> np.ndarray | None:
         diag = values[:, 0, 0].real[:, None]
     else:
         basis = _joint_basis(*_probes(values))
-        rotated = linalg.frame_product(basis.conj().T, values, basis)
-        off = rotated.copy()
         idx = np.arange(dim)
-        off[:, idx, idx] = 0.0
-        if float(np.max(np.abs(off))) > 1e-12 * scale:
-            return None
-        diag = rotated[:, idx, idx].real
+        for stack in (values[:: max(1, values.shape[0] // 64)], values):
+            rotated = linalg.frame_product(basis.conj().T, stack, basis)
+            diag = rotated[:, idx, idx].real
+            rotated[:, idx, idx] = 0.0
+            if float(np.max(np.abs(rotated))) > 1e-12 * scale:
+                return None
 
     channel_coeffs = [_scalar_outer_coeffs(diag[:, i]) for i in range(diag.shape[1])]
     if any(g is None for g in channel_coeffs):
@@ -265,20 +235,19 @@ def _commuting_factor(values: np.ndarray) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# edge deflation and Wilson sweeps for general weights
+# edge deflation, cyclic reduction and Wilson sweeps for general weights
 
 
 def _peel_edges(
-    values: np.ndarray, z: np.ndarray, floor: float
+    values: np.ndarray, z: np.ndarray, scale: BracketedNorm, rank_rel: float
 ) -> tuple[np.ndarray, list[tuple[float, np.ndarray, int]]]:
     """Divide boundary Potapov factors E(z) = I -+ z P out of w.
 
-    w(+-1) is summed from the Fourier series (sum of c_n, resp. of
-    (-1)^n c_n), which is spectrally accurate. While it has eigenvalues
-    at or below floor, P projects onto their span and w <- E^{-*} w E^{-1}.
-    Returns the remainder and (root, unitary, rank) per factor in peel
-    order; E = blaschke.elementary_matrix(unitary, rank, 1 - root z) on
-    the grid points z.
+    While w(+-1), summed from the Fourier series, has eigenvalues at or
+    below rank_rel times the weight's scale, P projects onto their span
+    and w <- E^{-*} w E^{-1}. Returns the remainder and (root, unitary,
+    rank) per factor in peel order: E(z) = I - root z P, on the grid
+    points z blaschke.elementary_matrix(unitary, rank, 1 - root z).
     """
     peeled = []
     while len(peeled) < _MAX_PEELS:
@@ -286,7 +255,7 @@ def _peel_edges(
         for root in (1.0, -1.0):
             edge = (root**n_vals) @ c.reshape(n_vals.size, -1)
             lam, vec = np.linalg.eigh(edge.reshape(c.shape[1:]))
-            rank = int(np.sum(lam <= floor))
+            rank = scale.decide(lambda s: int(np.sum(lam <= rank_rel * s)))
             if rank:
                 break
         else:
@@ -298,19 +267,91 @@ def _peel_edges(
     return values, peeled
 
 
+def _cyclic_reduction(c: np.ndarray) -> tuple[np.ndarray, int]:
+    """Outer factor G_0..G_d of the strictly positive band-d weight with
+    coefficients C_0..C_d (C_-n = C_n*), and the reduction steps taken.
+
+    w = G* G reads C_n = sum_k G_k* G_(k+n). Cut the block Toeplitz
+    matrices of w and G into blocks of d: that of w is block tridiagonal,
+    with Q = [C_(j-i)] on the diagonal and A = [C_(d+j-i)] above it, and
+    that of G block bidiagonal, with U = [G_(j-i)] and V = [G_(d+j-i)]
+    (i, j < d; C_m and G_m vanish for m > d, G_m for m < 0). Matching
+    blocks gives Q = U* U + V* V and A = U* V, so X = U* U solves
+    X + A* X^-1 A = Q (V = U^-* A), and G outer makes X the maximal
+    solution. U is block upper triangular with G_0 on its diagonal: for
+    G_0 upper triangular with a positive diagonal, U is the upper
+    Cholesky factor of X, whose first block row is G_0 .. G_(d-1), and
+    C_d = G_0* G_d gives G_d.
+
+    Meini's cyclic reduction halves the semi-infinite block tridiagonal
+    matrix [A, Q, A*] each step and converges quadratically to X: from
+    X = Q_0 = Q, A_0 = A*, B_0 = A, X <- X - A_k Q_k^-1 B_k,
+    Q_(k+1) = Q_k - A_k Q_k^-1 B_k - B_k Q_k^-1 A_k, A_(k+1) = A_k Q_k^-1 A_k
+    and B_(k+1) = B_k Q_k^-1 B_k, until the update to X is at most
+    2^-52 ||X||_F; NoConvergence after 60 steps or on lost definiteness.
+    """
+    if c.shape[0] == 1:  # a constant is lifted as a band-1 weight with C_1 = 0
+        c = np.concatenate([c, np.zeros_like(c)])
+    d, dim = c.shape[0] - 1, c.shape[1]
+    full = np.concatenate([c[:0:-1].conj().transpose(0, 2, 1), c])  # C_-d .. C_d
+    i, j = np.indices((d, d))
+    q = full[d + j - i].transpose(0, 2, 1, 3).reshape(d * dim, d * dim)
+    a = np.where((j <= i)[:, :, None, None], full[np.minimum(2 * d + j - i, 2 * d)], 0.0)
+    a = a.transpose(0, 2, 1, 3).reshape(d * dim, d * dim)
+    x, q_k, a_k, b_k = q.copy(), q, a.conj().T, a
+    for steps in range(1, _MAX_SWEEPS + 1):
+        try:
+            solved = np.linalg.solve(q_k, np.concatenate([a_k, b_k], axis=1))
+        except np.linalg.LinAlgError:
+            break
+        qa, qb = solved[:, : d * dim], solved[:, d * dim :]
+        update = a_k @ qb
+        x -= update
+        q_k = q_k - update - b_k @ qa
+        a_k, b_k = a_k @ qa, b_k @ qb
+        if np.linalg.norm(update) <= 2.0**-52 * np.linalg.norm(x):
+            try:
+                top = np.linalg.cholesky(0.5 * (x + x.conj().T))[:, :dim].conj().T
+            except np.linalg.LinAlgError:
+                break
+            g = top.reshape(dim, d, dim).transpose(1, 0, 2)
+            return np.concatenate([g, np.linalg.solve(g[0].conj().T, c[d])[None]]), steps
+    raise NoConvergence(f"factorize: cyclic reduction did not converge in {steps} steps")
+
+
+def _reduction_factor(n_vals, c, m_grid, scale, tol):
+    """Factor of a weight from its coefficients c_n, n in n_vals = -band..band,
+    band < M/4: _peel_edges on the weight resampled onto the smallest power
+    of two of nodes at or above 4 (band + 1), _cyclic_reduction of the
+    remainder, the edge factors put back in coefficients, one synthesis."""
+    band = int(n_vals.max())
+    nodes = 1 << (4 * band + 3).bit_length()
+    samples = linalg.synthesize_on_grid(n_vals, c, nodes).values
+    samples = 0.5 * (samples + samples.conj().transpose(0, 2, 1))
+    z = np.exp(1j * linalg.midpoint_nodes(nodes))
+    remainder, peeled = _peel_edges(samples, z, scale, tol.rank_rel)
+    n_rem, c_rem = linalg.fourier_coefficients(BoundarySampling(remainder))
+    order = min(band, _band_degree(n_rem, c_rem))
+    coeffs, steps = _cyclic_reduction(c_rem[(n_rem >= 0) & (n_rem <= order)])
+    for root, unitary, rank in reversed(peeled):
+        edge = unitary[:rank].conj().T @ unitary[:rank]
+        zero = np.zeros_like(coeffs[:1])
+        coeffs = np.concatenate([coeffs, zero]) - root * np.concatenate([zero, coeffs @ edge])
+    coeffs = coeffs[: band + 1]  # by Fejer-Riesz; what is cut is rounding
+    boundary = linalg.synthesize_on_grid(np.arange(coeffs.shape[0]), coeffs, m_grid).values
+    return coeffs, boundary, 0.0, 0.0, steps, "reduction"
+
+
 def _wilson(v: np.ndarray, target: float) -> tuple[np.ndarray, int]:
     """Left factor psi psi* = v on the grid; returns (psi, sweeps).
 
     Starts from the Cholesky factor of the mean of v and stops once the
     residual max ||psi psi* - v|| is at most target, or after four sweeps
     without a 30% gain on the best residual; the caller checks the result.
-    The stop and stall tests read the residuals' Frobenius brackets
-    (linalg.BracketedNorm) and settle exactly only where a bracket
-    straddles the threshold: Newton residuals are rank one of nearly
-    equal norm at every node, so the exact value would need an SVD of
-    every block, and it mostly is far from the threshold. Only the
-    residual stack of the best sweep is kept for that. The sweeps run,
-    and so psi, are those of the exact tests.
+    The stop and stall tests read Frobenius brackets (linalg.BracketedNorm)
+    and settle exactly only where one straddles the threshold, keeping the
+    residual stack of the best sweep for that; the sweeps run are those
+    of the exact tests.
     """
     m_grid, dim = v.shape[0], v.shape[1]
     psi = np.linalg.cholesky(np.mean(v, axis=0))[None].repeat(m_grid, axis=0)
@@ -346,33 +387,15 @@ def _wilson(v: np.ndarray, target: float) -> tuple[np.ndarray, int]:
     return psi, sweeps
 
 
-# Wilson's grid: at least this many nodes, and this many per coefficient of w's band
-_MIN_WILSON_NODES = 64
-_NODES_PER_COEFF = 16
-
-
-def _resolution_grid(band: int, m_grid: int) -> int:
-    """Node count of Wilson's first attempt for a weight of Fourier band
-    `band` sampled on m_grid nodes: the smallest power of two at or above
-    max(64, 16 (band + 1)), capped at m_grid."""
-    need = max(_MIN_WILSON_NODES, _NODES_PER_COEFF * (band + 1))
-    return min(m_grid, 1 << (need - 1).bit_length())
-
-
-def _wilson_factor(samples: np.ndarray, m_grid: int, floor: float, target: float):
-    """Deflated Wilson factor of the weight samples on their own grid.
-
-    Peels the edge factors (_peel_edges, eigenvalue floor), runs _wilson
-    to target / 4^k for k peeled factors (|E| <= 2 on the circle, so each
-    can scale the residual by 4) and cuts the series after its band, at
-    most a grid's eighth. Returns (coeffs, boundary, neg_leakage,
-    truncation_defect, sweeps, nodes), the two floats read on the
-    samples' grid of `nodes` nodes. boundary is on the m_grid-node grid:
-    the iterate itself when nodes == m_grid, else the cut series.
-    """
-    nodes = samples.shape[0]
+def _wilson_factor(values: np.ndarray, scale: BracketedNorm, tol: Tolerances):
+    """Deflated Wilson factor of an unresolved weight on its M nodes:
+    _peel_edges, then _wilson to tol.fact_rel max ||w|| / 4^k for k
+    peeled factors (|E| <= 2 on the circle), and the series cut after its
+    band, at most M/8; boundary is the iterate."""
+    nodes = values.shape[0]
     z = np.exp(1j * linalg.midpoint_nodes(nodes))
-    remainder, peeled = _peel_edges(samples, z, floor)
+    remainder, peeled = _peel_edges(values, z, scale, tol.rank_rel)
+    target = tol.fact_rel * scale.exact()
     psi, sweeps = _wilson(remainder.transpose(0, 2, 1), target / 4 ** len(peeled))
     boundary = psi.transpose(0, 2, 1)
     for root, unitary, rank in reversed(peeled):
@@ -383,80 +406,61 @@ def _wilson_factor(samples: np.ndarray, m_grid: int, floor: float, target: float
     coeffs = head[: _band_degree(np.arange(head.shape[0]), head) + 1]
     powers = np.arange(coeffs.shape[0])
     trunc = max_operator_norm(linalg.synthesize_on_grid(powers, coeffs, nodes).values - boundary)
-    if nodes < m_grid:
-        boundary = linalg.synthesize_on_grid(powers, coeffs, m_grid).values
-    return coeffs, boundary, leak, trunc, sweeps, nodes
+    return coeffs, boundary, leak, trunc, sweeps, "wilson"
 
 
 def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterFunction:
     """Factor w = G* G with G outer and G(0) Hermitian PD.
 
-    Weights the exact path does not take go to the deflated Wilson path:
-    boundary Potapov factors E at z = +-1 are peeled off while w(+-1) has
-    eigenvalues at or below tol.rank_rel * max ||w||, Wilson factors the
-    remainder, and G = G~ E_k ... E_1. E(0) = I, so G(0) is the
-    remainder's. The factor sets its series length: the exact path keeps
-    its polynomial, and Wilson's series is cut after its last coefficient
-    k <= M'/8 of norm above 1e-13 times the largest (_band_degree), so an
-    unresolved weight stops at M/8.
+    Positivity is decided once, by a Cholesky factor of every node's
+    block (linalg.positive_definite); eigenvalues only word a failure.
+    The scale max ||w|| is bracketed from the blocks' Frobenius norms
+    (linalg.BracketedNorm) and computed exactly only where the peeling
+    floor tol.rank_rel max ||w|| or the target tol.fact_rel max ||w||
+    falls inside the bracket, so every decision is the exact one.
+    Commuting weights take the exact path, other weights of band d < M/4
+    (_band_degree of the M-node FFT) the cyclic reduction, to order d.
 
-    Wilson first runs on the weight's resolution grid: with d the band
-    of w (_band_degree of its M-node FFT), M' is the smallest power of two
-    at or above max(64, 16 (d + 1)), capped at M, and w is resampled
-    there from its coefficients |n| <= d. When M' < M, boundary is the
-    cut series on the M nodes, so residual includes the truncation, while
-    truncation_defect and neg_leakage are read on the M' nodes. If that
-    run raises NoConvergence or fails the certificate below, it runs once
-    more with M' = M on w's own samples, where boundary is the iterate.
-    wilson_nodes records the M' that was kept.
-
-    Raises NotPD for weights with an eigenvalue at or below 0 at a node,
-    NoConvergence when the residual max ||G* G - w|| over the M nodes is
-    above tol.fact_rel * max ||w|| or the series has a zero in the disk,
-    and Singular when G(0) is; every message starts with "factorize:".
+    Raises NotPD for weights not positive definite at a node,
+    NoConvergence when the reduction fails, the residual over the M nodes
+    is above target or the series has a zero in the disk, and Singular
+    when G(0) is; every message starts with "factorize:".
     """
     m_grid = w.node_count
     values = 0.5 * (w.values + w.values.conj().transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(values)
-    scale = float(np.max(np.abs(eigs)))  # Hermitian: the operator norm
-    if scale <= 0.0:
-        raise NotPD("factorize: weight vanishes identically")
-    lam_min = float(np.min(eigs))
-    if lam_min <= 0.0:
-        raise NotPD(
-            f"factorize: weight not positive definite: min eig {lam_min:.1e} at or below 0"
-        )
-    target = tol.fact_rel * scale
+    if not linalg.positive_definite(values):
+        lam_min = float(np.linalg.eigvalsh(values)[:, 0].min())
+        raise NotPD(f"factorize: weight not positive definite: min eig {lam_min:.1e} at or below 0")
+    scale = BracketedNorm(values, norm=linalg.max_hermitian_norm)
 
     coeffs = _commuting_factor(values)
     if coeffs is not None:
-        boundary = linalg.synthesize_on_grid(
-            np.arange(coeffs.shape[0]), coeffs, m_grid
-        ).values
-        if BracketedNorm(boundary.conj().transpose(0, 2, 1) @ boundary - values).at_most(target):
-            return _certified((coeffs, boundary, 0.0, 0.0, 0, 0), values, target, tol)
+        boundary = linalg.synthesize_on_grid(np.arange(coeffs.shape[0]), coeffs, m_grid).values
+        residual = BracketedNorm(_gram_defect(boundary, values))
+        if scale.decide(lambda s: residual.at_most(tol.fact_rel * s)):
+            del residual
+            return _certified((coeffs, boundary, 0.0, 0.0, 0, "exact"), values, scale, tol)
+        del residual, boundary
 
-    floor = tol.rank_rel * scale
     n_vals, c = linalg.fourier_coefficients(BoundarySampling(values))
     band = _band_degree(n_vals, c)
-    nodes = _resolution_grid(band, m_grid)
-    if nodes < m_grid:
-        keep = np.abs(n_vals) <= band
-        samples = linalg.synthesize_on_grid(n_vals[keep], c[keep], nodes).values
-        samples = 0.5 * (samples + samples.conj().transpose(0, 2, 1))
-        try:
-            return _certified(_wilson_factor(samples, m_grid, floor, target), values, target, tol)
-        except NoConvergence:
-            pass
-    return _certified(_wilson_factor(values, m_grid, floor, target), values, target, tol)
+    if band >= m_grid // 4:
+        del n_vals, c
+        return _certified(_wilson_factor(values, scale, tol), values, scale, tol)
+    keep = np.abs(n_vals) <= band
+    n_vals, c = n_vals[keep], c[keep]
+    return _certified(_reduction_factor(n_vals, c, m_grid, scale, tol), values, scale, tol)
 
 
-def _certified(factor, values: np.ndarray, target: float, tol: Tolerances) -> OuterFunction:
+def _certified(factor, values: np.ndarray, scale: BracketedNorm,
+               tol: Tolerances) -> OuterFunction:
     """The OuterFunction of factor = (coeffs, boundary, neg_leakage,
-    truncation_defect, sweeps, wilson_nodes), its G(0) turned Hermitian PD
-    by a constant unitary, once max ||G* G - w|| <= target over the grid
-    and the series is zero-free in the disk (_check_zero_free)."""
-    coeffs, boundary, leak, trunc, sweeps, nodes = factor
+    truncation_defect, sweeps, path), G(0) turned Hermitian PD by a
+    constant unitary, once max ||G* G - w|| <= tol.fact_rel max ||w||
+    over the grid and the series is zero-free in the disk. The caller
+    hands boundary over: one stack, G* G - w, is made beside its turn."""
+    coeffs, boundary, leak, trunc, sweeps, path = factor
+    del factor
     try:
         u, _ = left_polar(coeffs[0], tol)
     except Singular as err:
@@ -467,23 +471,26 @@ def _certified(factor, values: np.ndarray, target: float, tol: Tolerances) -> Ou
     coeffs[0] = 0.5 * (coeffs[0] + coeffs[0].conj().T)
     boundary = linalg.frame_product(omega, boundary, eye)
     # G* G - w is Hermitian: its norm is the largest |eigenvalue|
-    residual = linalg.max_hermitian_norm(boundary.conj().transpose(0, 2, 1) @ boundary - values)
-    if residual > target:
+    residual = linalg.max_hermitian_norm(_gram_defect(boundary, values))
+    if not scale.decide(lambda s: residual <= tol.fact_rel * s):
         raise NoConvergence(
-            f"factorize: residual {residual:.1e} above target {target:.1e} "
-            f"after {sweeps} sweeps"
+            f"factorize: residual {residual:.1e} above target "
+            f"{tol.fact_rel * scale.exact():.1e} after {sweeps} sweeps"
         )
 
-    out = OuterFunction(
-        coeffs=coeffs,
-        boundary=BoundarySampling(boundary),
-        residual=residual,
-        neg_leakage=leak,
-        truncation_defect=trunc,
-        sweeps=sweeps,
-        wilson_nodes=nodes,
-    )
+    out = OuterFunction(coeffs, BoundarySampling(boundary), residual, leak, trunc, sweeps, path)
     _check_zero_free(out)
+    return out
+
+
+def _gram_defect(boundary: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """G* G - w node by node, in panels of about 64 KB: the result is the only stack made."""
+    out = np.empty_like(boundary)
+    step = max(1, (1 << 12) // boundary[0].size)
+    for s in range(0, boundary.shape[0], step):
+        g = boundary[s : s + step]
+        np.matmul(g.conj().transpose(0, 2, 1), g, out=out[s : s + step])
+        out[s : s + step] -= values[s : s + step]
     return out
 
 
@@ -532,12 +539,10 @@ def det_szego_check(g: OuterFunction) -> tuple[float, float]:
 
     residual = |log |det G(0)| - boundary mean of log |det G||; an inner
     factor hiding in G shows up as a strictly positive residual (each
-    Blaschke-type zero z0 contributes -log |z0|). estimate is the
-    quadrature coarse/fine difference. Even-order zeros at z = +-1 are
-    peeled off exactly, so such weights reach rounding level. Only a zero
-    of non-integer order keeps an O(M^-p) gap to the continuum factor;
-    then the residual floor sits near the estimate (1.6e-5 for
-    |2 sin t|^{3/2} at M = 2048).
+    zero z0 in the disk contributes -log |z0|). estimate is the
+    quadrature coarse/fine difference. A zero of non-integer order keeps
+    an O(M^-p) gap to the continuum factor, so the residual floor sits
+    near the estimate (1.6e-5 for |2 sin t|^{3/2} at M = 2048).
     """
     mean, est = boundary_logdet_mean(g)
     det0 = abs(np.linalg.det(g.value_at_zero()))
@@ -554,16 +559,13 @@ def _surely_invertible(reflected: np.ndarray, inv: np.ndarray, sing_rel: float) 
     With F = max ||A||_F over the blocks A and Y = max ||X||_F over their
     computed inverses X: the largest singular value is at most F, and each
     smallest one is 1 / ||A^-1||_2 >= 1 / ||A^-1||_F. Once q = F Y <= 1e8,
-    the inverse's forward error (at most a modest multiple of
-    l * growth * u * kappa, u = 2^-53) and the SVD's backward error (a
-    modest multiple of u ||A||) shift these bounds by less than 1e-3
-    relative, so the computed smallest singular value exceeds
-    sing_rel times the computed largest whenever sing_rel * q <= 0.5. A
-    False answer decides nothing: the caller then runs the exact test.
+    the inverse's forward error (a modest multiple of l growth u kappa,
+    u = 2^-53) and the SVD's backward error (of u ||A||) shift these
+    bounds by less than 1e-3 relative, so the computed smallest singular
+    value exceeds sing_rel times the computed largest whenever
+    sing_rel q <= 0.5. False decides nothing: the exact test then runs.
     """
-    q = float(np.max(np.linalg.norm(reflected, axis=(1, 2)))) * float(
-        np.max(np.linalg.norm(inv, axis=(1, 2)))
-    )
+    q = float(linalg.frobenius_norms(reflected).max() * linalg.frobenius_norms(inv).max())
     return q <= _INVERSE_BOUND_CAP and sing_rel * q <= 0.5
 
 
@@ -573,12 +575,10 @@ def s_function(g: OuterFunction, tol: Tolerances = DEFAULT) -> BoundarySampling:
     For weights symmetric under t -> -t (every Szego-mapped weight is)
     the values are unitary. SingularBoundary if a reflected value is
     numerically singular: its smallest singular value at or below
-    tol.sing_rel times the largest over the grid. That test is decided
-    from the bracket sigma_max in [max ||A||_F / sqrt(l), max ||A||_F] and
-    sigma_min in [1 / max ||A^-1||_F, sqrt(l) / max ||A^-1||_F], from the
-    inverses s needs anyway (_surely_invertible); the singular values are
-    computed only where that does not certify a pass, so the outcome is
-    that of the exact test.
+    tol.sing_rel times the largest over the grid. Frobenius norms of the
+    values and of the inverses s needs anyway decide a pass
+    (_surely_invertible); the singular values are computed only where
+    they do not, so the outcome is that of the exact test.
     """
     vals = g.boundary.values
     reflected = vals[::-1]

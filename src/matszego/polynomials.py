@@ -15,6 +15,7 @@ triangular with positive diagonal ("type3").
 from __future__ import annotations
 
 import dataclasses
+import math
 import mmap
 
 import numpy as np
@@ -417,8 +418,14 @@ def _gram_eigh(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_hermitian(b: np.ndarray, step: int) -> None:
     """Raise NotHermitian when ||B - B*|| > 1e-8 max(1, ||B||), from the
-    exact norms of the one l x l block; ||B|| is needed only when the
-    defect exceeds 1e-8, the least the threshold can be."""
+    exact norms of the one l x l block. The defect's Frobenius norm bounds
+    its operator norm, with 1e-8 relative to spare for rounding, so a
+    Frobenius norm at most 1e-8 / (1 + 1e-8) passes without an SVD; the
+    exact defect and ||B|| are needed only past that, and the decision is
+    the exact one."""
+    d = b - b.conj().T
+    if math.sqrt(np.vdot(d, d).real) * (1.0 + 1e-8) <= 1e-8:
+        return
     herm = hermitian_defect(b)
     if herm <= 1e-8:
         return

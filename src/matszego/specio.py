@@ -468,18 +468,31 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _fmt_cells(values: np.ndarray):
+    """Iterator over _fmt of every entry of a real array, in C order, with
+    float.__repr__ run once per distinct value: bitwise distinct, so -0.0
+    keeps its sign. The texts are shared, one reference per cell."""
+    flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    text = np.fromiter(map(float.__repr__, bits.view(float)), dtype=object, count=bits.size)
+    return iter(text[inverse])
+
+
+def _csv(header: list[str], rows) -> str:
+    """CSV text of a header and an iterable of row strings."""
+    return "\n".join([",".join(header), *rows, ""])
+
+
 def format_real_table(columns: Sequence[tuple[str, Sequence[float]]]) -> str:
     """CSV text from (name, values) columns of equal length."""
     names = [name for name, _ in columns]
-    series = [list(vals) for _, vals in columns]
+    series = [np.asarray(vals, dtype=float) for _, vals in columns]
     length = len(series[0]) if series else 0
     for name, vals in zip(names, series):
         if len(vals) != length:
             raise ValueError(f"column {name!r} length {len(vals)} != {length}")
-    lines = [",".join(names)]
-    for row in range(length):
-        lines.append(",".join(_fmt(vals[row]) for vals in series))
-    return "\n".join(lines) + "\n"
+    cells = _fmt_cells(np.stack(series, axis=1)) if series else iter(())
+    return _csv(names, map(",".join, zip(*[cells] * len(names))))
 
 
 def format_matrix_table(
@@ -490,17 +503,13 @@ def format_matrix_table(
     Columns: the index, then e{i}{j}_re, e{i}{j}_im for each entry in
     row-major order.
     """
-    stack = np.asarray(stack, dtype=complex)
+    stack = np.ascontiguousarray(stack, dtype=complex)
     rows, cols = stack.shape[1], stack.shape[2]
     names = [index_name]
     for i in range(rows):
         for j in range(cols):
             names.extend([f"e{i}{j}_re", f"e{i}{j}_im"])
-    lines = [",".join(names)]
-    for idx, mat in zip(index_values, stack):
-        cells = [_fmt(idx) if isinstance(idx, (int, float)) else str(idx)]
-        for i in range(rows):
-            for j in range(cols):
-                cells.extend([_fmt(mat[i, j].real), _fmt(mat[i, j].imag)])
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    index = [_fmt(idx) if isinstance(idx, (int, float)) else str(idx) for idx in index_values]
+    cells = _fmt_cells(stack.view(float))
+    entries = map(",".join, zip(*[cells] * (2 * rows * cols)))
+    return _csv(names, map(",".join, zip(index, entries)))

@@ -1,9 +1,17 @@
 """Shared fixtures: shipped measure fixtures and slow session-scoped builds."""
 
-import pathlib
+import os
 
-import numpy as np
-import pytest
+# One BLAS and OpenMP thread, set before numpy loads: the recurrence's
+# tall-skinny GEMMs slow down several-fold when threads oversubscribe a
+# shared core, and the time-bounded tests should not depend on that.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import pathlib  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from matszego import specio
 from matszego.measure import MatrixMeasure, SemicircleDensity, make_measure

@@ -1,11 +1,12 @@
 """Command-line surface: exit codes, stdout content, artifact determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from matszego import blaschke
+from matszego import blaschke, cli
 from matszego import polynomials as poly
 from matszego.cli import main
 
@@ -285,11 +286,29 @@ class TestCommands:
         assert "residual" in out
 
     def test_factorize_reports_the_wilson_grid(self, capsys, tmp_path):
-        spec = tmp_path / "noncommuting.json"
-        spec.write_text(json.dumps(noncommuting_document(2, 1024)))
+        # a table of |2 sin t|^(3/2) / (2 pi |sin t|), whose weight is no
+        # trigonometric polynomial: the only kind Wilson's iteration factors
+        theta = -np.pi + (2 * np.arange(2048) + 1) * np.pi / 2048
+        f = np.abs(2.0 * np.sin(theta)) ** 1.5 / (2.0 * np.pi * np.abs(np.sin(theta)))
+        doc = {"dim": 1, "quad_order": 2048, "normalize": "auto",
+               "density": {"family": "table", "values": [{"re": [[v]]} for v in f]}}
+        spec = tmp_path / "fractional.json"
+        spec.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "factorize", str(spec))
         assert code == 0
-        assert "factor of order 2 in 3 sweep(s) on 64 of 1024 nodes; " in out
+        assert re.match(r"factor of order 256 by Wilson iteration in \d+ sweep\(s\) "
+                        r"on 2048 nodes; boundary residual ", out)
+
+    @pytest.mark.parametrize("doc, line", [
+        (semicircle_document(2, 512), "exact factor of order 2; "),
+        (noncommuting_document(2, 1024), "factor of order 2 by cyclic reduction in 2 step(s); "),
+    ])
+    def test_factorize_names_its_path(self, capsys, tmp_path, doc, line):
+        spec = tmp_path / "doc.json"
+        spec.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "factorize", str(spec))
+        assert code == 0
+        assert out.startswith(line)
 
     def test_blaschke_reports_kernel_angles(self, capsys):
         code, out, _ = run(capsys, "blaschke", MATRIX_MASS)
@@ -412,3 +431,54 @@ class TestArtifacts:
             lines = f.read_text().strip().splitlines()
             width = len(lines[0].split(","))
             assert all(len(line.split(",")) == width for line in lines[1:])
+
+
+def parser_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of an argparse run that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParser:
+    BAD_FLAGS = [
+        ["check-measure"],
+        ["check-measure", "spec.json", "--bogus"],
+        ["recurrence", "spec.json"],
+        ["recurrence", "spec.json", "--n", "x"],
+        ["recurrence", "spec.json", "--n", "3", "--type", "type9"],
+        ["factorize", "spec.json", "--order"],
+        ["factorize", "spec.json", "--version"],
+        ["blaschke", "spec.json", "extra"],
+        ["limit", "spec.json", "--radius", "abc"],
+        ["limit", "spec.json", "--angles", "1.5"],
+        ["verify", "spec.json"],
+        ["verify", "spec.json", "--n-list", "5", "--radius"],
+        ["sumrule", "spec.json", "--n", "x"],
+    ]
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_help_is_the_full_parsers(self, capsys, monkeypatch, command):
+        full = parser_outcome(capsys, cli._build_parser().parse_args, [command, "--help"])
+        assert full[0] == 0 and full[1].startswith(f"usage: matszego {command} ")
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda *args: built.append(args) or build(*args))
+        assert parser_outcome(capsys, main, [command, "--help"]) == full
+        assert built == [(command,)]
+
+    @pytest.mark.parametrize("argv", BAD_FLAGS, ids=" ".join)
+    def test_bad_flags_are_the_full_parsers(self, capsys, argv):
+        full = parser_outcome(capsys, cli._build_parser().parse_args, argv)
+        assert full[0] == 2 and "error: " in full[2]
+        assert parser_outcome(capsys, main, argv) == full
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["factorise", "x"]])
+    def test_other_first_words_get_the_full_parser(self, capsys, monkeypatch, argv):
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda *args: built.append(args) or build(*args))
+        full = parser_outcome(capsys, build().parse_args, argv)
+        assert parser_outcome(capsys, main, argv) == full
+        assert built == [(None,)]

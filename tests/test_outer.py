@@ -53,7 +53,7 @@ class TestClosedForms:
         assert g.neg_leakage < 1e-10
 
     def test_semicircle_uses_exact_path(self, semicircle_factor):
-        assert semicircle_factor.sweeps == 0
+        assert (semicircle_factor.path, semicircle_factor.sweeps) == ("exact", 0)
 
     def test_arcsine_factor_is_identity(self, shipped_measures):
         g = spectral_factorize(szego_weight(shipped_measures["arcsine"]))
@@ -70,7 +70,7 @@ class TestClosedForms:
         mu = shipped_measures["matrix_conjugated"]
         w = szego_weight(mu)
         g = spectral_factorize(w)
-        assert g.sweeps == 0
+        assert g.path == "exact"
         vals = g.boundary.values
         recon = vals.conj().transpose(0, 2, 1) @ vals
         assert float(np.max(operator_norm(recon - w.values))) < 1e-10
@@ -83,7 +83,7 @@ class TestClosedForms:
 
     def test_shipped_weights_use_exact_path(self, shipped_measures):
         for name in SHIPPED:
-            assert spectral_factorize(szego_weight(shipped_measures[name])).sweeps == 0, name
+            assert spectral_factorize(szego_weight(shipped_measures[name])).path == "exact", name
 
     def test_unresolved_channel_skips_root_splitting(self, monkeypatch):
         # |2 sin t|^{3/2} is no trig polynomial: its significant degree
@@ -95,7 +95,7 @@ class TestClosedForms:
         theta = midpoint_nodes(2048)
         w = BoundarySampling(np.abs(2.0 * np.sin(theta))[:, None, None] ** 1.5)
         g = spectral_factorize(w)
-        assert g.sweeps > 0
+        assert g.path == "wilson"
         assert g.residual <= DEFAULT.fact_rel * max_operator_norm(w.values)
         # the coefficients never fall below the band threshold, so the
         # series stops at M/8, with the O(M^-p) gaps of a fractional zero
@@ -120,9 +120,20 @@ class TestClosedForms:
                    "density": {"family": "poly_semicircle", "coefficients": coefficients}}
             w = szego_weight(specio.build_measure(specio.parse_measure_spec(json.dumps(doc))))
             g = spectral_factorize(w)
-            assert g.sweeps == 0, m_grid
+            assert g.path == "exact", m_grid
             g0.append(g.value_at_zero()[0, 0].real)
         assert max(g0) - min(g0) <= 1e-12
+
+
+def companion_radius(coeffs: np.ndarray) -> float:
+    """Largest |eigenvalue| of the block companion matrix of the reversed
+    polynomial z^K G(1/z): the reciprocals of the zeros of det G, so at
+    most 1 exactly when G has no zero in the open disk."""
+    order, dim = coeffs.shape[0] - 1, coeffs.shape[1]
+    comp = np.zeros((order * dim, order * dim), dtype=complex)
+    comp[:dim] = -np.linalg.solve(coeffs[0], coeffs[1:].transpose(1, 0, 2).reshape(dim, -1))
+    comp[dim:, :-dim] = np.eye((order - 1) * dim)
+    return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 
 class TestRandomWeights:
@@ -138,6 +149,29 @@ class TestRandomWeights:
             assert float(operator_norm(g0 - g0.conj().T)) < 1e-10
             assert float(np.min(np.linalg.eigvalsh(g0))) > 0.0
             assert g.neg_leakage < 1e-8
+
+    def test_resolved_weight_sweep(self):
+        # 150 band weights, strictly positive at the nodes: each that
+        # factors does so by cyclic reduction, to a factor of order equal to
+        # the band (matrix Fejer-Riesz) that passes the residual gate and
+        # is outer. Draws 1, 85 and 97 dip below zero between the nodes
+        # (by 1.1e-4, 1.2e-4 and 5.4e-5 on 16 M nodes), so no outer factor
+        # exists; they are the only refusals allowed.
+        rng = np.random.default_rng(20261019)
+        refused = []
+        for draw in range(150):
+            dim, m_grid = int(rng.integers(2, 5)), int(rng.choice([256, 1024, 2048]))
+            band, floor = int(rng.integers(1, 8)), float(10 ** rng.uniform(-4, 0))
+            w = random_smooth_weight(rng, dim, m_grid, band, floor)
+            try:
+                g = spectral_factorize(BoundarySampling(w))
+            except NoConvergence:
+                refused.append(draw)
+                continue
+            assert (g.path, g.order) == ("reduction", band), draw
+            assert g.residual <= DEFAULT.fact_rel * np.max(np.abs(np.linalg.eigvalsh(w))), draw
+            assert companion_radius(g.coeffs) <= 1.0, draw
+        assert set(refused) <= {1, 85, 97}
 
     def test_interior_evaluation_radius_guard(self, semicircle_factor):
         with pytest.raises(RadiusExceeded):
@@ -171,7 +205,7 @@ class TestEdgeDeflation:
         doc, band_order = EDGE_DOCUMENTS[name]
         w = szego_weight(specio.build_measure(specio.parse_measure_spec(json.dumps(doc))))
         g = spectral_factorize(w)
-        assert g.sweeps > 0  # non-commuting: the Wilson path ran
+        assert g.path == "reduction"  # non-commuting and resolved
         assert g.order == band_order
         assert g.residual <= DEFAULT.fact_rel * max_operator_norm(w.values)
         residual, _ = det_szego_check(g)
@@ -209,6 +243,18 @@ class TestPositivityGuards:
         with pytest.raises(NotPD):
             spectral_factorize(BoundarySampling(vals))
 
+    def test_negative_eigenvalue_at_a_node_exits_4(self, monkeypatch, capsys, tmp_path):
+        # the Cholesky test refuses one node with a negative eigenvalue,
+        # and the message words the smallest eigenvalue of the weight
+        vals = document_weight(noncommuting_document(2, 256)).values.copy()
+        vals[17] = np.diag([0.5, -0.25])
+        spec = tmp_path / "noncommuting.json"
+        spec.write_text(json.dumps(noncommuting_document(2, 256)))
+        monkeypatch.setattr("matszego.measure.szego_weight", lambda mu: BoundarySampling(vals))
+        assert main(["factorize", str(spec)]) == 4
+        assert capsys.readouterr().err == ("numerical error: factorize: weight not positive "
+                                           "definite: min eig -2.5e-01 at or below 0\n")
+
 
 class TestTinyDeterminant:
     """Admissible weights whose det w at the edge nodes lies far below any
@@ -220,17 +266,17 @@ class TestTinyDeterminant:
         w = document_weight(semicircle_document(dim, 1024))
         assert float(np.min(np.linalg.det(w.values).real)) < 1e-14
         g = spectral_factorize(w)
-        assert g.sweeps == 0
+        assert g.path == "exact"
         assert g.residual <= DEFAULT.fact_rel * max_operator_norm(w.values)
         residual, estimate = det_szego_check(g)
         assert residual <= 2.0 * estimate
         assert np.max(np.abs(g.value_at_zero() - np.eye(dim) / np.sqrt(2.0))) < 1e-12
 
-    def test_noncommuting_semicircle_blocks_factor_by_wilson(self):
+    def test_noncommuting_semicircle_blocks_factor_by_cyclic_reduction(self):
         w = document_weight(noncommuting_document(4, 1024, semicircles=3))
         assert float(np.min(np.linalg.det(w.values).real)) < 1e-14
         g = spectral_factorize(w)
-        assert g.sweeps > 0
+        assert (g.path, g.order) == ("reduction", 2)
         assert g.residual <= DEFAULT.fact_rel * max_operator_norm(w.values)
 
     def test_not_positive_definite_message(self):
@@ -364,9 +410,9 @@ class TestBracketedDecisions:
 
     @pytest.mark.parametrize("name", ["noncommuting_2_m256", "noncommuting_4_m1024"])
     def test_few_full_stack_svds(self, monkeypatch, name):
-        # at most the last sweep's stop test needs an SVD of every node's
-        # block (the reported residual takes eigenvalues); exact tests at
-        # every sweep need four
+        # cyclic reduction works on coefficients and the certificate takes
+        # eigenvalues, so no node's block is ever decomposed by an SVD;
+        # Wilson's exact tests at every sweep would need four
         w = self.WEIGHTS[name]()
         full = []
         svd = np.linalg.svd
@@ -379,8 +425,8 @@ class TestBracketedDecisions:
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         g = spectral_factorize(w)
-        assert g.sweeps == 3
-        assert len(full) <= 1
+        assert (g.path, g.sweeps) == ("reduction", 2)
+        assert not full
 
     def test_s_function_certificate_changes_nothing(self, monkeypatch):
         g = spectral_factorize(document_weight(noncommuting_document(4, 1024)))
@@ -390,19 +436,19 @@ class TestBracketedDecisions:
 
 
 # (path, sweeps, order, (root, rank) of each peeled edge factor) of each
-# weight's factorization, as the einsum frame products decided them
+# weight's factorization; sweeps counts reduction steps on the reduction path
 DECISIONS = {
     "free_semicircle": ("exact", 0, 2, ()),
     "arcsine": ("exact", 0, 0, ()),
     "semicircle_mass": ("exact", 0, 2, ()),
     "matrix_semicircle_mass": ("exact", 0, 2, ()),
     "matrix_conjugated": ("exact", 0, 2, ()),
-    "noncommuting_2_m256": ("wilson", 3, 2, ((1.0, 1), (-1.0, 1))),
-    "noncommuting_2_m1024": ("wilson", 3, 2, ((1.0, 1), (-1.0, 1))),
-    "noncommuting_4_m1024": ("wilson", 3, 2, ((1.0, 1), (-1.0, 1))),
-    "table_4_m512": ("wilson", 4, 1, ()),
-    "table_8_m256": ("wilson", 4, 1, ()),
-    "edge_table_m256": ("wilson", 4, 3, ((1.0, 2), (-1.0, 2))),
+    "noncommuting_2_m256": ("reduction", 2, 2, ((1.0, 1), (-1.0, 1))),
+    "noncommuting_2_m1024": ("reduction", 2, 2, ((1.0, 1), (-1.0, 1))),
+    "noncommuting_4_m1024": ("reduction", 2, 2, ((1.0, 1), (-1.0, 1))),
+    "table_4_m512": ("reduction", 5, 1, ()),
+    "table_8_m256": ("reduction", 5, 1, ()),
+    "edge_table_m256": ("reduction", 6, 3, ((1.0, 2), (-1.0, 2))),
 }
 DOCUMENTS = {
     "noncommuting_2_m256": lambda: noncommuting_document(2, 256),
@@ -414,30 +460,56 @@ DOCUMENTS = {
 }
 
 
+def decision_weight(shipped_measures, name: str) -> BoundarySampling:
+    if name in DOCUMENTS:
+        return document_weight(DOCUMENTS[name]())
+    return szego_weight(shipped_measures[name])
+
+
 class TestDecisionIdentity:
     @pytest.mark.parametrize("name", sorted(DECISIONS))
     def test_frame_products_keep_every_decision(self, monkeypatch, shipped_measures, name):
-        if name in DOCUMENTS:
-            w = document_weight(DOCUMENTS[name]())
-        else:
-            w = szego_weight(shipped_measures[name])
+        w = decision_weight(shipped_measures, name)
         peels = []
         peel_edges = outer._peel_edges
 
-        def recording(values, z, floor):
-            remainder, peeled = peel_edges(values, z, floor)
+        def recording(*args):
+            remainder, peeled = peel_edges(*args)
             peels.extend((root, rank) for root, _, rank in peeled)
             return remainder, peeled
 
         monkeypatch.setattr(outer, "_peel_edges", recording)
         g = spectral_factorize(w)
-        path = "wilson" if g.sweeps else "exact"
-        assert (path, g.sweeps, g.order, tuple(peels)) == DECISIONS[name]
+        assert (g.path, g.sweeps, g.order, tuple(peels)) == DECISIONS[name]
 
+    @pytest.mark.parametrize("name", sorted(DECISIONS))
+    def test_sampled_commutation_test_keeps_every_decision(self, monkeypatch,
+                                                           shipped_measures, name):
+        # the full-grid commutation test alone must decide as the sampled
+        # one does, and a non-commuting weight is refused by the sample
+        # without a rotation of all M nodes
+        w = decision_weight(shipped_measures, name)
+        values = 0.5 * (w.values + w.values.conj().transpose(0, 2, 1))
+        scale = float(np.max(np.abs(values)))
+        commutes = True
+        if w.dim > 1:
+            basis = outer._joint_basis(*outer._probes(values))
+            off = linalg.frame_product(basis.conj().T, values, basis)
+            off[:, np.arange(w.dim), np.arange(w.dim)] = 0.0
+            commutes = float(np.max(np.abs(off))) <= 1e-12 * scale
+        rotated = []
+        frame_product = linalg.frame_product
 
-def full_grid(monkeypatch) -> None:
-    """Make Wilson's first attempt run on the weight's own grid."""
-    monkeypatch.setattr(outer, "_resolution_grid", lambda band, m_grid: m_grid)
+        def recording(a, f, b):
+            rotated.append(f.shape[0])
+            return frame_product(a, f, b)
+
+        monkeypatch.setattr(linalg, "frame_product", recording)
+        factor = outer._commuting_factor(values)
+        assert (factor is not None) == (DECISIONS[name][0] == "exact")
+        assert commutes or factor is None
+        if not commutes:
+            assert rotated == [64]  # the sample of M // (M // 64) nodes
 
 
 def wilson_grids(monkeypatch) -> list[int]:
@@ -453,35 +525,62 @@ def wilson_grids(monkeypatch) -> list[int]:
     return nodes
 
 
+def reduction_orders(monkeypatch) -> list[int]:
+    """The order of the remainder of every _cyclic_reduction call from now on."""
+    orders = []
+    reduction = outer._cyclic_reduction
+
+    def recording(c):
+        orders.append(c.shape[0] - 1)
+        return reduction(c)
+
+    monkeypatch.setattr(outer, "_cyclic_reduction", recording)
+    return orders
+
+
+def wilson_reference(w: BoundarySampling) -> OuterFunction:
+    """The certified Wilson factor of w on its M nodes, as if it were unresolved."""
+    values = 0.5 * (w.values + w.values.conj().transpose(0, 2, 1))
+    scale = linalg.BracketedNorm(values, norm=linalg.max_hermitian_norm)
+    return outer._certified(outer._wilson_factor(values, scale, DEFAULT), values, scale, DEFAULT)
+
+
 class TestResolutionGrid:
-    @pytest.mark.parametrize("band, m_grid, nodes", [
-        (1, 4096, 64), (3, 4096, 64), (4, 4096, 128), (7, 1024, 128), (8, 1024, 256),
-        (2, 32, 32), (300, 2048, 2048),
+    @pytest.mark.parametrize("band, m_grid, path", [
+        (1, 4096, "reduction"), (3, 16, "reduction"), (4, 16, "wilson"), (7, 32, "reduction"),
+        (8, 32, "wilson"), (15, 64, "reduction"), (16, 64, "wilson"),
     ])
-    def test_grid_rule(self, band, m_grid, nodes):
-        assert outer._resolution_grid(band, m_grid) == nodes
+    def test_path_rule(self, monkeypatch, band, m_grid, path):
+        # a non-commuting weight of band d on M nodes is resolved, and
+        # factored by cyclic reduction, exactly when d < M/4
+        w = BoundarySampling(random_smooth_weight(np.random.default_rng(band), 2, m_grid, band))
+        nodes, orders = wilson_grids(monkeypatch), reduction_orders(monkeypatch)
+        try:
+            assert spectral_factorize(w).path == path
+        except NoConvergence:
+            assert path == "wilson"  # Wilson's series is cut at M/8 < d
+        assert (nodes, orders) == (([m_grid], []) if path == "wilson" else ([], [band]))
 
     @pytest.mark.parametrize("name", sorted(DOCUMENTS))
-    def test_wilson_runs_on_the_resolution_grid(self, monkeypatch, name):
+    def test_reduction_agrees_with_wilson(self, monkeypatch, name):
+        # one reduction, no Wilson sweep, and the factor Wilson reaches on
+        # all M nodes, to its accuracy
         w = document_weight(DOCUMENTS[name]())
         with monkeypatch.context() as m:
             nodes = wilson_grids(m)
             g = spectral_factorize(w)
-        assert nodes == [64]
-        assert g.wilson_nodes == 64 and g.boundary.node_count == w.node_count
-        assert (g.sweeps, g.order) == DECISIONS[name][1:3]
-        full_grid(monkeypatch)
-        ref = spectral_factorize(w)
-        assert ref.wilson_nodes == w.node_count
-        assert g.coeffs.shape == ref.coeffs.shape
-        assert np.max(np.abs(g.coeffs - ref.coeffs)) <= 1e-12 * np.max(np.abs(ref.coeffs))
+        assert nodes == [] and g.boundary.node_count == w.node_count
+        assert (g.path, g.sweeps, g.order) == DECISIONS[name][:3]
         assert g.residual <= DEFAULT.fact_rel * max_operator_norm(w.values)
+        ref = wilson_reference(w)
+        assert ref.order == g.order
+        assert np.max(np.abs(g.coeffs - ref.coeffs)) <= 1e-9 * np.max(np.abs(ref.coeffs))
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-4])
-    def test_near_zero_weight_falls_back_to_the_full_grid(self, monkeypatch, tmp_path, eps):
-        # the coarse factor misses the sharp peak of the inverse at x = 0.5
-        # and fails the full-grid certificate; the second run is the
-        # full-grid one, bit for bit
+    def test_near_zero_weight_factors_by_reduction(self, monkeypatch, tmp_path, eps):
+        # the factor's inverse is sharply peaked at x = 0.5, which cost the
+        # grid Wilson iteration a second run on all M nodes; the reduction
+        # needs more steps as eps falls, and returns a factor of order 4
         doc = near_zero_document(eps, 1024)
         spec = tmp_path / "near_zero.json"
         spec.write_text(json.dumps(doc))
@@ -490,27 +589,34 @@ class TestResolutionGrid:
         w = document_weight(doc)
         with monkeypatch.context() as m:
             nodes = wilson_grids(m)
-            outcome = factor_outcome(w)
-        assert nodes == [128, 1024]
-        full_grid(monkeypatch)
-        assert outcome == factor_outcome(w)
+            g = spectral_factorize(w)
+        assert nodes == []
+        assert (g.path, g.order) == ("reduction", 4)
+        assert g.residual <= DEFAULT.fact_rel * max_operator_norm(w.values)
 
     def test_unresolved_weight_runs_once_on_its_own_grid(self, monkeypatch):
         w = fractional_edge_weight()
-        with monkeypatch.context() as m:
-            nodes = wilson_grids(m)
-            outcome = factor_outcome(w)
-        assert nodes == [2048]
-        full_grid(monkeypatch)
-        assert outcome == factor_outcome(w)
+        nodes, orders = wilson_grids(monkeypatch), reduction_orders(monkeypatch)
+        g = spectral_factorize(w)
+        assert (nodes, orders, g.path) == ([2048], [], "wilson")
+        assert g.boundary.node_count == 2048
 
     @pytest.mark.parametrize("name", sorted(TestBracketedDecisions.WEIGHTS))
-    def test_failure_message_is_the_full_grid_one(self, monkeypatch, name):
+    def test_failure_message_is_the_full_grid_one(self, name):
+        # the gate reads the residual over all M nodes against the exact
+        # scale; the reduction does not depend on fact_rel, so its failing
+        # residual is the one certified at the default tolerance
         w = TestBracketedDecisions.WEIGHTS[name]()
         tol = dataclasses.replace(DEFAULT, fact_rel=1e-18)
         message = factor_outcome(w, tol)
-        full_grid(monkeypatch)
-        assert message.startswith("factorize: residual ") and message == factor_outcome(w, tol)
+        target = 1e-18 * linalg.max_hermitian_norm(
+            0.5 * (w.values + w.values.conj().transpose(0, 2, 1)))
+        assert message.startswith("factorize: residual ")
+        assert message.endswith(" sweeps") and f" above target {target:.1e} after " in message
+        g = spectral_factorize(w)
+        if g.path == "reduction":
+            assert message == (f"factorize: residual {g.residual:.1e} above target "
+                               f"{target:.1e} after {g.sweeps} sweeps")
 
 
 def singular_node_factor(block: np.ndarray) -> OuterFunction:

@@ -198,6 +198,25 @@ class TestHermitianDecision:
         assert zone == where
         assert got == raised == (float(operator_norm(defect)) > floor)
 
+    def test_frobenius_pass_is_the_exact_pass(self):
+        # skew defects with Frobenius norm about 1e-8 and operator norm
+        # a factor up to sqrt(l) below it: each block raises exactly when
+        # the exact SVD test says so
+        rng = np.random.default_rng(23)
+        for l in (1, 2, 4):
+            for scale in np.linspace(0.95e-8, 1.6e-8, 40):
+                h = rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l))
+                skew = h - h.conj().T
+                b = np.diag(rng.uniform(0.5, 2.0, l)) + 0.5 * scale * skew / np.linalg.norm(skew)
+                defect = float(operator_norm(b - b.conj().T))
+                exact = defect > 1e-8 * max(1.0, float(operator_norm(b)))
+                try:
+                    polynomials._check_hermitian(b, 1)
+                    raised = False
+                except NotHermitian:
+                    raised = True
+                assert raised == exact, (l, scale)
+
 
 def _random_measure(l, m_grid, seed):
     """Table weight with a far rank-deficient mass and a near-band mass."""

@@ -622,3 +622,20 @@ class TestManifestAndTables:
         row = lines[1].split(",")
         assert float(row[0]) == 7.0
         assert float(row[header.index("e00_im")]) == 0.5
+
+    def test_tables_format_each_value_as_its_repr(self):
+        # one float.__repr__ per distinct value gives the bytes of one per
+        # cell: signed zeros, repeats, non-finite values and integer indices
+        values = [0.0, -0.0, 1.0, 1.0, 0.1 + 0.2, float("inf"), float("nan"), 3, -2.5e-300]
+        text = format_real_table([("a", values), ("b", values[::-1])])
+        rows = [f"{repr(float(a))},{repr(float(b))}" for a, b in zip(values, values[::-1])]
+        assert text == "a,b\n" + "\n".join(rows) + "\n"
+        stack = np.empty((2, 2, 2), dtype=complex)
+        stack.real, stack.imag = np.reshape(values[:8], (2, 2, 2)), np.reshape(values[1:], (2, 2, 2))
+        index = [np.int64(4), 2.5]
+        text = format_matrix_table("k", index, stack)
+        expected = ["k,e00_re,e00_im,e01_re,e01_im,e10_re,e10_im,e11_re,e11_im"]
+        for idx, mat in zip(["4", "2.5"], stack):
+            expected.append(",".join([idx] + [repr(float(getattr(v, part)))
+                                              for v in mat.ravel() for part in ("real", "imag")]))
+        assert text == "\n".join(expected) + "\n"
