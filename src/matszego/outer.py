@@ -7,27 +7,26 @@ so G(0) is Hermitian positive definite. Three construction paths:
   and the conjugated-diagonal family): each eigenvalue channel that is
   a resolved nonnegative trigonometric polynomial is factored by root
   splitting, with explicit deflation of zeros at z = +-1.
-* cyclic reduction, for every other resolved weight, of Fourier band
-  d < M/4. Its outer factor is a matrix polynomial of degree d (matrix
-  Fejer-Riesz, Rosenblatt 1958). While w(1) or w(-1), summed from the
+* cyclic reduction, for every other weight of Fourier band d < M/4 with
+  d^3 l <= 128 M, whose outer factor is a matrix polynomial of degree d
+  (matrix Fejer-Riesz, Rosenblatt 1958). While w(+-1), summed from the
   Fourier series, has a kernel with projector P, the boundary Potapov
   factor E(z) = I -+ z P is peeled off, w <- E^{-*} w E^{-1} (Potapov
   1955; Janashia, Lagvilava & Ephremidze, IEEE Trans. Inf. Theory 57
   (2011)). Meini's cyclic reduction (Math. Comp. 71 (2002)) factors the
   strictly positive remainder from its coefficients, and
   G = G~ E_k ... E_1 is multiplied out in coefficient space.
-* Wilson's Newton iteration (SIAM J. Appl. Math. 23 (1972)), only for
-  unresolved weights (d >= M/4: tables that are no trigonometric
-  polynomial, fractional edge exponents), on the M nodes after the same
-  peeling; the series is cut after G's significant band, at most M/8.
-  It runs on v = w^T, as (psi^T)* (psi^T) = (psi psi*)^T = w.
+* Wilson's Newton iteration (SIAM J. Appl. Math. 23 (1972)) for the
+  rest: unresolved weights (d >= M/4: tables that are no trigonometric
+  polynomial, fractional edge exponents) and bands so wide that the
+  reduction's dense (d l)^3 work would exceed the grid's. It runs on the
+  M nodes after the same peeling, on v = w^T, as (psi^T)* (psi^T) =
+  (psi psi*)^T = w; the series is cut after G's band, at most M/8.
 
-Every factor passes one certificate on the M nodes: the largest
-|eigenvalue| of G* G - w (linalg.max_hermitian_norm) at most
-tol.fact_rel max ||w||, then a zero-free interior. The weight must be
-positive definite at every node; det w may be tiny, (2 sin^2(pi/M))^k
-at the edge nodes of k channels vanishing at t = 0 and pi, and such
-weights factor to rounding.
+Every factor passes one certificate on the M nodes: max ||G* G - w||
+at most tol.fact_rel max ||w||, then a zero-free interior. The weight
+must be positive definite at every node; det w may be tiny, as at the
+edge nodes of channels vanishing at t = 0 and pi.
 """
 
 from __future__ import annotations
@@ -348,10 +347,9 @@ def _wilson(v: np.ndarray, target: float) -> tuple[np.ndarray, int]:
     Starts from the Cholesky factor of the mean of v and stops once the
     residual max ||psi psi* - v|| is at most target, or after four sweeps
     without a 30% gain on the best residual; the caller checks the result.
-    The stop and stall tests read Frobenius brackets (linalg.BracketedNorm)
-    and settle exactly only where one straddles the threshold, keeping the
-    residual stack of the best sweep for that; the sweeps run are those
-    of the exact tests.
+    The stop and stall tests read Frobenius brackets (linalg.BracketedNorm),
+    exact only where one straddles the threshold (the best sweep's stack
+    is kept for that), and run the sweeps the exact tests run.
     """
     m_grid, dim = v.shape[0], v.shape[1]
     psi = np.linalg.cholesky(np.mean(v, axis=0))[None].repeat(m_grid, axis=0)
@@ -419,7 +417,9 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
     floor tol.rank_rel max ||w|| or the target tol.fact_rel max ||w||
     falls inside the bracket, so every decision is the exact one.
     Commuting weights take the exact path, other weights of band d < M/4
-    (_band_degree of the M-node FFT) the cyclic reduction, to order d.
+    (_band_degree of the M-node FFT) the cyclic reduction, to order d,
+    unless d^3 l > 128 M, where its O((d l)^3) steps cost more than
+    Wilson's sweeps (crossover d^3 l = 96-128 M at l = 2, 4, 8).
 
     Raises NotPD for weights not positive definite at a node,
     NoConvergence when the reduction fails, the residual over the M nodes
@@ -444,7 +444,7 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
 
     n_vals, c = linalg.fourier_coefficients(BoundarySampling(values))
     band = _band_degree(n_vals, c)
-    if band >= m_grid // 4:
+    if band >= m_grid // 4 or band**3 * values.shape[1] > 128 * m_grid:
         del n_vals, c
         return _certified(_wilson_factor(values, scale, tol), values, scale, tol)
     keep = np.abs(n_vals) <= band

@@ -548,11 +548,14 @@ def wilson_reference(w: BoundarySampling) -> OuterFunction:
 class TestResolutionGrid:
     @pytest.mark.parametrize("band, m_grid, path", [
         (1, 4096, "reduction"), (3, 16, "reduction"), (4, 16, "wilson"), (7, 32, "reduction"),
-        (8, 32, "wilson"), (15, 64, "reduction"), (16, 64, "wilson"),
+        (8, 32, "wilson"), (15, 64, "reduction"), (16, 64, "wilson"), (25, 256, "reduction"),
+        (26, 256, "wilson"),
     ])
     def test_path_rule(self, monkeypatch, band, m_grid, path):
-        # a non-commuting weight of band d on M nodes is resolved, and
-        # factored by cyclic reduction, exactly when d < M/4
+        # a non-commuting 2x2 weight of band d on M nodes is factored by
+        # cyclic reduction exactly when it is resolved, d < M/4, and its
+        # lifted size is small, d^3 l <= 128 M (25^3 2 = 31250 and
+        # 26^3 2 = 35152 around 128 * 256 = 32768)
         w = BoundarySampling(random_smooth_weight(np.random.default_rng(band), 2, m_grid, band))
         nodes, orders = wilson_grids(monkeypatch), reduction_orders(monkeypatch)
         try:
