@@ -315,7 +315,7 @@ def _cyclic_reduction(c: np.ndarray) -> tuple[np.ndarray, int]:
                 break
             g = top.reshape(dim, d, dim).transpose(1, 0, 2)
             return np.concatenate([g, np.linalg.solve(g[0].conj().T, c[d])[None]]), steps
-    raise NoConvergence(f"factorize: cyclic reduction did not converge in {steps} steps")
+    raise NoConvergence(f"factorize: cyclic reduction did not converge in {steps} step(s)")
 
 
 def _reduction_factor(n_vals, c, m_grid, scale, tol):

@@ -597,6 +597,16 @@ class TestResolutionGrid:
         assert (g.path, g.order) == ("reduction", 4)
         assert g.residual <= DEFAULT.fact_rel * max_operator_norm(w.values)
 
+    def test_failed_reduction_exits_4(self, monkeypatch, capsys, tmp_path):
+        # the weight needs two reduction steps; capped at one, the
+        # reduction stops unconverged and the CLI reports its stage
+        spec = tmp_path / "noncommuting.json"
+        spec.write_text(json.dumps(noncommuting_document(2, 256)))
+        monkeypatch.setattr(outer, "_MAX_SWEEPS", 1)
+        assert main(["factorize", str(spec)]) == 4
+        assert capsys.readouterr().err == ("numerical error: factorize: cyclic reduction did "
+                                           "not converge in 1 step(s)\n")
+
     def test_unresolved_weight_runs_once_on_its_own_grid(self, monkeypatch):
         w = fractional_edge_weight()
         nodes, orders = wilson_grids(monkeypatch), reduction_orders(monkeypatch)
