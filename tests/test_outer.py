@@ -279,6 +279,17 @@ class TestTinyDeterminant:
         assert (g.path, g.order) == ("reduction", 2)
         assert g.residual <= DEFAULT.fact_rel * max_operator_norm(w.values)
 
+    def test_noncommuting_semicircle_blocks_factor_by_wilson(self):
+        # the Wilson iteration, which still factors unresolved and wide-band
+        # weights, certifies the same tiny-determinant weight on its M nodes
+        w = document_weight(noncommuting_document(4, 1024, semicircles=3))
+        assert float(np.min(np.linalg.det(w.values).real)) < 1e-14
+        g = wilson_reference(w)
+        assert g.path == "wilson" and g.sweeps > 0
+        assert g.boundary.node_count == w.node_count
+        assert g.residual <= DEFAULT.fact_rel * max_operator_norm(w.values)
+        assert g.order == spectral_factorize(w).order
+
     def test_not_positive_definite_message(self):
         vals = np.broadcast_to(np.diag([1.0, -0.5]), (64, 2, 2)).copy()
         with pytest.raises(NotPD, match=r"^factorize: weight not positive definite: "
