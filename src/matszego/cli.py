@@ -38,10 +38,10 @@ def _plain(value):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
+    if isinstance(value, np.ndarray):  # written by specio._dumps, without lists when large
         if np.iscomplexobj(value):
-            return {"re": value.real.tolist(), "im": value.imag.tolist()}
-        return value.tolist()
+            return {"re": value.real, "im": value.imag}
+        return value
     if isinstance(value, (np.bool_,)):
         return bool(value)
     if isinstance(value, (np.integer,)):

@@ -51,9 +51,14 @@ class BoundarySampling:
 
     values has shape (M, l, l). The node angles are implied by M and
     available as .theta; samplings with equal M share the same grid.
+    positive is True only for a weight whose maker decided every block
+    Hermitian and positive definite (measure.make_measure does, by a
+    Cholesky factor of each); outer.spectral_factorize then does not
+    decide it again. Every other sampling is decided there.
     """
 
     values: np.ndarray
+    positive: bool = dataclasses.field(default=False, compare=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.values, dtype=complex))
@@ -171,6 +176,22 @@ def max_operator_norm(a: np.ndarray) -> float:
     """np.max(operator_norm(a)) over a matrix or a stack, with SVDs only on
     the blocks that can hold it (_max_norm)."""
     return _max_norm(a, operator_norm)
+
+
+def may_exceed(bounds: np.ndarray, value: float) -> np.ndarray:
+    """Mask of the blocks whose operator norm may exceed value, from upper
+    bounds of those norms computed in floating point (Frobenius norms, or
+    products of them).
+
+    A block is ruled out only when its bound, widened by the bracket
+    margin for rounding in the bound and in the SVD, is at most value, so
+    max(value, max_operator_norm(blocks[mask])) is the float the whole
+    stack gives. NaN bounds are kept, and so is every block while value is
+    below the range where squares keep their digits (_FRO_TINY).
+    """
+    if not value >= _FRO_TINY:
+        return np.ones(np.shape(bounds), dtype=bool)
+    return ~(bounds * (1.0 + _BRACKET_MARGIN) <= value)
 
 
 def _hermitian_norms(a: np.ndarray) -> np.ndarray:

@@ -440,7 +440,7 @@ def make_measure(
         density=density,
         bound_states=tuple(states),
         quad_order=quad_order,
-        weight=BoundarySampling(w_ac),
+        weight=BoundarySampling(w_ac, positive=True),
         x_nodes=x,
         normalization_defect=defect,
         correction=correction,

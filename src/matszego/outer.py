@@ -411,7 +411,9 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
     """Factor w = G* G with G outer and G(0) Hermitian PD.
 
     Positivity is decided once, by a Cholesky factor of every node's
-    block (linalg.positive_definite); eigenvalues only word a failure.
+    block (linalg.positive_definite), skipped for a weight that
+    make_measure decided (BoundarySampling.positive); eigenvalues only
+    word a failure.
     The scale max ||w|| is bracketed from the blocks' Frobenius norms
     (linalg.BracketedNorm) and computed exactly only where the peeling
     floor tol.rank_rel max ||w|| or the target tol.fact_rel max ||w||
@@ -427,8 +429,10 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
     when G(0) is; every message starts with "factorize:".
     """
     m_grid = w.node_count
+    # a Hermitian stack Hermitizes to itself bitwise, so a weight whose
+    # maker decided positivity (BoundarySampling.positive) needs no second test
     values = 0.5 * (w.values + w.values.conj().transpose(0, 2, 1))
-    if not linalg.positive_definite(values):
+    if not w.positive and not linalg.positive_definite(values):
         lam_min = float(np.linalg.eigvalsh(values)[:, 0].min())
         raise NotPD(f"factorize: weight not positive definite: min eig {lam_min:.1e} at or below 0")
     scale = BracketedNorm(values, norm=linalg.max_hermitian_norm)
@@ -436,11 +440,11 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
     coeffs = _commuting_factor(values)
     if coeffs is not None:
         boundary = linalg.synthesize_on_grid(np.arange(coeffs.shape[0]), coeffs, m_grid).values
-        residual = BracketedNorm(_gram_defect(boundary, values))
-        if scale.decide(lambda s: residual.at_most(tol.fact_rel * s)):
-            del residual
-            return _certified((coeffs, boundary, 0.0, 0.0, 0, "exact"), values, scale, tol)
-        del residual, boundary
+        out = _certified((coeffs, boundary, 0.0, 0.0, 0, "exact"), values, scale, tol,
+                         fall_through=True)
+        if out is not None:
+            return out
+        del boundary
 
     n_vals, c = linalg.fourier_coefficients(BoundarySampling(values))
     band = _band_degree(n_vals, c)
@@ -453,12 +457,15 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
 
 
 def _certified(factor, values: np.ndarray, scale: BracketedNorm,
-               tol: Tolerances) -> OuterFunction:
+               tol: Tolerances, fall_through: bool = False) -> OuterFunction | None:
     """The OuterFunction of factor = (coeffs, boundary, neg_leakage,
     truncation_defect, sweeps, path), G(0) turned Hermitian PD by a
     constant unitary, once max ||G* G - w|| <= tol.fact_rel max ||w||
     over the grid and the series is zero-free in the disk. The caller
-    hands boundary over: one stack, G* G - w, is made beside its turn."""
+    hands boundary over: one stack, G* G - w, is made beside its turn.
+    The turn leaves G* G unchanged, so with fall_through (the exact path)
+    a residual above target returns None, for the caller to factor the
+    weight another way, instead of raising."""
     coeffs, boundary, leak, trunc, sweeps, path = factor
     del factor
     try:
@@ -473,6 +480,8 @@ def _certified(factor, values: np.ndarray, scale: BracketedNorm,
     # G* G - w is Hermitian: its norm is the largest |eigenvalue|
     residual = linalg.max_hermitian_norm(_gram_defect(boundary, values))
     if not scale.decide(lambda s: residual <= tol.fact_rel * s):
+        if fall_through:
+            return None
         raise NoConvergence(
             f"factorize: residual {residual:.1e} above target "
             f"{tol.fact_rel * scale.exact():.1e} after {sweeps} sweeps"

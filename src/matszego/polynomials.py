@@ -31,11 +31,12 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    frobenius_norms,
     hermitian_defect,
     left_polar,
     max_operator_norm,
+    may_exceed,
     operator_norm,
-    sqrt_from_eigh,
 )
 from .measure import MatrixMeasure
 from .tolerances import DEFAULT, Tolerances
@@ -61,14 +62,17 @@ def _mapped_buffer(rows: int, cols: int) -> np.ndarray:
     pages are advised, as numpy does for its own large arrays, and the
     array starts on a huge-page boundary: fresh pages must be faulted
     in on every call, and whole huge pages cut that cost about fourfold
-    at a few MB.
+    at a few MB. Only the huge pages the array fills are advised: an
+    advised partial last one is backed whole or not depending on where
+    the mapping lands, so the same buffer would take up to 2 MB more
+    resident memory in one process than in the next.
     """
     nbytes = rows * cols * 16
     buf = mmap.mmap(-1, nbytes + _HUGE_PAGE, **_PRIVATE_MAP)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        buf.madvise(mmap.MADV_HUGEPAGE)
     whole = np.frombuffer(buf, dtype=np.uint8)
     start = -whole.ctypes.data % _HUGE_PAGE
+    if hasattr(mmap, "MADV_HUGEPAGE") and nbytes >= _HUGE_PAGE:
+        buf.madvise(mmap.MADV_HUGEPAGE, start, nbytes - nbytes % _HUGE_PAGE)
     return whole[start : start + nbytes].view(complex).reshape(cols, rows).T
 
 
@@ -291,9 +295,12 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
 
     The B block's Hermitian test takes the exact norms of its one l x l
     block (_check_hermitian). One eigh of the Gram matrix gives the
-    LostPositivity test its smallest eigenvalue, the loss estimate the
-    norms of A_{n+1}, and A_{n+1} its square root
-    (linalg.sqrt_from_eigh); a re-orthogonalized step takes a second eigh.
+    LostPositivity test its smallest eigenvalue, and one square root of
+    its eigenvalues (rounded negatives clipped to 0, as
+    linalg.sqrt_from_eigh does) gives the loss estimate the norms of
+    A_{n+1}, A_{n+1} itself and its inverse; a re-orthogonalized step
+    takes a second eigh. The mass rows are read only while a mass is
+    live, and zeroed only once one is frozen.
 
     The buffer is an anonymous mapping of its own (_mapped_buffer), so
     its pages are returned when the sequence is dropped, and it is
@@ -330,7 +337,8 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     # the mass rows follow the grid rows; starts[k] is mass k's first one
     starts = offsets[:-1] - half * l
     live = np.ones(len(states), dtype=bool)
-    dead = np.zeros(sum(ranks), dtype=bool)
+    # dead marks the rows of frozen masses, from the first freeze on
+    any_live, dead = bool(states), None
 
     a_blocks = np.empty((n_max, l, l), dtype=complex)
     b_blocks = np.empty((n_max, l, l), dtype=complex)
@@ -355,12 +363,14 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
         second, pending = pending, False
         if not second:
             lam, vec = _gram_eigh(q)
-            pending = not (lam[0] > 0.0 and loss.step(n, np.sqrt(lam[0])) <= _REORTH_THRESHOLD)
+            root = np.sqrt(np.maximum(lam, 0.0))
+            pending = not (lam[0] > 0.0 and loss.step(n, root[0]) <= _REORTH_THRESHOLD)
         treat = second or pending
         if treat:
             basis = y[:, : (n + 1) * l]
             q -= _column_major(basis, (q.conj().T @ basis).conj().T)
             lam, vec = _gram_eigh(q)
+            root = np.sqrt(np.maximum(lam, 0.0))
             passes += 1
         if lam[0] < tol.pos:
             raise LostPositivity(
@@ -368,23 +378,25 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
                 f"the discrete measure's resolution is M/2 + sum rank_k = "
                 f"{half} + {sum(ranks)} = {half + sum(ranks)}"
             )
-        try:
-            a_next = sqrt_from_eigh(lam, vec, tol)
-        except NegativeEigenvalue as err:
-            raise NegativeEigenvalue(f"stieltjes: step {n + 1}: Gram {err}") from None
+        if lam[0] < -tol.herm:
+            raise NegativeEigenvalue(
+                f"stieltjes: step {n + 1}: Gram eigenvalue {lam[0]:.3e} below -{tol.herm:.1e}"
+            )
         if treat:
-            loss.reset(n, np.sqrt(lam[0]))
-        loss.advance(n, np.sqrt(lam[-1]))
+            loss.reset(n, root[0])
+        loss.advance(n, root[-1])
+        vec_h = vec.conj().T
+        a_next = (vec * root) @ vec_h
         nxt = y[:, (n + 1) * l : (n + 2) * l]
-        nxt[...] = _column_major(q, (vec / np.sqrt(lam)) @ vec.conj().T)
-        if live.any():
+        nxt[...] = _column_major(q, (vec / root) @ vec_h)
+        if any_live:
             mass = nxt[half * l :]
             amp = np.add.reduceat((mass.real**2 + mass.imag**2).sum(axis=1), starts)
             frozen = live & (amp < 1e-20)
             if frozen.any():
                 live &= ~frozen
-                dead = np.repeat(~live, ranks)
-        if dead.any():
+                any_live, dead = bool(live.any()), np.repeat(~live, ranks)
+        if dead is not None:
             nxt[half * l :][dead] = 0.0
         a_blocks[n] = a_next
         b_blocks[n] = b_next
@@ -446,7 +458,11 @@ def orthonormality_defect(seq: PolySequence) -> float:
     leave every block norm unchanged, so a transformed sequence reads the
     same rows. Only the upper block triangle is formed, in tiles of at
     most 64 columns summed over chunks of whole nodes of rows: a tile and
-    a chunk's conjugated rows take at most 64 KB each.
+    a chunk's conjugated rows take at most 64 KB each. The blocks of a
+    tile are decomposed only where their Frobenius norms may pass the
+    running maximum (linalg.may_exceed), so a tile of rounding-level
+    blocks below it costs no SVD, and the float is the one every block's
+    norm gives.
     """
     y, l = seq._y, seq.measure.dim
     cols = (seq.degree + 1) * l
@@ -468,13 +484,40 @@ def orthonormality_defect(seq: PolySequence) -> float:
                 i, j = np.triu_indices(ni)
                 blocks = blocks[i, j]
                 blocks[i == j] -= np.eye(l)
-            worst = max(worst, max_operator_norm(blocks.reshape(-1, l, l)))
+            blocks = blocks.reshape(-1, l, l)
+            keep = may_exceed(frobenius_norms(blocks), worst)
+            if keep.any():
+                worst = max(worst, max_operator_norm(blocks[keep]))
     return worst
 
 
 def _times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """v_k m for every leading index k, as one (N l, l) x (l, l) GEMM."""
     return (v.reshape(-1, m.shape[0]) @ m).reshape(v.shape)
+
+
+# Entries of a recurrence_residual panel: 64 KB of complex numbers.
+_PANEL_ENTRIES = 1 << 12
+
+
+def _band(terms: np.ndarray, n0: int, n1: int) -> np.ndarray:
+    """The block band T^T of degrees n0..n1-1 against the rows of degrees
+    n0-1..n1 (0..n1 for n0 = 0), from terms[n] = T_n^T, shape (n, l, 3 l),
+    where T_n = [A_n; B_{n+1}; A_{n+1}^*] (A_0 = 0): the rows of the
+    window times T give Q_{n-1} A_n + Q_n B_{n+1} + Q_{n+1} A_{n+1}^* for
+    each degree.
+
+    Row block j holds terms[n0 + j] j l columns to the right of row
+    block 0, so rows of l (width + 1) entries, l of them spare, lay the
+    terms out in one assignment.
+    """
+    count, l = n1 - n0, terms.shape[1]
+    width = (count + 2) * l
+    flat = np.zeros(count * l * (width + 1), dtype=complex)
+    rows = flat.reshape(count, -1)[:, : l * width].reshape(count, l, width)
+    rows[:, :, : 3 * l] = terms[n0:n1]
+    band = flat[: count * l * width].reshape(count * l, width)
+    return band if n0 else band[:, l:]
 
 
 def recurrence_residual(seq: PolySequence) -> float:
@@ -484,30 +527,53 @@ def recurrence_residual(seq: PolySequence) -> float:
     The grid values are even in t, so the sup runs over the M/2 distinct
     abscissae. c_m acts on the left and the blocks on the right, so the
     defect of p_n is c_m^{-1} times the same defect of the whitened rows
-    c_m p_n: each degree's defect is formed on the rows and unwhitened
-    once, and no stack of values is held. A transformed sequence's
-    blocks are carried back to the buffer's frame (to_type inverted); its
-    defect is then the frame's times the unitary sigma_{n+1}, of the same
-    norm.
+    c_m p_n. The defect is formed on the rows in panels of degrees and
+    nodes of about 64 KB: per panel, the rows times x less one GEMM of
+    the rows of the panel's degrees and their two neighbours against
+    the block band of [A_n; B_{n+1}; A_{n+1}^*] (_band), transposed so
+    that every operand is a view of the buffer. ||c_m^{-1}||_F times a
+    whitened block's Frobenius norm bounds its defect's norm, so only
+    the blocks whose bound may pass the running maximum
+    (linalg.may_exceed) are unwhitened, by one batched product with
+    fold.inverse, and decomposed; no stack of values is held. A
+    transformed sequence's blocks are carried back to the buffer's frame
+    (to_type inverted); its defect is then the frame's times the unitary
+    sigma_{n+1}, of the same norm.
     """
     a, b, s = seq.jacobi.a, seq.jacobi.b, seq.sigma
     if s is not None:
         s_adj = s.conj().transpose(0, 2, 1)
         a, b = s[:-1] @ a @ s_adj[1:], s[:-1] @ b @ s_adj[:-1]
-    fold, l = seq.measure.grid_fold, seq.measure.dim
+    fold, l, n = seq.measure.grid_fold, seq.measure.dim, seq.degree
     half = fold.x.shape[0]
-    rows, inv_root = seq._y[: half * l], fold.inverse
-    x_rows = np.repeat(fold.x, l)[:, None]
+    rows_t = seq._y[: half * l].T  # (columns, rows), C order
+    x_rows = np.repeat(fold.x, l)
+    inv_t = fold.inverse.transpose(0, 2, 1)
+    inv_fro = frobenius_norms(fold.inverse)
+    terms = np.zeros((n, l, 3 * l), dtype=complex)  # T_n^T, as _band takes them
+    terms[1:, :, :l] = a[:-1].transpose(0, 2, 1)
+    terms[:, :, l : 2 * l] = b.transpose(0, 2, 1)
+    terms[:, :, 2 * l :] = a.conj()
+    degrees = max(1, min(n, _PANEL_ENTRIES // (half * l * l)))
+    nodes = max(1, min(half, _PANEL_ENTRIES // (degrees * l * l)))
     worst = 0.0
-    for n in range(seq.degree):
-        q = rows[:, n * l : (n + 1) * l]
-        res = x_rows * q
-        res -= _column_major(rows[:, (n + 1) * l : (n + 2) * l], a[n].conj().T)
-        res -= _column_major(q, b[n])
-        if n > 0:
-            res -= _column_major(rows[:, (n - 1) * l : n * l], a[n - 1])
-        nodes = res.reshape(half, l, l)
-        worst = max(worst, max_operator_norm(_node_product(inv_root, nodes, nodes)))
+    # top degrees first: the defect grows with the degree, so the running
+    # maximum is near its end early and most later panels skip
+    for n0 in reversed(range(0, n, degrees)):
+        n1 = min(n, n0 + degrees)
+        lo = max(0, n0 - 1)
+        band = _band(terms, n0, n1)
+        for m0 in range(0, half, nodes):
+            m1 = min(half, m0 + nodes)
+            rows = slice(m0 * l, m1 * l)
+            res = rows_t[n0 * l : n1 * l, rows] * x_rows[rows]
+            res -= band @ rows_t[lo * l : (n1 + 1) * l, rows]
+            # block (n, m) is the transpose of node m's whitened defect of degree n
+            blocks = res.reshape(n1 - n0, l, m1 - m0, l).transpose(0, 2, 1, 3)
+            keep = may_exceed(frobenius_norms(blocks) * inv_fro[m0:m1], worst)
+            if keep.any():
+                at = np.broadcast_to(np.arange(m0, m1), keep.shape)[keep]
+                worst = max(worst, max_operator_norm(blocks[keep] @ inv_t[at]))
     return worst
 
 
@@ -588,14 +654,14 @@ def type_defect(jacobi: BlockJacobi) -> float:
             cum = cum @ m
             worst = max(worst, hermitian_defect(cum))
         return worst
-    worst = 0.0  # type3
-    for m in a:
-        upper = np.triu(m, 1)
-        worst = max(worst, float(np.max(np.abs(upper))))
-        diag = np.diagonal(m)
-        worst = max(worst, float(np.max(np.abs(diag.imag))))
-        worst = max(worst, float(max(0.0, -np.min(diag.real))))
-    return worst
+    # type3: entries above the diagonal, imaginary parts and negative real
+    # parts on it, each reduced over the whole stack
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    return max(
+        float(np.max(np.abs(np.triu(a, 1)), initial=0.0)),
+        float(np.max(np.abs(diag.imag), initial=0.0)),
+        float(max(0.0, -np.min(diag.real, initial=np.inf))),
+    )
 
 
 def apply_transform(seq: PolySequence, jacobi: BlockJacobi, sigma: np.ndarray) -> PolySequence:

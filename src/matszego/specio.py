@@ -35,7 +35,10 @@ the document hash is stable; parse and serialize are mutually inverse.
 One writer, _dumps, writes documents, manifests and reports; its text is
 json.dumps(obj, sort_keys=True, indent=2) + "\\n" byte for byte, with
 each float matrix formatted in one join. A table is formatted from its
-stack in one pass, with one float.__repr__ per distinct magnitude.
+stack in one pass, with one float.__repr__ per distinct magnitude, and
+so is a report's float array, such as a stack of Jacobi blocks, with
+one per distinct value; a small array (_ARRAY_WRITES), or one with a
+non-finite entry, goes through its lists.
 spec_hash feeds the text to sha256 piece by piece, at most 128 matrices
 at a time, so the whole text is never held; the bytes it hashes are the
 ones serialize_measure_spec returns.
@@ -359,6 +362,43 @@ def _table_pieces(stack: np.ndarray, level: int):
     yield close + pad[1] + "}" + pad[0] + "]"
 
 
+# Writes from which a finite float array is written by _array_text. The
+# list path writes a matrix of floats in one join, so a stack of matrices
+# in one join each, and a vector float by float. _array_text's fixed cost
+# (sorting, laying out the separators) is about that of 8 such writes, so
+# a lone matrix, or a stack of a few, is cheaper through lists.
+_ARRAY_WRITES = 8
+
+
+def _array_text(a: np.ndarray, level: int) -> str:
+    """The text _pieces writes for a.tolist() at a nesting level, for an
+    array of finite floats, from its values in one pass.
+
+    float.__repr__ runs once per distinct value, told apart by its bits
+    so that 0.0 and -0.0 keep their texts. The separator between two
+    entries depends only on how many trailing indices roll over between
+    them (closing and reopening that many lists), and that pattern
+    repeats with every entry of the first axis.
+    """
+    d = a.ndim
+    pad = ["\n" + "  " * (level + j) for j in range(d + 1)]
+    opens = ["[" + pad[j + 1] for j in range(d)]  # opens[j] starts a list at depth j
+    closes = [pad[j] + "]" for j in range(d)]  # closes[j] ends it
+    # seps[k]: between entries where the last k indices roll over
+    seps = ["".join(closes[d - k :][::-1]) + "," + pad[d - k] + "".join(opens[d - k :])
+            for k in range(d)]
+    period = np.arange(1, a[0].size + 1)
+    rolls = np.zeros(period.shape, dtype=int)
+    for size in np.cumprod(a.shape[:0:-1]):
+        rolls += period % size == 0
+    bits, index = np.unique(a.view(np.int64), return_inverse=True)
+    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    piece = [None] * (2 * a.size - 1)
+    piece[0::2] = map(texts.__getitem__, index.ravel().tolist())
+    piece[1::2] = (list(map(seps.__getitem__, rolls.tolist())) * a.shape[0])[:-1]
+    return "".join(opens) + "".join(piece) + "".join(closes[::-1])
+
+
 def _pieces(obj, level: int = 0):
     """The text json.dumps(sort_keys=True, indent=2) writes for obj at a nesting
     level, in pieces that _dumps joins once (nested joins would copy the text at
@@ -366,6 +406,12 @@ def _pieces(obj, level: int = 0):
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, _TableValues):
         yield from _table_pieces(obj.stack, level)
+    elif isinstance(obj, np.ndarray):
+        writes = obj.size // math.prod(obj.shape[-2:]) if obj.ndim > 1 and obj.size else obj.size
+        if obj.dtype == np.float64 and writes >= _ARRAY_WRITES and np.isfinite(obj).all():
+            yield _array_text(obj, level)
+        else:
+            yield from _pieces(obj.tolist(), level)
     elif isinstance(obj, (list, tuple)) and obj:
         rows = _float_rows(obj, level)
         if rows is not None:

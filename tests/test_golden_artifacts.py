@@ -8,6 +8,8 @@ numpy/BLAS build. After a change that is meant to alter results,
 regenerate the file with
 
     PYTHONPATH=src python tests/test_golden_artifacts.py
+
+which prints each digest it rewrites, old and new.
 """
 
 import contextlib
@@ -64,6 +66,27 @@ def catalog_digests(out: pathlib.Path) -> dict[str, str]:
     return digests
 
 
+# sha256 of report.json's a_blocks and b_blocks (json.dumps with sorted
+# keys) from `recurrence --n 100` on the 2x2 documents, which the catalog
+# does not run: every bit of the Stieltjes step's blocks is pinned.
+RECURRENCE_BLOCKS = {
+    "matrix_semicircle_mass": "d98c96d629f09a18ecb00c88168cee5019c2f8d8e4181129ffb29c65f9916adc",
+    "matrix_conjugated": "0b147570d0de8e8914f974b0df1efc4805cbfb1d8f37c0b4cfb7c04037948e8b",
+}
+
+
+def test_recurrence_blocks_of_the_matrix_documents(tmp_path):
+    for name, digest in RECURRENCE_BLOCKS.items():
+        target = tmp_path / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["recurrence", str(SPECS_DIR / f"{name}.json"), "--n", "100",
+                         "--out", str(target)])
+        assert code == 0, name
+        report = json.loads((target / "report.json").read_text())
+        blocks = json.dumps({k: report[k] for k in ("a_blocks", "b_blocks")}, sort_keys=True)
+        assert hashlib.sha256(blocks.encode()).hexdigest() == digest, name
+
+
 def test_catalog_artifacts_match_golden_digests(tmp_path):
     assert len(CATALOG) == 29
     golden = json.loads(GOLDEN.read_text())
@@ -73,7 +96,11 @@ def test_catalog_artifacts_match_golden_digests(tmp_path):
 
 
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         digests = catalog_digests(pathlib.Path(tmp))
+    for key in sorted(old.keys() | digests.keys()):
+        if old.get(key) != digests.get(key):
+            print(f"rewrote {key}: {old.get(key)} -> {digests.get(key)}")
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}")

@@ -25,6 +25,7 @@ from matszego.tolerances import DEFAULT
 
 from conftest import (
     SHIPPED,
+    SPECS_DIR,
     edge_table_document,
     near_zero_document,
     noncommuting_document,
@@ -254,6 +255,74 @@ class TestPositivityGuards:
         assert main(["factorize", str(spec)]) == 4
         assert capsys.readouterr().err == ("numerical error: factorize: weight not positive "
                                            "definite: min eig -2.5e-01 at or below 0\n")
+
+
+class TestOnePositivityDecision:
+    """make_measure decides the weight's positivity, and spectral_factorize
+    reads its decision; every other sampling is decided again."""
+
+    def test_a_job_takes_one_cholesky_pass(self, monkeypatch, capsys):
+        calls = []
+        positive_definite = linalg.positive_definite
+
+        def counting(a):
+            calls.append(a.shape)
+            return positive_definite(a)
+
+        monkeypatch.setattr(linalg, "positive_definite", counting)
+        for command in ("factorize", "limit"):
+            calls.clear()
+            assert main([command, str(SPECS_DIR / "matrix_conjugated.json")]) == 0
+            assert calls == [(4096, 2, 2)], command
+        capsys.readouterr()
+
+    def test_only_make_measure_marks_a_weight(self, shipped_measures):
+        mu = shipped_measures["matrix_semicircle_mass"]
+        assert mu.weight.positive and szego_weight(mu) is mu.weight
+        assert not szego_weight(mu, 2).positive
+        assert not BoundarySampling(mu.weight.values).positive
+
+    def test_a_weight_passed_directly_is_decided(self):
+        # the certified weight's values, one node made indefinite: the flag
+        # does not travel with the values
+        vals = document_weight(noncommuting_document(2, 256)).values.copy()
+        vals[17] = np.diag([0.5, -0.25])
+        with pytest.raises(NotPD, match=r"^factorize: weight not positive definite: "
+                           r"min eig -2\.5e-01 at or below 0$"):
+            spectral_factorize(BoundarySampling(vals))
+
+
+class TestExactPathDefect:
+    """The exact path forms G* G - w once, after G(0)'s turn, and falls
+    through on that residual."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list[str]:
+        calls = []
+        gram_defect = outer._gram_defect
+
+        def counting(boundary, values):
+            calls.append(boundary.shape)
+            return gram_defect(boundary, values)
+
+        monkeypatch.setattr(outer, "_gram_defect", counting)
+        return calls
+
+    def test_an_accepted_factor_forms_one_defect(self, shipped_measures, monkeypatch):
+        calls = self.counted(monkeypatch)
+        g = spectral_factorize(szego_weight(shipped_measures["matrix_conjugated"]))
+        assert g.path == "exact" and calls == [(4096, 2, 2)]
+
+    def test_a_rejected_factor_falls_through(self, monkeypatch):
+        # a constant factor of the wrong size: its residual fails, and the
+        # weight is factored by the reduction, as without the exact attempt
+        w = document_weight(noncommuting_document(2, 256))
+        expected = factor_outcome(w)
+        monkeypatch.setattr(outer, "_commuting_factor", lambda values: 2.0 * np.eye(2)[None])
+        calls = self.counted(monkeypatch)
+        g = spectral_factorize(w)
+        assert g.path == "reduction" and len(calls) == 2
+        assert factor_outcome(w) == expected
 
 
 class TestTinyDeterminant:

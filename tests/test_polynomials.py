@@ -3,11 +3,14 @@
 import copy
 import dataclasses
 import mmap
+import os
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matszego.errors import (
     DimensionMismatch,
@@ -31,6 +34,7 @@ from matszego.measure import (
     make_measure,
 )
 from matszego.polynomials import (
+    NORM_TYPES,
     BlockJacobi,
     PolySequence,
     _mapped_buffer,
@@ -393,6 +397,23 @@ class TestMemory:
         assert y.flags.f_contiguous and y.flags.writeable
         assert not np.any(y)
 
+    @pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE") or not os.path.exists("/proc/self/smaps"),
+                        reason="needs madvise(MADV_HUGEPAGE) and /proc/self/smaps")
+    def test_only_filled_huge_pages_are_advised(self):
+        # 1026 x 404 complex entries, the 4x4 benchmark buffer, fill three
+        # huge pages and a third of a fourth, which stays unadvised
+        y = _mapped_buffer(1026, 404)
+        first, last = y.ctypes.data, y.ctypes.data + y.nbytes
+        advised = []
+        with open("/proc/self/smaps") as smaps:
+            for line in smaps:
+                head = line.split()[0]
+                if "-" in head and ":" not in head:
+                    lo, hi = (int(v, 16) for v in head.split("-"))
+                elif head == "VmFlags:" and lo < last and hi > first and "hg" in line.split():
+                    advised.append((max(lo, first), min(hi, last)))
+        assert advised == [(first, first + (3 << 21))]
+
     def test_defect_never_stacks_the_whole_grid(self, deep_measure):
         # the values are 13 MB and so would be a weighted copy of them; the
         # node chunks keep the peak at the Gram tiles, about 250 KB whatever
@@ -408,9 +429,9 @@ class TestMemory:
         assert peak < 320e3
 
     def test_residual_holds_no_stack_of_values(self, deep_measure):
-        # one degree's (M/2 l, l) defect is 66 KB and the residual peaks
-        # near 340 KB; with a row per grid node it peaks near 675 KB, and
-        # three unwhitened degrees of all M nodes reach about 1 MB
+        # one panel's defect is 64 KB and the residual peaks near 370 KB;
+        # with a row per grid node it peaks near 675 KB, and three
+        # unwhitened degrees of all M nodes reach about 1 MB
         seq = stieltjes(deep_measure, 100)
         tracemalloc.start()
         try:
@@ -596,6 +617,152 @@ class TestRecurrenceResidual:
         seq.jacobi = dataclasses.replace(seq.jacobi, a=a)
         assert recurrence_residual(seq) > 1e-7
         assert _residual_reference(seq) > 1e-7
+
+
+# The per-degree loops that recurrence_residual, orthonormality_defect
+# and type_defect ran before their panel and stack kernels, kept as
+# references. The Gram defect and the type defect do the same arithmetic
+# and must give the same floats; the residual's panels sum the three
+# block products in one GEMM, so its float may move at rounding level.
+
+
+def _loop_residual(seq):
+    """recurrence_residual one degree at a time: three products of the
+    whitened rows, the defect unwhitened node by node, every block's norm."""
+    a, b, s = seq.jacobi.a, seq.jacobi.b, seq.sigma
+    if s is not None:
+        s_adj = s.conj().transpose(0, 2, 1)
+        a, b = s[:-1] @ a @ s_adj[1:], s[:-1] @ b @ s_adj[:-1]
+    fold, l = seq.measure.grid_fold, seq.measure.dim
+    half = fold.x.shape[0]
+    rows, inv_root = seq._y[: half * l], fold.inverse
+    x_rows = np.repeat(fold.x, l)[:, None]
+    worst = 0.0
+    for n in range(seq.degree):
+        q = rows[:, n * l : (n + 1) * l]
+        res = x_rows * q
+        res -= polynomials._column_major(rows[:, (n + 1) * l : (n + 2) * l], a[n].conj().T)
+        res -= polynomials._column_major(q, b[n])
+        if n > 0:
+            res -= polynomials._column_major(rows[:, (n - 1) * l : n * l], a[n - 1])
+        nodes = res.reshape(half, l, l)
+        worst = max(worst, max_operator_norm(polynomials._node_product(inv_root, nodes, nodes)))
+    return worst
+
+
+def _loop_gram_defect(seq):
+    """orthonormality_defect with every tile's blocks decomposed."""
+    y, l = seq._y, seq.measure.dim
+    cols = (seq.degree + 1) * l
+    width = max(1, 64 // l) * l
+    grid_rows, total = seq.measure.grid_fold.x.shape[0] * l, y.shape[0]
+    step = max(1, (1 << 12) // (width * l)) * l
+    bounds = list(range(0, grid_rows, step)) + list(range(grid_rows, total, step)) + [total]
+    worst = 0.0
+    for a in range(0, cols, width):
+        left = y[:, a : min(a + width, cols)]
+        for b in range(a, cols, width):
+            right = y[:, b : min(b + width, cols)]
+            tile = left[: bounds[1]].conj().T @ right[: bounds[1]]
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                tile += left[start:stop].conj().T @ right[start:stop]
+            ni, nj = tile.shape[0] // l, tile.shape[1] // l
+            blocks = tile.reshape(ni, l, nj, l).transpose(0, 2, 1, 3)
+            if a == b:
+                i, j = np.triu_indices(ni)
+                blocks = blocks[i, j]
+                blocks[i == j] -= np.eye(l)
+            worst = max(worst, max_operator_norm(blocks.reshape(-1, l, l)))
+    return worst
+
+
+def _loop_type_defect(jacobi):
+    """type_defect one block at a time."""
+    a = jacobi.a
+    if jacobi.norm_type == "type1":
+        return polynomials.hermitian_defect(a)
+    worst = 0.0
+    if jacobi.norm_type == "type2":
+        cum = np.eye(jacobi.dim, dtype=complex)
+        for m in a:
+            cum = cum @ m
+            worst = max(worst, polynomials.hermitian_defect(cum))
+        return worst
+    for m in a:
+        worst = max(worst, float(np.max(np.abs(np.triu(m, 1)))))
+        diag = np.diagonal(m)
+        worst = max(worst, float(np.max(np.abs(diag.imag))))
+        worst = max(worst, float(max(0.0, -np.min(diag.real))))
+    return worst
+
+
+def _assert_kernels_match_the_loops(seq, label):
+    ref = _loop_residual(seq)
+    # 1e-13 of the unit scale of orthonormal values: the defect of terms of
+    # size about ||x|| ||p_n|| left at rounding level
+    assert abs(recurrence_residual(seq) - ref) <= 1e-13 * max(1.0, ref), label
+    assert orthonormality_defect(seq) == _loop_gram_defect(seq), label
+    for target in NORM_TYPES:
+        jac = seq.jacobi if target == seq.jacobi.norm_type else to_type(seq.jacobi, target)[0]
+        assert type_defect(jac) == _loop_type_defect(jac), (label, target)
+
+
+@st.composite
+def generated_sequences(draw):
+    """(measure, degree, normalization type): table weights of l <= 4 on 16
+    to 64 nodes, with up to two masses of any rank, at a degree up to the
+    measure's resolution."""
+    l = draw(st.integers(1, 4))
+    m_grid = draw(st.sampled_from([16, 32, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    masses = []
+    for energy in draw(st.lists(st.sampled_from([-3.1, -2.4, 2.2, 2.9]), max_size=2, unique=True)):
+        v = rng.standard_normal((l, draw(st.integers(1, l))))
+        v = v + 1j * rng.standard_normal(v.shape)
+        masses.append((energy, 0.05 * v @ v.conj().T))
+    mu = make_measure(TableDensity(random_smooth_weight(rng, l, m_grid)), masses,
+                      quad_order=m_grid)
+    ranks = sum(s.multiplicity for s in mu.bound_states)
+    n = draw(st.integers(1, (m_grid // 2 * l + ranks) // l - 1))
+    return mu, n, draw(st.sampled_from(NORM_TYPES))
+
+
+class TestKernelsMatchTheLoops:
+    def test_on_the_shipped_and_benchmark_shapes(self, residual_cases):
+        for name, seq in residual_cases.items():
+            _assert_kernels_match_the_loops(seq, name)
+
+    @pytest.mark.parametrize("l, m_grid, n", [(3, 1024, 40), (2, 4096, 7)])
+    def test_panels_that_split_the_nodes(self, l, m_grid, n):
+        # (M/2) l^2 entries exceed a panel, so the panels split the nodes:
+        # 455 + 57 of 512 nodes for l = 3, 1024 + 1024 of 2048 for l = 2
+        mu = _random_measure(l, m_grid, seed=300 + l)
+        seq = stieltjes(mu, n)
+        _assert_kernels_match_the_loops(seq, (l, m_grid))
+        _assert_kernels_match_the_loops(apply_transform(seq, *to_type(seq.jacobi, "type2")),
+                                        (l, m_grid, "type2"))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(generated_sequences())
+    def test_on_generated_measures(self, case):
+        mu, n, target = case
+        seq = stieltjes(mu, n)
+        if target != "type1":
+            seq = apply_transform(seq, *to_type(seq.jacobi, target))
+        _assert_kernels_match_the_loops(seq, (mu.dim, mu.quad_order, n, target))
+
+    def test_type3_defect_reads_every_block(self):
+        # each kind of departure from type 3 in a different block, signed
+        # zeros on the diagonal
+        a = np.zeros((4, 3, 3), dtype=complex)
+        a[:] = np.diag([1.0, -0.0, 2.0])
+        a[1, 0, 2] = 3e-9j
+        a[2, 1, 1] = 1.0 + 4e-9j
+        a[3, 2, 2] = -5e-9
+        jac = BlockJacobi(a=a, b=np.zeros_like(a), norm_type="type3")
+        assert type_defect(jac) == _loop_type_defect(jac) == 5e-9
+        jac = BlockJacobi(a=a[:1], b=np.zeros_like(a[:1]), norm_type="type3")
+        assert type_defect(jac) == _loop_type_defect(jac) == 0.0
 
 
 class TestReadsLeaveTheBuffer:

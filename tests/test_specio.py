@@ -414,6 +414,61 @@ class TestCanonicalWriter:
         assert m.to_json() == reference_text(vars(m))
 
 
+# Floats where repr changes notation (1e-05 / 0.0001, 1e16 / 9999999999999998.0),
+# both zeros and the smallest subnormals
+ARRAY_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-4, 9.999999999999999e-05,
+                 1e-05, 1e16, 9999999999999998.0, 1.0000000000000002e16, -1e22, 1e308, 0.1]
+array_entries = st.one_of(st.sampled_from(ARRAY_ENTRIES),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def float_arrays(draw):
+    """Float arrays of 1 to 4 dimensions, some large enough for the array
+    writer, with few distinct values or many."""
+    shape = (draw(st.integers(1, 40)),) + tuple(draw(st.lists(st.integers(1, 5), max_size=3)))
+    pool = draw(st.lists(array_entries, min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    values = np.array(pool)[rng.integers(0, len(pool), size=shape)]
+    if draw(st.booleans()):
+        values = values * rng.uniform(-1.0, 1.0, size=shape)
+    return values
+
+
+class TestArrayWriter:
+    """A float array is written as json writes its nested lists."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(float_arrays(), st.integers(0, 3))
+    def test_text_equals_json(self, values, depth):
+        obj = values
+        for _ in range(depth):
+            obj = {"x": [obj, 1]}
+        as_lists = json.dumps(obj, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
+        assert specio._dumps(obj) == as_lists
+
+    @pytest.mark.parametrize("shape", [(24,), (8, 1, 1), (100, 4, 4), (3, 5, 2, 4)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_take_the_list_path(self, monkeypatch, shape, bad):
+        values = np.linspace(-1.0, 1.0, int(np.prod(shape))).reshape(shape)
+        assert specio._dumps(values) == specio._dumps(values.tolist())
+        values.flat[-1] = bad
+
+        def unexpected(a, level):
+            raise AssertionError("array path taken")
+
+        monkeypatch.setattr(specio, "_array_text", unexpected)
+        assert specio._dumps(values) == json.dumps(values.tolist(), indent=2) + "\n"
+
+    def test_report_arrays_equal_their_lists(self):
+        # the stack of a recurrence report, a lone matrix, a short vector,
+        # an integer array and an empty one
+        rng = np.random.default_rng(7)
+        obj = {"a": rng.standard_normal((30, 1, 1)), "g": rng.standard_normal((8, 8)),
+               "v": rng.standard_normal(5), "k": np.arange(40), "e": np.zeros((0, 2))}
+        assert specio._dumps(obj) == reference_text({k: v.tolist() for k, v in obj.items()})
+
+
 class TestTableFastPath:
     """Guards without timing: a table document is read as whole stacks and
     hashed without json's pure-Python encoder."""
