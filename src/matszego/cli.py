@@ -164,13 +164,13 @@ def _run_recurrence(args, mu, tol):
         "orthonormality_window": args.n,
         "recurrence_residual": rec_res,
         "reorthogonalization_passes": seq.reorthogonalization_passes,
-        "a_blocks": jac.a,
-        "b_blocks": jac.b,
+        "a_blocks": specio.MatrixStack(jac.a),
+        "b_blocks": specio.MatrixStack(jac.b),
     }
     idx = np.arange(1, args.n + 1)
     tables = {
-        "jacobi_a": specio.format_matrix_table("j", idx, jac.a),
-        "jacobi_b": specio.format_matrix_table("j", idx, jac.b),
+        "jacobi_a": specio.format_matrix_table("j", idx, report["a_blocks"]),
+        "jacobi_b": specio.format_matrix_table("j", idx, report["b_blocks"]),
     }
     lines = [
         f"computed {args.n} recurrence blocks ({args.norm_type}), "

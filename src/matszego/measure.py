@@ -138,7 +138,11 @@ class TableDensity(Density):
     """Density given by samples of f(2 cos t) on a midpoint t-grid.
 
     Values must be Hermitian PSD and symmetric under t -> -t (the map
-    x = 2 cos t cannot see an asymmetric part). On its own grid the table
+    x = 2 cos t cannot see an asymmetric part). A node is PSD when its
+    smallest eigenvalue is at least -1e-10 times the largest entry of the
+    table. A batched Cholesky (linalg.positive_definite) admits a stack
+    whose nodes are all positive definite; eigvalsh runs only on a stack
+    that fails it, and decides the rule there. On its own grid the table
     is its own sample; other power-of-two grids get the trigonometric
     interpolant by FFT, so a smooth table refines spectrally.
     """
@@ -155,7 +159,9 @@ class TableDensity(Density):
             raise ValidationError(f"table: samples not symmetric in t (defect {sym:.2e})")
         v = 0.5 * (v + v[::-1])
         v = 0.5 * (v + v.conj().transpose(0, 2, 1))
-        if float(np.min(np.linalg.eigvalsh(v))) < -1e-10 * scale:
+        # a Cholesky factor bounds every eigenvalue below by -O(eps |v|), far
+        # above the rule's -1e-10 scale; eigvalsh decides only a failed one
+        if not linalg.positive_definite(v) and np.min(np.linalg.eigvalsh(v)) < -1e-10 * scale:
             raise ValidationError("table: samples not positive semi-definite")
         grid = BoundarySampling(v)
         self.dim = grid.dim

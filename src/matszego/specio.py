@@ -25,20 +25,24 @@ path in the message.
 A document has one representation after parsing, its canonical plain
 form (MeasureSpec): numbers become floats and every matrix becomes
 {"re", "im"} float rows with "im" filled in, read in a single pass. A
-table's stacks are checked whole, and the parsed table keeps only its
-(2, N, dim, dim) re/im float stack, no matrix of Python floats.
-build_measure and the hash both read that stack, so no table becomes an
-array twice.
+table's parts are checked as flat lists of matrices, rows and entries
+and become floats in one conversion (_flat_stack); any other table is
+read value by value, so an error names its entry. The parsed table
+keeps only its (2, N, dim, dim) re/im float stack, no matrix of Python
+floats. build_measure and the hash both read that stack, so no table
+becomes an array twice.
 Serialization is canonical (sorted keys, fixed indentation,
 shortest round-trip floats), so equal specs serialize identically and
 the document hash is stable; parse and serialize are mutually inverse.
 One writer, _dumps, writes documents, manifests and reports; its text is
 json.dumps(obj, sort_keys=True, indent=2) + "\\n" byte for byte, with
 each float matrix formatted in one join. A table is formatted from its
-stack in one pass, with one float.__repr__ per distinct magnitude, and
-so is a report's float array, such as a stack of Jacobi blocks, with
-one per distinct value; a small array (_ARRAY_WRITES), or one with a
-non-finite entry, goes through its lists.
+stack with one float.__repr__ per distinct magnitude, in pieces gathered
+from object arrays of prefixes and texts. A report's float array, such
+as a stack of Jacobi blocks, is written with one float.__repr__ per
+distinct value; a small array (_ARRAY_WRITES), or one with a non-finite
+entry, goes through its lists. A MatrixStack shares its texts between
+its report arrays and its CSV table.
 spec_hash feeds the text to sha256 piece by piece, at most 128 matrices
 at a time, so the whole text is never held; the bytes it hashes are the
 ones serialize_measure_spec returns.
@@ -169,26 +173,43 @@ class _TableValues:
     def __eq__(self, other) -> bool:
         return isinstance(other, _TableValues) and np.array_equal(self.stack, other.stack)
 
+
+def _flat_stack(values: list, dim: int) -> np.ndarray | None:
+    """The (2, N, dim, dim) re/im float stack of a table whose every value
+    has exactly "re" and "im", each dim rows of dim finite ints and floats;
+    None for any other table. The matrices, their rows and their entries
+    are each checked as one flat list, and the entries become floats in
+    one conversion."""
+    complete = {frozenset(("re", "im"))}
+    if set(map(type, values)) != {dict} or set(map(frozenset, values)) != complete:
+        return None
+    items = list(chain(map(itemgetter("re"), values), map(itemgetter("im"), values)))
+    for _ in range(2):  # the matrices, then their rows
+        if set(map(type, items)) != {list} or set(map(len, items)) != {dim}:
+            return None
+        items = list(chain.from_iterable(items))
+    if not set(map(type, items)) <= _NUMBER_TYPES:
+        return None
+    try:
+        stack = np.array(items, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(stack).all():
+        return None
+    return stack.reshape(2, len(values), dim, dim)
+
+
 def _table(values: list, path: str, dim: int) -> _TableValues:
     """The canonical float stack of a table: _rows' whole-row test lifted
-    to the table, with each value read by _matrix unless every value has
-    exactly "re" and "im" and both stacks are (N, dim, dim) of finite ints
-    and floats."""
-    complete = {frozenset(("re", "im"))}
-    if set(map(type, values)) == {dict} and set(map(frozenset, values)) == complete:
-        parts = [list(map(itemgetter(k), values)) for k in ("re", "im")]
-        try:
-            stacks = np.array(parts, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            stacks = None
-        entries = chain.from_iterable(chain.from_iterable(chain.from_iterable(parts)))
-        if (stacks is not None and stacks.shape == (2, len(values), dim, dim)
-                and np.isfinite(stacks).all() and set(map(type, entries)) <= _NUMBER_TYPES):
-            stacks[1] += 0.0
-            stacks[0] += 0.0 * stacks[1]
-            return _TableValues(stacks)
-    matrices = [_matrix(v, f"{path}[{i}]", dim) for i, v in enumerate(values)]
-    return _TableValues(np.array([[m[k] for m in matrices] for k in ("re", "im")]))
+    to the table (_flat_stack), with each value read by _matrix if that
+    test fails, so that an error names its entry."""
+    stack = _flat_stack(values, dim)
+    if stack is None:
+        matrices = [_matrix(v, f"{path}[{i}]", dim) for i, v in enumerate(values)]
+        return _TableValues(np.array([[m[k] for m in matrices] for k in ("re", "im")]))
+    stack[1] += 0.0
+    stack[0] += 0.0 * stack[1]
+    return _TableValues(stack)
 
 
 _SCALAR_FAMILIES = {"semicircle", "arcsine", "poly_semicircle"}
@@ -331,6 +352,12 @@ def _table_pieces(stack: np.ndarray, level: int):
     place calls for with or without "-", so 0.0 and -0.0 stay distinct
     (a dict keyed by float would merge them). A matrix is written "im"
     first, then "re", as sort_keys orders them.
+
+    Prefixes and texts are object arrays, so a piece is filled by two
+    gathers and joined once. A piece finds its texts by sorting its own
+    magnitudes and looking up only the distinct ones among the table's;
+    an inverse over the whole stack would hold sort temporaries larger
+    than the text the hash streams.
     """
     _, count, dim, _ = stack.shape
     pad = ["\n" + "  " * (level + k) for k in range(5)]
@@ -343,22 +370,22 @@ def _table_pieces(stack: np.ndarray, level: int):
     # row; seps[0] also closes the matrix before, which the first piece drops
     seps = ([joint + "{" + pad[2] + '"im": [' + first] + part
             + [close + "," + pad[2] + '"re": [' + first] + part)
-    prefixes = [sep + sign for sep in seps for sign in ("", "-")]
+    prefixes = np.array([sep + sign for sep in seps for sign in ("", "-")], dtype=object)
     places = np.arange(0, len(prefixes), 2)
     magnitudes = np.unique(np.abs(stack))
-    texts = list(map(float.__repr__, magnitudes.tolist()))
+    texts = np.fromiter(map(float.__repr__, magnitudes.tolist()), dtype=object,
+                        count=magnitudes.size)
     yield "[" + pad[1]
     for start in range(0, count, _TABLE_CHUNK):
         block = stack[::-1, start:start + _TABLE_CHUNK].transpose(1, 0, 2, 3)
         block = block.reshape(-1, len(seps))
-        codes = (np.signbit(block) + places).ravel().tolist()
-        index = np.searchsorted(magnitudes, np.abs(block)).ravel().tolist()
-        piece = [None] * (2 * block.size)
-        piece[0::2] = map(prefixes.__getitem__, codes)
-        piece[1::2] = map(texts.__getitem__, index)
+        distinct, inverse = np.unique(np.abs(block).ravel(), return_inverse=True)
+        piece = np.empty(2 * block.size, dtype=object)
+        piece[0::2] = prefixes[(np.signbit(block) + places).ravel()]
+        piece[1::2] = texts[np.searchsorted(magnitudes, distinct)[inverse]]
         if start == 0:
             piece[0] = piece[0][len(joint):]
-        yield "".join(piece)
+        yield "".join(piece.tolist())
     yield close + pad[1] + "}" + pad[0] + "]"
 
 
@@ -370,15 +397,26 @@ def _table_pieces(stack: np.ndarray, level: int):
 _ARRAY_WRITES = 8
 
 
-def _array_text(a: np.ndarray, level: int) -> str:
+def _repr_table(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """float.__repr__ of each distinct value of a float array, told apart by
+    its bits so that 0.0 and -0.0 keep their texts, and each entry's index
+    into those texts, in the array's shape."""
+    bits, index = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    # a memoryview hands out one float at a time: a list of them all
+    # (tolist) raised the process's high-water mark by fragmenting the heap
+    texts = list(map(float.__repr__, memoryview(bits.view(np.float64))))
+    return texts, index.reshape(values.shape)
+
+
+def _array_text(a: np.ndarray, level: int, table: tuple | None = None) -> str:
     """The text _pieces writes for a.tolist() at a nesting level, for an
     array of finite floats, from its values in one pass.
 
-    float.__repr__ runs once per distinct value, told apart by its bits
-    so that 0.0 and -0.0 keep their texts. The separator between two
-    entries depends only on how many trailing indices roll over between
-    them (closing and reopening that many lists), and that pattern
-    repeats with every entry of the first axis.
+    float.__repr__ runs once per distinct value (_repr_table, or the table
+    given, which a MatrixStack shares between its parts and its CSV). The
+    separator between two entries depends only on how many trailing
+    indices roll over between them (closing and reopening that many
+    lists), and that pattern repeats with every entry of the first axis.
     """
     d = a.ndim
     pad = ["\n" + "  " * (level + j) for j in range(d + 1)]
@@ -391,12 +429,39 @@ def _array_text(a: np.ndarray, level: int) -> str:
     rolls = np.zeros(period.shape, dtype=int)
     for size in np.cumprod(a.shape[:0:-1]):
         rolls += period % size == 0
-    bits, index = np.unique(a.view(np.int64), return_inverse=True)
-    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    texts, index = _repr_table(a) if table is None else table
     piece = [None] * (2 * a.size - 1)
     piece[0::2] = map(texts.__getitem__, index.ravel().tolist())
     piece[1::2] = (list(map(seps.__getitem__, rolls.tolist())) * a.shape[0])[:-1]
     return "".join(opens) + "".join(piece) + "".join(closes[::-1])
+
+
+def _array_pieces(a: np.ndarray, level: int, table: tuple | None = None):
+    """The text _pieces writes for an array: _array_text for a large finite
+    float array, else the text of its lists."""
+    writes = a.size // math.prod(a.shape[-2:]) if a.ndim > 1 and a.size else a.size
+    if a.dtype == np.float64 and writes >= _ARRAY_WRITES and np.isfinite(a).all():
+        yield _array_text(a, level, table)
+    else:
+        yield from _pieces(a.tolist(), level)
+
+
+class MatrixStack:
+    """A complex stack of matrices that a job writes twice: into its report,
+    as {"re", "im"} float arrays like any complex array, and into a CSV
+    table (format_matrix_table). float.__repr__ runs once per distinct
+    value for both."""
+
+    def __init__(self, stack):
+        self.floats = np.ascontiguousarray(stack, dtype=complex).view(float)  # re, im interleaved
+        texts, self.index = _repr_table(self.floats)
+        # held as one string and split at each use: thousands of small
+        # strings held from the CSV to the report fragmented the heap
+        self.texts = "\n".join(texts)
+
+    @property
+    def table(self) -> tuple:
+        return self.texts.split("\n"), self.index
 
 
 def _pieces(obj, level: int = 0):
@@ -407,11 +472,14 @@ def _pieces(obj, level: int = 0):
     if isinstance(obj, _TableValues):
         yield from _table_pieces(obj.stack, level)
     elif isinstance(obj, np.ndarray):
-        writes = obj.size // math.prod(obj.shape[-2:]) if obj.ndim > 1 and obj.size else obj.size
-        if obj.dtype == np.float64 and writes >= _ARRAY_WRITES and np.isfinite(obj).all():
-            yield _array_text(obj, level)
-        else:
-            yield from _pieces(obj.tolist(), level)
+        yield from _array_pieces(obj, level)
+    elif isinstance(obj, MatrixStack):
+        texts, index = obj.table
+        for i, (key, part) in enumerate((("im", 1), ("re", 0))):
+            yield ("," if i else "{") + pad + f'"{key}": '
+            yield from _array_pieces(obj.floats[..., part::2], level + 1,
+                                     (texts, index[..., part::2]))
+        yield pad[:-2] + "}"
     elif isinstance(obj, (list, tuple)) and obj:
         rows = _float_rows(obj, level)
         if rows is not None:
@@ -514,14 +582,11 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _fmt_cells(values: np.ndarray):
-    """Iterator over _fmt of every entry of a real array, in C order, with
-    float.__repr__ run once per distinct value: bitwise distinct, so -0.0
-    keeps its sign. The texts are shared, one reference per cell."""
-    flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
-    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    text = np.fromiter(map(float.__repr__, bits.view(float)), dtype=object, count=bits.size)
-    return iter(text[inverse])
+def _fmt_cells(table: tuple):
+    """Iterator over _fmt of every entry of a real array, in C order, from
+    its _repr_table. The texts are shared, one reference per cell."""
+    texts, index = table
+    return iter(np.array(texts, dtype=object)[index.ravel()])
 
 
 def _csv(header: list[str], rows) -> str:
@@ -537,25 +602,29 @@ def format_real_table(columns: Sequence[tuple[str, Sequence[float]]]) -> str:
     for name, vals in zip(names, series):
         if len(vals) != length:
             raise ValueError(f"column {name!r} length {len(vals)} != {length}")
-    cells = _fmt_cells(np.stack(series, axis=1)) if series else iter(())
+    cells = _fmt_cells(_repr_table(np.stack(series, axis=1))) if series else iter(())
     return _csv(names, map(",".join, zip(*[cells] * len(names))))
 
 
 def format_matrix_table(
-    index_name: str, index_values: Sequence, stack: np.ndarray
+    index_name: str, index_values: Sequence, stack: np.ndarray | MatrixStack
 ) -> str:
     """CSV text for a stack of matrices, row-major re/im column pairs.
 
     Columns: the index, then e{i}{j}_re, e{i}{j}_im for each entry in
     row-major order.
     """
-    stack = np.ascontiguousarray(stack, dtype=complex)
-    rows, cols = stack.shape[1], stack.shape[2]
+    if isinstance(stack, MatrixStack):
+        floats, table = stack.floats, stack.table
+    else:
+        floats = np.ascontiguousarray(stack, dtype=complex).view(float)
+        table = _repr_table(floats)
+    rows, cols = floats.shape[1], floats.shape[2] // 2
     names = [index_name]
     for i in range(rows):
         for j in range(cols):
             names.extend([f"e{i}{j}_re", f"e{i}{j}_im"])
     index = [_fmt(idx) if isinstance(idx, (int, float)) else str(idx) for idx in index_values]
-    cells = _fmt_cells(stack.view(float))
+    cells = _fmt_cells(table)
     entries = map(",".join, zip(*[cells] * (2 * rows * cols)))
     return _csv(names, map(",".join, zip(index, entries)))

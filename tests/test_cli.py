@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from matszego import blaschke, cli
+from matszego import blaschke, cli, specio
 from matszego import polynomials as poly
 from matszego.cli import main
 
@@ -59,6 +59,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "check-measure", str(p))
         assert code == 3
         assert "validation error" in err
+
+    def test_indefinite_table_is_validation_error(self, capsys, small_spec):
+        identity = {"re": [[1.0, 0.0], [0.0, 1.0]]}
+        values = [identity] * 8
+        values[2] = values[5] = {"re": [[0.5, 0.6], [0.6, 0.5]]}  # eigenvalues 1.1, -0.1
+        spec = small_spec("indefinite", dim=2, density={"family": "table", "values": values})
+        code, out, err = run(capsys, "check-measure", spec)
+        assert code == 3 and out == ""
+        assert err == "validation error: table: samples not positive semi-definite\n"
 
     def test_unnormalized_strict_is_validation_error(self, capsys, tmp_path):
         doc = {"dim": 1, "density": {"family": "semicircle"},
@@ -419,6 +428,16 @@ class TestArtifacts:
         report = json.loads((out_dir / "report.json").read_text())
         assert isinstance(report, dict)
         assert np.isfinite(report["residual"])
+
+    def test_recurrence_formats_each_block_stack_once(self, capsys, monkeypatch, tmp_path):
+        # one repr table per stack of a/b blocks serves report.json and its CSV
+        shapes = []
+        repr_table = specio._repr_table
+        monkeypatch.setattr(specio, "_repr_table",
+                            lambda values: shapes.append(values.shape) or repr_table(values))
+        code, _, _ = run(capsys, "recurrence", MATRIX_MASS, "--n", "12", "--out", str(tmp_path))
+        assert code == 0
+        assert shapes.count((12, 2, 4)) == 2 and (12, 2, 2) not in shapes
 
     def test_csv_tables_parse(self, capsys, tmp_path, small_spec):
         spec = small_spec("free")

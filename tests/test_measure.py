@@ -1,5 +1,7 @@
 """Measure construction, normalization, bound states, weight sampling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,74 @@ class TestDensities:
             t = midpoint_nodes(order)
             expected = 1.0 + 0.5 * np.cos(2 * t)
             assert np.allclose(d.sample(order)[:, 0, 0].real, expected, atol=1e-12)
+
+
+ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+
+
+def node_table(node: np.ndarray, m: int = 64) -> np.ndarray:
+    """m identity samples with node at the mirror pair 3, m - 4, so that
+    the table stays symmetric in t."""
+    samples = np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)).copy()
+    samples[3] = samples[m - 4] = node
+    return samples
+
+
+def rotated(low: float) -> np.ndarray:
+    """A real symmetric node with eigenvalues 1 and low, off the axes."""
+    node = ROTATION @ np.diag([1.0, low]) @ ROTATION.T
+    return 0.5 * (node + node.T)
+
+
+def eigvalsh_rule(samples: np.ndarray) -> bool:
+    """Whether a table is positive semi-definite by the rule TableDensity
+    applies, decided by eigvalsh at every node: each eigenvalue at least
+    -1e-10 times the largest entry of the table."""
+    scale = max(float(np.max(np.abs(samples))), 1e-300)
+    return float(np.min(np.linalg.eigvalsh(samples))) >= -1e-10 * scale
+
+
+class TestTablePositivity:
+    """TableDensity's positivity decision is eigvalsh's, though a Cholesky
+    admits a positive definite table without it."""
+
+    @pytest.fixture()
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        return calls
+
+    def test_positive_definite_table_needs_no_eigenvalues(self, eigvalsh_calls):
+        samples = smooth_table(64)
+        TableDensity(samples)
+        assert eigvalsh_calls == [] and eigvalsh_rule(samples)
+
+    def test_negative_eigenvalue_is_refused(self, eigvalsh_calls):
+        samples = node_table(rotated(-1e-3))
+        with pytest.raises(ValidationError) as info:
+            TableDensity(samples)
+        assert str(info.value) == "table: samples not positive semi-definite"
+        assert len(eigvalsh_calls) == 1 and not eigvalsh_rule(samples)
+
+    @pytest.mark.parametrize("node, sign", [(rotated(-1e-12), -1.0), (np.diag([1.0, 0.0]), 0.0)],
+                             ids=["rounding-level", "zero"])
+    def test_semi_definite_node_is_admitted_then_fails_szego(self, eigvalsh_calls, node, sign):
+        # Cholesky fails on the node, so eigvalsh decides, and admits it
+        samples = node_table(node)
+        density = TableDensity(samples)
+        assert len(eigvalsh_calls) == 1 and eigvalsh_rule(samples)
+        with pytest.raises(ValidationError) as info:
+            make_measure(density, quad_order=64)
+        message = re.fullmatch(r"Szego condition fails: w\(t\) has eigenvalue (\S+) at a node",
+                               str(info.value))
+        assert message and np.sign(float(message[1])) == sign
+
+
+    def test_non_hermitian_samples_are_refused(self):
+        node = np.array([[1.0, 0.5], [0.1, 1.0]])
+        with pytest.raises(ValidationError, match=r"^table: samples not Hermitian \(defect "):
+            TableDensity(node_table(node))
 
 
 def smooth_table(m: int) -> np.ndarray:

@@ -468,6 +468,24 @@ class TestArrayWriter:
                "v": rng.standard_normal(5), "k": np.arange(40), "e": np.zeros((0, 2))}
         assert specio._dumps(obj) == reference_text({k: v.tolist() for k, v in obj.items()})
 
+    @pytest.mark.parametrize("count", [1, 7, 8, 30])
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_matrix_stack_writes_as_its_complex_array(self, count, finite):
+        # signed zeros and repeats, on both sides of _ARRAY_WRITES
+        rng = np.random.default_rng(count)
+        stack = np.empty((count, 3, 3), dtype=complex)
+        stack.real, stack.imag = rng.choice([0.0, -0.0, 1.5, -1.5, 0.1, 1e-300], (2, count, 3, 3))
+        if not finite:
+            stack.real[-1, 2, 0] = np.nan
+        blocks = specio.MatrixStack(stack)
+        plain = {"re": stack.real.tolist(), "im": stack.imag.tolist()}
+        assert specio._dumps({"a": blocks, "n": 1}) == reference_text({"a": plain, "n": 1})
+        text = format_matrix_table("j", range(1, count + 1), blocks)
+        cells = [[repr(float(getattr(v, part))) for v in mat.ravel() for part in ("real", "imag")]
+                 for mat in stack]
+        rows = [",".join([repr(float(j))] + row) for j, row in enumerate(cells, 1)]
+        assert text.splitlines()[1:] == rows
+
 
 class TestTableFastPath:
     """Guards without timing: a table document is read as whole stacks and
@@ -598,9 +616,69 @@ def identity_values(count):
             for _ in range(count)]
 
 
+# Entries the whole-stack reader must hand to the per-value reader or
+# convert alike: bools, strings and null, integers beyond int64 and
+# beyond a float, signed zeros and a list one level too deep
+TRAP_ENTRIES = [True, False, "0.5", None, 2**64 + 1, -2**70, 10**400, -0.0, 0.0, 0, [1.0]]
+CLEAN_ENTRIES = [-0.0, 0.0, 0, 3, -1.5, 0.1, 2**64 + 1, -2**70]
+TRAPS = ["entry", "deep row", "deep matrix", "short row", "long row", "no im"]
+
+
+def lay_trap(value: dict, kind: str, part: str, i: int, j: int, entry) -> None:
+    """Lay one trap in a value whose parts are dim x dim rows."""
+    if kind == "no im":
+        del value["im"]
+    elif kind == "deep matrix":
+        value[part] = [value[part]]
+    elif kind == "deep row":
+        value[part][i] = [value[part][i]]
+    elif kind == "short row":
+        value[part][i] = value[part][i][:-1]
+    elif kind == "long row":
+        value[part][i] = value[part][i] + [0.5]
+    else:
+        value[part][i][j] = entry
+
+
+@st.composite
+def trapped_tables(draw):
+    """(values, dim): a table of dim 1-3 and 4 ... 2048 complete values
+    filled from numbers the whole-stack reader takes, with up to three
+    values trapped (lay_trap)."""
+    dim = draw(st.integers(1, 3))
+    count = draw(st.sampled_from([n for n in (4, 8, 128, 1024, 2048) if n * dim * dim <= 2**13]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = [{part: [[CLEAN_ENTRIES[k] for k in row]
+                      for row in rng.integers(len(CLEAN_ENTRIES), size=(dim, dim)).tolist()]
+               for part in ("re", "im")} for _ in range(count)]
+    for index in draw(st.lists(st.integers(0, count - 1), max_size=3, unique=True)):
+        lay_trap(values[index], draw(st.sampled_from(TRAPS)), draw(st.sampled_from(["re", "im"])),
+                 draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)),
+                 draw(st.sampled_from(TRAP_ENTRIES)))
+    return values, dim
+
+
+def rows_past_1000(*kinds):
+    """An identity table with a row trap per kind at values 1500, 1501, ..."""
+    values = identity_values(2048)
+    for k, kind in enumerate(kinds):
+        lay_trap(values[1500 + k], kind, "im", 1, 0, None)
+    return values, 2
+
+
+def read_table(reader):
+    """A reader's table, or the text of its ParseError."""
+    try:
+        return reader()
+    except ParseError as exc:
+        return str(exc)
+
+
+
 class TestTableTraps:
     """Documents the whole-stack check must not accept or mangle: each gives
-    the canonical bytes or the ParseError of the per-value reader."""
+    the canonical bytes or the ParseError of the per-value reader (_matrix),
+    bit for bit or word for word."""
 
     def test_integer_beyond_int64_in_a_float_row(self):
         values = identity_values(8)
@@ -638,6 +716,27 @@ class TestTableTraps:
         with pytest.raises(ParseError) as info:
             parse_measure_spec(table_document(values))
         assert str(info.value) == "spec.density.values[1500]: shape (3, 3) != (2, 2)"
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(trapped_tables())
+    @example(rows_past_1000("short row"))
+    @example(rows_past_1000("short row", "long row"))  # the entry count still fits
+    def test_table_equals_per_value_reader(self, table):
+        values, dim = table
+        path = "spec.density.values"
+
+        def per_value():
+            matrices = [specio._matrix(v, f"{path}[{i}]", dim) for i, v in enumerate(values)]
+            return np.array([[m[k] for m in matrices] for k in ("re", "im")])
+
+        expected = read_table(per_value)
+        got = read_table(lambda: specio._table(values, path, dim))
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert isinstance(got, specio._TableValues) and got.stack.dtype == float
+            assert got.stack.shape == expected.shape
+            assert got.stack.tobytes() == expected.tobytes()
 
 
 class TestManifestAndTables:
@@ -694,3 +793,4 @@ class TestManifestAndTables:
             expected.append(",".join([idx] + [repr(float(getattr(v, part)))
                                               for v in mat.ravel() for part in ("real", "imag")]))
         assert text == "\n".join(expected) + "\n"
+
