@@ -209,7 +209,6 @@ def _run_factorize(args, mu, tol):
         )
     }
     factor = {
-        "exact": f"exact factor of order {g.order}",
         "reduction": f"factor of order {g.order} by cyclic reduction in {g.sweeps} step(s)",
         "wilson": f"factor of order {g.order} by Wilson iteration in {g.sweeps} sweep(s) "
                   f"on {w.node_count} nodes",

@@ -1,13 +1,9 @@
 """Right spectral factorization w = G* G on the unit circle.
 
 G is the outer (minimum-phase) factor, analytic in the disk, normalized
-so G(0) is Hermitian positive definite. Three construction paths:
+so G(0) is Hermitian positive definite. Two construction paths:
 
-* exact, for commuting weights (one constant eigenbasis: scalar weights
-  and the conjugated-diagonal family): each eigenvalue channel that is
-  a resolved nonnegative trigonometric polynomial is factored by root
-  splitting, with explicit deflation of zeros at z = +-1.
-* cyclic reduction, for every other weight of Fourier band d < M/4 with
+* cyclic reduction, for every weight of Fourier band d < M/4 with
   d^3 l <= 128 M, whose outer factor is a matrix polynomial of degree d
   (matrix Fejer-Riesz, Rosenblatt 1958). While w(+-1), summed from the
   Fourier series, has a kernel with projector P, the boundary Potapov
@@ -50,11 +46,11 @@ class OuterFunction:
 
     coeffs[k] is the z^k coefficient, k = 0..order. boundary holds the
     factor on the weight's grid; residual is the node-level certificate
-    max ||G* G - w|| over that grid. path is "exact", "reduction" or
-    "wilson"; sweeps counts reduction steps or Newton sweeps. On the
-    Wilson path boundary is the iterate, truncation_defect its sup gap to
-    the cut series and neg_leakage its largest negative-index Fourier
-    coefficient; a polynomial path reports both as 0.0.
+    max ||G* G - w|| over that grid. path is "reduction" or "wilson";
+    sweeps counts reduction steps or Newton sweeps. On the Wilson path
+    boundary is the iterate, truncation_defect its sup gap to the cut
+    series and neg_leakage its largest negative-index Fourier
+    coefficient; the reduction path reports both as 0.0.
     """
 
     coeffs: np.ndarray
@@ -63,7 +59,7 @@ class OuterFunction:
     neg_leakage: float
     truncation_defect: float
     sweeps: int
-    path: str = "exact"
+    path: str
 
     @property
     def order(self) -> int:
@@ -98,143 +94,7 @@ def _band_degree(n_vals: np.ndarray, coeffs: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact path for commuting weights
-
-
-def _scalar_outer_coeffs(samples: np.ndarray) -> np.ndarray | None:
-    """Outer factor of a nonnegative scalar trig polynomial, from its roots.
-
-    samples are the (real, positive) values on the midpoint grid. Returns
-    ascending coefficients g_0..g_d with |g(e^{it})|^2 = the polynomial
-    and g(0) > 0, or None when the significant degree d reaches M/4: the
-    samples are then no resolved trig polynomial.
-    """
-    m_grid = samples.shape[0]
-    sampling = BoundarySampling(samples[:, None, None].astype(complex))
-    n_vals, coeffs = linalg.fourier_coefficients(sampling)
-    c = coeffs[:, 0, 0]
-    scale = float(np.abs(c).max())
-    deg = _band_degree(n_vals, coeffs)
-    if deg >= m_grid // 4:
-        return None
-    if deg == 0:
-        return np.array([np.sqrt(float(np.real(c[n_vals == 0][0])))], dtype=complex)
-
-    # P(z) = z^deg * sum c_k z^k, degree 2*deg; roots pair as (r, 1/conj(r))
-    keep = np.abs(n_vals) <= deg
-    poly = np.zeros(2 * deg + 1, dtype=complex)
-    for n, val in zip(n_vals[keep], c[keep]):
-        poly[n + deg] = val
-
-    # deflate even-order zeros at z = +-1 (weight vanishing at t = 0 or pi)
-    factors: list[np.ndarray] = []
-    for root, lin in ((1.0, np.array([1.0, -1.0])), (-1.0, np.array([1.0, 1.0]))):
-        while poly.size > 2:
-            val = np.polynomial.polynomial.polyval(root, poly)
-            if abs(val) > 1e-10 * scale:
-                break
-            quot1, rem1 = np.polynomial.polynomial.polydiv(poly, np.array([-root, 1.0]))
-            quot2, rem2 = np.polynomial.polynomial.polydiv(quot1, np.array([-root, 1.0]))
-            if max(np.abs(rem1).max(), np.abs(rem2).max()) > 1e-8 * scale:
-                break
-            poly = quot2
-            factors.append(lin)  # ascending coeffs of (1 -+ z)
-
-    inner_deg = (poly.size - 1) // 2
-    if inner_deg > 0:
-        roots = np.polynomial.polynomial.polyroots(poly)
-        order = np.argsort(np.abs(roots))[::-1]
-        outside = roots[order[:inner_deg]]
-        for s in outside:
-            factors.append(np.array([1.0, -1.0 / s]))
-
-    g = np.array([1.0 + 0.0j])
-    for f in factors:
-        g = np.convolve(g, f)
-
-    # fix the positive constant by matching the largest sample
-    theta = linalg.midpoint_nodes(m_grid)
-    pick = int(np.argmax(samples))
-    h_val = np.polynomial.polynomial.polyval(np.exp(1j * theta[pick]), g)
-    gamma = np.sqrt(float(samples[pick]) / float(np.abs(h_val) ** 2))
-    g = gamma * g
-    if g[0].real < 0:
-        g = -g
-    return g
-
-
-def _probes(values: np.ndarray) -> np.ndarray:
-    """Two fixed even-harmonic mixtures p_k = (1/M) sum_m mix_k(t_m) w(t_m),
-    stacked as (2, l, l) and summed by one GEMM.
-
-    Normalized channels all average to one and reflection symmetry kills
-    odd moments, so the probes weight even harmonics.
-    """
-    m_grid = values.shape[0]
-    theta = linalg.midpoint_nodes(m_grid)
-    harmonics = np.cos(np.arange(2, 10, 2)[:, None] * theta[None, :])
-    weights = np.array([[1 / 3, 1 / 7, 1 / 13, 1 / 29], [-1 / 5, 1 / 3, -1 / 23, 1 / 11]])
-    mixes = 1.0 + weights @ harmonics
-    return (mixes @ values.reshape(m_grid, -1)).reshape(2, *values.shape[1:]) / m_grid
-
-
-def _joint_basis(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Candidate common eigenbasis of the probes: eigenvalue clusters of
-    the first are split against the second."""
-    lam, basis = np.linalg.eigh(p1)
-    gap = 1e-8 * max(float(np.abs(lam).max()), 1e-300)
-    start = 0
-    for stop in range(1, lam.size + 1):
-        if stop < lam.size and lam[stop] - lam[stop - 1] < gap:
-            continue
-        if stop - start > 1:
-            block = basis[:, start:stop]
-            _, u = np.linalg.eigh(block.conj().T @ p2 @ block)
-            basis[:, start:stop] = block @ u
-        start = stop
-    return basis
-
-
-def _commuting_factor(values: np.ndarray) -> np.ndarray | None:
-    """Exact coefficients when all boundary values share an eigenbasis.
-
-    Returns the (K+1, l, l) coefficient stack of a (not yet normalized)
-    factor, or None when the weight family does not commute or a channel
-    is no resolved trig polynomial. Commutation has one test: every value
-    rotated into the probes' joint basis B (linalg.frame_product) must
-    have no off-diagonal entry above eps s, eps = 1e-12 and s = max |w|
-    entrywise. About 64 evenly spaced nodes are tested first, and a
-    failure there is the whole test's.
-    """
-    dim = values.shape[1]
-    scale = float(np.max(np.abs(values)))
-    if dim == 1:
-        basis = np.eye(1, dtype=complex)
-        diag = values[:, 0, 0].real[:, None]
-    else:
-        basis = _joint_basis(*_probes(values))
-        idx = np.arange(dim)
-        for stack in (values[:: max(1, values.shape[0] // 64)], values):
-            rotated = linalg.frame_product(basis.conj().T, stack, basis)
-            diag = rotated[:, idx, idx].real
-            rotated[:, idx, idx] = 0.0
-            if float(np.max(np.abs(rotated))) > 1e-12 * scale:
-                return None
-
-    channel_coeffs = [_scalar_outer_coeffs(diag[:, i]) for i in range(diag.shape[1])]
-    if any(g is None for g in channel_coeffs):
-        return None
-    top = max(g.size - 1 for g in channel_coeffs)
-    delta = np.zeros((top + 1, dim), dtype=complex)
-    for i, g in enumerate(channel_coeffs):
-        delta[: g.size, i] = g
-    # G = Delta(z) basis*, so G* G = basis Delta* Delta basis* = w; Delta is
-    # diagonal, so each coefficient is basis* with its rows scaled
-    return delta[:, :, None] * basis.conj().T
-
-
-# ---------------------------------------------------------------------------
-# edge deflation, cyclic reduction and Wilson sweeps for general weights
+# edge deflation, cyclic reduction and Wilson sweeps
 
 
 def _peel_edges(
@@ -418,10 +278,11 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
     (linalg.BracketedNorm) and computed exactly only where the peeling
     floor tol.rank_rel max ||w|| or the target tol.fact_rel max ||w||
     falls inside the bracket, so every decision is the exact one.
-    Commuting weights take the exact path, other weights of band d < M/4
-    (_band_degree of the M-node FFT) the cyclic reduction, to order d,
-    unless d^3 l > 128 M, where its O((d l)^3) steps cost more than
-    Wilson's sweeps (crossover d^3 l = 96-128 M at l = 2, 4, 8).
+    Weights of band d < M/4 (_band_degree of the M-node FFT) take the
+    cyclic reduction, to order d, unless d^3 l > 128 M, where its
+    O((d l)^3) steps cost more than Wilson's sweeps (crossover
+    d^3 l = 96-128 M at l = 2, 4, 8); every other weight takes Wilson's
+    iteration.
 
     Raises NotPD for weights not positive definite at a node,
     NoConvergence when the reduction fails, the residual over the M nodes
@@ -437,15 +298,6 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
         raise NotPD(f"factorize: weight not positive definite: min eig {lam_min:.1e} at or below 0")
     scale = BracketedNorm(values, norm=linalg.max_hermitian_norm)
 
-    coeffs = _commuting_factor(values)
-    if coeffs is not None:
-        boundary = linalg.synthesize_on_grid(np.arange(coeffs.shape[0]), coeffs, m_grid).values
-        out = _certified((coeffs, boundary, 0.0, 0.0, 0, "exact"), values, scale, tol,
-                         fall_through=True)
-        if out is not None:
-            return out
-        del boundary
-
     n_vals, c = linalg.fourier_coefficients(BoundarySampling(values))
     band = _band_degree(n_vals, c)
     if band >= m_grid // 4 or band**3 * values.shape[1] > 128 * m_grid:
@@ -457,15 +309,13 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
 
 
 def _certified(factor, values: np.ndarray, scale: BracketedNorm,
-               tol: Tolerances, fall_through: bool = False) -> OuterFunction | None:
+               tol: Tolerances) -> OuterFunction:
     """The OuterFunction of factor = (coeffs, boundary, neg_leakage,
-    truncation_defect, sweeps, path), G(0) turned Hermitian PD by a
-    constant unitary, once max ||G* G - w|| <= tol.fact_rel max ||w||
-    over the grid and the series is zero-free in the disk. The caller
-    hands boundary over: one stack, G* G - w, is made beside its turn.
-    The turn leaves G* G unchanged, so with fall_through (the exact path)
-    a residual above target returns None, for the caller to factor the
-    weight another way, instead of raising."""
+    truncation_defect, sweeps, path) from the reduction or Wilson path,
+    G(0) turned Hermitian PD by a constant unitary, once
+    max ||G* G - w|| <= tol.fact_rel max ||w|| over the grid and the
+    series is zero-free in the disk; NoConvergence otherwise. The caller
+    hands boundary over: one stack, G* G - w, is made beside its turn."""
     coeffs, boundary, leak, trunc, sweeps, path = factor
     del factor
     try:
@@ -480,8 +330,6 @@ def _certified(factor, values: np.ndarray, scale: BracketedNorm,
     # G* G - w is Hermitian: its norm is the largest |eigenvalue|
     residual = linalg.max_hermitian_norm(_gram_defect(boundary, values))
     if not scale.decide(lambda s: residual <= tol.fact_rel * s):
-        if fall_through:
-            return None
         raise NoConvergence(
             f"factorize: residual {residual:.1e} above target "
             f"{tol.fact_rel * scale.exact():.1e} after {sweeps} sweeps"

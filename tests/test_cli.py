@@ -309,7 +309,7 @@ class TestCommands:
                         r"on 2048 nodes; boundary residual ", out)
 
     @pytest.mark.parametrize("doc, line", [
-        (semicircle_document(2, 512), "exact factor of order 2; "),
+        (semicircle_document(2, 512), "factor of order 2 by cyclic reduction in 1 step(s); "),
         (noncommuting_document(2, 1024), "factor of order 2 by cyclic reduction in 2 step(s); "),
     ])
     def test_factorize_names_its_path(self, capsys, tmp_path, doc, line):

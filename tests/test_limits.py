@@ -169,7 +169,8 @@ class TestStageNamedErrors:
         # with no masses B = I, so G(0)^-1 B(0) / sqrt 2 = diag(1, 1e14) / sqrt 2
         g0 = np.diag([1.0, 1e-14]).astype(complex)
         g = outer.OuterFunction(coeffs=g0[None], boundary=BoundarySampling(np.tile(g0, (64, 1, 1))),
-                                residual=0.0, neg_leakage=0.0, truncation_defect=0.0, sweeps=0)
+                                residual=0.0, neg_leakage=0.0, truncation_defect=0.0, sweeps=0,
+                                path="reduction")
         monkeypatch.setattr(outer, "spectral_factorize", lambda w, tol: g)
         mu = make_measure(SemicircleDensity(2), quad_order=64, normalize="strict")
         with pytest.raises(Singular, match=r"^limits: frame from G\(0\)\^-1 B\(0\) / sqrt 2: "

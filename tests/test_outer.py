@@ -53,8 +53,8 @@ class TestClosedForms:
         assert g.residual < 1e-10
         assert g.neg_leakage < 1e-10
 
-    def test_semicircle_uses_exact_path(self, semicircle_factor):
-        assert (semicircle_factor.path, semicircle_factor.sweeps) == ("exact", 0)
+    def test_semicircle_uses_cyclic_reduction(self, semicircle_factor):
+        assert (semicircle_factor.path, semicircle_factor.sweeps) == ("reduction", 1)
 
     def test_arcsine_factor_is_identity(self, shipped_measures):
         g = spectral_factorize(szego_weight(shipped_measures["arcsine"]))
@@ -71,7 +71,7 @@ class TestClosedForms:
         mu = shipped_measures["matrix_conjugated"]
         w = szego_weight(mu)
         g = spectral_factorize(w)
-        assert g.path == "exact"
+        assert (g.path, g.sweeps, g.order) == DECISIONS["matrix_conjugated"][:3]
         vals = g.boundary.values
         recon = vals.conj().transpose(0, 2, 1) @ vals
         assert float(np.max(operator_norm(recon - w.values))) < 1e-10
@@ -82,17 +82,18 @@ class TestClosedForms:
         assert eigs[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-10)
         assert eigs[1] == pytest.approx(1.0, abs=1e-10)
 
-    def test_shipped_weights_use_exact_path(self, shipped_measures):
+    def test_shipped_weights_use_cyclic_reduction(self, shipped_measures):
         for name in SHIPPED:
-            assert spectral_factorize(szego_weight(shipped_measures[name])).path == "exact", name
+            g = spectral_factorize(szego_weight(shipped_measures[name]))
+            assert (g.path, g.sweeps, g.order) == DECISIONS[name][:3], name
 
-    def test_unresolved_channel_skips_root_splitting(self, monkeypatch):
+    def test_unresolved_channel_skips_the_reduction(self, monkeypatch):
         # |2 sin t|^{3/2} is no trig polynomial: its significant degree
-        # reaches M/4, so the exact path gives up before root splitting
-        def refuse(poly):
-            raise AssertionError("polyroots called on an unresolved channel")
+        # reaches M/4, so it never reaches the cyclic reduction
+        def refuse(c):
+            raise AssertionError("cyclic reduction called on an unresolved channel")
 
-        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", refuse)
+        monkeypatch.setattr(outer, "_cyclic_reduction", refuse)
         theta = midpoint_nodes(2048)
         w = BoundarySampling(np.abs(2.0 * np.sin(theta))[:, None, None] ** 1.5)
         g = spectral_factorize(w)
@@ -112,16 +113,17 @@ class TestClosedForms:
         [1.05, 0.0, -2.0, 0.0, 1.0],  # (x^2 - 1)^2 + 0.05
     ])
     def test_near_band_zeros_factor_exactly_on_every_grid(self, coefficients):
-        # q(x) semicircle with q nearly vanishing on the band: root splitting
-        # gives the same G(0) on every grid, which grid Wilson iteration
-        # only reaches to 3e-10 .. 5e-9 on these weights
+        # q(x) semicircle with q nearly vanishing on the band: the cyclic
+        # reduction gives the same G(0) on every grid, which grid Wilson
+        # iteration only reaches to 3e-10 .. 5e-9 on these weights
         g0 = []
         for m_grid in (256, 1024, 4096):
             doc = {"dim": 1, "quad_order": m_grid,
                    "density": {"family": "poly_semicircle", "coefficients": coefficients}}
             w = szego_weight(specio.build_measure(specio.parse_measure_spec(json.dumps(doc))))
             g = spectral_factorize(w)
-            assert g.path == "exact", m_grid
+            assert (g.path, g.order) == ("reduction", len(coefficients) + 1), m_grid
+            assert g.residual <= 1e-13 * max_operator_norm(w.values), m_grid
             g0.append(g.value_at_zero()[0, 0].real)
         assert max(g0) - min(g0) <= 1e-12
 
@@ -206,7 +208,7 @@ class TestEdgeDeflation:
         doc, band_order = EDGE_DOCUMENTS[name]
         w = szego_weight(specio.build_measure(specio.parse_measure_spec(json.dumps(doc))))
         g = spectral_factorize(w)
-        assert g.path == "reduction"  # non-commuting and resolved
+        assert g.path == "reduction"  # resolved
         assert g.order == band_order
         assert g.residual <= DEFAULT.fact_rel * max_operator_norm(w.values)
         residual, _ = det_szego_check(g)
@@ -292,12 +294,10 @@ class TestOnePositivityDecision:
             spectral_factorize(BoundarySampling(vals))
 
 
-class TestExactPathDefect:
-    """The exact path forms G* G - w once, after G(0)'s turn, and falls
-    through on that residual."""
+class TestFactorDefect:
+    """The certificate forms G* G - w once, after G(0)'s turn."""
 
-    @staticmethod
-    def counted(monkeypatch) -> list[str]:
+    def test_an_accepted_factor_forms_one_defect(self, shipped_measures, monkeypatch):
         calls = []
         gram_defect = outer._gram_defect
 
@@ -306,23 +306,8 @@ class TestExactPathDefect:
             return gram_defect(boundary, values)
 
         monkeypatch.setattr(outer, "_gram_defect", counting)
-        return calls
-
-    def test_an_accepted_factor_forms_one_defect(self, shipped_measures, monkeypatch):
-        calls = self.counted(monkeypatch)
         g = spectral_factorize(szego_weight(shipped_measures["matrix_conjugated"]))
-        assert g.path == "exact" and calls == [(4096, 2, 2)]
-
-    def test_a_rejected_factor_falls_through(self, monkeypatch):
-        # a constant factor of the wrong size: its residual fails, and the
-        # weight is factored by the reduction, as without the exact attempt
-        w = document_weight(noncommuting_document(2, 256))
-        expected = factor_outcome(w)
-        monkeypatch.setattr(outer, "_commuting_factor", lambda values: 2.0 * np.eye(2)[None])
-        calls = self.counted(monkeypatch)
-        g = spectral_factorize(w)
-        assert g.path == "reduction" and len(calls) == 2
-        assert factor_outcome(w) == expected
+        assert g.path == "reduction" and calls == [(4096, 2, 2)]
 
 
 class TestTinyDeterminant:
@@ -331,11 +316,14 @@ class TestTinyDeterminant:
     yet which factor to rounding."""
 
     @pytest.mark.parametrize("dim", [3, 4])
-    def test_semicircle_blocks_factor_exactly(self, dim):
+    def test_semicircle_blocks_factor_exactly(self, monkeypatch, dim):
         w = document_weight(semicircle_document(dim, 1024))
         assert float(np.min(np.linalg.det(w.values).real)) < 1e-14
+        peels = peeled_edges(monkeypatch)
         g = spectral_factorize(w)
-        assert g.path == "exact"
+        # every channel vanishes at both edges: one peel of rank l at each
+        assert (g.path, g.sweeps, g.order) == ("reduction", 1, 2)
+        assert peels == [(1.0, dim), (-1.0, dim)]
         assert g.residual <= DEFAULT.fact_rel * max_operator_norm(w.values)
         residual, estimate = det_szego_check(g)
         assert residual <= 2.0 * estimate
@@ -518,11 +506,11 @@ class TestBracketedDecisions:
 # (path, sweeps, order, (root, rank) of each peeled edge factor) of each
 # weight's factorization; sweeps counts reduction steps on the reduction path
 DECISIONS = {
-    "free_semicircle": ("exact", 0, 2, ()),
-    "arcsine": ("exact", 0, 0, ()),
-    "semicircle_mass": ("exact", 0, 2, ()),
-    "matrix_semicircle_mass": ("exact", 0, 2, ()),
-    "matrix_conjugated": ("exact", 0, 2, ()),
+    "free_semicircle": ("reduction", 1, 2, ((1.0, 1), (-1.0, 1))),
+    "arcsine": ("reduction", 1, 0, ()),
+    "semicircle_mass": ("reduction", 1, 2, ((1.0, 1), (-1.0, 1))),
+    "matrix_semicircle_mass": ("reduction", 1, 2, ((1.0, 2), (-1.0, 2))),
+    "matrix_conjugated": ("reduction", 1, 2, ((1.0, 1), (-1.0, 1))),
     "noncommuting_2_m256": ("reduction", 2, 2, ((1.0, 1), (-1.0, 1))),
     "noncommuting_2_m1024": ("reduction", 2, 2, ((1.0, 1), (-1.0, 1))),
     "noncommuting_4_m1024": ("reduction", 2, 2, ((1.0, 1), (-1.0, 1))),
@@ -546,50 +534,27 @@ def decision_weight(shipped_measures, name: str) -> BoundarySampling:
     return szego_weight(shipped_measures[name])
 
 
+def peeled_edges(monkeypatch) -> list[tuple[float, int]]:
+    """The (root, rank) of every edge factor _peel_edges takes from now on."""
+    peels = []
+    peel_edges = outer._peel_edges
+
+    def recording(*args):
+        remainder, peeled = peel_edges(*args)
+        peels.extend((root, rank) for root, _, rank in peeled)
+        return remainder, peeled
+
+    monkeypatch.setattr(outer, "_peel_edges", recording)
+    return peels
+
+
 class TestDecisionIdentity:
     @pytest.mark.parametrize("name", sorted(DECISIONS))
     def test_frame_products_keep_every_decision(self, monkeypatch, shipped_measures, name):
         w = decision_weight(shipped_measures, name)
-        peels = []
-        peel_edges = outer._peel_edges
-
-        def recording(*args):
-            remainder, peeled = peel_edges(*args)
-            peels.extend((root, rank) for root, _, rank in peeled)
-            return remainder, peeled
-
-        monkeypatch.setattr(outer, "_peel_edges", recording)
+        peels = peeled_edges(monkeypatch)
         g = spectral_factorize(w)
         assert (g.path, g.sweeps, g.order, tuple(peels)) == DECISIONS[name]
-
-    @pytest.mark.parametrize("name", sorted(DECISIONS))
-    def test_sampled_commutation_test_keeps_every_decision(self, monkeypatch,
-                                                           shipped_measures, name):
-        # the full-grid commutation test alone must decide as the sampled
-        # one does, and a non-commuting weight is refused by the sample
-        # without a rotation of all M nodes
-        w = decision_weight(shipped_measures, name)
-        values = 0.5 * (w.values + w.values.conj().transpose(0, 2, 1))
-        scale = float(np.max(np.abs(values)))
-        commutes = True
-        if w.dim > 1:
-            basis = outer._joint_basis(*outer._probes(values))
-            off = linalg.frame_product(basis.conj().T, values, basis)
-            off[:, np.arange(w.dim), np.arange(w.dim)] = 0.0
-            commutes = float(np.max(np.abs(off))) <= 1e-12 * scale
-        rotated = []
-        frame_product = linalg.frame_product
-
-        def recording(a, f, b):
-            rotated.append(f.shape[0])
-            return frame_product(a, f, b)
-
-        monkeypatch.setattr(linalg, "frame_product", recording)
-        factor = outer._commuting_factor(values)
-        assert (factor is not None) == (DECISIONS[name][0] == "exact")
-        assert commutes or factor is None
-        if not commutes:
-            assert rotated == [64]  # the sample of M // (M // 64) nodes
 
 
 def wilson_grids(monkeypatch) -> list[int]:
@@ -626,22 +591,34 @@ def wilson_reference(w: BoundarySampling) -> OuterFunction:
 
 
 class TestResolutionGrid:
-    @pytest.mark.parametrize("band, m_grid, path", [
-        (1, 4096, "reduction"), (3, 16, "reduction"), (4, 16, "wilson"), (7, 32, "reduction"),
-        (8, 32, "wilson"), (15, 64, "reduction"), (16, 64, "wilson"), (25, 256, "reduction"),
-        (26, 256, "wilson"),
+    @pytest.mark.parametrize("dim, band, m_grid, path", [
+        pytest.param(dim, band, m_grid, path,
+                     id=f"{band}-{m_grid}-{path}" + ("-scalar" if dim == 1 else ""))
+        for dim, band, m_grid, path in [
+            (2, 1, 4096, "reduction"), (2, 3, 16, "reduction"), (2, 4, 16, "wilson"),
+            (2, 7, 32, "reduction"), (2, 8, 32, "wilson"), (2, 15, 64, "reduction"),
+            (2, 16, 64, "wilson"), (2, 25, 256, "reduction"), (2, 26, 256, "wilson"),
+            (1, 60, 4096, "reduction"), (1, 80, 4096, "reduction"), (1, 81, 4096, "wilson"),
+        ]
     ])
-    def test_path_rule(self, monkeypatch, band, m_grid, path):
-        # a non-commuting 2x2 weight of band d on M nodes is factored by
-        # cyclic reduction exactly when it is resolved, d < M/4, and its
-        # lifted size is small, d^3 l <= 128 M (25^3 2 = 31250 and
-        # 26^3 2 = 35152 around 128 * 256 = 32768)
-        w = BoundarySampling(random_smooth_weight(np.random.default_rng(band), 2, m_grid, band))
+    def test_path_rule(self, monkeypatch, dim, band, m_grid, path):
+        # an l x l weight of band d on M nodes is factored by cyclic
+        # reduction exactly when it is resolved, d < M/4, and its lifted
+        # size is small, d^3 l <= 128 M (25^3 2 = 31250 and 26^3 2 = 35152
+        # around 128 * 256 = 32768; 80^3 = 512000 and 81^3 = 531441 around
+        # 128 * 4096 = 524288); a reduced factor has order d and a
+        # residual at rounding level
+        w = random_smooth_weight(np.random.default_rng(band), dim, m_grid, band)
         nodes, orders = wilson_grids(monkeypatch), reduction_orders(monkeypatch)
         try:
-            assert spectral_factorize(w).path == path
+            g = spectral_factorize(BoundarySampling(w))
         except NoConvergence:
             assert path == "wilson"  # Wilson's series is cut at M/8 < d
+        else:
+            assert g.path == path
+            if path == "reduction":
+                assert g.order == band
+                assert g.residual <= 1e-12 * max_operator_norm(w)
         assert (nodes, orders) == (([m_grid], []) if path == "wilson" else ([], [band]))
 
     @pytest.mark.parametrize("name", sorted(DOCUMENTS))
@@ -718,7 +695,7 @@ def singular_node_factor(block: np.ndarray) -> OuterFunction:
     vals[9] = block
     coeffs = np.array([np.eye(2), np.diag([0.5, 0.0])], dtype=complex)
     return OuterFunction(coeffs=coeffs, boundary=BoundarySampling(vals), residual=0.0,
-                         neg_leakage=0.0, truncation_defect=0.0, sweeps=0)
+                         neg_leakage=0.0, truncation_defect=0.0, sweeps=0, path="reduction")
 
 
 class TestSingularBoundary:
@@ -745,7 +722,9 @@ class TestSingularBoundary:
     def test_singular_value_at_zero_names_its_stage(self, monkeypatch):
         # G(z) = diag(1, z) has G* G = I on the circle but G(0) singular
         factor = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
-        monkeypatch.setattr(outer, "_commuting_factor", lambda values: factor)
+        boundary = linalg.synthesize_on_grid(np.arange(2), factor, 64).values
+        monkeypatch.setattr(outer, "_reduction_factor",
+                            lambda *args: (factor, boundary, 0.0, 0.0, 1, "reduction"))
         w = BoundarySampling(np.tile(np.eye(2, dtype=complex), (64, 1, 1)))
         with pytest.raises(Singular, match=r"^factorize: G\(0\): smallest singular value "
                            r"0\.000e\+00 at or below tol\.sing_rel x largest = 1\.000e-12$"):
