@@ -7,14 +7,16 @@ A product B(z) = F_1(z) ... F_K(z) of elementary factors
 
 one factor per mass point, carrying the disk coordinate z_k and a
 prescribed range for B(z_k). Factors are unitary on the circle, so the
-product is; det B(0) = prod |z_k|^{s_k} with s_k the b-block rank.
+product is; det B(0) = prod |z_k|^{s_k} with s_k the b-block rank. The
+product holds its factors as arrays (poles, ranks, unitaries), so its
+evaluation is one pass over the factors with every point batched.
 
 The construction appends factors on the right: given the partial
 product B_{k-1} and the target range V_k at z_k, the new factor vanishes
 on the orthogonal complement of W = B_{k-1}(z_k)^{-1} V_k, which makes
-B_k(z_k) = B_{k-1}(z_k) P_W have range exactly V_k. Full-dimensional
-targets impose nothing and are skipped; empty targets give a scalar
-factor b_k(z) I.
+B_k(z_k) = B_{k-1}(z_k) P_W have range exactly V_k; B_{k-1} is kept
+evaluated at the points still to come. Full-dimensional targets impose
+nothing and are skipped; empty targets give a scalar factor b_k(z) I.
 
 Every error raised here starts with "blaschke:" and gives the offending
 value against its threshold.
@@ -23,6 +25,7 @@ value against its threshold.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -149,86 +152,88 @@ def principal_angles(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class ElementaryFactor:
-    """One unitary-valued factor; the b-block occupies the leading rank slots."""
-
-    z: complex
-    rank: int
-    unitary: np.ndarray
-
-    def scalar(self, z) -> np.ndarray:
-        """The scalar Blaschke function b(z), positive at the origin."""
-        z_arr = np.asarray(z, dtype=complex)
-        denom = 1.0 - np.conj(self.z) * z_arr
-        gap = float(np.min(np.abs(denom), initial=np.inf))
-        if gap < 1e-14:
-            raise PoleAtReflection(
-                f"blaschke: evaluation at the reflected point 1/conj({self.z:.6g}): "
-                f"|1 - conj(z_k) z| = {gap:.3e} below 1.0e-14"
-            )
-        return (abs(self.z) / self.z) * (self.z - z_arr) / denom
-
-    def eval(self, z) -> np.ndarray:
-        return elementary_matrix(self.unitary, self.rank, np.atleast_1d(self.scalar(z)))
-
-    def eval_inverse(self, z) -> np.ndarray:
-        return elementary_matrix(self.unitary, self.rank, 1.0 / np.atleast_1d(self.scalar(z)))
-
-
-def elementary_matrix(unitary: np.ndarray, rank: int, b: np.ndarray) -> np.ndarray:
+def elementary_matrix(unitary: np.ndarray, rank, b: np.ndarray) -> np.ndarray:
     """U* diag(b, ..., b, 1, ..., 1) U per entry of b, with b in the leading rank slots.
 
     b is an array of any shape, () included; the result has shape
     b.shape + (l, l), and all of it is one GEMM (linalg.diagonal_congruence).
+    A stack of K factors takes unitary (K, l, l), rank (K,) and b (K, ...).
     """
-    d = np.ones(b.shape + (unitary.shape[0],), dtype=complex)
-    d[..., :rank] = b[..., None]
+    rank = np.reshape(rank, np.shape(rank) + (1,) * (b.ndim + 1 - np.ndim(rank)))
+    d = np.where(np.arange(unitary.shape[-1]) < rank, b[..., None], 1.0 + 0j)
     return linalg.diagonal_congruence(unitary, d)
+
+
+def _scalars(poles: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """b_k(z_p) for every pole z_k and point z_p, shape (K, P).
+
+    Raises PoleAtReflection, naming the pole, when some z_p lies at a
+    reflected point 1/conj(z_k).
+    """
+    denom = 1.0 - np.conj(poles)[:, None] * z
+    gap = np.min(np.abs(denom), axis=1, initial=np.inf)
+    if gap.size and gap.min() < 1e-14:
+        k = int(np.argmin(gap))
+        raise PoleAtReflection(
+            f"blaschke: evaluation at the reflected point 1/conj({complex(poles[k]):.6g}): "
+            f"|1 - conj(z_k) z| = {gap[k]:.3e} below 1.0e-14"
+        )
+    # Python's complex division: numpy's rounds |z_k| / z_k = 1 off by an ulp
+    phases = np.array([abs(p) / p for p in poles.tolist()], dtype=complex)
+    return phases[:, None] * (poles[:, None] - z) / denom
 
 
 @dataclasses.dataclass(frozen=True)
 class BlaschkePotapovProduct:
-    factors: tuple[ElementaryFactor, ...]
-    dim: int
+    """B(z) = F_1(z) ... F_K(z), factor k stored as poles[k], ranks[k], unitaries[k].
+
+    poles is (K,) complex, ranks (K,) int and unitaries (K, l, l); the
+    first ranks[k] rows of unitaries[k] span the b-block of factor k.
+    """
+
+    poles: np.ndarray
+    ranks: np.ndarray
+    unitaries: np.ndarray
 
     @property
-    def pole_points(self) -> np.ndarray:
-        return np.array([f.z for f in self.factors])
+    def dim(self) -> int:
+        return self.unitaries.shape[-1]
+
+    def _apply(self, z, inverse: bool) -> np.ndarray:
+        """B(z), or B(z)^{-1} as the reversed inverted factors: all b_k(z) as
+        one (K, P) array, then one product per factor with every point
+        batched, the factors' matrices made in panels of about 64 KB."""
+        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
+        l = self.dim
+        b = _scalars(self.poles, z_arr.ravel())
+        order = np.arange(len(self.poles))
+        if inverse:
+            b, order = 1.0 / b, order[::-1]
+        out = np.broadcast_to(np.eye(l, dtype=complex), (z_arr.size, l, l)).copy()
+        step = max(1, (1 << 12) // (z_arr.size * l * l))  # 64 KB of complex entries
+        for s in range(0, order.size, step):
+            panel = order[s : s + step]
+            for e in elementary_matrix(self.unitaries[panel], self.ranks[panel], b[panel]):
+                out = out @ e
+        out = out.reshape(z_arr.shape + (l, l))
+        return out[0] if np.ndim(z) == 0 else out
 
     def eval(self, z) -> np.ndarray:
-        """B(z); scalar z gives (l, l), array z gives (len(z), l, l)."""
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.broadcast_to(
-            np.eye(self.dim, dtype=complex), z_arr.shape + (self.dim, self.dim)
-        ).copy()
-        for f in self.factors:
-            out = out @ f.eval(z_arr)
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            return out[0]
-        return out
+        """B(z); scalar z gives (l, l), array z gives z.shape + (l, l)."""
+        return self._apply(z, inverse=False)
 
     def eval_inverse(self, z) -> np.ndarray:
-        """B(z)^{-1} away from the zero set, via reversed inverted factors."""
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.broadcast_to(
-            np.eye(self.dim, dtype=complex), z_arr.shape + (self.dim, self.dim)
-        ).copy()
-        for f in reversed(self.factors):
-            out = out @ f.eval_inverse(z_arr)
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            return out[0]
-        return out
+        """B(z)^{-1} away from the zero set."""
+        return self._apply(z, inverse=True)
 
     def value_at_zero(self) -> np.ndarray:
         return self.eval(0.0)
 
     def det_at_zero(self) -> float:
         """prod |z_k|^{s_k}, the expected |det B(0)|."""
-        out = 1.0
-        for f in self.factors:
-            out *= abs(f.z) ** f.rank
-        return out
+        return math.prod(
+            (abs(z) ** s for z, s in zip(self.poles.tolist(), self.ranks.tolist())), start=1.0
+        )
 
 
 def construct_product(
@@ -240,7 +245,8 @@ def construct_product(
 
     states holds (z_k, frame) pairs with 0 < |z_k| < 1 and frame an
     (l, d_k) column set, 0 <= d_k <= l. Points are processed sorted by
-    (|z|, arg z).
+    (|z|, arg z). The partial product is kept evaluated at the points
+    still to come, one stack that each new factor multiplies once.
     """
     order = sorted(
         range(len(states)),
@@ -260,10 +266,11 @@ def construct_product(
                     f"gap {abs(z - z_prev):.3e} below 1.0e-12"
                 )
 
-    factors: list[ElementaryFactor] = []
-    partial = BlaschkePotapovProduct(factors=(), dim=dim)
-    for i in order:
-        z_k = complex(states[i][0])
+    points = np.array(pts, dtype=complex)
+    partial = np.broadcast_to(np.eye(dim, dtype=complex), (len(pts), dim, dim)).copy()
+    poles, ranks, unitaries = [], [], []
+    for j, i in enumerate(order):
+        z_k = pts[j]
         v = np.asarray(states[i][1], dtype=complex).reshape(dim, -1)
         if v.shape[1] > dim:
             raise ValidationError(
@@ -277,14 +284,21 @@ def construct_product(
             rank = dim
         else:
             target = orthonormal_frame(v, tol)
-            pulled = np.linalg.solve(partial.eval(z_k), target)
+            pulled = np.linalg.solve(partial[j], target)
             w = orthonormal_frame(pulled, tol)
             q = np.hstack([complement_frame(w), w])
             unitary = q.conj().T
             rank = dim - w.shape[1]
-        factors.append(ElementaryFactor(z=z_k, rank=rank, unitary=unitary))
-        partial = BlaschkePotapovProduct(factors=tuple(factors), dim=dim)
-    return partial
+        poles.append(z_k)
+        ranks.append(rank)
+        unitaries.append(unitary)
+        b = _scalars(points[j : j + 1], points[j + 1 :])[0]
+        partial[j + 1 :] = partial[j + 1 :] @ elementary_matrix(unitary, rank, b)
+    return BlaschkePotapovProduct(
+        poles=np.array(poles, dtype=complex),
+        ranks=np.array(ranks, dtype=int),
+        unitaries=np.array(unitaries, dtype=complex).reshape(-1, dim, dim),
+    )
 
 
 _CONTOUR_POINTS = 64
@@ -305,11 +319,8 @@ def residue_kernel(
     tol.residue_rank_rel of the top singular value; a numerically zero
     residue yields the identity frame.
     """
-    clearance = 1.0 - abs(pole)
-    for other in other_poles:
-        gap = abs(pole - other)
-        if gap > 1e-300:
-            clearance = min(clearance, gap)
+    gaps = np.abs(pole - np.asarray(other_poles, dtype=complex))
+    clearance = float(np.min(gaps[gaps > 1e-300], initial=1.0 - abs(pole)))
     if clearance <= 0.0:
         raise ValidationError(
             f"blaschke: pole {pole:.6g} not strictly inside the disk: "
@@ -319,36 +330,22 @@ def residue_kernel(
     phi = 2.0 * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS
     ring = np.exp(1j * phi)
 
-    samples = {}
-    for radius in (eps, eps / 2.0):
-        vals = np.asarray(func(pole + radius * ring))
-        samples[radius] = vals
+    samples = {radius: np.asarray(func(pole + radius * ring)) for radius in (eps, eps / 2.0)}
     residue = np.mean(samples[eps] * (eps * ring)[:, None, None], axis=0)
 
     scale = float(np.max(np.abs(samples[eps]))) * eps
-    second = {
-        radius: float(
-            np.max(
-                np.abs(
-                    np.mean(
-                        samples[radius]
-                        * (radius**2 * np.exp(2j * phi))[:, None, None],
-                        axis=0,
-                    )
-                )
-            )
-        )
-        for radius in samples
-    }
+    second = min(
+        float(np.max(np.abs(np.mean(vals * (radius**2 * np.exp(2j * phi))[:, None, None], axis=0))))
+        for radius, vals in samples.items()
+    )
     floor = 1e-6 * max(scale, 1e-300)
-    if min(second.values()) > floor:
+    if second > floor:
         raise NotSimplePole(
-            f"blaschke: second-order Laurent content {min(second.values()):.3e} at {pole:.6g} "
+            f"blaschke: second-order Laurent content {second:.3e} at {pole:.6g} "
             f"above 1e-6 x scale = {floor:.3e} at both radii"
         )
 
     sing_top = float(np.linalg.svd(residue, compute_uv=False)[0])
     if sing_top <= 1e-14 * max(scale, 1e-300):
         return residue, np.eye(residue.shape[0], dtype=complex)
-    dummy_tol = dataclasses.replace(tol, rank_rel=tol.residue_rank_rel)
-    return residue, kernel_frame(residue, dummy_tol)
+    return residue, kernel_frame(residue, dataclasses.replace(tol, rank_rel=tol.residue_rank_rel))

@@ -233,8 +233,8 @@ def _run_blaschke(args, mu, tol):
     det0 = abs(np.linalg.det(product.value_at_zero()))
     angles = lim.kernel_angles
     factors = [
-        {"z": complex(f.z), "rank": f.rank, "unitary": f.unitary}
-        for f in product.factors
+        {"z": z, "rank": rank, "unitary": unitary}
+        for z, rank, unitary in zip(product.poles.tolist(), product.ranks.tolist(), product.unitaries)
     ]
     report = {
         "factor_count": len(factors),
@@ -247,9 +247,9 @@ def _run_blaschke(args, mu, tol):
     tables = {
         "blaschke_factors": specio.format_real_table(
             [
-                ("z_re", [f.z.real for f in product.factors]),
-                ("z_im", [f.z.imag for f in product.factors]),
-                ("rank", [float(f.rank) for f in product.factors]),
+                ("z_re", product.poles.real),
+                ("z_im", product.poles.imag),
+                ("rank", product.ranks),
             ]
         ),
         "kernel_angles": specio.format_real_table(
@@ -287,7 +287,7 @@ def _run_limit(args, mu, tol):
         "value_at_zero": lim.value0,
         "value_at_zero_eigenvalues": np.linalg.eigvalsh(lim.value0),
         "frame": lim.frame,
-        "poles": [complex(z) for z in lim.product.pole_points],
+        "poles": lim.product.poles.tolist(),
         "factor_residual": lim.outer.residual,
     }
     tables = {"limit_grid": specio.format_real_table(columns)}
@@ -295,7 +295,7 @@ def _run_limit(args, mu, tol):
         f"limit evaluated at {pts.size} point(s), radius {args.radius}",
         "L(0) eigenvalues: "
         + ", ".join(f"{v:.8f}" for v in np.linalg.eigvalsh(lim.value0)),
-        f"{len(lim.product.factors)} Blaschke factor(s) in the product",
+        f"{len(lim.product.poles)} Blaschke factor(s) in the product",
     ]
     return report, tables, lines
 

@@ -55,10 +55,8 @@ class LimitFunction:
     def disk_points(self, radius: float, angle_count: int = 24) -> np.ndarray:
         """disk_grid(radius, angle_count) without the points at the mass poles."""
         pts = disk_grid(radius, angle_count)
-        keep = np.ones(pts.size, dtype=bool)
-        for z_k in self.product.pole_points:
-            keep &= np.abs(pts - z_k) > 1e-8
-        return pts[keep]
+        gaps = np.abs(pts[:, None] - self.product.poles)
+        return pts[np.all(gaps > 1e-8, axis=1)]
 
     def eval(self, z) -> np.ndarray:
         """L at interior points (|z| <= 0.99, away from mass points)."""
@@ -130,10 +128,8 @@ def build_pipeline(mu: ms.MatrixMeasure, tol: Tolerances = DEFAULT) -> LimitFunc
     for k, (state, ker) in enumerate(zip(mu.bound_states, kernels)):
         if ker is None:
             continue
-        others = [z for z in pole_list if abs(z - state.z) > 1e-300]
-        _, res_ker = bp.residue_kernel(
-            lim.eval_inverse, complex(state.z), others, tol
-        )
+        # residue_kernel skips the pole itself among pole_list
+        _, res_ker = bp.residue_kernel(lim.eval_inverse, complex(state.z), pole_list, tol)
         angles = bp.principal_angles(res_ker, ker)
         worst = float(angles.max()) if angles.size else 0.0
         if res_ker.shape[1] != ker.shape[1] or worst > tol.kernel_angle:

@@ -285,11 +285,13 @@ def diagonal_congruence(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     One GEMM of the rows with the (l, l^2) matrix
     W[j, i l + k] = conj(u_ji) u_jk: O(M l^3) for M rows, and no diagonal
     matrices are built. The sums run in another order than a loop over
-    entries would, so results may differ from it in the last bits.
+    entries would, so results may differ from it in the last bits. A
+    stack u of shape (K, l, l) pairs with d of shape (K, ..., l): one
+    GEMM per unitary, each as it would be on its own.
     """
-    l = u.shape[0]
-    w = (u.conj()[:, :, None] * u[:, None, :]).reshape(l, l * l)
-    return (d.reshape(-1, l) @ w).reshape(d.shape + (l,))
+    l = u.shape[-1]
+    w = (u.conj()[..., :, None] * u[..., None, :]).reshape(u.shape[:-2] + (l, l * l))
+    return (d.reshape(u.shape[:-2] + (-1, l)) @ w).reshape(d.shape + (l,))
 
 
 # Entries per panel of frame_product's output: 64 KB of complex numbers.

@@ -137,6 +137,21 @@ def near_zero_document(eps: float, order: int) -> dict:
     return doc
 
 
+def many_mass_document(dim: int, pairs: int) -> dict:
+    """The semicircle with masses at E = +-(2 + 0.5 / k^2), k = 1..pairs,
+    of weight 0.05 / k^2: scalar for dim 1, else rank one along
+    (cos 0.3k, e^{0.7ik} sin 0.3k), so no two neighbouring kernels agree.
+    The masses crowd the band edges as the paper's countably many do."""
+    masses = []
+    for k in range(1, pairs + 1):
+        v = np.array([np.cos(0.3 * k), np.exp(0.7j * k) * np.sin(0.3 * k)])[:dim]
+        weight = 0.05 / k**2 * (np.ones((1, 1)) if dim == 1 else np.outer(v, v.conj()))
+        for sign in (1.0, -1.0):
+            masses.append({"energy": sign * (2.0 + 0.5 / k**2), "weight": _matrix_json(weight)})
+    return {"dim": dim, "density": {"family": "semicircle"}, "masses": masses,
+            "quad_order": 4096, "normalize": "auto"}
+
+
 def semicircle_document(dim: int, order: int) -> dict:
     """The semicircle times I_dim: every channel vanishes at both band
     edges, so det w at the edge nodes is of order (2 sin^2(pi/M))^dim."""

@@ -1,7 +1,11 @@
 """Subspace frames, unitary-valued disk products, residue extraction."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from matszego.errors import (
     DegenerateFrame,
@@ -13,7 +17,7 @@ from matszego.errors import (
 )
 from matszego.linalg import operator_norm
 from matszego.blaschke import (
-    ElementaryFactor,
+    BlaschkePotapovProduct,
     complement_frame,
     construct_product,
     kernel_frame,
@@ -30,6 +34,19 @@ E2 = np.array([[0.0], [1.0]], dtype=complex)
 
 def circle(count=128):
     return np.exp(2j * np.pi * np.arange(count) / count)
+
+
+def scalar_b(z_k: complex, z):
+    """The scalar Blaschke function of a pole z_k, positive at the origin."""
+    return (abs(z_k) / z_k) * (z_k - z) / (1.0 - np.conj(z_k) * z)
+
+
+def one_factor(z_k: complex, rank: int, unitary: np.ndarray) -> BlaschkePotapovProduct:
+    return BlaschkePotapovProduct(
+        poles=np.array([z_k], dtype=complex),
+        ranks=np.array([rank]),
+        unitaries=np.asarray(unitary, dtype=complex)[None],
+    )
 
 
 def unitarity_defect(vals: np.ndarray) -> float:
@@ -218,9 +235,9 @@ class TestStageNamedErrors:
             construct_product([(1.2, E1)], dim=2)
         with pytest.raises(DuplicatePole, match=r"^blaschke: .*gap 0\.000e\+00 below 1\.0e-12$"):
             construct_product([(0.5, E1), (0.5, E2)], dim=2)
-        f = ElementaryFactor(z=0.5, rank=1, unitary=np.eye(1, dtype=complex))
-        with pytest.raises(PoleAtReflection, match=r"^blaschke: .*= 0\.000e\+00 below 1\.0e-14$"):
-            f.scalar(2.0)
+        f = one_factor(0.5, 1, np.eye(1))
+        with pytest.raises(PoleAtReflection, match=r"^blaschke: .*1/conj\(0\.5\+0j\): .*= 0\.000e\+00 below 1\.0e-14$"):
+            f.eval(2.0)
 
     def test_residue_errors(self):
         prod = construct_product([(0.5, E1)], dim=2)
@@ -236,23 +253,25 @@ class TestStageNamedErrors:
 
 
 class TestElementaryFactor:
+    """One factor F_k, as a one-factor product."""
+
     def test_scalar_blaschke_properties(self):
-        f = ElementaryFactor(z=0.5j, rank=1, unitary=np.eye(1, dtype=complex))
-        assert abs(complex(f.scalar(0.5j))) < 1e-15
-        assert complex(f.scalar(0.0)) == pytest.approx(0.5)
-        on_circle = np.abs(f.scalar(circle()))
+        f = one_factor(0.5j, 1, np.eye(1))
+        assert abs(complex(f.eval(0.5j)[0, 0])) < 1e-15
+        assert complex(f.eval(0.0)[0, 0]) == pytest.approx(0.5)
+        on_circle = np.abs(f.eval(circle())[:, 0, 0])
         assert np.max(np.abs(on_circle - 1.0)) < 1e-12
 
     def test_scalar_rejects_reflected_point(self):
-        f = ElementaryFactor(z=0.5, rank=1, unitary=np.eye(1, dtype=complex))
-        with pytest.raises(PoleAtReflection):
-            f.scalar(2.0)
+        f = one_factor(0.5, 1, np.eye(1))
+        for evaluate in (f.eval, f.eval_inverse):
+            with pytest.raises(PoleAtReflection):
+                evaluate(np.array([0.1, 2.0]))
 
     def test_block_structure(self):
-        u = np.eye(2, dtype=complex)
-        f = ElementaryFactor(z=0.4, rank=1, unitary=u)
-        v = f.eval(0.1)[0]  # factor eval is always batched
-        b = complex(f.scalar(0.1))
+        f = one_factor(0.4, 1, np.eye(2))
+        v = f.eval(0.1)
+        b = complex(scalar_b(0.4, 0.1))
         assert v[0, 0] == pytest.approx(b)
         assert v[1, 1] == pytest.approx(1.0)
         assert abs(v[0, 1]) + abs(v[1, 0]) < 1e-15
@@ -260,10 +279,79 @@ class TestElementaryFactor:
     def test_inverse_is_pointwise_inverse(self):
         rng = np.random.default_rng(9)
         q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
-        f = ElementaryFactor(z=0.3 - 0.2j, rank=2, unitary=q)
+        f = one_factor(0.3 - 0.2j, 2, q)
         zs = np.array([0.1, -0.4j, 0.2 + 0.6j])
         prod = f.eval(zs) @ f.eval_inverse(zs)
         assert float(np.max(operator_norm(prod - np.eye(3)))) < 1e-12
+
+
+def reference_product(poles, ranks, unitaries, z, inverse=False):
+    """B(z), or B(z)^{-1}, one point and one factor at a time, each factor
+    U* diag(b, ..., b, 1, ..., 1) U formed by explicit matrix products;
+    also the product of the factors' operator norms, the scale of the
+    rounding error."""
+    dim = unitaries.shape[-1]
+    vals, scales = [], []
+    for zp in z:
+        acc, scale = np.eye(dim, dtype=complex), 1.0
+        order = range(len(poles))
+        for k in reversed(order) if inverse else order:
+            b = complex(scalar_b(complex(poles[k]), zp))
+            d = np.ones(dim, dtype=complex)
+            d[: ranks[k]] = 1.0 / b if inverse else b
+            acc = acc @ (unitaries[k].conj().T @ np.diag(d) @ unitaries[k])
+            scale *= float(np.abs(d).max())
+        vals.append(acc)
+        scales.append(scale)
+    return np.array(vals), np.array(scales)
+
+
+@st.composite
+def factor_sets(draw):
+    """Stacked factor data with l <= 4, ranks 0..l and poles up to |z| = 0.999,
+    and evaluation points in the closed disk."""
+    dim = draw(st.integers(1, 4))
+    count = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radii = draw(st.lists(st.floats(0.01, 0.999), min_size=count, max_size=count))
+    poles = np.array(radii) * np.exp(1j * rng.uniform(-np.pi, np.pi, count))
+    ranks = np.array(draw(st.lists(st.integers(0, dim), min_size=count, max_size=count)), dtype=int)
+    raw = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    unitaries = np.linalg.qr(raw)[0].reshape(count, dim, dim)
+    points = np.sqrt(rng.uniform(0.0, 1.0, 17)) * np.exp(2j * np.pi * rng.uniform(size=17))
+    return BlaschkePotapovProduct(poles=poles, ranks=ranks, unitaries=unitaries), points
+
+
+class TestStackedProduct:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(factor_sets())
+    def test_matches_a_per_factor_loop(self, case):
+        prod, z = case
+        # points within 1e-6 of a pole would only test the reference's overflow
+        assume(np.all(np.abs(z[:, None] - prod.poles) > 1e-6))
+        for inverse, evaluate in ((False, prod.eval), (True, prod.eval_inverse)):
+            want, scale = reference_product(prod.poles, prod.ranks, prod.unitaries, z, inverse)
+            got = evaluate(z)
+            assert got.shape == (z.size, prod.dim, prod.dim)
+            err = np.max(np.abs(got - want), axis=(1, 2))
+            assert np.all(err <= 1e-14 * scale)
+            one = evaluate(complex(z[3]))
+            assert one.shape == (prod.dim, prod.dim)
+            assert np.max(np.abs(one - want[3])) <= 1e-14 * scale[3]
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(factor_sets(), st.data())
+    def test_reflected_point_names_its_pole(self, case, data):
+        prod, z = case
+        assume(prod.poles.size > 0)
+        k = data.draw(st.integers(0, prod.poles.size - 1))
+        z_k = complex(prod.poles[k])
+        # the check is one pass over all factors: other poles do not mask it
+        assume(np.all(np.abs(1.0 - np.conj(np.delete(prod.poles, k)) / np.conj(z_k)) > 1e-6))
+        pts = np.concatenate([z, [1.0 / np.conj(z_k)]])
+        for evaluate in (prod.eval, prod.eval_inverse):
+            with pytest.raises(PoleAtReflection, match=re.escape(f"1/conj({z_k:.6g}): ")):
+                evaluate(pts)
 
 
 class TestProductConstruction:
@@ -280,11 +368,10 @@ class TestProductConstruction:
         # prescribing range span(e1) at z = 0.5 leaves channel one free
         # and puts the scalar factor in channel two
         prod = construct_product([(0.5, E1)], dim=2)
-        b = ElementaryFactor(z=0.5, rank=1, unitary=np.eye(1, dtype=complex))
         for z in (0.0, 0.3j, -0.7):
             val = prod.eval(z)
             assert val[0, 0] == pytest.approx(1.0, abs=1e-12)
-            assert val[1, 1] == pytest.approx(complex(b.scalar(z)), abs=1e-12)
+            assert val[1, 1] == pytest.approx(complex(scalar_b(0.5, z)), abs=1e-12)
             assert abs(val[0, 1]) + abs(val[1, 0]) < 1e-12
 
     def test_boundary_unitarity(self):
@@ -309,7 +396,8 @@ class TestProductConstruction:
 
     def test_full_dimensional_target_contributes_nothing(self):
         prod = construct_product([(0.5, np.eye(2, dtype=complex))], dim=2)
-        assert len(prod.factors) == 0
+        assert prod.poles.shape == prod.ranks.shape == (0,)
+        assert prod.unitaries.shape == (0, 2, 2)
         assert np.allclose(prod.eval(0.3), np.eye(2))
 
     def test_inverse_cancels(self):

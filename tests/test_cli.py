@@ -6,11 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from matszego import blaschke, cli, specio
+from matszego import blaschke, cli, specio, tolerances
 from matszego import polynomials as poly
 from matszego.cli import main
 
-from conftest import SPECS_DIR, noncommuting_document, semicircle_document
+from conftest import SPECS_DIR, many_mass_document, noncommuting_document, semicircle_document
 
 FREE = str(SPECS_DIR / "free_semicircle.json")
 MASS = str(SPECS_DIR / "semicircle_mass.json")
@@ -267,6 +267,36 @@ class TestNonCommutingEndToEnd:
         assert code == 0
         assert r["factor_residual"] <= FACTOR_RESIDUAL
         assert min(r["value_at_zero_eigenvalues"]) > 0.0
+
+
+class TestManyMasses:
+    """140 scalar masses, and 20 rank-one masses on a 2x2 weight, crowding
+    the band edges: one factor and one certified kernel per mass."""
+
+    @pytest.mark.parametrize("dim, pairs", [(1, 70), (2, 10)])
+    def test_blaschke_and_limit(self, tmp_path, monkeypatch, dim, pairs):
+        spec = tmp_path / "many.json"
+        spec.write_text(json.dumps(many_mass_document(dim, pairs)))
+        calls = []
+        original = blaschke.residue_kernel
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(blaschke, "residue_kernel", counting)
+        reports = {}
+        for command in ("blaschke", "limit"):
+            target = tmp_path / command
+            assert main([command, str(spec), "--out", str(target)]) == 0
+            reports[command] = json.loads((target / "report.json").read_text())
+        masses = 2 * pairs
+        assert len(calls) == 2 * masses
+        r = reports["blaschke"]
+        assert r["factor_count"] == len(r["kernel_angles"]) == masses
+        assert max(r["kernel_angles"]) <= tolerances.DEFAULT.kernel_angle
+        assert r["boundary_unitarity_defect"] <= UNITARITY_DEFECT
+        assert len(reports["limit"]["poles"]) == masses
 
 
 class TestCommands:

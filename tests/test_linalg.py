@@ -456,7 +456,7 @@ class TestFrameProducts:
     @given(st.sampled_from([1, 2, 4, 8]), st.integers(0, 8), st.integers(0, 12),
            st.integers(0, 2**32 - 1))
     def test_elementary_matrix_matches_einsum(self, dim, rank, log_count, seed):
-        # b as ElementaryFactor.eval passes it, (T,), and as a 0-d array
+        # b for one factor at T points, (T,), and as a 0-d array
         rng = np.random.default_rng(seed)
         u, rank = unitary(rng, dim), min(rank, dim)
         for b in (cnormal(rng, 2**log_count), cnormal(rng)):
@@ -467,6 +467,13 @@ class TestFrameProducts:
             bound = einsum_diagonal_congruence(np.abs(u), np.abs(d)).real
             err = np.abs(got - einsum_diagonal_congruence(u, d))
             assert np.all(err <= ULPS * dim * bound)
+        # a stack of factors, (K, l, l) with ranks (K,) and b (K, T), as a
+        # Blaschke-Potapov product makes them: each as it would be on its own
+        us = np.stack([u, unitary(rng, dim), unitary(rng, dim)])
+        ranks, bs = np.array([rank, 0, dim]), cnormal(rng, 3, 2**log_count)
+        got = elementary_matrix(us, ranks, bs)
+        for k in range(3):
+            assert got[k].tobytes() == elementary_matrix(us[k], ranks[k], bs[k]).tobytes()
 
     def test_scalar_products_round_as_before(self):
         # at l = 1 both helpers do the reference's products in its order
