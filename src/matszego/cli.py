@@ -232,9 +232,11 @@ def _run_blaschke(args, mu, tol):
     unitarity = max_operator_norm(b_ring.conj().transpose(0, 2, 1) @ b_ring - np.eye(mu.dim))
     det0 = abs(np.linalg.det(product.value_at_zero()))
     angles = lim.kernel_angles
+    # each b-block projector as I - W W*, W the kept range frame (the rows
+    # past the b-block): the b-block rows are one arbitrary basis of its range
     factors = [
-        {"z": z, "rank": rank, "unitary": unitary}
-        for z, rank, unitary in zip(product.poles.tolist(), product.ranks.tolist(), product.unitaries)
+        {"z": z, "rank": rank, "projector": np.eye(mu.dim) - u[rank:].conj().T @ u[rank:]}
+        for z, rank, u in zip(product.poles.tolist(), product.ranks.tolist(), product.unitaries)
     ]
     report = {
         "factor_count": len(factors),

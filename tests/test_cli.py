@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from matszego import blaschke, cli, specio, tolerances
+from matszego import blaschke, cli, limits, specio, tolerances
 from matszego import polynomials as poly
 from matszego.cli import main
 
@@ -369,6 +369,37 @@ class TestCommands:
         with open(MATRIX_MASS) as fh:
             masses = json.load(fh)["masses"]
         assert len(calls) == len(masses) == 1
+
+    def test_blaschke_factors_do_not_depend_on_the_complement_basis(
+        self, capsys, tmp_path, monkeypatch, shipped_measures
+    ):
+        # a factor's b-block rows are any orthonormal basis of the complement
+        # of its kept range frame; the report prints what does not depend on it
+        mu = shipped_measures["matrix_semicircle_mass"]
+
+        def blaschke_run(name):
+            target = tmp_path / name
+            assert main(["blaschke", MATRIX_MASS, "--out", str(target)]) == 0
+            factors = json.loads((target / "report.json").read_text())["factors"]
+            return factors, limits.build_pipeline(mu).product.unitaries
+
+        factors, unitaries = blaschke_run("given")
+        original = blaschke.complement_frame
+
+        def rotated(frame):
+            c = original(frame)
+            rng = np.random.default_rng(3)
+            turn = rng.standard_normal((c.shape[1],) * 2) + 1j * rng.standard_normal((c.shape[1],) * 2)
+            return c @ np.linalg.qr(turn)[0]
+
+        monkeypatch.setattr(blaschke, "complement_frame", rotated)
+        turned_factors, turned_unitaries = blaschke_run("rotated")
+        assert np.max(np.abs(turned_unitaries - unitaries)) > 0.1
+        assert [json.dumps(f) for f in turned_factors] == [json.dumps(f) for f in factors]
+        for f in factors:
+            p = np.array(f["projector"]["re"]) + 1j * np.array(f["projector"]["im"])
+            assert np.max(np.abs(p @ p - p)) < 1e-15
+            assert np.trace(p).real == pytest.approx(f["rank"])
 
     def test_limit_evaluates_grid(self, capsys, small_spec):
         spec = small_spec("free")
