@@ -152,7 +152,7 @@ def principal_angles(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     )
 
 
-def elementary_matrix(unitary: np.ndarray, rank, b: np.ndarray) -> np.ndarray:
+def elementary_matrix(unitary: np.ndarray, rank: int | np.ndarray, b: np.ndarray) -> np.ndarray:
     """U* diag(b, ..., b, 1, ..., 1) U per entry of b, with b in the leading rank slots.
 
     b is an array of any shape, () included; the result has shape
@@ -178,7 +178,7 @@ def _scalars(poles: np.ndarray, z: np.ndarray) -> np.ndarray:
             f"blaschke: evaluation at the reflected point 1/conj({complex(poles[k]):.6g}): "
             f"|1 - conj(z_k) z| = {gap[k]:.3e} below 1.0e-14"
         )
-    # Python's complex division: numpy's rounds |z_k| / z_k = 1 off by an ulp
+    # Python's complex division gives |z_k| / z_k = 1 at real z_k > 0; numpy's may be an ulp less
     phases = np.array([abs(p) / p for p in poles.tolist()], dtype=complex)
     return phases[:, None] * (poles[:, None] - z) / denom
 

@@ -140,7 +140,7 @@ def near_zero_document(eps: float, order: int) -> dict:
 def many_mass_document(dim: int, pairs: int) -> dict:
     """The semicircle with masses at E = +-(2 + 0.5 / k^2), k = 1..pairs,
     of weight 0.05 / k^2: scalar for dim 1, else rank one along
-    (cos 0.3k, e^{0.7ik} sin 0.3k), so no two neighbouring kernels agree.
+    (cos 0.3k, e^{0.7ik} sin 0.3k), so the kernels turn from one k to the next.
     The masses crowd the band edges as the paper's countably many do."""
     masses = []
     for k in range(1, pairs + 1):

@@ -236,7 +236,8 @@ class TestStageNamedErrors:
         with pytest.raises(DuplicatePole, match=r"^blaschke: .*gap 0\.000e\+00 below 1\.0e-12$"):
             construct_product([(0.5, E1), (0.5, E2)], dim=2)
         f = one_factor(0.5, 1, np.eye(1))
-        with pytest.raises(PoleAtReflection, match=r"^blaschke: .*1/conj\(0\.5\+0j\): .*= 0\.000e\+00 below 1\.0e-14$"):
+        reflected = r"^blaschke: .*1/conj\(0\.5\+0j\): .*= 0\.000e\+00 below 1\.0e-14$"
+        with pytest.raises(PoleAtReflection, match=reflected):
             f.eval(2.0)
 
     def test_residue_errors(self):

@@ -371,7 +371,7 @@ class TestCommands:
         assert len(calls) == len(masses) == 1
 
     def test_blaschke_factors_do_not_depend_on_the_complement_basis(
-        self, capsys, tmp_path, monkeypatch, shipped_measures
+        self, tmp_path, monkeypatch, shipped_measures
     ):
         # a factor's b-block rows are any orthonormal basis of the complement
         # of its kept range frame; the report prints what does not depend on it
@@ -389,7 +389,8 @@ class TestCommands:
         def rotated(frame):
             c = original(frame)
             rng = np.random.default_rng(3)
-            turn = rng.standard_normal((c.shape[1],) * 2) + 1j * rng.standard_normal((c.shape[1],) * 2)
+            shape = (c.shape[1], c.shape[1])
+            turn = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             return c @ np.linalg.qr(turn)[0]
 
         monkeypatch.setattr(blaschke, "complement_frame", rotated)
