@@ -210,7 +210,7 @@ class BlaschkePotapovProduct:
         if inverse:
             b, order = 1.0 / b, order[::-1]
         out = np.broadcast_to(np.eye(l, dtype=complex), (z_arr.size, l, l)).copy()
-        step = max(1, (1 << 12) // (z_arr.size * l * l))  # 64 KB of complex entries
+        step = max(1, linalg.PANEL_ENTRIES // (z_arr.size * l * l))
         for s in range(0, order.size, step):
             panel = order[s : s + step]
             for e in elementary_matrix(self.unitaries[panel], self.ranks[panel], b[panel]):

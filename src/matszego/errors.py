@@ -66,7 +66,7 @@ class NoConvergence(NumericalError):
 
 
 class RadiusExceeded(NumericalError):
-    """Interior evaluation requested too close to (or outside) the unit circle."""
+    """Evaluation outside the closed unit disk, or a verification grid past radius 0.99."""
 
 
 class SingularBoundary(NumericalError):

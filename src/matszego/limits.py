@@ -59,7 +59,7 @@ class LimitFunction:
         return pts[np.all(gaps > 1e-8, axis=1)]
 
     def eval(self, z) -> np.ndarray:
-        """L at interior points (|z| <= 0.99, away from mass points)."""
+        """L at points of the closed unit disk away from the mass points."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
         g_vals = self.outer.eval_interior(z_arr)
         b_vals = self.product.eval(z_arr)
@@ -82,9 +82,9 @@ class LimitFunction:
 def build_pipeline(mu: ms.MatrixMeasure, tol: Tolerances = DEFAULT) -> LimitFunction:
     """Factor the weight, pin the product to the masses, fix the frame.
 
-    Raises RadiusExceeded for masses so close to the band that the
-    factor's series cannot reach their disk coordinate, KernelMismatch
-    if the certified residue kernels disagree with the mass kernels. The
+    Masses may lie anywhere off the band: their disk points lie in the
+    open disk, where the factor is evaluated. Raises KernelMismatch if
+    the certified residue kernels disagree with the mass kernels. The
     kernel certificate belongs to the Blaschke-Potapov step, so its
     message starts with "blaschke:".
     """
@@ -94,11 +94,6 @@ def build_pipeline(mu: ms.MatrixMeasure, tol: Tolerances = DEFAULT) -> LimitFunc
     states = []
     kernels = []
     for state in mu.bound_states:
-        if abs(state.z) > 0.99:
-            raise RadiusExceeded(
-                f"limits: mass at {state.energy:.6g} maps to |z| = {abs(state.z):.6f} "
-                "above 0.99, beyond the factor's series radius"
-            )
         ker = bp.kernel_frame(state.weight, tol)
         if ker.shape[1] == mu.dim:
             kernels.append(None)  # weightless point, contributes no factor

@@ -294,8 +294,8 @@ def diagonal_congruence(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (d.reshape(u.shape[:-2] + (-1, l)) @ w).reshape(d.shape + (l,))
 
 
-# Entries per panel of frame_product's output: 64 KB of complex numbers.
-_PANEL_ENTRIES = 1 << 12
+# Entries per panel of the stack kernels: 64 KB of complex numbers.
+PANEL_ENTRIES = 1 << 12
 
 
 def frame_product(a: np.ndarray, f: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -314,7 +314,7 @@ def frame_product(a: np.ndarray, f: np.ndarray, b: np.ndarray) -> np.ndarray:
     l = f.shape[-1]
     k = np.kron(np.transpose(a), np.eye(l))
     out = np.empty((f.shape[0], l * l), dtype=complex)
-    step = max(1, _PANEL_ENTRIES // (l * l))
+    step = max(1, PANEL_ENTRIES // (l * l))
     for s in range(0, f.shape[0], step):
         out[s : s + step] = (f[s : s + step].reshape(-1, l) @ b).reshape(-1, l * l) @ k
     return out.reshape(f.shape)
@@ -324,7 +324,7 @@ def positive_definite(a: np.ndarray) -> bool:
     """Whether every block of a Hermitian stack has a Cholesky factor, the
     node-level test of positive definiteness, decided in panels of about
     64 KB so that no factor of the whole stack is held."""
-    step = max(1, _PANEL_ENTRIES // (a.shape[-1] * a.shape[-1]))
+    step = max(1, PANEL_ENTRIES // (a.shape[-1] * a.shape[-1]))
     try:
         for s in range(0, a.shape[0], step):
             np.linalg.cholesky(a[s : s + step])

@@ -225,7 +225,8 @@ def disk_coordinate(energy: float) -> complex:
     e = float(energy)
     if abs(e) <= 2.0:
         raise MassOnSupport(f"energy {e} lies in [-2, 2]")
-    z = (e - np.sign(e) * np.sqrt(e * e - 4.0)) / 2.0
+    # E^2 - 4 as (|E| - 2)(|E| + 2): the first factor is exact near the band
+    z = (e - np.sign(e) * np.sqrt((abs(e) - 2.0) * (abs(e) + 2.0))) / 2.0
     return complex(z)
 
 

@@ -19,6 +19,10 @@ so G(0) is Hermitian positive definite. Two construction paths:
   M nodes after the same peeling, on v = w^T, as (psi^T)* (psi^T) =
   (psi psi*)^T = w; the series is cut after G's band, at most M/8.
 
+Either way the stored factor is a polynomial, whose error inside the
+disk is at most its error on the circle (maximum principle), so it is
+evaluated anywhere in the closed unit disk.
+
 Every factor passes one certificate on the M nodes: max ||G* G - w||
 at most tol.fact_rel max ||w||, then a zero-free interior. The weight
 must be positive definite at every node; det w may be tiny, as at the
@@ -73,11 +77,12 @@ class OuterFunction:
         return self.coeffs[0]
 
     def eval_interior(self, z) -> np.ndarray:
-        """Evaluate the truncated series at points with |z| <= 0.99."""
+        """Evaluate the polynomial factor at points of the closed unit disk."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        if np.any(np.abs(z_arr) > 0.99):
+        if np.any(np.abs(z_arr) > 1.0 + 1e-9):
             raise RadiusExceeded(
-                f"factorize: interior evaluation at |z| = {np.abs(z_arr).max():.6g} above 0.99"
+                f"factorize: evaluation at |z| = {np.abs(z_arr).max():.6g} "
+                "outside the closed unit disk"
             )
         powers = z_arr[:, None] ** np.arange(self.order + 1)[None, :]
         out = (powers @ self.coeffs.reshape(self.order + 1, -1)).reshape(-1, self.dim, self.dim)
@@ -343,7 +348,7 @@ def _certified(factor, values: np.ndarray, scale: BracketedNorm,
 def _gram_defect(boundary: np.ndarray, values: np.ndarray) -> np.ndarray:
     """G* G - w node by node, in panels of about 64 KB: the result is the only stack made."""
     out = np.empty_like(boundary)
-    step = max(1, (1 << 12) // boundary[0].size)
+    step = max(1, linalg.PANEL_ENTRIES // boundary[0].size)
     for s in range(0, boundary.shape[0], step):
         g = boundary[s : s + step]
         np.matmul(g.conj().transpose(0, 2, 1), g, out=out[s : s + step])

@@ -31,6 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    PANEL_ENTRIES,
     frobenius_norms,
     hermitian_defect,
     left_polar,
@@ -468,7 +469,7 @@ def orthonormality_defect(seq: PolySequence) -> float:
     cols = (seq.degree + 1) * l
     width = max(1, 64 // l) * l
     grid_rows, total = seq.measure.grid_fold.x.shape[0] * l, y.shape[0]
-    step = max(1, (1 << 12) // (width * l)) * l
+    step = max(1, PANEL_ENTRIES // (width * l)) * l
     bounds = list(range(0, grid_rows, step)) + list(range(grid_rows, total, step)) + [total]
     worst = 0.0
     for a in range(0, cols, width):
@@ -494,10 +495,6 @@ def orthonormality_defect(seq: PolySequence) -> float:
 def _times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """v_k m for every leading index k, as one (N l, l) x (l, l) GEMM."""
     return (v.reshape(-1, m.shape[0]) @ m).reshape(v.shape)
-
-
-# Entries of a recurrence_residual panel: 64 KB of complex numbers.
-_PANEL_ENTRIES = 1 << 12
 
 
 def _band(terms: np.ndarray, n0: int, n1: int) -> np.ndarray:
@@ -554,8 +551,8 @@ def recurrence_residual(seq: PolySequence) -> float:
     terms[1:, :, :l] = a[:-1].transpose(0, 2, 1)
     terms[:, :, l : 2 * l] = b.transpose(0, 2, 1)
     terms[:, :, 2 * l :] = a.conj()
-    degrees = max(1, min(n, _PANEL_ENTRIES // (half * l * l)))
-    nodes = max(1, min(half, _PANEL_ENTRIES // (degrees * l * l)))
+    degrees = max(1, min(n, PANEL_ENTRIES // (half * l * l)))
+    nodes = max(1, min(half, PANEL_ENTRIES // (degrees * l * l)))
     worst = 0.0
     # top degrees first: the defect grows with the degree, so the running
     # maximum is near its end early and most later panels skip

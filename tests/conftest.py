@@ -152,6 +152,16 @@ def many_mass_document(dim: int, pairs: int) -> dict:
             "quad_order": 4096, "normalize": "auto"}
 
 
+def edge_pair_document(radius: float) -> dict:
+    """The semicircle with masses 0.05 at E = +-(r + 1/r), whose disk
+    points are +-r: auto normalization divides by 1.1, so
+    G = 1.1^{-1/2} (1 - z^2) / sqrt 2."""
+    energy = radius + 1.0 / radius
+    return {"dim": 1, "density": {"family": "semicircle"}, "quad_order": 1024,
+            "normalize": "auto",
+            "masses": [{"energy": s * energy, "weight": {"re": [[0.05]]}} for s in (1.0, -1.0)]}
+
+
 def semicircle_document(dim: int, order: int) -> dict:
     """The semicircle times I_dim: every channel vanishes at both band
     edges, so det w at the edge nodes is of order (2 sin^2(pi/M))^dim."""

@@ -10,7 +10,13 @@ from matszego import blaschke, cli, limits, specio, tolerances
 from matszego import polynomials as poly
 from matszego.cli import main
 
-from conftest import SPECS_DIR, many_mass_document, noncommuting_document, semicircle_document
+from conftest import (
+    SPECS_DIR,
+    edge_pair_document,
+    many_mass_document,
+    noncommuting_document,
+    semicircle_document,
+)
 
 FREE = str(SPECS_DIR / "free_semicircle.json")
 MASS = str(SPECS_DIR / "semicircle_mass.json")
@@ -89,15 +95,18 @@ class TestExitCodes:
         assert err.startswith("validation error: auto-normalization: total mass mu(R) is "
                               "singular: smallest eigenvalue 0.000e+00 at or below ")
 
-    def test_near_band_mass_is_numerical_error(self, capsys, tmp_path):
+    def test_near_band_mass_exits_zero(self, capsys, tmp_path):
+        # |z| = 0.9929: masses may lie anywhere off the band, and an exit
+        # of 0 means the pipeline certified the mass kernel
         doc = {"dim": 1, "density": {"family": "semicircle"},
                "quad_order": 256, "normalize": "auto",
                "masses": [{"energy": 2.00005, "weight": {"re": [[0.05]]}}]}
         p = tmp_path / "edge.json"
         p.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "limit", str(p))
-        assert code == 4
-        assert "numerical error" in err
+        code, _, err = run(capsys, "limit", str(p), "--out", str(tmp_path / "out"))
+        assert code == 0 and err == ""
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(report["poles"]) == 1 and min(report["value_at_zero_eigenvalues"]) > 0.0
 
     @pytest.mark.parametrize(
         "extra, path",
@@ -270,10 +279,11 @@ class TestNonCommutingEndToEnd:
 
 
 class TestManyMasses:
-    """140 scalar masses, and 20 rank-one masses on a 2x2 weight, crowding
-    the band edges: one factor and one certified kernel per mass."""
+    """140 and 200 scalar masses (|z| up to 0.9899 and 0.9930), and 20
+    rank-one masses on a 2x2 weight, crowding the band edges: one factor
+    and one certified kernel per mass."""
 
-    @pytest.mark.parametrize("dim, pairs", [(1, 70), (2, 10)])
+    @pytest.mark.parametrize("dim, pairs", [(1, 70), (1, 100), (2, 10)])
     def test_blaschke_and_limit(self, tmp_path, monkeypatch, dim, pairs):
         spec = tmp_path / "many.json"
         spec.write_text(json.dumps(many_mass_document(dim, pairs)))
@@ -297,6 +307,16 @@ class TestManyMasses:
         assert max(r["kernel_angles"]) <= tolerances.DEFAULT.kernel_angle
         assert r["boundary_unitarity_defect"] <= UNITARITY_DEFECT
         assert len(reports["limit"]["poles"]) == masses
+
+    def test_pair_at_radius_0999_runs_every_command(self, tmp_path):
+        spec = tmp_path / "pair.json"
+        spec.write_text(json.dumps(edge_pair_document(0.999)))
+        for command, extra in (("blaschke", []), ("limit", []),
+                               ("verify", ["--n-list", "5,20,60"]), ("sumrule", [])):
+            assert main([command, str(spec), "--out", str(tmp_path / command)] + extra) == 0
+        r = json.loads((tmp_path / "blaschke" / "report.json").read_text())
+        assert max(r["kernel_angles"]) <= tolerances.DEFAULT.kernel_angle
+        assert r["boundary_unitarity_defect"] <= UNITARITY_DEFECT
 
 
 class TestCommands:

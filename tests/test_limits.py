@@ -1,15 +1,18 @@
 """End-to-end limit pipeline and its convergence verifiers."""
 
 import dataclasses
+import json
 
+import mpmath
 import numpy as np
 import pytest
 
-from matszego import outer
+from matszego import outer, specio
 from matszego.errors import RadiusExceeded, Singular
 from matszego.linalg import BoundarySampling, operator_norm
 from matszego.measure import SemicircleDensity, make_measure
 from matszego.polynomials import apply_transform, stieltjes, to_type
+from matszego.tolerances import DEFAULT
 from matszego.blaschke import principal_angles, residue_kernel
 from matszego.limits import (
     asymptotics_report,
@@ -20,6 +23,8 @@ from matszego.limits import (
     verify_masses,
     verify_pointwise,
 )
+
+from conftest import edge_pair_document
 
 
 @pytest.fixture(scope="module")
@@ -81,15 +86,19 @@ class TestMassCase:
         assert frame.shape == (1, 0)  # scalar full-rank weight: empty kernel
         assert float(operator_norm(residue)) > 1e-3
 
-    def test_near_band_mass_rejected(self):
-        mu = make_measure(
-            SemicircleDensity(1),
-            masses=[(2.00005, np.array([[0.05]]))],
-            quad_order=256,
-            normalize="auto",
-        )
-        with pytest.raises(RadiusExceeded):
-            build_pipeline(mu)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_near_band_mass_builds(self, dim):
+        # |z| = 0.9929, past the old 0.99 series-radius cap; the 2x2 weight
+        # is rank one, so its residue kernel is certified
+        v = np.array([np.cos(0.3), np.exp(0.7j) * np.sin(0.3)])[:dim]
+        weight = 0.05 * (np.ones((1, 1)) if dim == 1 else np.outer(v, v.conj()))
+        mu = make_measure(SemicircleDensity(dim), masses=[(2.00005, weight)],
+                          quad_order=256, normalize="auto")
+        lim = build_pipeline(mu)
+        z = mu.bound_states[0].z
+        assert abs(z) == pytest.approx(0.99295, abs=1e-5)
+        assert lim.kernel_angles[0] <= DEFAULT.kernel_angle
+        assert abs(np.linalg.det(lim.eval(z))) < 1e-12  # B, hence L, is singular at z
 
     def test_matrix_mass_kernel_angle(self, shipped_measures):
         mu = shipped_measures["matrix_semicircle_mass"]
@@ -134,6 +143,31 @@ class TestMassCase:
         assert origin_gap[-1] < 1e-8
 
 
+class TestMassPairNearTheCircle:
+    def test_limit_matches_the_closed_form(self):
+        # masses 0.05 at +-(r + 1/r), r = 0.999: L = B / (c (1 - z^2)) with
+        # c = 1.1^{-1/2} and B the scalar Blaschke product, signed so L(0) > 0
+        doc = json.dumps(edge_pair_document(0.999))
+        mu = specio.build_measure(specio.parse_measure_spec(doc))
+        lim = build_pipeline(mu)
+        with mpmath.workdps(30):
+            energies = [mpmath.mpf(s.energy) for s in mu.bound_states]
+            poles = [(e - mpmath.sign(e) * mpmath.sqrt(e * e - 4)) / 2 for e in energies]
+            c = 1 / mpmath.sqrt(mpmath.mpf("1.1"))
+
+            def closed_form(z):
+                z = mpmath.mpc(z)
+                b = mpmath.fprod((zk - z) / (1 - zk * z) for zk in poles)  # real poles
+                return b / (c * (1 - z * z))
+
+            sign = mpmath.sign(closed_form(0).real)
+            for r in (0.99, 0.999, 0.9995):
+                pts = r * np.exp(1j * np.pi * np.arange(1, 24, 2) / 12)
+                want = np.array([complex(sign * closed_form(complex(p))) for p in pts])
+                got = lim.eval(pts)[:, 0, 0]
+                assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12, r
+
+
 class TestReport:
     def test_report_collects_consistent_fields(self, mass_measure):
         rep = asymptotics_report(mass_measure, [5, 15, 30], radius=0.7)
@@ -152,13 +186,6 @@ class TestReport:
 
 
 class TestStageNamedErrors:
-    def test_near_band_mass_names_its_radius(self):
-        mu = make_measure(SemicircleDensity(1), masses=[(2.00005, np.array([[0.05]]))],
-                          quad_order=256, normalize="auto")
-        with pytest.raises(RadiusExceeded, match=r"^limits: mass at 2\.00005 maps to "
-                           r"\|z\| = 0\.99\d+ above 0\.99, beyond the factor's series radius$"):
-            build_pipeline(mu)
-
     def test_pointwise_radius_names_its_bound(self, free_limit, semicircle_measure):
         jac2, _ = to_type(stieltjes(semicircle_measure, 4).jacobi, "type2")
         with pytest.raises(RadiusExceeded,

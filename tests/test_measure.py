@@ -2,6 +2,7 @@
 
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -339,6 +340,16 @@ class TestBoundStates:
             z = disk_coordinate(e)
             assert abs(z) < 1.0
             assert abs(z + 1.0 / z - e) < 1e-12
+
+    def test_disk_coordinate_near_the_band(self):
+        # E^2 - 4 cancels as |E| -> 2; against 40 digits, z is within 1 ulp
+        with mpmath.workdps(40):
+            for k in range(1, 16):
+                for e in (2.0 + 10.0**-k, -(2.0 + 10.0**-k)):
+                    z = disk_coordinate(e)
+                    exact = (e - mpmath.sign(e) * mpmath.sqrt(mpmath.mpf(e) ** 2 - 4)) / 2
+                    assert z.imag == 0.0
+                    assert abs(mpmath.mpf(z.real) - exact) <= np.spacing(abs(z.real)), e
 
     def test_disk_coordinate_rejects_band(self):
         with pytest.raises(MassOnSupport):

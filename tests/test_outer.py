@@ -177,13 +177,17 @@ class TestRandomWeights:
         assert set(refused) <= {1, 85, 97}
 
     def test_interior_evaluation_radius_guard(self, semicircle_factor):
+        # the factor is (1 - z^2) / sqrt 2 on the whole closed disk
+        assert abs(semicircle_factor.eval_interior(0.9995j)[0, 0]
+                   - (1.0 + 0.9995**2) / np.sqrt(2.0)) < 1e-12
+        assert abs(semicircle_factor.eval_interior(1.0)[0, 0]) < 1e-12
         with pytest.raises(RadiusExceeded):
-            semicircle_factor.eval_interior(0.995)
+            semicircle_factor.eval_interior(1.5)
 
     def test_interior_radius_names_its_stage(self, semicircle_factor):
-        with pytest.raises(RadiusExceeded, match=r"^factorize: interior evaluation at "
-                           r"\|z\| = 0\.995 above 0\.99$"):
-            semicircle_factor.eval_interior(np.array([0.5, -0.995j]))
+        with pytest.raises(RadiusExceeded, match=r"^factorize: evaluation at "
+                           r"\|z\| = 1\.5 outside the closed unit disk$"):
+            semicircle_factor.eval_interior(np.array([0.5, -1.5j]))
 
     def test_interior_matches_series(self, semicircle_factor):
         z = 0.3 - 0.2j
@@ -663,6 +667,18 @@ class TestResolutionGrid:
         assert main(["factorize", str(spec)]) == 4
         assert capsys.readouterr().err == ("numerical error: factorize: cyclic reduction did "
                                            "not converge in 1 step(s)\n")
+
+    def test_wilson_factor_is_evaluated_up_to_the_circle(self):
+        # the cut series is a polynomial, so by the maximum principle its
+        # error inside the disk is at most its error on the circle: the
+        # Wilson path needs no radius cap of its own
+        g = spectral_factorize(fractional_edge_weight())
+        assert g.path == "wilson"
+        gap = {}
+        for r in (0.999, 1.0):
+            z = r * np.exp(2j * np.pi * np.arange(512) / 512)
+            gap[r] = np.max(np.abs(g.eval_interior(z)[:, 0, 0] - (1.0 - z * z) ** 0.75))
+        assert gap[0.999] <= gap[1.0]
 
     def test_unresolved_weight_runs_once_on_its_own_grid(self, monkeypatch):
         w = fractional_edge_weight()
