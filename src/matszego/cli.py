@@ -30,7 +30,7 @@ from . import outer as sf
 from . import polynomials as poly
 from . import tolerances
 from .errors import LostOrthogonality, NumericalError, ParseError, ValidationError
-from .linalg import hermitian_defect, max_operator_norm, operator_norm
+from .linalg import det, eigvalsh, hermitian_defect, max_operator_norm, operator_norm
 
 
 def _plain(value):
@@ -83,13 +83,15 @@ def _sumrule_ladder(top: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: each returns (report, tables, summary_lines)
+# subcommand bodies: each returns (report, tables, summary_lines), with
+# tables[name] = (format, *args): format(*args) is the CSV text, made only
+# when the tables are written
 
 
 def _run_check_measure(args, mu, tol):
     w = ms.szego_weight(mu)
-    eigs = np.linalg.eigvalsh(w.values)
-    dets = np.linalg.det(w.values).real
+    eigs = eigvalsh(w.values)
+    dets = det(w.values).real
     reflect_defect = float(
         np.max(np.abs(w.values - w.values[::-1].conj().transpose(0, 2, 1)))
     )
@@ -118,7 +120,8 @@ def _run_check_measure(args, mu, tol):
         "mass_edge_sum": edge_sum,
     }
     tables = {
-        "weight_eigenvalues": specio.format_real_table(
+        "weight_eigenvalues": (
+            specio.format_real_table,
             [
                 ("theta", w.theta),
                 ("lambda_min", eigs[:, 0]),
@@ -169,8 +172,8 @@ def _run_recurrence(args, mu, tol):
     }
     idx = np.arange(1, args.n + 1)
     tables = {
-        "jacobi_a": specio.format_matrix_table("j", idx, report["a_blocks"]),
-        "jacobi_b": specio.format_matrix_table("j", idx, report["b_blocks"]),
+        "jacobi_a": (specio.format_matrix_table, "j", idx, report["a_blocks"]),
+        "jacobi_b": (specio.format_matrix_table, "j", idx, report["b_blocks"]),
     }
     lines = [
         f"computed {args.n} recurrence blocks ({args.norm_type}), "
@@ -200,12 +203,12 @@ def _run_factorize(args, mu, tol):
         "det_szego_residual": det_res,
         "det_szego_estimate": det_est,
         "value_at_zero": g.value_at_zero(),
-        "value_at_zero_eigenvalues": np.linalg.eigvalsh(g.value_at_zero()),
+        "value_at_zero_eigenvalues": eigvalsh(g.value_at_zero()),
         "phase_unitarity_defect": s_defect,
     }
     tables = {
-        "factor_coefficients": specio.format_matrix_table(
-            "k", np.arange(g.order + 1), g.coeffs
+        "factor_coefficients": (
+            specio.format_matrix_table, "k", np.arange(g.order + 1), g.coeffs
         )
     }
     factor = {
@@ -219,7 +222,7 @@ def _run_factorize(args, mu, tol):
         f"det mean-value residual {det_res:.3e} (estimate {det_est:.3e}), "
         f"phase unitarity defect {s_defect:.3e}",
         "G(0) eigenvalues: "
-        + ", ".join(f"{v:.8f}" for v in np.linalg.eigvalsh(g.value_at_zero())),
+        + ", ".join(f"{v:.8f}" for v in eigvalsh(g.value_at_zero())),
     ]
     return report, tables, lines
 
@@ -230,7 +233,7 @@ def _run_blaschke(args, mu, tol):
     ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 257)[:-1])
     b_ring = product.eval(ring)
     unitarity = max_operator_norm(b_ring.conj().transpose(0, 2, 1) @ b_ring - np.eye(mu.dim))
-    det0 = abs(np.linalg.det(product.value_at_zero()))
+    det0 = abs(det(product.value_at_zero()))
     angles = lim.kernel_angles
     # each b-block projector as I - W W*, W the kept range frame (the rows
     # past the b-block): the b-block rows are one arbitrary basis of its range
@@ -247,14 +250,16 @@ def _run_blaschke(args, mu, tol):
         "kernel_angles": angles,
     }
     tables = {
-        "blaschke_factors": specio.format_real_table(
+        "blaschke_factors": (
+            specio.format_real_table,
             [
                 ("z_re", product.poles.real),
                 ("z_im", product.poles.imag),
                 ("rank", product.ranks),
             ]
         ),
-        "kernel_angles": specio.format_real_table(
+        "kernel_angles": (
+            specio.format_real_table,
             [
                 ("energy", [s.energy for s in mu.bound_states]),
                 ("angle", angles),
@@ -287,16 +292,16 @@ def _run_limit(args, mu, tol):
         "radius": args.radius,
         "angle_count": args.angles,
         "value_at_zero": lim.value0,
-        "value_at_zero_eigenvalues": np.linalg.eigvalsh(lim.value0),
+        "value_at_zero_eigenvalues": eigvalsh(lim.value0),
         "frame": lim.frame,
         "poles": lim.product.poles.tolist(),
         "factor_residual": lim.outer.residual,
     }
-    tables = {"limit_grid": specio.format_real_table(columns)}
+    tables = {"limit_grid": (specio.format_real_table, columns)}
     lines = [
         f"limit evaluated at {pts.size} point(s), radius {args.radius}",
         "L(0) eigenvalues: "
-        + ", ".join(f"{v:.8f}" for v in np.linalg.eigvalsh(lim.value0)),
+        + ", ".join(f"{v:.8f}" for v in eigvalsh(lim.value0)),
         f"{len(lim.product.poles)} Blaschke factor(s) in the product",
     ]
     return report, tables, lines
@@ -321,7 +326,8 @@ def _run_verify(args, mu, tol):
         "frame_defect": rep.polar.frame_defect,
     }
     tables = {
-        "convergence": specio.format_real_table(
+        "convergence": (
+            specio.format_real_table,
             [
                 ("n", [float(n) for n in rep.n_values]),
                 ("pointwise_sup", rep.pointwise_sup),
@@ -363,7 +369,8 @@ def _run_sumrule(args, mu, tol):
         "agreement": ledger.agreement,
     }
     tables = {
-        "sumrule": specio.format_real_table(
+        "sumrule": (
+            specio.format_real_table,
             [
                 ("n", [float(n) for n in ledger.n_values]),
                 ("a0_partial", ledger.a0_values),
@@ -470,8 +477,8 @@ def _write_artifacts(out_dir: str, manifest: specio.RunManifest, report, tables)
     path.mkdir(parents=True, exist_ok=True)
     (path / "manifest.json").write_text(manifest.to_json())
     (path / "report.json").write_text(specio._dumps(_plain(report)))
-    for name, text in tables.items():
-        (path / f"{name}.csv").write_text(text)
+    for name, (fmt, *args) in tables.items():
+        (path / f"{name}.csv").write_text(fmt(*args))
 
 
 def main(argv=None) -> int:

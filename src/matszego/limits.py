@@ -31,7 +31,15 @@ from . import measure as ms
 from . import outer as sf
 from . import polynomials as poly
 from .errors import KernelMismatch, RadiusExceeded, Singular
-from .linalg import BoundarySampling, left_polar, max_operator_norm, norm_l2_2, operator_norm
+from .linalg import (
+    BoundarySampling,
+    eigvalsh,
+    inv,
+    left_polar,
+    max_operator_norm,
+    norm_l2_2,
+    operator_norm,
+)
 from .tolerances import DEFAULT, Tolerances
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -251,7 +259,7 @@ def h_diagnostic(
     log det P_n approaches zero, and W_n approaches the frame V.
     """
     kappas = poly.leading_coeffs(jacobi2, max(n_values))
-    b0_inv = np.linalg.inv(lim.product.value_at_zero())
+    b0_inv = inv(lim.product.value_at_zero())
     g0 = lim.outer.value_at_zero()
     eta_min, eta_max, logdet, defect = [], [], [], []
     for n in n_values:
@@ -260,7 +268,7 @@ def h_diagnostic(
             w_hat, p_hat = left_polar(raw, tol)
         except Singular as err:
             raise Singular(f"limits: polar diagnostic at n = {n}: {err}") from None
-        eta = np.linalg.eigvalsh(p_hat)
+        eta = eigvalsh(p_hat)
         eta_min.append(float(eta.min()))
         eta_max.append(float(eta.max()))
         logdet.append(abs(float(np.sum(np.log(eta)))))

@@ -200,7 +200,7 @@ def _hermitian_norms(a: np.ndarray) -> np.ndarray:
     reads the upper triangle)."""
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("max_hermitian_norm: non-finite entries")
-    lam = np.linalg.eigvalsh(a)  # ascending: the largest |lam| is at an end
+    lam = eigvalsh(a)  # ascending: the largest |lam| is at an end
     return np.maximum(lam[..., -1], -lam[..., 0])
 
 
@@ -323,7 +323,14 @@ def frame_product(a: np.ndarray, f: np.ndarray, b: np.ndarray) -> np.ndarray:
 def positive_definite(a: np.ndarray) -> bool:
     """Whether every block of a Hermitian stack has a Cholesky factor, the
     node-level test of positive definiteness, decided in panels of about
-    64 KB so that no factor of the whole stack is held."""
+    64 KB so that no factor of the whole stack is held.
+
+    At l = 1 the factor exists unless the real part of the entry is at
+    most 0, the one test potrf makes on a 1 x 1 block; a NaN passes it
+    there too (OpenBLAS's potrf, which numpy ships, does not test NaN).
+    """
+    if a.shape[-1] == 1:
+        return not np.any(a.real <= 0.0)
     step = max(1, PANEL_ENTRIES // (a.shape[-1] * a.shape[-1]))
     try:
         for s in range(0, a.shape[0], step):
@@ -331,6 +338,54 @@ def positive_definite(a: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+# Stack kernels with a closed form at l = 1. np.linalg runs LAPACK once
+# per block, a fixed cost that dominates on 1 x 1 blocks; the closed forms
+# return the floats LAPACK returns, except where a docstring says. No
+# module but this one calls np.linalg.det, eigvalsh, eigh or inv, except
+# where tests/test_imports.py allows it.
+
+
+def det(a: np.ndarray) -> np.ndarray:
+    """Determinant of a matrix or of each block of a stack.
+
+    At l = 1 it is the entry itself, a view of a stack's entries or a
+    scalar. np.linalg.det returns sign(a) exp(log |a|), a few ulps off.
+    """
+    if a.shape[-1] == 1:
+        return a[..., 0, 0][()]
+    return np.linalg.det(a)
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh: ascending eigenvalues of Hermitian blocks, read
+    from the lower triangle. At l = 1 they are the real parts of the
+    entries, as heevd returns them, read through a view of a."""
+    if a.shape[-1] == 1:
+        return a.real[..., 0]
+    return np.linalg.eigvalsh(a)
+
+
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of Hermitian blocks. At l = 1 heevd returns the real
+    part of the entry, here a view of a, and the eigenvector 1."""
+    if a.shape[-1] == 1:
+        return a.real[..., 0], np.ones(a.shape, dtype=np.result_type(a, 1.0))
+    return np.linalg.eigh(a)
+
+
+def inv(a: np.ndarray) -> np.ndarray:
+    """np.linalg.inv of a matrix or a stack. At l = 1 it is 1 / a: the
+    float LAPACK returns for a real entry, not always for a complex one
+    (LAPACK takes the reciprocal by another formula); callers that need
+    LAPACK's floats on complex entries call np.linalg.inv. A zero entry
+    raises LinAlgError, as a zero pivot does."""
+    if a.shape[-1] == 1:
+        if not np.all(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return 1.0 / a
+    return np.linalg.inv(a)
 
 
 def hermitian_defect(a: np.ndarray) -> float:
@@ -348,7 +403,7 @@ def principal_sqrt(a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     defect = hermitian_defect(a)
     if defect > tol.herm:
         raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {tol.herm:.1e}")
-    return sqrt_from_eigh(*np.linalg.eigh(a), tol)
+    return sqrt_from_eigh(*eigh(a), tol)
 
 
 def sqrt_from_eigh(lam: np.ndarray, q: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -367,13 +422,24 @@ def left_polar(a: np.ndarray, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np
     """Decompose a = U P with U unitary and P = sqrt(a* a) Hermitian PD.
 
     Raises Singular when the smallest singular value is at or below
-    tol.sing_rel * ||a||.
+    tol.sing_rel * ||a||. At l = 1 it is (a / |a|, |a|), with no SVD.
+    For a real entry these are the floats the SVD gives (+-1 and |a|)
+    wherever gesdd does not rescale the block (|a| within about 1e+-130);
+    for a complex one they agree with it to an ulp or two.
     """
     a = np.asarray(a, dtype=complex)
-    w, s, vh = np.linalg.svd(a)
+    scalar = a.shape == (1, 1)
+    if scalar:
+        s = np.abs(a[0])
+    else:
+        w, s, vh = np.linalg.svd(a)
     if s[0] == 0.0 or s[-1] <= tol.sing_rel * s[0]:
         raise Singular(f"smallest singular value {s[-1]:.3e} at or below "
                        f"tol.sing_rel x largest = {tol.sing_rel * s[0]:.3e}")
+    if scalar:
+        u = np.empty_like(a)
+        u.real, u.imag = a.real / s, a.imag / s
+        return u, s.astype(complex)[:, None]
     u = w @ vh
     p = (vh.conj().T * s) @ vh
     return u, p

@@ -161,7 +161,7 @@ class TableDensity(Density):
         v = 0.5 * (v + v.conj().transpose(0, 2, 1))
         # a Cholesky factor bounds every eigenvalue below by -O(eps |v|), far
         # above the rule's -1e-10 scale; eigvalsh decides only a failed one
-        if not linalg.positive_definite(v) and np.min(np.linalg.eigvalsh(v)) < -1e-10 * scale:
+        if not linalg.positive_definite(v) and np.min(linalg.eigvalsh(v)) < -1e-10 * scale:
             raise ValidationError("table: samples not positive semi-definite")
         grid = BoundarySampling(v)
         self.dim = grid.dim
@@ -225,9 +225,12 @@ def disk_coordinate(energy: float) -> complex:
     e = float(energy)
     if abs(e) <= 2.0:
         raise MassOnSupport(f"energy {e} lies in [-2, 2]")
-    # E^2 - 4 as (|E| - 2)(|E| + 2): the first factor is exact near the band
-    z = (e - np.sign(e) * np.sqrt((abs(e) - 2.0) * (abs(e) + 2.0))) / 2.0
-    return complex(z)
+    # z = 2 / z', z' = (E + sign(E) sqrt(E^2 - 4)) / 2 the root outside the
+    # disk: a sum of like signs, so nothing cancels for far masses, and
+    # sqrt(|E| - 2) sqrt(|E| + 2) neither overflows nor loses |E| - 2,
+    # exact near the band
+    root = np.sqrt(abs(e) - 2.0) * np.sqrt(abs(e) + 2.0)
+    return complex(2.0 / (e + np.copysign(root, e)))
 
 
 def mass_condition_sums(measure: "MatrixMeasure") -> tuple[float, float]:
@@ -302,7 +305,7 @@ class MatrixMeasure:
         than being clipped.
         """
         w, half = self.weight.values, self.quad_order // 2
-        lam, vec = np.linalg.eigh(w[:half] + w[: half - 1 : -1])
+        lam, vec = linalg.eigh(w[:half] + w[: half - 1 : -1])
         if lam[:, 0].min() <= 0.0:
             raise _szego_failure(lam[:, 0].min())
         root = np.sqrt(lam / self.quad_order)[:, :, None] * vec.conj().transpose(0, 2, 1)
@@ -323,7 +326,7 @@ def _mass_root(w: np.ndarray, tol: Tolerances) -> np.ndarray:
     Not the Hermitian square root: that keeps entries of rounding size on
     the kernel, a ghost mass the recurrence would eventually resolve.
     """
-    lam, vec = np.linalg.eigh(w)
+    lam, vec = linalg.eigh(w)
     if lam[-1] <= 0.0:
         raise ValidationError("mass weight is zero")
     keep = lam > tol.rank_rel * lam[-1]
@@ -377,7 +380,7 @@ def make_measure(
         if herm > tol.herm * max(1.0, float(operator_norm(w))):
             raise ValidationError(f"mass {k}: weight not Hermitian (defect {herm:.2e})")
         w = 0.5 * (w + w.conj().T)
-        lam = np.linalg.eigvalsh(w)
+        lam = linalg.eigvalsh(w)
         if lam[0] < -tol.herm * max(1.0, lam[-1]):
             raise ValidationError(f"mass {k}: weight has eigenvalue {lam[0]:.3e}")
         clean_masses.append((e, w))
@@ -397,14 +400,14 @@ def make_measure(
     elif defect > tol.norm:
         scale = dim / float(np.real(np.trace(total)))
         x_total = scale * 0.5 * (total + total.conj().T)  # exactly Hermitian: no defect check
-        lam, vec = np.linalg.eigh(x_total)
+        lam, vec = linalg.eigh(x_total)
         if lam[0] <= tol.sing_rel * lam[-1]:
             raise ValidationError(
                 f"auto-normalization: total mass mu(R) is singular: smallest eigenvalue "
                 f"{lam[0] / scale:.3e} at or below tol.sing_rel x largest = "
                 f"{tol.sing_rel * lam[-1] / scale:.3e}"
             )
-        c = np.sqrt(scale) * np.linalg.inv(linalg.sqrt_from_eigh(lam, vec, tol))
+        c = np.sqrt(scale) * linalg.inv(linalg.sqrt_from_eigh(lam, vec, tol))
         c = 0.5 * (c + c.conj().T)
         clean_masses = [(e, c @ w @ c) for e, w in clean_masses]
         w_ac = _szego_samples(f, c)
@@ -420,7 +423,7 @@ def make_measure(
     # report a failure
     w_ac = 0.5 * (w_ac + w_ac.conj().transpose(0, 2, 1))
     if not linalg.positive_definite(w_ac):
-        raise _szego_failure(np.linalg.eigvalsh(w_ac)[:, 0].min())
+        raise _szego_failure(linalg.eigvalsh(w_ac)[:, 0].min())
 
     states = []
     for e, w in clean_masses:

@@ -118,7 +118,7 @@ def _peel_edges(
         n_vals, c = linalg.fourier_coefficients(BoundarySampling(values))
         for root in (1.0, -1.0):
             edge = (root**n_vals) @ c.reshape(n_vals.size, -1)
-            lam, vec = np.linalg.eigh(edge.reshape(c.shape[1:]))
+            lam, vec = linalg.eigh(edge.reshape(c.shape[1:]))
             rank = scale.decide(lambda s: int(np.sum(lam <= rank_rel * s)))
             if rank:
                 break
@@ -299,7 +299,7 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
     # maker decided positivity (BoundarySampling.positive) needs no second test
     values = 0.5 * (w.values + w.values.conj().transpose(0, 2, 1))
     if not w.positive and not linalg.positive_definite(values):
-        lam_min = float(np.linalg.eigvalsh(values)[:, 0].min())
+        lam_min = float(linalg.eigvalsh(values)[:, 0].min())
         raise NotPD(f"factorize: weight not positive definite: min eig {lam_min:.1e} at or below 0")
     scale = BracketedNorm(values, norm=linalg.max_hermitian_norm)
 
@@ -361,8 +361,8 @@ def _check_zero_free(g: OuterFunction) -> None:
     angles = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False))
     z = (radii[:, None] * angles[None, :]).ravel()
     vals = g.eval_interior(z)
-    dets = np.abs(np.linalg.det(vals))
-    floor = 1e-12 * abs(np.linalg.det(g.value_at_zero()))
+    dets = np.abs(linalg.det(vals))
+    floor = 1e-12 * abs(linalg.det(g.value_at_zero()))
     if dets.min() < floor:
         raise NoConvergence(
             f"factorize: interior |det G| {dets.min():.1e} below target {floor:.1e} "
@@ -383,7 +383,7 @@ def boundary_logdet_mean(g: OuterFunction) -> tuple[float, float]:
     means = []
     for targets in (m_grid, 2 * m_grid):
         vals = linalg.synthesize_on_grid(n_vals, g.coeffs, targets).values
-        dets = np.abs(np.linalg.det(vals))
+        dets = np.abs(linalg.det(vals))
         if dets.min() <= 0.0:
             node = int(np.argmin(dets))
             smin = float(np.linalg.svd(vals[node], compute_uv=False)[-1])
@@ -407,7 +407,7 @@ def det_szego_check(g: OuterFunction) -> tuple[float, float]:
     near the estimate (1.6e-5 for |2 sin t|^{3/2} at M = 2048).
     """
     mean, est = boundary_logdet_mean(g)
-    det0 = abs(np.linalg.det(g.value_at_zero()))
+    det0 = abs(linalg.det(g.value_at_zero()))
     return abs(float(np.log(det0)) - mean), est
 
 

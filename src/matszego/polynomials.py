@@ -34,6 +34,7 @@ from .linalg import (
     PANEL_ENTRIES,
     frobenius_norms,
     hermitian_defect,
+    inv,
     left_polar,
     max_operator_norm,
     may_exceed,
@@ -416,15 +417,32 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     return PolySequence(measure, jac, y, spans, n_max, passes)
 
 
+def _scaled(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v m for a 1 x 1 block m, the floats a GEMM gives wherever m is real
+    (as every block of the scalar recurrence is): each entry's one product,
+    and adding 0 turns the -0 a product may leave into the +0 that the
+    GEMM's sum from zero gives."""
+    out = v * m[0, 0]
+    out += 0.0
+    return out
+
+
 def _column_major(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """v m for a column-major block v of the buffer, computed as (m^T v^T)^T
     so that the product is column-major too: an update of a buffer block
-    by it then runs over both in one memory order, about twice as fast."""
+    by it then runs over both in one memory order, about twice as fast.
+    A 1 x 1 m scales v (_scaled)."""
+    if m.shape == (1, 1):
+        return _scaled(v, m)
     return (m.T @ v.T).T
 
 
 def _gram_eigh(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of q* q, made exactly Hermitian so eigh needs no test first."""
+    """eigh of q* q, made exactly Hermitian so eigh needs no test first.
+    A single column's Gram matrix is its squared norm, the dot product the
+    GEMM takes, with eigenvector 1: heevd's floats."""
+    if q.shape[1] == 1:
+        return np.array([np.vdot(q, q).real]), np.ones((1, 1), dtype=complex)
     gram = q.conj().T @ q
     return np.linalg.eigh(0.5 * (gram + gram.conj().T))
 
@@ -493,8 +511,19 @@ def orthonormality_defect(seq: PolySequence) -> float:
 
 
 def _times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """v_k m for every leading index k, as one (N l, l) x (l, l) GEMM."""
+    """v_k m for every leading index k, as one (N l, l) x (l, l) GEMM; a
+    1 x 1 m scales v (_scaled)."""
+    if m.shape == (1, 1):
+        return _scaled(v, m)
     return (v.reshape(-1, m.shape[0]) @ m).reshape(v.shape)
+
+
+def _over_adjoint(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v (m^*)^{-1} by one LAPACK solve; a 1 x 1 m divides v, LAPACK's
+    values wherever m is real (a zero may take the other sign)."""
+    if m.shape == (1, 1):
+        return v / m[0, 0].conjugate()
+    return np.linalg.solve(m.conj(), v.T).T
 
 
 def _band(terms: np.ndarray, n0: int, n1: int) -> np.ndarray:
@@ -688,7 +717,7 @@ def leading_coeffs(jacobi: BlockJacobi, n_max: int) -> np.ndarray:
     out = np.empty((n_max + 1, l, l), dtype=complex)
     out[0] = np.eye(l)
     for k in range(n_max):
-        out[k + 1] = np.linalg.solve(jacobi.a[k].conj(), out[k].T).T
+        out[k + 1] = _over_adjoint(out[k], jacobi.a[k])
     return out
 
 
@@ -723,7 +752,7 @@ def eval_scaled_many(jacobi: BlockJacobi, n_list, z_arr: np.ndarray) -> np.ndarr
     for slot, n in enumerate(n_list):
         if n == 0:
             out[slot] = cur
-    inv_adj = np.linalg.inv(jacobi.a.conj().transpose(0, 2, 1))
+    inv_adj = inv(jacobi.a.conj().transpose(0, 2, 1))
     for k in range(n_top):
         nxt = (1.0 + z2) * cur - z1 * _times(cur, jacobi.b[k])
         if k > 0:

@@ -450,18 +450,22 @@ class MatrixStack:
     """A complex stack of matrices that a job writes twice: into its report,
     as {"re", "im"} float arrays like any complex array, and into a CSV
     table (format_matrix_table). float.__repr__ runs once per distinct
-    value for both."""
+    value for both, at the first write, so a stack never written is never
+    formatted."""
 
     def __init__(self, stack):
         self.floats = np.ascontiguousarray(stack, dtype=complex).view(float)  # re, im interleaved
-        texts, self.index = _repr_table(self.floats)
-        # held as one string and split at each use: thousands of small
-        # strings held from the CSV to the report fragmented the heap
-        self.texts = "\n".join(texts)
+        self._table = None
 
     @property
     def table(self) -> tuple:
-        return self.texts.split("\n"), self.index
+        if self._table is None:
+            texts, index = _repr_table(self.floats)
+            # held as one string and split at each use: thousands of small
+            # strings held from the CSV to the report fragmented the heap
+            self._table = "\n".join(texts), index
+        texts, index = self._table
+        return texts.split("\n"), index
 
 
 def _pieces(obj, level: int = 0):

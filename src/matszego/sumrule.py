@@ -31,7 +31,7 @@ from . import measure as ms
 from . import outer as sf
 from . import polynomials as poly
 from .errors import NotPD, ValidationError
-from .linalg import BoundarySampling, two_grid_richardson
+from .linalg import BoundarySampling, det, two_grid_richardson
 from .tolerances import DEFAULT, Tolerances
 
 _LOG2 = float(np.log(2.0))
@@ -39,7 +39,7 @@ _LOG2 = float(np.log(2.0))
 
 def _logdet_nodes(w: BoundarySampling, stage: str) -> np.ndarray:
     """log det w at every node of w's grid; NotPD names the stage and the node."""
-    dets = np.linalg.det(w.values).real
+    dets = det(w.values).real
     node = int(np.argmin(dets))
     if dets[node] <= 0.0:
         raise NotPD(f"{stage}: det w = {dets[node]:.3e} at or below 0 at node t = "
@@ -82,7 +82,7 @@ def a0_partials(jacobi: poly.BlockJacobi, n_values: Sequence[int]) -> np.ndarray
     |det A_j| is invariant under the type transforms, so any
     normalization of the same measure gives the same values.
     """
-    dets = np.abs(np.linalg.det(jacobi.a))
+    dets = np.abs(det(jacobi.a))
     j = int(np.argmin(dets))
     if dets[j] <= 0.0:
         raise NotPD(f"a0_partials: |det A_{j + 1}| = {dets[j]:.3e} at or below 0")

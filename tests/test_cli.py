@@ -108,6 +108,19 @@ class TestExitCodes:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert len(report["poles"]) == 1 and min(report["value_at_zero_eigenvalues"]) > 0.0
 
+    def test_far_mass_exits_zero(self, capsys, tmp_path):
+        # a mass at E = 1e9 has z = 1e-9, which cancelled to 0 when z was
+        # formed as (E - sqrt(E^2 - 4)) / 2
+        doc = {"dim": 1, "density": {"family": "semicircle"},
+               "quad_order": 256, "normalize": "auto",
+               "masses": [{"energy": 1e9, "weight": {"re": [[0.2]]}}]}
+        p = tmp_path / "far.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "blaschke", str(p), "--out", str(tmp_path / "out"))
+        assert code == 0 and err == ""
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["factors"][0]["z"] == {"re": 1e-9, "im": 0.0}
+
     @pytest.mark.parametrize(
         "extra, path",
         [
@@ -520,6 +533,22 @@ class TestArtifacts:
         code, _, _ = run(capsys, "recurrence", MATRIX_MASS, "--n", "12", "--out", str(tmp_path))
         assert code == 0
         assert shapes.count((12, 2, 4)) == 2 and (12, 2, 2) not in shapes
+
+    def test_tables_are_formatted_only_when_written(self, capsys, monkeypatch, tmp_path,
+                                                    small_spec):
+        calls = []
+        for name in ("format_real_table", "format_matrix_table", "_repr_table"):
+            monkeypatch.setattr(specio, name, lambda *args, _f=getattr(specio, name), _n=name:
+                                calls.append(_n) or _f(*args))
+        spec = small_spec("mass", masses=[{"energy": 2.5, "weight": {"re": [[0.2]]}}])
+        jobs = [("check-measure",), ("recurrence", "--n", "5"), ("factorize",), ("blaschke",),
+                ("limit",), ("verify", "--n-list", "2,5"), ("sumrule", "--n", "10")]
+        for command, *args in jobs:
+            assert run(capsys, command, spec, *args)[0] == 0
+        assert calls == []
+        for command, *args in jobs:
+            assert run(capsys, command, spec, *args, "--out", str(tmp_path / command))[0] == 0
+        assert calls.count("format_real_table") == 6 and calls.count("format_matrix_table") == 3
 
     def test_csv_tables_parse(self, capsys, tmp_path, small_spec):
         spec = small_spec("free")

@@ -3,7 +3,8 @@ module-level name of the package is referenced, every tolerance field
 is read and every optional parameter is passed somewhere in the package
 (stdlib ast scans), the package imports nothing beyond the standard
 library and its declared dependencies, and it holds no three-operand
-einsum outside an allowlist."""
+einsum outside an allowlist, nor a call of an np.linalg routine that
+linalg wraps with an l = 1 closed form outside linalg and an allowlist."""
 
 import ast
 import json
@@ -323,9 +324,9 @@ THREE_OPERAND_EINSUMS_ALLOWED = {
 }
 
 
-def three_operand_einsums(module: str, source: str) -> list[str]:
-    """module.function of each np.einsum (or numpy.einsum) call with a
-    subscripts argument and three operands, once per call."""
+def calls_by_function(module: str, source: str, match) -> list[str]:
+    """module.function of each call for which match(call) holds, once per
+    call, by its enclosing function ("<module>" at the top level)."""
     found = []
 
     def visit(node, owner):
@@ -333,19 +334,29 @@ def three_operand_einsums(module: str, source: str) -> list[str]:
             name = owner
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = child.name
-            elif (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "einsum"
-                and isinstance(child.func.value, ast.Name)
-                and child.func.value.id in ("np", "numpy")
-                and len(child.args) == 4
-            ):
+            elif isinstance(child, ast.Call) and match(child):
                 found.append(f"{module}.{owner}")
             visit(child, name)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def is_numpy_attribute(node, *path: str) -> bool:
+    """Whether node is np.<path> (or numpy.<path>)."""
+    for name in reversed(path):
+        if not (isinstance(node, ast.Attribute) and node.attr == name):
+            return False
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+
+def three_operand_einsums(module: str, source: str) -> list[str]:
+    """module.function of each np.einsum (or numpy.einsum) call with a
+    subscripts argument and three operands, once per call."""
+    return calls_by_function(
+        module, source, lambda call: is_numpy_attribute(call.func, "einsum") and len(call.args) == 4
+    )
 
 
 def test_scan_finds_a_three_operand_einsum():
@@ -369,3 +380,54 @@ def test_three_operand_einsums_only_where_allowed():
             found[name] = found.get(name, 0) + 1
     # exact: a new call fails, and one that is removed leaves the list
     assert found == THREE_OPERAND_EINSUMS_ALLOWED
+
+
+# The np.linalg routines that linalg wraps with a closed form at l = 1
+# (linalg.det, eigvalsh, eigh and inv), and the calls of them outside
+# linalg that stay on LAPACK on purpose, by routine and enclosing function,
+# with how many each holds.
+LINALG_KERNELS = ("det", "eigvalsh", "eigh", "inv")
+LAPACK_CALLS_ALLOWED = {
+    # G(e^{-it})^{-1}: the factor is complex, where 1 / a rounds other than
+    # LAPACK, and verify's L2 residuals carry that rounding
+    "inv outer.s_function": 2,
+    # the Wilson iterate is complex too
+    "inv outer._wilson": 1,
+    # the recurrence's Gram matrix, whose l = 1 case the function takes
+    # first, as one dot product without forming the matrix
+    "eigh polynomials._gram_eigh": 1,
+}
+
+
+def lapack_calls(module: str, source: str) -> list[str]:
+    """Each np.linalg call of a LINALG_KERNELS routine, as "routine module.function"."""
+    return [
+        f"{routine} {owner}"
+        for routine in LINALG_KERNELS
+        for owner in calls_by_function(
+            module, source, lambda call: is_numpy_attribute(call.func, "linalg", routine)
+        )
+    ]
+
+
+def test_scan_finds_a_lapack_call():
+    source = (
+        "import numpy as np\n"
+        "d = np.linalg.det(a)\n"
+        "def f(a):\n"
+        "    np.linalg.svd(a)\n"
+        "    return numpy.linalg.inv(a) @ np.linalg.inv(a)\n"
+        "def g(a):\n"
+        "    return linalg.det(a), np.det(a)\n"
+    )
+    assert lapack_calls("a", source) == ["det a.<module>", "inv a.f", "inv a.f"]
+
+
+def test_lapack_calls_only_in_linalg_or_where_allowed():
+    found = {}
+    for path in PACKAGE:
+        if path.stem != "linalg":
+            for name in lapack_calls(path.stem, path.read_text()):
+                found[name] = found.get(name, 0) + 1
+    # exact: a new call fails, and one that is removed leaves the list
+    assert found == LAPACK_CALLS_ALLOWED

@@ -13,6 +13,7 @@ from matszego.errors import (
     NotHermitian,
     Singular,
 )
+from matszego import linalg
 from matszego.linalg import (
     BoundarySampling,
     BracketedNorm,
@@ -33,6 +34,7 @@ from matszego.linalg import (
     principal_sqrt,
     synthesize_on_grid,
 )
+from matszego.tolerances import DEFAULT
 
 
 def random_sampling(rng, node_count=32, dim=2):
@@ -194,6 +196,168 @@ class TestMaxOperatorNorm:
         assert max_operator_norm(a) == np.max(operator_norm(a)) == 2e-170
         bracket = BracketedNorm(a)
         assert np.isnan(bracket.lo) and np.isnan(bracket.hi)
+
+
+EPS = 2.0**-52
+# Zeros of both signs, subnormals, NaN and infinities.
+SPECIAL_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, np.nan, np.inf, -np.inf)
+
+
+@st.composite
+def scalar_stacks(draw, special=True, decades=300.0):
+    """(M, 1, 1) complex stacks, real or complex entries over +-decades
+    decades, with up to four SPECIAL_ENTRIES dropped in when special."""
+    count = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def spread():
+        return rng.standard_normal(count) * 10.0 ** rng.uniform(-decades, decades, count)
+
+    a = spread().astype(complex)
+    if draw(st.booleans()):
+        a += 1j * spread()
+    if special:
+        for value in draw(st.lists(st.sampled_from(SPECIAL_ENTRIES), max_size=4)):
+            a[rng.integers(count)] = value
+    return a.reshape(count, 1, 1)
+
+
+@st.composite
+def block_stacks(draw, dims=(2, 4)):
+    """(M, l, l) stacks for l in dims: general, and Hermitian ones that are
+    positive definite, indefinite or semi-definite."""
+    dim = draw(st.sampled_from(dims))
+    count = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    kind = draw(st.sampled_from(["general", "definite", "indefinite", "semidefinite"]))
+    if kind == "general":
+        return a
+    gram = a.conj().transpose(0, 2, 1) @ a
+    if kind == "indefinite":
+        return gram - 2.0 * np.eye(dim)
+    if kind == "semidefinite":
+        gram[:, :, 0] = gram[:, 0, :] = 0.0
+    return gram
+
+
+def lapack_positive(a):
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def lapack_polar(a):
+    """linalg.left_polar's general path: (U, P) from one SVD, None when singular."""
+    w, s, vh = np.linalg.svd(a)
+    if s[0] == 0.0 or s[-1] <= DEFAULT.sing_rel * s[0]:
+        return None
+    return w @ vh, (vh.conj().T * s) @ vh
+
+
+def same_bytes(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestScalarKernels:
+    """The l = 1 closed forms of the stack kernels against np.linalg."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(scalar_stacks())
+    def test_positive_definite_decides_as_potrf(self, a):
+        # per entry and per stack, zeros of both signs, NaN and inf included
+        assert linalg.positive_definite(a) == lapack_positive(a)
+        for block in a:
+            assert linalg.positive_definite(block[None]) == lapack_positive(block[None])
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(scalar_stacks())
+    def test_eigvalsh_and_eigh_are_heevds_floats(self, a):
+        assert same_bytes(linalg.eigvalsh(a), np.linalg.eigvalsh(a))
+        for got, want in zip(linalg.eigh(a), np.linalg.eigh(a)):
+            assert same_bytes(got, want)
+        assert same_bytes(linalg.eigvalsh(a[0]), np.linalg.eigvalsh(a[0]))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(scalar_stacks())
+    def test_det_is_the_entry(self, a):
+        got = linalg.det(a)
+        assert same_bytes(got, a[:, 0, 0])
+        assert linalg.det(a[0]) == a[0, 0, 0] or np.isnan(a[0, 0, 0])
+        # np.linalg.det returns sign(a) exp(log |a|): |log |a|| / 2 ulps
+        # from log's rounding and a few more from exp and the sign product
+        with np.errstate(invalid="ignore"):
+            ref = np.linalg.det(a)
+        mag = np.abs(got)
+        fine = np.isfinite(mag) & (mag >= np.finfo(float).tiny)
+        bound = (2.0 + np.abs(np.log(mag[fine]))) * EPS * mag[fine]
+        assert np.all(np.abs(ref[fine] - got[fine]) <= bound)
+        assert np.all(ref[mag == 0.0] == 0.0)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(scalar_stacks(special=False, decades=130.0))
+    def test_left_polar_is_the_svds_for_real_entries(self, a):
+        # within +-1e130 gesdd does not rescale the block; past that its
+        # scaling may cost |a| an ulp that the closed form keeps
+        for block in a:
+            want = lapack_polar(block)
+            if want is None:
+                with pytest.raises(Singular):
+                    left_polar(block)
+                continue
+            got = left_polar(block)
+            if block[0, 0].imag == 0.0:
+                assert all(same_bytes(g, w) for g, w in zip(got, want))
+            else:
+                # gesdd reaches |a| through a Householder reflector and dlapy3
+                assert np.abs(got[0] - want[0]).max() <= 4.0 * EPS
+                assert np.abs(got[1] - want[1]).max() <= 4.0 * EPS * np.abs(want[1]).max()
+
+    def test_left_polar_refuses_a_zero_entry(self):
+        for zero in (0.0, -0.0):
+            with pytest.raises(Singular, match="^smallest singular value 0.000e"):
+                left_polar(np.array([[zero]]))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(scalar_stacks(special=False))
+    def test_inv_is_lapacks_for_real_entries(self, a):
+        with np.errstate(over="ignore"):
+            got = linalg.inv(a)
+        want = np.linalg.inv(a)
+        fine = np.abs(a[:, 0, 0]) <= 1e300  # past it LAPACK's reciprocal overflows
+        real = fine & (a[:, 0, 0].imag == 0.0)
+        assert same_bytes(got[real], want[real])
+        # getri takes a complex reciprocal by another formula than 1 / a
+        assert np.all(np.abs(got[fine] - want[fine]) <= 4.0 * EPS * np.abs(want[fine]))
+
+    def test_inv_refuses_a_zero_entry(self):
+        for zero in (0.0, -0.0):
+            with pytest.raises(np.linalg.LinAlgError):
+                linalg.inv(np.array([[[2.0]], [[zero]]], dtype=complex))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(block_stacks())
+    def test_blocks_take_np_linalg_exactly(self, a):
+        assert linalg.positive_definite(a) == lapack_positive(a)
+        assert same_bytes(linalg.det(a), np.linalg.det(a))
+        hermitian = np.allclose(a, a.conj().transpose(0, 2, 1))
+        if hermitian:
+            assert same_bytes(linalg.eigvalsh(a), np.linalg.eigvalsh(a))
+            for got, want in zip(linalg.eigh(a), np.linalg.eigh(a)):
+                assert same_bytes(got, want)
+        try:
+            want = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                linalg.inv(a)
+        else:
+            assert same_bytes(linalg.inv(a), want)
+        want = lapack_polar(a[0])
+        if want is not None:
+            assert all(same_bytes(g, w) for g, w in zip(left_polar(a[0]), want))
 
 
 STACK_KINDS = ("rank_one", "full_rank", "spike", "zero", "nonfinite", "tiny", "huge", "mixed")

@@ -330,8 +330,8 @@ class TestComputeOnce:
 
 class TestBoundStates:
     def test_disk_coordinate_closed_form(self):
-        assert disk_coordinate(2.5) == pytest.approx(0.5)
-        assert disk_coordinate(-2.5) == pytest.approx(-0.5)
+        assert disk_coordinate(2.5) == 0.5
+        assert disk_coordinate(-2.5) == -0.5
 
     def test_disk_coordinate_inverts(self):
         rng = np.random.default_rng(3)
@@ -350,6 +350,21 @@ class TestBoundStates:
                     exact = (e - mpmath.sign(e) * mpmath.sqrt(mpmath.mpf(e) ** 2 - 4)) / 2
                     assert z.imag == 0.0
                     assert abs(mpmath.mpf(z.real) - exact) <= np.spacing(abs(z.real)), e
+
+    def test_disk_coordinate_far_from_the_band(self):
+        # E - sqrt(E^2 - 4) would cancel for far masses; the root outside
+        # the disk, inverted, is within 2 eps relative of 50 digits up to
+        # |E| = 1e300, and the reference is formed that way too
+        rng = np.random.default_rng(29)
+        with mpmath.workdps(50):
+            for e in 2.0 + 10.0 ** rng.uniform(-15.0, 300.0, 400):
+                for energy in (e, -e):
+                    z = disk_coordinate(energy)
+                    exact = 2 / (energy + mpmath.sign(energy) * mpmath.sqrt(
+                        mpmath.mpf(energy) ** 2 - 4))
+                    assert z.imag == 0.0
+                    assert abs(mpmath.mpf(z.real) - exact) <= 2 * 2.0**-52 * abs(exact), energy
+        assert disk_coordinate(1e9) == 1e-9 and disk_coordinate(-1e300) == -1e-300
 
     def test_disk_coordinate_rejects_band(self):
         with pytest.raises(MassOnSupport):

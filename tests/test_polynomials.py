@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import mmap
 import os
 import tracemalloc
@@ -37,7 +38,11 @@ from matszego.polynomials import (
     NORM_TYPES,
     BlockJacobi,
     PolySequence,
+    _column_major,
+    _gram_eigh,
     _mapped_buffer,
+    _over_adjoint,
+    _times,
     apply_transform,
     eval_scaled_many,
     leading_coeffs,
@@ -64,6 +69,66 @@ def semicircle_seq(semicircle_measure):
 def arcsine_seq():
     mu = make_measure(ArcsineDensity(1), quad_order=1024, normalize="strict")
     return stieltjes(mu, N_SMALL)
+
+
+# sha256 over the buffer (C order), the A blocks and the B blocks of
+# stieltjes on the scalar shipped documents, as the GEMM and eigh kernels
+# of the block recurrence give them; like golden_digests.json they hold
+# for one numpy/BLAS build.
+SCALAR_RECURRENCE_DIGESTS = {
+    "free_semicircle/30": "4e47bfcd24ed906f9a45d0deecac54e915471cf28e10d081aa70108815bdf334",
+    "free_semicircle/100": "b486d76e2954a0f3cfc83c205628a1f7864fee1977059f6bdea966f987d29e68",
+    "arcsine/30": "50ed17000ddd1c4212f904d5827f0126af0b5ddc0960383a3ad5b72108542cae",
+    "arcsine/100": "f6cf70fcd7c80286b42f611fa01f312ab641dc2e7444584215b381394f2b9d13",
+    "semicircle_mass/30": "d3cc73eba23e9db9687eed6bdb2f3b68b13e4d98de8465c255c89c1bfead5bb4",
+    "semicircle_mass/100": "bb9f072bd0e6584d83f92de1b9db235926e24e1f63cbd29e7dbc0cf4cf4155c3",
+}
+
+
+def recurrence_digest(seq: PolySequence) -> str:
+    h = hashlib.sha256()
+    for a in (seq._y, seq.jacobi.a, seq.jacobi.b):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _same_bytes(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestScalarKernels:
+    """At l = 1 the recurrence's kernels scale, divide and take one dot
+    product where the block kernels run a GEMM, a solve or an eigh; on the
+    real blocks of a scalar recurrence they give the same floats."""
+
+    @pytest.mark.parametrize("key", sorted(SCALAR_RECURRENCE_DIGESTS))
+    def test_scalar_recurrence_is_bitwise_the_block_kernels(self, shipped_measures, key):
+        name, n = key.split("/")
+        seq = stieltjes(shipped_measures[name], int(n))
+        assert recurrence_digest(seq) == SCALAR_RECURRENCE_DIGESTS[key]
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000), st.booleans())
+    def test_kernels_match_the_block_forms_on_real_blocks(self, seed, rows, negative_zero):
+        rng = np.random.default_rng(seed)
+        # a column of a Fortran-order buffer, real values with signed-zero
+        # imaginary parts, as the whitened rows are
+        buf = np.zeros((rows, 3), dtype=complex, order="F")
+        buf[:, 1] = rng.standard_normal(rows) * 10.0 ** rng.uniform(-3, 3, rows)
+        buf[:, 1].imag = np.where(rng.random(rows) < 0.5, -0.0, 0.0)
+        v = buf[:, 1:2]
+        m = np.array([[rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)]], dtype=complex)
+        if negative_zero:
+            m = m.conj()
+        assert _same_bytes(_column_major(v, m), (m.T @ v.T).T)
+        w = v.reshape(-1, 1, 1)
+        assert _same_bytes(_times(w, m), (w.reshape(-1, 1) @ m).reshape(w.shape))
+        gram = v.conj().T @ v
+        for got, want in zip(_gram_eigh(v), np.linalg.eigh(0.5 * (gram + gram.conj().T))):
+            assert _same_bytes(got, want)
+        # the division may give a zero imaginary part the other sign
+        x = v[:1].T.copy()
+        assert np.array_equal(_over_adjoint(x, m), np.linalg.solve(m.conj(), x.T).T)
 
 
 class TestScalarOracles:
