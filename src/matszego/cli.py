@@ -39,8 +39,6 @@ def _plain(value):
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, np.ndarray):  # written by specio._dumps, without lists when large
-        if np.iscomplexobj(value):
-            return {"re": value.real, "im": value.imag}
         return value
     if isinstance(value, (np.bool_,)):
         return bool(value)

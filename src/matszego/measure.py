@@ -342,6 +342,13 @@ def _szego_samples(f: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
     return (2.0 * np.pi * np.abs(np.sin(theta)))[:, None, None] * f
 
 
+def _require_finite(stage: str, name: str, values: np.ndarray) -> None:
+    """Refuse an array with an overflowed or NaN entry, naming the first."""
+    if not np.isfinite(values).all():
+        index = tuple(np.argwhere(~np.isfinite(values))[0].tolist())
+        raise ValidationError(f"{stage}: {name} not finite: entry {index} is {values[index]}")
+
+
 def make_measure(
     density: Density,
     masses=(),
@@ -388,16 +395,18 @@ def make_measure(
     x = _grid_x(quad_order)
     f = density.sample(quad_order)
     w_ac = _szego_samples(f)
+    _require_finite("weight sampling", "Szego weight (node, row, column)", w_ac)
     total = np.mean(w_ac, axis=0) + sum(w for _, w in clean_masses)
+    _require_finite("normalization", "total mass mu(R)", total)
     defect = float(operator_norm(total - np.eye(dim)))
 
     correction = None
     if normalize == "strict":
-        if defect > tol.norm:
+        if not defect <= tol.norm:
             raise ValidationError(
                 f"measure not normalized: ||mu(R) - I|| = {defect:.3e} > {tol.norm:.1e}"
             )
-    elif defect > tol.norm:
+    elif not defect <= tol.norm:
         scale = dim / float(np.real(np.trace(total)))
         x_total = scale * 0.5 * (total + total.conj().T)  # exactly Hermitian: no defect check
         lam, vec = linalg.eigh(x_total)
@@ -414,7 +423,7 @@ def make_measure(
         total = np.mean(w_ac, axis=0) + sum(w for _, w in clean_masses)
         defect = float(operator_norm(total - np.eye(dim)))
         correction = c
-        if defect > tol.norm:
+        if not defect <= tol.norm:
             raise ValidationError(f"auto-normalization left defect {defect:.3e}")
 
     # Hermitize the grid weight and check the Szego condition node-wise:

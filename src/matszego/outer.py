@@ -289,7 +289,7 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
     d^3 l = 96-128 M at l = 2, 4, 8); every other weight takes Wilson's
     iteration.
 
-    Raises NotPD for weights not positive definite at a node,
+    Raises NotPD for weights not finite or not positive definite at a node,
     NoConvergence when the reduction fails, the residual over the M nodes
     is above target or the series has a zero in the disk, and Singular
     when G(0) is; every message starts with "factorize:".
@@ -298,9 +298,17 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
     # a Hermitian stack Hermitizes to itself bitwise, so a weight whose
     # maker decided positivity (BoundarySampling.positive) needs no second test
     values = 0.5 * (w.values + w.values.conj().transpose(0, 2, 1))
-    if not w.positive and not linalg.positive_definite(values):
-        lam_min = float(linalg.eigvalsh(values)[:, 0].min())
-        raise NotPD(f"factorize: weight not positive definite: min eig {lam_min:.1e} at or below 0")
+    if not w.positive:
+        # potrf admits a NaN pivot (it tests a_jj <= 0 only); make_measure's
+        # weights are finite
+        finite = np.isfinite(values).all(axis=(1, 2))
+        if not finite.all():
+            node = int(np.argmin(finite))
+            raise NotPD(f"factorize: weight not finite at node {node} of {m_grid}")
+        if not linalg.positive_definite(values):
+            lam_min = float(linalg.eigvalsh(values)[:, 0].min())
+            raise NotPD(f"factorize: weight not positive definite: min eig {lam_min:.1e} "
+                        "at or below 0")
     scale = BracketedNorm(values, norm=linalg.max_hermitian_norm)
 
     n_vals, c = linalg.fourier_coefficients(BoundarySampling(values))

@@ -35,17 +35,15 @@ Serialization is canonical (sorted keys, fixed indentation,
 shortest round-trip floats), so equal specs serialize identically and
 the document hash is stable; parse and serialize are mutually inverse.
 One writer, _dumps, writes documents, manifests and reports; its text is
-json.dumps(obj, sort_keys=True, indent=2) + "\\n" byte for byte, with
-each float matrix formatted in one join. A table is formatted from its
-stack with one float.__repr__ per distinct magnitude, in pieces gathered
-from object arrays of prefixes and texts. A report's float array, such
-as a stack of Jacobi blocks, is written with one float.__repr__ per
-distinct value; a small array (_ARRAY_WRITES), or one with a non-finite
-entry, goes through its lists. A MatrixStack shares its texts between
-its report arrays and its CSV table.
-spec_hash feeds the text to sha256 piece by piece, at most 128 matrices
-at a time, so the whole text is never held; the bytes it hashes are the
-ones serialize_measure_spec returns.
+json.dumps(obj, sort_keys=True, indent=2) + "\\n" byte for byte. One
+engine, _float_join, writes every float array as text: each table, each
+report array of at least _ARRAY_WRITES writes and each CSV table, with
+one float.__repr__ per distinct magnitude. A smaller or non-finite
+report array goes through its lists, a float matrix in one join. A
+MatrixStack shares its texts between its report and its CSV table.
+spec_hash feeds the text to sha256 _TABLE_CHUNK matrices at a time, so
+the whole text is never held; the bytes it hashes are the ones
+serialize_measure_spec returns.
 """
 
 from __future__ import annotations
@@ -335,137 +333,111 @@ def _float_rows(rows, level: int) -> str | None:
     return "[" + outer + "[" + inner + body + outer + "]" + outer[:-2] + "]"
 
 
-# Matrices per piece of a table's text: a piece, not the whole text, is
-# what the hash holds at a time.
+# Entries of axis 0 per piece of a table's text: a piece, not the whole
+# text, is what the hash holds at a time.
 _TABLE_CHUNK = 128
 
 
-def _table_pieces(stack: np.ndarray, level: int):
-    """The text _pieces writes for a table's matrices at a nesting level,
-    from their (2, N, dim, dim) re/im stack, in pieces of _TABLE_CHUNK
-    matrices.
-
-    float.__repr__ runs once per distinct magnitude |x|, the float's bits
-    with the sign bit cleared: a Hermitian table that is symmetric in t
-    repeats most magnitudes, and x and -x share a text. The sign bit then
-    picks one of two prefixes per place in a matrix, the separator the
-    place calls for with or without "-", so 0.0 and -0.0 stay distinct
-    (a dict keyed by float would merge them). A matrix is written "im"
-    first, then "re", as sort_keys orders them.
-
-    Prefixes and texts are object arrays, so a piece is filled by two
-    gathers and joined once. A piece finds its texts by sorting its own
-    magnitudes and looking up only the distinct ones among the table's;
-    an inverse over the whole stack would hold sort temporaries larger
-    than the text the hash streams.
-    """
-    _, count, dim, _ = stack.shape
-    pad = ["\n" + "  " * (level + k) for k in range(5)]
-    close = pad[3] + "]" + pad[2] + "]"
-    joint = close + pad[1] + "}," + pad[1]
-    first = pad[3] + "[" + pad[4]
-    row = ["," + pad[4]] * (dim - 1)
-    part = (row + [pad[3] + "]," + first]) * (dim - 1) + row
-    # seps[p] goes before the p-th float of a matrix, "im" then "re" row by
-    # row; seps[0] also closes the matrix before, which the first piece drops
-    seps = ([joint + "{" + pad[2] + '"im": [' + first] + part
-            + [close + "," + pad[2] + '"re": [' + first] + part)
-    prefixes = np.array([sep + sign for sep in seps for sign in ("", "-")], dtype=object)
-    places = np.arange(0, len(prefixes), 2)
-    magnitudes = np.unique(np.abs(stack))
-    texts = np.fromiter(map(float.__repr__, magnitudes.tolist()), dtype=object,
+def _magnitude_texts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct magnitudes |x| of a float array, sorted, and the
+    float.__repr__ of each as an object array."""
+    # sorted and compared, not np.unique, which hashes and imports numpy.ma
+    magnitudes = np.sort(np.abs(a), axis=None)
+    magnitudes = magnitudes[np.append(True, magnitudes[1:] != magnitudes[:-1])[:magnitudes.size]]
+    # a memoryview hands out one float at a time: a list of them all
+    # (tolist) raised the process's high-water mark by fragmenting the heap
+    texts = np.fromiter(map(float.__repr__, memoryview(magnitudes)), dtype=object,
                         count=magnitudes.size)
-    yield "[" + pad[1]
-    for start in range(0, count, _TABLE_CHUNK):
-        block = stack[::-1, start:start + _TABLE_CHUNK].transpose(1, 0, 2, 3)
-        block = block.reshape(-1, len(seps))
-        distinct, inverse = np.unique(np.abs(block).ravel(), return_inverse=True)
+    return magnitudes, texts
+
+
+def _float_join(a: np.ndarray, first: str, seps: list[str], texts: tuple | None = None,
+                rows: int = sys.maxsize):
+    """The text of a non-empty float array's entries in C order, in pieces
+    of `rows` entries of axis 0, each joined once from object arrays.
+
+    first goes before the first entry, and seps[j] before an entry where
+    axis j steps and every later axis rolls over. float.__repr__ runs once
+    per distinct magnitude, of a piece or of the texts given; the sign bit
+    picks the separator with or without "-", so 0.0 and -0.0 stay apart and
+    a NaN, written unsigned by float.__repr__, takes none. A piece sorts
+    only its own magnitudes: an inverse over a whole table would hold sort
+    temporaries larger than the text the hash streams.
+    """
+    period = a[0].size
+    strides = np.cumprod((1,) + a.shape[:0:-1])[::-1]
+    # axis j steps at the places of a row that strides[j] divides, strides[j - 1] not
+    steps = a.ndim - (np.arange(period)[:, None] % strides == 0).sum(axis=1)
+    prefixes = np.array([sep + sign for sep in seps for sign in ("", "-")], dtype=object)
+    for start in range(0, len(a), rows):
+        block = a[start:start + rows].reshape(-1, period)
+        distinct, inverse = np.unique(np.abs(block), return_inverse=True)
+        magnitudes, reprs = texts or _magnitude_texts(distinct)
+        negative = np.signbit(block) & (block == block)
         piece = np.empty(2 * block.size, dtype=object)
-        piece[0::2] = prefixes[(np.signbit(block) + places).ravel()]
-        piece[1::2] = texts[np.searchsorted(magnitudes, distinct)[inverse]]
+        piece[0::2] = prefixes[(2 * steps + negative).ravel()]
+        piece[1::2] = reprs[np.searchsorted(magnitudes, distinct)][inverse.ravel()]
         if start == 0:
-            piece[0] = piece[0][len(joint):]
+            piece[0] = first + "-" if negative[0, 0] else first
         yield "".join(piece.tolist())
-    yield close + pad[1] + "}" + pad[0] + "]"
 
 
-# Writes from which a finite float array is written by _array_text. The
-# list path writes a matrix of floats in one join, so a stack of matrices
-# in one join each, and a vector float by float. _array_text's fixed cost
-# (sorting, laying out the separators) is about that of 8 such writes, so
-# a lone matrix, or a stack of a few, is cheaper through lists.
+def _json_layout(ndim: int, level: int, keyed: int | None = None) -> tuple[str, list, str]:
+    """first, seps and closing text of _float_join for json's nested lists
+    at a nesting level, axis `keyed` (two entries) as {"im", "re"} objects."""
+    pad = ["\n" + "  " * (level + j) for j in range(ndim + 1)]
+    marks = [("{", '"im": ', '"re": ', "}") if j == keyed else ("[", "", "", "]")
+             for j in range(ndim)]
+    opens = [m[0] + pad[j + 1] + m[1] for j, m in enumerate(marks)]
+    commas = ["," + pad[j + 1] + m[2] for j, m in enumerate(marks)]
+    closes = [pad[j] + m[3] for j, m in enumerate(marks)]
+    seps = ["".join(closes[:j:-1]) + commas[j] + "".join(opens[j + 1:]) for j in range(ndim)]
+    return "".join(opens), seps, "".join(closes[::-1])
+
+
+# Writes from which a finite float array goes to _float_join, a write
+# being one join for a matrix of floats and one float of a vector: its
+# fixed cost (sorting, laying out the separators) is about that of 8
+# writes, so a lone matrix, or a stack of a few, is cheaper as lists.
 _ARRAY_WRITES = 8
 
 
-def _repr_table(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """float.__repr__ of each distinct value of a float array, told apart by
-    its bits so that 0.0 and -0.0 keep their texts, and each entry's index
-    into those texts, in the array's shape."""
-    bits, index = np.unique(values.view(np.int64).ravel(), return_inverse=True)
-    # a memoryview hands out one float at a time: a list of them all
-    # (tolist) raised the process's high-water mark by fragmenting the heap
-    texts = list(map(float.__repr__, memoryview(bits.view(np.float64))))
-    return texts, index.reshape(values.shape)
-
-
-def _array_text(a: np.ndarray, level: int, table: tuple | None = None) -> str:
-    """The text _pieces writes for a.tolist() at a nesting level, for an
-    array of finite floats, from its values in one pass.
-
-    float.__repr__ runs once per distinct value (_repr_table, or the table
-    given, which a MatrixStack shares between its parts and its CSV). The
-    separator between two entries depends only on how many trailing
-    indices roll over between them (closing and reopening that many
-    lists), and that pattern repeats with every entry of the first axis.
-    """
-    d = a.ndim
-    pad = ["\n" + "  " * (level + j) for j in range(d + 1)]
-    opens = ["[" + pad[j + 1] for j in range(d)]  # opens[j] starts a list at depth j
-    closes = [pad[j] + "]" for j in range(d)]  # closes[j] ends it
-    # seps[k]: between entries where the last k indices roll over
-    seps = ["".join(closes[d - k :][::-1]) + "," + pad[d - k] + "".join(opens[d - k :])
-            for k in range(d)]
-    period = np.arange(1, a[0].size + 1)
-    rolls = np.zeros(period.shape, dtype=int)
-    for size in np.cumprod(a.shape[:0:-1]):
-        rolls += period % size == 0
-    texts, index = _repr_table(a) if table is None else table
-    piece = [None] * (2 * a.size - 1)
-    piece[0::2] = map(texts.__getitem__, index.ravel().tolist())
-    piece[1::2] = (list(map(seps.__getitem__, rolls.tolist())) * a.shape[0])[:-1]
-    return "".join(opens) + "".join(piece) + "".join(closes[::-1])
-
-
-def _array_pieces(a: np.ndarray, level: int, table: tuple | None = None):
-    """The text _pieces writes for an array: _array_text for a large finite
-    float array, else the text of its lists."""
+def _array_pieces(a: np.ndarray, level: int, texts: tuple | None = None):
+    """The text _pieces writes for an array: one _float_join for a large
+    finite float or complex array, a complex one as {"im", "re"} on axis 0,
+    else the text of its lists."""
     writes = a.size // math.prod(a.shape[-2:]) if a.ndim > 1 and a.size else a.size
-    if a.dtype == np.float64 and writes >= _ARRAY_WRITES and np.isfinite(a).all():
-        yield _array_text(a, level, table)
+    if writes >= _ARRAY_WRITES and a.dtype in (np.float64, np.complex128) and np.isfinite(a).all():
+        keyed = 0 if a.dtype == np.complex128 else None
+        floats = a if keyed is None else np.stack((a.imag, a.real))
+        first, seps, last = _json_layout(floats.ndim, level, keyed)
+        yield from _float_join(floats, first, seps, texts)
+        yield last
+    elif np.iscomplexobj(a):
+        yield from _pieces({"im": a.imag, "re": a.real}, level)
     else:
         yield from _pieces(a.tolist(), level)
 
 
 class MatrixStack:
     """A complex stack of matrices that a job writes twice: into its report,
-    as {"re", "im"} float arrays like any complex array, and into a CSV
-    table (format_matrix_table). float.__repr__ runs once per distinct
-    value for both, at the first write, so a stack never written is never
-    formatted."""
+    like any complex array, and into a CSV table (format_matrix_table).
+    float.__repr__ runs once per distinct magnitude for both, at the first
+    write, so a stack never written is never formatted."""
 
     def __init__(self, stack):
-        self.floats = np.ascontiguousarray(stack, dtype=complex).view(float)  # re, im interleaved
-        self._table = None
+        self.values = np.ascontiguousarray(stack, dtype=complex)
+        self._texts = None
 
     @property
-    def table(self) -> tuple:
-        if self._table is None:
-            texts, index = _repr_table(self.floats)
+    def texts(self) -> tuple:
+        if self._texts is None:
+            magnitudes, texts = _magnitude_texts(self.values.view(float))
             # held as one string and split at each use: thousands of small
             # strings held from the CSV to the report fragmented the heap
-            self._table = "\n".join(texts), index
-        texts, index = self._table
-        return texts.split("\n"), index
+            self._texts = magnitudes, "\n".join(texts.tolist())
+        magnitudes, texts = self._texts
+        return magnitudes, np.array(texts.split("\n"), dtype=object)
 
 
 def _pieces(obj, level: int = 0):
@@ -474,16 +446,15 @@ def _pieces(obj, level: int = 0):
     every level); scalars and empty containers, alike under any indent, go to json."""
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, _TableValues):
-        yield from _table_pieces(obj.stack, level)
+        # N matrices {"im", "re"}: the (N, 2, dim, dim) view of the stack
+        matrices = obj.stack[::-1].transpose(1, 0, 2, 3)
+        first, seps, last = _json_layout(4, level, keyed=1)
+        yield from _float_join(matrices, first, seps, _magnitude_texts(matrices), _TABLE_CHUNK)
+        yield last
     elif isinstance(obj, np.ndarray):
         yield from _array_pieces(obj, level)
     elif isinstance(obj, MatrixStack):
-        texts, index = obj.table
-        for i, (key, part) in enumerate((("im", 1), ("re", 0))):
-            yield ("," if i else "{") + pad + f'"{key}": '
-            yield from _array_pieces(obj.floats[..., part::2], level + 1,
-                                     (texts, index[..., part::2]))
-        yield pad[:-2] + "}"
+        yield from _array_pieces(obj.values, level, obj.texts)
     elif isinstance(obj, (list, tuple)) and obj:
         rows = _float_rows(obj, level)
         if rows is not None:
@@ -582,20 +553,16 @@ class RunManifest:
 # flat tables
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _fmt_cells(table: tuple):
-    """Iterator over _fmt of every entry of a real array, in C order, from
-    its _repr_table. The texts are shared, one reference per cell."""
-    texts, index = table
-    return iter(np.array(texts, dtype=object)[index.ravel()])
-
-
-def _csv(header: list[str], rows) -> str:
-    """CSV text of a header and an iterable of row strings."""
-    return "\n".join([",".join(header), *rows, ""])
+def _csv(header: list[str], floats: np.ndarray, texts: tuple | None = None,
+         index: list[str] | None = None) -> str:
+    """CSV text of a header and the rows of a 2-D float array, each row
+    after its index text when one is given."""
+    if not floats.size:
+        return ",".join(header) + "\n"
+    body = "".join(_float_join(floats, "", ["\n", ","], texts))
+    if index is not None:
+        body = "\n".join(map(",".join, zip(index, body.split("\n"))))
+    return "".join([",".join(header), "\n", body, "\n"])
 
 
 def format_real_table(columns: Sequence[tuple[str, Sequence[float]]]) -> str:
@@ -606,8 +573,7 @@ def format_real_table(columns: Sequence[tuple[str, Sequence[float]]]) -> str:
     for name, vals in zip(names, series):
         if len(vals) != length:
             raise ValueError(f"column {name!r} length {len(vals)} != {length}")
-    cells = _fmt_cells(_repr_table(np.stack(series, axis=1))) if series else iter(())
-    return _csv(names, map(",".join, zip(*[cells] * len(names))))
+    return _csv(names, np.stack(series, axis=1) if series else np.zeros((0, 0)))
 
 
 def format_matrix_table(
@@ -618,17 +584,11 @@ def format_matrix_table(
     Columns: the index, then e{i}{j}_re, e{i}{j}_im for each entry in
     row-major order.
     """
-    if isinstance(stack, MatrixStack):
-        floats, table = stack.floats, stack.table
-    else:
-        floats = np.ascontiguousarray(stack, dtype=complex).view(float)
-        table = _repr_table(floats)
-    rows, cols = floats.shape[1], floats.shape[2] // 2
-    names = [index_name]
-    for i in range(rows):
-        for j in range(cols):
-            names.extend([f"e{i}{j}_re", f"e{i}{j}_im"])
-    index = [_fmt(idx) if isinstance(idx, (int, float)) else str(idx) for idx in index_values]
-    cells = _fmt_cells(table)
-    entries = map(",".join, zip(*[cells] * (2 * rows * cols)))
-    return _csv(names, map(",".join, zip(index, entries)))
+    if not isinstance(stack, MatrixStack):
+        stack = MatrixStack(stack)
+    count, rows, cols = stack.values.shape
+    names = [index_name] + [f"e{i}{j}_{part}" for i in range(rows) for j in range(cols)
+                            for part in ("re", "im")]
+    index = [repr(float(idx)) if isinstance(idx, (int, float)) else str(idx)
+             for idx in index_values]
+    return _csv(names, stack.values.view(float).reshape(count, len(names) - 1), stack.texts, index)

@@ -84,6 +84,25 @@ class TestExitCodes:
         code, _, err = run(capsys, "check-measure", str(p))
         assert code == 3
 
+    @pytest.mark.parametrize("normalize", ["strict", "auto"])
+    @pytest.mark.parametrize("size", [1e300, 1e307, 1e308])
+    def test_overflowing_table_is_validation_error(self, capsys, small_spec, size, normalize):
+        # the weight's mean overflows at 1e307, the weight itself at 1e308;
+        # 1e300 is normalized by the automatic rescale
+        message = {
+            1e300: "measure not normalized: " if normalize == "strict" else None,
+            1e307: "normalization: total mass mu(R) not finite: entry (0, 0) is ",
+            1e308: "weight sampling: Szego weight (node, row, column) not finite: ",
+        }[size]
+        spec = small_spec("huge", quad_order=64, normalize=normalize,
+                          density={"family": "table", "values": [{"re": [[size]]}] * 64})
+        for command in ("check-measure", "factorize"):
+            code, _, err = run(capsys, command, spec)
+            if message is None:
+                assert (code, err) == (0, "")
+            else:
+                assert code == 3 and err.startswith("validation error: " + message), command
+
     def test_singular_total_mass_is_validation_error(self, capsys, tmp_path):
         # auto-normalization needs mu(R)^(-1/2), and diag(1, 0) has none
         doc = {"dim": 2, "quad_order": 8,
@@ -525,19 +544,21 @@ class TestArtifacts:
         assert np.isfinite(report["residual"])
 
     def test_recurrence_formats_each_block_stack_once(self, capsys, monkeypatch, tmp_path):
-        # one repr table per stack of a/b blocks serves report.json and its CSV
+        # one set of magnitude texts per stack of a/b blocks serves
+        # report.json and its CSV
         shapes = []
-        repr_table = specio._repr_table
-        monkeypatch.setattr(specio, "_repr_table",
-                            lambda values: shapes.append(values.shape) or repr_table(values))
+        magnitude_texts = specio._magnitude_texts
+        monkeypatch.setattr(specio, "_magnitude_texts",
+                            lambda values: shapes.append(values.shape) or magnitude_texts(values))
         code, _, _ = run(capsys, "recurrence", MATRIX_MASS, "--n", "12", "--out", str(tmp_path))
         assert code == 0
-        assert shapes.count((12, 2, 4)) == 2 and (12, 2, 2) not in shapes
+        assert shapes.count((12, 2, 4)) == 2
+        assert (2, 12, 2, 2) not in shapes and (12, 8) not in shapes
 
     def test_tables_are_formatted_only_when_written(self, capsys, monkeypatch, tmp_path,
                                                     small_spec):
         calls = []
-        for name in ("format_real_table", "format_matrix_table", "_repr_table"):
+        for name in ("format_real_table", "format_matrix_table", "_magnitude_texts"):
             monkeypatch.setattr(specio, name, lambda *args, _f=getattr(specio, name), _n=name:
                                 calls.append(_n) or _f(*args))
         spec = small_spec("mass", masses=[{"energy": 2.5, "weight": {"re": [[0.2]]}}])

@@ -4,7 +4,8 @@ is read and every optional parameter is passed somewhere in the package
 (stdlib ast scans), the package imports nothing beyond the standard
 library and its declared dependencies, and it holds no three-operand
 einsum outside an allowlist, nor a call of an np.linalg routine that
-linalg wraps with an l = 1 closed form outside linalg and an allowlist."""
+linalg wraps with an l = 1 closed form outside linalg and an allowlist,
+and only specio's float-text engine and list path call float.__repr__."""
 
 import ast
 import json
@@ -431,3 +432,48 @@ def test_lapack_calls_only_in_linalg_or_where_allowed():
                 found[name] = found.get(name, 0) + 1
     # exact: a new call fails, and one that is removed leaves the list
     assert found == LAPACK_CALLS_ALLOWED
+
+
+# The functions that call float.__repr__, or pass it on, with how many
+# calls each holds: the float-text engine's magnitude texts and the list
+# path's rows. Every table, report array and CSV table is written by them,
+# so how a float becomes text is decided in one place.
+FLOAT_REPR_ALLOWED = {
+    "specio._magnitude_texts": 1,
+    "specio._float_rows": 1,
+}
+
+
+def float_reprs(module: str, source: str) -> list[str]:
+    """module.function of each call of float.__repr__, or of a call that
+    passes it as an argument (map(float.__repr__, ...)), once per call."""
+
+    def is_float_repr(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "__repr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "float")
+
+    return calls_by_function(
+        module, source,
+        lambda call: any(map(is_float_repr, [call.func, *call.args,
+                                             *(k.value for k in call.keywords)])),
+    )
+
+
+def test_scan_finds_a_float_repr():
+    source = (
+        "t = float.__repr__(0.5)\n"
+        "def f(a):\n"
+        "    return list(map(float.__repr__, a)), repr(a), int.__repr__(1)\n"
+        "def g(a):\n"
+        "    return sorted(a, key=float.__repr__)\n"
+    )
+    assert float_reprs("a", source) == ["a.<module>", "a.f", "a.g"]
+
+
+def test_float_reprs_only_where_allowed():
+    found = {}
+    for path in PACKAGE:
+        for name in float_reprs(path.stem, path.read_text()):
+            found[name] = found.get(name, 0) + 1
+    # exact: a new call fails, and one that is removed leaves the list
+    assert found == FLOAT_REPR_ALLOWED

@@ -250,6 +250,15 @@ class TestPositivityGuards:
         with pytest.raises(NotPD):
             spectral_factorize(BoundarySampling(vals))
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_node(self, dim, bad):
+        # potrf admits a NaN pivot, and an infinite one at l = 1
+        vals = np.broadcast_to(np.eye(dim), (64, dim, dim)).copy()
+        vals[17, -1, -1] = bad
+        with pytest.raises(NotPD, match=r"^factorize: weight not finite at node 17 of 64$"):
+            spectral_factorize(BoundarySampling(vals))
+
     def test_negative_eigenvalue_at_a_node_exits_4(self, monkeypatch, capsys, tmp_path):
         # the Cholesky test refuses one node with a negative eigenvalue,
         # and the message words the smallest eigenvalue of the weight

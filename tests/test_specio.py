@@ -435,17 +435,40 @@ def float_arrays(draw):
     return values
 
 
+def as_lists(obj):
+    """What json writes for the writer's arrays: a real array's lists, a
+    complex array's {"im", "re"} lists and a table's {"im", "re"} matrices."""
+    if isinstance(obj, specio._TableValues):
+        return [{"im": im, "re": re} for re, im in zip(*obj.stack.tolist())]
+    if np.iscomplexobj(obj):
+        return {"im": obj.imag.tolist(), "re": obj.real.tolist()}
+    return obj.tolist()
+
+
 class TestArrayWriter:
     """A float array is written as json writes its nested lists."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(float_arrays(), st.integers(0, 3))
-    def test_text_equals_json(self, values, depth):
+    @given(float_arrays(), st.integers(0, 3), st.sampled_from(["real", "complex", "table"]))
+    # size-1 axes, the keyed axis of two entries beside them
+    @example(np.full((8, 1, 1), -0.0), 1, "real")
+    @example(np.full((8, 1, 1), -0.0), 1, "complex")
+    @example(np.full((1, 1), -2.5), 0, "table")
+    @example(np.array([[0.0, -0.0, 1.5]] * 8), 3, "table")
+    def test_text_equals_json(self, values, depth, layout):
+        # axis 0 of a complex array, and axis 1 of a table's (N, 2, ., .)
+        # stack, are written as {"im", "re"} objects
         obj = values
+        if layout == "complex":
+            obj = np.empty(values.shape, dtype=complex)
+            obj.real, obj.imag = values, values[::-1]
+        elif layout == "table":
+            shape = (2, len(values), values.shape[1] if values.ndim > 1 else 1, -1)
+            obj = specio._TableValues(np.stack((values, values[::-1])).reshape(shape))
         for _ in range(depth):
             obj = {"x": [obj, 1]}
-        as_lists = json.dumps(obj, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
-        assert specio._dumps(obj) == as_lists
+        expected = json.dumps(obj, sort_keys=True, indent=2, default=as_lists) + "\n"
+        assert specio._dumps(obj) == expected
 
     @pytest.mark.parametrize("shape", [(24,), (8, 1, 1), (100, 4, 4), (3, 5, 2, 4)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -454,10 +477,10 @@ class TestArrayWriter:
         assert specio._dumps(values) == specio._dumps(values.tolist())
         values.flat[-1] = bad
 
-        def unexpected(a, level):
+        def unexpected(*args, **kwargs):
             raise AssertionError("array path taken")
 
-        monkeypatch.setattr(specio, "_array_text", unexpected)
+        monkeypatch.setattr(specio, "_float_join", unexpected)
         assert specio._dumps(values) == json.dumps(values.tolist(), indent=2) + "\n"
 
     def test_report_arrays_equal_their_lists(self):
@@ -776,16 +799,19 @@ class TestManifestAndTables:
         row = lines[1].split(",")
         assert float(row[0]) == 7.0
         assert float(row[header.index("e00_im")]) == 0.5
+        assert format_matrix_table("n", [], stack[:0]) == lines[0] + "\n"
 
     def test_tables_format_each_value_as_its_repr(self):
-        # one float.__repr__ per distinct value gives the bytes of one per
-        # cell: signed zeros, repeats, non-finite values and integer indices
-        values = [0.0, -0.0, 1.0, 1.0, 0.1 + 0.2, float("inf"), float("nan"), 3, -2.5e-300]
+        # one float.__repr__ per distinct magnitude gives the bytes of one
+        # per cell: signed zeros, repeats, non-finite values and integer
+        # indices; a NaN with its sign bit set is written "nan", unsigned
+        values = [0.0, -0.0, 1.0, 1.0, 0.1 + 0.2, float("inf"), float("nan"), 3, -2.5e-300,
+                  -float("inf"), np.copysign(np.nan, -1)]
         text = format_real_table([("a", values), ("b", values[::-1])])
         rows = [f"{repr(float(a))},{repr(float(b))}" for a, b in zip(values, values[::-1])]
         assert text == "a,b\n" + "\n".join(rows) + "\n"
         stack = np.empty((2, 2, 2), dtype=complex)
-        stack.real, stack.imag = np.reshape(values[:8], (2, 2, 2)), np.reshape(values[1:], (2, 2, 2))
+        stack.real, stack.imag = np.reshape(values[:8], (2, 2, 2)), np.reshape(values[3:], (2, 2, 2))
         index = [np.int64(4), 2.5]
         text = format_matrix_table("k", index, stack)
         expected = ["k,e00_re,e00_im,e01_re,e01_im,e10_re,e10_im,e11_re,e11_im"]
