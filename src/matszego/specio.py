@@ -111,14 +111,11 @@ def _rows(rows, path: str) -> list[list[float]]:
     if not isinstance(rows, list) or not rows:
         raise _fail(path, "expected a non-empty list of rows")
     out = []
-    width = None
     for i, row in enumerate(rows):
         if not isinstance(row, list) or not row:
             raise _fail(f"{path}[{i}]", "expected a non-empty row")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise _fail(f"{path}[{i}]", f"row length {len(row)} != {width}")
+        if len(row) != len(rows[0]):
+            raise _fail(f"{path}[{i}]", f"row length {len(row)} != {len(rows[0])}")
         if set(map(type, row)) <= _NUMBER_TYPES:
             try:
                 floats = list(map(float, row))
@@ -338,17 +335,20 @@ def _float_rows(rows, level: int) -> str | None:
 _TABLE_CHUNK = 128
 
 
-def _magnitude_texts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct magnitudes |x| of a float array, sorted, and the
-    float.__repr__ of each as an object array."""
+def _magnitude_texts(magnitudes: np.ndarray) -> np.ndarray:
+    """The float.__repr__ of each float of a 1-D array, as an object array."""
+    # a memoryview hands out one float at a time: a list of them all
+    # (tolist) raised the process's high-water mark by fragmenting the heap
+    return np.fromiter(map(float.__repr__, memoryview(magnitudes)), dtype=object,
+                       count=magnitudes.size)
+
+
+def _shared_texts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct magnitudes |x| of a float array and their texts."""
     # sorted and compared, not np.unique, which hashes and imports numpy.ma
     magnitudes = np.sort(np.abs(a), axis=None)
     magnitudes = magnitudes[np.append(True, magnitudes[1:] != magnitudes[:-1])[:magnitudes.size]]
-    # a memoryview hands out one float at a time: a list of them all
-    # (tolist) raised the process's high-water mark by fragmenting the heap
-    texts = np.fromiter(map(float.__repr__, memoryview(magnitudes)), dtype=object,
-                        count=magnitudes.size)
-    return magnitudes, texts
+    return magnitudes, _magnitude_texts(magnitudes)
 
 
 def _float_join(a: np.ndarray, first: str, seps: list[str], texts: tuple | None = None,
@@ -371,12 +371,12 @@ def _float_join(a: np.ndarray, first: str, seps: list[str], texts: tuple | None 
     prefixes = np.array([sep + sign for sep in seps for sign in ("", "-")], dtype=object)
     for start in range(0, len(a), rows):
         block = a[start:start + rows].reshape(-1, period)
-        distinct, inverse = np.unique(np.abs(block), return_inverse=True)
-        magnitudes, reprs = texts or _magnitude_texts(distinct)
+        unique, inverse = np.unique(np.abs(block), return_inverse=True)
+        reprs = texts[1][np.searchsorted(texts[0], unique)] if texts else _magnitude_texts(unique)
         negative = np.signbit(block) & (block == block)
         piece = np.empty(2 * block.size, dtype=object)
         piece[0::2] = prefixes[(2 * steps + negative).ravel()]
-        piece[1::2] = reprs[np.searchsorted(magnitudes, distinct)][inverse.ravel()]
+        piece[1::2] = reprs[inverse.ravel()]
         if start == 0:
             piece[0] = first + "-" if negative[0, 0] else first
         yield "".join(piece.tolist())
@@ -432,7 +432,7 @@ class MatrixStack:
     @property
     def texts(self) -> tuple:
         if self._texts is None:
-            magnitudes, texts = _magnitude_texts(self.values.view(float))
+            magnitudes, texts = _shared_texts(self.values.view(float))
             # held as one string and split at each use: thousands of small
             # strings held from the CSV to the report fragmented the heap
             self._texts = magnitudes, "\n".join(texts.tolist())
@@ -449,7 +449,7 @@ def _pieces(obj, level: int = 0):
         # N matrices {"im", "re"}: the (N, 2, dim, dim) view of the stack
         matrices = obj.stack[::-1].transpose(1, 0, 2, 3)
         first, seps, last = _json_layout(4, level, keyed=1)
-        yield from _float_join(matrices, first, seps, _magnitude_texts(matrices), _TABLE_CHUNK)
+        yield from _float_join(matrices, first, seps, _shared_texts(matrices), _TABLE_CHUNK)
         yield last
     elif isinstance(obj, np.ndarray):
         yield from _array_pieces(obj, level)

@@ -545,15 +545,23 @@ class TestArtifacts:
 
     def test_recurrence_formats_each_block_stack_once(self, capsys, monkeypatch, tmp_path):
         # one set of magnitude texts per stack of a/b blocks serves
-        # report.json and its CSV
-        shapes = []
-        magnitude_texts = specio._magnitude_texts
-        monkeypatch.setattr(specio, "_magnitude_texts",
-                            lambda values: shapes.append(values.shape) or magnitude_texts(values))
+        # report.json and its CSV: every join of the report and the CSVs
+        # writes a stack's view with its texts, and no other float array
+        # of the report reaches the engine
+        shared, joins = [], []
+        shared_texts, float_join = specio._shared_texts, specio._float_join
+        monkeypatch.setattr(specio, "_shared_texts",
+                            lambda values: shared.append(values.shape) or shared_texts(values))
+
+        def join(a, first, seps, texts=None, *rows):
+            joins.append((a.shape, texts is not None))
+            return float_join(a, first, seps, texts, *rows)
+
+        monkeypatch.setattr(specio, "_float_join", join)
         code, _, _ = run(capsys, "recurrence", MATRIX_MASS, "--n", "12", "--out", str(tmp_path))
         assert code == 0
-        assert shapes.count((12, 2, 4)) == 2
-        assert (2, 12, 2, 2) not in shapes and (12, 8) not in shapes
+        assert shared == [(12, 2, 4)] * 2
+        assert sorted(joins) == [((2, 12, 2, 2), True)] * 2 + [((12, 8), True)] * 2
 
     def test_tables_are_formatted_only_when_written(self, capsys, monkeypatch, tmp_path,
                                                     small_spec):
