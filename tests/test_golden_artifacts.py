@@ -2,8 +2,8 @@
 
 Runs the catalog of CLI jobs (every subcommand on the scalar shipped
 documents, the four fast ones on the 2x2 documents, with the README's
-arguments) with --out and compares the sha256 of every report.json and
-CSV table with golden_digests.json. Digests are exact: they hold for one
+arguments) with --out and compares the sha256 of every manifest.json,
+report.json and CSV table with golden_digests.json. Digests are exact: they hold for one
 numpy/BLAS build. After a change that is meant to alter results,
 regenerate the file with
 
@@ -52,7 +52,7 @@ CATALOG = [
 
 
 def catalog_digests(out: pathlib.Path) -> dict[str, str]:
-    """sha256 of each report.json and CSV, keyed by document/command/file."""
+    """sha256 of each manifest, report.json and CSV, keyed by document/command/file."""
     digests = {}
     for name, (command, *args) in CATALOG:
         target = out / name / command
@@ -60,7 +60,7 @@ def catalog_digests(out: pathlib.Path) -> dict[str, str]:
             code = main([command, str(SPECS_DIR / f"{name}.json"), *args, "--out", str(target)])
         assert code == 0, f"{command} {name} exited {code}"
         for path in sorted(target.iterdir()):
-            if path.name == "report.json" or path.suffix == ".csv":
+            if path.name in ("manifest.json", "report.json") or path.suffix == ".csv":
                 key = path.relative_to(out).as_posix()
                 digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
