@@ -20,6 +20,7 @@ import argparse
 import pathlib
 import sys
 import traceback
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,51 +34,31 @@ from .errors import LostOrthogonality, NumericalError, ParseError, ValidationErr
 from .linalg import det, eigvalsh, hermitian_defect, max_operator_norm, operator_norm
 
 
-def _plain(value):
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):  # written by specio._dumps, without lists when large
-        return value
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+def _positive(flag: str, value: int) -> int:
+    if value < 1:
+        raise ParseError(f"{flag} must be positive, got {value}")
     return value
 
 
-def _parse_n_list(text: str) -> list[int]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+def _radius(flag: str, value: float) -> float:
+    if not 0.0 < value <= 0.99:
+        raise ParseError(f"{flag} must lie in (0, 0.99], got {value}")
+    return value
+
+
+def _degrees(flag: str, text: str) -> list[int]:
+    out = set()
+    for part in filter(None, map(str.strip, text.split(","))):
         try:
             n = int(part)
         except ValueError:
-            raise ParseError(f"--n-list: {part!r} is not an integer") from None
+            raise ParseError(f"{flag}: {part!r} is not an integer") from None
         if n < 0:
-            raise ParseError(f"--n-list: degrees must be nonnegative, got {n}")
-        out.append(n)
+            raise ParseError(f"{flag}: degrees must be nonnegative, got {n}")
+        out.add(n)
     if not out:
-        raise ParseError("--n-list: no degrees given")
-    return sorted(set(out))
-
-
-def _sumrule_ladder(top: int) -> list[int]:
-    if top < 1:
-        raise ParseError(f"--n must be positive, got {top}")
-    ns = {top}
-    step = 5
-    while step < top:
-        ns.add(step)
-        step *= 2
-    return sorted(ns)
+        raise ParseError(f"{flag}: no degrees given")
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +124,6 @@ def _run_check_measure(args, mu, tol):
 
 
 def _run_recurrence(args, mu, tol):
-    if args.n < 1:
-        raise ParseError(f"--n must be positive, got {args.n}")
     seq = poly.stieltjes(mu, args.n, tol)
     jac = seq.jacobi
     if args.norm_type != "type1":
@@ -274,10 +253,6 @@ def _run_blaschke(args, mu, tol):
 
 
 def _run_limit(args, mu, tol):
-    if not 0.0 < args.radius <= 0.99:
-        raise ParseError(f"--radius must lie in (0, 0.99], got {args.radius}")
-    if args.angles < 1:
-        raise ParseError(f"--angles must be positive, got {args.angles}")
     lim = limits.build_pipeline(mu, tol=tol)
     pts = lim.disk_points(args.radius, args.angles)
     vals = lim.eval(pts)
@@ -306,37 +281,15 @@ def _run_limit(args, mu, tol):
 
 
 def _run_verify(args, mu, tol):
-    n_list = _parse_n_list(args.n_list)
-    if not 0.0 < args.radius <= 0.99:
-        raise ParseError(f"--radius must lie in (0, 0.99], got {args.radius}")
-    rep = limits.asymptotics_report(mu, n_list, radius=args.radius, tol=tol)
-    report = {
-        "n_values": list(rep.n_values),
-        "radius": rep.radius,
-        "pointwise_sup": rep.pointwise_sup,
-        "origin_gap": rep.origin_gap,
-        "l2_residual": rep.l2_residual,
-        "mass_norm": rep.mass_norm,
-        "mass_worst": rep.mass_worst,
-        "eta_min": rep.polar.eta_min,
-        "eta_max": rep.polar.eta_max,
-        "logdet_abs": rep.polar.logdet_abs,
-        "frame_defect": rep.polar.frame_defect,
-    }
+    rep = limits.asymptotics_report(mu, args.n_list, radius=args.radius, tol=tol)
+    report = {**vars(rep.polar), **vars(rep)}
+    del report["polar"], report["limit"]
+    columns = ("pointwise_sup", "origin_gap", "l2_residual", "mass_norm",
+               "eta_min", "eta_max", "logdet_abs", "frame_defect")
     tables = {
         "convergence": (
             specio.format_real_table,
-            [
-                ("n", [float(n) for n in rep.n_values]),
-                ("pointwise_sup", rep.pointwise_sup),
-                ("origin_gap", rep.origin_gap),
-                ("l2_residual", rep.l2_residual),
-                ("mass_norm", rep.mass_norm),
-                ("eta_min", rep.polar.eta_min),
-                ("eta_max", rep.polar.eta_max),
-                ("logdet_abs", rep.polar.logdet_abs),
-                ("frame_defect", rep.polar.frame_defect),
-            ]
+            [("n", [float(n) for n in rep.n_values])] + [(c, report[c]) for c in columns],
         )
     }
     lines = [f"convergence at radius {rep.radius}:"]
@@ -350,22 +303,10 @@ def _run_verify(args, mu, tol):
 
 
 def _run_sumrule(args, mu, tol):
-    n_list = _sumrule_ladder(args.n)
+    # the partial sums at n and at 5, 10, 20, ... below it
+    n_list = [args.n] + [5 << k for k in range(args.n.bit_length()) if 5 << k < args.n]
     ledger = sumrule.check_sum_rule(mu, n_list, tol)
-    report = {
-        "n_values": list(ledger.n_values),
-        "z_value": ledger.z_value,
-        "z_estimate": ledger.z_estimate,
-        "e0_value": ledger.e0_value,
-        "a0_values": ledger.a0_values,
-        "a0_oscillation": ledger.a0_oscillation,
-        "residuals": ledger.residuals,
-        "bridge_value": ledger.bridge_value,
-        "bridge_estimate": ledger.bridge_estimate,
-        "bridge_values": ledger.bridge_values,
-        "bridge_gap": ledger.bridge_gap,
-        "agreement": ledger.agreement,
-    }
+    report = vars(ledger)
     tables = {
         "sumrule": (
             specio.format_real_table,
@@ -388,55 +329,56 @@ def _run_sumrule(args, mu, tol):
     return report, tables, lines
 
 
-_COMMANDS = {
-    "check-measure": _run_check_measure,
-    "recurrence": _run_recurrence,
-    "factorize": _run_factorize,
-    "blaschke": _run_blaschke,
-    "limit": _run_limit,
-    "verify": _run_verify,
-    "sumrule": _run_sumrule,
+class _Command(NamedTuple):
+    """A subcommand: its body, its help line, and its options beyond spec
+    and --out as (flag, check, argparse keywords). check(flag, value)
+    returns the value the body reads, or raises ParseError; the manifest
+    names each option but a suppressed one, with its checked value."""
+
+    run: Callable
+    help: str
+    options: tuple = ()
+
+
+_SUBCOMMANDS = {
+    "check-measure": _Command(
+        _run_check_measure, "validate a measure document and report its invariants"),
+    "recurrence": _Command(_run_recurrence, "compute block Jacobi recurrence coefficients", (
+        ("--n", _positive, dict(type=int, required=True, help="number of blocks")),
+        ("--type", None, dict(dest="norm_type", default="type1",
+                              choices=("type1", "type2", "type3"), help="normalization type")),
+    )),
+    "factorize": _Command(_run_factorize, "outer spectral factor of the boundary weight", (
+        ("--order", None, dict(help=argparse.SUPPRESS)),  # legacy, ignored
+    )),
+    "blaschke": _Command(_run_blaschke, "mass-pinned product with kernel certification"),
+    "limit": _Command(_run_limit, "evaluate the limit function on a disk grid", (
+        ("--radius", _radius, dict(type=float, default=0.8, help="outer grid radius")),
+        ("--angles", _positive, dict(type=int, default=24, help="angles per circle")),
+    )),
+    "verify": _Command(_run_verify, "convergence of scaled polynomials to the limit", (
+        ("--n-list", _degrees, dict(required=True, help="comma-separated degrees")),
+        ("--radius", _radius, dict(type=float, default=0.8, help="disk grid radius")),
+    )),
+    "sumrule": _Command(_run_sumrule, "entropy balance of weight, masses, and recurrence", (
+        ("--n", _positive, dict(type=int, default=100, help="deepest partial sum")),
+    )),
 }
 
 
-def _canonical_command(args) -> str:
+def _check_options(args) -> str:
+    """Check every option of the subcommand, storing each checked value in
+    args; the canonical command text of the manifest."""
     parts = [args.command]
-    if args.command == "recurrence":
-        parts += ["--n", str(args.n), "--type", args.norm_type]
-    elif args.command == "limit":
-        parts += ["--radius", repr(args.radius), "--angles", str(args.angles)]
-    elif args.command == "verify":
-        parts += ["--n-list", ",".join(str(n) for n in _parse_n_list(args.n_list))]
-        parts += ["--radius", repr(args.radius)]
-    elif args.command == "sumrule":
-        parts += ["--n", str(args.n)]
+    for flag, check, kwargs in _SUBCOMMANDS[args.command].options:
+        dest = kwargs.get("dest", flag[2:].replace("-", "_"))
+        value = getattr(args, dest)
+        if check is not None:
+            value = check(flag, value)
+            setattr(args, dest, value)
+        if kwargs.get("help") is not argparse.SUPPRESS:  # str(float) is its repr
+            parts += [flag, ",".join(map(str, value)) if isinstance(value, list) else str(value)]
     return " ".join(parts)
-
-
-# subcommand name, help line, and its options beyond spec and --out
-_SUBCOMMANDS = (
-    ("check-measure", "validate a measure document and report its invariants", ()),
-    ("recurrence", "compute block Jacobi recurrence coefficients", (
-        (("--n",), dict(type=int, required=True, help="number of blocks")),
-        (("--type",), dict(dest="norm_type", default="type1",
-                           choices=("type1", "type2", "type3"), help="normalization type")),
-    )),
-    ("factorize", "outer spectral factor of the boundary weight", (
-        (("--order",), dict(help=argparse.SUPPRESS)),  # legacy, ignored
-    )),
-    ("blaschke", "mass-pinned product with kernel certification", ()),
-    ("limit", "evaluate the limit function on a disk grid", (
-        (("--radius",), dict(type=float, default=0.8, help="outer grid radius")),
-        (("--angles",), dict(type=int, default=24, help="angles per circle")),
-    )),
-    ("verify", "convergence of scaled polynomials to the limit", (
-        (("--n-list",), dict(required=True, help="comma-separated degrees")),
-        (("--radius",), dict(type=float, default=0.8, help="disk grid radius")),
-    )),
-    ("sumrule", "entropy balance of weight, masses, and recurrence", (
-        (("--n",), dict(type=int, default=100, help="deepest partial sum")),
-    )),
-)
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -458,25 +400,16 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, help_text, options in _SUBCOMMANDS:
+    for name, entry in _SUBCOMMANDS.items():
         if command not in (None, name):
             continue
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=entry.help)
         p.add_argument("spec", help="path to a measure document (JSON)")
         p.add_argument("--out", metavar="DIR", default=None,
                        help="directory for report.json, tables, manifest.json")
-        for flags, kwargs in options:
-            p.add_argument(*flags, **kwargs)
+        for flag, _, kwargs in entry.options:
+            p.add_argument(flag, **kwargs)
     return parser
-
-
-def _write_artifacts(out_dir: str, manifest: specio.RunManifest, report, tables) -> None:
-    path = pathlib.Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    (path / "manifest.json").write_text(manifest.to_json())
-    (path / "report.json").write_text(specio._dumps(_plain(report)))
-    for name, (fmt, *args) in tables.items():
-        (path / f"{name}.csv").write_text(fmt(*args))
 
 
 def main(argv=None) -> int:
@@ -484,7 +417,7 @@ def main(argv=None) -> int:
     # argparse's message lookups cost about 1 ms per parser, so only the
     # named subcommand's parser is built; --help, --version, no argument
     # and an unknown command get the full one
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     args = _build_parser(command).parse_args(argv)
     try:
         tol, overrides = tolerances.from_environment()
@@ -493,17 +426,18 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ParseError(f"cannot read {args.spec}: {exc}") from None
         spec = specio.parse_measure_spec(text)
-        command = _canonical_command(args)
+        command = _check_options(args)
         mu = specio.build_measure(spec, tol)
-        report, tables, lines = _COMMANDS[args.command](args, mu, tol)
+        report, tables, lines = _SUBCOMMANDS[args.command].run(args, mu, tol)
         if args.out is not None:
-            manifest = specio.RunManifest(
-                command=command,
-                spec_sha256=specio.spec_hash(spec),
-                tolerance_overrides=overrides,
-                tool_version=__version__,
-            )
-            _write_artifacts(args.out, manifest, report, tables)
+            out = pathlib.Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            manifest = specio.RunManifest(command=command, spec_sha256=specio.spec_hash(spec),
+                                          tolerance_overrides=overrides, tool_version=__version__)
+            (out / "manifest.json").write_text(manifest.to_json())
+            (out / "report.json").write_text(specio._dumps(report))
+            for name, (fmt, *fmt_args) in tables.items():
+                (out / f"{name}.csv").write_text(fmt(*fmt_args))
             lines.append(f"artifacts written to {args.out}")
         print("\n".join(lines))
         return 0

@@ -165,9 +165,11 @@ def verify_pointwise(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sup gap per n, origin gap per n) of q_n against L on a disk grid.
 
-    The grid includes z = 0, where q_n(0) is the leading coefficient;
-    mass points are excluded from the sup (L is compared where it is
-    finite for the inverse picture, and q_n is entire anyway).
+    The grid's innermost ring has radius radius * cos(pi / 2), about
+    5e-17 radius, not 0: the origin, where q_n(0) is the leading
+    coefficient, is compared separately as the origin gap. Mass points
+    are excluded from the sup (L is compared where it is finite for the
+    inverse picture, and q_n is entire anyway).
     """
     if radius > 0.99:
         raise RadiusExceeded(

@@ -134,6 +134,17 @@ class ConjugatedDiagonalDensity(Density):
         return linalg.diagonal_congruence(self.unitary, channels)
 
 
+def _require_summable(scale: float, nodes: int) -> None:
+    """Refuse a table whose largest sample magnitude could overflow the sum
+    of its Szego weight 2 pi |sin t| f over its grid of `nodes` nodes, whose
+    mean is the measure's total mass on that grid. The bound, reached by a
+    constant table, exceeds the sums of the table's own FFT."""
+    bound = 2.0 * np.pi * float(np.abs(np.sin(midpoint_nodes(nodes))).sum())
+    if bound * scale > np.finfo(float).max:
+        raise ValidationError(f"table: largest sample magnitude {scale:.3e} overflows "
+                              f"the sum of the weight over {nodes} nodes")
+
+
 class TableDensity(Density):
     """Density given by samples of f(2 cos t) on a midpoint t-grid.
 
@@ -151,6 +162,7 @@ class TableDensity(Density):
         sampling = BoundarySampling(np.asarray(samples, dtype=complex))
         v = sampling.values
         scale = max(float(np.max(np.abs(v))), 1e-300)
+        _require_summable(scale, v.shape[0])
         herm = linalg.hermitian_defect(v)
         if herm > 1e-8 * scale:
             raise ValidationError(f"table: samples not Hermitian (defect {herm:.2e})")
@@ -396,7 +408,8 @@ def make_measure(
     f = density.sample(quad_order)
     w_ac = _szego_samples(f)
     _require_finite("weight sampling", "Szego weight (node, row, column)", w_ac)
-    total = np.mean(w_ac, axis=0) + sum(w for _, w in clean_masses)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        total = np.mean(w_ac, axis=0) + sum(w for _, w in clean_masses)
     _require_finite("normalization", "total mass mu(R)", total)
     defect = float(operator_norm(total - np.eye(dim)))
 

@@ -295,10 +295,11 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
     when G(0) is; every message starts with "factorize:".
     """
     m_grid = w.node_count
-    # a Hermitian stack Hermitizes to itself bitwise, so a weight whose
-    # maker decided positivity (BoundarySampling.positive) needs no second test
-    values = 0.5 * (w.values + w.values.conj().transpose(0, 2, 1))
+    # a weight whose maker decided positivity (BoundarySampling.positive) is
+    # Hermitian already, and needs neither a second Hermitization nor test
+    values = w.values
     if not w.positive:
+        values = 0.5 * (values + values.conj().transpose(0, 2, 1))
         # potrf admits a NaN pivot (it tests a_jj <= 0 only); make_measure's
         # weights are finite
         finite = np.isfinite(values).all(axis=(1, 2))

@@ -443,7 +443,8 @@ class MatrixStack:
 def _pieces(obj, level: int = 0):
     """The text json.dumps(sort_keys=True, indent=2) writes for obj at a nesting
     level, in pieces that _dumps joins once (nested joins would copy the text at
-    every level); scalars and empty containers, alike under any indent, go to json."""
+    every level); a complex number is {"im", "re"}, a numpy scalar its .item(), and
+    other scalars and empty containers, alike under any indent, go to json."""
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, _TableValues):
         # N matrices {"im", "re"}: the (N, 2, dim, dim) view of the stack
@@ -471,6 +472,10 @@ def _pieces(obj, level: int = 0):
             yield ("," if i else "{") + pad + json.dumps(key) + ": "
             yield from _pieces(value, level + 1)
         yield pad[:-2] + "}"
+    elif isinstance(obj, complex):
+        yield from _pieces({"im": obj.imag, "re": obj.real}, level)
+    elif isinstance(obj, np.generic):
+        yield from _pieces(obj.item(), level)
     else:
         yield json.dumps(obj)
 
@@ -582,13 +587,14 @@ def format_matrix_table(
     """CSV text for a stack of matrices, row-major re/im column pairs.
 
     Columns: the index, then e{i}{j}_re, e{i}{j}_im for each entry in
-    row-major order.
+    row-major order. An integer index is written as an integer, a float
+    as its repr, numpy's or Python's alike.
     """
     if not isinstance(stack, MatrixStack):
         stack = MatrixStack(stack)
     count, rows, cols = stack.values.shape
     names = [index_name] + [f"e{i}{j}_{part}" for i in range(rows) for j in range(cols)
                             for part in ("re", "im")]
-    index = [repr(float(idx)) if isinstance(idx, (int, float)) else str(idx)
+    index = [repr(float(idx)) if isinstance(idx, (float, np.floating)) else str(idx)
              for idx in index_values]
     return _csv(names, stack.values.view(float).reshape(count, len(names) - 1), stack.texts, index)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -85,23 +86,41 @@ class TestExitCodes:
         assert code == 3
 
     @pytest.mark.parametrize("normalize", ["strict", "auto"])
-    @pytest.mark.parametrize("size", [1e300, 1e307, 1e308])
+    @pytest.mark.parametrize("size", [1e300, 1e306, 1e307, 1e308])
     def test_overflowing_table_is_validation_error(self, capsys, small_spec, size, normalize):
-        # the weight's mean overflows at 1e307, the weight itself at 1e308;
-        # 1e300 is normalized by the automatic rescale
-        message = {
-            1e300: "measure not normalized: " if normalize == "strict" else None,
-            1e307: "normalization: total mass mu(R) not finite: entry (0, 0) is ",
-            1e308: "weight sampling: Szego weight (node, row, column) not finite: ",
-        }[size]
+        # the weight's sum over the 64 nodes overflows from about 7e305, the
+        # table's FFT from 1e307, its symmetrization at 1e308: the table
+        # stage refuses all three, and numpy warns of none; 1e300 is
+        # normalized by the automatic rescale
+        if size == 1e300:
+            message = "measure not normalized: " if normalize == "strict" else None
+        else:
+            message = (f"table: largest sample magnitude {size:.3e} overflows the sum of "
+                       "the weight over 64 nodes")
         spec = small_spec("huge", quad_order=64, normalize=normalize,
                           density={"family": "table", "values": [{"re": [[size]]}] * 64})
         for command in ("check-measure", "factorize"):
-            code, _, err = run(capsys, command, spec)
+            # numpy's warnings reach a CLI user's stderr, but not capsys
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, _, err = run(capsys, command, spec)
+            assert [str(w.message) for w in caught] == []
             if message is None:
                 assert (code, err) == (0, "")
             else:
                 assert code == 3 and err.startswith("validation error: " + message), command
+                assert err.count("\n") == 1, err
+
+    def test_overflowing_total_mass_is_one_line(self, capsys, small_spec):
+        # the table's own 64 nodes sum to 2.6e307, the 4096-node grid's to inf
+        spec = small_spec("huge", quad_order=4096,
+                          density={"family": "table", "values": [{"re": [[1e305]]}] * 64})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "check-measure", spec)
+        assert [str(w.message) for w in caught] == []
+        assert (code, err) == (3, "validation error: normalization: total mass mu(R) not "
+                                  "finite: entry (0, 0) is (inf+nanj)\n")
 
     def test_singular_total_mass_is_validation_error(self, capsys, tmp_path):
         # auto-normalization needs mu(R)^(-1/2), and diag(1, 0) has none
@@ -592,6 +611,53 @@ class TestArtifacts:
             assert all(len(line.split(",")) == width for line in lines[1:])
 
 
+class TestFlagValues:
+    REFUSED = [
+        (["recurrence", "--n", "0"], "--n must be positive, got 0"),
+        (["sumrule", "--n", "0"], "--n must be positive, got 0"),
+        (["limit", "--radius", "0"], "--radius must lie in (0, 0.99], got 0.0"),
+        (["limit", "--radius", "1.5"], "--radius must lie in (0, 0.99], got 1.5"),
+        (["verify", "--n-list", "5", "--radius", "0"], "--radius must lie in (0, 0.99], got 0.0"),
+        (["verify", "--n-list", "5", "--radius", "1.5"], "--radius must lie in (0, 0.99], got 1.5"),
+        (["limit", "--angles", "0"], "--angles must be positive, got 0"),
+        (["verify", "--n-list", "5,-1"], "--n-list: degrees must be nonnegative, got -1"),
+        (["verify", "--n-list", " , "], "--n-list: no degrees given"),
+        (["verify", "--n-list", "x"], "--n-list: 'x' is not an integer"),
+    ]
+
+    @pytest.mark.parametrize("admissible", [True, False])
+    @pytest.mark.parametrize("argv, message", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
+    def test_bad_value_is_refused_before_the_measure_is_built(
+            self, capsys, tmp_path, small_spec, argv, message, admissible):
+        # a document with a mass at E = 1 is refused with exit 3 once built;
+        # a bad flag value is refused first
+        masses = [] if admissible else [{"energy": 1.0, "weight": {"re": [[0.1]]}}]
+        spec = small_spec("doc", masses=masses)
+        out = tmp_path / "art"
+        code, stdout, err = run(capsys, argv[0], spec, *argv[1:], "--out", str(out))
+        assert (code, stdout, err) == (2, "", f"parse error: {message}\n")
+        assert not out.exists()
+
+    # every subcommand with its defaults: the manifest writes each option
+    # but the legacy --order, and the degrees sorted and distinct
+    DEFAULTS = [
+        (["check-measure"], "check-measure"),
+        (["recurrence", "--n", "5"], "recurrence --n 5 --type type1"),
+        (["factorize"], "factorize"),
+        (["blaschke"], "blaschke"),
+        (["limit"], "limit --radius 0.8 --angles 24"),
+        (["verify", "--n-list", "60,5,5"], "verify --n-list 5,60 --radius 0.8"),
+        (["sumrule"], "sumrule --n 100"),
+    ]
+
+    @pytest.mark.parametrize("argv, command", DEFAULTS, ids=[c for _, c in DEFAULTS])
+    def test_manifest_command_of_the_defaults(self, capsys, tmp_path, small_spec, argv,
+                                              command):
+        out = tmp_path / "art"
+        assert run(capsys, argv[0], small_spec("free"), *argv[1:], "--out", str(out))[0] == 0
+        assert json.loads((out / "manifest.json").read_text())["command"] == command
+
+
 def parser_outcome(capsys, parse, argv):
     """(exit code, stdout, stderr) of an argparse run that exits."""
     with pytest.raises(SystemExit) as exc:
@@ -617,7 +683,7 @@ class TestParser:
         ["sumrule", "spec.json", "--n", "x"],
     ]
 
-    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
     def test_help_is_the_full_parsers(self, capsys, monkeypatch, command):
         full = parser_outcome(capsys, cli._build_parser().parse_args, [command, "--help"])
         assert full[0] == 0 and full[1].startswith(f"usage: matszego {command} ")

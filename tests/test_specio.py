@@ -506,7 +506,7 @@ class TestArrayWriter:
         text = format_matrix_table("j", range(1, count + 1), blocks)
         cells = [[repr(float(getattr(v, part))) for v in mat.ravel() for part in ("real", "imag")]
                  for mat in stack]
-        rows = [",".join([repr(float(j))] + row) for j, row in enumerate(cells, 1)]
+        rows = [",".join([str(j)] + row) for j, row in enumerate(cells, 1)]
         assert text.splitlines()[1:] == rows
 
 
@@ -812,11 +812,12 @@ class TestManifestAndTables:
         assert text == "a,b\n" + "\n".join(rows) + "\n"
         stack = np.empty((2, 2, 2), dtype=complex)
         stack.real, stack.imag = np.reshape(values[:8], (2, 2, 2)), np.reshape(values[3:], (2, 2, 2))
-        index = [np.int64(4), 2.5]
-        text = format_matrix_table("k", index, stack)
-        expected = ["k,e00_re,e00_im,e01_re,e01_im,e10_re,e10_im,e11_re,e11_im"]
-        for idx, mat in zip(["4", "2.5"], stack):
-            expected.append(",".join([idx] + [repr(float(getattr(v, part)))
-                                              for v in mat.ravel() for part in ("real", "imag")]))
-        assert text == "\n".join(expected) + "\n"
+        expected_index = {(np.int64(4), 2.5): ["4", "2.5"], (4, np.float64(0.1)): ["4", "0.1"]}
+        for index, texts in expected_index.items():
+            text = format_matrix_table("k", index, stack)
+            expected = ["k,e00_re,e00_im,e01_re,e01_im,e10_re,e10_im,e11_re,e11_im"]
+            for idx, mat in zip(texts, stack):
+                expected.append(",".join([idx] + [repr(float(getattr(v, part)))
+                                                  for v in mat.ravel() for part in ("real", "imag")]))
+            assert text == "\n".join(expected) + "\n"
 
