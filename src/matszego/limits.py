@@ -176,13 +176,11 @@ def verify_pointwise(
             f"limits: pointwise verification radius {radius:.6g} above 0.99"
         )
     pts = lim.disk_points(radius)
-    q_vals = poly.eval_scaled_many(jacobi2, list(n_values), pts)
+    # the origin rides along as the last point: q_n(0) = kappa_n
+    q_vals = poly.eval_scaled_many(jacobi2, list(n_values), np.append(pts, 0.0))
     l_vals = lim.eval(pts)
-    sup_gap = np.array([max_operator_norm(q_vals[i] - l_vals) for i in range(len(n_values))])
-    kappa = poly.eval_scaled_many(jacobi2, list(n_values), np.array([0.0 + 0.0j]))
-    origin_gap = np.array(
-        [float(operator_norm(kappa[i, 0] - lim.value0)) for i in range(len(n_values))]
-    )
+    sup_gap = np.array([max_operator_norm(q[:-1] - l_vals) for q in q_vals])
+    origin_gap = np.array([float(operator_norm(q[-1] - lim.value0)) for q in q_vals])
     return sup_gap, origin_gap
 
 
@@ -260,12 +258,12 @@ def h_diagnostic(
     (W_n, P_n); convergence means the eigenvalues of P_n approach one,
     log det P_n approaches zero, and W_n approaches the frame V.
     """
-    kappas = poly.leading_coeffs(jacobi2, max(n_values))
+    kappas = poly.eval_scaled_many(jacobi2, n_values, [0])[:, 0]
     b0_inv = inv(lim.product.value_at_zero())
     g0 = lim.outer.value_at_zero()
     eta_min, eta_max, logdet, defect = [], [], [], []
-    for n in n_values:
-        raw = _SQRT2 * b0_inv @ g0 @ kappas[n]
+    for n, kappa in zip(n_values, kappas):
+        raw = _SQRT2 * b0_inv @ g0 @ kappa
         try:
             w_hat, p_hat = left_polar(raw, tol)
         except Singular as err:

@@ -299,13 +299,14 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
     # Hermitian already, and needs neither a second Hermitization nor test
     values = w.values
     if not w.positive:
-        values = 0.5 * (values + values.conj().transpose(0, 2, 1))
         # potrf admits a NaN pivot (it tests a_jj <= 0 only); make_measure's
-        # weights are finite
+        # weights are finite. Tested before the Hermitization, which would
+        # turn an inf entry's zero imaginary part into NaN
         finite = np.isfinite(values).all(axis=(1, 2))
         if not finite.all():
             node = int(np.argmin(finite))
             raise NotPD(f"factorize: weight not finite at node {node} of {m_grid}")
+        values = 0.5 * (values + values.conj().transpose(0, 2, 1))
         if not linalg.positive_definite(values):
             lam_min = float(linalg.eigvalsh(values)[:, 0].min())
             raise NotPD(f"factorize: weight not positive definite: min eig {lam_min:.1e} "

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import mmap
 
 import numpy as np
 
@@ -44,39 +43,6 @@ from .measure import MatrixMeasure
 from .tolerances import DEFAULT, Tolerances
 
 NORM_TYPES = ("type1", "type2", "type3")
-
-# private anonymous mappings where the platform names them (POSIX)
-_PRIVATE_MAP = (
-    {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS} if hasattr(mmap, "MAP_ANONYMOUS") else {}
-)
-_HUGE_PAGE = 1 << 21
-
-
-def _mapped_buffer(rows: int, cols: int) -> np.ndarray:
-    """Zeroed complex (rows, cols) Fortran-order array in its own anonymous mapping.
-
-    Its pages go back to the operating system as soon as the last view
-    is dropped. A buffer from malloc does not: once glibc has unmapped
-    one block of a size, its dynamic mmap threshold rises and the next
-    request of that size lands on the heap, where the freed block stays
-    resident and smaller requests carve it up, so a process running many
-    recurrences grows by a whole buffer at unpredictable times. Huge
-    pages are advised, as numpy does for its own large arrays, and the
-    array starts on a huge-page boundary: fresh pages must be faulted
-    in on every call, and whole huge pages cut that cost about fourfold
-    at a few MB. Only the huge pages the array fills are advised: an
-    advised partial last one is backed whole or not depending on where
-    the mapping lands, so the same buffer would take up to 2 MB more
-    resident memory in one process than in the next.
-    """
-    nbytes = rows * cols * 16
-    buf = mmap.mmap(-1, nbytes + _HUGE_PAGE, **_PRIVATE_MAP)
-    whole = np.frombuffer(buf, dtype=np.uint8)
-    start = -whole.ctypes.data % _HUGE_PAGE
-    if hasattr(mmap, "MADV_HUGEPAGE") and nbytes >= _HUGE_PAGE:
-        buf.madvise(mmap.MADV_HUGEPAGE, start, nbytes - nbytes % _HUGE_PAGE)
-    return whole[start : start + nbytes].view(complex).reshape(cols, rows).T
-
 
 @dataclasses.dataclass(frozen=True)
 class BlockJacobi:
@@ -129,12 +95,13 @@ class PolySequence:
     """Orthonormal polynomials p_0..p_n, read from one whitened stieltjes buffer.
 
     The buffer's rows c_m p_k(x_m), one node per distinct abscissa, and
-    R_k p_k(E_k) (see stieltjes) stay whitened and read-only; values are
-    computed only when read, into new arrays. grid_at(k), p_k at all M
-    x-nodes, unwhitens degree k's l columns of the M/2 node rows on each
-    call and mirrors them; mass_values[k], p_k at the masses, is computed
-    for every degree at the first read (a few KB per mass) and kept.
-    With sigma set (apply_transform), both read p_k sigma[k].
+    R_k p_k(E_k) (see stieltjes), a Fortran-order column block per
+    degree, stay whitened and read-only; values are computed only when
+    read, into new arrays. grid_at(k), p_k at all M x-nodes, unwhitens
+    degree k's l columns of the M/2 node rows on each call and mirrors
+    them; mass_values[k], p_k at the masses, is computed for every degree
+    at the first read (a few KB per mass) and kept. With sigma set
+    (apply_transform), both read p_k sigma[k].
     reorthogonalization_passes counts the polynomials the recurrence
     re-orthogonalized against all earlier ones.
     """
@@ -304,8 +271,9 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     takes a second eigh. The mass rows are read only while a mass is
     live, and zeroed only once one is frozen.
 
-    The buffer is an anonymous mapping of its own (_mapped_buffer), so
-    its pages are returned when the sequence is dropped, and it is
+    The buffer is a plain Fortran-order array, left uninitialized: column
+    block 0 is written from fold.root and the mass roots, and step n
+    writes block n + 1 whole before any later step reads it. It is
     read-only once returned: values are computed only when read, into
     new arrays (PolySequence), so a caller that wants only the blocks,
     such as the sum rule, never unwhitens a row. mass_values holds
@@ -327,7 +295,7 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     spans = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
     width = (n_max + 1) * l
 
-    y = _mapped_buffer(dims, width)
+    y = np.empty((dims, width), dtype=complex, order="F")
     grid = y[: half * l].reshape(half, l, width)
     grid[:, :, :l] = fold.root
     for s, rows in zip(states, spans):
@@ -518,14 +486,6 @@ def _times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (v.reshape(-1, m.shape[0]) @ m).reshape(v.shape)
 
 
-def _over_adjoint(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """v (m^*)^{-1} by one LAPACK solve; a 1 x 1 m divides v, LAPACK's
-    values wherever m is real (a zero may take the other sign)."""
-    if m.shape == (1, 1):
-        return v / m[0, 0].conjugate()
-    return np.linalg.solve(m.conj(), v.T).T
-
-
 def _band(terms: np.ndarray, n0: int, n1: int) -> np.ndarray:
     """The block band T^T of degrees n0..n1-1 against the rows of degrees
     n0-1..n1 (0..n1 for n0 = 0), from terms[n] = T_n^T, shape (n, l, 3 l),
@@ -707,18 +667,6 @@ def apply_transform(seq: PolySequence, jacobi: BlockJacobi, sigma: np.ndarray) -
 
 # ---------------------------------------------------------------------------
 # evaluation away from the grid
-
-
-def leading_coeffs(jacobi: BlockJacobi, n_max: int) -> np.ndarray:
-    """kappa_0..kappa_n_max with kappa_n = (A_1^*)^{-1} ... (A_n^*)^{-1}."""
-    if n_max > jacobi.block_count:
-        raise DimensionMismatch(f"need {n_max} blocks, have {jacobi.block_count}")
-    l = jacobi.dim
-    out = np.empty((n_max + 1, l, l), dtype=complex)
-    out[0] = np.eye(l)
-    for k in range(n_max):
-        out[k + 1] = _over_adjoint(out[k], jacobi.a[k])
-    return out
 
 
 def eval_scaled_many(jacobi: BlockJacobi, n_list, z_arr: np.ndarray) -> np.ndarray:

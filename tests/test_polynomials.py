@@ -3,8 +3,6 @@
 import copy
 import dataclasses
 import hashlib
-import mmap
-import os
 import tracemalloc
 
 import mpmath
@@ -40,12 +38,9 @@ from matszego.polynomials import (
     PolySequence,
     _column_major,
     _gram_eigh,
-    _mapped_buffer,
-    _over_adjoint,
     _times,
     apply_transform,
     eval_scaled_many,
-    leading_coeffs,
     orthonormality_defect,
     recurrence_residual,
     stieltjes,
@@ -126,9 +121,6 @@ class TestScalarKernels:
         gram = v.conj().T @ v
         for got, want in zip(_gram_eigh(v), np.linalg.eigh(0.5 * (gram + gram.conj().T))):
             assert _same_bytes(got, want)
-        # the division may give a zero imaginary part the other sign
-        x = v[:1].T.copy()
-        assert np.array_equal(_over_adjoint(x, m), np.linalg.solve(m.conj(), x.T).T)
 
 
 class TestScalarOracles:
@@ -429,55 +421,24 @@ def deep_measure():
 
 class TestMemory:
     def test_peak_stays_near_the_returned_values(self, deep_measure):
-        # the buffer is the output and is mapped outside malloc, where
-        # tracemalloc does not see it, so a copy of the basis (6.6 MB) or of
-        # a window (2 MB) would show; the peak is about 400 KB, 3% of the
-        # 13 MB of values, and a buffer with a row per grid node peaks near
-        # 700 KB
+        # beyond the buffer itself (6.6 MB), the returned whitened rows, the
+        # peak is about 270 KB, 2% of the 13 MB of values: a copy of the
+        # basis or of a window (2 MB) would show
         tracemalloc.start()
         try:
             seq = stieltjes(deep_measure, 100)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 0.04 * grid_values(seq).nbytes
-
-    def test_values_live_in_their_own_mapping(self, deep_measure):
-        # a heap block would stay resident after the sequence is dropped
-        seq = stieltjes(deep_measure, 100)
-        base = seq._y
-        while isinstance(base, np.ndarray):
-            base = base.base
-        assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
+        assert peak - seq._y.nbytes <= 0.04 * grid_values(seq).nbytes
 
     def test_buffer_is_read_only(self, deep_measure):
-        # no reader can unwhiten the rows in place
+        # no reader can unwhiten the rows in place; a degree's l columns
+        # are contiguous
         seq = stieltjes(deep_measure, 100)
+        assert seq._y.flags.f_contiguous
         with pytest.raises(ValueError, match="read-only"):
             seq._y[0, 0] = 1.0
-
-    def test_mapped_buffer_is_zeroed_fortran_order(self):
-        y = _mapped_buffer(7, 3)
-        assert y.shape == (7, 3) and y.dtype == complex
-        assert y.flags.f_contiguous and y.flags.writeable
-        assert not np.any(y)
-
-    @pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE") or not os.path.exists("/proc/self/smaps"),
-                        reason="needs madvise(MADV_HUGEPAGE) and /proc/self/smaps")
-    def test_only_filled_huge_pages_are_advised(self):
-        # 1026 x 404 complex entries, the 4x4 benchmark buffer, fill three
-        # huge pages and a third of a fourth, which stays unadvised
-        y = _mapped_buffer(1026, 404)
-        first, last = y.ctypes.data, y.ctypes.data + y.nbytes
-        advised = []
-        with open("/proc/self/smaps") as smaps:
-            for line in smaps:
-                head = line.split()[0]
-                if "-" in head and ":" not in head:
-                    lo, hi = (int(v, 16) for v in head.split("-"))
-                elif head == "VmFlags:" and lo < last and hi > first and "hg" in line.split():
-                    advised.append((max(lo, first), min(hi, last)))
-        assert advised == [(first, first + (3 << 21))]
 
     def test_defect_never_stacks_the_whole_grid(self, deep_measure):
         # the values are 13 MB and so would be a weighted copy of them; the
@@ -1156,6 +1117,14 @@ class TestCovariance:
             assert float(operator_norm(jac_u.b[k] - u.conj().T @ jac.b[k] @ u)) < 1e-8
 
 
+def leading_coeff(jac: BlockJacobi, n: int) -> np.ndarray:
+    """kappa_n = (A_1^*)^{-1} ... (A_n^*)^{-1}, by one solve per block."""
+    kappa = np.eye(jac.dim, dtype=complex)
+    for a in jac.a[:n]:
+        kappa = np.linalg.solve(a.conj(), kappa.T).T
+    return kappa
+
+
 @pytest.fixture(scope="module")
 def matrix4_seq():
     samples = random_smooth_weight(np.random.default_rng(44), 4, 256)
@@ -1163,16 +1132,6 @@ def matrix4_seq():
 
 
 class TestEvaluation:
-    def test_leading_coeffs_inverse_products(self, arcsine_seq):
-        jac = arcsine_seq.jacobi
-        kappas = leading_coeffs(jac, 5)
-        assert kappas[0][0, 0] == pytest.approx(1.0)
-        for n in range(1, 6):
-            assert complex(kappas[n][0, 0]).real == pytest.approx(
-                1.0 / np.sqrt(2.0), abs=1e-10
-            )
-        assert np.allclose(leading_coeffs(jac, 4)[4], kappas[4])
-
     def test_eval_scaled_closed_form(self, semicircle_seq):
         # z^n U_n(cos) telescopes to (1 - z^{2n+2}) / (1 - z^2)
         z = 0.4 + 0.3j
@@ -1181,11 +1140,15 @@ class TestEvaluation:
             got = complex(eval_scaled_many(semicircle_seq.jacobi, [n], np.array([z]))[0, 0, 0, 0])
             assert abs(got - oracle) < 1e-12
 
-    def test_eval_scaled_origin_is_leading_coeff(self, arcsine_seq):
-        jac = arcsine_seq.jacobi
-        for n in (0, 1, 6):
-            got = eval_scaled_many(jac, [n], np.zeros(1))[0, 0]
-            assert np.allclose(got, leading_coeffs(jac, n)[n], atol=1e-12)
+    def test_eval_scaled_origin_is_leading_coeff(self, arcsine_seq, matrix4_seq):
+        for seq in (arcsine_seq, matrix4_seq):
+            jac = seq.jacobi
+            for n in (0, 1, 6, N_SMALL):
+                got = eval_scaled_many(jac, [n], [0])[0, 0]
+                assert float(np.max(np.abs(got - leading_coeff(jac, n)))) <= 1e-12
+        # arcsine: A_1 = sqrt 2 and A_n = 1 after it
+        kappa = eval_scaled_many(arcsine_seq.jacobi, range(6), [0])[:, 0, 0, 0]
+        assert np.allclose(kappa, [1.0] + [2.0**-0.5] * 5, rtol=0, atol=1e-10)
 
     def test_eval_scaled_many_batches(self, semicircle_seq, matrix4_seq):
         zs = np.array([0.1, 0.5j, -0.3 + 0.2j, 0.7 - 0.6j])
