@@ -15,7 +15,7 @@ import pytest  # noqa: E402
 
 from matszego import specio
 from matszego.measure import MatrixMeasure, SemicircleDensity, make_measure
-from matszego.polynomials import PolySequence, stieltjes
+from matszego.polynomials import BlockJacobi, PolySequence, stieltjes
 
 SPECS_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
@@ -57,6 +57,14 @@ def mass_sequence(mass_measure) -> PolySequence:
 def grid_values(seq: PolySequence) -> np.ndarray:
     """p_0..p_n at the x-nodes, (n + 1, M, l, l), one grid_at read per degree."""
     return np.stack([seq.grid_at(n) for n in range(seq.degree + 1)])
+
+
+def leading_coeff(jac: BlockJacobi, n: int) -> np.ndarray:
+    """kappa_n = (A_1^*)^{-1} ... (A_n^*)^{-1}, by one solve per block."""
+    kappa = np.eye(jac.dim, dtype=complex)
+    for a in jac.a[:n]:
+        kappa = np.linalg.solve(a.conj(), kappa.T).T
+    return kappa
 
 
 def random_smooth_weight(rng: np.random.Generator, dim: int, node_count: int,

@@ -9,9 +9,9 @@ import pytest
 
 from matszego import outer, specio
 from matszego.errors import RadiusExceeded, Singular
-from matszego.linalg import BoundarySampling, operator_norm
+from matszego.linalg import BoundarySampling, max_operator_norm, operator_norm
 from matszego.measure import SemicircleDensity, make_measure
-from matszego.polynomials import apply_transform, stieltjes, to_type
+from matszego.polynomials import apply_transform, eval_scaled_many, stieltjes, to_type
 from matszego.tolerances import DEFAULT
 from matszego.blaschke import principal_angles, residue_kernel
 from matszego.limits import (
@@ -24,7 +24,7 @@ from matszego.limits import (
     verify_pointwise,
 )
 
-from conftest import edge_pair_document
+from conftest import edge_pair_document, leading_coeff
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +141,20 @@ class TestMassCase:
         assert np.all(np.diff(diag.frame_defect) < 1e-12)
         assert np.all(np.diff(origin_gap) < 1e-12)
         assert origin_gap[-1] < 1e-8
+
+    def test_origin_rides_with_the_disk_points(self, mass_limit, mass_type2):
+        # one pass over the disk points and the origin reads, at the disk
+        # points, what a pass over them alone reads, and at the origin kappa_n
+        jac2, _ = mass_type2
+        degrees = [0, 10, 40]
+        sup, origin_gap = verify_pointwise(mass_limit, jac2, degrees)
+        pts = mass_limit.disk_points(0.8)
+        alone = eval_scaled_many(jac2, degrees, pts)
+        want = [max_operator_norm(q - mass_limit.eval(pts)) for q in alone]
+        assert sup.tobytes() == np.array(want).tobytes()
+        for n, gap in zip(degrees, origin_gap):
+            kappa_gap = float(operator_norm(leading_coeff(jac2, n) - mass_limit.value0))
+            assert abs(gap - kappa_gap) <= 1e-12
 
 
 class TestMassPairNearTheCircle:

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,17 @@ class TestPositivityGuards:
         vals[17, -1, -1] = bad
         with pytest.raises(NotPD, match=r"^factorize: weight not finite at node 17 of 64$"):
             spectral_factorize(BoundarySampling(vals))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_infinite_node_is_refused_without_a_warning(self, dim):
+        # Hermitizing first would form inf * 0 in the imaginary part
+        vals = np.broadcast_to(np.eye(dim), (64, dim, dim)).copy()
+        vals[17, -1, -1] = np.inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NotPD, match=r"^factorize: weight not finite at node 17 of 64$"):
+                spectral_factorize(BoundarySampling(vals))
+        assert caught == []
 
     def test_negative_eigenvalue_at_a_node_exits_4(self, monkeypatch, capsys, tmp_path):
         # the Cholesky test refuses one node with a negative eigenvalue,

@@ -50,7 +50,7 @@ from matszego.polynomials import (
 from matszego.sumrule import check_sum_rule
 from matszego.tolerances import Tolerances
 
-from conftest import SHIPPED, grid_values, random_smooth_weight
+from conftest import SHIPPED, grid_values, leading_coeff, random_smooth_weight
 
 N_SMALL = 24
 
@@ -439,6 +439,22 @@ class TestMemory:
         assert seq._y.flags.f_contiguous
         with pytest.raises(ValueError, match="read-only"):
             seq._y[0, 0] = 1.0
+
+    def test_every_buffer_entry_is_written(self, deep_measure, monkeypatch):
+        # the buffer is left uninitialized; an entry read before it is
+        # written would carry a NaN from a NaN-filled np.empty into the rows
+        want = stieltjes(deep_measure, 40)._y
+        empty = np.empty
+
+        def nan_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.dtype.kind in "fc":
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", nan_empty)
+        got = stieltjes(deep_measure, 40)._y
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_defect_never_stacks_the_whole_grid(self, deep_measure):
         # the values are 13 MB and so would be a weighted copy of them; the
@@ -1117,14 +1133,6 @@ class TestCovariance:
             assert float(operator_norm(jac_u.b[k] - u.conj().T @ jac.b[k] @ u)) < 1e-8
 
 
-def leading_coeff(jac: BlockJacobi, n: int) -> np.ndarray:
-    """kappa_n = (A_1^*)^{-1} ... (A_n^*)^{-1}, by one solve per block."""
-    kappa = np.eye(jac.dim, dtype=complex)
-    for a in jac.a[:n]:
-        kappa = np.linalg.solve(a.conj(), kappa.T).T
-    return kappa
-
-
 @pytest.fixture(scope="module")
 def matrix4_seq():
     samples = random_smooth_weight(np.random.default_rng(44), 4, 256)
@@ -1132,6 +1140,15 @@ def matrix4_seq():
 
 
 class TestEvaluation:
+    def test_leading_coeffs_inverse_products(self, arcsine_seq):
+        # arcsine: A_1 = sqrt 2 and A_n = 1 after it, so kappa_n = 2^{-1/2}
+        jac = arcsine_seq.jacobi
+        kappas = eval_scaled_many(jac, range(6), [0])[:, 0]
+        assert kappas[0][0, 0] == pytest.approx(1.0)
+        for n in range(1, 6):
+            assert complex(kappas[n][0, 0]).real == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-10)
+            assert np.allclose(kappas[n], leading_coeff(jac, n), rtol=0, atol=1e-12)
+
     def test_eval_scaled_closed_form(self, semicircle_seq):
         # z^n U_n(cos) telescopes to (1 - z^{2n+2}) / (1 - z^2)
         z = 0.4 + 0.3j
@@ -1146,9 +1163,6 @@ class TestEvaluation:
             for n in (0, 1, 6, N_SMALL):
                 got = eval_scaled_many(jac, [n], [0])[0, 0]
                 assert float(np.max(np.abs(got - leading_coeff(jac, n)))) <= 1e-12
-        # arcsine: A_1 = sqrt 2 and A_n = 1 after it
-        kappa = eval_scaled_many(arcsine_seq.jacobi, range(6), [0])[:, 0, 0, 0]
-        assert np.allclose(kappa, [1.0] + [2.0**-0.5] * 5, rtol=0, atol=1e-10)
 
     def test_eval_scaled_many_batches(self, semicircle_seq, matrix4_seq):
         zs = np.array([0.1, 0.5j, -0.3 + 0.2j, 0.7 - 0.6j])
