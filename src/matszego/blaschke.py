@@ -50,20 +50,21 @@ def _finite(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def orthonormal_frame(vectors: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Orthonormal basis with the span of the given columns.
+def unitary_completion(vectors: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Unitary (l, l) whose leading d columns span the d given columns and
+    whose trailing l - d span their orthogonal complement: one complete QR.
 
     Raises DegenerateFrame when the columns are numerically dependent,
     NumericalError when they hold a NaN or an inf.
     """
-    v = np.atleast_2d(_finite(np.asarray(vectors, dtype=complex), "orthonormal_frame input"))
+    v = np.atleast_2d(_finite(np.asarray(vectors, dtype=complex), "unitary_completion input"))
     if v.shape[1] == 0:
-        return v
+        return np.eye(v.shape[0], dtype=complex)
     if v.shape[1] > v.shape[0]:
         raise DegenerateFrame(
             f"blaschke: {v.shape[1]} columns cannot be independent in dimension {v.shape[0]}"
         )
-    q, r = np.linalg.qr(v)
+    q, r = np.linalg.qr(v, mode="complete")
     diag = np.abs(np.diag(r))
     floor = tol.rank_rel * max(diag.max(), np.abs(v).max(), 1e-300)
     if diag.min() <= floor:
@@ -74,45 +75,27 @@ def orthonormal_frame(vectors: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndar
     return q
 
 
-def _numerical_rank(sing: np.ndarray, shape: tuple[int, ...]) -> int:
-    """How many singular values of a matrix of this shape exceed the
-    cutoff eps * max(shape) * s_max, numpy's matrix_rank default."""
-    cutoff = np.finfo(float).eps * max(shape) * np.amax(sing, initial=0.0)
-    return int(np.count_nonzero(sing > cutoff))
-
-
 def _range_frame(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span: the leading left singular
-    vectors, as many as the numerical rank."""
+    vectors, as many as exceed eps * max(shape) * s_max (numpy's
+    matrix_rank cutoff)."""
     u, sing, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : _numerical_rank(sing, a.shape)]
+    cutoff = np.finfo(float).eps * max(a.shape) * np.amax(sing, initial=0.0)
+    return u[:, : np.count_nonzero(sing > cutoff)]
 
 
-def complement_frame(frame: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the columns.
+def kernel_frame(w: np.ndarray, rank_rel: float = DEFAULT.rank_rel,
+                 zero: float = 1e-300) -> np.ndarray:
+    """Orthonormal basis of the (right) kernel: the right singular vectors
+    below rank_rel times the largest singular value.
 
-    The complement is the null space of frame^H: the trailing right
-    singular vectors of its full SVD, past the numerical rank at the
-    cutoff eps * max(l, d) * s_max. Columns that are dependent to that
-    cutoff count once. Non-finite input raises NumericalError.
-    """
-    a = _finite(frame, "complement_frame input")
-    if a.shape[1] == 0:
-        return np.eye(a.shape[0], dtype=complex)
-    _, sing, vh = np.linalg.svd(a.conj().T, full_matrices=True)
-    return vh[_numerical_rank(sing, a.shape) :].conj().T.astype(complex, copy=False)
-
-
-def kernel_frame(w: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Orthonormal basis of the (right) kernel at a relative rank cutoff.
-
-    A numerically zero matrix has full kernel: returns the identity.
+    A largest singular value at or below zero gives the full kernel, I.
     """
     w = np.asarray(w, dtype=complex)
     _, sing, vh = np.linalg.svd(w)
-    if sing.size == 0 or sing[0] < 1e-300:
+    if sing.size == 0 or sing[0] <= zero:
         return np.eye(w.shape[1], dtype=complex)
-    small = sing < tol.rank_rel * sing[0]
+    small = sing < rank_rel * sing[0]
     return vh[small].conj().T
 
 
@@ -276,19 +259,18 @@ def construct_product(
             raise ValidationError(
                 f"blaschke: frame at {z_k:.6g} has {v.shape[1]} columns, above dimension {dim}"
             )
-        if v.shape[1] == dim:
-            orthonormal_frame(v, tol)  # still reject degenerate input
+        d = v.shape[1]
+        if d == dim:
+            unitary_completion(v, tol)  # still reject degenerate input
             continue
-        if v.shape[1] == 0:
+        if d == 0:
             unitary = np.eye(dim, dtype=complex)
-            rank = dim
         else:
-            target = orthonormal_frame(v, tol)
-            pulled = np.linalg.solve(partial[j], target)
-            w = orthonormal_frame(pulled, tol)
-            q = np.hstack([complement_frame(w), w])
-            unitary = q.conj().T
-            rank = dim - w.shape[1]
+            target = unitary_completion(v, tol)[:, :d]
+            # leading d columns W = B_{k-1}(z_k)^{-1} V_k, trailing l - d the b-block
+            q = unitary_completion(np.linalg.solve(partial[j], target), tol)
+            unitary = np.roll(q, -d, axis=1).conj().T
+        rank = dim - d
         poles.append(z_k)
         ranks.append(rank)
         unitaries.append(unitary)
@@ -345,7 +327,4 @@ def residue_kernel(
             f"above 1e-6 x scale = {floor:.3e} at both radii"
         )
 
-    sing_top = float(np.linalg.svd(residue, compute_uv=False)[0])
-    if sing_top <= 1e-14 * max(scale, 1e-300):
-        return residue, np.eye(residue.shape[0], dtype=complex)
-    return residue, kernel_frame(residue, dataclasses.replace(tol, rank_rel=tol.residue_rank_rel))
+    return residue, kernel_frame(residue, tol.residue_rank_rel, 1e-14 * max(scale, 1e-300))

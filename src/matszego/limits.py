@@ -72,9 +72,7 @@ class LimitFunction:
         g_vals = self.outer.eval_interior(z_arr)
         b_vals = self.product.eval(z_arr)
         out = np.linalg.solve(g_vals, b_vals) @ self.frame / _SQRT2
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            return out[0]
-        return out
+        return out[0] if np.ndim(z) == 0 else out
 
     def eval_inverse(self, z) -> np.ndarray:
         """L^{-1} = sqrt(2) V* B^{-1} G; poles at the mass points."""
@@ -82,9 +80,7 @@ class LimitFunction:
         g_vals = self.outer.eval_interior(z_arr)
         b_inv = self.product.eval_inverse(z_arr)
         out = _SQRT2 * self.frame.conj().T[None] @ b_inv @ g_vals
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            return out[0]
-        return out
+        return out[0] if np.ndim(z) == 0 else out
 
 
 def build_pipeline(mu: ms.MatrixMeasure, tol: Tolerances = DEFAULT) -> LimitFunction:
@@ -99,17 +95,13 @@ def build_pipeline(mu: ms.MatrixMeasure, tol: Tolerances = DEFAULT) -> LimitFunc
     w = ms.szego_weight(mu)
     g = sf.spectral_factorize(w, tol=tol)
 
-    states = []
-    kernels = []
-    for state in mu.bound_states:
-        ker = bp.kernel_frame(state.weight, tol)
-        if ker.shape[1] == mu.dim:
-            kernels.append(None)  # weightless point, contributes no factor
-            states.append((state.z, ker))
-            continue
-        target = g.eval_interior(complex(state.z)) @ ker
-        states.append((state.z, target))
-        kernels.append(ker)
+    kernels = [bp.kernel_frame(state.weight, tol.rank_rel) for state in mu.bound_states]
+    # a weightless point, kernel the whole space, contributes no factor
+    states = [
+        (state.z, g.eval_interior(complex(state.z)) @ ker)
+        for state, ker in zip(mu.bound_states, kernels)
+        if ker.shape[1] < mu.dim
+    ]
 
     product = bp.construct_product(states, mu.dim, tol=tol)
 
@@ -129,7 +121,7 @@ def build_pipeline(mu: ms.MatrixMeasure, tol: Tolerances = DEFAULT) -> LimitFunc
 
     pole_list = [s.z for s in mu.bound_states]
     for k, (state, ker) in enumerate(zip(mu.bound_states, kernels)):
-        if ker is None:
+        if ker.shape[1] == mu.dim:
             continue
         # residue_kernel skips the pole itself among pole_list
         _, res_ker = bp.residue_kernel(lim.eval_inverse, complex(state.z), pole_list, tol)

@@ -237,12 +237,12 @@ def disk_coordinate(energy: float) -> complex:
     e = float(energy)
     if abs(e) <= 2.0:
         raise MassOnSupport(f"energy {e} lies in [-2, 2]")
-    # z = 2 / z', z' = (E + sign(E) sqrt(E^2 - 4)) / 2 the root outside the
-    # disk: a sum of like signs, so nothing cancels for far masses, and
-    # sqrt(|E| - 2) sqrt(|E| + 2) neither overflows nor loses |E| - 2,
-    # exact near the band
+    # z = 1 / z', z' = (E + sign(E) sqrt(E^2 - 4)) / 2 the root outside the
+    # disk: a sum of like signs, halved first, so nothing cancels or
+    # overflows for far masses, and sqrt(|E| - 2) sqrt(|E| + 2) neither
+    # overflows nor loses |E| - 2, exact near the band
     root = np.sqrt(abs(e) - 2.0) * np.sqrt(abs(e) + 2.0)
-    return complex(2.0 / (e + np.copysign(root, e)))
+    return complex(1.0 / (0.5 * e + np.copysign(0.5 * root, e)))
 
 
 def mass_condition_sums(measure: "MatrixMeasure") -> tuple[float, float]:

@@ -25,6 +25,7 @@ from .errors import (
     LostPositivity,
     NegativeEigenvalue,
     NotHermitian,
+    NumericalError,
     RadiusExceeded,
     Singular,
     ValidationError,
@@ -246,9 +247,9 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     when a B block is not Hermitian, LostPositivity when the Gram matrix
     of the recurrence remainder drops below tol.pos, NegativeEigenvalue
     when it has an eigenvalue below -tol.herm (reachable only under a
-    tol.pos <= 0 override). Every message starts with "stieltjes:", and
-    those of the resolution and positivity failures name the resolution
-    M/2 + sum rank_k.
+    tol.pos <= 0 override), NumericalError when it overflows (a mass past
+    |E| = 1e154). Every message starts with "stieltjes:", and those of the
+    resolution and positivity failures name the resolution M/2 + sum rank_k.
 
     Evaluations at a mass point ride the recurrence's growing solution:
     rounding noise amplifies like |z_k|^{-n} while the true values decay
@@ -316,60 +317,67 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     passes = 0
     pending = False
 
-    for n in range(n_max):
-        cur = y[:, n * l : (n + 1) * l]
-        q = x_rows * cur
-        b_next = cur.conj().T @ q
-        _check_hermitian(b_next, n + 1)
-        b_next = 0.5 * (b_next + b_next.conj().T)
-        loss.b[n + 1] = np.sqrt(np.vdot(b_next, b_next).real)
+    # a far mass overflows the Gram matrix x^2 |R p|^2: run quiet, refuse it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_max):
+            cur = y[:, n * l : (n + 1) * l]
+            q = x_rows * cur
+            b_next = cur.conj().T @ q
+            _check_hermitian(b_next, n + 1)
+            b_next = 0.5 * (b_next + b_next.conj().T)
+            loss.b[n + 1] = np.sqrt(np.vdot(b_next, b_next).real)
 
-        q -= _column_major(cur, b_next)
-        if n > 0:
-            q -= _column_major(y[:, (n - 1) * l : n * l], a_blocks[n - 1])
+            q -= _column_major(cur, b_next)
+            if n > 0:
+                q -= _column_major(y[:, (n - 1) * l : n * l], a_blocks[n - 1])
 
-        # a pass treats the block whose estimate crosses the threshold and
-        # the next one, which the recurrence builds from it and its predecessor
-        second, pending = pending, False
-        if not second:
-            lam, vec = _gram_eigh(q)
-            root = np.sqrt(np.maximum(lam, 0.0))
-            pending = not (lam[0] > 0.0 and loss.step(n, root[0]) <= _REORTH_THRESHOLD)
-        treat = second or pending
-        if treat:
-            basis = y[:, : (n + 1) * l]
-            q -= _column_major(basis, (q.conj().T @ basis).conj().T)
-            lam, vec = _gram_eigh(q)
-            root = np.sqrt(np.maximum(lam, 0.0))
-            passes += 1
-        if lam[0] < tol.pos:
-            raise LostPositivity(
-                f"stieltjes: step {n + 1}: Gram eigenvalue {lam[0]:.3e} below {tol.pos:.1e}; "
-                f"the discrete measure's resolution is M/2 + sum rank_k = "
-                f"{half} + {sum(ranks)} = {half + sum(ranks)}"
-            )
-        if lam[0] < -tol.herm:
-            raise NegativeEigenvalue(
-                f"stieltjes: step {n + 1}: Gram eigenvalue {lam[0]:.3e} below -{tol.herm:.1e}"
-            )
-        if treat:
-            loss.reset(n, root[0])
-        loss.advance(n, root[-1])
-        vec_h = vec.conj().T
-        a_next = (vec * root) @ vec_h
-        nxt = y[:, (n + 1) * l : (n + 2) * l]
-        nxt[...] = _column_major(q, (vec / root) @ vec_h)
-        if any_live:
-            mass = nxt[half * l :]
-            amp = np.add.reduceat((mass.real**2 + mass.imag**2).sum(axis=1), starts)
-            frozen = live & (amp < 1e-20)
-            if frozen.any():
-                live &= ~frozen
-                any_live, dead = bool(live.any()), np.repeat(~live, ranks)
-        if dead is not None:
-            nxt[half * l :][dead] = 0.0
-        a_blocks[n] = a_next
-        b_blocks[n] = b_next
+            # a pass treats the block whose estimate crosses the threshold and
+            # the next one, which the recurrence builds from it and its predecessor
+            second, pending = pending, False
+            if not second:
+                lam, vec = _gram_eigh(q)
+                root = np.sqrt(np.maximum(lam, 0.0))
+                pending = not (lam[0] > 0.0 and loss.step(n, root[0]) <= _REORTH_THRESHOLD)
+            treat = second or pending
+            if treat:
+                basis = y[:, : (n + 1) * l]
+                q -= _column_major(basis, (q.conj().T @ basis).conj().T)
+                lam, vec = _gram_eigh(q)
+                root = np.sqrt(np.maximum(lam, 0.0))
+                passes += 1
+            if not math.isfinite(lam[-1]):
+                raise NumericalError(
+                    f"stieltjes: step {n + 1}: Gram matrix not finite at max |x| = "
+                    f"{np.max(np.abs(x_rows)):.3e}; |x| above about 1e154 overflows the recurrence"
+                )
+            if lam[0] < tol.pos:
+                raise LostPositivity(
+                    f"stieltjes: step {n + 1}: Gram eigenvalue {lam[0]:.3e} below {tol.pos:.1e}; "
+                    f"the discrete measure's resolution is M/2 + sum rank_k = "
+                    f"{half} + {sum(ranks)} = {half + sum(ranks)}"
+                )
+            if lam[0] < -tol.herm:
+                raise NegativeEigenvalue(
+                    f"stieltjes: step {n + 1}: Gram eigenvalue {lam[0]:.3e} below -{tol.herm:.1e}"
+                )
+            if treat:
+                loss.reset(n, root[0])
+            loss.advance(n, root[-1])
+            vec_h = vec.conj().T
+            a_next = (vec * root) @ vec_h
+            nxt = y[:, (n + 1) * l : (n + 2) * l]
+            nxt[...] = _column_major(q, (vec / root) @ vec_h)
+            if any_live:
+                mass = nxt[half * l :]
+                amp = np.add.reduceat((mass.real**2 + mass.imag**2).sum(axis=1), starts)
+                frozen = live & (amp < 1e-20)
+                if frozen.any():
+                    live &= ~frozen
+                    any_live, dead = bool(live.any()), np.repeat(~live, ranks)
+            if dead is not None:
+                nxt[half * l :][dead] = 0.0
+            a_blocks[n] = a_next
+            b_blocks[n] = b_next
 
     last = y[:, n_max * l : width].conj().T @ y[:, :width]
     cross = last.reshape(l, n_max + 1, l).transpose(1, 0, 2)
@@ -408,10 +416,12 @@ def _column_major(v: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _gram_eigh(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """eigh of q* q, made exactly Hermitian so eigh needs no test first.
     A single column's Gram matrix is its squared norm, the dot product the
-    GEMM takes, with eigenvector 1: heevd's floats."""
+    GEMM takes, with eigenvector 1: heevd's floats. If q* q overflowed: NaNs, no eigh."""
     if q.shape[1] == 1:
         return np.array([np.vdot(q, q).real]), np.ones((1, 1), dtype=complex)
     gram = q.conj().T @ q
+    if not np.isfinite(gram).all():
+        return np.full(q.shape[1], np.nan), None
     return np.linalg.eigh(0.5 * (gram + gram.conj().T))
 
 

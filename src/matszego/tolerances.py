@@ -54,4 +54,4 @@ def from_environment() -> tuple[Tolerances, dict]:
             raise ParseError(f"{_ENV_VAR}: unknown tolerance {key!r}")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ParseError(f"{_ENV_VAR}: {key} must be a number")
-    return dataclasses.replace(DEFAULT, **overrides), dict(overrides)
+    return Tolerances(**overrides), dict(overrides)

@@ -26,9 +26,9 @@ from matszego.outer import det_szego_check, spectral_factorize
 from matszego.blaschke import (
     construct_product,
     kernel_frame,
-    orthonormal_frame,
     principal_angles,
     residue_kernel,
+    unitary_completion,
 )
 from matszego.limits import build_pipeline, disk_grid, h_diagnostic, verify_masses
 from matszego.sumrule import check_sum_rule
@@ -136,7 +136,7 @@ def test_criterion_3_product_suite():
             d = np.asarray(v).shape[1]
             if d == 0 or d == dim:
                 continue
-            target = orthonormal_frame(np.asarray(v, dtype=complex))
+            target = unitary_completion(np.asarray(v, dtype=complex))[:, :d]
             val = prod.eval(complex(z))
             u = np.linalg.svd(val)[0][:, :d]
             worst_angle = max(worst_angle, float(np.max(principal_angles(u, target))))

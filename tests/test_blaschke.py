@@ -18,12 +18,11 @@ from matszego.errors import (
 from matszego.linalg import operator_norm
 from matszego.blaschke import (
     BlaschkePotapovProduct,
-    complement_frame,
     construct_product,
     kernel_frame,
-    orthonormal_frame,
     principal_angles,
     residue_kernel,
+    unitary_completion,
 )
 
 from conftest import haar_frames
@@ -55,31 +54,30 @@ def unitarity_defect(vals: np.ndarray) -> float:
 
 
 class TestFrames:
-    def test_orthonormal_frame_preserves_span(self):
+    def test_unitary_completion_preserves_span(self):
         rng = np.random.default_rng(5)
         v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        q = orthonormal_frame(v)
-        assert q.shape == (4, 2)
-        assert float(operator_norm(q.conj().T @ q - np.eye(2))) < 1e-12
-        assert float(np.max(principal_angles(q, v))) < 1e-10
+        q = unitary_completion(v)
+        assert q.shape == (4, 4)
+        assert float(operator_norm(q.conj().T @ q - np.eye(4))) < 1e-12
+        assert float(np.max(principal_angles(q[:, :2], v))) < 1e-10
 
-    def test_orthonormal_frame_rejects_dependent(self):
+    def test_unitary_completion_rejects_dependent(self):
         v = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
         with pytest.raises(DegenerateFrame):
-            orthonormal_frame(v)
+            unitary_completion(v)
         with pytest.raises(DegenerateFrame):
-            orthonormal_frame(np.zeros((3, 1)))
+            unitary_completion(np.zeros((3, 1)))
 
-    def test_complement_frame_completes_basis(self):
+    def test_unitary_completion_completes_basis(self):
         rng = np.random.default_rng(7)
-        q = orthonormal_frame(rng.standard_normal((4, 2)))
-        c = complement_frame(q)
-        full = np.hstack([c, q])
-        assert float(operator_norm(full.conj().T @ full - np.eye(4))) < 1e-12
+        v = rng.standard_normal((4, 2))
+        q = unitary_completion(v)
+        assert_complement(q[:, :2], q[:, 2:], 2)
+        assert float(np.max(principal_angles(q[:, :2], v))) < 1e-14
 
     def test_complement_of_empty_is_identity(self):
-        c = complement_frame(np.zeros((3, 0)))
-        assert np.allclose(c, np.eye(3))
+        assert np.array_equal(unitary_completion(np.zeros((3, 0))), np.eye(3))
 
     def test_kernel_frame_rank_one(self):
         w = np.array([[0.2, 0.0], [0.0, 0.0]])
@@ -92,6 +90,9 @@ class TestFrames:
 
     def test_kernel_frame_zero_matrix_is_identity(self):
         assert np.allclose(kernel_frame(np.zeros((2, 2))), np.eye(2))
+        # zero sets what counts as a zero matrix: at or below it, all is kernel
+        assert np.allclose(kernel_frame(1e-3 * np.eye(2), zero=1e-3), np.eye(2))
+        assert kernel_frame(1e-3 * np.eye(2), zero=1e-4).shape == (2, 0)
 
     def test_principal_angles_extremes(self):
         assert np.max(principal_angles(E1, E1)) == 0.0
@@ -184,21 +185,14 @@ class TestSubspacePorts:
 
     def test_complement_of_full_frame_is_empty(self):
         rng = np.random.default_rng(53)
-        q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-        c = complement_frame(q)
-        assert c.shape == (4, 0) and c.dtype == complex
-
-    def test_complement_of_rank_one_frames(self):
-        rng = np.random.default_rng(59)
-        v = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-        assert_complement(v / np.linalg.norm(v), complement_frame(v), 3)
-        # dependent columns count once at the rank cutoff
-        c = complement_frame(np.hstack([v, 2.5j * v, -v]))
-        assert_complement(v / np.linalg.norm(v), c, 3)
+        v = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        q = unitary_completion(v)
+        assert q.shape == (4, 4) and q.dtype == complex
+        assert q[:, 4:].shape == (4, 0)
 
     def test_complement_of_a_plane(self):
         f1, _ = rotated_pair((0.3, 0.2), np.random.default_rng(61))
-        c = complement_frame(f1)
+        c = unitary_completion(f1)[:, 2:]
         assert_complement(f1, c, 2)
         assert principal_angles(c, f1) == pytest.approx([np.pi / 2] * 2)
 
@@ -206,27 +200,27 @@ class TestSubspacePorts:
     def test_non_finite_frames_raise_a_stage_named_error(self, bad):
         frame = np.eye(4, 2, dtype=complex)
         frame[2, 1] = bad
-        with pytest.raises(NumericalError, match=r"^blaschke: complement_frame input "):
-            complement_frame(frame)
         with pytest.raises(NumericalError, match=r"^blaschke: principal_angles first frame "):
             principal_angles(frame, np.eye(4, 1))
         with pytest.raises(NumericalError, match=r"^blaschke: principal_angles second frame "):
             principal_angles(np.eye(4, 1), frame)
-        with pytest.raises(NumericalError, match=r"^blaschke: orthonormal_frame input "):
-            orthonormal_frame(frame)
-        # a full-dimensional target goes through orthonormal_frame alone
+        with pytest.raises(NumericalError, match=r"^blaschke: unitary_completion input "):
+            unitary_completion(frame)
+        with pytest.raises(NumericalError, match=r"^blaschke: unitary_completion input "):
+            construct_product([(0.5, frame)], dim=4)
+        # a full-dimensional target goes through unitary_completion alone
         square = np.eye(4, dtype=complex)
         square[0, 3] = bad
-        with pytest.raises(NumericalError, match=r"^blaschke: orthonormal_frame input "):
+        with pytest.raises(NumericalError, match=r"^blaschke: unitary_completion input "):
             construct_product([(0.5, square)], dim=4)
 
 
 class TestStageNamedErrors:
     def test_frame_errors(self):
         with pytest.raises(DegenerateFrame, match=r"^blaschke: 3 columns .* dimension 2$"):
-            orthonormal_frame(np.ones((2, 3)))
+            unitary_completion(np.ones((2, 3)))
         with pytest.raises(DegenerateFrame, match=r"^blaschke: .*min pivot 0\.000e\+00 at or below "):
-            orthonormal_frame(np.zeros((3, 1)))
+            unitary_completion(np.zeros((3, 1)))
         with pytest.raises(ValidationError, match=r"^blaschke: frame at .* 3 columns, above dimension 2$"):
             construct_product([(0.5, np.ones((2, 3)))], dim=2)
 
@@ -430,13 +424,33 @@ class TestProductConstruction:
         ]
         prod = construct_product(states, dim=3)
         for z_k, v in states:
-            target = orthonormal_frame(np.asarray(v, dtype=complex))
+            d = np.shape(v)[1]
+            target = unitary_completion(np.asarray(v, dtype=complex))[:, :d]
             val = prod.eval(complex(z_k))
             s = np.linalg.svd(val, compute_uv=False)
-            d = target.shape[1]
             assert s[d] < 1e-10  # rank drops to d
             u = np.linalg.svd(val)[0][:, :d]
             assert float(np.max(principal_angles(u, target))) < 1e-8
+
+    def test_factors_take_no_svd(self, monkeypatch):
+        # each factor's unitary is one complete QR of its pulled frame
+        rng = np.random.default_rng(37)
+        poles = [0.5, -0.4j, 0.3 + 0.3j, -0.6, 0.2 - 0.5j, 0.7j]
+        states = [
+            (z, rng.standard_normal((3, 1 + k % 2)) + 1j * rng.standard_normal((3, 1 + k % 2)))
+            for k, z in enumerate(poles)
+        ]
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        prod = construct_product(states, dim=3)
+        assert calls == []
+        assert sorted(prod.ranks.tolist()) == [1, 1, 1, 2, 2, 2]
 
     def test_duplicate_pole_rejected(self):
         with pytest.raises(DuplicatePole):

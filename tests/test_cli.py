@@ -159,6 +159,49 @@ class TestExitCodes:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["factors"][0]["z"] == {"re": 1e-9, "im": 0.0}
 
+    @pytest.mark.parametrize("dim, energy, weight", [
+        (1, 1e155, [[0.1]]),
+        (1, 1e200, [[0.1]]),
+        (1, -1e300, [[0.1]]),
+        (2, 1e200, [[0.1, 0.0], [0.0, 0.0]]),
+        (2, -1e250, [[0.1, 0.0], [0.0, 0.2]]),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["recurrence", "--n", "20"], ["sumrule", "--n", "20"], ["verify", "--n-list", "5,20"],
+    ])
+    def test_overflowing_recurrence_is_numerical_error(self, capsys, tmp_path, dim, energy,
+                                                       weight, argv):
+        # |E| above about 4e154 overflows the Gram matrix of the mass rows,
+        # x^2 |R p|^2; the recurrence refuses its first non-finite step
+        doc = {"dim": dim, "density": {"family": "semicircle"},
+               "quad_order": 1024, "normalize": "auto",
+               "masses": [{"energy": energy, "weight": {"re": weight}}]}
+        p = tmp_path / "far.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert code == 4
+        if argv[0] == "verify" and dim == 2 and np.linalg.matrix_rank(weight) < dim:
+            # the limit's frame refuses first: L(0) has a singular value |z_k|
+            assert err.startswith("numerical error: limits: frame from G(0)^-1 B(0) / sqrt 2: ")
+        else:
+            assert err.startswith(
+                "numerical error: stieltjes: step 1: Gram matrix not finite at "
+                f"max |x| = {abs(energy):.3e}; "
+            ), err
+
+    @pytest.mark.parametrize("energy", [1.7e308, -np.finfo(float).max])
+    @pytest.mark.parametrize("command", ["check-measure", "blaschke", "limit"])
+    def test_mass_at_the_largest_floats_exits_zero(self, capsys, tmp_path, energy, command):
+        # z = 1 / E is subnormal there; forming E + sqrt(E^2 - 4) overflowed
+        # to inf and made z = 0, a pole outside the punctured disk
+        doc = {"dim": 1, "density": {"family": "semicircle"},
+               "quad_order": 1024, "normalize": "auto",
+               "masses": [{"energy": energy, "weight": {"re": [[0.1]]}}]}
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run(capsys, command, str(p), "--out", str(tmp_path / "out"))
+        assert code == 0 and err == ""
+
     @pytest.mark.parametrize(
         "extra, path",
         [
@@ -455,16 +498,19 @@ class TestCommands:
             return factors, limits.build_pipeline(mu).product.unitaries
 
         factors, unitaries = blaschke_run("given")
-        original = blaschke.complement_frame
+        original = blaschke.unitary_completion
 
-        def rotated(frame):
-            c = original(frame)
+        def rotated(vectors, tol):
+            # turn the trailing (b-block) columns of the complete QR
+            q = original(vectors, tol)
+            d = np.shape(vectors)[1]
             rng = np.random.default_rng(3)
-            shape = (c.shape[1], c.shape[1])
+            shape = (q.shape[1] - d, q.shape[1] - d)
             turn = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            return c @ np.linalg.qr(turn)[0]
+            q[:, d:] = q[:, d:] @ np.linalg.qr(turn)[0]
+            return q
 
-        monkeypatch.setattr(blaschke, "complement_frame", rotated)
+        monkeypatch.setattr(blaschke, "unitary_completion", rotated)
         turned_factors, turned_unitaries = blaschke_run("rotated")
         assert np.max(np.abs(turned_unitaries - unitaries)) > 0.1
         assert [json.dumps(f) for f in turned_factors] == [json.dumps(f) for f in factors]

@@ -366,6 +366,16 @@ class TestBoundStates:
                     assert abs(mpmath.mpf(z.real) - exact) <= 2 * 2.0**-52 * abs(exact), energy
         assert disk_coordinate(1e9) == 1e-9 and disk_coordinate(-1e300) == -1e-300
 
+    @pytest.mark.parametrize(
+        "energy", [1.7e308, -1.7e308, np.finfo(float).max, -np.finfo(float).max]
+    )
+    def test_disk_coordinate_at_the_largest_floats(self, energy):
+        # E + sqrt(E^2 - 4) overflows from about 9e307 on; halving both
+        # terms first keeps z = 1 / E, a subnormal float, without a warning
+        z = disk_coordinate(energy)
+        assert z.imag == 0.0 and z.real != 0.0
+        assert abs(z.real - 1.0 / energy) <= 1e-14 * abs(1.0 / energy)
+
     def test_disk_coordinate_rejects_band(self):
         with pytest.raises(MassOnSupport):
             disk_coordinate(1.99)

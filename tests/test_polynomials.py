@@ -17,6 +17,7 @@ from matszego.errors import (
     LostPositivity,
     NegativeEigenvalue,
     NotHermitian,
+    NumericalError,
     RadiusExceeded,
     Singular,
     ValidationError,
@@ -197,6 +198,18 @@ class TestStageNamedErrors:
             match=r"^stieltjes: step 1: Gram eigenvalue -1\.000e\+00 below -1\.0e-10$",
         ):
             stieltjes(semicircle_measure, 3, Tolerances(pos=-np.inf))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_gram_overflow_names_its_step(self, dim):
+        # abscissae past about 1e154 overflow the Gram matrix x^2 |p|^2; the
+        # first step is refused without a RuntimeWarning, before eigh sees it
+        mu = make_measure(SemicircleDensity(dim), quad_order=1024, normalize="strict")
+        far = dataclasses.replace(mu, x_nodes=mu.x_nodes * 1e160)
+        with pytest.raises(
+            NumericalError,
+            match=r"^stieltjes: step 1: Gram matrix not finite at max \|x\| = 2\.000e\+160; ",
+        ):
+            stieltjes(far, 3)
 
     @pytest.mark.parametrize("target", ["type1", "type2"])
     def test_polar_names_the_singular_degree(self, target):
