@@ -1,10 +1,15 @@
 """Shared fixtures: shipped measure fixtures and slow session-scoped builds."""
 
 import os
+import sys
 
 # One BLAS and OpenMP thread, set before numpy loads: the recurrence's
 # tall-skinny GEMMs slow down several-fold when threads oversubscribe a
-# shared core, and the time-bounded tests should not depend on that.
+# shared core, and the time-bounded tests should not depend on that. The
+# golden digests hold for one thread only. If numpy is already loaded (say,
+# a warning filter in pyproject.toml names a numpy class), these settings
+# come too late; test_golden_artifacts.py fails on NUMPY_LOADED_EARLY.
+NUMPY_LOADED_EARLY = "numpy" in sys.modules
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 

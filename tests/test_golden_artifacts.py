@@ -19,9 +19,12 @@ import json
 import pathlib
 import tempfile
 
+import numpy as np
+import pytest
+
 from matszego.cli import main
 
-from conftest import SPECS_DIR
+from conftest import NUMPY_LOADED_EARLY, SPECS_DIR
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_digests.json"
 
@@ -73,6 +76,19 @@ RECURRENCE_BLOCKS = {
     "matrix_semicircle_mass": "d98c96d629f09a18ecb00c88168cee5019c2f8d8e4181129ffb29c65f9916adc",
     "matrix_conjugated": "0b147570d0de8e8914f974b0df1efc4805cbfb1d8f37c0b4cfb7c04037948e8b",
 }
+
+
+def test_blas_threads_are_pinned_before_numpy_loads():
+    # the digests here are exact for one BLAS thread; with two, the 2x2
+    # recurrence's GEMMs round differently and RECURRENCE_BLOCKS moves
+    assert not NUMPY_LOADED_EARLY, "numpy was imported before conftest pinned one BLAS thread"
+
+
+def test_complex_to_real_cast_is_an_error():
+    # ComplexWarning subclasses RuntimeWarning, which pyproject.toml's
+    # filterwarnings turns into an error
+    with pytest.raises(np.exceptions.ComplexWarning):
+        np.full(2, 1 + 1j).astype(float)
 
 
 def test_recurrence_blocks_of_the_matrix_documents(tmp_path):
