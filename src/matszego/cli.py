@@ -143,6 +143,7 @@ def _run_recurrence(args, mu, tol):
         "orthonormality_defect": orth,
         "orthonormality_window": args.n,
         "recurrence_residual": rec_res,
+        "recurrence_nodes": 2 * seq.fold.x.shape[0],
         "reorthogonalization_passes": seq.reorthogonalization_passes,
         "a_blocks": specio.MatrixStack(jac.a),
         "b_blocks": specio.MatrixStack(jac.b),
@@ -153,8 +154,8 @@ def _run_recurrence(args, mu, tol):
         "jacobi_b": (specio.format_matrix_table, "j", idx, report["b_blocks"]),
     }
     lines = [
-        f"computed {args.n} recurrence blocks ({args.norm_type}), "
-        f"{seq.reorthogonalization_passes} re-orthogonalization pass(es)",
+        f"computed {args.n} recurrence blocks ({args.norm_type}) on {report['recurrence_nodes']} "
+        f"of {mu.quad_order} nodes, {seq.reorthogonalization_passes} re-orthogonalization pass(es)",
         f"orthonormality defect {orth:.3e} (degrees 0..{args.n}), "
         f"recurrence residual {rec_res:.3e}",
         f"|A_{args.n} - I| = {float(operator_norm(jac.a[-1] - np.eye(mu.dim))):.3e}, "

@@ -188,6 +188,8 @@ def verify_l2(
                    - 2^{-1/2} (e^{-int} B(t) + e^{int} s(t) B(-t)) V ||_{L^2},
     with s the phase function of the factor and B evaluated on the
     circle; reflection uses the grid's exact t -> -t symmetry.
+    The norm is taken on the factor's M nodes (PolySequence.grid_at): s and
+    B are no trigonometric polynomials, so the recurrence's M' would move it.
     """
     g_b = lim.outer.boundary.values
     theta = lim.outer.boundary.theta
@@ -196,7 +198,7 @@ def verify_l2(
     s_b_reflected = s_vals @ b_vals[::-1]
     out = np.empty(len(n_values))
     for i, n in enumerate(n_values):
-        p_vals = pseq2.grid_at(n)
+        p_vals = pseq2.grid_at(n, theta.size)
         lhs = g_b @ p_vals
         waves = (
             np.exp(-1j * n * theta)[:, None, None] * b_vals

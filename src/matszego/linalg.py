@@ -493,6 +493,13 @@ def fourier_coefficients(f: BoundarySampling) -> tuple[np.ndarray, np.ndarray]:
     return n_values, coeffs
 
 
+def band_degree(n_vals: np.ndarray, coeffs: np.ndarray) -> int:
+    """Largest |n| whose (l, l) coefficient has norm above 1e-13 times the largest."""
+    norms = np.linalg.norm(coeffs, axis=(1, 2))
+    sig = np.abs(n_vals)[norms > 1e-13 * norms.max()]
+    return int(sig.max()) if sig.size else 0
+
+
 def matrix_fourier_coeff(f: BoundarySampling, n: int) -> np.ndarray:
     """Single coefficient c_n = (1/M) sum exp(-i n t_m) f(t_m)."""
     m = f.node_count

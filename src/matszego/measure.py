@@ -19,7 +19,6 @@ for conjugated-diagonal densities and c f c, are GEMMs
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 
@@ -296,7 +295,6 @@ class MatrixMeasure:
     bound_states: tuple[BoundState, ...]
     quad_order: int
     weight: BoundarySampling          # Szego-mapped a.c. weight on the grid
-    x_nodes: np.ndarray               # 2 cos t_m
     normalization_defect: float       # ||mu(R) - I|| after construction
     correction: np.ndarray | None     # Hermitian c with mu = c mu_raw c, if auto
 
@@ -306,26 +304,21 @@ class MatrixMeasure:
             return np.zeros((0, self.dim, self.dim), dtype=complex)
         return np.stack([s.weight for s in self.bound_states])
 
-    @functools.cached_property
-    def grid_fold(self) -> GridFold:
-        """The grid folded onto its M/2 distinct abscissae (GridFold).
 
-        One eigendecomposition per mirror pair, computed once, on first
-        use by the recurrence, so commands that never run it skip them.
-        make_measure has checked every node's weight positive definite; a
-        pair sum that still loses an eigenvalue to rounding raises rather
-        than being clipped.
-        """
-        w, half = self.weight.values, self.quad_order // 2
-        lam, vec = linalg.eigh(w[:half] + w[: half - 1 : -1])
-        if lam[:, 0].min() <= 0.0:
-            raise _szego_failure(lam[:, 0].min())
-        root = np.sqrt(lam / self.quad_order)[:, :, None] * vec.conj().transpose(0, 2, 1)
-        inverse = vec * np.sqrt(self.quad_order / lam)[:, None, :]
-        x = self.x_nodes[:half].copy()
-        for a in (x, root, inverse):
-            a.setflags(write=False)
-        return GridFold(x=x, root=root, inverse=inverse)
+def grid_fold(weight: BoundarySampling) -> GridFold:
+    """The grid of a weight sampling folded onto its M/2 distinct abscissae,
+    by one eigendecomposition per mirror pair; a pair sum that is not
+    positive definite raises rather than being clipped."""
+    w, m, half = weight.values, weight.node_count, weight.node_count // 2
+    lam, vec = linalg.eigh(w[:half] + w[: half - 1 : -1])
+    if lam[:, 0].min() <= 0.0:
+        raise _szego_failure(lam[:, 0].min())
+    root = np.sqrt(lam / m)[:, :, None] * vec.conj().transpose(0, 2, 1)
+    inverse = vec * np.sqrt(m / lam)[:, None, :]
+    x = _grid_x(m)[:half]
+    for a in (x, root, inverse):
+        a.setflags(write=False)
+    return GridFold(x=x, root=root, inverse=inverse)
 
 
 def _szego_failure(lam_min: float) -> ValidationError:
@@ -404,7 +397,6 @@ def make_measure(
             raise ValidationError(f"mass {k}: weight has eigenvalue {lam[0]:.3e}")
         clean_masses.append((e, w))
 
-    x = _grid_x(quad_order)
     f = density.sample(quad_order)
     w_ac = _szego_samples(f)
     _require_finite("weight sampling", "Szego weight (node, row, column)", w_ac)
@@ -461,8 +453,6 @@ def make_measure(
         )
     states.sort(key=lambda s: (abs(s.z), np.angle(s.z)))
 
-    x = np.ascontiguousarray(x)
-    x.setflags(write=False)
     for s in states:
         s.weight.setflags(write=False)
         s.root.setflags(write=False)
@@ -473,7 +463,6 @@ def make_measure(
         bound_states=tuple(states),
         quad_order=quad_order,
         weight=BoundarySampling(w_ac, positive=True),
-        x_nodes=x,
         normalization_defect=defect,
         correction=correction,
     )
@@ -497,7 +486,7 @@ def szego_weight(measure: MatrixMeasure, refine: int = 1) -> BoundarySampling:
 def inner_product(measure: MatrixMeasure, fv, fe, gv, ge) -> np.ndarray:
     """<<f, g>> = integral f(x)* dmu(x) g(x) from sampled values.
 
-    fv, gv hold f and g at the quadrature abscissae x_nodes, shapes
+    fv, gv hold f and g at the quadrature abscissae 2 cos t_m, shapes
     (M, l, k) and (M, l, k'); fe, ge hold them at the mass energies,
     shapes (K, l, k) and (K, l, k'). The result is (k, k'). The grid
     part runs over chunks of (1 << 14) // (l (k + k')) nodes, about

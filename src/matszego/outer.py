@@ -91,13 +91,6 @@ class OuterFunction:
         return out
 
 
-def _band_degree(n_vals: np.ndarray, coeffs: np.ndarray) -> int:
-    """Largest |n| whose (l, l) coefficient has norm above 1e-13 times the largest."""
-    norms = np.linalg.norm(coeffs, axis=(1, 2))
-    sig = np.abs(n_vals)[norms > 1e-13 * norms.max()]
-    return int(sig.max()) if sig.size else 0
-
-
 # ---------------------------------------------------------------------------
 # edge deflation, cyclic reduction and Wilson sweeps
 
@@ -195,7 +188,7 @@ def _reduction_factor(n_vals, c, m_grid, scale, tol):
     z = np.exp(1j * linalg.midpoint_nodes(nodes))
     remainder, peeled = _peel_edges(samples, z, scale, tol.rank_rel)
     n_rem, c_rem = linalg.fourier_coefficients(BoundarySampling(remainder))
-    order = min(band, _band_degree(n_rem, c_rem))
+    order = min(band, linalg.band_degree(n_rem, c_rem))
     coeffs, steps = _cyclic_reduction(c_rem[(n_rem >= 0) & (n_rem <= order)])
     for root, unitary, rank in reversed(peeled):
         edge = unitary[:rank].conj().T @ unitary[:rank]
@@ -266,7 +259,7 @@ def _wilson_factor(values: np.ndarray, scale: BracketedNorm, tol: Tolerances):
     n_vals, g_coeffs = linalg.fourier_coefficients(BoundarySampling(boundary))
     leak = max_operator_norm(g_coeffs[n_vals < 0])
     head = g_coeffs[(n_vals >= 0) & (n_vals <= nodes // 8)]
-    coeffs = head[: _band_degree(np.arange(head.shape[0]), head) + 1]
+    coeffs = head[: linalg.band_degree(np.arange(head.shape[0]), head) + 1]
     powers = np.arange(coeffs.shape[0])
     trunc = max_operator_norm(linalg.synthesize_on_grid(powers, coeffs, nodes).values - boundary)
     return coeffs, boundary, leak, trunc, sweeps, "wilson"
@@ -283,7 +276,7 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
     (linalg.BracketedNorm) and computed exactly only where the peeling
     floor tol.rank_rel max ||w|| or the target tol.fact_rel max ||w||
     falls inside the bracket, so every decision is the exact one.
-    Weights of band d < M/4 (_band_degree of the M-node FFT) take the
+    Weights of band d < M/4 (linalg.band_degree of the M-node FFT) take the
     cyclic reduction, to order d, unless d^3 l > 128 M, where its
     O((d l)^3) steps cost more than Wilson's sweeps (crossover
     d^3 l = 96-128 M at l = 2, 4, 8); every other weight takes Wilson's
@@ -314,7 +307,7 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
     scale = BracketedNorm(values, norm=linalg.max_hermitian_norm)
 
     n_vals, c = linalg.fourier_coefficients(BoundarySampling(values))
-    band = _band_degree(n_vals, c)
+    band = linalg.band_degree(n_vals, c)
     if band >= m_grid // 4 or band**3 * values.shape[1] > 128 * m_grid:
         del n_vals, c
         return _certified(_wilson_factor(values, scale, tol), values, scale, tol)

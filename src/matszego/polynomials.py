@@ -32,6 +32,9 @@ from .errors import (
 )
 from .linalg import (
     PANEL_ENTRIES,
+    BoundarySampling,
+    band_degree,
+    fourier_coefficients,
     frobenius_norms,
     hermitian_defect,
     inv,
@@ -39,8 +42,9 @@ from .linalg import (
     max_operator_norm,
     may_exceed,
     operator_norm,
+    synthesize_on_grid,
 )
-from .measure import MatrixMeasure
+from .measure import GridFold, MatrixMeasure, grid_fold
 from .tolerances import DEFAULT, Tolerances
 
 NORM_TYPES = ("type1", "type2", "type3")
@@ -95,21 +99,23 @@ def _node_product(f: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarra
 class PolySequence:
     """Orthonormal polynomials p_0..p_n, read from one whitened stieltjes buffer.
 
-    The buffer's rows c_m p_k(x_m), one node per distinct abscissa, and
-    R_k p_k(E_k) (see stieltjes), a Fortran-order column block per
-    degree, stay whitened and read-only; values are computed only when
-    read, into new arrays. grid_at(k), p_k at all M x-nodes, unwhitens
-    degree k's l columns of the M/2 node rows on each call and mirrors
-    them; mass_values[k], p_k at the masses, is computed for every degree
-    at the first read (a few KB per mass) and kept. With sigma set
-    (apply_transform), both read p_k sigma[k].
+    The buffer's rows c_m p_k(x_m), one per distinct abscissa of fold,
+    the M' nodes the recurrence ran on, and R_k p_k(E_k) (stieltjes), a
+    Fortran-order column block per degree, stay whitened and read-only;
+    values are computed only when read, into new arrays. grid_at(k), p_k
+    at all M' x-nodes, unwhitens degree k's l columns of the M'/2 node
+    rows on each call and mirrors them; mass_values[k] is computed for
+    every degree at the first read (a few KB per mass) and kept. With
+    sigma set (apply_transform), both read p_k sigma[k].
     reorthogonalization_passes counts the polynomials the recurrence
     re-orthogonalized against all earlier ones.
     """
 
-    def __init__(self, measure: MatrixMeasure, jacobi: BlockJacobi, y: np.ndarray, spans: list,
-                 degree: int, reorthogonalization_passes: int = 0, sigma: np.ndarray | None = None):
+    def __init__(self, measure: MatrixMeasure, fold: GridFold, jacobi: BlockJacobi, y: np.ndarray,
+                 spans: list, degree: int, reorthogonalization_passes: int = 0,
+                 sigma: np.ndarray | None = None):
         self.measure = measure
+        self.fold = fold
         self.jacobi = jacobi
         self.degree = degree
         self.reorthogonalization_passes = reorthogonalization_passes
@@ -118,23 +124,27 @@ class PolySequence:
         self._spans = spans
         self._mass = None
 
-    def grid_at(self, n: int) -> np.ndarray:
-        """p_n at the x-nodes, shape (M, l, l).
+    def grid_at(self, n: int, nodes: int | None = None) -> np.ndarray:
+        """p_n at the x-nodes of the sequence's grid, shape (M', l, l).
 
-        The rows of the M/2 distinct abscissae are unwhitened (and
+        The rows of the M'/2 distinct abscissae are unwhitened (and
         rotated) and unfolded onto the grid (measure.GridFold.unfold), so
-        out[M-1-m] is out[m] bitwise, since x is even in t.
+        out[M'-1-m] is out[m] bitwise, since x is even in t. Given nodes > M',
+        p_n on that grid by its exact interpolant: p_n(2 cos t) has degree n < M'/2.
         """
         if not 0 <= n <= self.degree:
             raise DimensionMismatch(f"degree {n} outside 0..{self.degree}")
-        fold, l = self.measure.grid_fold, self.measure.dim
+        fold, l = self.fold, self.measure.dim
         half = fold.x.shape[0]
         cols = self._y[: half * l].reshape(half, l, self._y.shape[1])[:, :, n * l : (n + 1) * l]
         out = np.empty((2 * half, l, l), dtype=complex)
         vals = _node_product(fold.inverse, cols, out[:half])
         if self.sigma is not None:
             vals[...] = np.einsum("kmij,kjl->kmil", vals[None], self.sigma[n : n + 1])[0]
-        return fold.unfold(out)
+        if nodes in (None, 2 * half):
+            return fold.unfold(out)
+        return synthesize_on_grid(*fourier_coefficients(BoundarySampling(fold.unfold(out))),
+                                  nodes).values
 
     @property
     def mass_values(self) -> np.ndarray:
@@ -217,18 +227,27 @@ class _LossEstimate:
 def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> PolySequence:
     """Run the Stieltjes procedure to degree n_max (type1 output).
 
-    The recurrence runs as a block Lanczos on whitened rows. The
-    midpoint grid's M nodes come in mirror pairs t, -t with the same
-    abscissa and weight (to rounding), so the discrete measure has M/2
-    distinct abscissae x_m, m < M/2. Each contributes the l rows c_m p_n(x_m),
-    with c_m* c_m = (w(t_m) + w(t_{M-1-m}))/M (measure.GridFold), and
-    each mass the rank_k rows R_k p_n(E_k), with R_k the rank-truncated
-    root of its weight (BoundState.root). The inner product is then the
-    plain sum over rows, and since the recurrence multiplies by blocks on
-    the right and scales each row by its abscissa, it runs on one tall
-    buffer of (M/2) l + sum rank_k rows, the measure's resolution, and
-    (n_max + 1) l columns: every B block, Gram matrix and
-    re-orthogonalization Q (Q* q) is a GEMM.
+    The recurrence runs as a block Lanczos on whitened rows, on M' <= M
+    midpoint nodes (below). They come in mirror pairs t, -t with the same
+    abscissa and weight (to rounding), so the discrete measure has M'/2
+    distinct abscissae x_m. Each contributes the l rows c_m p_n(x_m), with
+    c_m* c_m = (w(t_m) + w(t_{M'-1-m}))/M' (measure.GridFold), and each
+    mass the rank_k rows R_k p_n(E_k), with R_k the rank-truncated root of
+    its weight (BoundState.root). The inner product is then the plain sum
+    over rows, and since the recurrence multiplies by blocks on the right
+    and scales each row by its abscissa, it runs on one tall buffer of
+    (M'/2) l + sum rank_k rows and (n_max + 1) l columns: every B block,
+    Gram matrix and re-orthogonalization Q (Q* q) is a GEMM.
+
+    The grid is sized to the degree (the discretized Stieltjes procedure,
+    Gautschi 2004, section 2.2). Every inner product the recurrence forms
+    integrates a trigonometric polynomial of degree at most 2 n_max + d,
+    d the weight's band (linalg.band_degree of its M-node coefficients),
+    which the midpoint rule on M' > 2 n_max + d nodes sums exactly. So M',
+    the smallest power of two above 2 n_max + 2 + d and 2 d if below M
+    (so d < M/4), else M, gives the M-grid blocks to rounding. Its weight
+    is synthesized from the M-node coefficients |k| <= d, normalization
+    included, not from the density, which a table need not give band-limited.
 
     Orthogonality against earlier polynomials is kept by partial
     re-orthogonalization (Simon, Math. Comp. 42, 1984). Each step
@@ -242,14 +261,14 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     a defect above tol.orth raises LostOrthogonality.
 
     A degree the discrete measure cannot resolve is refused before the
-    loop: p_0..p_n need (n + 1) l dimensions, and the measure carries
-    (M/2) l + sum rank_k, the buffer's row count. NotHermitian is raised
+    loop: p_0..p_n need (n + 1) l dimensions, and the document's measure
+    carries (M/2) l + sum rank_k. NotHermitian is raised
     when a B block is not Hermitian, LostPositivity when the Gram matrix
     of the recurrence remainder drops below tol.pos, NegativeEigenvalue
     when it has an eigenvalue below -tol.herm (reachable only under a
     tol.pos <= 0 override), NumericalError when it overflows (a mass past
     |E| = 1e154). Every message starts with "stieltjes:", and those of the
-    resolution and positivity failures name the resolution M/2 + sum rank_k.
+    resolution and positivity failures name the resolution, the latter M' and M.
 
     Evaluations at a mass point ride the recurrence's growing solution:
     rounding noise amplifies like |z_k|^{-n} while the true values decay
@@ -281,22 +300,22 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     pinv(R_k) R_k p_n(E_k), the values projected onto the range of the
     weight.
     """
-    l, fold = measure.dim, measure.grid_fold
-    half = fold.x.shape[0]
-    states = measure.bound_states
+    l, states = measure.dim, measure.bound_states
     ranks = [s.root.shape[0] for s in states]
-    dims = half * l + sum(ranks)
+    dims = measure.quad_order // 2 * l + sum(ranks)
     if (n_max + 1) * l > dims:
         raise LostPositivity(
             f"stieltjes: degree {n_max} needs (n + 1) l = {(n_max + 1) * l} dimensions; the "
-            f"discrete measure has (M/2) l + sum rank_k = {half} x {l} + {sum(ranks)} "
-            f"= {dims}, so degrees 0..{dims // l - 1}"
+            f"discrete measure has (M/2) l + sum rank_k = {measure.quad_order // 2} x {l} + "
+            f"{sum(ranks)} = {dims}, so degrees 0..{dims // l - 1}"
         )
+    fold = _recurrence_grid(measure, n_max)
+    half = fold.x.shape[0]
     offsets = np.cumsum([half * l] + ranks)
     spans = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
     width = (n_max + 1) * l
 
-    y = np.empty((dims, width), dtype=complex, order="F")
+    y = np.empty((offsets[-1], width), dtype=complex, order="F")
     grid = y[: half * l].reshape(half, l, width)
     grid[:, :, :l] = fold.root
     for s, rows in zip(states, spans):
@@ -353,8 +372,8 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
             if lam[0] < tol.pos:
                 raise LostPositivity(
                     f"stieltjes: step {n + 1}: Gram eigenvalue {lam[0]:.3e} below {tol.pos:.1e}; "
-                    f"the discrete measure's resolution is M/2 + sum rank_k = "
-                    f"{half} + {sum(ranks)} = {half + sum(ranks)}"
+                    f"the resolution on M' = {2 * half} of M = {measure.quad_order} nodes is "
+                    f"M'/2 + sum rank_k = {half} + {sum(ranks)} = {half + sum(ranks)}"
                 )
             if lam[0] < -tol.herm:
                 raise NegativeEigenvalue(
@@ -390,7 +409,19 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
         )
     jac = BlockJacobi(a=a_blocks, b=b_blocks, norm_type="type1")
     y.flags.writeable = False
-    return PolySequence(measure, jac, y, spans, n_max, passes)
+    return PolySequence(measure, fold, jac, y, spans, n_max, passes)
+
+
+def _recurrence_grid(measure: MatrixMeasure, n_max: int) -> GridFold:
+    """The folded grid of M' nodes the recurrence to degree n_max runs on (stieltjes)."""
+    w = measure.weight
+    n_vals, c = fourier_coefficients(w)
+    d = band_degree(n_vals, c)
+    nodes = 1 << max(2 * n_max + 2 + d, 2 * d).bit_length()
+    if nodes < w.node_count:
+        v = synthesize_on_grid(n_vals[np.abs(n_vals) <= d], c[np.abs(n_vals) <= d], nodes).values
+        w = BoundarySampling(0.5 * (v + v.conj().transpose(0, 2, 1)))
+    return grid_fold(w)
 
 
 def _scaled(v: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -451,30 +482,32 @@ def orthonormality_defect(seq: PolySequence) -> float:
     sequence's degree.
 
     A plain Gram matrix of the whitened rows Q, one node per distinct
-    abscissa (stieltjes), whose Q_i* Q_j is <<p_i, p_j>>; unitary sigma_k
-    leave every block norm unchanged, so a transformed sequence reads the
-    same rows. Only the upper block triangle is formed, in tiles of at
-    most 64 columns summed over chunks of whole nodes of rows: a tile and
-    a chunk's conjugated rows take at most 64 KB each. The blocks of a
-    tile are decomposed only where their Frobenius norms may pass the
-    running maximum (linalg.may_exceed), so a tile of rounding-level
-    blocks below it costs no SVD, and the float is the one every block's
-    norm gives.
+    abscissa of the sequence's grid (stieltjes), whose Q_i* Q_j is
+    <<p_i, p_j>>; unitary sigma_k leave every block norm unchanged, so a
+    transformed sequence reads the same rows. Only the upper block
+    triangle is formed, in tiles of at most 64 columns summed over chunks
+    of whole nodes of rows, each conjugated once per column block of
+    tiles (at most 64 KB). The blocks of a tile are decomposed only where
+    their Frobenius norms may pass the running maximum (linalg.may_exceed),
+    so a tile of rounding-level blocks below it costs no SVD, and the
+    float is the one every block's norm gives.
     """
     y, l = seq._y, seq.measure.dim
     cols = (seq.degree + 1) * l
     width = max(1, 64 // l) * l
-    grid_rows, total = seq.measure.grid_fold.x.shape[0] * l, y.shape[0]
+    grid_rows, total = seq.fold.x.shape[0] * l, y.shape[0]
     step = max(1, PANEL_ENTRIES // (width * l)) * l
     bounds = list(range(0, grid_rows, step)) + list(range(grid_rows, total, step)) + [total]
     worst = 0.0
     for a in range(0, cols, width):
         left = y[:, a : min(a + width, cols)]
-        for b in range(a, cols, width):
-            right = y[:, b : min(b + width, cols)]
-            tile = left[: bounds[1]].conj().T @ right[: bounds[1]]
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                tile += left[start:stop].conj().T @ right[start:stop]
+        columns = range(a, cols, width)
+        tiles = [np.zeros((left.shape[1], min(width, cols - b)), complex) for b in columns]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            chunk = left[start:stop].conj().T
+            for b, tile in zip(columns, tiles):
+                tile += chunk @ y[start:stop, b : b + tile.shape[1]]
+        for b, tile in zip(columns, tiles):
             ni, nj = tile.shape[0] // l, tile.shape[1] // l
             blocks = tile.reshape(ni, l, nj, l).transpose(0, 2, 1, 3)
             if a == b:
@@ -517,13 +550,13 @@ def _band(terms: np.ndarray, n0: int, n1: int) -> np.ndarray:
 
 
 def recurrence_residual(seq: PolySequence) -> float:
-    """sup-norm over grid nodes and degrees of the recurrence defect
-    x p_n - p_{n+1} A_{n+1}^* - p_n B_{n+1} - p_{n-1} A_n.
+    """sup-norm over the sequence's grid nodes and degrees of the recurrence
+    defect x p_n - p_{n+1} A_{n+1}^* - p_n B_{n+1} - p_{n-1} A_n.
 
-    The grid values are even in t, so the sup runs over the M/2 distinct
-    abscissae. c_m acts on the left and the blocks on the right, so the
-    defect of p_n is c_m^{-1} times the same defect of the whitened rows
-    c_m p_n. The defect is formed on the rows in panels of degrees and
+    The grid values are even in t, so the sup runs over the M'/2 distinct
+    abscissae (stieltjes). c_m acts on the left and the blocks on the
+    right, so the defect of p_n is c_m^{-1} times the same defect of the
+    whitened rows c_m p_n. The defect is formed on the rows in panels of degrees and
     nodes of about 64 KB: per panel, the rows times x less one GEMM of
     the rows of the panel's degrees and their two neighbours against
     the block band of [A_n; B_{n+1}; A_{n+1}^*] (_band), transposed so
@@ -540,7 +573,7 @@ def recurrence_residual(seq: PolySequence) -> float:
     if s is not None:
         s_adj = s.conj().transpose(0, 2, 1)
         a, b = s[:-1] @ a @ s_adj[1:], s[:-1] @ b @ s_adj[:-1]
-    fold, l, n = seq.measure.grid_fold, seq.measure.dim, seq.degree
+    fold, l, n = seq.fold, seq.measure.dim, seq.degree
     half = fold.x.shape[0]
     rows_t = seq._y[: half * l].T  # (columns, rows), C order
     x_rows = np.repeat(fold.x, l)
@@ -671,7 +704,7 @@ def apply_transform(seq: PolySequence, jacobi: BlockJacobi, sigma: np.ndarray) -
         raise DimensionMismatch("transform length does not match sequence degree")
     if seq.sigma is not None:
         sigma = np.einsum("kij,kjl->kil", seq.sigma, sigma)
-    return PolySequence(seq.measure, jacobi, seq._y, seq._spans, seq.degree,
+    return PolySequence(seq.measure, seq.fold, jacobi, seq._y, seq._spans, seq.degree,
                         seq.reorthogonalization_passes, sigma)
 
 

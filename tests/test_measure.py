@@ -15,6 +15,7 @@ from matszego.measure import (
     SemicircleDensity,
     TableDensity,
     disk_coordinate,
+    grid_fold,
     inner_product,
     make_measure,
     mass_condition_sums,
@@ -23,13 +24,18 @@ from matszego.measure import (
 
 from conftest import random_smooth_weight
 
+def grid_x(mu):
+    """The quadrature abscissae x_m = 2 cos t_m of mu's grid."""
+    return 2.0 * np.cos(midpoint_nodes(mu.quad_order))
+
+
 ID = lambda x: np.broadcast_to(np.eye(1), (np.asarray(x).size, 1, 1))
 X = lambda x: np.asarray(x)[:, None, None] * np.eye(1)
 
 
 def integrate(f, g, mu):
     """<<f, g>> for callables, sampled at the nodes and masses of mu."""
-    x, e = mu.x_nodes, np.array([s.energy for s in mu.bound_states])
+    x, e = grid_x(mu), np.array([s.energy for s in mu.bound_states])
     return inner_product(mu, f(x), f(e), g(x), g(e))
 
 
@@ -447,12 +453,12 @@ class TestInnerProduct:
     def test_whitening_roots_rebuild_the_weights(self, table_measure):
         mu = table_measure
         # one root per mirror pair t_m, t_{M-1-m} = -t_m, of the pair's weight
-        fold = mu.grid_fold
+        fold = grid_fold(mu.weight)
         c, inverse = fold.root, fold.inverse
         half = mu.quad_order // 2
         assert c.shape == inverse.shape == (half, 3, 3)
-        assert np.array_equal(fold.x, mu.x_nodes[:half])
-        assert float(np.max(np.abs(fold.x - mu.x_nodes[::-1][:half]))) < 1e-13
+        assert np.array_equal(fold.x, grid_x(mu)[:half])
+        assert float(np.max(np.abs(fold.x - grid_x(mu)[::-1][:half]))) < 1e-13
         w = mu.weight.values
         gram = c.conj().transpose(0, 2, 1) @ c
         assert float(np.max(np.abs(gram * mu.quad_order - (w[:half] + w[::-1][:half])))) < 1e-13

@@ -23,13 +23,23 @@ from matszego.errors import (
     ValidationError,
 )
 from matszego import polynomials
-from matszego.limits import asymptotics_report
-from matszego.linalg import BracketedNorm, max_operator_norm, midpoint_nodes, operator_norm
+from matszego.limits import asymptotics_report, build_pipeline, verify_l2
+from matszego.linalg import (
+    BoundarySampling,
+    BracketedNorm,
+    band_degree,
+    fourier_coefficients,
+    max_operator_norm,
+    midpoint_nodes,
+    operator_norm,
+    synthesize_on_grid,
+)
 from matszego.measure import (
     ArcsineDensity,
     ConjugatedDiagonalDensity,
     SemicircleDensity,
     TableDensity,
+    grid_fold,
     inner_product,
     make_measure,
 )
@@ -56,6 +66,32 @@ from conftest import SHIPPED, grid_values, leading_coeff, random_smooth_weight
 N_SMALL = 24
 
 
+def grid_theta(seq):
+    """The node angles of the grid of M' nodes the sequence's recurrence ran on."""
+    return midpoint_nodes(2 * seq.fold.x.size)
+
+
+def _document_grid(mu, n_max):
+    """The recurrence grid rule kept at the document's own M nodes."""
+    return grid_fold(mu.weight)
+
+
+@pytest.fixture
+def document_grid(monkeypatch):
+    """Run every recurrence of the test on the document's M nodes, the
+    reference that the degree-sized grid must reproduce."""
+    monkeypatch.setattr(polynomials, "_recurrence_grid", _document_grid)
+
+
+def tilt_grid(monkeypatch, shift=0.0, scale=1.0):
+    """Run the recurrence on the document's fold with abscissae scale x + shift."""
+    def tilted(mu, n_max):
+        fold = grid_fold(mu.weight)
+        return dataclasses.replace(fold, x=fold.x * scale + shift)
+
+    monkeypatch.setattr(polynomials, "_recurrence_grid", tilted)
+
+
 @pytest.fixture(scope="module")
 def semicircle_seq(semicircle_measure):
     return stieltjes(semicircle_measure, N_SMALL)
@@ -68,9 +104,9 @@ def arcsine_seq():
 
 
 # sha256 over the buffer (C order), the A blocks and the B blocks of
-# stieltjes on the scalar shipped documents, as the GEMM and eigh kernels
-# of the block recurrence give them; like golden_digests.json they hold
-# for one numpy/BLAS build.
+# stieltjes on the scalar shipped documents run on their own M nodes, as
+# the GEMM and eigh kernels of the block recurrence give them; like
+# golden_digests.json they hold for one numpy/BLAS build.
 SCALAR_RECURRENCE_DIGESTS = {
     "free_semicircle/30": "4e47bfcd24ed906f9a45d0deecac54e915471cf28e10d081aa70108815bdf334",
     "free_semicircle/100": "b486d76e2954a0f3cfc83c205628a1f7864fee1977059f6bdea966f987d29e68",
@@ -98,7 +134,8 @@ class TestScalarKernels:
     real blocks of a scalar recurrence they give the same floats."""
 
     @pytest.mark.parametrize("key", sorted(SCALAR_RECURRENCE_DIGESTS))
-    def test_scalar_recurrence_is_bitwise_the_block_kernels(self, shipped_measures, key):
+    def test_scalar_recurrence_is_bitwise_the_block_kernels(self, shipped_measures, key,
+                                                            document_grid):
         name, n = key.split("/")
         seq = stieltjes(shipped_measures[name], int(n))
         assert recurrence_digest(seq) == SCALAR_RECURRENCE_DIGESTS[key]
@@ -131,7 +168,7 @@ class TestScalarOracles:
         assert float(np.max(np.abs(jac.b))) < 1e-10
 
     def test_semicircle_matches_chebyshev_second_kind(self, semicircle_seq):
-        theta = semicircle_seq.measure.weight.theta
+        theta = grid_theta(semicircle_seq)
         for n in (1, 5, 12):
             oracle = np.sin((n + 1) * theta) / np.sin(theta)
             got = semicircle_seq.grid_at(n)[:, 0, 0].real
@@ -144,7 +181,7 @@ class TestScalarOracles:
         assert float(np.max(np.abs(jac.b))) < 1e-10
 
     def test_arcsine_matches_chebyshev_first_kind(self, arcsine_seq):
-        theta = arcsine_seq.measure.weight.theta
+        theta = grid_theta(arcsine_seq)
         for n in (1, 4, 9):
             oracle = np.sqrt(2.0) * np.cos(n * theta)
             got = arcsine_seq.grid_at(n)[:, 0, 0].real
@@ -166,22 +203,31 @@ class TestScalarOracles:
 
 class TestStageNamedErrors:
     def test_lost_positivity_names_the_resolution(self, mass_measure):
-        # the shipped mass spec: M = 4096 nodes and one rank-one mass
+        # the shipped mass spec: M = 4096 nodes and one rank-one mass; its
+        # weight has band 2, so degree 3 runs on the 16 nodes above 2 x 3 + 2 + 2
         with pytest.raises(
             LostPositivity,
-            match=r"^stieltjes: step 1: Gram eigenvalue .* below 1\.0e\+01; the discrete "
-            r"measure's resolution is M/2 \+ sum rank_k = 2048 \+ 1 = 2049$",
+            match=r"^stieltjes: step 1: Gram eigenvalue .* below 1\.0e\+01; the resolution on "
+            r"M' = 16 of M = 4096 nodes is M'/2 \+ sum rank_k = 8 \+ 1 = 9$",
         ):
             stieltjes(mass_measure, 3, Tolerances(pos=10.0))
 
-    def test_not_hermitian_names_its_threshold(self, semicircle_measure):
+    def test_lost_positivity_on_the_document_grid(self, mass_measure, document_grid):
+        with pytest.raises(
+            LostPositivity,
+            match=r"^stieltjes: step 1: Gram eigenvalue .* below 1\.0e\+01; the resolution on "
+            r"M' = 4096 of M = 4096 nodes is M'/2 \+ sum rank_k = 2048 \+ 1 = 2049$",
+        ):
+            stieltjes(mass_measure, 3, Tolerances(pos=10.0))
+
+    def test_not_hermitian_names_its_threshold(self, semicircle_measure, monkeypatch):
         # complex abscissae make the first B block non-Hermitian
-        tilted = dataclasses.replace(semicircle_measure, x_nodes=semicircle_measure.x_nodes + 0.1j)
+        tilt_grid(monkeypatch, shift=0.1j)
         with pytest.raises(
             NotHermitian,
             match=r"^stieltjes: step 1: B block defect .* above 1e-8 x max\(1, \|\|B\|\|\) = ",
         ):
-            stieltjes(tilted, 3)
+            stieltjes(semicircle_measure, 3)
 
     def test_negative_gram_eigenvalue_names_its_step(self, semicircle_measure, monkeypatch):
         # only reachable when tol.pos <= 0 lets a negative Gram eigenvalue
@@ -200,16 +246,16 @@ class TestStageNamedErrors:
             stieltjes(semicircle_measure, 3, Tolerances(pos=-np.inf))
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_gram_overflow_names_its_step(self, dim):
+    def test_gram_overflow_names_its_step(self, dim, monkeypatch):
         # abscissae past about 1e154 overflow the Gram matrix x^2 |p|^2; the
         # first step is refused without a RuntimeWarning, before eigh sees it
         mu = make_measure(SemicircleDensity(dim), quad_order=1024, normalize="strict")
-        far = dataclasses.replace(mu, x_nodes=mu.x_nodes * 1e160)
+        tilt_grid(monkeypatch, scale=1e160)
         with pytest.raises(
             NumericalError,
             match=r"^stieltjes: step 1: Gram matrix not finite at max \|x\| = 2\.000e\+160; ",
         ):
-            stieltjes(far, 3)
+            stieltjes(mu, 3)
 
     @pytest.mark.parametrize("target", ["type1", "type2"])
     def test_polar_names_the_singular_degree(self, target):
@@ -234,8 +280,9 @@ class TestStageNamedErrors:
 
 
 class TestHermitianDecision:
-    # Tilting the abscissae by i eps adds i eps W_grid to B_1, W_grid the
-    # grid part of the shipped 2x2 mass measure's total mass, whose
+    # Tilting the abscissae of the document's M-node fold by i eps
+    # (tilt_grid) adds i eps W_grid to B_1, W_grid the grid part of the
+    # shipped 2x2 mass measure's total mass, whose
     # eigenvalues differ; so the defect's Frobenius bracket is wide, and
     # each tilt puts it in one zone relative to the 1e-8 x max(1, ||B||)
     # floor: wholly below, across with the exact defect below or above,
@@ -258,9 +305,9 @@ class TestHermitianDecision:
             return check(b, step)
 
         monkeypatch.setattr(polynomials, "_check_hermitian", spy_check)
-        tilted = dataclasses.replace(mu, x_nodes=mu.x_nodes + 1j * eps)
+        tilt_grid(monkeypatch, shift=1j * eps)
         try:
-            stieltjes(tilted, 1)
+            stieltjes(mu, 1)
             got = False
         except NotHermitian:
             got = True
@@ -352,6 +399,16 @@ class TestGramDefect:
             assert abs(orthonormality_defect(part) - ref) < 1e-14
 
 
+    @pytest.mark.parametrize("l, m_grid, n, window", CASES)
+    def test_equals_the_per_tile_loop(self, l, m_grid, n, window):
+        # each row chunk is conjugated once per column block and added into
+        # every tile of the block in turn: each tile sums the same products
+        # in the same order as the loop that conjugates a chunk per tile
+        mu = _random_measure(l, m_grid, seed=100 + l)
+        seq = stieltjes(mu, n)
+        assert orthonormality_defect(seq) == _loop_gram_defect(seq)
+
+
 def _mp_matrix(a):
     return mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in a])
 
@@ -374,7 +431,7 @@ def _gram_schmidt_blocks(mu, n):
     with mpmath.workdps(50):
         m = mu.quad_order
         nodes = [(mpmath.mpf(float(x)), _mp_matrix(w) / m)
-                 for x, w in zip(mu.x_nodes, mu.weight.values)]
+                 for x, w in zip(2.0 * np.cos(midpoint_nodes(m)), mu.weight.values)]
         nodes += [(mpmath.mpf(s.energy), _mp_matrix(s.weight)) for s in mu.bound_states]
 
         def inner(f, g):
@@ -434,9 +491,12 @@ def deep_measure():
 
 class TestMemory:
     def test_peak_stays_near_the_returned_values(self, deep_measure):
-        # beyond the buffer itself (6.6 MB), the returned whitened rows, the
-        # peak is about 270 KB, 2% of the 13 MB of values: a copy of the
-        # basis or of a window (2 MB) would show
+        # the weight has band 2, so degree 100 runs on 256 of the 512 nodes;
+        # beyond the buffer itself (3.3 MB), the returned whitened rows, the
+        # peak is about 235 KB, 3.5% of the 6.6 MB of values: a copy of the
+        # basis or of a window (1 MB) would show. numpy loads numpy.fft, which
+        # the grid rule uses, on first use: a first run keeps its import out
+        stieltjes(deep_measure, 100)
         tracemalloc.start()
         try:
             seq = stieltjes(deep_measure, 100)
@@ -469,32 +529,43 @@ class TestMemory:
         got = stieltjes(deep_measure, 40)._y
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    def test_defect_never_stacks_the_whole_grid(self, deep_measure):
-        # the values are 13 MB and so would be a weighted copy of them; the
-        # node chunks keep the peak at the Gram tiles, about 250 KB whatever
-        # the number of rows
-        seq = stieltjes(deep_measure, 100)
-        assert grid_values(seq).nbytes > 13e6
-        tracemalloc.start()
-        try:
-            orthonormality_defect(seq)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 320e3
+    def test_defect_never_stacks_the_whole_grid(self, deep_measure, monkeypatch):
+        # the values are 6.6 MB on the recurrence's 256 nodes and 13 MB on
+        # the document's 512, and so would be a weighted copy of them; the
+        # node chunks keep the peak at one column block's row of Gram tiles
+        # (64 x 404 entries, 413 KB) and one tile's temporaries, about
+        # 440 KB, the same whatever the number of rows
+        peaks = []
+        for rule, values in ((polynomials._recurrence_grid, 6.6e6), (_document_grid, 13e6)):
+            monkeypatch.setattr(polynomials, "_recurrence_grid", rule)
+            seq = stieltjes(deep_measure, 100)
+            assert grid_values(seq).nbytes > values
+            tracemalloc.start()
+            try:
+                orthonormality_defect(seq)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[0] - peaks[1]) < 1e3
+        assert max(peaks) < 64 * 404 * 16 + 480e3
 
-    def test_residual_holds_no_stack_of_values(self, deep_measure):
-        # one panel's defect is 64 KB and the residual peaks near 370 KB;
-        # with a row per grid node it peaks near 675 KB, and three
-        # unwhitened degrees of all M nodes reach about 1 MB
-        seq = stieltjes(deep_measure, 100)
-        tracemalloc.start()
-        try:
-            recurrence_residual(seq)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 500e3
+    def test_residual_holds_no_stack_of_values(self, deep_measure, monkeypatch):
+        # on the document's 512 nodes: one panel's defect is 64 KB and the
+        # residual peaks near 370 KB; with a row per grid node it peaks near
+        # 675 KB, and three unwhitened degrees of all M nodes reach about
+        # 1 MB. The recurrence's 256 nodes would halve those, so they are
+        # held to the peak on 512
+        peaks = []
+        for rule in (_document_grid, polynomials._recurrence_grid):
+            monkeypatch.setattr(polynomials, "_recurrence_grid", rule)
+            seq = stieltjes(deep_measure, 100)
+            tracemalloc.start()
+            try:
+                recurrence_residual(seq)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 500e3 and peaks[1] <= peaks[0]
 
 
 class TestHighDegree:
@@ -618,7 +689,7 @@ def _residual_reference(seq):
     """The recurrence defect on a stack of every degree's unwhitened values."""
     a, b = seq.jacobi.a, seq.jacobi.b
     p = grid_values(seq)
-    x = seq.measure.x_nodes[:, None, None]
+    x = 2.0 * np.cos(grid_theta(seq))[:, None, None]
     worst = 0.0
     for n in range(seq.degree):
         res = x * p[n] - polynomials._times(p[n + 1], a[n].conj().T)
@@ -688,7 +759,7 @@ def _loop_residual(seq):
     if s is not None:
         s_adj = s.conj().transpose(0, 2, 1)
         a, b = s[:-1] @ a @ s_adj[1:], s[:-1] @ b @ s_adj[:-1]
-    fold, l = seq.measure.grid_fold, seq.measure.dim
+    fold, l = seq.fold, seq.measure.dim
     half = fold.x.shape[0]
     rows, inv_root = seq._y[: half * l], fold.inverse
     x_rows = np.repeat(fold.x, l)[:, None]
@@ -706,11 +777,12 @@ def _loop_residual(seq):
 
 
 def _loop_gram_defect(seq):
-    """orthonormality_defect with every tile's blocks decomposed."""
+    """orthonormality_defect with every tile's blocks decomposed, each
+    tile summed over the row chunks with the chunk conjugated per tile."""
     y, l = seq._y, seq.measure.dim
     cols = (seq.degree + 1) * l
     width = max(1, 64 // l) * l
-    grid_rows, total = seq.measure.grid_fold.x.shape[0] * l, y.shape[0]
+    grid_rows, total = seq.fold.x.shape[0] * l, y.shape[0]
     step = max(1, (1 << 12) // (width * l)) * l
     bounds = list(range(0, grid_rows, step)) + list(range(grid_rows, total, step)) + [total]
     worst = 0.0
@@ -843,7 +915,7 @@ def _unfolded_lanczos(mu, n):
     lam, vec = np.linalg.eigh(mu.weight.values)
     roots = [(np.sqrt(lam / m)[:, :, None] * vec.conj().transpose(0, 2, 1)).reshape(m * l, l)]
     roots += [s.root for s in mu.bound_states]
-    x = np.concatenate([np.repeat(mu.x_nodes, l)]
+    x = np.concatenate([np.repeat(2.0 * np.cos(midpoint_nodes(m)), l)]
                        + [np.full(s.root.shape[0], s.energy) for s in mu.bound_states])[:, None]
     q = np.zeros((x.shape[0], (n + 1) * l), dtype=complex)
     q[:, :l] = np.concatenate(roots)
@@ -866,12 +938,25 @@ def _unfolded_lanczos(mu, n):
     return a, b
 
 
+def document_grid_values(seq):
+    """p_0..p_n at the document's M x-nodes, (n + 1, M, l, l): each degree's
+    values on the sequence's M' nodes carried to M by its trigonometric
+    interpolant, exact since p_n(2 cos t) has degree n < M'/2."""
+    m = seq.measure.quad_order
+    out = []
+    for v in grid_values(seq):
+        n_vals, coeffs = fourier_coefficients(BoundarySampling(v))
+        out.append(synthesize_on_grid(n_vals, coeffs, m).values)
+    return np.stack(out)
+
+
 def _gram_reference(seq):
-    """max over i <= j of ||<<p_i, p_j>> - delta_ij I|| from every degree's
-    values at all M nodes, each weighted by w(t_m) / M (inner_product)."""
+    """max over i <= j of ||<<p_i, p_j>> - delta_ij I|| in the document's
+    measure: every degree's values at all M nodes (document_grid_values),
+    each weighted by w(t_m) / M (inner_product)."""
     mu, l, n = seq.measure, seq.measure.dim, seq.degree
     cols = (n + 1) * l
-    fv = grid_values(seq).transpose(1, 2, 0, 3).reshape(mu.quad_order, l, cols)
+    fv = document_grid_values(seq).transpose(1, 2, 0, 3).reshape(mu.quad_order, l, cols)
     fe = seq.mass_values.transpose(1, 2, 0, 3).reshape(len(mu.bound_states), l, cols)
     gram = inner_product(mu, fv, fe, fv, fe) - np.eye(cols)
     blocks = gram.reshape(n + 1, l, n + 1, l).transpose(0, 2, 1, 3)
@@ -880,9 +965,19 @@ def _gram_reference(seq):
 
 
 class TestFoldedGrid:
-    """The recurrence runs on the M/2 distinct abscissae of the midpoint grid."""
+    """The recurrence runs on the M'/2 distinct abscissae of its midpoint grid."""
 
     def test_buffer_rows_are_the_resolution(self, shipped_measures, deep_shapes):
+        # every weight here has band d <= 2, so degree 3 runs on the
+        # 16 nodes above 2 x 3 + 2 + d
+        for name, mu in dict(shipped_measures, **deep_shapes).items():
+            ranks = sum(s.root.shape[0] for s in mu.bound_states)
+            seq = stieltjes(mu, 3)
+            assert seq.fold.x.size == 8, name
+            assert seq._y.shape == (8 * mu.dim + ranks, 4 * mu.dim), name
+
+    def test_buffer_rows_on_the_document_grid(self, shipped_measures, deep_shapes,
+                                              document_grid):
         for name, mu in dict(shipped_measures, **deep_shapes).items():
             ranks = sum(s.root.shape[0] for s in mu.bound_states)
             seq = stieltjes(mu, 3)
@@ -925,6 +1020,131 @@ class TestFoldedGrid:
         assert sum(blocks) <= 4
 
 
+def _document_gap(mu, n, monkeypatch):
+    """(M' of the degree-n recurrence on mu, its largest block difference
+    from the same recurrence on the document's M nodes)."""
+    seq = stieltjes(mu, n)
+    with monkeypatch.context() as patch:
+        patch.setattr(polynomials, "_recurrence_grid", _document_grid)
+        ref = stieltjes(mu, n)
+    gap = max(float(np.max(np.abs(seq.jacobi.a - ref.jacobi.a))),
+              float(np.max(np.abs(seq.jacobi.b - ref.jacobi.b))))
+    return 2 * seq.fold.x.size, gap
+
+
+def _band_density(weight, edge_zeros):
+    """Table density whose Szego weight is the trigonometric polynomial
+    weight, times 2 sin^2 t with edge_zeros; the density itself is no
+    trigonometric polynomial: weight / (2 pi |sin t|), or |sin t| weight / pi."""
+    s = np.abs(np.sin(midpoint_nodes(weight.shape[0])))[:, None, None]
+    return TableDensity(s * weight / np.pi if edge_zeros else weight / (2.0 * np.pi * s))
+
+
+@st.composite
+def band_measures(draw):
+    """(measure, degree): band weights of l <= 4 on 256 or 512 nodes, band
+    up to 8 with or without edge zeros, with up to two masses of any rank,
+    at a degree up to 40, so that the recurrence runs on at most 128 nodes."""
+    l = draw(st.integers(1, 4))
+    m_grid = draw(st.sampled_from([256, 512]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    weight = random_smooth_weight(rng, l, m_grid, harmonics=draw(st.integers(0, 6)))
+    masses = []
+    for energy in draw(st.lists(st.sampled_from([-3.1, -2.4, 2.2, 2.9]), max_size=2, unique=True)):
+        v = rng.standard_normal((l, draw(st.integers(1, l))))
+        v = v + 1j * rng.standard_normal(v.shape)
+        masses.append((energy, 0.05 * v @ v.conj().T))
+    mu = make_measure(_band_density(weight, draw(st.booleans())), masses, quad_order=m_grid)
+    return mu, draw(st.integers(1, 40))
+
+
+class TestDegreeSizedGrid:
+    """The recurrence to degree n runs on M' nodes, the smallest power of
+    two above 2 n + 2 + d and 2 d for a weight of band d, when that is
+    below the document's M, and gives the blocks of the M-node run."""
+
+    def test_blocks_match_the_document_grid(self, shipped_measures, deep_shapes, monkeypatch):
+        # the arcsine weight is constant, band 0, and every other weight
+        # here has band 2: M' is 64 or 128 at n = 30, 256 at n = 100
+        for name, mu in dict(shipped_measures, **deep_shapes).items():
+            band = 0 if name == "arcsine" else 2
+            for n in (30, 100):
+                got, gap = _document_gap(mu, n, monkeypatch)
+                assert got == 1 << (2 * n + 2 + band).bit_length(), (name, n)
+                assert gap <= 1e-13, (name, n, gap)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(band_measures())
+    def test_blocks_match_on_band_weights(self, case):
+        mu, n = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            nodes, gap = _document_gap(mu, n, monkeypatch)
+        assert nodes <= 128 < mu.quad_order and gap <= 1e-13
+
+    def test_weight_band_limited_density_not(self, monkeypatch):
+        # the covariance table of acceptance criterion 9: f = |sin t| / pi in
+        # one channel, so its weight 2 sin^2 t has band 2 but its density is
+        # no trigonometric polynomial; sampling the density on M' nodes loses
+        # orthogonality (3.3e-3 at n = 20), the weight's coefficients do not
+        theta = midpoint_nodes(1024)
+        vals = np.zeros((1024, 2, 2), dtype=complex)
+        vals[:, 0, 0] = 0.75 * np.abs(np.sin(theta)) / np.pi
+        vals[:, 1, 1] = 1.0 / (2.0 * np.pi * np.abs(np.sin(theta)))
+        mu = make_measure(TableDensity(vals), [(2.5, np.diag([0.25, 0.0]))], quad_order=1024,
+                          normalize="strict")
+        nodes, gap = _document_gap(mu, 20, monkeypatch)
+        assert nodes == 64 and gap <= 1e-13
+        assert orthonormality_defect(stieltjes(mu, 20)) <= 1e-12
+
+    def test_a_table_without_a_band_keeps_the_grid(self):
+        # a table density of a trigonometric polynomial has the weight
+        # 2 pi |sin t| f, whose coefficients decay like k^-2
+        mu = _random_measure(2, 512, seed=7)
+        n_vals, coeffs = fourier_coefficients(mu.weight)
+        assert band_degree(n_vals, coeffs) >= 128
+        assert stieltjes(mu, 5).fold.x.size == 256
+
+    @pytest.mark.parametrize("band, nodes", [(15, 32), (16, 64)])
+    def test_a_band_from_a_quarter_of_the_grid_keeps_it(self, band, nodes):
+        # on 64 nodes: band 15 runs degree 1 on the 32 nodes above 2 x 15,
+        # band 16 = M/4 needs 64, the whole grid
+        rng = np.random.default_rng(band)
+        weight = random_smooth_weight(rng, 2, 64, harmonics=band)
+        mu = make_measure(_band_density(weight, False), quad_order=64)
+        assert band_degree(*fourier_coefficients(mu.weight)) == band
+        assert 2 * stieltjes(mu, 1).fold.x.size == nodes
+
+    def test_verify_l2_matches_the_document_grid(self, shipped_measures, deep_shapes,
+                                                 monkeypatch):
+        # verify_l2 carries p_n from the M' nodes to the factor's M nodes by
+        # its trigonometric interpolant. A mass at |z| = 0.99 puts B far from
+        # any trigonometric polynomial of degree below M' (taking the norm on
+        # the 256 nodes moves it by 9e-3 at n = 60), and a band-66 2x2
+        # weight takes the Wilson factor
+        rng = np.random.default_rng(5)
+        band_66 = random_smooth_weight(rng, 2, 4096, harmonics=66)
+        wilson = make_measure(_band_density(band_66, False), [(2.6, 0.05 * np.eye(2))],
+                              quad_order=4096)
+        near = make_measure(SemicircleDensity(1), [(2.0001, [[0.05]])], quad_order=4096)
+        measures = dict(shipped_measures, **deep_shapes, wilson=wilson, near_band_mass=near)
+        for name, mu in measures.items():
+            lim = build_pipeline(mu)
+            assert (lim.outer.path == "wilson") == (name == "wilson")
+            got, nodes = _l2_residuals(lim, mu)
+            with monkeypatch.context() as patch:
+                patch.setattr(polynomials, "_recurrence_grid", _document_grid)
+                ref, _ = _l2_residuals(lim, mu)
+            assert nodes < mu.quad_order, name
+            assert float(np.max(np.abs(got - ref))) <= 1e-12, name
+
+
+def _l2_residuals(lim, mu):
+    """(verify_l2 at n = 5, 20, 60, 100, node count of the recurrence grid)."""
+    seq = stieltjes(mu, 100)
+    pseq2 = apply_transform(seq, *to_type(seq.jacobi, "type2"))
+    return verify_l2(lim, pseq2, [5, 20, 60, 100]), 2 * seq.fold.x.size
+
+
 def _lazy_measure(l, live):
     """Table weight on 64 nodes with a far mass, frozen by degree 16, and
     with live=True a near-band mass still live at degree 16."""
@@ -963,11 +1183,11 @@ class TestLazyValues:
         l, live = request.param
         mu = _lazy_measure(l, live)
         seq = stieltjes(mu, LAZY_DEGREE)
-        half = mu.quad_order // 2
+        half = seq.fold.x.size
         rows = seq._y[: half * l].reshape(half, l, -1)
-        full = polynomials._node_product(mu.grid_fold.inverse, rows, np.empty(rows.shape, complex))
+        full = polynomials._node_product(seq.fold.inverse, rows, np.empty(rows.shape, complex))
         full = np.concatenate([full, full[::-1]])
-        grid = full.reshape(mu.quad_order, l, LAZY_DEGREE + 1, l).transpose(2, 0, 1, 3)
+        grid = full.reshape(2 * half, l, LAZY_DEGREE + 1, l).transpose(2, 0, 1, 3)
         mass = seq.mass_values
         assert np.any(mass[-1, -1] != 0) == live and not np.any(mass[-1, 0])
         eager = {"type1": (grid, mass)}
@@ -1012,9 +1232,9 @@ class TestUnwhitenedOnlyWhenRead:
             widths.append(rows.shape[-1])
             return unwhiten(f, rows, out)
 
-        def spy_grid_at(self, n):
+        def spy_grid_at(self, n, nodes=None):
             degrees.append(n)
-            return grid_at(self, n)
+            return grid_at(self, n, nodes)
 
         monkeypatch.setattr(polynomials, "_node_product", spy_unwhiten)
         monkeypatch.setattr(PolySequence, "grid_at", spy_grid_at)
