@@ -188,8 +188,7 @@ def verify_l2(
                    - 2^{-1/2} (e^{-int} B(t) + e^{int} s(t) B(-t)) V ||_{L^2},
     with s the phase function of the factor and B evaluated on the
     circle; reflection uses the grid's exact t -> -t symmetry.
-    The norm is taken on the factor's M nodes (PolySequence.grid_at): s and
-    B are no trigonometric polynomials, so the recurrence's M' would move it.
+    The norm is taken on the factor's nodes (grid_at): s and B are no trigonometric polynomials.
     """
     g_b = lim.outer.boundary.values
     theta = lim.outer.boundary.theta

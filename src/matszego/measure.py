@@ -306,9 +306,8 @@ class MatrixMeasure:
 
 
 def grid_fold(weight: BoundarySampling) -> GridFold:
-    """The grid of a weight sampling folded onto its M/2 distinct abscissae,
-    by one eigendecomposition per mirror pair; a pair sum that is not
-    positive definite raises rather than being clipped."""
+    """A weight sampling's grid folded onto its M/2 distinct abscissae, one eigh
+    per mirror pair; a pair sum not positive definite raises, unclipped."""
     w, m, half = weight.values, weight.node_count, weight.node_count // 2
     lam, vec = linalg.eigh(w[:half] + w[: half - 1 : -1])
     if lam[:, 0].min() <= 0.0:

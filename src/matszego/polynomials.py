@@ -42,6 +42,7 @@ from .linalg import (
     max_operator_norm,
     may_exceed,
     operator_norm,
+    positive_definite,
     synthesize_on_grid,
 )
 from .measure import GridFold, MatrixMeasure, grid_fold
@@ -99,21 +100,20 @@ def _node_product(f: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarra
 class PolySequence:
     """Orthonormal polynomials p_0..p_n, read from one whitened stieltjes buffer.
 
-    The buffer's rows c_m p_k(x_m), one per distinct abscissa of fold,
-    the M' nodes the recurrence ran on, and R_k p_k(E_k) (stieltjes), a
+    The buffer's rows c_m p_k(x_m), one per distinct abscissa of fold (the
+    M' nodes the recurrence ran on), and R_k p_k(E_k) (stieltjes), a
     Fortran-order column block per degree, stay whitened and read-only;
-    values are computed only when read, into new arrays. grid_at(k), p_k
-    at all M' x-nodes, unwhitens degree k's l columns of the M'/2 node
-    rows on each call and mirrors them; mass_values[k] is computed for
-    every degree at the first read (a few KB per mass) and kept. With
-    sigma set (apply_transform), both read p_k sigma[k].
-    reorthogonalization_passes counts the polynomials the recurrence
-    re-orthogonalized against all earlier ones.
+    values are computed only when read, into new arrays. grid_at(k), p_k at
+    all M' x-nodes, unwhitens degree k's l columns of the M'/2 node rows on
+    each call and mirrors them; mass_values[k] is computed for every degree
+    at the first read (a few KB per mass) and kept. With sigma set
+    (apply_transform), both read p_k sigma[k]. reorthogonalization_passes
+    counts the polynomials the recurrence re-orthogonalized against all
+    earlier ones.
     """
 
     def __init__(self, measure: MatrixMeasure, fold: GridFold, jacobi: BlockJacobi, y: np.ndarray,
-                 spans: list, degree: int, reorthogonalization_passes: int = 0,
-                 sigma: np.ndarray | None = None):
+                 spans: list, degree: int, reorthogonalization_passes: int = 0, sigma=None):
         self.measure = measure
         self.fold = fold
         self.jacobi = jacobi
@@ -239,15 +239,16 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
     (M'/2) l + sum rank_k rows and (n_max + 1) l columns: every B block,
     Gram matrix and re-orthogonalization Q (Q* q) is a GEMM.
 
-    The grid is sized to the degree (the discretized Stieltjes procedure,
-    Gautschi 2004, section 2.2). Every inner product the recurrence forms
-    integrates a trigonometric polynomial of degree at most 2 n_max + d,
-    d the weight's band (linalg.band_degree of its M-node coefficients),
-    which the midpoint rule on M' > 2 n_max + d nodes sums exactly. So M',
-    the smallest power of two above 2 n_max + 2 + d and 2 d if below M
-    (so d < M/4), else M, gives the M-grid blocks to rounding. Its weight
-    is synthesized from the M-node coefficients |k| <= d, normalization
-    included, not from the density, which a table need not give band-limited.
+    The grid is sized to the degree (discretized Stieltjes procedure,
+    Gautschi 2004, 2.2): the inner products integrate trigonometric
+    polynomials of degree at most 2 n_max + d, d the weight's band
+    (linalg.band_degree), summed exactly by the midpoint rule on
+    M' > 2 n_max + d nodes. M', the least power of two above 2 n_max + 2 + d
+    and 2 d, replaces M when smaller and when the coefficients beyond d move
+    each node's weight w by dw, -1e-6 w < dw < 1e-6 w: each Gram matrix then
+    moves by at most 1e-6 of itself (the blocks, in the tests, by 1e-13). The
+    M'-node weight is synthesized from the coefficients |k| <= d, not from
+    the density, which a table need not give band-limited.
 
     Orthogonality against earlier polynomials is kept by partial
     re-orthogonalization (Simon, Math. Comp. 42, 1984). Each step
@@ -262,13 +263,13 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
 
     A degree the discrete measure cannot resolve is refused before the
     loop: p_0..p_n need (n + 1) l dimensions, and the document's measure
-    carries (M/2) l + sum rank_k. NotHermitian is raised
-    when a B block is not Hermitian, LostPositivity when the Gram matrix
-    of the recurrence remainder drops below tol.pos, NegativeEigenvalue
-    when it has an eigenvalue below -tol.herm (reachable only under a
-    tol.pos <= 0 override), NumericalError when it overflows (a mass past
-    |E| = 1e154). Every message starts with "stieltjes:", and those of the
-    resolution and positivity failures name the resolution, the latter M' and M.
+    carries (M/2) l + sum rank_k. NotHermitian is raised when a B block is
+    not Hermitian, LostPositivity when the Gram matrix of the recurrence
+    remainder drops below tol.pos, NegativeEigenvalue when it has an
+    eigenvalue below -tol.herm (reachable only under a tol.pos <= 0
+    override), NumericalError when it overflows (a mass past |E| = 1e154).
+    Every message starts with "stieltjes:"; those of the resolution and
+    positivity failures name the resolution, the latter on M' and M.
 
     Evaluations at a mass point ride the recurrence's growing solution:
     rounding noise amplifies like |z_k|^{-n} while the true values decay
@@ -415,12 +416,15 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
 def _recurrence_grid(measure: MatrixMeasure, n_max: int) -> GridFold:
     """The folded grid of M' nodes the recurrence to degree n_max runs on (stieltjes)."""
     w = measure.weight
-    n_vals, c = fourier_coefficients(w)
-    d = band_degree(n_vals, c)
-    nodes = 1 << max(2 * n_max + 2 + d, 2 * d).bit_length()
-    if nodes < w.node_count:
-        v = synthesize_on_grid(n_vals[np.abs(n_vals) <= d], c[np.abs(n_vals) <= d], nodes).values
-        w = BoundarySampling(0.5 * (v + v.conj().transpose(0, 2, 1)))
+    if 1 << (2 * n_max + 2).bit_length() < w.node_count:  # else no band shrinks M: no FFT
+        n_vals, c = fourier_coefficients(w)
+        d = band_degree(n_vals, c)
+        nodes, band = 1 << max(2 * n_max + 2 + d, 2 * d).bit_length(), np.abs(n_vals) <= d
+        if nodes < w.node_count:
+            tail = synthesize_on_grid(n_vals[band], c[band], w.node_count).values - w.values
+            if all(positive_definite(1e-6 * w.values + sign * tail) for sign in (1, -1)):
+                v = synthesize_on_grid(n_vals[band], c[band], nodes).values
+                w = BoundarySampling(0.5 * (v + v.conj().transpose(0, 2, 1)))
     return grid_fold(w)
 
 
@@ -486,11 +490,11 @@ def orthonormality_defect(seq: PolySequence) -> float:
     <<p_i, p_j>>; unitary sigma_k leave every block norm unchanged, so a
     transformed sequence reads the same rows. Only the upper block
     triangle is formed, in tiles of at most 64 columns summed over chunks
-    of whole nodes of rows, each conjugated once per column block of
-    tiles (at most 64 KB). The blocks of a tile are decomposed only where
-    their Frobenius norms may pass the running maximum (linalg.may_exceed),
-    so a tile of rounding-level blocks below it costs no SVD, and the
-    float is the one every block's norm gives.
+    of whole nodes of rows: a tile and a chunk's conjugated rows take at
+    most 64 KB each. The blocks of a tile are decomposed only where their
+    Frobenius norms may pass the running maximum (linalg.may_exceed), so a
+    tile of rounding-level blocks below it costs no SVD, and the float is
+    the one every block's norm gives.
     """
     y, l = seq._y, seq.measure.dim
     cols = (seq.degree + 1) * l
@@ -501,13 +505,11 @@ def orthonormality_defect(seq: PolySequence) -> float:
     worst = 0.0
     for a in range(0, cols, width):
         left = y[:, a : min(a + width, cols)]
-        columns = range(a, cols, width)
-        tiles = [np.zeros((left.shape[1], min(width, cols - b)), complex) for b in columns]
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            chunk = left[start:stop].conj().T
-            for b, tile in zip(columns, tiles):
-                tile += chunk @ y[start:stop, b : b + tile.shape[1]]
-        for b, tile in zip(columns, tiles):
+        for b in range(a, cols, width):
+            right = y[:, b : min(b + width, cols)]
+            tile = left[: bounds[1]].conj().T @ right[: bounds[1]]
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                tile += left[start:stop].conj().T @ right[start:stop]
             ni, nj = tile.shape[0] // l, tile.shape[1] // l
             blocks = tile.reshape(ni, l, nj, l).transpose(0, 2, 1, 3)
             if a == b:
