@@ -218,43 +218,33 @@ def max_hermitian_norm(a: np.ndarray) -> float:
 
 
 class BracketedNorm:
-    """max_operator_norm of a stack, bracketed from its Frobenius norms and
-    computed exactly only when a test needs it.
+    """max_hermitian_norm of a stack of Hermitian blocks, bracketed from
+    its Frobenius norms and computed exactly only when a test needs it.
 
-    For an m x n block, ||A||_F / sqrt(min(m, n)) <= ||A||_2 <= ||A||_F,
-    so with F the largest Frobenius norm of the stack
+    For an l x l block, ||A||_F / sqrt(l) <= ||A||_2 <= ||A||_F, so with F
+    the largest Frobenius norm of the stack
 
-        lo = F / sqrt(min(m, n)) * (1 - 1e-8)  <=  max ||A||_2  <=  F * (1 + 1e-8) = hi,
+        lo = F / sqrt(l) * (1 - 1e-8)  <=  max ||A||_2  <=  F * (1 + 1e-8) = hi,
 
-    where the margin covers the rounding of F and of the SVD; the bracket
-    holds the very float max_operator_norm returns. A stack of exact zeros
-    gives (0.0, 0.0). Where the Frobenius norms are unreliable
-    (_frobenius_top) both ends are NaN, so every comparison fails and the
-    exact value decides, errors included. Each test decides from the
-    brackets when they settle it and from the exact values otherwise, so
-    it returns what the same test on the exact values returns. The stack
-    is dropped once the value is known. norm computes the exact value:
-    max_hermitian_norm for a stack of Hermitian blocks, whose largest
-    |eigenvalue| the same bracket holds.
+    where the margin covers the rounding of F and of the eigenvalues; the
+    bracket holds the very float max_hermitian_norm returns. A stack of
+    exact zeros gives (0.0, 0.0). Where the Frobenius norms are unreliable
+    (_frobenius_top) both ends are NaN, so the exact value decides, errors
+    included. The stack is dropped once the value is known.
     """
 
-    def __init__(self, stack: np.ndarray | None = None, value: float = np.nan,
-                 norm=None):
+    def __init__(self, stack: np.ndarray):
         self._stack = stack
-        self._norm = norm or max_operator_norm
-        if stack is None:
-            self.lo = self.hi = value
-            return
         _, top = _frobenius_top(stack)
         if top is None:
             self.lo = self.hi = np.nan
         else:
-            self.lo = (1.0 - _BRACKET_MARGIN) * top / math.sqrt(min(stack.shape[-2:]))
+            self.lo = (1.0 - _BRACKET_MARGIN) * top / math.sqrt(stack.shape[-1])
             self.hi = (1.0 + _BRACKET_MARGIN) * top
 
     def exact(self) -> float:
         if self._stack is not None:
-            self.lo = self.hi = self._norm(self._stack)
+            self.lo = self.hi = max_hermitian_norm(self._stack)
             self._stack = None
         return self.lo
 
@@ -265,18 +255,6 @@ class BracketedNorm:
         if lo == hi and not math.isnan(self.lo):
             return lo
         return test(self.exact())
-
-    def at_most(self, t: float) -> bool:
-        """value <= t."""
-        return self.decide(lambda value: value <= t)
-
-    def below(self, other: "BracketedNorm", factor: float = 1.0) -> bool:
-        """value < factor * other.value, for factor >= 0."""
-        if self.hi < other.lo * factor:
-            return True
-        if self.lo >= other.hi * factor:
-            return False
-        return self.exact() < other.exact() * factor
 
 
 def diagonal_congruence(u: np.ndarray, d: np.ndarray) -> np.ndarray:

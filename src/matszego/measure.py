@@ -46,31 +46,35 @@ def _grid_x(order: int) -> np.ndarray:
     return 2.0 * np.cos(midpoint_nodes(order))
 
 
-class SemicircleDensity(Density):
+class _ScalarDensity(Density):
+    """profile(x) * identity of size dim, for a scalar profile on (-2, 2)."""
+
+    def __init__(self, dim: int = 1):
+        self.dim = int(dim)
+
+    def profile(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def sample(self, order: int) -> np.ndarray:
+        scalar = self.profile(_grid_x(order))
+        return scalar[:, None, None] * np.eye(self.dim)[None]
+
+
+class SemicircleDensity(_ScalarDensity):
     """f(x) = sqrt(4 - x^2) / (2 pi) * identity; unit total mass."""
 
-    def __init__(self, dim: int = 1):
-        self.dim = int(dim)
-
-    def sample(self, order: int) -> np.ndarray:
-        x = _grid_x(order)
-        scalar = np.sqrt(4.0 - x * x) / (2.0 * np.pi)
-        return scalar[:, None, None] * np.eye(self.dim)[None]
+    def profile(self, x: np.ndarray) -> np.ndarray:
+        return np.sqrt(4.0 - x * x) / (2.0 * np.pi)
 
 
-class ArcsineDensity(Density):
+class ArcsineDensity(_ScalarDensity):
     """f(x) = 1 / (pi sqrt(4 - x^2)) * identity; unit total mass."""
 
-    def __init__(self, dim: int = 1):
-        self.dim = int(dim)
-
-    def sample(self, order: int) -> np.ndarray:
-        x = _grid_x(order)
-        scalar = 1.0 / (np.pi * np.sqrt(4.0 - x * x))
-        return scalar[:, None, None] * np.eye(self.dim)[None]
+    def profile(self, x: np.ndarray) -> np.ndarray:
+        return 1.0 / (np.pi * np.sqrt(4.0 - x * x))
 
 
-class PolySemicircleDensity(Density):
+class PolySemicircleDensity(_ScalarDensity):
     """q(x) * semicircle * identity with q a positive scalar polynomial.
 
     q is rescaled at construction so the density has unit total mass;
@@ -78,7 +82,7 @@ class PolySemicircleDensity(Density):
     """
 
     def __init__(self, coeffs, dim: int = 1):
-        self.dim = int(dim)
+        super().__init__(dim)
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValidationError("poly_semicircle: coeffs must be a 1-d list")
@@ -95,14 +99,12 @@ class PolySemicircleDensity(Density):
         total = float(np.mean(qx * 2.0 * np.sin(t) ** 2))
         self.coeffs = coeffs / total
 
-    def sample(self, order: int) -> np.ndarray:
-        x = _grid_x(order)
-        scalar = (
+    def profile(self, x: np.ndarray) -> np.ndarray:
+        return (
             np.polynomial.polynomial.polyval(x, self.coeffs)
             * np.sqrt(4.0 - x * x)
             / (2.0 * np.pi)
         )
-        return scalar[:, None, None] * np.eye(self.dim)[None]
 
 
 class ConjugatedDiagonalDensity(Density):
@@ -177,7 +179,6 @@ class TableDensity(Density):
         grid = BoundarySampling(v)
         self.dim = grid.dim
         self.samples = grid.values  # read-only
-        self._n, self._coeffs = linalg.fourier_coefficients(grid)
 
     def sample(self, order: int) -> np.ndarray:
         """The stored samples on the table's grid; else the interpolant.
@@ -189,7 +190,7 @@ class TableDensity(Density):
         """
         if order == self.samples.shape[0]:
             return self.samples
-        n, coeffs = self._n, self._coeffs
+        n, coeffs = linalg.fourier_coefficients(BoundarySampling(self.samples))
         if order < n.size:
             folded = (n + order // 2) % order - order // 2
             sign = np.where((n - folded) // order % 2, -1.0, 1.0)

@@ -17,7 +17,9 @@ so G(0) is Hermitian positive definite. Two construction paths:
   polynomial, fractional edge exponents) and bands so wide that the
   reduction's dense (d l)^3 work would exceed the grid's. It runs on the
   M nodes after the same peeling, on v = w^T, as (psi^T)* (psi^T) =
-  (psi psi*)^T = w; the series is cut after G's band, at most M/8.
+  (psi psi*)^T = w; the series is cut after G's band, at most M/8. Its
+  stop and stall tests read exact residual norms; only the scale of the
+  peeling and certificate tests is bracketed (linalg.BracketedNorm).
 
 Either way the stored factor is a polynomial, whose error inside the
 disk is at most its error on the circle (maximum principle), so it is
@@ -203,43 +205,29 @@ def _wilson(v: np.ndarray, target: float) -> tuple[np.ndarray, int]:
     """Left factor psi psi* = v on the grid; returns (psi, sweeps).
 
     Starts from the Cholesky factor of the mean of v and stops once the
-    residual max ||psi psi* - v|| is at most target, or after four sweeps
-    without a 30% gain on the best residual; the caller checks the result.
-    The stop and stall tests read Frobenius brackets (linalg.BracketedNorm),
-    exact only where one straddles the threshold (the best sweep's stack
-    is kept for that), and run the sweeps the exact tests run.
+    residual max ||psi psi* - v|| (linalg.max_hermitian_norm: the residual
+    is Hermitian) is at most target, or after four sweeps without a 30%
+    gain on the best residual; the caller checks the result.
     """
     m_grid, dim = v.shape[0], v.shape[1]
     psi = np.linalg.cholesky(np.mean(v, axis=0))[None].repeat(m_grid, axis=0)
     eye = np.eye(dim)
-    best = BracketedNorm(value=np.inf)
-    stall = 0
-    sweeps = 0
+    best, stall, sweeps = np.inf, 0, 0
     for sweeps in range(1, _MAX_SWEEPS + 1):
         try:
             inv_psi = np.linalg.inv(psi)
         except np.linalg.LinAlgError:
             raise NoConvergence(
-                f"factorize: iterate singular, residual {best.exact():.1e} above target "
+                f"factorize: iterate singular, residual {best:.1e} above target "
                 f"{target:.1e} after {sweeps - 1} sweeps"
             ) from None
-        # inv_psi and ratio are freed once used, to make room for best's stack
         ratio = inv_psi @ v @ inv_psi.conj().transpose(0, 2, 1) + eye
-        del inv_psi
         psi = psi @ linalg.analytic_part(BoundarySampling(ratio)).values
-        del ratio
-        res = BracketedNorm(psi @ psi.conj().transpose(0, 2, 1) - v)
-        if res.at_most(target):
+        res = linalg.max_hermitian_norm(psi @ psi.conj().transpose(0, 2, 1) - v)
+        stall = 0 if res < 0.7 * best else stall + 1
+        best = min(best, res)
+        if res <= target or stall >= 4:
             break
-        # res < 0.7 best implies res < best, the new minimum
-        if res.below(best, 0.7):
-            stall, best = 0, res
-        else:
-            stall += 1
-            if res.below(best):
-                best = res
-            if stall >= 4:
-                break
     return psi, sweeps
 
 
@@ -272,10 +260,10 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
     block (linalg.positive_definite), skipped for a weight that
     make_measure decided (BoundarySampling.positive); eigenvalues only
     word a failure.
-    The scale max ||w|| is bracketed from the blocks' Frobenius norms
-    (linalg.BracketedNorm) and computed exactly only where the peeling
-    floor tol.rank_rel max ||w|| or the target tol.fact_rel max ||w||
-    falls inside the bracket, so every decision is the exact one.
+    Only the scale max ||w|| is bracketed, from the blocks' Frobenius
+    norms (linalg.BracketedNorm), and computed exactly only where the
+    peeling floor tol.rank_rel max ||w|| or the target tol.fact_rel
+    max ||w|| falls inside the bracket, so every decision is the exact one.
     Weights of band d < M/4 (linalg.band_degree of the M-node FFT) take the
     cyclic reduction, to order d, unless d^3 l > 128 M, where its
     O((d l)^3) steps cost more than Wilson's sweeps (crossover
@@ -304,7 +292,7 @@ def spectral_factorize(w: BoundarySampling, tol: Tolerances = DEFAULT) -> OuterF
             lam_min = float(linalg.eigvalsh(values)[:, 0].min())
             raise NotPD(f"factorize: weight not positive definite: min eig {lam_min:.1e} "
                         "at or below 0")
-    scale = BracketedNorm(values, norm=linalg.max_hermitian_norm)
+    scale = BracketedNorm(values)
 
     n_vals, c = linalg.fourier_coefficients(BoundarySampling(values))
     band = linalg.band_degree(n_vals, c)
@@ -440,10 +428,11 @@ def s_function(g: OuterFunction, tol: Tolerances = DEFAULT) -> BoundarySampling:
     For weights symmetric under t -> -t (every Szego-mapped weight is)
     the values are unitary. SingularBoundary if a reflected value is
     numerically singular: its smallest singular value at or below
-    tol.sing_rel times the largest over the grid. Frobenius norms of the
-    values and of the inverses s needs anyway decide a pass
-    (_surely_invertible); the singular values are computed only where
-    they do not, so the outcome is that of the exact test.
+    tol.sing_rel times the largest over the grid, or when an LU pivot is
+    exactly zero (possible above a tiny tol.sing_rel), at the node of the
+    smallest. Frobenius norms of the values and of the inverses s needs
+    anyway decide a pass (_surely_invertible); the singular values are
+    computed only where they do not, so the outcome is that of the exact test.
     """
     vals = g.boundary.values
     reflected = vals[::-1]
@@ -454,13 +443,14 @@ def s_function(g: OuterFunction, tol: Tolerances = DEFAULT) -> BoundarySampling:
     if inv is None or not _surely_invertible(reflected, inv, tol.sing_rel):
         sing = np.linalg.svd(reflected, compute_uv=False)
         smin, smax = np.min(sing[:, -1]), np.max(sing[:, 0])
-        if smin <= tol.sing_rel * smax:
+        below = smin <= tol.sing_rel * smax
+        if inv is None or below:
             node = int(np.argmin(sing[:, -1]))
+            bound = (f"at or below {tol.sing_rel:.1e} x largest" if below
+                     else "with a zero LU pivot; largest")
             raise SingularBoundary(
                 f"s_function: G(e^{{-it}}) numerically singular at node t = "
                 f"{g.boundary.theta[node]:.6f}: smallest singular value {smin:.1e} "
-                f"at or below {tol.sing_rel:.1e} x largest {smax:.1e}"
+                f"{bound} {smax:.1e}"
             )
-        if inv is None:
-            inv = np.linalg.inv(reflected)
     return BoundarySampling(vals @ inv)

@@ -444,31 +444,34 @@ class TestMaxOperatorNormProperty:
 
 class TestBracketedNorm:
     @settings(max_examples=250, derandomize=True, deadline=None)
-    @given(stacks(), stacks())
-    def test_bracket_decisions_equal_exact_decisions(self, a, b):
+    @given(stacks(), st.sampled_from(["as_drawn", "phases", "repeat", "quantize"]),
+           st.integers(0, 2**32 - 1))
+    def test_bracket_decisions_equal_exact_decisions(self, a, how, seed):
+        # on Hermitian stacks, every test monotone in the value decides as
+        # it does on max_hermitian_norm, whether the bracket settles it or
+        # not; a non-finite stack raises like the exact value
         with np.errstate(over="ignore", invalid="ignore"):
-            bracket = BracketedNorm(a)
-            lo, hi = bracket.lo, bracket.hi
-            try:
-                exact = max_operator_norm(a)
-            except np.linalg.LinAlgError:
-                # NaN entries: the decision raises like the exact value
-                assert np.isnan(lo) and np.isnan(hi)
+            if how != "as_drawn":
+                a = tie(np.concatenate([a] * 4), how, np.random.default_rng(seed))
+            h = a + a.conj().transpose(0, 2, 1)
+            bracket = BracketedNorm(h)
+            if not np.isfinite(h).all():
+                assert np.isnan(bracket.lo) and np.isnan(bracket.hi)
                 with pytest.raises(np.linalg.LinAlgError):
-                    BracketedNorm(a).at_most(1.0)
+                    bracket.decide(lambda value: value <= 1.0)
                 return
-            if not np.isnan(lo):
-                assert lo <= exact <= hi
-            for t in thresholds([exact, lo, hi]):
-                assert BracketedNorm(a).at_most(t) == (exact <= t), t
-            try:
-                other = max_operator_norm(b)
-            except np.linalg.LinAlgError:
-                return
-            for factor in (0.7, 1.0):
-                for c, c_exact in ((b, other), (a / factor, max_operator_norm(a / factor))):
-                    below = BracketedNorm(a).below(BracketedNorm(c), factor)
-                    assert below == (exact < c_exact * factor)
+            exact = max_hermitian_norm(h)
+            if not np.isnan(bracket.lo):
+                assert bracket.lo <= exact <= bracket.hi
+            for t in thresholds([exact, bracket.lo, bracket.hi]):
+                assert BracketedNorm(h).decide(lambda value: value <= t) == (exact <= t), t
+                assert BracketedNorm(h).decide(lambda value: t < 0.7 * value) == (t < 0.7 * exact)
+            lam = np.abs(np.linalg.eigvalsh(h[0]))
+            for rel in (1e-10, 0.5, 1.0):
+                # the peeling test's shape: a count that grows with the value
+                rank = BracketedNorm(h).decide(lambda value: int(np.sum(lam <= rel * value)))
+                assert rank == int(np.sum(lam <= rel * exact))
+            assert bracket.exact() == exact
 
 
 class TestMaxHermitianNorm:

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from matszego import linalg
 from matszego.errors import MassOnSupport, ValidationError
 from matszego.linalg import midpoint_nodes, operator_norm
 from matszego.measure import (
@@ -294,6 +295,18 @@ class TestTableSampling:
         assert got is d.samples
         assert not got.flags.writeable
         assert float(np.max(np.abs(got - samples))) < 1e-15
+
+    def test_coefficients_are_taken_only_for_another_grid(self, monkeypatch):
+        # the table keeps its samples alone; its own grid needs no FFT
+        calls = []
+        fourier = linalg.fourier_coefficients
+        monkeypatch.setattr(linalg, "fourier_coefficients",
+                            lambda f: calls.append(f.node_count) or fourier(f))
+        d = TableDensity(smooth_table(64))
+        d.sample(64)
+        assert calls == []
+        d.sample(128)
+        assert calls == [64]
 
     @pytest.mark.parametrize("order", [32, 128, 256])
     def test_other_grids_match_dense_interpolant(self, order):

@@ -445,23 +445,6 @@ def factor_outcome(w: BoundarySampling, tol=DEFAULT):
     return g.sweeps, g.coeffs.tobytes(), g.boundary.values.tobytes(), floats.tobytes()
 
 
-def exact_wilson(v: np.ndarray, target: float) -> tuple[np.ndarray, int]:
-    """outer._wilson with its stop and stall tests on exact residuals."""
-    m_grid, dim = v.shape[0], v.shape[1]
-    psi = np.linalg.cholesky(np.mean(v, axis=0))[None].repeat(m_grid, axis=0)
-    best, stall = np.inf, 0
-    for sweeps in range(1, 61):
-        inv_psi = np.linalg.inv(psi)
-        ratio = inv_psi @ v @ inv_psi.conj().transpose(0, 2, 1) + np.eye(dim)
-        psi = psi @ linalg.analytic_part(BoundarySampling(ratio)).values
-        res = max_operator_norm(psi @ psi.conj().transpose(0, 2, 1) - v)
-        stall = 0 if res < best * 0.7 else stall + 1
-        best = min(best, res)
-        if res <= target or stall >= 4:
-            break
-    return psi, sweeps
-
-
 class TestBracketedDecisions:
     WEIGHTS = {
         "noncommuting_2_m256": lambda: document_weight(noncommuting_document(2, 256)),
@@ -474,11 +457,10 @@ class TestBracketedDecisions:
     @pytest.mark.parametrize("fact_rel", [DEFAULT.fact_rel, 1e-18])
     @pytest.mark.parametrize("name", sorted(WEIGHTS))
     def test_brackets_change_no_decision(self, monkeypatch, name, fact_rel):
-        # every tolerance test settled exactly, by brackets whose Frobenius
-        # norms read as unreliable (both ends NaN) or by the exact-residual
-        # Wilson loop, must give the same sweeps, factor and report floats
-        # bit for bit; fact_rel = 1e-18 runs each weight into its rounding
-        # plateau, where residuals rise and stall
+        # every scale test settled exactly, by brackets whose Frobenius
+        # norms read as unreliable (both ends NaN), must give the same
+        # sweeps, factor and report floats bit for bit; fact_rel = 1e-18
+        # runs each weight into its rounding plateau, where it fails
         w = self.WEIGHTS[name]()
         tol = dataclasses.replace(DEFAULT, fact_rel=fact_rel)
         fast = factor_outcome(w, tol)
@@ -492,8 +474,6 @@ class TestBracketedDecisions:
             m.setattr(linalg, "_frobenius_top", unreliable)
             assert factor_outcome(w, tol) == fast
         assert calls
-        monkeypatch.setattr(outer, "_wilson", exact_wilson)
-        assert factor_outcome(w, tol) == fast
         if fact_rel != DEFAULT.fact_rel:
             assert fast.startswith("factorize: residual ")
 
@@ -505,7 +485,8 @@ class TestBracketedDecisions:
     def test_few_full_stack_svds(self, monkeypatch, name):
         # cyclic reduction works on coefficients and the certificate takes
         # eigenvalues, so no node's block is ever decomposed by an SVD;
-        # Wilson's exact tests at every sweep would need four
+        # Wilson's residual norms, on the paths that take it, are
+        # eigenvalues too
         w = self.WEIGHTS[name]()
         full = []
         svd = np.linalg.svd
@@ -608,11 +589,49 @@ def reduction_orders(monkeypatch) -> list[int]:
     return orders
 
 
-def wilson_reference(w: BoundarySampling) -> OuterFunction:
-    """The certified Wilson factor of w on its M nodes, as if it were unresolved."""
+def wilson_reference(w: BoundarySampling, fact_rel: float = DEFAULT.fact_rel) -> OuterFunction:
+    """The certified Wilson factor of w on its M nodes, as if it were
+    unresolved: iterated to fact_rel, certified at the default tolerance."""
     values = 0.5 * (w.values + w.values.conj().transpose(0, 2, 1))
-    scale = linalg.BracketedNorm(values, norm=linalg.max_hermitian_norm)
-    return outer._certified(outer._wilson_factor(values, scale, DEFAULT), values, scale, DEFAULT)
+    scale = linalg.BracketedNorm(values)
+    tol = dataclasses.replace(DEFAULT, fact_rel=fact_rel)
+    return outer._certified(outer._wilson_factor(values, scale, tol), values, scale, DEFAULT)
+
+
+# (sweeps, residual) of wilson_reference at the default fact_rel and at
+# 1e-18, which runs each weight into a stall on its rounding plateau;
+# recorded from the bracketed loop that the plain float loop replaced
+WILSON_RUNS = {
+    "edge_table_m256": ((4, 2.3194260449531622e-10), (9, 2.7238813867563212e-15)),
+    "fractional_edge_m2048": ((10, 2.1729497324748936e-11), (15, 4.440892098500626e-15)),
+    "noncommuting_2_m1024": ((3, 4.144971401939739e-12), (8, 7.835368950568892e-15)),
+    "noncommuting_2_m256": ((3, 4.1436778766808326e-12), (8, 6.015619690857536e-15)),
+    "noncommuting_4_m1024": ((3, 4.139853030595966e-12), (8, 2.1389388295475584e-14)),
+    "noncommuting_semicircles_4_m1024": ((3, 2.6796272342408185e-13),
+                                         (7, 2.761733099884641e-14)),
+    "table_4_m512": ((4, 6.426865042666223e-14), (9, 2.6529080041527235e-15)),
+    "table_8_m256": ((4, 1.7783799732215327e-14), (9, 3.435441695062809e-15)),
+}
+
+
+def wilson_run_weight(name: str) -> BoundarySampling:
+    if name == "noncommuting_semicircles_4_m1024":
+        return document_weight(noncommuting_document(4, 1024, semicircles=3))
+    if name in DOCUMENTS:
+        return document_weight(DOCUMENTS[name]())
+    return TestBracketedDecisions.WEIGHTS[name]()
+
+
+class TestWilsonRuns:
+    @pytest.mark.parametrize("name", sorted(WILSON_RUNS))
+    def test_sweeps_and_residual_are_pinned(self, name):
+        # the plain-float stop and stall tests take the bracketed loop's
+        # decisions: the same sweeps, so the same iterate, to the bit
+        w = wilson_run_weight(name)
+        for fact_rel, pinned in zip((DEFAULT.fact_rel, 1e-18), WILSON_RUNS[name]):
+            g = wilson_reference(w, fact_rel)
+            assert g.path == "wilson"
+            assert (g.sweeps, g.residual) == pinned, fact_rel
 
 
 class TestResolutionGrid:
@@ -741,6 +760,17 @@ class TestSingularBoundary:
         with pytest.raises(SingularBoundary, match=r"^s_function: G\(e\^\{-it\}\) numerically "
                            r"singular at node t = .*: smallest singular value .* at or below "):
             s_function(singular_node_factor(block))
+
+    def test_zero_pivot_above_a_tiny_threshold_names_its_stage(self):
+        # LU swaps this block's rows and leaves fl(1/3) - fl(1/3) * 1 = 0,
+        # while its smallest singular value, 3e-16 from rounding 1/3, clears
+        # sing_rel = 1e-20: the inverse fails, and so does s_function
+        block = np.array([[1.0, 1.0 / 3.0], [3.0, 1.0]])
+        tol = dataclasses.replace(DEFAULT, sing_rel=1e-20)
+        with pytest.raises(SingularBoundary, match=r"^s_function: G\(e\^\{-it\}\) numerically "
+                           r"singular at node t = 2\.208932: smallest singular value "
+                           r".* with a zero LU pivot; largest 3\.3e\+00$"):
+            s_function(singular_node_factor(block), tol)
 
     def test_s_function_threshold_is_relative(self):
         # 1e-11 clears 1e-12 times the largest singular value, 1: no error
