@@ -42,7 +42,11 @@ class NotPD(NumericalError):
 
 
 class Singular(NumericalError):
-    """Matrix expected invertible is numerically singular."""
+    """Matrix expected invertible is numerically singular (index: the first in a stack)."""
+
+    def __init__(self, message: str = "", index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class AliasedIndex(NumericalError):

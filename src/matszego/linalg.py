@@ -397,29 +397,32 @@ def sqrt_from_eigh(lam: np.ndarray, q: np.ndarray, tol: Tolerances = DEFAULT) ->
 
 
 def left_polar(a: np.ndarray, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
-    """Decompose a = U P with U unitary and P = sqrt(a* a) Hermitian PD.
+    """Decompose a = U P with U unitary and P = sqrt(a* a) Hermitian PD,
+    for a matrix or, bitwise as one by one, each matrix of a stack.
 
-    Raises Singular when the smallest singular value is at or below
-    tol.sing_rel * ||a||. At l = 1 it is (a / |a|, |a|), with no SVD.
-    For a real entry these are the floats the SVD gives (+-1 and |a|)
-    wherever gesdd does not rescale the block (|a| within about 1e+-130);
-    for a complex one they agree with it to an ulp or two.
+    Raises Singular, with the first such matrix's index, when the smallest
+    singular value is at or below tol.sing_rel * ||a||. At l = 1 it is
+    (a / |a|, |a|), with no SVD. For a real entry these are the floats the
+    SVD gives (+-1 and |a|) wherever gesdd does not rescale the block (|a|
+    within about 1e+-130); for a complex one they agree with it to an ulp or two.
     """
     a = np.asarray(a, dtype=complex)
-    scalar = a.shape == (1, 1)
+    scalar = a.shape[-2:] == (1, 1)
     if scalar:
-        s = np.abs(a[0])
+        s = np.abs(a[..., 0])
     else:
         w, s, vh = np.linalg.svd(a)
-    if s[0] == 0.0 or s[-1] <= tol.sing_rel * s[0]:
-        raise Singular(f"smallest singular value {s[-1]:.3e} at or below "
-                       f"tol.sing_rel x largest = {tol.sing_rel * s[0]:.3e}")
+    bad = np.flatnonzero((s[..., 0] == 0.0) | (s[..., -1] <= tol.sing_rel * s[..., 0]))
+    if bad.size:
+        top, low = s.reshape(-1, s.shape[-1])[bad[0], [0, -1]]
+        raise Singular(f"smallest singular value {low:.3e} at or below "
+                       f"tol.sing_rel x largest = {tol.sing_rel * top:.3e}", int(bad[0]))
     if scalar:
         u = np.empty_like(a)
-        u.real, u.imag = a.real / s, a.imag / s
-        return u, s.astype(complex)[:, None]
+        u.real, u.imag = a.real / s[..., None], a.imag / s[..., None]
+        return u, s.astype(complex)[..., None]
     u = w @ vh
-    p = (vh.conj().T * s) @ vh
+    p = (vh.conj().swapaxes(-1, -2) * s[..., None, :]) @ vh
     return u, p
 
 

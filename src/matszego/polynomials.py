@@ -294,12 +294,12 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
 
     The buffer is a plain Fortran-order array, left uninitialized: column
     block 0 is written from fold.root and the mass roots, and step n
-    writes block n + 1 whole before any later step reads it. It is
-    read-only once returned: values are computed only when read, into
-    new arrays (PolySequence), so a caller that wants only the blocks,
-    such as the sum rule, never unwhitens a row. mass_values holds
-    pinv(R_k) R_k p_n(E_k), the values projected onto the range of the
-    weight.
+    writes block n + 1 whole, in place by one GEMM (_column_major's out;
+    no temporary, no copy), before any later step reads it. It is
+    read-only once returned: values are computed only when read, into new
+    arrays (PolySequence), so a caller that wants only the blocks, such as
+    the sum rule, never unwhitens a row. mass_values holds pinv(R_k) R_k
+    p_n(E_k), the values projected onto the range of the weight.
     """
     l, states = measure.dim, measure.bound_states
     ranks = [s.root.shape[0] for s in states]
@@ -342,9 +342,7 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
         for n in range(n_max):
             cur = y[:, n * l : (n + 1) * l]
             q = x_rows * cur
-            b_next = cur.conj().T @ q
-            _check_hermitian(b_next, n + 1)
-            b_next = 0.5 * (b_next + b_next.conj().T)
+            b_next = _check_hermitian(cur.conj().T @ q, n + 1)
             loss.b[n + 1] = np.sqrt(np.vdot(b_next, b_next).real)
 
             q -= _column_major(cur, b_next)
@@ -386,7 +384,7 @@ def stieltjes(measure: MatrixMeasure, n_max: int, tol: Tolerances = DEFAULT) -> 
             vec_h = vec.conj().T
             a_next = (vec * root) @ vec_h
             nxt = y[:, (n + 1) * l : (n + 2) * l]
-            nxt[...] = _column_major(q, (vec / root) @ vec_h)
+            _column_major(q, (vec / root) @ vec_h, out=nxt)
             if any_live:
                 mass = nxt[half * l :]
                 amp = np.add.reduceat((mass.real**2 + mass.imag**2).sum(axis=1), starts)
@@ -428,24 +426,24 @@ def _recurrence_grid(measure: MatrixMeasure, n_max: int) -> GridFold:
     return grid_fold(w)
 
 
-def _scaled(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _scaled(v: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """v m for a 1 x 1 block m, the floats a GEMM gives wherever m is real
     (as every block of the scalar recurrence is): each entry's one product,
     and adding 0 turns the -0 a product may leave into the +0 that the
-    GEMM's sum from zero gives."""
-    out = v * m[0, 0]
+    GEMM's sum from zero gives. Written into out when given."""
+    out = np.multiply(v, m[0, 0], out=out)
     out += 0.0
     return out
 
 
-def _column_major(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _column_major(v: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """v m for a column-major block v of the buffer, computed as (m^T v^T)^T
     so that the product is column-major too: an update of a buffer block
-    by it then runs over both in one memory order, about twice as fast.
-    A 1 x 1 m scales v (_scaled)."""
+    by it then runs over both in one memory order, about twice as fast. A
+    column-major out takes the product in place; a 1 x 1 m scales v (_scaled)."""
     if m.shape == (1, 1):
-        return _scaled(v, m)
-    return (m.T @ v.T).T
+        return _scaled(v, m, out)
+    return np.matmul(m.T, v.T, out=None if out is None else out.T).T
 
 
 def _gram_eigh(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -460,25 +458,23 @@ def _gram_eigh(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(0.5 * (gram + gram.conj().T))
 
 
-def _check_hermitian(b: np.ndarray, step: int) -> None:
-    """Raise NotHermitian when ||B - B*|| > 1e-8 max(1, ||B||), from the
-    exact norms of the one l x l block. The defect's Frobenius norm bounds
-    its operator norm, with 1e-8 relative to spare for rounding, so a
-    Frobenius norm at most 1e-8 / (1 + 1e-8) passes without an SVD; the
-    exact defect and ||B|| are needed only past that, and the decision is
-    the exact one."""
-    d = b - b.conj().T
-    if math.sqrt(np.vdot(d, d).real) * (1.0 + 1e-8) <= 1e-8:
-        return
-    herm = hermitian_defect(b)
-    if herm <= 1e-8:
-        return
-    floor = 1e-8 * max(1.0, float(operator_norm(b)))
-    if herm > floor:
-        raise NotHermitian(
-            f"stieltjes: step {step}: B block defect {herm:.2e} above "
-            f"1e-8 x max(1, ||B||) = {floor:.2e}"
-        )
+def _check_hermitian(b: np.ndarray, step: int) -> np.ndarray:
+    """(B + B*) / 2, from the conjugate that tests the one l x l block B:
+    raise NotHermitian when ||B - B*|| > 1e-8 max(1, ||B||), from the
+    exact norms. The defect's Frobenius norm bounds its operator norm,
+    with 1e-8 relative to spare for rounding, so a Frobenius norm at most
+    1e-8 / (1 + 1e-8) passes without an SVD; the exact norms are needed
+    only past that, and the decision is the exact one."""
+    b_adj = b.conj().T
+    d = b - b_adj
+    if math.sqrt(np.vdot(d, d).real) * (1.0 + 1e-8) > 1e-8:
+        herm, floor = float(operator_norm(d)), 1e-8 * max(1.0, float(operator_norm(b)))
+        if herm > floor:
+            raise NotHermitian(
+                f"stieltjes: step {step}: B block defect {herm:.2e} above "
+                f"1e-8 x max(1, ||B||) = {floor:.2e}"
+            )
+    return 0.5 * (b + b_adj)
 
 
 def orthonormality_defect(seq: PolySequence) -> float:
@@ -612,26 +608,20 @@ def recurrence_residual(seq: PolySequence) -> float:
 # normalization types
 
 
-def _positive_lq(m: np.ndarray, tol: Tolerances, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """m = L Q, L lower triangular with positive real diagonal, Q unitary; m is from A_degree."""
-    q0, r0 = np.linalg.qr(m.conj().T)
-    d = np.diagonal(r0)
-    d_min, floor = np.min(np.abs(d)), tol.sing_rel * max(1.0, float(np.max(np.abs(d))))
-    if d_min <= floor:
-        raise Singular(f"to_type: degree {degree}: LQ factor diagonal min |d| {d_min:.3e} at or "
-                       f"below tol.sing_rel x max(1, max |d|) = {floor:.3e}")
-    phases = d / np.abs(d)
-    q1 = q0 * phases[None, :]
-    r1 = np.conj(phases)[:, None] * r0
-    return r1.conj().T, q1.conj().T
+def _prefix_products(a: np.ndarray) -> np.ndarray:
+    """P_k = A_1 ... A_k, k = 1..n, as one stack of the sequential products P_{k-1} A_k."""
+    out, cum = np.empty_like(a), np.eye(a.shape[-1], dtype=complex)
+    for k in range(a.shape[0]):
+        cum = np.matmul(cum, a[k], out=out[k])
+    return out
 
 
 def _polar_factor(m: np.ndarray, tol: Tolerances, degree: int) -> np.ndarray:
-    """The unitary U of m = U P (linalg.left_polar); m is from A_degree."""
+    """The unitary U of m = U P (linalg.left_polar); m, or a stack's m[0], is from A_degree."""
     try:
         return left_polar(m, tol)[0]
     except Singular as err:
-        raise Singular(f"to_type: degree {degree}: {err}") from None
+        raise Singular(f"to_type: degree {degree + err.index}: {err}") from None
 
 
 def to_type(
@@ -645,6 +635,16 @@ def to_type(
     A~_k = sigma_k^* A_k sigma_{k+1}, B~_k = sigma_k^* B_k sigma_k and
     p~_k = p_k sigma_{k+1}; in array indices a~[k] = sigma[k]* a[k]
     sigma[k+1], b~[k] = sigma[k]* b[k] sigma[k] and p~_k = p_k sigma[k].
+
+    As sigma_1 = I, A~_1 ... A~_k = P_k sigma_{k+1} with P_k = A_1 ... A_k,
+    which fixes sigma uniquely for nonsingular P_k, so types 2 and 3 read it
+    from one stack of the P_k: sigma_{k+1}* is P_k's unitary polar factor
+    (type 2, one stacked SVD) or the Q of its LQ factors with diag L_k > 0
+    (type 3, one stacked QR of the P_k*), accurate while P_k is well
+    conditioned, as where kappa_n = (P_n*)^-1 converges. Singular names the
+    first degree whose diag L_k / diag L_{k-1}, A~_k's diagonal, has least
+    modulus at or below tol.sing_rel x max(1, its largest). Type 1 fixes no
+    product: it loops.
     """
     if target not in NORM_TYPES:
         raise ValidationError(f"target must be one of {NORM_TYPES}, got {target!r}")
@@ -652,19 +652,24 @@ def to_type(
     sigma = np.empty((n + 1, l, l), dtype=complex)
     sigma[0] = np.eye(l)
 
-    if target == "type2":
-        cum = np.eye(l, dtype=complex)
-        for k in range(n):
-            cum = cum @ jacobi.a[k]
-            sigma[k + 1] = _polar_factor(cum, tol, k + 1).conj().T
-    else:
+    if target == "type1":
         for k in range(n):
             m = sigma[k].conj().T @ jacobi.a[k]
-            if target == "type1":
-                sigma[k + 1] = _polar_factor(m, tol, k + 1).conj().T
-            else:  # type3
-                _, qu = _positive_lq(m, tol, k + 1)
-                sigma[k + 1] = qu.conj().T
+            sigma[k + 1] = _polar_factor(m, tol, k + 1).conj().T
+    elif target == "type2":
+        sigma[1:] = _polar_factor(_prefix_products(jacobi.a), tol, 1).conj().swapaxes(1, 2)
+    else:
+        q, r = np.linalg.qr(_prefix_products(jacobi.a).conj().swapaxes(1, 2))
+        d = np.diagonal(r, axis1=1, axis2=2)
+        with np.errstate(divide="ignore", invalid="ignore"):  # zeros follow a refused degree
+            ratio = np.abs(d) / np.abs(np.concatenate([np.ones((1, l)), d[:-1]]))
+        d_min, floor = ratio.min(axis=1), tol.sing_rel * np.maximum(1.0, ratio.max(axis=1))
+        bad = np.flatnonzero(d_min <= floor)
+        if bad.size:
+            k = bad[0]
+            raise Singular(f"to_type: degree {k + 1}: LQ factor diagonal min |d| {d_min[k]:.3e} "
+                           f"at or below tol.sing_rel x max(1, max |d|) = {floor[k]:.3e}")
+        sigma[1:] = q * (d / np.abs(d))[:, None, :]
 
     left = sigma[:-1].conj().transpose(0, 2, 1)
     a_new = left @ jacobi.a @ sigma[1:]
@@ -679,12 +684,7 @@ def type_defect(jacobi: BlockJacobi) -> float:
     if jacobi.norm_type == "type1":
         return hermitian_defect(a)
     if jacobi.norm_type == "type2":
-        worst = 0.0
-        cum = np.eye(jacobi.dim, dtype=complex)
-        for m in a:
-            cum = cum @ m
-            worst = max(worst, hermitian_defect(cum))
-        return worst
+        return hermitian_defect(_prefix_products(a)) if a.size else 0.0
     # type3: entries above the diagonal, imaginary parts and negative real
     # parts on it, each reduced over the whole stack
     diag = np.diagonal(a, axis1=1, axis2=2)

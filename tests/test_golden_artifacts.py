@@ -77,6 +77,21 @@ RECURRENCE_BLOCKS = {
     "matrix_conjugated": "f3d157d01d6a26af312a187e47d0c4dce15dabe97f66633ede7db1e1221e3684",
 }
 
+# The same digests for `recurrence --n 100 --type type2`: every bit of the
+# type-2 unitaries, the polar factors of the prefix products A_1 ... A_k,
+# is pinned as the per-degree loop gave them.
+RECURRENCE_TYPE2_BLOCKS = {
+    "matrix_semicircle_mass": "0ad14366e17e119836431c6ab73d9b0df56428b8a1da90397a51ad6fdaeb8eaa",
+    "matrix_conjugated": "db5a5c3c37b9fe0392ac86c5d50360883a230acefc6ddeaaf411a94922d2bb39",
+}
+
+# sha256 of report.json from `verify --n-list 0`, whose type-2 transform
+# runs on zero blocks.
+DEGREE_ZERO_REPORTS = {
+    "semicircle_mass": "b0efd0658a5f0bc3d88decde7263fab32a3e3ea4aa71d7ee1f0a6e53cdba9a4f",
+    "matrix_semicircle_mass": "ab0a4dda4cb2efbdabbd9c489ed0dcc37e14cf21b651d0ed0083950ecaa50db4",
+}
+
 
 def test_blas_threads_are_pinned_before_numpy_loads():
     # the digests here are exact for one BLAS thread; with two, the 2x2
@@ -101,6 +116,28 @@ def test_recurrence_blocks_of_the_matrix_documents(tmp_path):
         report = json.loads((target / "report.json").read_text())
         blocks = json.dumps({k: report[k] for k in ("a_blocks", "b_blocks")}, sort_keys=True)
         assert hashlib.sha256(blocks.encode()).hexdigest() == digest, name
+
+
+def test_type2_recurrence_blocks_of_the_matrix_documents(tmp_path):
+    for name, digest in RECURRENCE_TYPE2_BLOCKS.items():
+        target = tmp_path / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["recurrence", str(SPECS_DIR / f"{name}.json"), "--n", "100",
+                         "--type", "type2", "--out", str(target)])
+        assert code == 0, name
+        report = json.loads((target / "report.json").read_text())
+        blocks = json.dumps({k: report[k] for k in ("a_blocks", "b_blocks")}, sort_keys=True)
+        assert hashlib.sha256(blocks.encode()).hexdigest() == digest, name
+
+
+def test_verify_at_degree_zero_alone(tmp_path):
+    for name, digest in DEGREE_ZERO_REPORTS.items():
+        target = tmp_path / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["verify", str(SPECS_DIR / f"{name}.json"), "--n-list", "0",
+                         "--out", str(target)])
+        assert code == 0, name
+        assert hashlib.sha256((target / "report.json").read_bytes()).hexdigest() == digest, name
 
 
 def test_catalog_artifacts_match_golden_digests(tmp_path):

@@ -29,6 +29,7 @@ from matszego.linalg import (
     BracketedNorm,
     band_degree,
     fourier_coefficients,
+    left_polar,
     max_operator_norm,
     midpoint_nodes,
     operator_norm,
@@ -876,6 +877,80 @@ class TestKernelsMatchTheLoops:
         assert type_defect(jac) == _loop_type_defect(jac) == 5e-9
         jac = BlockJacobi(a=a[:1], b=np.zeros_like(a[:1]), norm_type="type3")
         assert type_defect(jac) == _loop_type_defect(jac) == 0.0
+
+
+def _loop_to_type(jacobi, target):
+    """to_type's type-2 and type-3 unitaries one degree at a time: the polar
+    factor of each running product A_1 ... A_k, or the phase-fixed LQ factor
+    of each sigma_k* A_k."""
+    n, l = jacobi.block_count, jacobi.dim
+    sigma = np.empty((n + 1, l, l), dtype=complex)
+    sigma[0] = np.eye(l)
+    cum = np.eye(l, dtype=complex)
+    for k in range(n):
+        if target == "type2":
+            cum = cum @ jacobi.a[k]
+            sigma[k + 1] = left_polar(cum)[0].conj().T
+        else:
+            q, r = np.linalg.qr((sigma[k].conj().T @ jacobi.a[k]).conj().T)
+            d = np.diagonal(r)
+            sigma[k + 1] = q * (d / np.abs(d))[None, :]
+    left = sigma[:-1].conj().transpose(0, 2, 1)
+    blocks = BlockJacobi(a=left @ jacobi.a @ sigma[1:], b=left @ jacobi.b @ sigma[:-1],
+                         norm_type=target)
+    return blocks, sigma
+
+
+def _assert_transforms_match_the_loops(jac, label):
+    """Type 2 bitwise as the loop; type 3 within 1e-13 max(1, ||A||), its
+    defect at rounding."""
+    scale = max(1.0, max_operator_norm(jac.a))
+    got, sigma = to_type(jac, "type2")
+    want, want_sigma = _loop_to_type(jac, "type2")
+    assert sigma.tobytes() == want_sigma.tobytes(), label
+    assert got.a.tobytes() == want.a.tobytes() and got.b.tobytes() == want.b.tobytes(), label
+    got, _ = to_type(jac, "type3")
+    want, _ = _loop_to_type(jac, "type3")
+    assert np.abs(got.a - want.a).max() <= 1e-13 * scale, label
+    assert np.abs(got.b - want.b).max() <= 1e-13 * scale, label
+    assert type_defect(got) <= 1e-13 * scale, label
+
+
+class TestBatchedTransforms:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(generated_sequences(), st.data())
+    def test_on_generated_measures(self, case, data):
+        mu, n, _ = case
+        jac = stieltjes(mu, n).jacobi
+        _assert_transforms_match_the_loops(jac, (mu.dim, mu.quad_order, n))
+        # a zero last column makes A_degree, and every later product, singular
+        degree = data.draw(st.integers(1, n))
+        a = jac.a.copy()
+        a[degree - 1, :, -1] = 0.0
+        singular = BlockJacobi(a=a, b=jac.b, norm_type="type1")
+        for target in NORM_TYPES:
+            with pytest.raises(Singular, match=rf"^to_type: degree {degree}: "):
+                to_type(singular, target)
+
+    @pytest.mark.parametrize("energy", [50.0, 1e5])
+    def test_far_mass(self, energy):
+        # a far mass makes A_1 large, about 16 at E = 50 and 3e4 at E = 1e5
+        v = np.array([1.0, 0.5j])
+        mu = make_measure(SemicircleDensity(2), [(energy, 0.1 * np.outer(v, v.conj()))],
+                          quad_order=1024)
+        jac = stieltjes(mu, 100).jacobi
+        _assert_transforms_match_the_loops(jac, energy)
+        got, want = to_type(jac, "type3")[0], _loop_to_type(jac, "type3")[0]
+        assert type_defect(got) == type_defect(want)
+
+    def test_zero_blocks(self):
+        for l in (1, 2):
+            empty = np.zeros((0, l, l), dtype=complex)
+            jac = BlockJacobi(a=empty, b=empty, norm_type="type1")
+            for target in NORM_TYPES:
+                got, sigma = to_type(jac, target)
+                assert sigma.tobytes() == np.eye(l, dtype=complex)[None].tobytes(), (l, target)
+                assert got.a.shape == got.b.shape == (0, l, l), (l, target)
 
 
 class TestReadsLeaveTheBuffer:

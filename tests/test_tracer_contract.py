@@ -6,7 +6,8 @@ duplicate kernel extractions. It counts stieltjes blocks from the n_max
 argument and keys a repeated stieltjes on its measure. A change of any of
 these signatures would break the traced benchmark while every untraced
 test still passed; these jobs run the commands that reach the stages with
-the tracer installed.
+the tracer installed. A verify job evaluates q_n once, on the disk grid and
+the origin, whose row is the kappa_n that h_diagnostic reads.
 """
 
 import contextlib
@@ -14,9 +15,10 @@ import io
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
-from matszego import cli
+from matszego import cli, limits, polynomials
 
 from conftest import SPECS_DIR
 
@@ -94,3 +96,32 @@ def test_recurrence_grid_adds_nothing_to_the_traced_counters(recurrence_metrics)
         assert m["polynomials.stieltjes.blocks"] == blocks, job
         assert m["measure.szego_weight.refine2_calls"] == refine2, job
         assert m["polynomials.errors"] == 0, job
+
+
+def test_verify_evaluates_the_scaled_polynomials_once(recurrence_metrics):
+    # the disk grid and the origin row, where q_n(0) = kappa_n, in one pass
+    for (name, command, _, _, _), m in zip(RECURRENCE_JOBS, recurrence_metrics):
+        if command == "verify":
+            assert m["polynomials.eval_scaled_many.calls"] == 1, name
+
+
+def test_polar_diagnostic_reads_the_leading_coefficients(monkeypatch, tmp_path):
+    seen = []
+    h_diagnostic = limits.h_diagnostic
+
+    def spy(lim, jacobi2, n_values, tol, kappas=None):
+        seen.append((jacobi2, n_values, kappas))
+        return h_diagnostic(lim, jacobi2, n_values, tol, kappas)
+
+    monkeypatch.setattr(limits, "h_diagnostic", spy)
+    for name in ("semicircle_mass", "matrix_semicircle_mass"):
+        argv = ["verify", str(SPECS_DIR / f"{name}.json"), "--n-list", "5,20,60",
+                "--out", str(tmp_path / name)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, name
+    assert len(seen) == 2
+    for jac2, n_values, kappas in seen:
+        assert kappas.shape == (len(n_values), jac2.dim, jac2.dim)
+        for n, kappa in zip(n_values, kappas):
+            want = polynomials.eval_scaled_many(jac2, [n], [0])[0, 0]
+            assert np.abs(kappa - want).max() <= 1e-13 * max(1.0, np.abs(want).max()), n
