@@ -149,34 +149,32 @@ def disk_grid(radius: float, angle_count: int = 24) -> np.ndarray:
     return (radii[:, None] * angles[None, :]).ravel()
 
 
-def _scaled_values(lim: LimitFunction, jacobi2, n_values, radius: float) -> np.ndarray:
-    """q_n at lim.disk_points(radius) and last at the origin, where q_n(0) = kappa_n."""
-    if radius > 0.99:
-        raise RadiusExceeded(f"limits: pointwise verification radius {radius:.6g} above 0.99")
-    return poly.eval_scaled_many(jacobi2, list(n_values), np.append(lim.disk_points(radius), 0.0))
-
-
 def verify_pointwise(
     lim: LimitFunction,
     jacobi2: poly.BlockJacobi,
     n_values: Sequence[int],
     radius: float = 0.8,
-    q_vals: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(sup gap per n, origin gap per n) of q_n against L on a disk grid.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sup gap per n, origin gap per n, kappa_n per n) of q_n against L on a disk grid.
 
     The grid's innermost ring has radius radius * cos(pi / 2), about
-    5e-17 radius, not 0: the origin, where q_n(0) is the leading
-    coefficient, is compared separately as the origin gap. Mass points
-    are excluded from the sup (L is compared where it is finite for the
-    inverse picture, and q_n is entire anyway). q_vals may be _scaled_values'.
+    5e-17 radius, not 0: the origin, where q_n(0) = kappa_n is the leading
+    coefficient, rides along as the last point and is compared separately
+    as the origin gap; the kappa_n are returned for h_diagnostic. Mass
+    points are excluded from the sup (L is compared where it is finite for
+    the inverse picture, and q_n is entire anyway).
     """
-    if q_vals is None:
-        q_vals = _scaled_values(lim, jacobi2, n_values, radius)
-    l_vals = lim.eval(lim.disk_points(radius))
+    if radius > 0.99:
+        raise RadiusExceeded(
+            f"limits: pointwise verification radius {radius:.6g} above 0.99"
+        )
+    pts = lim.disk_points(radius)
+    q_vals = poly.eval_scaled_many(jacobi2, list(n_values), np.append(pts, 0.0))
+    l_vals = lim.eval(pts)
     sup_gap = np.array([max_operator_norm(q[:-1] - l_vals) for q in q_vals])
-    origin_gap = np.array([float(operator_norm(q[-1] - lim.value0)) for q in q_vals])
-    return sup_gap, origin_gap
+    kappas = q_vals[:, -1].copy()  # not a view: the grid values are freed on return
+    origin_gap = np.array([float(operator_norm(k - lim.value0)) for k in kappas])
+    return sup_gap, origin_gap, kappas
 
 
 def verify_l2(
@@ -244,20 +242,18 @@ class PolarDiagnostic:
 
 def h_diagnostic(
     lim: LimitFunction,
-    jacobi2: poly.BlockJacobi,
+    kappas: np.ndarray,
     n_values: Sequence[int],
     tol: Tolerances = DEFAULT,
-    kappas: np.ndarray | None = None,
 ) -> PolarDiagnostic:
     """Track how the leading coefficients settle into the limit's polar data.
 
     raw_n = sqrt(2) B(0)^{-1} G(0) kappa_n has left polar parts
     (W_n, P_n); convergence means the eigenvalues of P_n approach one,
     log det P_n approaches zero, and W_n approaches the frame V. kappas
-    may be the origin row of _scaled_values.
+    holds kappa_n = q_n(0) for each n of n_values (verify_pointwise's third
+    result).
     """
-    if kappas is None:
-        kappas = poly.eval_scaled_many(jacobi2, n_values, [0])[:, 0]
     b0_inv = inv(lim.product.value_at_zero())
     g0 = lim.outer.value_at_zero()
     eta_min, eta_max, logdet, defect = [], [], [], []
@@ -302,19 +298,16 @@ def asymptotics_report(
     radius: float = 0.8,
     tol: Tolerances = DEFAULT,
 ) -> AsymptoticsReport:
-    """Build the pipeline and evaluate q_n once; run every convergence check on them."""
+    """Build the pipeline once and run every convergence check on it; q_n is evaluated once."""
     n_values = sorted(int(n) for n in n_values)
     lim = build_pipeline(mu, tol=tol)
     seq = poly.stieltjes(mu, max(n_values), tol)
     jac2, sigma = poly.to_type(seq.jacobi, "type2", tol)
     pseq2 = poly.apply_transform(seq, jac2, sigma)
-    q_vals = _scaled_values(lim, jac2, n_values, radius)
-    sup_gap, origin_gap = verify_pointwise(lim, jac2, n_values, radius, q_vals)
-    kappas = q_vals[:, -1].copy()  # only the origin row is held through verify_l2
-    del q_vals
+    sup_gap, origin_gap, kappas = verify_pointwise(lim, jac2, n_values, radius)
     l2_res = verify_l2(lim, pseq2, n_values, tol)
     mass_norm, mass_worst = verify_masses(pseq2, n_values)
-    polar = h_diagnostic(lim, jac2, n_values, tol, kappas)
+    polar = h_diagnostic(lim, kappas, n_values, tol)
     return AsymptoticsReport(
         n_values=tuple(n_values),
         radius=float(radius),

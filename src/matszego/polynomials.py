@@ -616,6 +616,18 @@ def _prefix_products(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lq_factor(m: np.ndarray, tol: Tolerances, degree: int) -> np.ndarray:
+    """The unitary Q of m = L Q, L lower triangular with diag L > 0; m is from A_degree."""
+    q, r = np.linalg.qr(m.conj().T)
+    d = np.diagonal(r)
+    mod = np.abs(d)
+    d_min, floor = mod.min(), tol.sing_rel * max(1.0, float(mod.max()))
+    if d_min <= floor:
+        raise Singular(f"to_type: degree {degree}: LQ factor diagonal min |d| {d_min:.3e} at or "
+                       f"below tol.sing_rel x max(1, max |d|) = {floor:.3e}")
+    return (q * (d / mod)).conj().T
+
+
 def _polar_factor(m: np.ndarray, tol: Tolerances, degree: int) -> np.ndarray:
     """The unitary U of m = U P (linalg.left_polar); m, or a stack's m[0], is from A_degree."""
     try:
@@ -637,14 +649,12 @@ def to_type(
     sigma[k+1], b~[k] = sigma[k]* b[k] sigma[k] and p~_k = p_k sigma[k].
 
     As sigma_1 = I, A~_1 ... A~_k = P_k sigma_{k+1} with P_k = A_1 ... A_k,
-    which fixes sigma uniquely for nonsingular P_k, so types 2 and 3 read it
-    from one stack of the P_k: sigma_{k+1}* is P_k's unitary polar factor
-    (type 2, one stacked SVD) or the Q of its LQ factors with diag L_k > 0
-    (type 3, one stacked QR of the P_k*), accurate while P_k is well
-    conditioned, as where kappa_n = (P_n*)^-1 converges. Singular names the
-    first degree whose diag L_k / diag L_{k-1}, A~_k's diagonal, has least
-    modulus at or below tol.sing_rel x max(1, its largest). Type 1 fixes no
-    product: it loops.
+    so sigma is unique for nonsingular P_k, and type 2 reads it from one
+    stack of the P_k: sigma_{k+1}* is P_k's unitary polar factor, one
+    stacked SVD. Types 1 and 3 loop: sigma_{k+1}* is the unitary polar or
+    LQ factor (diag L > 0) of sigma_k* A_k, as well conditioned as A_k. An
+    LQ of P_k is accurate only while P_k is well conditioned, which fails
+    where one channel's products shrink geometrically against another's.
     """
     if target not in NORM_TYPES:
         raise ValidationError(f"target must be one of {NORM_TYPES}, got {target!r}")
@@ -652,24 +662,12 @@ def to_type(
     sigma = np.empty((n + 1, l, l), dtype=complex)
     sigma[0] = np.eye(l)
 
-    if target == "type1":
-        for k in range(n):
-            m = sigma[k].conj().T @ jacobi.a[k]
-            sigma[k + 1] = _polar_factor(m, tol, k + 1).conj().T
-    elif target == "type2":
+    if target == "type2":
         sigma[1:] = _polar_factor(_prefix_products(jacobi.a), tol, 1).conj().swapaxes(1, 2)
     else:
-        q, r = np.linalg.qr(_prefix_products(jacobi.a).conj().swapaxes(1, 2))
-        d = np.diagonal(r, axis1=1, axis2=2)
-        with np.errstate(divide="ignore", invalid="ignore"):  # zeros follow a refused degree
-            ratio = np.abs(d) / np.abs(np.concatenate([np.ones((1, l)), d[:-1]]))
-        d_min, floor = ratio.min(axis=1), tol.sing_rel * np.maximum(1.0, ratio.max(axis=1))
-        bad = np.flatnonzero(d_min <= floor)
-        if bad.size:
-            k = bad[0]
-            raise Singular(f"to_type: degree {k + 1}: LQ factor diagonal min |d| {d_min[k]:.3e} "
-                           f"at or below tol.sing_rel x max(1, max |d|) = {floor[k]:.3e}")
-        sigma[1:] = q * (d / np.abs(d))[:, None, :]
+        factor = _polar_factor if target == "type1" else _lq_factor
+        for k in range(n):
+            sigma[k + 1] = factor(sigma[k].conj().T @ jacobi.a[k], tol, k + 1).conj().T
 
     left = sigma[:-1].conj().transpose(0, 2, 1)
     a_new = left @ jacobi.a @ sigma[1:]

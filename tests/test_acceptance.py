@@ -21,7 +21,7 @@ from matszego.linalg import (
     principal_sqrt,
 )
 from matszego.measure import TableDensity, make_measure
-from matszego.polynomials import apply_transform, stieltjes, to_type
+from matszego.polynomials import apply_transform, eval_scaled_many, stieltjes, to_type
 from matszego.outer import det_szego_check, spectral_factorize
 from matszego.blaschke import (
     construct_product,
@@ -218,7 +218,8 @@ def test_criterion_6_polar_diagnostics(shipped_measures):
         lim = build_pipeline(mu)
         seq = stieltjes(mu, 101)
         jac2, _ = to_type(seq.jacobi, "type2")
-        diag = h_diagnostic(lim, jac2, [20, 60, 100])
+        kappas = eval_scaled_many(jac2, [20, 60, 100], [0])[:, 0]
+        diag = h_diagnostic(lim, kappas, [20, 60, 100])
         worst_eta = max(
             worst_eta, abs(diag.eta_min[-1] - 1.0), abs(diag.eta_max[-1] - 1.0)
         )

@@ -71,7 +71,7 @@ class TestFreeCase:
     def test_scaled_polynomials_approach_limit(self, free_limit, semicircle_measure):
         seq = stieltjes(semicircle_measure, 41)
         jac2, _ = to_type(seq.jacobi, "type2")
-        sup, origin = verify_pointwise(free_limit, jac2, [10, 25, 40])
+        sup, origin, _ = verify_pointwise(free_limit, jac2, [10, 25, 40])
         assert np.all(np.diff(sup) < 0.0)
         assert sup[-1] < 1e-6
         assert origin[-1] < 1e-8
@@ -127,13 +127,13 @@ class TestMassCase:
 
     def test_pointwise_excludes_poles(self, mass_limit, mass_type2):
         jac2, _ = mass_type2
-        sup, _ = verify_pointwise(mass_limit, jac2, [40], radius=0.8)
+        sup, _, _ = verify_pointwise(mass_limit, jac2, [40], radius=0.8)
         assert sup[0] < 1e-6
 
     def test_polar_diagnostic_settles(self, mass_limit, mass_type2):
         jac2, _ = mass_type2
-        diag = h_diagnostic(mass_limit, jac2, [10, 40, 80])
-        _, origin_gap = verify_pointwise(mass_limit, jac2, [10, 40, 80])
+        _, origin_gap, kappas = verify_pointwise(mass_limit, jac2, [10, 40, 80])
+        diag = h_diagnostic(mass_limit, kappas, [10, 40, 80])
         assert abs(diag.eta_min[-1] - 1.0) < 1e-6
         assert abs(diag.eta_max[-1] - 1.0) < 1e-6
         assert diag.logdet_abs[-1] < 1e-6
@@ -147,14 +147,17 @@ class TestMassCase:
         # points, what a pass over them alone reads, and at the origin kappa_n
         jac2, _ = mass_type2
         degrees = [0, 10, 40]
-        sup, origin_gap = verify_pointwise(mass_limit, jac2, degrees)
+        sup, origin_gap, kappas = verify_pointwise(mass_limit, jac2, degrees)
         pts = mass_limit.disk_points(0.8)
         alone = eval_scaled_many(jac2, degrees, pts)
         want = [max_operator_norm(q - mass_limit.eval(pts)) for q in alone]
         assert sup.tobytes() == np.array(want).tobytes()
-        for n, gap in zip(degrees, origin_gap):
+        for n, gap, kappa in zip(degrees, origin_gap, kappas):
             kappa_gap = float(operator_norm(leading_coeff(jac2, n) - mass_limit.value0))
             assert abs(gap - kappa_gap) <= 1e-12
+            assert gap == float(operator_norm(kappa - mass_limit.value0))
+            alone = eval_scaled_many(jac2, [n], [0])[0, 0]
+            assert np.abs(kappa - alone).max() <= 1e-13 * max(1.0, np.abs(alone).max())
 
 
 class TestMassPairNearTheCircle:
@@ -227,4 +230,4 @@ class TestStageNamedErrors:
         jac2, _ = to_type(stieltjes(mu, 2).jacobi, "type2")
         with pytest.raises(Singular, match=r"^limits: polar diagnostic at n = 1: smallest "
                            r"singular value 0\.000e\+00 at or below tol\.sing_rel x largest = "):
-            h_diagnostic(lim, jac2, [1])
+            h_diagnostic(lim, eval_scaled_many(jac2, [1], [0])[:, 0], [1])

@@ -106,21 +106,26 @@ def test_verify_evaluates_the_scaled_polynomials_once(recurrence_metrics):
 
 
 def test_polar_diagnostic_reads_the_leading_coefficients(monkeypatch, tmp_path):
-    seen = []
-    h_diagnostic = limits.h_diagnostic
+    seen, jacobis = [], []
+    verify_pointwise, h_diagnostic = limits.verify_pointwise, limits.h_diagnostic
 
-    def spy(lim, jacobi2, n_values, tol, kappas=None):
-        seen.append((jacobi2, n_values, kappas))
-        return h_diagnostic(lim, jacobi2, n_values, tol, kappas)
+    def pointwise_spy(lim, jacobi2, *args):
+        jacobis.append(jacobi2)
+        return verify_pointwise(lim, jacobi2, *args)
 
-    monkeypatch.setattr(limits, "h_diagnostic", spy)
+    def polar_spy(lim, kappas, n_values, tol):
+        seen.append((kappas, n_values))
+        return h_diagnostic(lim, kappas, n_values, tol)
+
+    monkeypatch.setattr(limits, "verify_pointwise", pointwise_spy)
+    monkeypatch.setattr(limits, "h_diagnostic", polar_spy)
     for name in ("semicircle_mass", "matrix_semicircle_mass"):
         argv = ["verify", str(SPECS_DIR / f"{name}.json"), "--n-list", "5,20,60",
                 "--out", str(tmp_path / name)]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0, name
-    assert len(seen) == 2
-    for jac2, n_values, kappas in seen:
+    assert len(seen) == len(jacobis) == 2
+    for jac2, (kappas, n_values) in zip(jacobis, seen):
         assert kappas.shape == (len(n_values), jac2.dim, jac2.dim)
         for n, kappa in zip(n_values, kappas):
             want = polynomials.eval_scaled_many(jac2, [n], [0])[0, 0]
