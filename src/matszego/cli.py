@@ -7,8 +7,9 @@ timestamps and use a fixed evaluation order, so equal manifests mean
 bitwise-equal files.
 
 Exit codes: 0 success, 2 malformed input (document syntax, bad flag
-values, tolerance profile), 3 invalid measure data, 4 numerical failure
-(lost positivity, no convergence, singularities), 5 internal error.
+values, tolerance profile, an --out that cannot be written), 3 invalid
+measure data, 4 numerical failure (lost positivity, no convergence,
+singularities), 5 internal error.
 
 The MATSZEGO_TOLERANCES environment variable may hold a JSON object
 overriding tolerance fields; overrides are echoed into the manifest.
@@ -432,13 +433,16 @@ def main(argv=None) -> int:
         report, tables, lines = _SUBCOMMANDS[args.command].run(args, mu, tol)
         if args.out is not None:
             out = pathlib.Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
             manifest = specio.RunManifest(command=command, spec_sha256=specio.spec_hash(spec),
                                           tolerance_overrides=overrides, tool_version=__version__)
-            (out / "manifest.json").write_text(manifest.to_json())
-            (out / "report.json").write_text(specio._dumps(report))
-            for name, (fmt, *fmt_args) in tables.items():
-                (out / f"{name}.csv").write_text(fmt(*fmt_args))
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+                (out / "manifest.json").write_text(manifest.to_json())
+                (out / "report.json").write_text(specio._dumps(report))
+                for name, (fmt, *fmt_args) in tables.items():
+                    (out / f"{name}.csv").write_text(fmt(*fmt_args))
+            except OSError as exc:
+                raise ParseError(f"cannot write {args.out}: {exc}") from None
             lines.append(f"artifacts written to {args.out}")
         print("\n".join(lines))
         return 0

@@ -109,66 +109,33 @@ def frobenius_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
 
-def _frobenius_top(a: np.ndarray) -> tuple[np.ndarray, float | None]:
-    """(Frobenius norm per block, largest one or None when it brackets nothing).
-
-    The largest is None when squares overflow or underflow (or entries
-    are not finite): the Frobenius norms then say nothing reliable about
-    the operator norms. It is 0.0 only when every entry is exactly zero.
-    """
-    fro = frobenius_norms(a)
-    top = float(fro.max())
-    if top == 0.0 and not a.any():
-        return fro, 0.0
-    if not _FRO_TINY <= top < np.inf:
-        return fro, None
-    return fro, top
-
-
-def _distinct(blocks: np.ndarray) -> np.ndarray:
-    """One copy of each bitwise-distinct block of an (N, m, n) stack.
-
-    LAPACK returns the same floats for the same input, so equal blocks
-    need one SVD between them. Rounding-level residuals are quantized and
-    repeat many times.
-    """
-    rows = np.ascontiguousarray(blocks).reshape(blocks.shape[0], -1)
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
-    return blocks[np.unique(keys, return_index=True)[1]]
-
-
 def _max_norm(a: np.ndarray, norms) -> float:
     """np.max(norms(a)) for a matrix or a stack, with norms run only on the
     blocks that can hold the maximum; norms maps a block or a stack to
     operator norms.
 
-    The block of largest Frobenius norm is decomposed first, giving s.
-    Since ||A||_2 <= ||A||_F, only blocks whose Frobenius norm is at least
-    s (1 - margin) can exceed it, the margin covering rounding in both
-    norms, and of those one copy of each distinct block (_distinct) is
-    decomposed. Same float as the full batch. A stack of exact zeros
-    returns 0.0, the float its decomposition gives, without one, and a
-    stack whose Frobenius norms are unreliable (_frobenius_top) is
-    decomposed whole; an empty batch raises ValueError. A single matrix
-    goes to norms directly.
+    The block of largest Frobenius norm is decomposed first, giving s;
+    then every other block that may_exceed(its Frobenius norm, s) keeps,
+    once each. Same float as the full batch, NaN included. A stack of
+    exact zeros returns 0.0, the float its decomposition gives, without
+    one; an empty batch raises ValueError. A single matrix goes to norms
+    directly.
     """
     a = np.asarray(a)
     if a.ndim < 2:
         raise DimensionMismatch(f"expected a matrix or a stack, got shape {a.shape}")
     if a.ndim == 2:
         return float(norms(a))
-    fro, top = _frobenius_top(a)
-    if top == 0.0:
-        return 0.0
-    if top is None:
-        return float(np.max(norms(a)))
-    blocks, fro = a.reshape((-1,) + a.shape[-2:]), fro.reshape(-1)
+    blocks = a.reshape((-1,) + a.shape[-2:])
+    fro = frobenius_norms(blocks)
     first = int(np.argmax(fro))
+    if fro[first] == 0.0 and not a.any():
+        return 0.0
     s = float(norms(blocks[first]))
-    rest = fro >= (1.0 - _BRACKET_MARGIN) * s
-    rest[first] = False
-    if rest.any():
-        s = max(s, float(np.max(norms(_distinct(blocks[rest])))))
+    keep = may_exceed(fro, s)
+    keep[first] = False
+    if keep.any():
+        s = float(np.maximum(s, np.max(norms(blocks[keep]))))
     return s
 
 
@@ -187,7 +154,10 @@ def may_exceed(bounds: np.ndarray, value: float) -> np.ndarray:
     margin for rounding in the bound and in the SVD, is at most value, so
     max(value, max_operator_norm(blocks[mask])) is the float the whole
     stack gives. NaN bounds are kept, and so is every block while value is
-    below the range where squares keep their digits (_FRO_TINY).
+    below the range where squares keep their digits (_FRO_TINY); an
+    overflowed bound (inf) still bounds, and is kept. This is the one
+    candidate rule of every stack norm: _max_norm and the recurrence
+    certificates pick the blocks they decompose by it.
     """
     if not value >= _FRO_TINY:
         return np.ones(np.shape(bounds), dtype=bool)
@@ -228,19 +198,19 @@ class BracketedNorm:
 
     where the margin covers the rounding of F and of the eigenvalues; the
     bracket holds the very float max_hermitian_norm returns. A stack of
-    exact zeros gives (0.0, 0.0). Where the Frobenius norms are unreliable
-    (_frobenius_top) both ends are NaN, so the exact value decides, errors
-    included. The stack is dropped once the value is known.
+    exact zeros gives (0.0, 0.0). Where F lies outside [_FRO_TINY, inf),
+    its squares lost digits or entries are not finite: both ends are NaN,
+    and the exact value decides, errors included, from the blocks
+    may_exceed keeps. The stack is dropped once the value is known.
     """
 
     def __init__(self, stack: np.ndarray):
         self._stack = stack
-        _, top = _frobenius_top(stack)
-        if top is None:
-            self.lo = self.hi = np.nan
-        else:
-            self.lo = (1.0 - _BRACKET_MARGIN) * top / math.sqrt(stack.shape[-1])
-            self.hi = (1.0 + _BRACKET_MARGIN) * top
+        top = float(frobenius_norms(stack).max())
+        if not (_FRO_TINY <= top < np.inf or top == 0.0 and not stack.any()):
+            top = np.nan
+        self.lo = (1.0 - _BRACKET_MARGIN) * top / math.sqrt(stack.shape[-1])
+        self.hi = (1.0 + _BRACKET_MARGIN) * top
 
     def exact(self) -> float:
         if self._stack is not None:

@@ -25,8 +25,8 @@ path in the message.
 A document has one representation after parsing, its canonical plain
 form (MeasureSpec): numbers become floats and every matrix becomes
 {"re", "im"} float rows with "im" filled in, read in a single pass. A
-table's parts are checked as flat lists of matrices, rows and entries
-and become floats in one conversion (_flat_stack); any other table is
+valid table's parts, with or without "im", are checked as flat lists
+and become floats in one conversion (_flat_stack); an invalid table is
 read value by value, so an error names its entry. The parsed table
 keeps only its (2, N, dim, dim) re/im float stack, no matrix of Python
 floats. build_measure and the hash both read that stack, so no table
@@ -102,12 +102,8 @@ _NUMBER_TYPES = {int, float}
 
 
 def _rows(rows, path: str) -> list[list[float]]:
-    """Finite float rows of a non-empty rectangular list of number lists.
-
-    A row of plain ints and floats with a finite sum is converted as a
-    whole; any other row is checked entry by entry, which names the
-    offending entry.
-    """
+    """Finite float rows of a non-empty rectangular list of number lists,
+    checked entry by entry, so that an error names the offending entry."""
     if not isinstance(rows, list) or not rows:
         raise _fail(path, "expected a non-empty list of rows")
     out = []
@@ -116,14 +112,6 @@ def _rows(rows, path: str) -> list[list[float]]:
             raise _fail(f"{path}[{i}]", "expected a non-empty row")
         if len(row) != len(rows[0]):
             raise _fail(f"{path}[{i}]", f"row length {len(row)} != {len(rows[0])}")
-        if set(map(type, row)) <= _NUMBER_TYPES:
-            try:
-                floats = list(map(float, row))
-                if math.isfinite(sum(floats)):
-                    out.append(floats)
-                    continue
-            except OverflowError:
-                pass
         out.append([_as_number(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
     return out
 
@@ -169,16 +157,19 @@ class _TableValues:
         return isinstance(other, _TableValues) and np.array_equal(self.stack, other.stack)
 
 
+_VALUE_KEYS = {frozenset(("re",)), frozenset(("re", "im"))}
+
+
 def _flat_stack(values: list, dim: int) -> np.ndarray | None:
     """The (2, N, dim, dim) re/im float stack of a table whose every value
-    has exactly "re" and "im", each dim rows of dim finite ints and floats;
-    None for any other table. The matrices, their rows and their entries
-    are each checked as one flat list, and the entries become floats in
-    one conversion."""
-    complete = {frozenset(("re", "im"))}
-    if set(map(type, values)) != {dict} or set(map(frozenset, values)) != complete:
+    has "re" and an optional "im", each dim rows of dim finite ints and
+    floats, a missing "im" read as zeros (_matrix); None for any other
+    table. The matrices, their rows and their entries are each checked as
+    one flat list, and the entries become floats in one conversion."""
+    if set(map(type, values)) != {dict} or not set(map(frozenset, values)) <= _VALUE_KEYS:
         return None
-    items = list(chain(map(itemgetter("re"), values), map(itemgetter("im"), values)))
+    zero = [[0] * dim] * dim
+    items = list(chain(map(itemgetter("re"), values), (v.get("im", zero) for v in values)))
     for _ in range(2):  # the matrices, then their rows
         if set(map(type, items)) != {list} or set(map(len, items)) != {dim}:
             return None
@@ -195,9 +186,9 @@ def _flat_stack(values: list, dim: int) -> np.ndarray | None:
 
 
 def _table(values: list, path: str, dim: int) -> _TableValues:
-    """The canonical float stack of a table: _rows' whole-row test lifted
-    to the table (_flat_stack), with each value read by _matrix if that
-    test fails, so that an error names its entry."""
+    """The canonical float stack of a table, read in one conversion
+    (_flat_stack), or value by value by _matrix when that fails, so that
+    an error names its entry."""
     stack = _flat_stack(values, dim)
     if stack is None:
         matrices = [_matrix(v, f"{path}[{i}]", dim) for i, v in enumerate(values)]

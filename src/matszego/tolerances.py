@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 
 from .errors import ParseError
 
@@ -36,8 +37,9 @@ def from_environment() -> tuple[Tolerances, dict]:
     """Return (profile, overrides): DEFAULT with the overrides read from
     the environment.
 
-    Unknown keys or non-numeric values raise ParseError: a typo silently
-    reverting to defaults would defeat the point of an override.
+    Unknown keys and values that are not finite numbers raise ParseError:
+    a typo silently reverting to defaults would defeat the point of an
+    override, and a test against NaN or inf never fires.
     """
     raw = os.environ.get(_ENV_VAR, "")
     if not raw.strip():
@@ -52,6 +54,7 @@ def from_environment() -> tuple[Tolerances, dict]:
     for key, value in overrides.items():
         if key not in known:
             raise ParseError(f"{_ENV_VAR}: unknown tolerance {key!r}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParseError(f"{_ENV_VAR}: {key} must be a number")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max):
+            raise ParseError(f"{_ENV_VAR}: {key} must be a finite number")
     return Tolerances(**overrides), dict(overrides)

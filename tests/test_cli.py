@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, stdout content, artifact determinism."""
 
+import dataclasses
 import json
 import re
 import warnings
@@ -249,6 +250,34 @@ class TestExitCodes:
             assert code == 2
             assert "MATSZEGO_TOLERANCES" in err
             assert key in err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(tolerances.Tolerances)])
+    def test_non_finite_tolerance_override_is_parse_error(self, capsys, monkeypatch, key, value):
+        # a certificate compared against NaN or inf never fires, a NaN
+        # would reach manifest.json as a bare NaN, which is not JSON, and
+        # an integer beyond every float fails its first conversion
+        monkeypatch.setenv("MATSZEGO_TOLERANCES", f'{{"{key}": {value}}}')
+        code, _, err = run(capsys, "check-measure", FREE)
+        assert (code, err) == (2, f"parse error: MATSZEGO_TOLERANCES: {key} must be a "
+                                  "finite number\n")
+
+    @pytest.mark.parametrize("where", ["file", "under_file"])
+    def test_unwritable_out_is_parse_error(self, capsys, tmp_path, where):
+        # an existing regular file where --out or one of its parents
+        # should be a directory: exit 2 naming the path, no traceback
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker if where == "file" else blocker / "out"
+        code, outp, err = run(capsys, "check-measure", MASS, "--out", str(out))
+        assert (code, outp) == (2, "")
+        assert err.startswith(f"parse error: cannot write {out}: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_finite_overrides_of_either_sign_are_kept(self, monkeypatch):
+        monkeypatch.setenv("MATSZEGO_TOLERANCES", '{"pos": -1e-12, "orth": 0}')
+        tol, overrides = tolerances.from_environment()
+        assert (tol.pos, tol.orth) == (-1e-12, 0) and overrides == {"pos": -1e-12, "orth": 0}
 
     def test_tolerance_override_applies(self, capsys, monkeypatch):
         monkeypatch.setenv("MATSZEGO_TOLERANCES", '{"norm": 1e-6}')

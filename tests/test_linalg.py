@@ -197,6 +197,37 @@ class TestMaxOperatorNorm:
         bracket = BracketedNorm(a)
         assert np.isnan(bracket.lo) and np.isnan(bracket.hi)
 
+    def test_overflowing_block_takes_one_svd(self, monkeypatch):
+        # the squares of the spike overflow, so its Frobenius norm reads
+        # inf; it still bounds the spike, and it rules out no other block
+        # while the spike's norm rules out all of them
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((4096, 3, 3)) + 1j * rng.standard_normal((4096, 3, 3))
+        a[1234] *= 1e200
+        with np.errstate(over="ignore"):
+            assert np.isinf(linalg.frobenius_norms(a[1234]))
+            full = np.max(operator_norm(a))
+            blocks = []
+            svd = np.linalg.svd
+
+            def spy(b, *args, **kwargs):
+                blocks.append(int(np.prod(np.shape(b)[:-2])))
+                return svd(b, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "svd", spy)
+            assert max_operator_norm(a) == full
+        assert blocks == [1]
+
+    def test_infinite_entry_beside_an_overflowing_block_gives_nan(self):
+        # both Frobenius norms read inf; gesdd answers the infinite entry
+        # with NaN, and the maximum carries it as the full batch does
+        a = np.eye(2, dtype=complex)[None].repeat(3, axis=0)
+        a[0] *= 1e200
+        a[2, 0, 1] = np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = np.max(operator_norm(a))
+            assert np.isnan(full) and np.isnan(max_operator_norm(a))
+
 
 EPS = 2.0**-52
 # Zeros of both signs, subnormals, NaN and infinities.

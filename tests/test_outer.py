@@ -458,9 +458,11 @@ class TestBracketedDecisions:
     @pytest.mark.parametrize("name", sorted(WEIGHTS))
     def test_brackets_change_no_decision(self, monkeypatch, name, fact_rel):
         # every scale test settled exactly, by brackets whose Frobenius
-        # norms read as unreliable (both ends NaN), must give the same
-        # sweeps, factor and report floats bit for bit; fact_rel = 1e-18
-        # runs each weight into its rounding plateau, where it fails
+        # norms read as unreliable (both ends NaN), and every stack norm
+        # taken over all blocks (may_exceed keeps NaN bounds), must give
+        # the same sweeps, factor and report floats bit for bit;
+        # fact_rel = 1e-18 runs each weight into its rounding plateau,
+        # where it fails
         w = self.WEIGHTS[name]()
         tol = dataclasses.replace(DEFAULT, fact_rel=fact_rel)
         fast = factor_outcome(w, tol)
@@ -468,10 +470,10 @@ class TestBracketedDecisions:
 
         def unreliable(a):
             calls.append(a.shape)
-            return np.linalg.norm(a, axis=(-2, -1)), None
+            return np.full(a.shape[:-2], np.nan)
 
         with monkeypatch.context() as m:
-            m.setattr(linalg, "_frobenius_top", unreliable)
+            m.setattr(linalg, "frobenius_norms", unreliable)
             assert factor_outcome(w, tol) == fast
         assert calls
         if fact_rel != DEFAULT.fact_rel:

@@ -553,14 +553,26 @@ class TestTableFastPath:
         assert spec_hash(spec) == expected
         assert calls == []
 
-    def test_fast_path_equals_per_value_reader(self):
+    @pytest.mark.parametrize("im", ["all", "none", "some"])
+    def test_fast_path_equals_per_value_reader(self, im):
+        # every value with "im", none (zeros filled in), or some; -0.0
+        # entries in both parts, and a real -0.0 beside a negative
+        # imaginary part, which keeps its sign
         doc = json.loads(TABLE)
-        doc["density"]["values"][2]["im"] = [[0, -0.0], [-0.0, -0.0]]
+        values = doc["density"]["values"]
+        values[2]["im"] = [[0, -0.0], [-0.0, -0.0]]
+        values[3]["re"][0][1] = -0.0
+        if im != "all":
+            for value in values[: 4 if im == "none" else 2]:
+                del value["im"]
         spec = parse_measure_spec(json.dumps(doc))
         dim = doc["dim"]
-        per_value = [specio._matrix(v, "v", dim) for v in doc["density"]["values"]]
+        assert specio._flat_stack(values, dim) is not None
+        per_value = [specio._matrix(v, "v", dim) for v in values]
         stack = np.array([[m[k] for m in per_value] for k in ("re", "im")])
-        assert specio._table(doc["density"]["values"], "v", dim) == specio._TableValues(stack)
+        table = specio._table(values, "v", dim)
+        assert table == specio._TableValues(stack)
+        assert np.array_equal(np.signbit(table.stack), np.signbit(stack))
         assert reference_text(spec.density["values"]) == reference_text(per_value)
 
     def test_parsed_table_keeps_only_its_stack(self):
